@@ -8,8 +8,11 @@
 //! replay.  While it grinds, a one-line status repaints per stage, driven
 //! by `bench:stage` events through the shared event sink (TTY only).
 //! Appends the `store_format` scenario to `BENCH_learning.json` (in the
-//! current directory).  Pass `--quick` for the reduced CI smoke
-//! configuration (20k observations, no speedup floor).
+//! current directory), stamped with host parallelism and source revision.
+//! Pass `--quick` for the reduced CI smoke configuration (20k
+//! observations, no speedup floor), which prints its report and row but
+//! leaves `BENCH_learning.json` alone, so a smoke run never replaces the
+//! full-size row.
 use prognosis_campaign::{Progress, ProgressSink};
 use prognosis_events::EventSink;
 use std::sync::Arc;
@@ -23,6 +26,10 @@ fn main() {
     );
     progress.finish();
     println!("{report}");
+    if quick {
+        println!("quick run: BENCH_learning.json left unchanged");
+        return;
+    }
     let existing = std::fs::read_to_string("BENCH_learning.json").ok();
     let merged = prognosis_bench::merge_scenario(existing.as_deref(), "store_format", scenario);
     std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");

@@ -2796,7 +2796,7 @@ pub fn exp_store_format_with_events(
             ("file_bytes".to_string(), serde_json::Value::U64(bytes)),
         ])
     };
-    let scenario = serde_json::Value::Map(vec![
+    let mut fields = vec![
         (
             "observations".to_string(),
             serde_json::Value::U64(observations),
@@ -2842,9 +2842,33 @@ pub fn exp_store_format_with_events(
                 ),
             ]),
         ),
+    ];
+    fields.extend(run_stamp(quick));
+    (report, serde_json::Value::Map(fields))
+}
+
+/// The fields stamping a scenario row with how it was measured: `quick`
+/// (a reduced smoke configuration), the host's available parallelism and
+/// the source revision (`git describe --always --dirty`, `"unknown"`
+/// outside a git checkout).
+pub fn run_stamp(quick: bool) -> Vec<(String, serde_json::Value)> {
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string());
+    vec![
         ("quick".to_string(), serde_json::Value::Bool(quick)),
-    ]);
-    (report, scenario)
+        (
+            "host_parallelism".to_string(),
+            serde_json::Value::U64(parallelism as u64),
+        ),
+        ("git_rev".to_string(), serde_json::Value::Str(rev)),
+    ]
 }
 
 /// The churn round's short observations: the first `prefix_len` symbols of

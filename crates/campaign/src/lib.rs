@@ -19,8 +19,9 @@
 //!   and checks fan out as upstream learns complete — no global barrier),
 //!   learn tasks lease session-worker slots from a shared
 //!   [`prognosis_core::engine::EnginePool`], and finished observations
-//!   persist into a [`prognosis_learner::cache::SharedCacheStore`] under a
-//!   per-path writer guard;
+//!   append their deltas to a shared
+//!   [`prognosis_learner::journal::JournalStore`] under a per-path writer
+//!   guard;
 //! * [`report`] — the machine-readable result, assembled in spec order
 //!   with no wall-clock anywhere: the same spec yields a byte-identical
 //!   [`report::CampaignReport::canonical_json`] at any engine size,

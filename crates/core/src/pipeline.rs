@@ -23,7 +23,7 @@ use prognosis_automata::word::InputWord;
 use prognosis_events::EventSink;
 use prognosis_learner::cache::StoreKey;
 use prognosis_learner::eq_oracles::{RandomWordOracle, DEFAULT_EQ_BATCH_SIZE};
-use prognosis_learner::journal::{JournalStore, RetainPolicy};
+use prognosis_learner::journal::{Checkout, JournalStore, RetainPolicy};
 use prognosis_learner::oracle::{CacheOracle, MembershipOracle};
 use prognosis_learner::stats::LearningStats;
 use prognosis_learner::trie::PrefixTrie;
@@ -224,35 +224,39 @@ fn equivalence_oracle(config: &LearnConfig) -> RandomWordOracle {
     .with_batch_size(config.eq_batch_size)
 }
 
-/// Loads the persisted observation trie for this (SUL, alphabet) pair
-/// from the journaled store.  Returns an empty trie when persistence is
-/// off, warm start is disabled, the SUL is uncacheable, or the store has
-/// no entry for the key.
-fn warm_trie(config: &LearnConfig, cache_key: Option<&str>, alphabet: &Alphabet) -> PrefixTrie {
+/// Opens the journaled observation store once and checks this (SUL,
+/// alphabet) pair's entry out for the run: with warm start the stored trie
+/// seeds the cache, otherwise the run starts from an empty trie.  Returns
+/// no checkout when persistence is off or the SUL is uncacheable.
+fn checkout_store(
+    config: &LearnConfig,
+    cache_key: Option<&str>,
+    alphabet: &Alphabet,
+) -> (PrefixTrie, Option<Checkout>) {
     match (&config.cache_path, cache_key) {
-        (Some(path), Some(key)) if config.warm_start => {
+        (Some(path), Some(key)) => {
             let key = StoreKey::new(key, "", alphabet);
-            JournalStore::load_matching(path, &key).unwrap_or_default()
+            let (trie, checkout) =
+                JournalStore::open_or_empty(path).checkout(key, config.warm_start);
+            (trie, Some(checkout))
         }
-        _ => PrefixTrie::new(),
+        _ => (PrefixTrie::new(), None),
     }
 }
 
-/// Persists the run's observation trie into the journaled store: only the
+/// Commits the run's observation trie through its checkout: only the
 /// paths the file does not already cover are appended (a fully warm run
 /// writes zero bytes), and a differently-keyed file is replaced — a cache
 /// file follows its run's key.  Persistence failures are reported but
 /// never fail the learning run itself.
-fn persist_trie(
-    config: &LearnConfig,
-    cache_key: Option<&str>,
-    alphabet: &Alphabet,
-    trie: &PrefixTrie,
-) {
-    if let (Some(path), Some(key)) = (&config.cache_path, cache_key) {
-        let key = StoreKey::new(key, "", alphabet);
-        if let Err(e) = JournalStore::save_merged_at(path, &key, trie, RetainPolicy::OnlyThisKey) {
-            eprintln!("warning: failed to persist observation cache to {path}: {e}");
+fn commit_store(checkout: Option<Checkout>, trie: PrefixTrie) {
+    if let Some(checkout) = checkout {
+        let path = checkout.path().to_path_buf();
+        if let Err(e) = checkout.commit(trie, RetainPolicy::OnlyThisKey) {
+            eprintln!(
+                "warning: failed to persist observation cache to {}: {e}",
+                path.display()
+            );
         }
     }
 }
@@ -305,10 +309,10 @@ fn run_learner<M: MembershipOracle>(
 /// learning a bit-identical model.
 pub fn learn_model<S: Sul>(sul: &mut S, alphabet: &Alphabet, config: LearnConfig) -> LearnedModel {
     let cache_key = sul.cache_key();
-    let warm = warm_trie(&config, cache_key.as_deref(), alphabet);
+    let (warm, checkout) = checkout_store(&config, cache_key.as_deref(), alphabet);
     let membership = CacheOracle::with_trie(SulMembershipOracle::new(sul), warm);
     let (learned, _oracle, trie, _) = run_learner(alphabet, &config, membership, &[]);
-    persist_trie(&config, cache_key.as_deref(), alphabet, &trie);
+    commit_store(checkout, trie);
     learned
 }
 
@@ -404,7 +408,7 @@ where
     // A throwaway session reports the cache key; every session from the
     // same factory shares it (the determinism property of §3.2).
     let cache_key = factory.create_session().cache_key();
-    let warm = warm_trie(config, cache_key.as_deref(), alphabet);
+    let (warm, checkout) = checkout_store(config, cache_key.as_deref(), alphabet);
     let membership = CacheOracle::with_trie(parallel, warm);
     let (learned, parallel, trie, _) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
         run_learner(alphabet, config, membership, &[])
@@ -412,7 +416,7 @@ where
         Ok(parts) => parts,
         Err(payload) => return Err(learn_error_from_panic(payload)),
     };
-    persist_trie(config, cache_key.as_deref(), alphabet, &trie);
+    commit_store(checkout, trie);
     let sul_stats = parallel.stats();
     let EngineShutdown { suls, engine } = parallel.shutdown()?;
     Ok(ParallelLearnOutcome {

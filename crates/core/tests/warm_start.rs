@@ -4,10 +4,15 @@
 //! model, for any worker count.  A changed SUL configuration or alphabet
 //! invalidates the key and the run soundly starts cold.
 
-use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig};
+use prognosis_core::engine::EnginePool;
+use prognosis_core::pipeline::{
+    learn_model, learn_model_parallel, learn_model_parallel_seeded, LearnConfig,
+};
 use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul};
 use prognosis_core::sul::Sul;
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
+use prognosis_learner::cache::StoreKey;
+use prognosis_learner::journal::{JournalStore, RetainPolicy};
 use prognosis_quic_sim::profile::ImplementationProfile;
 
 fn tmp_cache(name: &str) -> String {
@@ -142,6 +147,88 @@ fn warm_start_can_be_disabled_while_still_persisting() {
     let mut sul3 = TcpSul::with_defaults();
     let third = learn_model(&mut sul3, &tcp_alphabet(), config.clone());
     assert_eq!(third.stats.fresh_symbols, 0);
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// A partially warm learn (a new equivalence seed over a journal another
+/// seed filled) commits through its checkout exactly the bytes
+/// `save_merged` appends when handed the same final trie on a copy of the
+/// journal.
+#[test]
+fn partially_warm_learn_appends_what_save_merged_appends() {
+    let cache = tmp_cache("partial");
+    let copy = tmp_cache("partial-copy");
+    let _ = std::fs::remove_file(&cache);
+    let config = small_config(&cache);
+    let _ = learn_model(
+        &mut TcpSul::with_defaults(),
+        &tcp_alphabet(),
+        config.clone(),
+    );
+    std::fs::copy(&cache, &copy).unwrap();
+    let filled = std::fs::metadata(&cache).unwrap().len();
+
+    let second = LearnConfig {
+        seed: 8,
+        ..config.clone()
+    };
+    let warm = learn_model(
+        &mut TcpSul::with_defaults(),
+        &tcp_alphabet(),
+        second.clone(),
+    );
+    assert!(
+        warm.stats.fresh_symbols > 0,
+        "a new equivalence seed asks something new"
+    );
+    assert!(std::fs::metadata(&cache).unwrap().len() > filled);
+
+    // The same learn, handed its final trie instead of persisting it.
+    let key = StoreKey::new(
+        TcpSul::with_defaults().cache_key().unwrap(),
+        "",
+        &tcp_alphabet(),
+    );
+    let seed_trie = JournalStore::load_matching(&copy, &key).unwrap();
+    let seeded = learn_model_parallel_seeded(
+        &EnginePool::new(1),
+        &TcpSulFactory::default(),
+        &tcp_alphabet(),
+        &second,
+        seed_trie,
+        &[],
+    )
+    .unwrap();
+    assert_eq!(seeded.outcome.learned.model, warm.model);
+    JournalStore::save_merged_at(&copy, &key, &seeded.trie, RetainPolicy::OnlyThisKey).unwrap();
+    assert!(
+        std::fs::read(&cache).unwrap() == std::fs::read(&copy).unwrap(),
+        "the lineage delta must be byte-identical to the merge delta"
+    );
+    let _ = std::fs::remove_file(&cache);
+    let _ = std::fs::remove_file(&copy);
+}
+
+/// A fully warm learn writes nothing: the journal keeps its length and its
+/// modification time.
+#[test]
+fn fully_warm_learn_leaves_the_journal_untouched() {
+    let cache = tmp_cache("untouched");
+    let _ = std::fs::remove_file(&cache);
+    let config = small_config(&cache);
+    let cold = learn_model(
+        &mut TcpSul::with_defaults(),
+        &tcp_alphabet(),
+        config.clone(),
+    );
+    let before = std::fs::metadata(&cache).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let warm = learn_model(&mut TcpSul::with_defaults(), &tcp_alphabet(), config);
+    assert_eq!(warm.model, cold.model);
+    assert_eq!(warm.stats.fresh_symbols, 0);
+    let after = std::fs::metadata(&cache).unwrap();
+    assert_eq!(after.len(), before.len());
+    assert_eq!(after.modified().unwrap(), before.modified().unwrap());
     let _ = std::fs::remove_file(&cache);
 }
 

@@ -36,6 +36,17 @@
 //! truncates the torn tail before appending, so the file always converges
 //! back to a clean frame sequence.
 //!
+//! # Streaming replay
+//!
+//! Opening, verifying and tail re-syncing all replay through one reader
+//! with a fixed 1 MiB window, never the whole file at once; a frame that
+//! straddles a window boundary is carried over into the next read.
+//! Records decode straight into the tries' symbol ids: each distinct
+//! spelling is UTF-8-checked once per replay, each segment header
+//! resolves its key's trie once, and each entry maps a spelling to its
+//! interner ids once, after the first record using it has decoded fully.
+//! A tail re-sync seeks to the synced offset and reads only what grew.
+//!
 //! # Compaction
 //!
 //! Appending deltas means superseded paths accumulate: a path that was
@@ -57,6 +68,20 @@
 //! snapshot is shared, never copied.  Replayed tries depend only on file
 //! content, so warm-started learns stay bit-identical to cold ones.
 //!
+//! A single learning run opens the store once and works through a
+//! [`Checkout`]: [`JournalStore::checkout`] moves its key's trie out of
+//! the store uncopied and keeps only the trie's lineage (a
+//! [`TrieMark`] and the synced file offset), and [`Checkout::commit`]
+//! persists the grown trie through the same handle.  Tries only ever
+//! append nodes and set terminal markers, so while the file is still
+//! exactly at the checkout offset the delta is read off the lineage —
+//! the paths ending in a new or newly terminal node, the same records
+//! [`JournalStore::save_merged`] would append, in the same order — and a
+//! run that learned nothing new writes nothing, found in `O(1)`.  When
+//! the file moved meanwhile (another handle appended), the commit
+//! re-reads it and merges like `save_merged`, so concurrent runs still
+//! leave the union of their observations.
+//!
 //! # Migration
 //!
 //! [`JournalStore::open`] sniffs the magic bytes.  A legacy v2 JSON file —
@@ -68,11 +93,13 @@ use crate::cache::{
     atomic_write_durable, hold_path_lock, path_write_lock, CacheError, CacheStore,
     SharedCacheStore, StoreKey,
 };
-use crate::trie::{PathCoverage, PrefixTrie};
+use crate::trie::{PathCoverage, PrefixTrie, TrieMark};
 use prognosis_automata::alphabet::Symbol;
+use prognosis_automata::interner::SymbolId;
 use prognosis_automata::word::{InputWord, OutputWord};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -140,11 +167,15 @@ fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    let len = read_varint(bytes, pos)? as usize;
+fn read_bytes<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+    let len = usize::try_from(read_varint(bytes, pos)?).ok()?;
     let slice = bytes.get(*pos..pos.checked_add(len)?)?;
     *pos += len;
-    std::str::from_utf8(slice).ok()
+    Some(slice)
+}
+
+fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
+    std::str::from_utf8(read_bytes(bytes, pos)?).ok()
 }
 
 fn push_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
@@ -193,36 +224,66 @@ fn encode_record(input: &[Symbol], output: &[Symbol], terminal: bool) -> Vec<u8>
     payload
 }
 
-/// Returns the one shared [`Symbol`] for `s`, minting it on first sight.
-/// Replaying a 100k-record journal touches the same few dozen symbol
-/// spellings over and over; interning makes each an `Arc` clone instead
-/// of a fresh allocation.
-fn intern(interner: &mut HashMap<String, Symbol>, s: &str) -> Symbol {
-    if let Some(symbol) = interner.get(s) {
-        return symbol.clone();
-    }
-    let symbol = Symbol::new(s);
-    interner.insert(s.to_string(), symbol.clone());
-    symbol
+/// One replay's table of distinct symbol spellings.  Each spelling is
+/// UTF-8-checked and turned into a [`Symbol`] once; records then refer to
+/// spellings by index, and each entry's trie resolves an index to its own
+/// symbol id once.
+#[derive(Default)]
+struct Spellings {
+    index: HashMap<Box<[u8]>, u32>,
+    symbols: Vec<Symbol>,
 }
 
+impl Spellings {
+    /// The index of spelling `bytes`, or `None` when they are not UTF-8.
+    fn index_of(&mut self, bytes: &[u8]) -> Option<u32> {
+        if let Some(&index) = self.index.get(bytes) {
+            return Some(index);
+        }
+        let symbol = Symbol::new(std::str::from_utf8(bytes).ok()?);
+        let index = self.symbols.len() as u32;
+        self.symbols.push(symbol);
+        self.index.insert(bytes.into(), index);
+        Some(index)
+    }
+}
+
+/// Decodes a record payload into `steps` as `(input, output)` spelling
+/// indices and returns its terminal flag, or `None` when the record is
+/// malformed.
 fn decode_record(
     payload: &[u8],
-    interner: &mut HashMap<String, Symbol>,
-) -> Option<(Vec<Symbol>, Vec<Symbol>, bool)> {
+    spellings: &mut Spellings,
+    steps: &mut Vec<(u32, u32)>,
+) -> Option<bool> {
     let flags = *payload.first()?;
     if flags > 1 {
         return None;
     }
     let mut pos = 1;
-    let steps = read_varint(payload, &mut pos)? as usize;
-    let mut input = Vec::with_capacity(steps.min(payload.len()));
-    let mut output = Vec::with_capacity(steps.min(payload.len()));
-    for _ in 0..steps {
-        input.push(intern(interner, read_str(payload, &mut pos)?));
-        output.push(intern(interner, read_str(payload, &mut pos)?));
+    let count = read_varint(payload, &mut pos)?;
+    steps.clear();
+    // Every step consumes payload bytes, so a corrupt count ends the loop
+    // at the payload's end.
+    for _ in 0..count {
+        let input = spellings.index_of(read_bytes(payload, &mut pos)?)?;
+        let output = spellings.index_of(read_bytes(payload, &mut pos)?)?;
+        steps.push((input, output));
     }
-    (pos == payload.len()).then_some((input, output, flags & 1 == 1))
+    (pos == payload.len()).then_some(flags == 1)
+}
+
+/// `memo[spelling]`, filled through `intern` on the first lookup.
+fn memo_id(
+    memo: &mut Vec<Option<SymbolId>>,
+    spelling: u32,
+    intern: impl FnOnce() -> SymbolId,
+) -> SymbolId {
+    let slot = spelling as usize;
+    if memo.len() <= slot {
+        memo.resize(slot + 1, None);
+    }
+    *memo[slot].get_or_insert_with(intern)
 }
 
 /// Where the bytes behind a store's in-memory state came from.
@@ -250,87 +311,271 @@ pub enum RetainPolicy {
     All,
 }
 
-/// In-memory replay state: the decoded entries plus enough context to
-/// continue replaying appended frames later (tail replay).
-struct ReplayState {
-    entries: BTreeMap<StoreKey, Arc<PrefixTrie>>,
-    last_header_key: Option<StoreKey>,
-    record_frames: usize,
-    contradictions: usize,
-    interner: HashMap<String, Symbol>,
+/// Bytes the streaming replay reads at a time.  A frame straddling a
+/// chunk boundary is carried over into the next read; a frame larger than
+/// the buffer grows it.
+const REPLAY_CHUNK: usize = 1 << 20;
+
+/// Longest frame head: the tag byte plus a varint of at most ten bytes.
+const FRAME_HEAD_MAX: usize = 11;
+
+/// A forward-only window over a byte stream.  Replay reads frames through
+/// it a chunk at a time instead of buffering the whole file.
+struct FrameReader<R> {
+    source: R,
+    buf: Vec<u8>,
+    /// The unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+    /// Stream offset of `buf[0]`.
+    base: u64,
+    eof: bool,
 }
 
-impl ReplayState {
-    fn empty() -> Self {
-        ReplayState {
-            entries: BTreeMap::new(),
-            last_header_key: None,
-            record_frames: 0,
-            contradictions: 0,
-            interner: HashMap::new(),
+impl<R: Read> FrameReader<R> {
+    /// A reader over `source`, whose first byte sits at stream offset
+    /// `offset`, reading `chunk` bytes at a time.
+    fn new(source: R, offset: u64, chunk: usize) -> Self {
+        FrameReader {
+            source,
+            buf: vec![0; chunk.max(1)],
+            start: 0,
+            end: 0,
+            base: offset,
+            eof: false,
         }
     }
 
-    /// Replays frames from `bytes[start..]`, mutating the state, and
-    /// returns the offset just past the last good frame.  Stops (without
-    /// error) at the first short, unknown, or checksum-failing frame —
-    /// that is the crash-safe torn-tail rule.
-    fn replay_frames(&mut self, bytes: &[u8], start: usize) -> usize {
-        let mut pos = start;
+    /// Stream offset of the next unconsumed byte.
+    fn offset(&self) -> u64 {
+        self.base + self.start as u64
+    }
+
+    /// The unconsumed bytes, after reading until there are at least `need`
+    /// of them or the stream ends.
+    fn fill(&mut self, need: usize) -> std::io::Result<&[u8]> {
+        while self.end - self.start < need && !self.eof {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.base += self.start as u64;
+                self.end -= self.start;
+                self.start = 0;
+            }
+            if self.end == self.buf.len() {
+                // A frame larger than the buffer: grow as its bytes arrive,
+                // never by the (untrusted) length it claims.
+                self.buf.resize(self.buf.len() * 2, 0);
+            }
+            match self.source.read(&mut self.buf[self.end..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(&self.buf[self.start..self.end])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+    }
+
+    /// Whether the stream starts with [`JOURNAL_MAGIC`]; consumes it if so.
+    fn take_magic(&mut self) -> std::io::Result<bool> {
+        let found = self.fill(JOURNAL_MAGIC.len())?.starts_with(JOURNAL_MAGIC);
+        if found {
+            self.consume(JOURNAL_MAGIC.len());
+        }
+        Ok(found)
+    }
+
+    /// How many bytes are left in the stream, reading through them.
+    fn count_remaining(mut self) -> std::io::Result<u64> {
+        let buffered = (self.end - self.start) as u64;
+        Ok(buffered + std::io::copy(&mut self.source, &mut std::io::sink())?)
+    }
+
+    /// Everything left in the stream, as one buffer.
+    fn into_remaining(mut self) -> std::io::Result<Vec<u8>> {
+        let mut rest = self.buf[self.start..self.end].to_vec();
+        self.source.read_to_end(&mut rest)?;
+        Ok(rest)
+    }
+}
+
+/// One key's replay target: its trie — created by the key's first record,
+/// so a header without records leaves no entry — and the memos resolving
+/// spelling indices to this trie's symbol ids.
+struct Segment {
+    key: StoreKey,
+    trie: Option<Arc<PrefixTrie>>,
+    input_ids: Vec<Option<SymbolId>>,
+    output_ids: Vec<Option<SymbolId>>,
+}
+
+/// Replay state: the decoded entries plus enough context to continue
+/// replaying appended frames later (tail replay).
+struct Replay {
+    segments: Vec<Segment>,
+    by_key: BTreeMap<StoreKey, usize>,
+    /// Segment of the most recent header, resolved once per header.
+    current: Option<usize>,
+    record_frames: usize,
+    contradictions: usize,
+    spellings: Spellings,
+    /// Per-record buffers, reused across records.
+    steps: Vec<(u32, u32)>,
+    inputs: Vec<SymbolId>,
+    outputs: Vec<SymbolId>,
+}
+
+impl Replay {
+    fn empty() -> Self {
+        Replay {
+            segments: Vec::new(),
+            by_key: BTreeMap::new(),
+            current: None,
+            record_frames: 0,
+            contradictions: 0,
+            spellings: Spellings::default(),
+            steps: Vec::new(),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// Continues from a synced state (tail replay), taking its entries.
+    fn resume(state: &mut State) -> Self {
+        let mut replay = Replay::empty();
+        for (key, trie) in std::mem::take(&mut state.entries) {
+            let index = replay.segment(key);
+            replay.segments[index].trie = Some(trie);
+        }
+        replay.current = state.last_header_key.take().map(|key| replay.segment(key));
+        replay.record_frames = state.record_frames;
+        replay
+    }
+
+    /// The index of `key`'s segment, adding an empty one on first sight.
+    fn segment(&mut self, key: StoreKey) -> usize {
+        if let Some(&index) = self.by_key.get(&key) {
+            return index;
+        }
+        let index = self.segments.len();
+        self.by_key.insert(key.clone(), index);
+        self.segments.push(Segment {
+            key,
+            trie: None,
+            input_ids: Vec::new(),
+            output_ids: Vec::new(),
+        });
+        index
+    }
+
+    /// Replays frames from `reader` and returns the stream offset just past
+    /// the last good frame.  Stops (without error) at the first short,
+    /// unknown, malformed or checksum-failing frame — that is the
+    /// crash-safe torn-tail rule.  Errors only when reading fails.
+    fn replay<R: Read>(&mut self, reader: &mut FrameReader<R>) -> std::io::Result<u64> {
         loop {
-            let frame_start = pos;
-            let Some(&tag) = bytes.get(pos) else {
-                return frame_start;
+            let frame_start = reader.offset();
+            let head = reader.fill(FRAME_HEAD_MAX)?;
+            let Some(&tag) = head.first() else {
+                return Ok(frame_start);
             };
-            pos += 1;
-            let Some(len) = read_varint(bytes, &mut pos) else {
-                return frame_start;
+            let mut pos = 1;
+            let Some(frame_len) = read_varint(head, &mut pos)
+                .and_then(|len| usize::try_from(len).ok())
+                .and_then(|len| len.checked_add(pos + 4))
+            else {
+                return Ok(frame_start);
             };
-            let len = len as usize;
-            let Some(payload) = pos.checked_add(len).and_then(|end| bytes.get(pos..end)) else {
-                return frame_start;
+            let Some(frame) = reader.fill(frame_len)?.get(pos..frame_len) else {
+                return Ok(frame_start);
             };
-            pos += len;
-            let Some(stored) = bytes.get(pos..pos + 4) else {
-                return frame_start;
+            let Some((payload, stored)) = frame.split_last_chunk::<4>() else {
+                return Ok(frame_start);
             };
-            let stored = u32::from_le_bytes(stored.try_into().expect("4-byte slice"));
-            pos += 4;
-            if stored != frame_checksum(payload) {
-                return frame_start;
+            if u32::from_le_bytes(*stored) != frame_checksum(payload) {
+                return Ok(frame_start);
             }
-            match tag {
-                FRAME_SEGMENT => match decode_segment_header(payload) {
-                    Some(key) => self.last_header_key = Some(key),
-                    None => return frame_start,
-                },
-                FRAME_RECORD => {
-                    let Some(key) = self.last_header_key.clone() else {
-                        // A record before any segment header is not a
-                        // valid stream; treat it as the torn tail.
-                        return frame_start;
-                    };
-                    let Some((input, output, terminal)) =
-                        decode_record(payload, &mut self.interner)
-                    else {
-                        return frame_start;
-                    };
-                    self.record_frames += 1;
-                    // Single-pass apply: classify, insert the fresh suffix
-                    // and set the terminal marker in one trie walk (the old
-                    // coverage/insert/mark sequence walked thrice per
-                    // record).  `make_mut` is a plain deref while replay
-                    // owns the entry, which it does except when a caller
-                    // still holds a previously loaded snapshot.
-                    let trie = Arc::make_mut(self.entries.entry(key).or_default());
-                    match trie.apply_path(&input, &output, terminal) {
-                        Ok(PathCoverage::Contradicts) => self.contradictions += 1,
-                        Ok(_) => {}
-                        Err(_) => return frame_start,
-                    }
-                }
-                _ => return frame_start,
+            let applied = match tag {
+                FRAME_SEGMENT => self.apply_header(payload),
+                FRAME_RECORD => self.apply_record(payload),
+                _ => false,
+            };
+            if !applied {
+                return Ok(frame_start);
             }
+            reader.consume(frame_len);
+        }
+    }
+
+    fn apply_header(&mut self, payload: &[u8]) -> bool {
+        match decode_segment_header(payload) {
+            Some(key) => {
+                self.current = Some(self.segment(key));
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn apply_record(&mut self, payload: &[u8]) -> bool {
+        // A record before any segment header is not a valid stream; treat
+        // it as the torn tail.
+        let Some(current) = self.current else {
+            return false;
+        };
+        let Some(terminal) = decode_record(payload, &mut self.spellings, &mut self.steps) else {
+            return false;
+        };
+        self.record_frames += 1;
+        let Segment {
+            trie,
+            input_ids,
+            output_ids,
+            ..
+        } = &mut self.segments[current];
+        // `make_mut` is a plain deref while replay owns the entry, which it
+        // does except when a caller still holds a previously loaded
+        // snapshot.
+        let trie = Arc::make_mut(trie.get_or_insert_with(Default::default));
+        // The record decoded fully, so only now do its spellings reach the
+        // trie's interners — once per spelling and entry.
+        let symbols = &self.spellings.symbols;
+        self.inputs.clear();
+        self.outputs.clear();
+        for &(input, output) in &self.steps {
+            self.inputs.push(memo_id(input_ids, input, || {
+                trie.intern_input(&symbols[input as usize])
+            }));
+            self.outputs.push(memo_id(output_ids, output, || {
+                trie.intern_output(&symbols[output as usize])
+            }));
+        }
+        match trie.apply_path_ids(&self.inputs, &self.outputs, terminal) {
+            Ok(PathCoverage::Contradicts) => self.contradictions += 1,
+            Ok(_) => {}
+            Err(_) => return false,
+        }
+        true
+    }
+
+    /// The synced journal state this replay amounts to, with appends
+    /// continuing at `synced_len`.
+    fn into_state(self, synced_len: u64) -> State {
+        let last_header_key = self.current.map(|i| self.segments[i].key.clone());
+        State {
+            entries: self
+                .segments
+                .into_iter()
+                .filter_map(|s| Some((s.key, s.trie?)))
+                .collect(),
+            synced_len,
+            record_frames: self.record_frames,
+            last_header_key,
+            source: StoreFormat::Journal,
         }
     }
 }
@@ -507,10 +752,43 @@ impl JournalStore {
     }
 
     /// One-shot warm-start read: the trie persisted for `key` at `path`,
-    /// or `None` on any miss (no file, unreadable, no such key).
+    /// or `None` on any miss (no file, unreadable, no such key).  The
+    /// store is dropped right after, so the entry moves out uncopied.
     pub fn load_matching(path: impl AsRef<Path>, key: &StoreKey) -> Option<PrefixTrie> {
         let store = JournalStore::open(path).ok()?;
-        store.snapshot(key).map(|trie| (*trie).clone())
+        let mut state = store.state.into_inner().expect("journal state poisoned");
+        state.entries.remove(key).map(Arc::unwrap_or_clone)
+    }
+
+    /// Checks `key`'s entry out for one learning run, consuming the handle.
+    ///
+    /// With `warm` the entry's trie moves out of the store uncopied to seed
+    /// the run (an empty trie when the store has none), and the checkout
+    /// keeps only its lineage: a [`TrieMark`] plus the synced file offset.
+    /// Without `warm` the run starts from an empty trie and the entry
+    /// stays in the store.  Either way the run ends with
+    /// [`Checkout::commit`] through the same handle.
+    pub fn checkout(self, key: StoreKey, warm: bool) -> (PrefixTrie, Checkout) {
+        let (trie, lineage) = if warm {
+            let mut state = self.state.lock().expect("journal state poisoned");
+            let entry = state.entries.remove(&key);
+            let had_entry = entry.is_some();
+            let trie = entry.map(Arc::unwrap_or_clone).unwrap_or_default();
+            let lineage = Lineage {
+                mark: trie.mark(),
+                synced_len: state.synced_len,
+                had_entry,
+            };
+            (trie, Some(lineage))
+        } else {
+            (PrefixTrie::new(), None)
+        };
+        let checkout = Checkout {
+            store: self,
+            key,
+            lineage,
+        };
+        (trie, checkout)
     }
 
     /// Persists `trie` under `key`: merges over what the file already
@@ -537,109 +815,10 @@ impl JournalStore {
         let _guard = hold_path_lock(&lock);
         let mut state = self.state.lock().expect("journal state poisoned");
         resync(&mut state, &self.path)?;
-
-        // Classify the live trie's paths against the synced snapshot.
-        let snapshot = state.entries.get(key).cloned();
-        let mut fresh: Vec<(Vec<Symbol>, Vec<Symbol>, bool)> = Vec::new();
-        let mut contradicts = false;
-        match &snapshot {
-            Some(existing) => {
-                trie.for_each_path(|input, output, terminal| {
-                    if contradicts {
-                        return;
-                    }
-                    match existing.coverage(input, output, terminal) {
-                        PathCoverage::Covered => {}
-                        PathCoverage::Fresh => {
-                            fresh.push((input.to_vec(), output.to_vec(), terminal))
-                        }
-                        PathCoverage::Contradicts => contradicts = true,
-                    }
-                });
-            }
-            None => {
-                trie.for_each_path(|input, output, terminal| {
-                    fresh.push((input.to_vec(), output.to_vec(), terminal));
-                });
-            }
-        }
-
-        // Decide the merged entry value.
-        let merged: Arc<PrefixTrie> = if contradicts {
-            // The disk cache disagrees with what the SUL just answered;
-            // drop it wholesale rather than persist a mixture.
-            Arc::new(trie.clone())
-        } else {
-            match snapshot {
-                Some(existing) => {
-                    if fresh.is_empty() {
-                        existing
-                    } else {
-                        let mut merged = (*existing).clone();
-                        for (input, output, terminal) in &fresh {
-                            let input = InputWord::from(input.clone());
-                            let output = OutputWord::from(output.clone());
-                            merged.insert(&input, &output);
-                            if *terminal {
-                                merged.mark_terminal(&input);
-                            }
-                        }
-                        Arc::new(merged)
-                    }
-                }
-                None => Arc::new(trie.clone()),
-            }
-        };
-
-        let drops_other_keys =
-            retain == RetainPolicy::OnlyThisKey && state.entries.keys().any(|k| k != key);
-        let needs_rewrite = contradicts || drops_other_keys || state.source != StoreFormat::Journal;
-
-        if needs_rewrite {
-            if retain == RetainPolicy::OnlyThisKey {
-                state.entries.clear();
-            }
-            state.entries.insert(key.clone(), merged);
-            rewrite(&mut state, &self.path)?;
-            return Ok(());
-        }
-
-        if fresh.is_empty() && state.entries.contains_key(key) {
-            return Ok(()); // Fully covered: zero writes.
-        }
-
-        // Append the delta: a segment header when the file's current
-        // segment is for a different key, then one record per fresh path.
-        let mut bytes = Vec::new();
-        if state.last_header_key.as_ref() != Some(key) {
-            push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
-        }
-        for (input, output, terminal) in &fresh {
-            push_frame(
-                &mut bytes,
-                FRAME_RECORD,
-                &encode_record(input, output, *terminal),
-            );
-        }
-        append_durable(&self.path, state.synced_len, &bytes)?;
-        state.synced_len += bytes.len() as u64;
-        state.record_frames += fresh.len();
-        state.last_header_key = Some(key.clone());
-        state.entries.insert(key.clone(), merged);
-
-        // Threshold-triggered compaction: once superseded records
-        // outnumber live paths 2:1 (and the store is big enough to care),
-        // rewrite live paths into a fresh segment and swap it in.
-        if state.record_frames >= COMPACT_MIN_RECORDS
-            && state.record_frames > 2 * state.live_paths()
-        {
-            rewrite(&mut state, &self.path)?;
-        }
-        Ok(())
+        merge_synced(&mut state, &self.path, key, Cow::Borrowed(trie), retain)
     }
 
-    /// One-shot persistence write: open, merge, save.  The single-run
-    /// pipeline's replacement for `CacheStore::save_merged`.
+    /// One-shot persistence write: open, merge, save.
     pub fn save_merged_at(
         path: impl AsRef<Path>,
         key: &StoreKey,
@@ -691,9 +870,8 @@ impl JournalStore {
     /// Integrity-checks the file at `path` without modifying it: frame
     /// checksums, torn tail, replay contradictions, key-hash consistency.
     pub fn verify(path: impl AsRef<Path>) -> Result<VerifyReport, CacheError> {
-        let path = path.as_ref();
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
+        let file = match std::fs::File::open(path.as_ref()) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(VerifyReport {
                     format: StoreFormat::Absent,
@@ -705,9 +883,10 @@ impl JournalStore {
             }
             Err(e) => return Err(e.into()),
         };
-        if !bytes.starts_with(JOURNAL_MAGIC) {
+        let mut reader = FrameReader::new(file, 0, REPLAY_CHUNK);
+        if !reader.take_magic()? {
             // Legacy JSON: soundness is just "does it parse".
-            let text = String::from_utf8(bytes)
+            let text = String::from_utf8(reader.into_remaining()?)
                 .map_err(|_| CacheError::Format("neither a journal nor UTF-8 JSON".into()))?;
             let entries = parse_legacy_json(&text)?;
             let inconsistent_keys = entries
@@ -723,22 +902,229 @@ impl JournalStore {
                 inconsistent_keys,
             });
         }
-        let mut replay = ReplayState::empty();
-        let good_len = replay.replay_frames(&bytes, JOURNAL_MAGIC.len());
+        let mut replay = Replay::empty();
+        let good_len = replay.replay(&mut reader)?;
+        let contradictions = replay.contradictions;
         let inconsistent_keys = replay
+            .into_state(good_len)
             .entries
-            .keys()
+            .into_keys()
             .filter(|k| !k.hash_consistent())
-            .cloned()
             .collect();
         Ok(VerifyReport {
             format: StoreFormat::Journal,
-            sound_bytes: good_len as u64,
-            torn_bytes: (bytes.len() - good_len) as u64,
-            contradictions: replay.contradictions,
+            sound_bytes: good_len,
+            torn_bytes: reader.count_remaining()?,
+            contradictions,
             inconsistent_keys,
         })
     }
+}
+
+/// Where a warm checkout's trie came from: its place in the trie's
+/// append-only history and the file offset the store was synced to.
+struct Lineage {
+    mark: TrieMark,
+    synced_len: u64,
+    /// Whether the store held an entry for the key at all.
+    had_entry: bool,
+}
+
+/// One learning run's hold on a [`JournalStore`] entry, from
+/// [`JournalStore::checkout`] to [`Checkout::commit`].
+pub struct Checkout {
+    store: JournalStore,
+    key: StoreKey,
+    lineage: Option<Lineage>,
+}
+
+impl Checkout {
+    /// The path the checked-out store persists to.
+    pub fn path(&self) -> &Path {
+        self.store.path()
+    }
+
+    /// Persists the run's final trie, which for a warm checkout must be
+    /// the checked-out trie grown by the run.
+    ///
+    /// While the file is still exactly as the checkout saw it, the delta is
+    /// read off the trie's lineage: the paths whose end node is new or
+    /// newly terminal since the checkout
+    /// ([`PrefixTrie::for_each_path_since`]), which are the paths
+    /// [`JournalStore::save_merged`] would append, in the same order and
+    /// bytes.  A run that added nothing writes nothing, found in `O(1)`.
+    /// Anything else — the file moved, a legacy JSON source,
+    /// [`RetainPolicy::OnlyThisKey`] dropping other keys, a cold checkout —
+    /// goes through the [`JournalStore::save_merged`] merge.
+    pub fn commit(self, trie: PrefixTrie, retain: RetainPolicy) -> Result<(), CacheError> {
+        let Checkout {
+            store,
+            key,
+            lineage,
+        } = self;
+        let lock = Arc::clone(&store.lock);
+        let _guard = hold_path_lock(&lock);
+        let mut state = store.state.lock().expect("journal state poisoned");
+        let Some(lineage) = lineage else {
+            resync(&mut state, &store.path)?;
+            return merge_synced(&mut state, &store.path, &key, Cow::Owned(trie), retain);
+        };
+        let file_len = match std::fs::metadata(&store.path) {
+            Ok(meta) => Some(meta.len()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        // The checked-out key is no longer in `entries`: any entry left is
+        // another key's.
+        let drops_other_keys = retain == RetainPolicy::OnlyThisKey && !state.entries.is_empty();
+        let in_place = state.source == StoreFormat::Journal
+            && file_len == Some(lineage.synced_len)
+            && !drops_other_keys;
+        if !in_place {
+            // The checked-out entry left this handle's state, so rebuild
+            // the state from the file before merging.
+            read_into(&mut state, &store.path)?;
+            return merge_synced(&mut state, &store.path, &key, Cow::Owned(trie), retain);
+        }
+        if lineage.had_entry && trie.unchanged_since(&lineage.mark) {
+            return Ok(()); // Fully covered: zero writes.
+        }
+        let mut bytes = Vec::new();
+        if state.last_header_key.as_ref() != Some(&key) {
+            push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(&key));
+        }
+        let mut records = 0;
+        trie.for_each_path_since(&lineage.mark, |input, output, terminal| {
+            push_frame(
+                &mut bytes,
+                FRAME_RECORD,
+                &encode_record(input, output, terminal),
+            );
+            records += 1;
+        });
+        append_delta(
+            &mut state,
+            &store.path,
+            &key,
+            Arc::new(trie),
+            &bytes,
+            records,
+        )
+    }
+}
+
+/// The merge half of [`JournalStore::save_merged`], on a state already
+/// synced with the file: classifies the live trie's paths against the
+/// stored entry, then appends the fresh ones or rewrites the file.
+fn merge_synced(
+    state: &mut State,
+    path: &Path,
+    key: &StoreKey,
+    trie: Cow<'_, PrefixTrie>,
+    retain: RetainPolicy,
+) -> Result<(), CacheError> {
+    // Take the stored entry out while merging, so growing it copies
+    // nothing unless a caller still holds a snapshot of it.
+    let existing = state.entries.remove(key);
+    let had_entry = existing.is_some();
+    // Classify the live trie's paths against the stored entry.
+    let mut fresh: Vec<(Vec<Symbol>, Vec<Symbol>, bool)> = Vec::new();
+    let mut contradicts = false;
+    trie.for_each_path(|input, output, terminal| {
+        if contradicts {
+            return;
+        }
+        match existing
+            .as_ref()
+            .map_or(PathCoverage::Fresh, |e| e.coverage(input, output, terminal))
+        {
+            PathCoverage::Covered => {}
+            PathCoverage::Fresh => fresh.push((input.to_vec(), output.to_vec(), terminal)),
+            PathCoverage::Contradicts => contradicts = true,
+        }
+    });
+
+    // Decide the merged entry value.
+    let merged: Arc<PrefixTrie> = match existing {
+        Some(mut existing) if !contradicts => {
+            if !fresh.is_empty() {
+                let merged = Arc::make_mut(&mut existing);
+                for (input, output, terminal) in &fresh {
+                    let input = InputWord::from(input.clone());
+                    let output = OutputWord::from(output.clone());
+                    merged.insert(&input, &output);
+                    if *terminal {
+                        merged.mark_terminal(&input);
+                    }
+                }
+            }
+            existing
+        }
+        // No stored entry, or one that disagrees with what the SUL just
+        // answered: the live trie becomes the entry, dropping a
+        // contradicting one wholesale rather than persisting a mixture.
+        _ => Arc::new(trie.into_owned()),
+    };
+
+    let drops_other_keys =
+        retain == RetainPolicy::OnlyThisKey && state.entries.keys().any(|k| k != key);
+    let needs_rewrite = contradicts || drops_other_keys || state.source != StoreFormat::Journal;
+
+    if needs_rewrite {
+        if retain == RetainPolicy::OnlyThisKey {
+            state.entries.clear();
+        }
+        state.entries.insert(key.clone(), merged);
+        return rewrite(state, path);
+    }
+
+    if fresh.is_empty() && had_entry {
+        state.entries.insert(key.clone(), merged);
+        return Ok(()); // Fully covered: zero writes.
+    }
+
+    // Append the delta: a segment header when the file's current segment
+    // is for a different key, then one record per fresh path.
+    let mut bytes = Vec::new();
+    if state.last_header_key.as_ref() != Some(key) {
+        push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
+    }
+    for (input, output, terminal) in &fresh {
+        push_frame(
+            &mut bytes,
+            FRAME_RECORD,
+            &encode_record(input, output, *terminal),
+        );
+    }
+    append_delta(state, path, key, merged, &bytes, fresh.len())
+}
+
+/// Appends `bytes`, a delta of `records` record frames for `key`, then
+/// records `merged` as the key's entry.  Compacts once superseded records
+/// outnumber live paths 2:1 — past [`COMPACT_MIN_RECORDS`], so small
+/// stores never churn.
+fn append_delta(
+    state: &mut State,
+    path: &Path,
+    key: &StoreKey,
+    merged: Arc<PrefixTrie>,
+    bytes: &[u8],
+    records: usize,
+) -> Result<(), CacheError> {
+    if let Err(e) = append_durable(path, state.synced_len, bytes) {
+        // What reached the file is unknown: drop the synced view so the
+        // next mutation re-reads the file.
+        *state = State::empty();
+        return Err(e);
+    }
+    state.synced_len += bytes.len() as u64;
+    state.record_frames += records;
+    state.last_header_key = Some(key.clone());
+    state.entries.insert(key.clone(), merged);
+    if state.record_frames >= COMPACT_MIN_RECORDS && state.record_frames > 2 * state.live_paths() {
+        rewrite(state, path)?;
+    }
+    Ok(())
 }
 
 /// Parses a legacy v2 JSON file — multi-entry first, then single-entry —
@@ -772,31 +1158,26 @@ fn parse_legacy_json(text: &str) -> Result<BTreeMap<StoreKey, Arc<PrefixTrie>>, 
 /// Reads the file at `path` into `state` (full replay / JSON migration
 /// read).  A missing file leaves the state empty.
 fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
+    let file = match std::fs::File::open(path) {
+        Ok(file) => file,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             *state = State::empty();
             return Ok(());
         }
         Err(e) => return Err(e.into()),
     };
-    if bytes.starts_with(JOURNAL_MAGIC) {
-        let mut replay = ReplayState::empty();
-        let good_len = replay.replay_frames(&bytes, JOURNAL_MAGIC.len());
-        *state = State {
-            entries: replay.entries,
-            synced_len: good_len as u64,
-            record_frames: replay.record_frames,
-            last_header_key: replay.last_header_key,
-            source: StoreFormat::Journal,
-        };
+    let mut reader = FrameReader::new(file, 0, REPLAY_CHUNK);
+    if reader.take_magic()? {
+        let mut replay = Replay::empty();
+        let good_len = replay.replay(&mut reader)?;
+        *state = replay.into_state(good_len);
         return Ok(());
     }
     // Not a journal: read it as legacy JSON.  A file that is neither —
     // corrupt beyond its magic, hand-edited, whatever — loads as empty
     // and is *replaced* by the first write, the same policy the JSON
     // store applied to unreadable files: a cache only ever accelerates.
-    let parsed = String::from_utf8(bytes)
+    let parsed = String::from_utf8(reader.into_remaining()?)
         .ok()
         .and_then(|text| parse_legacy_json(&text).ok().map(|e| (e, text.len())));
     *state = match parsed {
@@ -830,26 +1211,27 @@ fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
     }
     if state.source == StoreFormat::Journal && file_len > state.synced_len {
         // The journal grew (another handle appended): replay just the
-        // tail.  Frame boundaries are stable because every writer appends
-        // at its synced offset under the same path lock.
-        let bytes = std::fs::read(path)?;
-        if bytes.starts_with(JOURNAL_MAGIC) && bytes.len() as u64 == file_len {
-            let mut replay = ReplayState {
-                entries: std::mem::take(&mut state.entries),
-                last_header_key: state.last_header_key.take(),
-                record_frames: state.record_frames,
-                contradictions: 0,
-                interner: HashMap::new(),
+        // tail, reading nothing before the synced offset but the magic.
+        // Frame boundaries are stable because every writer appends at its
+        // synced offset under the same path lock.
+        let mut file = std::fs::File::open(path)?;
+        let mut magic = [0u8; JOURNAL_MAGIC.len()];
+        if file.read_exact(&mut magic).is_ok() && &magic == JOURNAL_MAGIC {
+            file.seek(SeekFrom::Start(state.synced_len))?;
+            let mut reader = FrameReader::new(file, state.synced_len, REPLAY_CHUNK);
+            let mut replay = Replay::resume(state);
+            return match replay.replay(&mut reader) {
+                Ok(good_len) => {
+                    *state = replay.into_state(good_len);
+                    Ok(())
+                }
+                Err(e) => {
+                    // The entries went into the failed replay: forget
+                    // them, so the next mutation re-reads the whole file.
+                    *state = State::empty();
+                    Err(e.into())
+                }
             };
-            let good_len = replay.replay_frames(&bytes, state.synced_len as usize);
-            *state = State {
-                entries: replay.entries,
-                synced_len: good_len as u64,
-                record_frames: replay.record_frames,
-                last_header_key: replay.last_header_key,
-                source: StoreFormat::Journal,
-            };
-            return Ok(());
         }
     }
     read_into(state, path)
@@ -903,6 +1285,7 @@ fn rewrite(state: &mut State, path: &Path) -> Result<(), CacheError> {
 mod tests {
     use super::*;
     use prognosis_automata::alphabet::Alphabet;
+    use proptest::prelude::*;
 
     fn tmp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -1139,6 +1522,98 @@ mod tests {
         assert!(!report.is_clean());
         assert!(report.torn_bytes > 0);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// What two replays must agree on: entries, synced length, record
+    /// frames, contradictions and the last header's key.
+    type ReplaySummary = (
+        Vec<(StoreKey, Vec<(InputWord, OutputWord, bool)>)>,
+        u64,
+        usize,
+        usize,
+        Option<StoreKey>,
+    );
+
+    /// Replays `bytes` (a whole journal file) through a reader of `chunk`
+    /// bytes, as [`read_into`] does with [`REPLAY_CHUNK`].
+    fn replay_bytes(bytes: &[u8], chunk: usize) -> ReplaySummary {
+        let mut reader = FrameReader::new(bytes, 0, chunk);
+        assert!(reader.take_magic().unwrap());
+        let mut replay = Replay::empty();
+        let good_len = replay.replay(&mut reader).unwrap();
+        let contradictions = replay.contradictions;
+        let state = replay.into_state(good_len);
+        (
+            state
+                .entries
+                .iter()
+                .map(|(key, trie)| (key.clone(), trie.paths()))
+                .collect(),
+            state.synced_len,
+            state.record_frames,
+            contradictions,
+            state.last_header_key,
+        )
+    }
+
+    /// One generated frame: kind 0 is a segment header (for the key its
+    /// step count selects), anything else a record of `(input, output)`
+    /// spelling picks with a terminal flag.
+    type FrameSpec = (u8, Vec<(u8, u8)>, bool);
+
+    /// A journal opening with `keys[0]`'s header, then headers for `keys`
+    /// and records over three input spellings with two outputs, so records
+    /// under one key often contradict each other.
+    fn journal_bytes(frames: &[FrameSpec], keys: &[StoreKey]) -> Vec<u8> {
+        let spell = |i: u8| Symbol::new(["a", "b", "ñ"][i as usize % 3]);
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(&keys[0]));
+        for (kind, steps, terminal) in frames {
+            if *kind == 0 {
+                let key = &keys[steps.len() % keys.len()];
+                push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
+            } else {
+                let input: Vec<Symbol> = steps.iter().map(|&(i, _)| spell(i)).collect();
+                let output: Vec<Symbol> = steps.iter().map(|&(_, o)| spell(o % 2)).collect();
+                push_frame(
+                    &mut bytes,
+                    FRAME_RECORD,
+                    &encode_record(&input, &output, *terminal),
+                );
+            }
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Streaming replay is chunk-size independent: any buffer size down
+        // to one byte, with frames straddling every boundary, replays the
+        // same entries, synced length, record count, contradictions and
+        // last header as one buffer holding the whole file — with or
+        // without a torn or garbage tail.
+        #[test]
+        fn streaming_replay_matches_a_single_buffer_replay(
+            frames in prop::collection::vec(
+                (0u8..4, prop::collection::vec((0u8..3, 0u8..2), 0..6), any::<bool>()),
+                0..40,
+            ),
+            cut in 0u64..=10_000,
+            junk in prop::collection::vec(any::<u8>(), 0..8),
+            chunk in 1usize..64,
+        ) {
+            let alphabet = Alphabet::from_symbols(["a", "b"]);
+            let keys = [key(&alphabet), StoreKey::new("sul-2", "v2", &alphabet)];
+            let mut bytes = journal_bytes(&frames, &keys);
+            let body = (bytes.len() - JOURNAL_MAGIC.len()) as u64;
+            bytes.truncate(JOURNAL_MAGIC.len() + (cut * body / 10_000) as usize);
+            bytes.extend_from_slice(&junk);
+            let whole = replay_bytes(&bytes, bytes.len());
+            for size in [1, chunk, REPLAY_CHUNK] {
+                prop_assert_eq!(&replay_bytes(&bytes, size), &whole);
+            }
+        }
     }
 
     #[test]

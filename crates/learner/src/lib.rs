@@ -40,11 +40,11 @@ pub mod trie;
 pub use cache::{CacheError, CacheStore, SharedCacheStore, StoreKey, CACHE_FORMAT_VERSION};
 pub use dtree::{DTreeLearner, SiftStrategy};
 pub use eq_oracles::{RandomWordOracle, SimulatorOracle, WMethodOracle};
-pub use journal::{JournalStore, RetainPolicy, StoreFormat};
+pub use journal::{Checkout, JournalStore, RetainPolicy, StoreFormat};
 pub use lstar::LStarLearner;
 pub use oracle::{CacheOracle, EquivalenceOracle, MachineOracle, MembershipOracle, QueryPhase};
 pub use stats::LearningStats;
-pub use trie::{PathCoverage, PrefixTrie, TrieDivergence};
+pub use trie::{PathCoverage, PrefixTrie, TrieDivergence, TrieMark};
 
 use prognosis_automata::mealy::MealyMachine;
 

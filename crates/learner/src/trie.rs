@@ -108,6 +108,32 @@ pub enum PathCoverage {
     Contradicts,
 }
 
+/// A point in a trie's append-only history, taken by
+/// [`PrefixTrie::mark`]: the node count, the terminal count, and which of
+/// the marked nodes were terminal.  A trie only ever appends nodes and
+/// sets terminal markers, so for the marked trie and every *descendant* of
+/// it (the same trie after further inserts) the mark tells what is new in
+/// constant space per node: nodes at an index past the marked count, and
+/// marked nodes that are terminal now but were not then.  The journal
+/// store keeps one per checked-out entry to find the delta a commit must
+/// append.
+#[derive(Clone, Debug)]
+pub struct TrieMark {
+    nodes: usize,
+    terminal_words: usize,
+    /// Terminal bitset over the marked nodes.
+    terminals: Vec<u64>,
+}
+
+impl TrieMark {
+    /// Whether marked node `node` was terminal at the mark.
+    fn was_terminal(&self, node: usize) -> bool {
+        self.terminals
+            .get(node / 64)
+            .is_some_and(|word| word & (1 << (node % 64)) != 0)
+    }
+}
+
 /// One shortest conflicting prefix between two tries' cached answers (see
 /// [`PrefixTrie::divergences`]): both tries answered `input`, with
 /// different final output symbols.
@@ -311,13 +337,24 @@ impl PrefixTrie {
         Ok(created)
     }
 
+    /// The id of input symbol `symbol`, minting one on first sight — the
+    /// per-symbol form of [`PrefixTrie::encode_input`].
+    pub fn intern_input(&mut self, symbol: &Symbol) -> SymbolId {
+        self.inputs.intern(symbol)
+    }
+
+    /// The id of output symbol `symbol` in this trie's output interner,
+    /// minting one on first sight.  [`PrefixTrie::apply_path_ids`] takes
+    /// output words in these ids.
+    pub fn intern_output(&mut self, symbol: &Symbol) -> SymbolId {
+        self.outputs.intern(symbol)
+    }
+
     /// Applies one `(input, output, terminal)` path in a single walk:
     /// classifies it like [`PrefixTrie::coverage`], and when it is
     /// [`PathCoverage::Fresh`] also inserts the fresh suffix and sets the
-    /// terminal marker before returning.  A contradicting path mutates
-    /// nothing.  This is the journal-replay fast path — one trie walk per
-    /// record instead of a classify pass followed by insert and
-    /// mark-terminal passes.
+    /// terminal marker before returning.  A contradicting path leaves the
+    /// trie's answers untouched (its symbols may have been interned).
     ///
     /// Errors only on a length mismatch (corrupt record).
     pub fn apply_path(
@@ -329,19 +366,36 @@ impl PrefixTrie {
         if input.len() != output.len() {
             return Err("one output symbol per input symbol".to_string());
         }
+        let input: Vec<SymbolId> = input.iter().map(|s| self.inputs.intern(s)).collect();
+        let output: Vec<SymbolId> = output.iter().map(|s| self.outputs.intern(s)).collect();
+        self.apply_path_ids(&input, &output, terminal)
+    }
+
+    /// Id-word form of [`PrefixTrie::apply_path`] — the journal-replay
+    /// fast path: one trie walk per record, outputs compared as `u32`s, no
+    /// string hashing.  `input` holds ids of this trie's input interner
+    /// ([`PrefixTrie::intern_input`]), `output` ids of its output interner
+    /// ([`PrefixTrie::intern_output`]).
+    ///
+    /// Errors on a length mismatch or on an id neither interner minted.
+    pub fn apply_path_ids(
+        &mut self,
+        input: &[SymbolId],
+        output: &[SymbolId],
+        terminal: bool,
+    ) -> Result<PathCoverage, String> {
+        if input.len() != output.len() {
+            return Err("one output symbol per input symbol".to_string());
+        }
         let mut node = 0;
         let mut depth = 0;
         // Walk the cached prefix, checking outputs.  No mutation can have
         // happened yet when a contradiction is found, so a contradicting
         // path leaves the trie untouched.
         while depth < input.len() {
-            match self
-                .inputs
-                .lookup(&input[depth])
-                .and_then(|id| self.nodes[node].child(id))
-            {
+            match self.nodes[node].child(input[depth]) {
                 Some(child) => {
-                    if self.outputs.resolve(self.nodes[child].output) != &output[depth] {
+                    if self.nodes[child].output != output[depth].raw() {
                         return Ok(PathCoverage::Contradicts);
                     }
                     node = child;
@@ -350,18 +404,23 @@ impl PrefixTrie {
                 None => break,
             }
         }
+        if input[depth..]
+            .iter()
+            .zip(&output[depth..])
+            .any(|(i, o)| i.index() >= self.inputs.len() || o.index() >= self.outputs.len())
+        {
+            return Err("symbol id not minted by this trie".to_string());
+        }
         let mut fresh = depth < input.len();
         // Create the fresh suffix (nothing cached below a missing edge).
         while depth < input.len() {
-            let id = self.inputs.intern(&input[depth]);
-            let out_id = self.outputs.intern(&output[depth]);
             let child = self.nodes.len();
             self.nodes.push(TrieNode {
                 children: Vec::new(),
-                output: out_id.raw(),
+                output: output[depth].raw(),
                 terminal: false,
             });
-            self.nodes[node].set_child(id, child);
+            self.nodes[node].set_child(input[depth], child);
             node = child;
             depth += 1;
         }
@@ -507,27 +566,73 @@ impl PrefixTrie {
     pub fn for_each_path<F: FnMut(&[Symbol], &[Symbol], bool)>(&self, mut f: F) {
         let mut input = Vec::new();
         let mut output = Vec::new();
-        self.visit_paths(0, &mut input, &mut output, &mut f);
+        self.visit_paths(0, &mut input, &mut output, &|_| true, &mut f);
     }
 
-    fn visit_paths<F: FnMut(&[Symbol], &[Symbol], bool)>(
+    /// Records this trie's place in its append-only history (see
+    /// [`TrieMark`]).  Costs one pass over the nodes.
+    pub fn mark(&self) -> TrieMark {
+        let mut terminals = vec![0u64; self.nodes.len().div_ceil(64)];
+        for (index, node) in self.nodes.iter().enumerate() {
+            if node.terminal {
+                terminals[index / 64] |= 1 << (index % 64);
+            }
+        }
+        TrieMark {
+            nodes: self.nodes.len(),
+            terminal_words: self.terminal_words,
+            terminals,
+        }
+    }
+
+    /// Whether this trie holds nothing beyond `mark`, in `O(1)`: no node
+    /// was added and no terminal marker set since.  `self` must be the
+    /// marked trie or a descendant of it (see [`TrieMark`]).
+    pub fn unchanged_since(&self, mark: &TrieMark) -> bool {
+        self.nodes.len() == mark.nodes && self.terminal_words == mark.terminal_words
+    }
+
+    /// [`PrefixTrie::for_each_path`] restricted to the paths that are
+    /// fresh against `mark`: those whose end node was created or first
+    /// marked terminal since.  These are exactly the paths
+    /// [`PrefixTrie::coverage`] classifies as [`PathCoverage::Fresh`]
+    /// against the marked trie, visited in the same order — the delta a
+    /// journal append writes, found without a second trie.  `self` must be
+    /// the marked trie or a descendant of it (see [`TrieMark`]).
+    pub fn for_each_path_since<F: FnMut(&[Symbol], &[Symbol], bool)>(
+        &self,
+        mark: &TrieMark,
+        mut f: F,
+    ) {
+        let fresh = |node: usize| {
+            node >= mark.nodes || (self.nodes[node].terminal && !mark.was_terminal(node))
+        };
+        let mut input = Vec::new();
+        let mut output = Vec::new();
+        self.visit_paths(0, &mut input, &mut output, &fresh, &mut f);
+    }
+
+    /// Visits the maximal paths below `node` whose end node passes `keep`
+    /// (a non-terminal leaf is kept only when `keep` accepts it too).
+    fn visit_paths<F: FnMut(&[Symbol], &[Symbol], bool), K: Fn(usize) -> bool>(
         &self,
         node: usize,
         input: &mut Vec<Symbol>,
         output: &mut Vec<Symbol>,
+        keep: &K,
         f: &mut F,
     ) {
         let is_leaf = !self.nodes[node].has_children();
         // The root is emitted only when marked terminal (an ε query was
         // asked); an empty trie dumps to an empty list.
-        if self.nodes[node].terminal || (is_leaf && node != 0) {
+        if (self.nodes[node].terminal || (is_leaf && node != 0)) && keep(node) {
             f(input, output, self.nodes[node].terminal);
         }
         for &id in self.inputs.ids_in_order() {
             if let Some(child) = self.nodes[node].child(id) {
                 input.push(self.inputs.resolve(id).clone());
                 output.push(self.outputs.resolve(self.nodes[child].output).clone());
-                self.visit_paths(child, input, output, f);
+                self.visit_paths(child, input, output, keep, f);
                 input.pop();
                 output.pop();
             }
@@ -804,6 +909,38 @@ mod tests {
         assert!(trie
             .apply_path(w(&["a", "b"]).as_slice(), o(&["1"]).as_slice(), false)
             .is_err());
+    }
+
+    #[test]
+    fn paths_since_a_mark_are_the_fresh_paths_against_it() {
+        let mut trie = PrefixTrie::new();
+        trie.insert(&w(&["a", "b"]), &o(&["1", "2"]));
+        trie.mark_terminal(&w(&["a", "b"]));
+        trie.insert(&w(&["c"]), &o(&["3"]));
+        let marked = trie.clone();
+        let mark = trie.mark();
+        assert!(trie.unchanged_since(&mark));
+        // Re-asking cached words adds nothing.
+        trie.insert(&w(&["a", "b"]), &o(&["1", "2"]));
+        trie.mark_terminal(&w(&["a", "b"]));
+        assert!(trie.unchanged_since(&mark));
+        // A new terminal on an old node, a new branch, an extended leaf.
+        trie.mark_terminal(&w(&["a"]));
+        trie.insert(&w(&["a", "x"]), &o(&["1", "9"]));
+        trie.insert(&w(&["c", "d"]), &o(&["3", "4"]));
+        assert!(!trie.unchanged_since(&mark));
+        let mut since = Vec::new();
+        trie.for_each_path_since(&mark, |input, output, terminal| {
+            since.push((input.to_vec(), output.to_vec(), terminal));
+        });
+        let mut fresh = Vec::new();
+        trie.for_each_path(|input, output, terminal| {
+            if marked.coverage(input, output, terminal) == PathCoverage::Fresh {
+                fresh.push((input.to_vec(), output.to_vec(), terminal));
+            }
+        });
+        assert_eq!(since, fresh);
+        assert_eq!(since.len(), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_learner::cache::StoreKey;
-use prognosis_learner::journal::{JournalStore, RetainPolicy};
+use prognosis_learner::journal::{JournalStore, RetainPolicy, JOURNAL_MAGIC};
 use prognosis_learner::trie::PrefixTrie;
 use proptest::prelude::*;
 
@@ -193,6 +193,118 @@ fn eight_thread_shared_store_loses_nothing() {
             "thread {t}'s warm trie must be bit-identical to what it wrote"
         );
     }
+    assert!(JournalStore::verify(&path).unwrap().is_clean());
+    std::fs::remove_file(&path).ok();
+}
+
+/// Inserts index-words into `trie` with prefix-consistent outputs, marking
+/// each as a full query — a learning run growing its cache.
+fn grow(trie: &mut PrefixTrie, words: &[Vec<usize>]) {
+    for word in words.iter().filter(|w| !w.is_empty()) {
+        let input: InputWord = word.iter().map(|&i| SYMBOLS[i % SYMBOLS.len()]).collect();
+        let output: OutputWord = (1..=word.len()).map(|n| output_for(&word[..n])).collect();
+        trie.insert(&input, &output);
+        trie.mark_terminal(&input);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // The replay decoder is total: a journal magic followed by arbitrary
+    // bytes opens (to its sound prefix) and verifies without panicking.
+    #[test]
+    fn arbitrary_bytes_after_the_magic_never_panic(
+        tail in prop::collection::vec(any::<u8>(), 0..512),
+        case in 0u64..u64::MAX,
+    ) {
+        let path = tmp_path(&format!("total-{case}"));
+        let mut bytes = JOURNAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&tail);
+        std::fs::write(&path, &bytes).unwrap();
+        JournalStore::open(&path).unwrap();
+        let report = JournalStore::verify(&path).unwrap();
+        prop_assert_eq!(
+            report.sound_bytes + report.torn_bytes,
+            bytes.len() as u64,
+            "verify accounts for every byte"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // A checked-out trie grown by a run commits exactly the bytes
+    // `save_merged` appends to a copy of the same journal: same records,
+    // same order, same segment header decision — whether the run added
+    // paths, only terminal markers, or nothing, and whether another key's
+    // segment was written last.
+    #[test]
+    fn commit_appends_the_bytes_save_merged_appends(
+        base in prop::collection::vec(prop::collection::vec(0usize..4, 1..7), 0..10),
+        extra in prop::collection::vec(prop::collection::vec(0usize..4, 1..7), 0..6),
+        other_key_last in any::<bool>(),
+        retain_all in any::<bool>(),
+        case in 0u64..u64::MAX,
+    ) {
+        let path = tmp_path(&format!("commit-{case}"));
+        let copy = tmp_path(&format!("commit-copy-{case}"));
+        std::fs::remove_file(&path).ok();
+        let alphabet = Alphabet::from_symbols(SYMBOLS);
+        let key = StoreKey::new("sul-prop", "v1", &alphabet);
+        let other = StoreKey::new("sul-prop", "v0", &alphabet);
+        let retain = if retain_all { RetainPolicy::All } else { RetainPolicy::OnlyThisKey };
+        JournalStore::save_merged_at(&path, &key, &trie_from_words(&base), retain).unwrap();
+        if other_key_last {
+            JournalStore::save_merged_at(&path, &other, &trie_from_words(&extra), RetainPolicy::All)
+                .unwrap();
+        }
+        std::fs::copy(&path, &copy).unwrap();
+
+        let (mut trie, checkout) = JournalStore::open(&path).unwrap().checkout(key.clone(), true);
+        // Re-asking a base word prefix only adds a terminal marker.
+        let prefixes: Vec<Vec<usize>> = base.iter().map(|w| w[..w.len().div_ceil(2)].to_vec()).collect();
+        grow(&mut trie, &prefixes[..prefixes.len().min(2)]);
+        grow(&mut trie, &extra);
+        let live = trie.clone();
+        checkout.commit(trie, retain).unwrap();
+        JournalStore::save_merged_at(&copy, &key, &live, retain).unwrap();
+
+        prop_assert!(std::fs::read(&path).unwrap() == std::fs::read(&copy).unwrap());
+        prop_assert!(JournalStore::verify(&path).unwrap().is_clean());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&copy).ok();
+    }
+}
+
+/// Another handle appends between a checkout and its commit: the commit
+/// notices the file moved, merges instead of appending its lineage delta,
+/// and the file ends up holding both runs' observations, cleanly.
+#[test]
+fn commit_after_a_concurrent_append_merges_both_runs() {
+    let path = tmp_path("checkout-race");
+    std::fs::remove_file(&path).ok();
+    let alphabet = Alphabet::from_symbols(SYMBOLS);
+    let key = StoreKey::new("sul-race", "v1", &alphabet);
+    let base = vec![vec![0, 1], vec![2]];
+    JournalStore::save_merged_at(&path, &key, &trie_from_words(&base), RetainPolicy::All).unwrap();
+
+    let (mut trie, checkout) = JournalStore::open(&path)
+        .unwrap()
+        .checkout(key.clone(), true);
+    let theirs = vec![vec![3, 3, 1]];
+    let mut their_trie = trie_from_words(&base);
+    grow(&mut their_trie, &theirs);
+    JournalStore::save_merged_at(&path, &key, &their_trie, RetainPolicy::All).unwrap();
+    let ours = vec![vec![1, 0, 2], vec![0]];
+    grow(&mut trie, &ours);
+    checkout.commit(trie, RetainPolicy::All).unwrap();
+
+    let all: Vec<Vec<usize>> = [base, theirs, ours].concat();
+    let replayed = JournalStore::load_matching(&path, &key).unwrap();
+    assert_eq!(replayed.paths(), trie_from_words(&all).paths());
     assert!(JournalStore::verify(&path).unwrap().is_clean());
     std::fs::remove_file(&path).ok();
 }
