@@ -6,17 +6,25 @@
 //! configuration — that the sink costs < 5% wall time, and leaves the
 //! instrumented run's log at `event_log.jsonl` in the current directory
 //! for the `prognosis-events` analyzer (CI runs `verify` and `timeline`
-//! on it).  Appends the `event_log` scenario to `BENCH_learning.json`.
-//! Pass `--quick` for the reduced CI smoke configuration (one round, no
-//! overhead floor).
+//! on it).  Appends the `event_log` scenario to `BENCH_learning.json` (in
+//! the current directory), stamped with host parallelism and source
+//! revision.  Pass `--quick` for the reduced CI smoke configuration (one
+//! round, no overhead floor), which prints its report and row but leaves
+//! `BENCH_learning.json` alone, so a smoke run never replaces the
+//! full-size row.
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let log_path = std::path::Path::new("event_log.jsonl");
     let (report, scenario) = prognosis_bench::exp_event_log(quick, log_path);
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "event_log", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended event_log scenario to BENCH_learning.json");
+    if quick {
+        println!("{}", prognosis_bench::render_scenario(&scenario));
+        println!("quick run: BENCH_learning.json left unchanged");
+    } else {
+        let existing = std::fs::read_to_string("BENCH_learning.json").ok();
+        let merged = prognosis_bench::merge_scenario(existing.as_deref(), "event_log", scenario);
+        std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
+        println!("appended event_log scenario to BENCH_learning.json");
+    }
     println!("event log written to {}", log_path.display());
 }

@@ -1,18 +1,18 @@
-//! E22: legacy JSON blob vs journaled observation store at campaign scale.
+//! E22: the journaled observation store at campaign scale.
 //!
-//! Persists a synthetic trie of ≥100k completed queries through both cache
-//! backends, times the save and warm-load halves of each, and asserts the
-//! journal warm load is at least 5× faster than the JSON parse while
-//! replaying a bit-identical trie.  A churned second store demonstrates
-//! that compaction reclaims superseded records without changing the
-//! replay.  While it grinds, a one-line status repaints per stage, driven
-//! by `bench:stage` events through the shared event sink (TTY only).
-//! Appends the `store_format` scenario to `BENCH_learning.json` (in the
-//! current directory), stamped with host parallelism and source revision.
-//! Pass `--quick` for the reduced CI smoke configuration (20k
-//! observations, no speedup floor), which prints its report and row but
-//! leaves `BENCH_learning.json` alone, so a smoke run never replaces the
-//! full-size row.
+//! Persists a synthetic trie of ≥100k completed queries through the
+//! journal, times the save and warm-load halves, and asserts the load
+//! replays a bit-identical trie from a journal of the exact expected size.
+//! A churned second store demonstrates that compaction reclaims
+//! superseded records without changing the replay, again at exact byte
+//! and frame counts.  While it grinds, a one-line status repaints per
+//! stage, driven by `bench:stage` events through the shared event sink
+//! (TTY only).  Appends the `store_format` scenario to
+//! `BENCH_learning.json` (in the current directory), stamped with host
+//! parallelism and source revision.  Pass `--quick` for the reduced CI
+//! smoke configuration (20k observations, its own exact sizes), which
+//! prints its report and row but leaves `BENCH_learning.json` alone, so a
+//! smoke run never replaces the full-size row.
 use prognosis_campaign::{Progress, ProgressSink};
 use prognosis_events::EventSink;
 use std::sync::Arc;
@@ -27,6 +27,7 @@ fn main() {
     progress.finish();
     println!("{report}");
     if quick {
+        println!("{}", prognosis_bench::render_scenario(&scenario));
         println!("quick run: BENCH_learning.json left unchanged");
         return;
     }

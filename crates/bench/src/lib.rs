@@ -589,7 +589,7 @@ pub struct WarmStartSummary {
 ///
 /// Runs the same TCP learning configuration twice against a
 /// [`LearnConfig::cache_path`]: the cold run pays the full SUL cost and
-/// persists its observations ([`prognosis_learner::cache::CacheStore`]);
+/// persists its observations ([`prognosis_learner::journal::JournalStore`]);
 /// the warm run answers every membership query from disk, issuing **zero
 /// fresh SUL symbols** while learning a bit-identical model.  A 4-worker
 /// warm run checks that the cache is worker-count independent.  The
@@ -598,7 +598,7 @@ pub struct WarmStartSummary {
 /// warm-start smoke test (`exp_warm_start` binary).
 pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
     let cache_path = std::env::temp_dir().join(format!(
-        "prognosis-warm-start-bench-{}.json",
+        "prognosis-warm-start-bench-{}.journal",
         std::process::id()
     ));
     let cache_path_str = cache_path.to_string_lossy().into_owned();
@@ -2621,32 +2621,39 @@ fn store_bench_trie(
     trie
 }
 
-/// E22 — JSON blob vs journaled observation store at campaign scale.
+/// E22 — the journaled observation store at campaign scale.
 ///
 /// Builds a synthetic trie of ≥100k distinct completed queries (20k in
-/// `--quick` mode), persists it through both backends — the legacy v2
-/// JSON blob ([`prognosis_learner::cache::CacheStore`]) and the journaled
-/// store ([`prognosis_learner::journal::JournalStore`]) — and times the
-/// save and warm-load halves of each, asserting the two loads replay
-/// bit-identical tries.  The full-size run asserts the journal warm load
-/// is at least 5× faster than the JSON parse.  A second, churned store
-/// (each word appended as a short prefix first, then extended) then
-/// demonstrates threshold compaction: `compact()` must shrink the file
-/// while replaying to the identical trie.
+/// `--quick` mode), persists it through the journaled store
+/// ([`prognosis_learner::journal::JournalStore`]), and times the save and
+/// warm-load halves, asserting the load replays a bit-identical trie.  A
+/// second, churned store (each word appended as a short prefix first, then
+/// extended) then demonstrates compaction: `compact()` must shrink the
+/// file while replaying to the identical trie.  The journal and
+/// compaction sizes are a pure function of the synthetic trie and the
+/// format, so both are asserted byte-exact: any change to the on-disk
+/// format fails the run.
 pub fn exp_store_format(quick: bool) -> (Report, serde_json::Value) {
     exp_store_format_with_events(quick, None)
 }
 
 /// [`exp_store_format`] with an optional event sink receiving
-/// `bench:stage` progress markers as each store backend is exercised.
+/// `bench:stage` progress markers as each stage runs.
 pub fn exp_store_format_with_events(
     quick: bool,
     events: Option<Arc<dyn EventSink>>,
 ) -> (Report, serde_json::Value) {
-    use prognosis_learner::cache::{CacheStore, StoreKey};
+    use prognosis_learner::cache::StoreKey;
     use prognosis_learner::journal::{JournalStore, RetainPolicy};
 
     stage(&events, "E22 store format: building synthetic trie");
+    // Expected (journal bytes, compaction bytes, compaction frames); the
+    // full-size values are the committed `store_format` row's.
+    let (expected_bytes, expected_compaction) = if quick {
+        (961_157, ((22_850, 14_464), (600, 300)))
+    } else {
+        (5_766_780, ((57_612, 43_281), (1_412, 900)))
+    };
     let n: usize = if quick { 20_000 } else { 120_000 };
     let word_len = 6;
     let symbols: Vec<String> = (0..8).map(|i| format!("i{i}")).collect();
@@ -2656,30 +2663,13 @@ pub fn exp_store_format_with_events(
     assert_eq!(observations, n as u64, "every enumerated word is distinct");
 
     let tag = std::process::id();
-    let json_path = std::env::temp_dir().join(format!("prognosis-store-bench-{tag}.json"));
     let journal_path = std::env::temp_dir().join(format!("prognosis-store-bench-{tag}.journal"));
     let churn_path = std::env::temp_dir().join(format!("prognosis-store-bench-{tag}.churn"));
-    for path in [&json_path, &journal_path, &churn_path] {
+    for path in [&journal_path, &churn_path] {
         let _ = std::fs::remove_file(path);
     }
 
-    // Legacy v2 JSON blob: serialize + fsync + rename on save, full-file
-    // parse on load.
-    stage(&events, "E22 store format: JSON blob save/load");
-    let start = std::time::Instant::now();
-    CacheStore::new("store-bench", &alphabet, trie.clone())
-        .save(&json_path)
-        .expect("JSON save succeeds");
-    let json_save_seconds = start.elapsed().as_secs_f64();
-    let json_bytes = std::fs::metadata(&json_path)
-        .expect("JSON store exists")
-        .len();
-    let start = std::time::Instant::now();
-    let json_loaded = CacheStore::load_matching(&json_path, "store-bench", &alphabet)
-        .expect("JSON warm load hits");
-    let json_load_seconds = start.elapsed().as_secs_f64();
-
-    // Journaled store: framed binary records, replayed on load.
+    // Framed binary records, fsynced on save, replayed on load.
     stage(&events, "E22 store format: journal save/load");
     let key = StoreKey::new("store-bench", "", &alphabet);
     let start = std::time::Instant::now();
@@ -2693,26 +2683,15 @@ pub fn exp_store_format_with_events(
     let journal_loaded =
         JournalStore::load_matching(&journal_path, &key).expect("journal warm load hits");
     let journal_load_seconds = start.elapsed().as_secs_f64();
-
-    assert_eq!(
-        json_loaded.paths(),
-        trie.paths(),
-        "the JSON store must replay the saved observations bit-identically"
-    );
     assert_eq!(
         journal_loaded.paths(),
         trie.paths(),
         "the journal must replay the saved observations bit-identically"
     );
-    let warm_load_speedup = json_load_seconds / journal_load_seconds.max(1e-9);
-    if !quick {
-        assert!(
-            warm_load_speedup >= 5.0,
-            "journal warm load must be at least 5x faster than the JSON parse \
-             at {n} observations (json {json_load_seconds:.3}s / journal \
-             {journal_load_seconds:.3}s = {warm_load_speedup:.1}x)"
-        );
-    }
+    assert_eq!(
+        journal_bytes, expected_bytes,
+        "the journal of {n} observations changed size"
+    );
 
     // Compaction: append each word as a 3-symbol non-terminal prefix
     // first, then as the full query — every short record is superseded, so
@@ -2731,18 +2710,13 @@ pub fn exp_store_format_with_events(
         JournalStore::load_matching(&churn_path, &key).expect("churned store loads");
     let churn_store = JournalStore::open(&churn_path).expect("churned store opens");
     let outcome = churn_store.compact().expect("compaction succeeds");
-    assert!(
-        outcome.after_bytes < outcome.before_bytes,
-        "compaction must reclaim the superseded prefix records \
-         ({} -> {} bytes)",
-        outcome.before_bytes,
-        outcome.after_bytes
-    );
-    assert!(
-        outcome.after_records < outcome.before_records,
-        "compaction must drop superseded record frames ({} -> {})",
-        outcome.before_records,
-        outcome.after_records
+    assert_eq!(
+        (
+            (outcome.before_bytes, outcome.after_bytes),
+            (outcome.before_records, outcome.after_records)
+        ),
+        expected_compaction,
+        "compaction of the churned store changed its byte or frame counts"
     );
     let after_replay =
         JournalStore::load_matching(&churn_path, &key).expect("compacted store loads");
@@ -2757,27 +2731,18 @@ pub fn exp_store_format_with_events(
         "the compacted store replays exactly the live (full-length) queries"
     );
 
-    for path in [&json_path, &journal_path, &churn_path] {
+    for path in [&journal_path, &churn_path] {
         let _ = std::fs::remove_file(path);
     }
 
-    let mut report =
-        Report::new("E22 — observation store formats: legacy JSON blob vs journaled segment log");
+    let mut report = Report::new("E22 — journaled observation store at campaign scale");
     report
         .row("observations (completed queries)", observations.to_string())
-        .row(
-            "JSON blob: save / load / size",
-            format!("{json_save_seconds:.3}s / {json_load_seconds:.3}s / {json_bytes} B"),
-        )
         .row(
             "journal: save / load / size",
             format!("{journal_save_seconds:.3}s / {journal_load_seconds:.3}s / {journal_bytes} B"),
         )
-        .row(
-            "warm-load speedup (JSON / journal)",
-            format!("{warm_load_speedup:.1}x"),
-        )
-        .row("loads bit-identical", "yes".to_string())
+        .row("load bit-identical", "yes".to_string())
         .row(
             "compaction: bytes / records",
             format!(
@@ -2789,32 +2754,30 @@ pub fn exp_store_format_with_events(
             ),
         );
 
-    let backend_json = |save: f64, load: f64, bytes: u64| {
-        serde_json::Value::Map(vec![
-            ("save_seconds".to_string(), serde_json::Value::F64(save)),
-            ("load_seconds".to_string(), serde_json::Value::F64(load)),
-            ("file_bytes".to_string(), serde_json::Value::U64(bytes)),
-        ])
-    };
     let mut fields = vec![
         (
             "observations".to_string(),
             serde_json::Value::U64(observations),
         ),
         (
-            "json".to_string(),
-            backend_json(json_save_seconds, json_load_seconds, json_bytes),
-        ),
-        (
             "journal".to_string(),
-            backend_json(journal_save_seconds, journal_load_seconds, journal_bytes),
+            serde_json::Value::Map(vec![
+                (
+                    "save_seconds".to_string(),
+                    serde_json::Value::F64(journal_save_seconds),
+                ),
+                (
+                    "load_seconds".to_string(),
+                    serde_json::Value::F64(journal_load_seconds),
+                ),
+                (
+                    "file_bytes".to_string(),
+                    serde_json::Value::U64(journal_bytes),
+                ),
+            ]),
         ),
         (
-            "warm_load_speedup".to_string(),
-            serde_json::Value::F64(warm_load_speedup),
-        ),
-        (
-            "loads_bit_identical".to_string(),
+            "load_bit_identical".to_string(),
             serde_json::Value::Bool(true),
         ),
         (
@@ -2949,7 +2912,7 @@ fn process_cpu_seconds() -> f64 {
 /// times are reported alongside).  The log of the final instrumented
 /// round is left on disk for the analyzer (`prognosis-events verify` /
 /// `timeline` run on it in CI).  Returns the `event_log` scenario for
-/// `BENCH_learning.json`.
+/// `BENCH_learning.json`, stamped by [`run_stamp`].
 pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_json::Value) {
     use prognosis_events::analyze::scan_log;
     use prognosis_events::rotate::{rotated_indices, rotated_path, EventLog, EventLogConfig};
@@ -3162,7 +3125,7 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
             "streaming the full event feed through the rotating JSONL sink leaves the \
              learned model bit-identical and stays within the <5% overhead budget",
         );
-    let scenario = serde_json::Value::Map(vec![
+    let mut fields = vec![
         (
             "plain_cpu_seconds".to_string(),
             serde_json::Value::F64(plain_best),
@@ -3197,8 +3160,15 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
             "model_states".to_string(),
             serde_json::Value::U64(model_states as u64),
         ),
-    ]);
-    (report, scenario)
+    ];
+    fields.extend(run_stamp(quick));
+    (report, serde_json::Value::Map(fields))
+}
+
+/// Renders one scenario row as the pretty JSON `BENCH_learning.json`
+/// holds — what a `--quick` run prints instead of writing the file.
+pub fn render_scenario(scenario: &serde_json::Value) -> String {
+    serde_json::to_string_pretty(&ValueDoc(scenario.clone())).expect("render scenario row")
 }
 
 /// Merges one named scenario into an existing `BENCH_learning.json`

@@ -226,9 +226,9 @@ struct Worker<Sn> {
 /// The workers run on an [`EnginePool`]: either a private pool this oracle
 /// constructed for itself ([`ParallelSulOracle::spawn_with`], the classic
 /// one-oracle-per-pool shape) or a shared pool several concurrent learn
-/// tasks lease slots from ([`ParallelSulOracle::spawn_on_pool`], the
-/// campaign shape).  Which pool hosts the workers never affects answers or
-/// statistics — everything observable runs on virtual time.
+/// tasks lease slots from ([`ParallelSulOracle::spawn_on_pool_with_events`],
+/// the campaign shape).  Which pool hosts the workers never affects
+/// answers or statistics — everything observable runs on virtual time.
 pub struct ParallelSulOracle<Sn: SessionSul> {
     shared: Arc<Shared>,
     reply_rx: Receiver<Reply>,
@@ -355,23 +355,11 @@ pub struct EngineShutdown<S> {
 }
 
 impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
-    /// Spawns `workers` threads with one session each (the blocking
-    /// configuration: parallelism without multiplexing).
-    ///
-    /// # Panics
-    /// Panics when `workers` is zero.
-    pub fn spawn<F>(factory: &F, workers: usize) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
-        Self::spawn_with(factory, workers, 1)
-    }
-
     /// Spawns `workers` threads, each multiplexing `max_inflight` sessions
     /// minted by `factory` over one shared virtual clock.  The oracle owns
     /// a private [`EnginePool`] sized to exactly these workers; use
-    /// [`ParallelSulOracle::spawn_on_pool`] to lease slots from a shared
-    /// pool instead.
+    /// [`ParallelSulOracle::spawn_on_pool_with_events`] to lease slots from
+    /// a shared pool instead.
     ///
     /// # Panics
     /// Panics when `workers` or `max_inflight` is zero.
@@ -417,24 +405,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// several concurrent learn tasks — possibly with different SUL types —
     /// share one engine: each task's oracle holds its lease for the
     /// oracle's lifetime and the slots return to the pool on shutdown (or
-    /// drop).
-    ///
-    /// # Panics
-    /// Panics when `workers` or `max_inflight` is zero, or when `workers`
-    /// exceeds the pool size.
-    pub fn spawn_on_pool<F>(
-        pool: &EnginePool,
-        factory: &F,
-        workers: usize,
-        max_inflight: usize,
-    ) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
-        Self::spawn_on_pool_with_events(pool, factory, workers, max_inflight, None, false)
-    }
-
-    /// [`ParallelSulOracle::spawn_on_pool`] plus an event sink (see
+    /// drop).  Engine telemetry flows into `sink` when one is given (see
     /// [`ParallelSulOracle::spawn_with_events`]).
     ///
     /// # Panics
@@ -1374,7 +1345,7 @@ mod tests {
     #[test]
     fn single_queries_and_stats_flow_through() {
         let factory = session_factory(known::toggle());
-        let mut parallel = ParallelSulOracle::spawn(&factory, 2);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 2, 1);
         let word = InputWord::from_symbols(["press", "press", "press"]);
         let out = parallel.query(&word);
         assert_eq!(out, known::toggle().run(&word).unwrap());
@@ -1389,7 +1360,7 @@ mod tests {
     #[test]
     fn empty_batches_are_answered_without_dispatch() {
         let factory = session_factory(known::toggle());
-        let mut parallel = ParallelSulOracle::spawn(&factory, 3);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 3, 1);
         assert!(parallel.query_batch(&[]).is_empty());
         assert_eq!(parallel.batches_dispatched(), 0);
     }
@@ -1533,7 +1504,7 @@ mod tests {
     #[test]
     fn panicking_workers_surface_as_learn_errors_not_hangs() {
         let factory = BlockingSessionFactory(PanickySulFactory);
-        let mut parallel = ParallelSulOracle::spawn(&factory, 2);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 2, 1);
         let poisoned = vec![InputWord::from_symbols(["poison"])];
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             parallel.query_batch(&poisoned);

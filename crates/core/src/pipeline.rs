@@ -370,31 +370,6 @@ where
     learn_on_oracle(parallel, factory, alphabet, &config)
 }
 
-/// [`learn_model_parallel`] over a *shared* [`EnginePool`]: the run's
-/// `config.workers` worker loops are leased from `pool` (blocking until
-/// that many slots are free) instead of spawning private threads, so
-/// several concurrent learning runs — a campaign's matrix cells — share
-/// one set of engine threads.  Results are identical to
-/// [`learn_model_parallel`] with the same configuration.
-pub fn learn_model_parallel_on<F>(
-    pool: &EnginePool,
-    factory: &F,
-    alphabet: &Alphabet,
-    config: LearnConfig,
-) -> Result<ParallelLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    let parallel = ParallelSulOracle::spawn_on_pool(
-        pool,
-        factory,
-        config.workers.max(1),
-        config.max_inflight.max(1),
-    );
-    learn_on_oracle(parallel, factory, alphabet, &config)
-}
-
 fn learn_on_oracle<F>(
     parallel: ParallelSulOracle<F::Session>,
     factory: &F,
@@ -427,9 +402,10 @@ where
     })
 }
 
-/// The result of a seeded learning run ([`learn_model_parallel_seeded`]):
-/// the regular parallel outcome plus the final observation trie and the
-/// cache-priming accounting the campaign's versioned store needs.
+/// The result of a seeded learning run
+/// ([`learn_model_parallel_seeded_with_events`]): the regular parallel
+/// outcome plus the final observation trie and the cache-priming
+/// accounting the campaign's versioned store needs.
 pub struct SeededLearnOutcome<S> {
     /// The regular parallel learning outcome.
     pub outcome: ParallelLearnOutcome<S>,
@@ -460,24 +436,10 @@ pub struct SeededLearnOutcome<S> {
 /// seed this version's cache soundly: shared behaviour becomes warm
 /// entries, divergent behaviour shows up as differing answers the caller
 /// diffs into regression findings.
-pub fn learn_model_parallel_seeded<F>(
-    pool: &EnginePool,
-    factory: &F,
-    alphabet: &Alphabet,
-    config: &LearnConfig,
-    warm: PrefixTrie,
-    prime: &[InputWord],
-) -> Result<SeededLearnOutcome<FactorySul<F>>, LearnError>
-where
-    F: SessionSulFactory,
-    F::Session: Send + 'static,
-{
-    learn_model_parallel_seeded_with_events(pool, factory, alphabet, config, warm, prime, None)
-}
-
-/// [`learn_model_parallel_seeded`] with an optional structured event sink:
-/// the campaign runner threads its shared sink (diagnostics enabled)
-/// through here so every cell's engine traffic lands in one log.
+///
+/// With `sink` set, engine traffic (diagnostics enabled) flows into it:
+/// the campaign runner threads its shared sink through here so every
+/// cell's engine traffic lands in one log.
 #[allow(clippy::too_many_arguments)]
 pub fn learn_model_parallel_seeded_with_events<F>(
     pool: &EnginePool,

@@ -3,8 +3,8 @@
 //! learner — async sift probes, interleaved phases, speculative equivalence
 //! streaming — must build a **bit-identical** discrimination tree and model
 //! to serial sifting, with `membership_queries` no greater than serial and
-//! exact speculation-word accounting, including warm starts against a PR-2
-//! `CacheStore` file.
+//! exact speculation-word accounting, including warm starts against a
+//! persisted observation journal.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::mealy::MealyMachine;
@@ -212,7 +212,7 @@ mod warm_start_grid {
     fn cache_path() -> String {
         std::env::temp_dir()
             .join(format!(
-                "prognosis-dataflow-learner-warm-{}.json",
+                "prognosis-dataflow-learner-warm-{}.journal",
                 std::process::id()
             ))
             .to_string_lossy()

@@ -84,15 +84,15 @@ mod warm_start_grid {
     fn cache_path() -> String {
         std::env::temp_dir()
             .join(format!(
-                "prognosis-session-engine-warm-{}.json",
+                "prognosis-session-engine-warm-{}.journal",
                 std::process::id()
             ))
             .to_string_lossy()
             .into_owned()
     }
 
-    /// Seeds the cache file exactly once (the PR-2 `CacheStore` format) and
-    /// returns the cold model every warm shape must reproduce.
+    /// Seeds the observation journal exactly once and returns the cold
+    /// model every warm shape must reproduce.
     fn cold_seeded() -> &'static LearnedModel {
         static COLD: OnceLock<LearnedModel> = OnceLock::new();
         COLD.get_or_init(|| {

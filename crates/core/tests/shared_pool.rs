@@ -4,12 +4,15 @@
 //! (`spawn_with`) runs — the pool moves scheduling, never results.  This is
 //! the substrate the campaign orchestrator builds its matrix cells on.
 
+use prognosis_automata::alphabet::Alphabet;
 use prognosis_core::engine::EnginePool;
 use prognosis_core::pipeline::{
-    learn_model_parallel, learn_model_parallel_on, LearnConfig, LearnedModel,
+    learn_model_parallel, learn_model_parallel_seeded_with_events, LearnConfig, LearnedModel,
 };
 use prognosis_core::quic_adapter::{quic_alphabet, QuicSulFactory};
+use prognosis_core::session::SessionSulFactory;
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSulFactory};
+use prognosis_learner::trie::PrefixTrie;
 use prognosis_quic_sim::profile::ImplementationProfile;
 
 fn config() -> LearnConfig {
@@ -20,6 +23,26 @@ fn config() -> LearnConfig {
         workers: 2,
         ..LearnConfig::default()
     }
+}
+
+/// A cold learn whose workers lease slots from `pool`.
+fn learn_on<F>(pool: &EnginePool, factory: &F, alphabet: &Alphabet) -> LearnedModel
+where
+    F: SessionSulFactory,
+    F::Session: Send + 'static,
+{
+    learn_model_parallel_seeded_with_events(
+        pool,
+        factory,
+        alphabet,
+        &config(),
+        PrefixTrie::new(),
+        &[],
+        None,
+    )
+    .expect("shared-pool learn succeeds")
+    .outcome
+    .learned
 }
 
 fn private_tcp() -> LearnedModel {
@@ -44,16 +67,10 @@ fn concurrent_heterogeneous_leases_match_private_runs() {
     // on the same engine threads, interleaving heterogeneous session types.
     let pool = EnginePool::new(4);
     let (tcp_shared, quic_shared) = std::thread::scope(|scope| {
-        let tcp = scope.spawn(|| {
-            learn_model_parallel_on(&pool, &TcpSulFactory::default(), &tcp_alphabet(), config())
-                .expect("shared-pool TCP learn succeeds")
-                .learned
-        });
+        let tcp = scope.spawn(|| learn_on(&pool, &TcpSulFactory::default(), &tcp_alphabet()));
         let quic = scope.spawn(|| {
             let factory = QuicSulFactory::new(ImplementationProfile::google(), 11);
-            learn_model_parallel_on(&pool, &factory, &quic_alphabet(), config())
-                .expect("shared-pool QUIC learn succeeds")
-                .learned
+            learn_on(&pool, &factory, &quic_alphabet())
         });
         (
             tcp.join().expect("tcp thread"),
@@ -93,16 +110,8 @@ fn an_undersized_pool_serializes_leases_without_changing_results() {
     // results stay identical.
     let pool = EnginePool::new(2);
     let (first, second) = std::thread::scope(|scope| {
-        let a = scope.spawn(|| {
-            learn_model_parallel_on(&pool, &TcpSulFactory::default(), &tcp_alphabet(), config())
-                .expect("first serialized learn succeeds")
-                .learned
-        });
-        let b = scope.spawn(|| {
-            learn_model_parallel_on(&pool, &TcpSulFactory::default(), &tcp_alphabet(), config())
-                .expect("second serialized learn succeeds")
-                .learned
-        });
+        let a = scope.spawn(|| learn_on(&pool, &TcpSulFactory::default(), &tcp_alphabet()));
+        let b = scope.spawn(|| learn_on(&pool, &TcpSulFactory::default(), &tcp_alphabet()));
         (
             a.join().expect("first thread"),
             b.join().expect("second thread"),

@@ -3,7 +3,7 @@
 //! must build a **bit-identical** discrimination tree and model to serial
 //! sifting, with `membership_queries` / `fresh_symbols` no greater than
 //! serial (batch dedup may make them smaller — the direction is asserted),
-//! including warm starts against a PR-2 `CacheStore` file.
+//! including warm starts against a persisted observation journal.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::mealy::MealyMachine;
@@ -145,7 +145,7 @@ mod warm_start_grid {
     fn cache_path() -> String {
         std::env::temp_dir()
             .join(format!(
-                "prognosis-sift-wavefront-warm-{}.json",
+                "prognosis-sift-wavefront-warm-{}.journal",
                 std::process::id()
             ))
             .to_string_lossy()

@@ -6,7 +6,7 @@
 
 use prognosis_core::engine::EnginePool;
 use prognosis_core::pipeline::{
-    learn_model, learn_model_parallel, learn_model_parallel_seeded, LearnConfig,
+    learn_model, learn_model_parallel, learn_model_parallel_seeded_with_events, LearnConfig,
 };
 use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul};
 use prognosis_core::sul::Sul;
@@ -18,7 +18,7 @@ use prognosis_quic_sim::profile::ImplementationProfile;
 fn tmp_cache(name: &str) -> String {
     std::env::temp_dir()
         .join(format!(
-            "prognosis-warm-start-test-{}-{name}.json",
+            "prognosis-warm-start-test-{}-{name}.journal",
             std::process::id()
         ))
         .to_string_lossy()
@@ -190,13 +190,14 @@ fn partially_warm_learn_appends_what_save_merged_appends() {
         &tcp_alphabet(),
     );
     let seed_trie = JournalStore::load_matching(&copy, &key).unwrap();
-    let seeded = learn_model_parallel_seeded(
+    let seeded = learn_model_parallel_seeded_with_events(
         &EnginePool::new(1),
         &TcpSulFactory::default(),
         &tcp_alphabet(),
         &second,
         seed_trie,
         &[],
+        None,
     )
     .unwrap();
     assert_eq!(seeded.outcome.learned.model, warm.model);
@@ -229,6 +230,56 @@ fn fully_warm_learn_leaves_the_journal_untouched() {
     let after = std::fs::metadata(&cache).unwrap();
     assert_eq!(after.len(), before.len());
     assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// A cache file without the journal magic — an older JSON cache holding
+/// this very key, or noise — is a cold start: the learn pays exactly the
+/// fresh symbols of a cacheless run, learns the same model, and leaves a
+/// clean journal behind.
+#[test]
+fn a_cache_file_without_the_magic_learns_cold_and_becomes_a_journal() {
+    let cache = tmp_cache("no-magic");
+    let config = small_config(&cache);
+    let reference = learn_model(
+        &mut TcpSul::with_defaults(),
+        &tcp_alphabet(),
+        LearnConfig {
+            cache_path: None,
+            ..config.clone()
+        },
+    );
+    let key = StoreKey::new(
+        TcpSul::with_defaults().cache_key().unwrap(),
+        "",
+        &tcp_alphabet(),
+    );
+    let json = format!(
+        r#"{{"version":2,"sul_id":{},"impl_version":"","alphabet":{},"alphabet_hash":{},"trie":[]}}"#,
+        serde_json::to_string(key.sul_id()).unwrap(),
+        serde_json::to_string(key.alphabet()).unwrap(),
+        key.alphabet_hash()
+    );
+    let noise: Vec<u8> = (0u32..300)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
+        .collect();
+    for bytes in [json.into_bytes(), noise] {
+        std::fs::write(&cache, &bytes).unwrap();
+        assert!(JournalStore::verify(&cache).is_err());
+        assert!(JournalStore::open(&cache)
+            .unwrap()
+            .snapshot_entries()
+            .is_empty());
+        let learned = learn_model(
+            &mut TcpSul::with_defaults(),
+            &tcp_alphabet(),
+            config.clone(),
+        );
+        assert_eq!(learned.model, reference.model);
+        assert_eq!(learned.stats.fresh_symbols, reference.stats.fresh_symbols);
+        assert!(JournalStore::verify(&cache).unwrap().is_clean());
+        assert!(JournalStore::load_matching(&cache, &key).is_some());
+    }
     let _ = std::fs::remove_file(&cache);
 }
 

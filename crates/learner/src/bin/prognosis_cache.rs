@@ -7,8 +7,8 @@
 //! ```
 //!
 //! `verify` exits nonzero when the store is unsound (torn tail, replay
-//! contradictions, or inconsistent key hashes), so it doubles as a CI
-//! check over cache artifacts.
+//! contradictions, or inconsistent key hashes) or is not a journal at all,
+//! so it doubles as a CI check over cache artifacts.
 
 use prognosis_learner::journal::{JournalStore, StoreFormat};
 use std::process::ExitCode;
@@ -21,7 +21,6 @@ fn usage() -> ExitCode {
 fn format_name(format: StoreFormat) -> &'static str {
     match format {
         StoreFormat::Journal => "journal",
-        StoreFormat::LegacyJson => "legacy-json",
         StoreFormat::Absent => "absent",
     }
 }

@@ -1,42 +1,32 @@
-//! Cross-run persistence for the membership-query cache.
+//! Store keys and durable writes for the persisted observation store.
 //!
 //! The paper's central cost metric is the number of concrete queries sent
 //! to the implementation under test, and its workflow re-learns the same
 //! closed-box SUL repeatedly (alphabet tweaks, synthesis validation,
-//! regression checks across implementation versions).  A [`CacheStore`]
-//! makes the prefix-trie cache ([`crate::trie::PrefixTrie`]) durable: it
-//! stamps the serialized trie with a format version and a *cache key* —
-//! the SUL identity plus a hash of the learning alphabet — and saves it as
-//! JSON.  A later run against the same SUL loads the trie and answers its
-//! warm-up membership queries from disk with zero fresh SUL symbols; a run
-//! against a different SUL configuration or alphabet finds a key mismatch
-//! and starts cold, so a stale cache can never corrupt learning.
+//! regression checks across implementation versions).  The journal
+//! ([`crate::journal::JournalStore`]) makes the prefix-trie cache durable
+//! under a [`StoreKey`] — the SUL identity, the implementation version and
+//! a hash of the learning alphabet — so a later run against the same SUL
+//! answers its warm-up membership queries from disk with zero fresh SUL
+//! symbols, while a run against a different SUL configuration or alphabet
+//! misses and starts cold: a stale cache can never corrupt learning.
+//!
+//! This module holds the pieces every persistence path shares: the key,
+//! its stable alphabet hash, the per-path writer locks and the
+//! crash-durable atomic file replacement.
 
-use crate::trie::{PrefixTrie, TrieDivergence};
 use prognosis_automata::alphabet::Alphabet;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// On-disk format version; bump when the serialized layout changes.
-/// Loading a file with a different version fails soundly (treated as a
-/// cache miss by [`CacheStore::load_matching`]).
-///
-/// Version history: 1 = single-entry store keyed by (SUL id, alphabet);
-/// 2 = adds the implementation-version axis (`impl_version`) to the key
-/// and the multi-entry [`SharedCacheStore`] campaign format.  v1 files are
-/// rejected on load — a sound cold start, never a silent mis-merge.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
-
-/// Serializes same-path cache writes within this process.  Campaign tasks
+/// Serializes same-path store writes within this process.  Campaign tasks
 /// share one store path; without a writer guard two concurrent
-/// load-merge-save sequences interleave and the slower writer silently
+/// resync-merge-append sequences interleave and the slower writer silently
 /// drops the faster one's observations.  The registry hands out one mutex
-/// per (absolutized) path; [`CacheStore::save_merged`] and every
-/// [`SharedCacheStore`] write path hold it across their whole
-/// read-merge-write critical section.
+/// per (absolutized) path; every [`crate::journal::JournalStore`] mutation
+/// holds it across its whole critical section.
 pub(crate) fn path_write_lock(path: &Path) -> Arc<Mutex<()>> {
     static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
     let key = std::path::absolute(path).unwrap_or_else(|_| path.to_path_buf());
@@ -58,9 +48,8 @@ pub(crate) fn hold_path_lock(lock: &Mutex<()>) -> MutexGuard<'_, ()> {
 /// file (named uniquely per process *and* thread, so two same-process
 /// savers can't collide mid-rename), fsyncs it, renames it over `path`,
 /// then fsyncs the parent directory so the rename itself survives a power
-/// loss.  Creates parent directories as needed.  Every persistence path in
-/// this crate — JSON stores and the binary journal alike — funnels through
-/// here.
+/// loss.  Creates parent directories as needed.  Every full rewrite of a
+/// journal (first write, replacement, compaction) funnels through here.
 pub(crate) fn atomic_write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
     let parent = match path.parent() {
@@ -102,9 +91,9 @@ pub(crate) fn atomic_write_durable(path: &Path, bytes: &[u8]) -> std::io::Result
 /// version, alphabet)` triple with its alphabet hash computed once.
 /// Campaign runners build one per cell and thread it through every
 /// lookup/upsert instead of re-hashing the alphabet on each call; the
-/// journal store uses it directly as its entry key.  Ordering is the same
-/// deterministic `(sul_id, impl_version, alphabet)` order the JSON
-/// [`SharedCacheStore`] sorts its entries by.
+/// journal store uses it directly as its entry key.  Ordering is the
+/// deterministic `(sul_id, impl_version, alphabet)` order a compacted
+/// journal writes its segments in.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StoreKey {
     sul_id: String,
@@ -168,20 +157,7 @@ impl StoreKey {
     /// Whether the stored hash matches a fresh hash of the spelled-out
     /// symbols — false only for a corrupt or hand-edited store.
     pub fn hash_consistent(&self) -> bool {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        for symbol in &self.alphabet {
-            eat(&(symbol.len() as u64).to_le_bytes());
-            eat(symbol.as_bytes());
-        }
-        hash == self.alphabet_hash
+        symbols_hash(self.alphabet.iter().map(String::as_str)) == self.alphabet_hash
     }
 }
 
@@ -189,6 +165,10 @@ impl StoreKey {
 /// and `["a","bc"]` hash differently).  Stable across runs and platforms —
 /// unlike `std`'s randomized hashers — which is what an on-disk key needs.
 pub fn alphabet_hash(alphabet: &Alphabet) -> u64 {
+    symbols_hash(alphabet.iter().map(|symbol| symbol.as_str()))
+}
+
+fn symbols_hash<'a>(symbols: impl Iterator<Item = &'a str>) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = FNV_OFFSET;
@@ -198,26 +178,20 @@ pub fn alphabet_hash(alphabet: &Alphabet) -> u64 {
             hash = hash.wrapping_mul(FNV_PRIME);
         }
     };
-    for symbol in alphabet.iter() {
+    for symbol in symbols {
         eat(&(symbol.len() as u64).to_le_bytes());
-        eat(symbol.as_str().as_bytes());
+        eat(symbol.as_bytes());
     }
     hash
 }
 
-/// Errors loading a persisted cache.
+/// Errors reading or writing a persisted store.
 #[derive(Debug)]
 pub enum CacheError {
-    /// The file could not be read.
+    /// The file could not be read or written.
     Io(std::io::Error),
-    /// The file is not a valid cache document (corrupt JSON, contradictory
-    /// trie paths, …).
+    /// The file is not a store this build can check (no journal magic).
     Format(String),
-    /// The file parsed but was written by an incompatible format version.
-    Version {
-        /// Version found in the file.
-        found: u32,
-    },
 }
 
 impl fmt::Display for CacheError {
@@ -225,10 +199,6 @@ impl fmt::Display for CacheError {
         match self {
             CacheError::Io(e) => write!(f, "cache i/o error: {e}"),
             CacheError::Format(msg) => write!(f, "invalid cache file: {msg}"),
-            CacheError::Version { found } => write!(
-                f,
-                "cache format version {found} (this build reads {CACHE_FORMAT_VERSION})"
-            ),
         }
     }
 }
@@ -241,667 +211,9 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-/// A persisted observation store: a prefix trie of membership-query
-/// answers, stamped with the format version and the cache key (SUL id +
-/// alphabet) it is valid for.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CacheStore {
-    /// Format version the file was written with.
-    version: u32,
-    /// Stable identifier of the SUL configuration the answers came from.
-    sul_id: String,
-    /// Implementation version the answers came from — the third key axis.
-    /// Two versions of one implementation share a store file but never a
-    /// trie: a cached answer is only replayed for the exact version that
-    /// produced it.  Empty means "unversioned" (the pre-campaign default).
-    impl_version: String,
-    /// The learning alphabet, spelled out for human inspection.
-    alphabet: Vec<String>,
-    /// FNV-1a hash of the alphabet — the machine-checked half of the key.
-    alphabet_hash: u64,
-    /// The cached (input, output, terminal) observations.
-    trie: PrefixTrie,
-}
-
-impl CacheStore {
-    /// Wraps a trie with the key it is valid for (unversioned).
-    pub fn new(sul_id: impl Into<String>, alphabet: &Alphabet, trie: PrefixTrie) -> Self {
-        CacheStore::with_version(sul_id, "", alphabet, trie)
-    }
-
-    /// Wraps a trie with a fully versioned key: (SUL id, implementation
-    /// version, alphabet).
-    pub fn with_version(
-        sul_id: impl Into<String>,
-        impl_version: impl Into<String>,
-        alphabet: &Alphabet,
-        trie: PrefixTrie,
-    ) -> Self {
-        CacheStore {
-            version: CACHE_FORMAT_VERSION,
-            sul_id: sul_id.into(),
-            impl_version: impl_version.into(),
-            alphabet: alphabet.iter().map(|s| s.to_string()).collect(),
-            alphabet_hash: alphabet_hash(alphabet),
-            trie,
-        }
-    }
-
-    /// The SUL identifier this cache is keyed by.
-    pub fn sul_id(&self) -> &str {
-        &self.sul_id
-    }
-
-    /// The implementation version this cache is keyed by ("" = unversioned).
-    pub fn impl_version(&self) -> &str {
-        &self.impl_version
-    }
-
-    /// Whether this store's observations are valid for the given SUL and
-    /// alphabet, ignoring the version axis only in the unversioned case.
-    /// Equivalent to [`CacheStore::key_matches_version`] with version `""`.
-    pub fn key_matches(&self, sul_id: &str, alphabet: &Alphabet) -> bool {
-        self.key_matches_version(sul_id, "", alphabet)
-    }
-
-    /// Whether this store's observations are valid for the given SUL,
-    /// implementation version and alphabet.  Both the spelled-out alphabet
-    /// and its hash must match, so a hand-edited file cannot silently pass.
-    pub fn key_matches_version(
-        &self,
-        sul_id: &str,
-        impl_version: &str,
-        alphabet: &Alphabet,
-    ) -> bool {
-        self.sul_id == sul_id
-            && self.impl_version == impl_version
-            && self.alphabet_hash == alphabet_hash(alphabet)
-            && self.alphabet.len() == alphabet.len()
-            && self
-                .alphabet
-                .iter()
-                .zip(alphabet.iter())
-                .all(|(a, b)| a == b.as_str())
-    }
-
-    /// Whether this store's observations are valid for a pre-resolved
-    /// [`StoreKey`].  Compares the precomputed alphabet hash first — no
-    /// per-call re-hashing of the alphabet.
-    pub fn key_matches_store_key(&self, key: &StoreKey) -> bool {
-        self.alphabet_hash == key.alphabet_hash
-            && self.sul_id == key.sul_id
-            && self.impl_version == key.impl_version
-            && self.alphabet == key.alphabet
-    }
-
-    /// This entry's key as a [`StoreKey`] (reuses the stored hash).
-    pub fn store_key(&self) -> StoreKey {
-        StoreKey::from_parts(
-            self.sul_id.clone(),
-            self.impl_version.clone(),
-            self.alphabet.clone(),
-            self.alphabet_hash,
-        )
-    }
-
-    /// The cached trie.
-    pub fn trie(&self) -> &PrefixTrie {
-        &self.trie
-    }
-
-    /// Consumes the store, returning the trie.
-    pub fn into_trie(self) -> PrefixTrie {
-        self.trie
-    }
-
-    /// Writes the store as JSON, creating parent directories as needed.
-    /// The write goes through a per-thread-unique sibling temp file that is
-    /// fsynced before an atomic rename (and the directory fsynced after),
-    /// so an interrupted save never leaves a truncated cache behind and a
-    /// completed save survives a crash — the old file stays intact or the
-    /// new one appears whole and durable.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
-        let json =
-            serde_json::to_string_pretty(self).map_err(|e| CacheError::Format(e.to_string()))?;
-        atomic_write_durable(path.as_ref(), json.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads a store back, verifying the format version.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CacheError> {
-        let text = std::fs::read_to_string(path)?;
-        let store: CacheStore =
-            serde_json::from_str(&text).map_err(|e| CacheError::Format(e.to_string()))?;
-        if store.version != CACHE_FORMAT_VERSION {
-            return Err(CacheError::Version {
-                found: store.version,
-            });
-        }
-        Ok(store)
-    }
-
-    /// The warm-start read path: loads the trie at `path` if the file
-    /// exists, parses, and was written for exactly this SUL and alphabet.
-    /// Any miss — no file, unreadable, version skew, key mismatch — yields
-    /// `None`, never an error: a cache must only ever accelerate a run.
-    pub fn load_matching(
-        path: impl AsRef<Path>,
-        sul_id: &str,
-        alphabet: &Alphabet,
-    ) -> Option<PrefixTrie> {
-        CacheStore::load_matching_version(path, sul_id, "", alphabet)
-    }
-
-    /// Version-aware warm-start read path: like
-    /// [`CacheStore::load_matching`] but the stored implementation version
-    /// must also match, so v2 of an implementation never replays v1's
-    /// answers as its own.
-    pub fn load_matching_version(
-        path: impl AsRef<Path>,
-        sul_id: &str,
-        impl_version: &str,
-        alphabet: &Alphabet,
-    ) -> Option<PrefixTrie> {
-        let store = CacheStore::load(path).ok()?;
-        store
-            .key_matches_version(sul_id, impl_version, alphabet)
-            .then(|| store.into_trie())
-    }
-
-    /// The persistence write path: merges `trie` over whatever same-keyed
-    /// observations are already at `path` (so alternating runs accumulate
-    /// rather than clobber each other) and saves the union.  A
-    /// differently-keyed or unreadable existing file is replaced — and so
-    /// is a same-keyed file that *contradicts* the live observations (a
-    /// stale cache from before the implementation changed behaviour): the
-    /// run's own trie is authoritative, persisting never panics.
-    ///
-    /// The whole load-merge-save sequence holds this path's process-wide
-    /// writer guard, so two tasks persisting to the same file interleave as
-    /// two complete merges instead of clobbering each other.
-    pub fn save_merged(
-        path: impl AsRef<Path>,
-        sul_id: &str,
-        alphabet: &Alphabet,
-        trie: &PrefixTrie,
-    ) -> Result<(), CacheError> {
-        CacheStore::save_merged_version(path, sul_id, "", alphabet, trie)
-    }
-
-    /// Version-aware persistence write path: [`CacheStore::save_merged`]
-    /// keyed by (SUL id, implementation version, alphabet).
-    pub fn save_merged_version(
-        path: impl AsRef<Path>,
-        sul_id: &str,
-        impl_version: &str,
-        alphabet: &Alphabet,
-        trie: &PrefixTrie,
-    ) -> Result<(), CacheError> {
-        let path = path.as_ref();
-        let lock = path_write_lock(path);
-        let _guard = hold_path_lock(&lock);
-        let mut merged = trie.clone();
-        if let Some(existing) =
-            CacheStore::load_matching_version(path, sul_id, impl_version, alphabet)
-        {
-            if merged.try_merge_from(&existing).is_err() {
-                // The disk cache disagrees with what the SUL just answered;
-                // drop it wholesale rather than persist a mixture.
-                merged = trie.clone();
-            }
-        }
-        CacheStore::with_version(sul_id, impl_version, alphabet, merged).save(path)
-    }
-}
-
-/// A multi-entry observation store for campaigns: one file holding one
-/// [`CacheStore`] entry per (SUL id, implementation version, alphabet)
-/// key.  This is the "shared observation cache" of a differential-learning
-/// campaign — every cell of the {implementation} × {version} matrix
-/// persists into the same file, warm entries survive across versions
-/// side-by-side, and [`SharedCacheStore::cross_version_divergences`]
-/// surfaces the cached answers on which two versions disagree as
-/// regression findings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct SharedCacheStore {
-    /// Format version the file was written with.
-    version: u32,
-    /// One entry per distinct cache key, kept sorted by
-    /// (sul_id, impl_version, alphabet) so saves are byte-deterministic
-    /// regardless of task completion order.
-    entries: Vec<CacheStore>,
-}
-
-impl Default for SharedCacheStore {
-    fn default() -> Self {
-        SharedCacheStore::new()
-    }
-}
-
-impl SharedCacheStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        SharedCacheStore {
-            version: CACHE_FORMAT_VERSION,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Number of keyed entries held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entries, in their deterministic key order.
-    pub fn entries(&self) -> &[CacheStore] {
-        &self.entries
-    }
-
-    /// Looks up the trie cached for exactly this key, if any.
-    pub fn lookup(
-        &self,
-        sul_id: &str,
-        impl_version: &str,
-        alphabet: &Alphabet,
-    ) -> Option<&PrefixTrie> {
-        self.lookup_key(&StoreKey::new(sul_id, impl_version, alphabet))
-    }
-
-    /// [`SharedCacheStore::lookup`] with a pre-resolved key: the alphabet
-    /// hash is computed once when the [`StoreKey`] is built, not once per
-    /// entry per call — campaign runners with hundreds of cells against a
-    /// many-entry store call this in their warm-start hot path.
-    pub fn lookup_key(&self, key: &StoreKey) -> Option<&PrefixTrie> {
-        self.entries
-            .iter()
-            .find(|e| e.key_matches_store_key(key))
-            .map(|e| e.trie())
-    }
-
-    /// Merges `trie` into the entry for this key, creating it if absent.
-    /// A contradictory existing entry (stale observations from before the
-    /// implementation's behaviour changed) is replaced wholesale by the
-    /// live trie — same policy as [`CacheStore::save_merged`].  Entries
-    /// stay sorted by key, so the serialized form is independent of the
-    /// order in which campaign tasks complete.
-    pub fn upsert(
-        &mut self,
-        sul_id: &str,
-        impl_version: &str,
-        alphabet: &Alphabet,
-        trie: &PrefixTrie,
-    ) {
-        self.upsert_key(&StoreKey::new(sul_id, impl_version, alphabet), trie)
-    }
-
-    /// [`SharedCacheStore::upsert`] with a pre-resolved key — the write
-    /// half of the hash-once-per-cell campaign path.
-    pub fn upsert_key(&mut self, key: &StoreKey, trie: &PrefixTrie) {
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.key_matches_store_key(key))
-        {
-            Some(entry) => {
-                let mut merged = trie.clone();
-                if merged.try_merge_from(&entry.trie).is_err() {
-                    merged = trie.clone();
-                }
-                entry.trie = merged;
-            }
-            None => {
-                self.entries.push(CacheStore {
-                    version: CACHE_FORMAT_VERSION,
-                    sul_id: key.sul_id.clone(),
-                    impl_version: key.impl_version.clone(),
-                    alphabet: key.alphabet.clone(),
-                    alphabet_hash: key.alphabet_hash,
-                    trie: trie.clone(),
-                });
-                self.entries.sort_by(|a, b| {
-                    (&a.sul_id, &a.impl_version, &a.alphabet).cmp(&(
-                        &b.sul_id,
-                        &b.impl_version,
-                        &b.alphabet,
-                    ))
-                });
-            }
-        }
-    }
-
-    /// The shortest cached inputs on which two implementation versions of
-    /// the same SUL give different answers — the cross-version regression
-    /// surface, computed entirely from the cache with zero fresh queries.
-    /// `limit` caps the result (0 = unlimited).  Either version missing
-    /// from the store yields an empty list.
-    pub fn cross_version_divergences(
-        &self,
-        sul_id: &str,
-        left_version: &str,
-        right_version: &str,
-        alphabet: &Alphabet,
-        limit: usize,
-    ) -> Vec<TrieDivergence> {
-        match (
-            self.lookup(sul_id, left_version, alphabet),
-            self.lookup(sul_id, right_version, alphabet),
-        ) {
-            (Some(left), Some(right)) => left.divergences(right, limit),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Reads a store back, verifying the format version.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, CacheError> {
-        let text = std::fs::read_to_string(path)?;
-        let store: SharedCacheStore =
-            serde_json::from_str(&text).map_err(|e| CacheError::Format(e.to_string()))?;
-        if store.version != CACHE_FORMAT_VERSION {
-            return Err(CacheError::Version {
-                found: store.version,
-            });
-        }
-        Ok(store)
-    }
-
-    /// Loads the store at `path`, or an empty one if the file is missing,
-    /// unreadable, or version-skewed — a shared cache must only ever
-    /// accelerate a campaign, never abort one.
-    pub fn load_or_empty(path: impl AsRef<Path>) -> Self {
-        SharedCacheStore::load(path).unwrap_or_default()
-    }
-
-    /// Writes the store as JSON via the same temp-file + atomic-rename
-    /// dance as [`CacheStore::save`], holding this path's process-wide
-    /// writer guard.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
-        let path = path.as_ref();
-        let lock = path_write_lock(path);
-        let _guard = hold_path_lock(&lock);
-        self.save_locked(path)
-    }
-
-    fn save_locked(&self, path: &Path) -> Result<(), CacheError> {
-        let json =
-            serde_json::to_string_pretty(self).map_err(|e| CacheError::Format(e.to_string()))?;
-        atomic_write_durable(path, json.as_bytes())?;
-        Ok(())
-    }
-
-    /// The campaign persistence write path: re-reads the file under the
-    /// writer guard, merges one task's finished trie into its keyed entry,
-    /// and atomically rewrites the file.  Because load-merge-save is one
-    /// critical section per path, any interleaving of concurrent tasks —
-    /// same key or different keys — leaves the union of all their
-    /// observations on disk.
-    pub fn save_entry_merged(
-        path: impl AsRef<Path>,
-        sul_id: &str,
-        impl_version: &str,
-        alphabet: &Alphabet,
-        trie: &PrefixTrie,
-    ) -> Result<(), CacheError> {
-        let path = path.as_ref();
-        let lock = path_write_lock(path);
-        let _guard = hold_path_lock(&lock);
-        let mut store = SharedCacheStore::load_or_empty(path);
-        store.upsert(sul_id, impl_version, alphabet, trie);
-        store.save_locked(path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prognosis_automata::word::{InputWord, OutputWord};
-
-    fn sample_trie() -> PrefixTrie {
-        let mut trie = PrefixTrie::new();
-        trie.insert(
-            &InputWord::from_symbols(["a", "b"]),
-            &OutputWord::from_symbols(["1", "2"]),
-        );
-        trie.mark_terminal(&InputWord::from_symbols(["a", "b"]));
-        trie
-    }
-
-    fn tmp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "prognosis-cache-test-{}-{name}",
-            std::process::id()
-        ))
-    }
-
-    #[test]
-    fn save_load_round_trip_preserves_the_trie() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("roundtrip.json");
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        let loaded = CacheStore::load(&path).unwrap();
-        assert_eq!(loaded.sul_id(), "sul-1");
-        assert!(loaded.key_matches("sul-1", &alphabet));
-        assert_eq!(loaded.trie().entries(), sample_trie().entries());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mismatched_keys_are_cache_misses() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("mismatch.json");
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        // Wrong SUL id.
-        assert!(CacheStore::load_matching(&path, "sul-2", &alphabet).is_none());
-        // Wrong alphabet.
-        let other = Alphabet::from_symbols(["a", "b", "c"]);
-        assert!(CacheStore::load_matching(&path, "sul-1", &other).is_none());
-        // Matching key hits.
-        assert!(CacheStore::load_matching(&path, "sul-1", &alphabet).is_some());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_and_corrupt_files_are_cache_misses() {
-        let alphabet = Alphabet::from_symbols(["a"]);
-        assert!(
-            CacheStore::load_matching(tmp_path("does-not-exist.json"), "x", &alphabet).is_none()
-        );
-        let path = tmp_path("corrupt.json");
-        std::fs::write(&path, "{ not json").unwrap();
-        assert!(CacheStore::load_matching(&path, "x", &alphabet).is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn version_skew_is_rejected() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("version.json");
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        let bumped = std::fs::read_to_string(&path).unwrap().replace(
-            &format!("\"version\": {CACHE_FORMAT_VERSION}"),
-            "\"version\": 999",
-        );
-        std::fs::write(&path, bumped).unwrap();
-        assert!(matches!(
-            CacheStore::load(&path),
-            Err(CacheError::Version { found: 999 })
-        ));
-        assert!(CacheStore::load_matching(&path, "sul-1", &alphabet).is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_merged_unions_same_keyed_observations() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("merged.json");
-        CacheStore::save_merged(&path, "sul-1", &alphabet, &sample_trie()).unwrap();
-        let mut second = PrefixTrie::new();
-        second.insert(
-            &InputWord::from_symbols(["b"]),
-            &OutputWord::from_symbols(["9"]),
-        );
-        second.mark_terminal(&InputWord::from_symbols(["b"]));
-        CacheStore::save_merged(&path, "sul-1", &alphabet, &second).unwrap();
-        let loaded = CacheStore::load_matching(&path, "sul-1", &alphabet).unwrap();
-        assert_eq!(loaded.terminal_words(), 2);
-        assert!(loaded
-            .lookup(&InputWord::from_symbols(["a", "b"]))
-            .is_some());
-        assert!(loaded.lookup(&InputWord::from_symbols(["b"])).is_some());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_merged_survives_a_contradictory_stale_cache() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("stale.json");
-        // An earlier run recorded a·b → 1·2 under the same key...
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        // ...but the implementation has since changed behaviour: the live
-        // run observed a·b → 9·2.  Persisting must not panic; the live
-        // observations replace the stale file wholesale.
-        let mut live = PrefixTrie::new();
-        live.insert(
-            &InputWord::from_symbols(["a", "b"]),
-            &OutputWord::from_symbols(["9", "2"]),
-        );
-        live.mark_terminal(&InputWord::from_symbols(["a", "b"]));
-        CacheStore::save_merged(&path, "sul-1", &alphabet, &live).unwrap();
-        let loaded = CacheStore::load_matching(&path, "sul-1", &alphabet).unwrap();
-        assert_eq!(
-            loaded.lookup(&InputWord::from_symbols(["a", "b"])),
-            Some(OutputWord::from_symbols(["9", "2"]))
-        );
-        assert_eq!(loaded.terminal_words(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn version_axis_separates_same_sul_caches() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("versioned.json");
-        CacheStore::with_version("sul-1", "v2", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        // The unversioned and wrong-version reads miss; the exact version hits.
-        assert!(CacheStore::load_matching(&path, "sul-1", &alphabet).is_none());
-        assert!(CacheStore::load_matching_version(&path, "sul-1", "v1", &alphabet).is_none());
-        assert!(CacheStore::load_matching_version(&path, "sul-1", "v2", &alphabet).is_some());
-        // An unversioned store is exactly version "".
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
-        assert!(CacheStore::load_matching(&path, "sul-1", &alphabet).is_some());
-        assert!(CacheStore::load_matching_version(&path, "sul-1", "v2", &alphabet).is_none());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn shared_store_keeps_versions_side_by_side_and_diffs_them() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("shared.json");
-        std::fs::remove_file(&path).ok();
-
-        // v1 answers a·b → 1·2, v2 answers a·b → 1·9.
-        SharedCacheStore::save_entry_merged(&path, "sul-1", "v1", &alphabet, &sample_trie())
-            .unwrap();
-        let mut v2 = PrefixTrie::new();
-        v2.insert(
-            &InputWord::from_symbols(["a", "b"]),
-            &OutputWord::from_symbols(["1", "9"]),
-        );
-        v2.mark_terminal(&InputWord::from_symbols(["a", "b"]));
-        SharedCacheStore::save_entry_merged(&path, "sul-1", "v2", &alphabet, &v2).unwrap();
-
-        let store = SharedCacheStore::load(&path).unwrap();
-        assert_eq!(store.len(), 2);
-        assert!(store.lookup("sul-1", "v1", &alphabet).is_some());
-        assert!(store.lookup("sul-1", "v2", &alphabet).is_some());
-        let diffs = store.cross_version_divergences("sul-1", "v1", "v2", &alphabet, 0);
-        assert_eq!(diffs.len(), 1);
-        assert_eq!(diffs[0].input, InputWord::from_symbols(["a", "b"]));
-        // A version absent from the store diffs to nothing.
-        assert!(store
-            .cross_version_divergences("sul-1", "v1", "v3", &alphabet, 0)
-            .is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn shared_store_serialization_is_completion_order_independent() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let one = tmp_path("order-1.json");
-        let two = tmp_path("order-2.json");
-        std::fs::remove_file(&one).ok();
-        std::fs::remove_file(&two).ok();
-        let mut other = PrefixTrie::new();
-        other.insert(
-            &InputWord::from_symbols(["b"]),
-            &OutputWord::from_symbols(["3"]),
-        );
-        other.mark_terminal(&InputWord::from_symbols(["b"]));
-
-        SharedCacheStore::save_entry_merged(&one, "sul-1", "v1", &alphabet, &sample_trie())
-            .unwrap();
-        SharedCacheStore::save_entry_merged(&one, "sul-1", "v2", &alphabet, &other).unwrap();
-        SharedCacheStore::save_entry_merged(&two, "sul-1", "v2", &alphabet, &other).unwrap();
-        SharedCacheStore::save_entry_merged(&two, "sul-1", "v1", &alphabet, &sample_trie())
-            .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&one).unwrap(),
-            std::fs::read_to_string(&two).unwrap()
-        );
-        std::fs::remove_file(&one).ok();
-        std::fs::remove_file(&two).ok();
-    }
-
-    #[test]
-    fn concurrent_interleaved_saves_lose_no_observations() {
-        // Satellite regression test: many tasks in one process persisting
-        // interleaved saves to one shared path must leave the union of all
-        // their observations on disk — the writer guard makes each
-        // load-merge-save atomic with respect to the others.
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("concurrent.json");
-        std::fs::remove_file(&path).ok();
-        let tasks = 8;
-        std::thread::scope(|scope| {
-            for task in 0..tasks {
-                let path = &path;
-                let alphabet = &alphabet;
-                scope.spawn(move || {
-                    let word = InputWord::from_symbols([if task % 2 == 0 { "a" } else { "b" }]);
-                    let mut trie = PrefixTrie::new();
-                    trie.insert(&word, &OutputWord::from_symbols([format!("out-{task}")]));
-                    trie.mark_terminal(&word);
-                    let version = format!("v{task}");
-                    SharedCacheStore::save_entry_merged(path, "sul-1", &version, alphabet, &trie)
-                        .unwrap();
-                });
-            }
-        });
-        let store = SharedCacheStore::load(&path).unwrap();
-        assert_eq!(store.len(), tasks);
-        for task in 0..tasks {
-            let trie = store
-                .lookup("sul-1", &format!("v{task}"), &alphabet)
-                .unwrap_or_else(|| panic!("task {task}'s entry was clobbered"));
-            assert_eq!(trie.terminal_words(), 1);
-        }
-        std::fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn alphabet_hash_is_order_and_boundary_sensitive() {

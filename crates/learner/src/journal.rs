@@ -1,14 +1,14 @@
-//! The journaled observation store: an append-only binary segment log
-//! replacing the load-merge-rewrite JSON blob for cross-run persistence.
+//! The journaled observation store: an append-only binary segment log,
+//! the one on-disk format for cross-run persistence.
 //!
 //! The paper's workloads re-learn the same protocol implementations over
 //! and over; at campaign scale the observation cache holds hundreds of
-//! thousands of `(input, output, terminal)` paths and the JSON store's
-//! parse/serialize cost dominates warm start.  A [`JournalStore`] keeps
-//! the same key discipline — entries keyed by `(SUL id, implementation
-//! version, alphabet hash)` — but persists *deltas*: a save appends only
-//! the paths the file does not already cover, framed in a compact binary
-//! record format, instead of rewriting the whole document.
+//! thousands of `(input, output, terminal)` paths, so rewriting the whole
+//! store on every save would dominate warm start.  A [`JournalStore`]
+//! keys its entries by `(SUL id, implementation version, alphabet hash)`
+//! ([`StoreKey`]) and persists *deltas*: a save appends only the paths
+//! the file does not already cover, framed in a compact binary record
+//! format, instead of rewriting the whole document.
 //!
 //! # File layout
 //!
@@ -59,10 +59,9 @@
 //!
 //! # Concurrency and determinism
 //!
-//! All mutation happens under the per-path process-wide writer lock the
-//! JSON store already used, and every mutating call re-syncs from the file
-//! first (tail replay when it grew, full replay when it was compacted or
-//! replaced), so many in-process handles — one per campaign task — append
+//! All mutation happens under a per-path process-wide writer lock, and
+//! every mutating call re-syncs from the file first (tail replay when it
+//! grew, full replay when it was compacted or replaced), so many in-process handles — one per campaign task — append
 //! deltas without a load-merge-rewrite critical section and without losing
 //! each other's observations.  Readers clone `Arc` snapshots; a warm
 //! snapshot is shared, never copied.  Replayed tries depend only on file
@@ -82,17 +81,14 @@
 //! re-reads it and merges like `save_merged`, so concurrent runs still
 //! leave the union of their observations.
 //!
-//! # Migration
+//! # Files that are not journals
 //!
-//! [`JournalStore::open`] sniffs the magic bytes.  A legacy v2 JSON file —
-//! single-entry [`CacheStore`] or multi-entry [`SharedCacheStore`] — loads
-//! as a sound one-shot migration source: pure reads never touch the file,
-//! and the first write rewrites it in journal format.
+//! A file that does not open with the magic bytes — an older JSON cache,
+//! a truncated write, random bytes — opens as an empty store, and the
+//! first write replaces it with a journal: a cache only ever accelerates
+//! a run.  [`JournalStore::verify`] reports such a file as an error.
 
-use crate::cache::{
-    atomic_write_durable, hold_path_lock, path_write_lock, CacheError, CacheStore,
-    SharedCacheStore, StoreKey,
-};
+use crate::cache::{atomic_write_durable, hold_path_lock, path_write_lock, CacheError, StoreKey};
 use crate::trie::{PathCoverage, PrefixTrie, TrieMark};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::SymbolId;
@@ -289,13 +285,11 @@ fn memo_id(
 /// Where the bytes behind a store's in-memory state came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StoreFormat {
-    /// A binary journal (this module's native format).
+    /// A binary journal.
     Journal,
-    /// A legacy v2 JSON file ([`CacheStore`] or [`SharedCacheStore`]) read
-    /// as a migration source; the first write rewrites it as a journal.
-    LegacyJson,
-    /// No file (or an unreadable one — treated as absent, the universal
-    /// "a cache must only ever accelerate" rule).
+    /// No file, or one without the journal magic — treated as absent, the
+    /// universal "a cache must only ever accelerate" rule; the first write
+    /// replaces it.
     Absent,
 }
 
@@ -393,13 +387,6 @@ impl<R: Read> FrameReader<R> {
     fn count_remaining(mut self) -> std::io::Result<u64> {
         let buffered = (self.end - self.start) as u64;
         Ok(buffered + std::io::copy(&mut self.source, &mut std::io::sink())?)
-    }
-
-    /// Everything left in the stream, as one buffer.
-    fn into_remaining(mut self) -> std::io::Result<Vec<u8>> {
-        let mut rest = self.buf[self.start..self.end].to_vec();
-        self.source.read_to_end(&mut rest)?;
-        Ok(rest)
     }
 }
 
@@ -632,7 +619,7 @@ pub struct JournalStats {
     pub format: StoreFormat,
     /// File size in bytes (0 when absent).
     pub file_bytes: u64,
-    /// Record frames in the journal (0 for JSON/absent sources).
+    /// Record frames in the journal (0 when absent).
     pub record_frames: usize,
     /// Live maximal paths across all entries — what a fresh compaction
     /// would write.
@@ -646,7 +633,7 @@ pub struct JournalStats {
 pub struct VerifyReport {
     /// The on-disk format the file was read as.
     pub format: StoreFormat,
-    /// Bytes of well-formed frames (journal sources only).
+    /// Bytes of well-formed frames, magic included.
     pub sound_bytes: u64,
     /// Bytes past the last good frame — a torn tail from an interrupted
     /// append (0 for a clean file).
@@ -692,10 +679,9 @@ pub struct JournalStore {
 }
 
 impl JournalStore {
-    /// Opens the store at `path`, replaying the journal (or reading a
-    /// legacy JSON file as a migration source).  A missing file is an
-    /// empty store; a corrupt journal loads its sound prefix.  Pure loads
-    /// never modify the file.
+    /// Opens the store at `path`, replaying the journal.  A missing file,
+    /// or one without the journal magic, is an empty store; a corrupt
+    /// journal loads its sound prefix.  Pure loads never modify the file.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheError> {
         let path = path.as_ref().to_path_buf();
         let lock = path_write_lock(&path);
@@ -797,9 +783,9 @@ impl JournalStore {
     ///
     /// Falls back to a full (atomic, durable) rewrite when appending
     /// can't express the change: a contradictory existing entry is
-    /// replaced wholesale by the live trie (same stale-cache policy as the
-    /// JSON store), [`RetainPolicy::OnlyThisKey`] drops other keys, a
-    /// legacy JSON or absent file is written out in journal format, and a
+    /// replaced wholesale by the live trie (a stale cache never mixes with
+    /// live answers), [`RetainPolicy::OnlyThisKey`] drops other keys, an
+    /// absent or non-journal file is written out as a journal, and a
     /// journal past its compaction threshold is compacted on the way out.
     ///
     /// The whole resync-merge-append runs under the path's process-wide
@@ -869,6 +855,8 @@ impl JournalStore {
 
     /// Integrity-checks the file at `path` without modifying it: frame
     /// checksums, torn tail, replay contradictions, key-hash consistency.
+    /// A missing file reports clean as [`StoreFormat::Absent`]; a file
+    /// without the journal magic is a [`CacheError::Format`] error.
     pub fn verify(path: impl AsRef<Path>) -> Result<VerifyReport, CacheError> {
         let file = match std::fs::File::open(path.as_ref()) {
             Ok(file) => file,
@@ -885,22 +873,9 @@ impl JournalStore {
         };
         let mut reader = FrameReader::new(file, 0, REPLAY_CHUNK);
         if !reader.take_magic()? {
-            // Legacy JSON: soundness is just "does it parse".
-            let text = String::from_utf8(reader.into_remaining()?)
-                .map_err(|_| CacheError::Format("neither a journal nor UTF-8 JSON".into()))?;
-            let entries = parse_legacy_json(&text)?;
-            let inconsistent_keys = entries
-                .keys()
-                .filter(|k| !k.hash_consistent())
-                .cloned()
-                .collect();
-            return Ok(VerifyReport {
-                format: StoreFormat::LegacyJson,
-                sound_bytes: text.len() as u64,
-                torn_bytes: 0,
-                contradictions: 0,
-                inconsistent_keys,
-            });
+            return Err(CacheError::Format(
+                "not a journal (no PGNJRNL1 magic)".into(),
+            ));
         }
         let mut replay = Replay::empty();
         let good_len = replay.replay(&mut reader)?;
@@ -953,7 +928,7 @@ impl Checkout {
     /// ([`PrefixTrie::for_each_path_since`]), which are the paths
     /// [`JournalStore::save_merged`] would append, in the same order and
     /// bytes.  A run that added nothing writes nothing, found in `O(1)`.
-    /// Anything else — the file moved, a legacy JSON source,
+    /// Anything else — the file moved, an absent or non-journal source,
     /// [`RetainPolicy::OnlyThisKey`] dropping other keys, a cold checkout —
     /// goes through the [`JournalStore::save_merged`] merge.
     pub fn commit(self, trie: PrefixTrie, retain: RetainPolicy) -> Result<(), CacheError> {
@@ -1127,36 +1102,9 @@ fn append_delta(
     Ok(())
 }
 
-/// Parses a legacy v2 JSON file — multi-entry first, then single-entry —
-/// into keyed tries.
-fn parse_legacy_json(text: &str) -> Result<BTreeMap<StoreKey, Arc<PrefixTrie>>, CacheError> {
-    let mut entries = BTreeMap::new();
-    match serde_json::from_str::<SharedCacheStore>(text) {
-        Ok(shared) if !shared.is_empty() => {
-            for entry in shared.entries() {
-                entries.insert(entry.store_key(), Arc::new(entry.trie().clone()));
-            }
-            return Ok(entries);
-        }
-        Ok(_) => {
-            // Parsed but empty: either a genuinely empty shared store or a
-            // lenient parse of a single-entry file — prefer the latter
-            // reading when it fits.
-            if let Ok(single) = serde_json::from_str::<CacheStore>(text) {
-                entries.insert(single.store_key(), Arc::new(single.trie().clone()));
-            }
-            return Ok(entries);
-        }
-        Err(_) => {}
-    }
-    let single: CacheStore =
-        serde_json::from_str(text).map_err(|e| CacheError::Format(e.to_string()))?;
-    entries.insert(single.store_key(), Arc::new(single.trie().clone()));
-    Ok(entries)
-}
-
-/// Reads the file at `path` into `state` (full replay / JSON migration
-/// read).  A missing file leaves the state empty.
+/// Reads the file at `path` into `state` (full replay).  A missing file,
+/// or one without the journal magic, leaves the state empty; the first
+/// write then replaces the file.
 fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
     let file = match std::fs::File::open(path) {
         Ok(file) => file,
@@ -1167,36 +1115,20 @@ fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
         Err(e) => return Err(e.into()),
     };
     let mut reader = FrameReader::new(file, 0, REPLAY_CHUNK);
-    if reader.take_magic()? {
-        let mut replay = Replay::empty();
-        let good_len = replay.replay(&mut reader)?;
-        *state = replay.into_state(good_len);
+    if !reader.take_magic()? {
+        *state = State::empty();
         return Ok(());
     }
-    // Not a journal: read it as legacy JSON.  A file that is neither —
-    // corrupt beyond its magic, hand-edited, whatever — loads as empty
-    // and is *replaced* by the first write, the same policy the JSON
-    // store applied to unreadable files: a cache only ever accelerates.
-    let parsed = String::from_utf8(reader.into_remaining()?)
-        .ok()
-        .and_then(|text| parse_legacy_json(&text).ok().map(|e| (e, text.len())));
-    *state = match parsed {
-        Some((entries, len)) => State {
-            entries,
-            synced_len: len as u64,
-            record_frames: 0,
-            last_header_key: None,
-            source: StoreFormat::LegacyJson,
-        },
-        None => State::empty(),
-    };
+    let mut replay = Replay::empty();
+    let good_len = replay.replay(&mut reader)?;
+    *state = replay.into_state(good_len);
     Ok(())
 }
 
 /// Brings `state` up to date with the file before a mutation.  Same
 /// length and source ⇒ already synced; a grown journal gets a cheap tail
-/// replay from the synced offset; anything else (shrunk, replaced,
-/// migrated) gets a full re-read.
+/// replay from the synced offset; anything else (shrunk, replaced, not a
+/// journal) gets a full re-read.
 fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
     let file_len = match std::fs::metadata(path) {
         Ok(meta) => meta.len(),
@@ -1255,7 +1187,7 @@ fn append_durable(path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CacheErr
 
 /// Serializes the state's entries as a fresh journal — one segment per
 /// key, one record per live path — and atomically, durably swaps it in.
-/// This is both the compaction path and the migration/rewrite path.
+/// This is both the compaction path and the replace-the-file path.
 fn rewrite(state: &mut State, path: &Path) -> Result<(), CacheError> {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(JOURNAL_MAGIC);
@@ -1311,15 +1243,44 @@ mod tests {
     #[test]
     fn save_and_reload_round_trips_the_trie() {
         let alphabet = Alphabet::from_symbols(["a", "b"]);
+        let bigger = Alphabet::from_symbols(["a", "b", "c"]);
+        // Each later key differs from the first on exactly one axis: SUL
+        // id, implementation version ("" vs "v2"), alphabet.
+        let keys = [
+            key(&alphabet),
+            StoreKey::new("sul-2", "", &alphabet),
+            StoreKey::new("sul-1", "v2", &alphabet),
+            key(&bigger),
+        ];
         let path = tmp_path("roundtrip.journal");
-        std::fs::remove_file(&path).ok();
-        let k = key(&alphabet);
-        JournalStore::save_merged_at(&path, &k, &sample_trie(), RetainPolicy::OnlyThisKey).unwrap();
-        let loaded = JournalStore::load_matching(&path, &k).unwrap();
-        assert_eq!(loaded.paths(), sample_trie().paths());
-        // A different key misses.
-        let other = StoreKey::new("sul-2", "", &alphabet);
-        assert!(JournalStore::load_matching(&path, &other).is_none());
+        for saved in &keys {
+            std::fs::remove_file(&path).ok();
+            JournalStore::save_merged_at(&path, saved, &sample_trie(), RetainPolicy::OnlyThisKey)
+                .unwrap();
+            // Only the exact key hits, through both read paths.
+            for probe in &keys {
+                let hit = probe == saved;
+                let loaded = JournalStore::load_matching(&path, probe);
+                assert_eq!(
+                    loaded.is_some(),
+                    hit,
+                    "load_matching {probe:?} after {saved:?}"
+                );
+                let (warm, _checkout) = JournalStore::open(&path)
+                    .unwrap()
+                    .checkout(probe.clone(), true);
+                let expected = if hit {
+                    sample_trie()
+                } else {
+                    PrefixTrie::new()
+                };
+                assert_eq!(
+                    warm.paths(),
+                    expected.paths(),
+                    "checkout {probe:?} after {saved:?}"
+                );
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1399,10 +1360,32 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let k1 = StoreKey::new("sul-1", "v1", &alphabet);
         let k2 = StoreKey::new("sul-1", "v2", &alphabet);
-        JournalStore::save_merged_at(&path, &k1, &sample_trie(), RetainPolicy::All).unwrap();
-        JournalStore::save_merged_at(&path, &k2, &sample_trie(), RetainPolicy::All).unwrap();
-        let store = JournalStore::open(&path).unwrap();
-        assert_eq!(store.snapshot_entries().len(), 2);
+        let mut other = PrefixTrie::new();
+        other.insert(
+            &InputWord::from_symbols(["b"]),
+            &OutputWord::from_symbols(["3"]),
+        );
+        other.mark_terminal(&InputWord::from_symbols(["b"]));
+        // Either write order replays the same entries.
+        let mut replays = Vec::new();
+        for order in [
+            [(&k1, sample_trie()), (&k2, other.clone())],
+            [(&k2, other), (&k1, sample_trie())],
+        ] {
+            std::fs::remove_file(&path).ok();
+            for (k, trie) in &order {
+                JournalStore::save_merged_at(&path, k, trie, RetainPolicy::All).unwrap();
+            }
+            let entries = JournalStore::open(&path).unwrap().snapshot_entries();
+            assert_eq!(entries.len(), 2);
+            replays.push(
+                entries
+                    .into_iter()
+                    .map(|(k, trie)| (k, trie.paths()))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        assert_eq!(replays[0], replays[1]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1430,43 +1413,38 @@ mod tests {
     }
 
     #[test]
-    fn legacy_json_files_migrate_on_first_write() {
+    fn files_without_the_magic_open_empty_and_are_replaced() {
         let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("migrate.json");
-        std::fs::remove_file(&path).ok();
-        CacheStore::new("sul-1", &alphabet, sample_trie())
-            .save(&path)
-            .unwrap();
         let k = key(&alphabet);
-        // Pure read: the legacy file is a warm source and stays JSON.
-        assert!(JournalStore::load_matching(&path, &k).is_some());
-        assert!(!std::fs::read(&path).unwrap().starts_with(JOURNAL_MAGIC));
-        // First write rewrites it as a journal, preserving the entry.
-        let mut grown = sample_trie();
-        grown.insert(
-            &InputWord::from_symbols(["b"]),
-            &OutputWord::from_symbols(["7"]),
+        let path = tmp_path("no-magic.journal");
+        // An older JSON cache holding this very key, and plain noise.
+        let json = format!(
+            r#"{{"version":2,"sul_id":"sul-1","impl_version":"","alphabet":["a","b"],"alphabet_hash":{},"trie":[[["a","b"],["1","2"],true]]}}"#,
+            k.alphabet_hash()
         );
-        grown.mark_terminal(&InputWord::from_symbols(["b"]));
-        JournalStore::save_merged_at(&path, &k, &grown, RetainPolicy::OnlyThisKey).unwrap();
-        assert!(std::fs::read(&path).unwrap().starts_with(JOURNAL_MAGIC));
-        let loaded = JournalStore::load_matching(&path, &k).unwrap();
-        assert_eq!(loaded.terminal_words(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_shared_json_migrates_all_entries() {
-        let alphabet = Alphabet::from_symbols(["a", "b"]);
-        let path = tmp_path("migrate-shared.json");
-        std::fs::remove_file(&path).ok();
-        SharedCacheStore::save_entry_merged(&path, "sul-1", "v1", &alphabet, &sample_trie())
-            .unwrap();
-        SharedCacheStore::save_entry_merged(&path, "sul-1", "v2", &alphabet, &sample_trie())
-            .unwrap();
-        let store = JournalStore::open(&path).unwrap();
-        assert_eq!(store.format(), StoreFormat::LegacyJson);
-        assert_eq!(store.snapshot_entries().len(), 2);
+        let noise: Vec<u8> = (0u32..200)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8)
+            .collect();
+        for bytes in [json.into_bytes(), noise] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                JournalStore::verify(&path),
+                Err(CacheError::Format(_))
+            ));
+            let store = JournalStore::open(&path).unwrap();
+            assert_eq!(store.format(), StoreFormat::Absent);
+            assert!(store.snapshot_entries().is_empty());
+            assert!(JournalStore::load_matching(&path, &k).is_none());
+            // Pure reads leave the file alone; the first write replaces it.
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            store
+                .save_merged(&k, &sample_trie(), RetainPolicy::All)
+                .unwrap();
+            assert!(std::fs::read(&path).unwrap().starts_with(JOURNAL_MAGIC));
+            assert!(JournalStore::verify(&path).unwrap().is_clean());
+            let loaded = JournalStore::load_matching(&path, &k).unwrap();
+            assert_eq!(loaded.paths(), sample_trie().paths());
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -37,7 +37,7 @@ pub mod oracle;
 pub mod stats;
 pub mod trie;
 
-pub use cache::{CacheError, CacheStore, SharedCacheStore, StoreKey, CACHE_FORMAT_VERSION};
+pub use cache::{CacheError, StoreKey};
 pub use dtree::{DTreeLearner, SiftStrategy};
 pub use eq_oracles::{RandomWordOracle, SimulatorOracle, WMethodOracle};
 pub use journal::{Checkout, JournalStore, RetainPolicy, StoreFormat};

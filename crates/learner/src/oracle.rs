@@ -398,8 +398,9 @@ impl<O: MembershipOracle> CacheOracle<O> {
     }
 
     /// Wraps `inner` with a pre-populated cache — the warm-start path: a
-    /// trie persisted by an earlier run (see `crate::cache::CacheStore`)
-    /// answers its queries without any fresh SUL work.  Hit/miss/fresh
+    /// trie persisted by an earlier run (see
+    /// [`crate::journal::JournalStore::checkout`]) answers its queries
+    /// without any fresh SUL work.  Hit/miss/fresh
     /// counters start at zero; only *this* run's traffic is accounted.
     pub fn with_trie(inner: O, trie: PrefixTrie) -> Self {
         CacheOracle {

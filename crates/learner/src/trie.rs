@@ -22,12 +22,11 @@
 //! which symbols were first interned (e.g. during a warm-start journal
 //! replay).
 //!
-//! The trie is also the unit of *cross-run persistence*: it serializes to a
-//! list of `(input, output, terminal)` maximal-path triples (see
-//! [`PrefixTrie::paths`]) rather than its arena representation, so the
-//! on-disk format is stable under node reordering and survives refactors of
-//! the in-memory layout.  [`crate::cache::CacheStore`] wraps the serialized
-//! trie with a version stamp and cache key.
+//! The trie is also the unit of *cross-run persistence*: the journal
+//! ([`crate::journal::JournalStore`]) stores it as `(input, output,
+//! terminal)` maximal-path records (see [`PrefixTrie::for_each_path`])
+//! rather than its arena representation, so the on-disk format is stable
+//! under node reordering and survives refactors of the in-memory layout.
 
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::{IWord, Interner, SymbolId};
@@ -754,19 +753,6 @@ impl PrefixTrie {
     }
 }
 
-impl Serialize for PrefixTrie {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.paths().serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for PrefixTrie {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let paths = Vec::<(InputWord, OutputWord, bool)>::deserialize(deserializer)?;
-        PrefixTrie::from_paths(&paths).map_err(<D::Error as serde::de::Error>::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1067,17 +1053,5 @@ mod tests {
         assert_eq!(diffs[0].input, w(&["s"]));
         assert_eq!(diffs[0].left_output.as_str(), "1");
         assert_eq!(diffs[0].right_output.as_str(), "9");
-    }
-
-    #[test]
-    fn serde_round_trip_through_json() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(&w(&["a", "b"]), &o(&["1", "2"]));
-        trie.mark_terminal(&w(&["a", "b"]));
-        let json = serde_json::to_string(&trie).unwrap();
-        let back: PrefixTrie = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.entries(), trie.entries());
-        assert_eq!(back.terminal_words(), trie.terminal_words());
-        assert_eq!(back.num_nodes(), trie.num_nodes());
     }
 }

@@ -2,11 +2,17 @@
 //! answers all of its prefixes without new SUL queries, batched answers are
 //! identical to sequential ones, and the trie agrees with a naive
 //! `HashMap`-based reference cache (the seed implementation) on arbitrary
-//! query sequences while never asking the SUL more.
+//! query sequences while never asking the SUL more.  A trie persisted
+//! through the journal and read back answers exactly as before, so a
+//! warm-started oracle needs no SUL traffic.
 
 use prognosis_automata::known::random_machine;
+use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, OutputWord};
+use prognosis_learner::cache::StoreKey;
+use prognosis_learner::journal::{JournalStore, RetainPolicy};
 use prognosis_learner::oracle::{CacheOracle, MachineOracle, MembershipOracle};
+use prognosis_learner::trie::PrefixTrie;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -61,10 +67,24 @@ fn query_sequences() -> impl Strategy<Value = Vec<Vec<usize>>> {
     prop::collection::vec(prop::collection::vec(0usize..7, 0..10), 1..30)
 }
 
-fn to_words(
-    machine: &prognosis_automata::mealy::MealyMachine,
-    raw: &[Vec<usize>],
-) -> Vec<InputWord> {
+/// Persists `trie` to a fresh journal with `save_merged_at` and reads it
+/// back with `load_matching` under the same key.
+fn journal_round_trip(machine: &MealyMachine, trie: &PrefixTrie) -> PrefixTrie {
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!(
+        "prognosis-cache-prop-{}-{case}.journal",
+        std::process::id()
+    ));
+    std::fs::remove_file(&path).ok();
+    let key = StoreKey::new("cache-prop", "", machine.input_alphabet());
+    JournalStore::save_merged_at(&path, &key, trie, RetainPolicy::OnlyThisKey).unwrap();
+    let back = JournalStore::load_matching(&path, &key).unwrap_or_default();
+    std::fs::remove_file(&path).ok();
+    back
+}
+
+fn to_words(machine: &MealyMachine, raw: &[Vec<usize>]) -> Vec<InputWord> {
     let alphabet = machine.input_alphabet();
     raw.iter()
         .map(|indices| {
@@ -166,17 +186,16 @@ proptest! {
     }
 
     #[test]
-    fn trie_serde_round_trip_preserves_lookups_terminals_and_entries(
+    fn journal_round_trip_preserves_lookups_terminals_and_entries(
         (states, inputs, outputs, seed) in machine_params(),
         raw_queries in query_sequences(),
     ) {
         let machine = random_machine(states, inputs, outputs, seed);
         let words = to_words(&machine, &raw_queries);
-        let mut cache = CacheOracle::new(MachineOracle::new(machine));
+        let mut cache = CacheOracle::new(MachineOracle::new(machine.clone()));
         cache.query_batch(&words);
         let trie = cache.trie();
-        let json = serde_json::to_string(trie).unwrap();
-        let back: prognosis_learner::trie::PrefixTrie = serde_json::from_str(&json).unwrap();
+        let back = journal_round_trip(&machine, trie);
         prop_assert_eq!(back.terminal_words(), trie.terminal_words());
         prop_assert_eq!(back.num_nodes(), trie.num_nodes());
         // Lookups agree on every queried word and on every prefix of it.
@@ -202,9 +221,8 @@ proptest! {
         let words = to_words(&machine, &raw_queries);
         let mut cold = CacheOracle::new(MachineOracle::new(machine.clone()));
         let cold_outs = cold.query_batch(&words);
-        // Serialize, reload, and warm-start a fresh oracle from the trie.
-        let json = serde_json::to_string(cold.trie()).unwrap();
-        let trie: prognosis_learner::trie::PrefixTrie = serde_json::from_str(&json).unwrap();
+        // Persist, reload, and warm-start a fresh oracle from the trie.
+        let trie = journal_round_trip(&machine, cold.trie());
         let mut warm = CacheOracle::with_trie(MachineOracle::new(machine), trie);
         let warm_outs = warm.query_batch(&words);
         prop_assert_eq!(warm_outs, cold_outs);

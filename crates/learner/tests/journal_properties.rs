@@ -213,22 +213,30 @@ proptest! {
 
     // The replay decoder is total: a journal magic followed by arbitrary
     // bytes opens (to its sound prefix) and verifies without panicking.
+    // Without the magic the file opens as an empty store and verify
+    // rejects it.
     #[test]
     fn arbitrary_bytes_after_the_magic_never_panic(
         tail in prop::collection::vec(any::<u8>(), 0..512),
+        magic in any::<bool>(),
         case in 0u64..u64::MAX,
     ) {
         let path = tmp_path(&format!("total-{case}"));
-        let mut bytes = JOURNAL_MAGIC.to_vec();
+        let mut bytes = if magic { JOURNAL_MAGIC.to_vec() } else { Vec::new() };
         bytes.extend_from_slice(&tail);
         std::fs::write(&path, &bytes).unwrap();
-        JournalStore::open(&path).unwrap();
-        let report = JournalStore::verify(&path).unwrap();
-        prop_assert_eq!(
-            report.sound_bytes + report.torn_bytes,
-            bytes.len() as u64,
-            "verify accounts for every byte"
-        );
+        let store = JournalStore::open(&path).unwrap();
+        if bytes.starts_with(JOURNAL_MAGIC) {
+            let report = JournalStore::verify(&path).unwrap();
+            prop_assert_eq!(
+                report.sound_bytes + report.torn_bytes,
+                bytes.len() as u64,
+                "verify accounts for every byte"
+            );
+        } else {
+            prop_assert!(store.snapshot_entries().is_empty());
+            prop_assert!(JournalStore::verify(&path).is_err());
+        }
         std::fs::remove_file(&path).ok();
     }
 }
