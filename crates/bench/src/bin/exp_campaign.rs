@@ -6,17 +6,15 @@
 //! points learned through `netsim` links, diffs and property checks fanning
 //! out as learns complete — then re-runs it on a differently shaped runner
 //! (engine threads, task workers, schedule seed all changed) and asserts
-//! the canonical reports are byte-identical.  Appends the `campaign`
-//! scenario to `BENCH_learning.json` (in the current directory), creating
-//! the file when E15 has not run yet.  A live one-line progress indicator
-//! paints on interactive terminals only.  Pass `--quick` for the reduced
-//! equivalence-testing CI smoke configuration.
+//! the canonical reports are byte-identical.  Appends the stamped
+//! `campaign` scenario to `BENCH_learning.json` (in the current
+//! directory), creating the file when E15 has not run yet.  A live
+//! one-line progress indicator paints on interactive terminals only.  Pass
+//! `--quick` for the reduced equivalence-testing CI smoke configuration,
+//! which prints its row and leaves `BENCH_learning.json` alone.
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
     let (report, scenario) = prognosis_bench::exp_campaign(quick);
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "campaign", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended campaign scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("campaign", scenario, quick);
 }

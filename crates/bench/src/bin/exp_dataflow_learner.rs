@@ -11,9 +11,10 @@
 //! equivalence-test counts, exact speculation-word accounting, pool-window
 //! occupancy ≥ 0.9 through hypothesis construction, and an end-to-end
 //! virtual-time win over the phase-barriered wavefront — so this binary
-//! doubles as the CI smoke test.  Appends the `dataflow_learner` scenario
-//! (per-strategy runs, speculation waste, occupancy, speedups) to
-//! `BENCH_learning.json` in the current directory.
+//! doubles as the CI smoke test.  Appends the stamped `dataflow_learner`
+//! scenario (per-strategy runs, speculation waste, occupancy, speedups) to
+//! `BENCH_learning.json` in the current directory; a `--quick` run prints
+//! its row and leaves the file alone.
 use prognosis_campaign::{Progress, ProgressSink};
 use prognosis_events::EventSink;
 use std::sync::Arc;
@@ -27,8 +28,5 @@ fn main() {
     );
     progress.finish();
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "dataflow_learner", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended dataflow_learner scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("dataflow_learner", scenario, quick);
 }

@@ -17,14 +17,6 @@ fn main() {
     let log_path = std::path::Path::new("event_log.jsonl");
     let (report, scenario) = prognosis_bench::exp_event_log(quick, log_path);
     println!("{report}");
-    if quick {
-        println!("{}", prognosis_bench::render_scenario(&scenario));
-        println!("quick run: BENCH_learning.json left unchanged");
-    } else {
-        let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-        let merged = prognosis_bench::merge_scenario(existing.as_deref(), "event_log", scenario);
-        std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-        println!("appended event_log scenario to BENCH_learning.json");
-    }
+    prognosis_bench::record_scenario("event_log", scenario, quick);
     println!("event log written to {}", log_path.display());
 }

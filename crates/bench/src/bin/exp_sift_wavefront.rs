@@ -6,15 +6,13 @@
 //! strategies.  The library asserts the headline claims — bit-identical
 //! models, `membership_queries` ≤ serial, hypothesis-construction
 //! occupancy > 0.5 and ≥ 4× construction-phase virtual-time speedup — so
-//! this binary doubles as the CI smoke test.  Appends the `sift_wavefront`
-//! scenario (per-phase occupancy, batch-size histograms, adaptive-limit
-//! events) to `BENCH_learning.json` in the current directory.
+//! this binary doubles as the CI smoke test.  Appends the stamped
+//! `sift_wavefront` scenario (per-phase occupancy, batch-size histograms,
+//! adaptive-limit events) to `BENCH_learning.json` in the current
+//! directory; a `--quick` run prints its row and leaves the file alone.
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (report, scenario) = prognosis_bench::exp_sift_wavefront(quick);
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "sift_wavefront", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended sift_wavefront scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("sift_wavefront", scenario, quick);
 }

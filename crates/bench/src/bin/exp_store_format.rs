@@ -26,13 +26,5 @@ fn main() {
     );
     progress.finish();
     println!("{report}");
-    if quick {
-        println!("{}", prognosis_bench::render_scenario(&scenario));
-        println!("quick run: BENCH_learning.json left unchanged");
-        return;
-    }
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_scenario(existing.as_deref(), "store_format", scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended store_format scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("store_format", scenario, quick);
 }

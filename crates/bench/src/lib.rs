@@ -1264,7 +1264,6 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
             "repeats".to_string(),
             serde_json::Value::U64(repeats as u64),
         ),
-        ("quick".to_string(), serde_json::Value::Bool(quick)),
     ];
     let mut gates: Vec<(&str, Vec<ScalePoint>)> = Vec::new();
 
@@ -2754,7 +2753,7 @@ pub fn exp_store_format_with_events(
             ),
         );
 
-    let mut fields = vec![
+    let fields = vec![
         (
             "observations".to_string(),
             serde_json::Value::U64(observations),
@@ -2806,7 +2805,6 @@ pub fn exp_store_format_with_events(
             ]),
         ),
     ];
-    fields.extend(run_stamp(quick));
     (report, serde_json::Value::Map(fields))
 }
 
@@ -2814,7 +2812,7 @@ pub fn exp_store_format_with_events(
 /// (a reduced smoke configuration), the host's available parallelism and
 /// the source revision (`git describe --always --dirty`, `"unknown"`
 /// outside a git checkout).
-pub fn run_stamp(quick: bool) -> Vec<(String, serde_json::Value)> {
+fn run_stamp(quick: bool) -> Vec<(String, serde_json::Value)> {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rev = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])
@@ -2912,7 +2910,7 @@ fn process_cpu_seconds() -> f64 {
 /// times are reported alongside).  The log of the final instrumented
 /// round is left on disk for the analyzer (`prognosis-events verify` /
 /// `timeline` run on it in CI).  Returns the `event_log` scenario for
-/// `BENCH_learning.json`, stamped by [`run_stamp`].
+/// `BENCH_learning.json`.
 pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_json::Value) {
     use prognosis_events::analyze::scan_log;
     use prognosis_events::rotate::{rotated_indices, rotated_path, EventLog, EventLogConfig};
@@ -3125,7 +3123,7 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
             "streaming the full event feed through the rotating JSONL sink leaves the \
              learned model bit-identical and stays within the <5% overhead budget",
         );
-    let mut fields = vec![
+    let fields = vec![
         (
             "plain_cpu_seconds".to_string(),
             serde_json::Value::F64(plain_best),
@@ -3161,14 +3159,28 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
             serde_json::Value::U64(model_states as u64),
         ),
     ];
-    fields.extend(run_stamp(quick));
     (report, serde_json::Value::Map(fields))
 }
 
-/// Renders one scenario row as the pretty JSON `BENCH_learning.json`
-/// holds — what a `--quick` run prints instead of writing the file.
-pub fn render_scenario(scenario: &serde_json::Value) -> String {
-    serde_json::to_string_pretty(&ValueDoc(scenario.clone())).expect("render scenario row")
+/// Records the scenario row `name` of an experiment binary, stamped by
+/// [`run_stamp`].  A `quick` run prints the rendered row and leaves
+/// `BENCH_learning.json` alone, so a smoke run never replaces a full-size
+/// row; a full run merges the row into `BENCH_learning.json` in the
+/// current directory, creating the file if needed.
+pub fn record_scenario(name: &str, mut scenario: serde_json::Value, quick: bool) {
+    if let serde_json::Value::Map(fields) = &mut scenario {
+        fields.extend(run_stamp(quick));
+    }
+    if quick {
+        let row = serde_json::to_string_pretty(&ValueDoc(scenario)).expect("render scenario row");
+        println!("{row}");
+        println!("quick run: BENCH_learning.json left unchanged");
+        return;
+    }
+    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
+    let merged = merge_scenario(existing.as_deref(), name, scenario);
+    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
+    println!("merged {name} scenario into BENCH_learning.json");
 }
 
 /// Merges one named scenario into an existing `BENCH_learning.json`

@@ -111,6 +111,17 @@ enum StepState {
 /// [`crate::session::SessionScheduler`] can multiplex many of these per
 /// worker: the scheduler wakes on the earliest of session deadlines and
 /// network delivery times, and deliveries are drained between polls.
+///
+/// The session keeps the [`SessionPoll::Pending`] contract although its
+/// network is shared: the `wake_at` it reports is the earliest of its step
+/// deadline, its server's outbox and the next delivery to either of its
+/// own two ports, and only this session ever puts packets on the wire
+/// addressed to those ports.  Another session's polls may advance the
+/// network and move this session's datagrams into its endpoints' inboxes,
+/// but none arrives before `wake_at`, so nothing this session would see
+/// changes until then.  A spoofed source port (the Issue-3 defect) lies
+/// below [`prognosis_netsim::network::EPHEMERAL_PORT_MIN`], so a reply
+/// to it can never reach another session's ephemeral ports.
 pub struct NetworkedSession<S: WireSul> {
     sul: S,
     net: Arc<Mutex<Network>>,

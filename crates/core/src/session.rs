@@ -7,17 +7,19 @@
 //! is a query-in-progress state machine that is **started** and then
 //! **polled** against a virtual clock — it either has an output symbol
 //! [`SessionPoll::Ready`] or names the deadline at which it next wants
-//! attention ([`SessionPoll::Pending`]).  Nothing ever sleeps; when every
-//! in-flight session is pending, the [`SessionScheduler`] advances the
-//! shared [`SharedClock`] straight to the earliest deadline.  One worker
-//! thread can therefore keep `max_inflight` simulated round trips in the
-//! air at once, which is where throughput under latency comes from —
-//! more in-flight requests, not more threads.
+//! attention ([`SessionPoll::Pending`]).  Nothing ever sleeps: the
+//! [`SessionScheduler`] polls a pending session again only once the clock
+//! has reached the deadline it named, and when no in-flight session is due
+//! it advances the shared [`SharedClock`] straight to the earliest
+//! deadline.  One worker thread can therefore keep `max_inflight`
+//! simulated round trips in the air at once, which is where throughput
+//! under latency comes from — more in-flight requests, not more threads.
 //!
 //! Determinism is preserved by construction: membership answers are pure
 //! (§3.2 property 3) and each query runs on its own session, so *when* a
 //! session is polled never changes *what* it answers — only the virtual
-//! timestamps move.
+//! timestamps move.  Polls a session skips before its deadline would have
+//! reported the same deadline (the [`SessionPoll::Pending`] contract).
 
 use crate::sul::{Sul, SulFactory, SulStats};
 use prognosis_automata::alphabet::Symbol;
@@ -36,6 +38,12 @@ pub enum SessionPoll {
     Ready(Symbol),
     /// The step is still in flight; there is no point polling again before
     /// `wake_at` on the session's clock.
+    ///
+    /// This is a contract, not a hint: the [`SessionScheduler`] does not
+    /// poll the session again before `wake_at`, so until then the session
+    /// must not change its answer or its wake instant — short of being
+    /// started or reset — whatever else happens on a shared clock or
+    /// substrate in the meantime.
     Pending {
         /// The earliest virtual instant at which the step can complete.
         wake_at: SimTime,
@@ -63,6 +71,10 @@ pub trait SessionSul {
     fn start_step(&mut self, input: &Symbol, now: SimTime);
 
     /// Polls the in-flight step at virtual time `now`.
+    ///
+    /// After a [`SessionPoll::Pending`] the scheduler polls again no earlier
+    /// than the `wake_at` it named, so any poll before that instant must
+    /// return the same `Pending` (the contract on [`SessionPoll::Pending`]).
     fn poll_step(&mut self, now: SimTime) -> SessionPoll;
 
     /// Interaction counters of the underlying SUL.
@@ -608,8 +620,12 @@ enum SlotState {
     Resetting {
         ready_at: SimTime,
     },
-    /// A step has been started and awaits `poll_step`.
-    Stepping,
+    /// A step has been started and awaits `poll_step`; `wake_at` is the
+    /// instant its last [`SessionPoll::Pending`] named (`None` until the
+    /// step's first poll).
+    Stepping {
+        wake_at: Option<SimTime>,
+    },
 }
 
 struct Slot<Sn> {
@@ -621,11 +637,15 @@ struct Slot<Sn> {
 /// A single-threaded event loop multiplexing up to `max_inflight`
 /// concurrent query sessions over one [`SharedClock`].
 ///
-/// The scheduler never sleeps: [`SessionScheduler::drive`] polls every
-/// in-flight session once and, if none can make progress at the current
-/// instant, jumps the clock to the earliest `wake_at` deadline.  With pure
-/// membership answers the completed outputs are bit-identical to running
-/// the same queries sequentially — multiplexing moves only virtual time.
+/// The scheduler never sleeps: [`SessionScheduler::drive`] polls each
+/// in-flight session that is due — one whose last `wake_at` has arrived,
+/// or whose reset or step has just begun — and, if none can make progress
+/// at the current instant, jumps the clock to the earliest `wake_at`
+/// deadline.  A pending session that is not yet due is not polled at all
+/// (see [`SessionPoll::Pending`]), so a pass costs the due sessions, not
+/// every in-flight one.  With pure membership answers the completed
+/// outputs are bit-identical to running the same queries sequentially —
+/// multiplexing moves only virtual time.
 pub struct SessionScheduler<Sn> {
     slots: Vec<Slot<Sn>>,
     clock: SharedClock,
@@ -848,8 +868,9 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
         self.stats.peak_inflight = self.stats.peak_inflight.max(self.in_flight() as u64);
     }
 
-    /// Makes one pass of progress: polls every in-flight session at the
-    /// current instant, returning the queries that completed (as
+    /// Makes one pass of progress: polls every in-flight session that is
+    /// due at the current instant (pending sessions whose `wake_at` lies
+    /// ahead are skipped), returning the queries that completed (as
     /// `(submit index, output)` pairs).  If nothing could progress, jumps
     /// the clock to the earliest deadline so the next pass will.
     pub fn drive(&mut self) -> Vec<(usize, OutputWord)> {
@@ -885,10 +906,21 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                         }
                         let symbol = job.input.as_slice()[0].clone();
                         slot.session.start_step(&symbol, now);
-                        slot.state = SlotState::Stepping;
+                        slot.state = SlotState::Stepping { wake_at: None };
                     }
-                    SlotState::Stepping => match slot.session.poll_step(now) {
+                    SlotState::Stepping {
+                        wake_at: Some(wake_at),
+                    } if wake_at > now => {
+                        // The session is not due: by the wake contract a
+                        // poll before `wake_at` would report the same.
+                        min_wake = Some(min_wake.map_or(wake_at, |w| w.min(wake_at)));
+                        break;
+                    }
+                    SlotState::Stepping { .. } => match slot.session.poll_step(now) {
                         SessionPoll::Pending { wake_at } => {
+                            slot.state = SlotState::Stepping {
+                                wake_at: Some(wake_at),
+                            };
                             min_wake = Some(min_wake.map_or(wake_at, |w| w.min(wake_at)));
                             break;
                         }
@@ -903,6 +935,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                             }
                             let symbol = job.input.as_slice()[job.position].clone();
                             slot.session.start_step(&symbol, now);
+                            slot.state = SlotState::Stepping { wake_at: None };
                         }
                     },
                 }
@@ -1118,6 +1151,108 @@ mod tests {
         }
         assert_eq!(scheduler.stats().queries_completed, 5);
         assert_eq!(scheduler.stats().peak_inflight, 2);
+    }
+
+    /// Counts the polls of a wrapped session that come before the
+    /// `wake_at` it last reported.
+    struct WakeAudit<Sn> {
+        inner: Sn,
+        wake_at: Option<SimTime>,
+        polls: u64,
+        early_polls: u64,
+    }
+
+    impl<Sn: SessionSul> SessionSul for WakeAudit<Sn> {
+        type Sul = Sn::Sul;
+
+        fn start_reset(&mut self, now: SimTime) -> SimTime {
+            self.wake_at = None;
+            self.inner.start_reset(now)
+        }
+
+        fn start_step(&mut self, input: &Symbol, now: SimTime) {
+            self.wake_at = None;
+            self.inner.start_step(input, now);
+        }
+
+        fn poll_step(&mut self, now: SimTime) -> SessionPoll {
+            self.polls += 1;
+            if self.wake_at.is_some_and(|w| now < w) {
+                self.early_polls += 1;
+            }
+            let poll = self.inner.poll_step(now);
+            self.wake_at = match poll {
+                SessionPoll::Pending { wake_at } => Some(wake_at),
+                SessionPoll::Ready(_) => None,
+            };
+            poll
+        }
+
+        fn stats(&self) -> SulStats {
+            self.inner.stats()
+        }
+
+        fn cache_key(&self) -> Option<String> {
+            self.inner.cache_key()
+        }
+
+        fn into_sul(self) -> Self::Sul {
+            self.inner.into_sul()
+        }
+    }
+
+    /// Runs the test words twice over through `sessions`, submitting as
+    /// slots free up, and returns the answers in submit order.
+    fn run_pulled<Sn: SessionSul>(sessions: Vec<Sn>) -> (Vec<OutputWord>, Vec<Sn>) {
+        let mut scheduler = SessionScheduler::new(sessions);
+        let mut pending: std::collections::VecDeque<(usize, InputWord)> =
+            words().into_iter().chain(words()).enumerate().collect();
+        let total = pending.len();
+        let mut done = Vec::new();
+        while done.len() < total {
+            while scheduler.has_capacity() {
+                match pending.pop_front() {
+                    Some((i, w)) => scheduler.submit(i, w, QueryPhase::Construction),
+                    None => break,
+                }
+            }
+            done.extend(scheduler.drive());
+        }
+        done.sort_by_key(|(i, _)| *i);
+        let outputs = done.into_iter().map(|(_, out)| out).collect();
+        (outputs, scheduler.into_sessions())
+    }
+
+    #[test]
+    fn pending_sessions_are_not_polled_before_their_wake_instant() {
+        // Staggered latencies, so sessions fall due at different instants.
+        let make = |i: u64| {
+            TimedSession::new(LatencySul::new(
+                TcpSul::with_defaults(),
+                SimDuration::from_micros(10 + 25 * i),
+                SimDuration::from_micros(5 * i),
+            ))
+        };
+        let (plain, _) = run_pulled((0..4).map(make).collect());
+        let audited: Vec<_> = (0..4)
+            .map(|i| WakeAudit {
+                inner: make(i),
+                wake_at: None,
+                polls: 0,
+                early_polls: 0,
+            })
+            .collect();
+        let (outputs, sessions) = run_pulled(audited);
+
+        assert_eq!(outputs, plain, "auditing must not change answers");
+        let exp = expected();
+        assert_eq!(outputs, [exp.clone(), exp].concat());
+        assert!(sessions.iter().map(|s| s.polls).sum::<u64>() > 0);
+        let early: Vec<u64> = sessions.iter().map(|s| s.early_polls).collect();
+        assert_eq!(
+            early, [0; 4],
+            "sessions were polled before the wake instant they reported"
+        );
     }
 
     #[test]

@@ -526,4 +526,55 @@ mod tests {
         assert!(stats.contains("occupancy"), "{stats}");
         cleanup(&path);
     }
+
+    /// One sound log line, as the writer renders it.
+    fn sound_line() -> &'static str {
+        static LINE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        LINE.get_or_init(|| {
+            let path = temp_path("sound-line");
+            cleanup(&path);
+            let log = sample_log(&path, 1 << 20);
+            log.emit(&Event::WireSend {
+                rel: 3,
+                dir: "up",
+                packet: 0,
+                bytes: 40,
+            });
+            log.flush();
+            drop(log);
+            let text = std::fs::read_to_string(&path).expect("read sound line");
+            cleanup(&path);
+            text
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        // The log reader is total: arbitrary bytes — raw, or spliced into
+        // a sound line — scan to events or a typed error, never a panic,
+        // and a scan that succeeds renders both views.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_log_scanner(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+            cut in proptest::prelude::any::<proptest::sample::Index>(),
+        ) {
+            // Raw bytes are mostly not UTF-8, which the reader refuses
+            // before parsing; the lossy splice reaches the line parser.
+            let line = sound_line().as_bytes();
+            let at = cut.index(line.len() + 1);
+            let spliced = [&line[..at], &bytes[..], &line[at..]].concat();
+            let spliced = String::from_utf8_lossy(&spliced).into_owned().into_bytes();
+            for contents in [bytes, spliced] {
+                let path = temp_path("arbitrary");
+                cleanup(&path);
+                std::fs::write(&path, &contents).expect("write log");
+                if let Ok(scan) = scan_log(&path) {
+                    stats_text(&scan);
+                    timeline_text(&scan);
+                }
+                cleanup(&path);
+            }
+        }
+    }
 }

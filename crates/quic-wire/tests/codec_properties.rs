@@ -137,3 +137,33 @@ proptest! {
         prop_assert!(packet.abstract_name().starts_with("SHORT(?,?)["));
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    // The decoders are total: arbitrary bytes give a value or a typed
+    // error, never a panic.  Whatever frame list decodes survives
+    // re-encoding unchanged.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoders(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let bytes = Bytes::from(bytes);
+        let _ = read_varint(&mut bytes.clone());
+        if let Ok((header, _)) = Packet::decode_header(&bytes) {
+            // Keys for the claimed connection, so decoding reaches the
+            // payload checks instead of stopping at a key mismatch.
+            let level = match header.packet_type {
+                PacketType::Short => EncryptionLevel::OneRtt,
+                PacketType::Handshake => EncryptionLevel::Handshake,
+                _ => EncryptionLevel::Initial,
+            };
+            let keys = Keys::derive(header.destination_cid.key_material(), level);
+            let _ = Packet::decode(&bytes, &keys);
+        }
+        if let Ok(frames) = Frame::decode_all(bytes) {
+            let reencoded = Frame::decode_all(Frame::encode_all(&frames));
+            prop_assert_eq!(reencoded, Ok(frames));
+        }
+    }
+}

@@ -401,4 +401,20 @@ mod tests {
         assert_eq!(copy, seg);
         assert_ne!(seg, TcpSegment::new(TcpFlags::SYN, 1, 3));
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        // The segment parser is total: arbitrary bytes give a segment or
+        // a typed error, never a panic, and whatever decodes survives
+        // re-encoding unchanged.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_segment_parser(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            if let Ok(segment) = TcpSegment::decode(Bytes::from(bytes)) {
+                proptest::prop_assert_eq!(TcpSegment::decode(segment.encode()), Ok(segment));
+            }
+        }
+    }
 }
