@@ -406,7 +406,11 @@ pub fn exp_issue3() -> Report {
 /// shows that the Google profile's `STREAM_DATA_BLOCKED.Maximum Stream Data`
 /// field is the constant 0, never updated, while the correct implementations
 /// advertise the real limit.
-pub fn exp_issue4() -> Report {
+///
+/// Returns the report and, per profile, the distinct Maximum Stream Data
+/// values observed (sorted).
+pub fn exp_issue4() -> (Report, Vec<(String, Vec<i64>)>) {
+    let mut distinct_observed = Vec::new();
     let mut report =
         Report::new("E8 / Issue 4 — STREAM_DATA_BLOCKED constant 0 (paper §6.2.6, Appendix B.1)");
     for profile in [ImplementationProfile::google(), {
@@ -461,6 +465,9 @@ pub fn exp_issue4() -> Report {
                 ConcreteTrace::new(e.abstract_trace.clone(), steps)
             })
             .collect();
+        let mut distinct = observed.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
         report
             .row(
                 format!("{name}: STREAM_DATA_BLOCKED observations"),
@@ -468,13 +475,9 @@ pub fn exp_issue4() -> Report {
             )
             .row(
                 format!("{name}: observed Maximum Stream Data values"),
-                format!("{:?}", {
-                    let mut v = observed.clone();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                }),
+                format!("{distinct:?}"),
             );
+        distinct_observed.push((name.clone(), distinct));
         let synthesizer = Synthesizer::new(
             TermDomain::new(1, 2),
             vec!["max_stream_data".to_string()],
@@ -503,7 +506,7 @@ pub fn exp_issue4() -> Report {
             }
         }
     }
-    report
+    (report, distinct_observed)
 }
 
 /// E9/E10: learn the appendix models and return their DOT renderings.

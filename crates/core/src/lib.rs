@@ -46,6 +46,7 @@
 
 pub mod engine;
 pub mod latency;
+mod memo;
 pub mod net_transport;
 pub mod nondeterminism;
 pub mod oracle_table;

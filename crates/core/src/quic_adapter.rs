@@ -10,16 +10,29 @@
 //! models, e.g. `{HANDSHAKE(?,?)[CRYPTO],INITIAL(?,?)[ACK,CRYPTO]}`, and the
 //! concrete numeric fields of every exchanged packet are recorded in the
 //! Oracle Table for synthesis.
+//!
+//! Property (4) holds for every SUL: the table is always on.  The adapter
+//! memoises per [`QuicSul`]: the parsed form of every input symbol, the
+//! abstract name of every reply packet kind (packet type plus the set of
+//! frame types other than PADDING), and the output symbol of every sorted
+//! list of reply kinds.  A repeated step therefore renders no string: it
+//! reuses the parsed request, looks each reply's name up, and clones the
+//! output symbol's `Arc`.  The memos belong to one SUL and live as long as
+//! it.
 
+use crate::memo::Memo;
 use crate::net_transport::{WireRequest, WireSul};
 use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::session::{SessionSulFactory, SimTime, TimedSession, TimedSul};
 use crate::sul::{Sul, SulFactory, SulStats};
 use bytes::Bytes;
 use prognosis_automata::alphabet::{Alphabet, Symbol};
-use prognosis_quic_sim::client::{numeric_fields, ReferenceQuicClient};
+use prognosis_quic_sim::client::{numeric_fields_into, ReferenceQuicClient};
 use prognosis_quic_sim::profile::ImplementationProfile;
 use prognosis_quic_sim::server::QuicServer;
+use prognosis_quic_sim::wire::frame::FrameType;
+use prognosis_quic_sim::wire::packet::{Packet, PacketType};
+use std::ops::Range;
 
 /// The abstract QUIC input alphabet of §6.2.2: seven symbols covering
 /// connection establishment, the handshake, data transmission and flow
@@ -95,6 +108,21 @@ impl SessionSulFactory for QuicSulFactory {
     }
 }
 
+/// A reply packet's abstraction key: its type plus the bitset of the frame
+/// types it carries, PADDING left out — exactly what its abstract name
+/// spells.
+type PacketKind = (PacketType, u32);
+
+fn packet_kind(packet: &Packet) -> PacketKind {
+    let frames = packet
+        .frames
+        .iter()
+        .map(|f| f.frame_type())
+        .filter(|&t| t != FrameType::Padding)
+        .fold(0, |set, t| set | 1 << t as u32);
+    (packet.header.packet_type, frames)
+}
+
 /// The QUIC system under learning: one implementation profile + the adapter.
 pub struct QuicSul {
     server: QuicServer,
@@ -111,11 +139,25 @@ pub struct QuicSul {
     deterministic: bool,
     oracle: OracleTable,
     stats: SulStats,
-    current_inputs: Vec<(String, Vec<i64>)>,
-    current_outputs: Vec<(String, Vec<i64>)>,
-    /// Response packets absorbed from the wire during the in-flight
-    /// networked step (see [`WireSul`]); empty outside a wire step.
-    wire_responses: Vec<(String, Vec<i64>)>,
+    /// Input symbol → parsed (packet type, frame types); `None` when the
+    /// symbol does not parse.
+    inputs: Memo<Symbol, Option<(PacketType, Vec<FrameType>)>>,
+    /// Reply packet kind → its abstract name; the slot is the kind's id.
+    kinds: Memo<PacketKind, String>,
+    /// Sorted kind ids of a step's replies → the step's output symbol.
+    outputs: Memo<Vec<usize>, Symbol>,
+    /// The empty flight's symbol, `{}`.
+    silence: Symbol,
+    /// The step in progress: the input of a networked step (see
+    /// [`WireSul`]), the request's fields, and each absorbed reply's kind
+    /// id with the range of its fields in `reply_fields`.
+    wire_input: Option<Symbol>,
+    input_fields: Vec<i64>,
+    replies: Vec<(usize, Range<usize>)>,
+    reply_fields: Vec<i64>,
+    /// Scratch for [`QuicSul::record`]: the sorted kind ids and fields.
+    output_kinds: Vec<usize>,
+    output_fields: Vec<i64>,
 }
 
 impl QuicSul {
@@ -131,9 +173,16 @@ impl QuicSul {
             identity,
             oracle: OracleTable::new(),
             stats: SulStats::default(),
-            current_inputs: Vec::new(),
-            current_outputs: Vec::new(),
-            wire_responses: Vec::new(),
+            inputs: Memo::default(),
+            kinds: Memo::default(),
+            outputs: Memo::default(),
+            silence: Symbol::new("{}"),
+            wire_input: None,
+            input_fields: Vec::new(),
+            replies: Vec::new(),
+            reply_fields: Vec::new(),
+            output_kinds: Vec::new(),
+            output_fields: Vec::new(),
         }
     }
 
@@ -154,14 +203,72 @@ impl QuicSul {
         &self.server
     }
 
-    fn flush_query(&mut self) {
-        if self.current_inputs.is_empty() {
+    /// Starts a step: builds the request for `input` from its memoised
+    /// parsed form and keeps its fields, or returns `None` when the symbol
+    /// does not parse or names a frame the client cannot build.
+    fn concretize(&mut self, input: &Symbol) -> Option<Bytes> {
+        self.input_fields.clear();
+        self.replies.clear();
+        self.reply_fields.clear();
+        let parsed = self.inputs.get_or_insert_with(input, || {
+            ReferenceQuicClient::parse_abstract(input.as_str()).ok()
+        });
+        let (packet_type, frames) = parsed.as_ref()?;
+        let (request, wire) = self.client.concretize_parsed(*packet_type, frames).ok()?;
+        self.stats.concrete_packets_sent += 1;
+        numeric_fields_into(&request, &mut self.input_fields);
+        Some(wire)
+    }
+
+    /// Absorbs one reply datagram into the step in progress.
+    fn absorb(&mut self, datagram: &Bytes) {
+        let Some(packet) = self.client.absorb(datagram) else {
             return;
+        };
+        self.stats.concrete_packets_received += 1;
+        let kind = self
+            .kinds
+            .slot(&packet_kind(&packet), || packet.abstract_name());
+        let start = self.reply_fields.len();
+        numeric_fields_into(&packet, &mut self.reply_fields);
+        self.replies.push((kind, start..self.reply_fields.len()));
+    }
+
+    /// Ends the step in progress: abstracts the absorbed replies into one
+    /// output symbol, records the step in the Oracle Table and returns the
+    /// output.  Replies are ordered by (name, fields), so the output symbol
+    /// and the recorded fields stay aligned and deterministic; an empty
+    /// flight — server silence or every datagram lost — abstracts to `{}`,
+    /// the adapter's timeout symbol.
+    fn record(&mut self, input: &Symbol) -> Symbol {
+        let (kinds, fields) = (&self.kinds, &self.reply_fields);
+        self.replies.sort_unstable_by(|(a, ra), (b, rb)| {
+            (kinds[*a].as_str(), &fields[ra.clone()])
+                .cmp(&(kinds[*b].as_str(), &fields[rb.clone()]))
+        });
+        self.output_kinds.clear();
+        self.output_fields.clear();
+        for (kind, range) in &self.replies {
+            self.output_kinds.push(*kind);
+            self.output_fields.extend_from_slice(&fields[range.clone()]);
         }
-        self.oracle.record_steps(
-            std::mem::take(&mut self.current_inputs),
-            std::mem::take(&mut self.current_outputs),
-        );
+        let output = self.outputs.get_or_insert_with(&self.output_kinds[..], || {
+            let names: Vec<&str> = self
+                .output_kinds
+                .iter()
+                .map(|&k| kinds[k].as_str())
+                .collect();
+            Symbol::new(format!("{{{}}}", names.join(",")))
+        });
+        self.oracle
+            .push_step(input, &self.input_fields, output, &self.output_fields);
+        output.clone()
+    }
+
+    /// Records a step that sent nothing: an unknown symbol, answered `{}`.
+    fn record_silence(&mut self, input: &Symbol) -> Symbol {
+        self.oracle.push_step(input, &[], &self.silence, &[]);
+        self.silence.clone()
     }
 
     /// One step on the virtual clock: the abstract output plus the instant
@@ -170,41 +277,16 @@ impl QuicSul {
     /// the two paths answer identically by construction.
     fn step_timed(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
         self.stats.symbols_sent += 1;
-        let (request_packet, wire) = match self.client.concretize(input.as_str()) {
-            Ok(r) => r,
-            Err(_) => {
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("{}".to_string(), vec![]));
-                return (Symbol::new("{}"), now);
-            }
+        let Some(wire) = self.concretize(input) else {
+            return (self.record_silence(input), now);
         };
-        self.stats.concrete_packets_sent += 1;
-        let input_fields = numeric_fields(&request_packet);
         let (responses, ready_at) =
             self.server
                 .handle_datagram_at(&wire, self.client.source_port(), now);
-        // Abstract every response packet; keep (name, fields) pairs sorted by
-        // name so the output symbol and the recorded fields stay aligned and
-        // deterministic.
-        let mut decoded: Vec<(String, Vec<i64>)> = responses
-            .iter()
-            .filter_map(|d| self.client.absorb(d))
-            .map(|p| {
-                self.stats.concrete_packets_received += 1;
-                (ReferenceQuicClient::abstract_packet(&p), numeric_fields(&p))
-            })
-            .collect();
-        decoded.sort();
-        let names: Vec<&str> = decoded.iter().map(|(n, _)| n.as_str()).collect();
-        let abstract_out = format!("{{{}}}", names.join(","));
-        let output_fields: Vec<i64> = decoded
-            .iter()
-            .flat_map(|(_, f)| f.iter().copied())
-            .collect();
-        self.current_inputs.push((input.to_string(), input_fields));
-        self.current_outputs
-            .push((abstract_out.clone(), output_fields));
-        (Symbol::new(abstract_out), ready_at)
+        for datagram in &responses {
+            self.absorb(datagram);
+        }
+        (self.record(input), ready_at)
     }
 }
 
@@ -215,8 +297,8 @@ impl Sul for QuicSul {
 
     fn reset(&mut self) {
         self.stats.resets += 1;
-        self.wire_responses.clear();
-        self.flush_query();
+        self.wire_input = None;
+        self.oracle.end_query();
         self.server.reset();
         self.client.reset();
     }
@@ -252,17 +334,10 @@ impl TimedSul for QuicSul {
 impl WireSul for QuicSul {
     fn wire_request(&mut self, input: &Symbol) -> WireRequest {
         self.stats.symbols_sent += 1;
-        self.wire_responses.clear();
-        match self.client.concretize(input.as_str()) {
-            Err(_) => {
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("{}".to_string(), vec![]));
-                WireRequest::Immediate(Symbol::new("{}"))
-            }
-            Ok((request_packet, wire)) => {
-                self.stats.concrete_packets_sent += 1;
-                self.current_inputs
-                    .push((input.to_string(), numeric_fields(&request_packet)));
+        match self.concretize(input) {
+            None => WireRequest::Immediate(self.record_silence(input)),
+            Some(wire) => {
+                self.wire_input = Some(input.clone());
                 WireRequest::Datagram(wire)
             }
         }
@@ -290,31 +365,15 @@ impl WireSul for QuicSul {
     }
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
-        if let Some(packet) = self.client.absorb(datagram) {
-            self.stats.concrete_packets_received += 1;
-            self.wire_responses.push((
-                ReferenceQuicClient::abstract_packet(&packet),
-                numeric_fields(&packet),
-            ));
-        }
+        self.absorb(datagram);
     }
 
     fn finish_step(&mut self) -> Symbol {
-        // Mirror the in-process path: (name, fields) pairs sorted by name
-        // so the output symbol and the recorded fields stay aligned.  An
-        // empty flight — server silence or every datagram lost — abstracts
-        // to `{}`, the adapter's timeout symbol.
-        let mut decoded = std::mem::take(&mut self.wire_responses);
-        decoded.sort();
-        let names: Vec<&str> = decoded.iter().map(|(n, _)| n.as_str()).collect();
-        let abstract_out = format!("{{{}}}", names.join(","));
-        let output_fields: Vec<i64> = decoded
-            .iter()
-            .flat_map(|(_, f)| f.iter().copied())
-            .collect();
-        self.current_outputs
-            .push((abstract_out.clone(), output_fields));
-        Symbol::new(abstract_out)
+        let input = self
+            .wire_input
+            .take()
+            .expect("finish_step follows a wire_request that sent a datagram");
+        self.record(&input)
     }
 }
 

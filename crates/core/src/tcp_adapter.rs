@@ -8,15 +8,23 @@
 //! reset between queries (3), every exchange is recorded in the Oracle Table
 //! together with its concrete sequence/acknowledgement numbers (4), and
 //! responses are abstracted back to the learner's alphabet (5).
+//!
+//! Property (4) holds for every SUL: the table is always on.  A repeated
+//! step allocates nothing in the adapter: each [`TcpSul`] memoises the
+//! parsed form of every input symbol and the output symbol of every
+//! (flags, payload length) reply it has seen, so a repeated symbol is a
+//! memo hit and a repeated output an `Arc` clone.  The memos belong to one
+//! SUL and live as long as it.
 
+use crate::memo::Memo;
 use crate::net_transport::{WireRequest, WireSul};
 use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::session::{SessionSulFactory, SimTime, TimedSession, TimedSul};
 use crate::sul::{Sul, SulFactory, SulStats};
 use bytes::Bytes;
 use prognosis_automata::alphabet::{Alphabet, Symbol};
-use prognosis_tcp::client::ReferenceTcpClient;
-use prognosis_tcp::segment::TcpSegment;
+use prognosis_tcp::client::{ReferenceTcpClient, NIL};
+use prognosis_tcp::segment::{TcpFlags, TcpSegment};
 use prognosis_tcp::server::{TcpServer, TcpServerConfig};
 
 /// The abstract TCP alphabet used in §6.1 (the same alphabet as prior work):
@@ -64,6 +72,9 @@ impl SessionSulFactory for TcpSulFactory {
     }
 }
 
+/// The concrete fields the Oracle Table records per segment: `[seq, ack]`.
+type Fields = [i64; 2];
+
 /// The TCP system under learning: implementation + adapter.
 pub struct TcpSul {
     server: TcpServer,
@@ -74,12 +85,17 @@ pub struct TcpSul {
     config: TcpServerConfig,
     oracle: OracleTable,
     stats: SulStats,
-    /// The (abstract, concrete-fields) steps of the query in progress.
-    current_inputs: Vec<(String, Vec<i64>)>,
-    current_outputs: Vec<(String, Vec<i64>)>,
-    /// Responses absorbed from the wire during the in-flight networked
-    /// step (see [`WireSul`]); empty outside a wire step.
-    wire_responses: Vec<(String, Vec<i64>)>,
+    /// Input symbol → parsed (flags, payload length); `None` when the
+    /// symbol does not parse.
+    inputs: Memo<Symbol, Option<(TcpFlags, usize)>>,
+    /// (flags byte, payload length) of a reply → its output symbol.
+    outputs: Memo<(u8, usize), Symbol>,
+    /// The silence symbol.
+    nil: Symbol,
+    /// The in-flight networked step (see [`WireSul`]): the input with its
+    /// fields, then the first response absorbed from the wire.
+    wire_input: Option<(Symbol, Fields)>,
+    wire_response: Option<(Symbol, Fields)>,
 }
 
 impl TcpSul {
@@ -92,9 +108,11 @@ impl TcpSul {
             config,
             oracle: OracleTable::new(),
             stats: SulStats::default(),
-            current_inputs: Vec::new(),
-            current_outputs: Vec::new(),
-            wire_responses: Vec::new(),
+            inputs: Memo::default(),
+            outputs: Memo::default(),
+            nil: Symbol::new(NIL),
+            wire_input: None,
+            wire_response: None,
         }
     }
 
@@ -114,18 +132,48 @@ impl TcpSul {
         &self.server
     }
 
-    fn fields(segment: &TcpSegment) -> Vec<i64> {
-        vec![i64::from(segment.seq), i64::from(segment.ack)]
+    fn fields(segment: &TcpSegment) -> Fields {
+        [i64::from(segment.seq), i64::from(segment.ack)]
     }
 
-    fn flush_query(&mut self) {
-        if self.current_inputs.is_empty() {
-            return;
-        }
-        self.oracle.record_steps(
-            std::mem::take(&mut self.current_inputs),
-            std::mem::take(&mut self.current_outputs),
-        );
+    /// Builds the segment for `input` from its memoised parsed form, or
+    /// `None` when the symbol does not parse.
+    fn concretize(&mut self, input: &Symbol) -> Option<TcpSegment> {
+        let parsed = *self.inputs.get_or_insert_with(input, || {
+            ReferenceTcpClient::parse_abstract(input.as_str()).ok()
+        });
+        let (flags, payload_len) = parsed?;
+        self.stats.concrete_packets_sent += 1;
+        Some(self.client.concretize_parsed(flags, payload_len))
+    }
+
+    /// Absorbs a server response: the client's bookkeeping advances, and
+    /// the response is abstracted through the output memo.
+    fn absorb(&mut self, segment: &TcpSegment) -> (Symbol, Fields) {
+        self.stats.concrete_packets_received += 1;
+        self.client.absorb(segment);
+        let key = (segment.flags.to_byte(), segment.payload.len());
+        let output = self
+            .outputs
+            .get_or_insert_with(&key, || Symbol::new(segment.abstract_name()));
+        (output.clone(), Self::fields(segment))
+    }
+
+    /// Records one step in the Oracle Table and returns its output: the
+    /// response, or silence.
+    fn record(
+        &mut self,
+        input: &Symbol,
+        input_fields: &[i64],
+        response: Option<(Symbol, Fields)>,
+    ) -> Symbol {
+        let (output, output_fields) = match &response {
+            Some((symbol, fields)) => (symbol, &fields[..]),
+            None => (&self.nil, &[][..]),
+        };
+        self.oracle
+            .push_step(input, input_fields, output, output_fields);
+        output.clone()
     }
 
     /// One step on the virtual clock: the abstract output plus the instant
@@ -134,31 +182,15 @@ impl TcpSul {
     /// the two paths answer identically by construction.
     fn step_timed(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
         self.stats.symbols_sent += 1;
-        let segment = match self.client.concretize(input.as_str()) {
-            Ok(s) => s,
-            Err(_) => {
-                // Unknown symbols are answered with silence so a bad alphabet
-                // cannot wedge the learner.
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("NIL".to_string(), vec![]));
-                return (Symbol::new("NIL"), now);
-            }
+        let Some(segment) = self.concretize(input) else {
+            // Unknown symbols are answered with silence so a bad alphabet
+            // cannot wedge the learner.
+            return (self.record(input, &[], None), now);
         };
-        self.stats.concrete_packets_sent += 1;
-        let input_fields = Self::fields(&segment);
         let (response, ready_at) = self.server.handle_segment_at(&segment, now);
-        let (abstract_out, output_fields) = match &response {
-            Some(seg) => {
-                self.stats.concrete_packets_received += 1;
-                self.client.absorb(seg);
-                (seg.abstract_name(), Self::fields(seg))
-            }
-            None => ("NIL".to_string(), vec![]),
-        };
-        self.current_inputs.push((input.to_string(), input_fields));
-        self.current_outputs
-            .push((abstract_out.clone(), output_fields));
-        (Symbol::new(abstract_out), ready_at)
+        let response = response.map(|seg| self.absorb(&seg));
+        let output = self.record(input, &Self::fields(&segment), response);
+        (output, ready_at)
     }
 }
 
@@ -169,8 +201,9 @@ impl Sul for TcpSul {
 
     fn reset(&mut self) {
         self.stats.resets += 1;
-        self.wire_responses.clear();
-        self.flush_query();
+        self.wire_input = None;
+        self.wire_response = None;
+        self.oracle.end_query();
         self.server.reset();
         self.client.reset();
     }
@@ -187,19 +220,13 @@ impl Sul for TcpSul {
 impl WireSul for TcpSul {
     fn wire_request(&mut self, input: &Symbol) -> WireRequest {
         self.stats.symbols_sent += 1;
-        self.wire_responses.clear();
-        match self.client.concretize(input.as_str()) {
-            Err(_) => {
-                // Unknown symbols exchange no packet: answered with silence
-                // immediately, exactly as the in-process path does.
-                self.current_inputs.push((input.to_string(), vec![]));
-                self.current_outputs.push(("NIL".to_string(), vec![]));
-                WireRequest::Immediate(Symbol::new("NIL"))
-            }
-            Ok(segment) => {
-                self.stats.concrete_packets_sent += 1;
-                self.current_inputs
-                    .push((input.to_string(), Self::fields(&segment)));
+        self.wire_response = None;
+        match self.concretize(input) {
+            // Unknown symbols exchange no packet: answered with silence
+            // immediately, exactly as the in-process path does.
+            None => WireRequest::Immediate(self.record(input, &[], None)),
+            Some(segment) => {
+                self.wire_input = Some((input.clone(), Self::fields(&segment)));
                 WireRequest::Datagram(segment.encode())
             }
         }
@@ -226,26 +253,23 @@ impl WireSul for TcpSul {
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
         if let Ok(segment) = TcpSegment::decode(datagram.clone()) {
-            self.stats.concrete_packets_received += 1;
-            self.client.absorb(&segment);
-            self.wire_responses
-                .push((segment.abstract_name(), Self::fields(&segment)));
+            let response = self.absorb(&segment);
+            // TCP answers a request with at most one segment; a duplicated
+            // delivery repeats the identical segment, so the first absorbed
+            // response is the step's output.
+            self.wire_response.get_or_insert(response);
         }
     }
 
     fn finish_step(&mut self) -> Symbol {
-        // TCP answers a request with at most one segment; a duplicated
-        // delivery repeats the identical segment, so the first absorbed
-        // response is the step's output.  Nothing absorbed means silence
-        // on the wire — the adapter's timeout symbol.
-        let (output, fields) = self
-            .wire_responses
-            .first()
-            .cloned()
-            .unwrap_or_else(|| ("NIL".to_string(), vec![]));
-        self.wire_responses.clear();
-        self.current_outputs.push((output.clone(), fields));
-        Symbol::new(output)
+        // Nothing absorbed means silence on the wire — the adapter's
+        // timeout symbol.
+        let (input, input_fields) = self
+            .wire_input
+            .take()
+            .expect("finish_step follows a wire_request that sent a segment");
+        let response = self.wire_response.take();
+        self.record(&input, &input_fields, response)
     }
 }
 

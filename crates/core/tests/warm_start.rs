@@ -284,6 +284,7 @@ fn a_cache_file_without_the_magic_learns_cold_and_becomes_a_journal() {
 }
 
 mod oracle_table_serde {
+    use prognosis_automata::alphabet::Symbol;
     use prognosis_core::oracle_table::OracleTable;
     use proptest::prelude::*;
 
@@ -295,15 +296,15 @@ mod oracle_table_serde {
         prop::collection::vec(query, 0..12).prop_map(|queries| {
             let mut table = OracleTable::new();
             for steps in queries {
-                let inputs = steps
-                    .iter()
-                    .map(|((i, fields), _)| (format!("in{i}"), fields.clone()))
-                    .collect();
-                let outputs = steps
-                    .iter()
-                    .map(|(_, (o, fields))| (format!("out{o}"), fields.clone()))
-                    .collect();
-                table.record_steps(inputs, outputs);
+                for ((i, input_fields), (o, output_fields)) in steps {
+                    table.push_step(
+                        &Symbol::new(format!("in{i}")),
+                        &input_fields,
+                        &Symbol::new(format!("out{o}")),
+                        &output_fields,
+                    );
+                }
+                table.end_query();
             }
             table
         })

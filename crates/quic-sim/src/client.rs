@@ -245,13 +245,23 @@ impl ReferenceQuicClient {
     /// packet (for the Oracle Table) together with its wire bytes.
     pub fn concretize(&mut self, symbol: &str) -> Result<(Packet, Bytes), QuicConcretizeError> {
         let (packet_type, frame_types) = Self::parse_abstract(symbol)?;
+        self.concretize_parsed(packet_type, &frame_types)
+    }
+
+    /// [`ReferenceQuicClient::concretize`] for an already parsed symbol: an
+    /// adapter parses each symbol once and replays the parsed form.
+    pub fn concretize_parsed(
+        &mut self,
+        packet_type: PacketType,
+        frame_types: &[FrameType],
+    ) -> Result<(Packet, Bytes), QuicConcretizeError> {
         let level = match packet_type {
             PacketType::Initial | PacketType::ZeroRtt => EncryptionLevel::Initial,
             PacketType::Handshake => EncryptionLevel::Handshake,
             _ => EncryptionLevel::OneRtt,
         };
         let mut frames = Vec::with_capacity(frame_types.len());
-        for ft in frame_types {
+        for &ft in frame_types {
             frames.push(self.build_frame(ft, packet_type)?);
         }
         let space = Self::space(level);
@@ -332,6 +342,13 @@ impl ReferenceQuicClient {
 /// the limit, ACK → largest acknowledged, CRYPTO → offset.
 pub fn numeric_fields(packet: &Packet) -> Vec<i64> {
     let mut fields = Vec::new();
+    numeric_fields_into(packet, &mut fields);
+    fields
+}
+
+/// [`numeric_fields`], appended to `fields` so a caller can reuse one
+/// buffer across packets.
+pub fn numeric_fields_into(packet: &Packet, fields: &mut Vec<i64>) {
     for frame in &packet.frames {
         match frame {
             Frame::Stream { offset, .. } => fields.push(*offset as i64),
@@ -349,7 +366,6 @@ pub fn numeric_fields(packet: &Packet) -> Vec<i64> {
             _ => {}
         }
     }
-    fields
 }
 
 #[cfg(test)]

@@ -35,6 +35,10 @@ pub mod client;
 pub mod profile;
 pub mod server;
 
+/// The wire codec the simulator speaks, re-exported so adapters can name
+/// packet and frame types without depending on it directly.
+pub use prognosis_quic_wire as wire;
+
 pub use client::ReferenceQuicClient;
 pub use profile::{HandshakeStyle, ImplementationProfile};
 pub use server::{QuicServer, ServerPhase};

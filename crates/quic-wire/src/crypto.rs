@@ -100,10 +100,17 @@ impl Keys {
         self.level
     }
 
-    fn keystream_byte(&self, packet_number: u64, index: usize) -> u8 {
-        let word =
-            splitmix(self.secret ^ packet_number.wrapping_mul(0x9E37_79B9) ^ (index as u64 / 8));
-        (word >> ((index % 8) * 8)) as u8
+    /// XORs `data` in place with the keystream of `packet_number`: byte
+    /// `i` takes byte `i % 8` of keystream word `i / 8`, so each word is
+    /// computed once per 8-byte chunk.
+    fn apply_keystream(&self, packet_number: u64, data: &mut [u8]) {
+        let base = self.secret ^ packet_number.wrapping_mul(0x9E37_79B9);
+        for (word_index, chunk) in data.chunks_mut(8).enumerate() {
+            let word = splitmix(base ^ word_index as u64).to_le_bytes();
+            for (b, k) in chunk.iter_mut().zip(word) {
+                *b ^= k;
+            }
+        }
     }
 
     fn tag(&self, packet_number: u64, plaintext: &[u8]) -> [u8; TAG_LEN] {
@@ -116,11 +123,9 @@ impl Keys {
 
     /// Protects a payload: XOR keystream plus appended integrity tag.
     pub fn seal(&self, packet_number: u64, plaintext: &[u8]) -> Vec<u8> {
-        let mut out: Vec<u8> = plaintext
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b ^ self.keystream_byte(packet_number, i))
-            .collect();
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.apply_keystream(packet_number, &mut out);
         out.extend_from_slice(&self.tag(packet_number, plaintext));
         out
     }
@@ -131,11 +136,8 @@ impl Keys {
             return Err(CryptoError::Truncated);
         }
         let (body, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
-        let plaintext: Vec<u8> = body
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b ^ self.keystream_byte(packet_number, i))
-            .collect();
+        let mut plaintext = body.to_vec();
+        self.apply_keystream(packet_number, &mut plaintext);
         if self.tag(packet_number, &plaintext) != tag {
             return Err(CryptoError::TagMismatch);
         }
@@ -168,6 +170,33 @@ mod tests {
                 "payload must be transformed"
             );
             assert_eq!(keys.open(7, &sealed).unwrap(), plaintext);
+        }
+    }
+
+    #[test]
+    fn sealed_bytes_are_pinned() {
+        // A 29-byte payload covers three full keystream words and a partial
+        // fourth; the expected bytes pin the keystream and tag per level.
+        let payload: Vec<u8> = (0u8..29).collect();
+        let expected: [[u8; 33]; 3] = [
+            [
+                135, 65, 196, 46, 250, 217, 228, 224, 89, 215, 219, 21, 192, 155, 164, 91, 162,
+                251, 127, 87, 205, 212, 148, 86, 247, 117, 156, 54, 106, 38, 196, 136, 3,
+            ],
+            [
+                207, 47, 22, 54, 95, 224, 8, 231, 93, 21, 148, 174, 225, 135, 21, 212, 9, 209, 83,
+                32, 171, 181, 25, 73, 121, 98, 91, 120, 162, 120, 95, 112, 161,
+            ],
+            [
+                88, 75, 215, 224, 54, 232, 10, 65, 192, 168, 227, 147, 126, 70, 33, 2, 134, 174,
+                130, 94, 185, 168, 84, 156, 167, 229, 16, 99, 241, 233, 69, 60, 75,
+            ],
+        ];
+        for (level, expected) in EncryptionLevel::ALL.into_iter().zip(expected) {
+            let keys = Keys::derive(0x5EED_0FC0_FFEE, level);
+            let sealed = keys.seal(0x1234, &payload);
+            assert_eq!(sealed, expected, "{level}");
+            assert_eq!(keys.open(0x1234, &sealed).unwrap(), payload);
         }
     }
 

@@ -196,7 +196,7 @@ impl<'a> Solver<'a> {
             nodes: 0,
             budget_hit: false,
         };
-        let found = search.run(0, self.initial_registers.clone(), negatives, positives);
+        let found = search.run(negatives, positives);
         if found {
             Ok(Solution {
                 updates: search.updates,
@@ -227,23 +227,117 @@ struct Search<'s, 'a> {
     budget_hit: bool,
 }
 
+/// The next move of the depth-first search.
+enum Action {
+    /// Visit step `pos` with the registers left by the previous step: one
+    /// search node.
+    Visit { pos: usize, registers: Vec<i64> },
+    /// Extend the update terms `chosen` so far for step `pos`'s transition
+    /// by one register, or try them once every register has a term.
+    Choose {
+        pos: usize,
+        registers: Vec<i64>,
+        chosen: Vec<Term>,
+    },
+    /// Hand the outcome of the move above to the frame on top of the stack.
+    Return(bool),
+}
+
+/// A move waiting on the outcome of the move it started.
+enum Frame {
+    /// A choice of update term for one register: on failure, try the
+    /// candidates from index `next` on.
+    Branch {
+        pos: usize,
+        registers: Vec<i64>,
+        chosen: Vec<Term>,
+        next: usize,
+    },
+    /// On failure, forget the update terms fixed for a transition.
+    UndoUpdate(TransitionKey),
+    /// On failure, restore a transition's output candidate sets.
+    UndoOutputs {
+        key: TransitionKey,
+        previous: Option<Vec<Vec<Term>>>,
+    },
+}
+
 impl<'s, 'a> Search<'s, 'a> {
     /// Depth-first search over steps.  Returns `true` when all steps (and
     /// the negative-trace check) are satisfied.
-    fn run(
+    ///
+    /// The search keeps its frames on an explicit stack, so its depth —
+    /// one frame per step of *all* positive traces, plus one per register
+    /// being branched on — is bounded by memory, not by the thread's stack.
+    fn run(&mut self, negatives: &[ConcreteTrace], positives: &[ConcreteTrace]) -> bool {
+        let mut stack = Vec::new();
+        let mut action = Action::Visit {
+            pos: 0,
+            registers: self.solver.initial_registers.clone(),
+        };
+        loop {
+            action = match action {
+                Action::Visit { pos, registers } => {
+                    self.visit(pos, registers, &mut stack, negatives, positives)
+                }
+                Action::Choose {
+                    pos,
+                    registers,
+                    chosen,
+                } => self.choose(pos, registers, chosen, &mut stack),
+                Action::Return(found) => match stack.pop() {
+                    None => return found,
+                    Some(Frame::Branch {
+                        pos,
+                        registers,
+                        chosen,
+                        next,
+                    }) => {
+                        if found || self.budget_hit {
+                            Action::Return(found)
+                        } else {
+                            self.next_candidate(pos, registers, chosen, next, &mut stack)
+                        }
+                    }
+                    Some(Frame::UndoUpdate(key)) => {
+                        if !found {
+                            self.updates.remove(&key);
+                        }
+                        Action::Return(found)
+                    }
+                    Some(Frame::UndoOutputs { key, previous }) => {
+                        if !found {
+                            match previous {
+                                Some(p) => {
+                                    self.output_candidates.insert(key, p);
+                                }
+                                None => {
+                                    self.output_candidates.remove(&key);
+                                }
+                            }
+                        }
+                        Action::Return(found)
+                    }
+                },
+            };
+        }
+    }
+
+    fn visit(
         &mut self,
         pos: usize,
         registers: Vec<i64>,
+        stack: &mut Vec<Frame>,
         negatives: &[ConcreteTrace],
         positives: &[ConcreteTrace],
-    ) -> bool {
+    ) -> Action {
         self.nodes += 1;
         if self.nodes > self.solver.config.max_nodes {
             self.budget_hit = true;
-            return false;
+            return Action::Return(false);
         }
         if pos == self.steps.len() {
-            return self.negatives_ok(negatives, positives);
+            return Action::Return(self.negatives_ok(negatives, positives));
         }
         let step = &self.steps[pos];
         let registers = if step.first {
@@ -251,58 +345,76 @@ impl<'s, 'a> Search<'s, 'a> {
         } else {
             registers
         };
-
-        if let Some(update_terms) = self.updates.get(&step.key).cloned() {
+        let fixed = self
+            .updates
+            .get(&step.key)
+            .map(|terms| self.apply_updates(terms, &registers, &step.input_fields));
+        match fixed {
             // Updates already fixed for this transition: propagate.
-            match self.apply_updates(&update_terms, &registers, &step.input_fields) {
-                Some(new_regs) => {
-                    self.check_outputs_and_continue(pos, new_regs, negatives, positives)
-                }
-                None => false,
-            }
-        } else {
+            Some(Some(new_regs)) => self.check_outputs(pos, new_regs, stack),
+            Some(None) => Action::Return(false),
             // Branch over update-term vectors, one register at a time.
-            self.branch_updates(pos, registers, Vec::new(), negatives, positives)
+            None => Action::Choose {
+                pos,
+                registers,
+                chosen: Vec::new(),
+            },
         }
     }
 
-    fn branch_updates(
+    fn choose(
         &mut self,
         pos: usize,
         registers: Vec<i64>,
         chosen: Vec<Term>,
-        negatives: &[ConcreteTrace],
-        positives: &[ConcreteTrace],
-    ) -> bool {
-        let step = &self.steps[pos];
-        if chosen.len() == self.solver.domain.num_registers {
-            self.updates.insert(step.key, chosen.clone());
-            let ok = match self.apply_updates(&chosen, &registers, &step.input_fields) {
-                Some(new_regs) => {
-                    self.check_outputs_and_continue(pos, new_regs, negatives, positives)
-                }
-                None => false,
-            };
-            if !ok {
-                self.updates.remove(&step.key);
-            }
-            return ok;
+        stack: &mut Vec<Frame>,
+    ) -> Action {
+        if chosen.len() < self.solver.domain.num_registers {
+            return self.next_candidate(pos, registers, chosen, 0, stack);
         }
-        for &term in self.candidates {
+        let step = &self.steps[pos];
+        match self.apply_updates(&chosen, &registers, &step.input_fields) {
+            Some(new_regs) => {
+                self.updates.insert(step.key, chosen);
+                stack.push(Frame::UndoUpdate(step.key));
+                self.check_outputs(pos, new_regs, stack)
+            }
+            None => Action::Return(false),
+        }
+    }
+
+    /// Tries the candidate terms from index `from` on for the next register
+    /// of `chosen`; fails once they are exhausted.
+    fn next_candidate(
+        &mut self,
+        pos: usize,
+        registers: Vec<i64>,
+        chosen: Vec<Term>,
+        from: usize,
+        stack: &mut Vec<Frame>,
+    ) -> Action {
+        let step = &self.steps[pos];
+        for (i, &term) in self.candidates.iter().enumerate().skip(from) {
             // Skip terms that cannot evaluate in this context at all.
             if term.eval(&registers, &step.input_fields).is_none() {
                 continue;
             }
             let mut next = chosen.clone();
             next.push(term);
-            if self.branch_updates(pos, registers.clone(), next, negatives, positives) {
-                return true;
-            }
-            if self.budget_hit {
-                return false;
-            }
+            let child_registers = registers.clone();
+            stack.push(Frame::Branch {
+                pos,
+                registers,
+                chosen,
+                next: i + 1,
+            });
+            return Action::Choose {
+                pos,
+                registers: child_registers,
+                chosen: next,
+            };
         }
-        false
+        Action::Return(false)
     }
 
     fn apply_updates(
@@ -317,47 +429,38 @@ impl<'s, 'a> Search<'s, 'a> {
             .collect()
     }
 
-    fn check_outputs_and_continue(
+    /// Narrows the step's output candidate sets by its observations, then
+    /// moves on to the next step; fails when a set empties.
+    fn check_outputs(
         &mut self,
         pos: usize,
         new_registers: Vec<i64>,
-        negatives: &[ConcreteTrace],
-        positives: &[ConcreteTrace],
-    ) -> bool {
+        stack: &mut Vec<Frame>,
+    ) -> Action {
         let step = &self.steps[pos];
-        // Filter output candidate sets against this step's observations,
-        // remembering the previous sets for backtracking.
         let arity = step.output_fields.len();
         let previous = self.output_candidates.get(&step.key).cloned();
         let mut sets = previous.clone().unwrap_or_default();
         if sets.len() < arity {
             sets.resize(arity, self.candidates.to_vec());
         }
-        let mut ok = true;
         for (field_idx, &observed) in step.output_fields.iter().enumerate() {
             sets[field_idx]
                 .retain(|t| t.eval(&new_registers, &step.input_fields) == Some(observed));
             if sets[field_idx].is_empty() {
-                ok = false;
-                break;
+                return Action::Return(false);
             }
         }
-        if ok {
-            self.output_candidates.insert(step.key, sets);
-            if self.run(pos + 1, new_registers, negatives, positives) {
-                return true;
-            }
+        self.output_candidates.insert(step.key, sets);
+        // Remember the previous sets for backtracking.
+        stack.push(Frame::UndoOutputs {
+            key: step.key,
+            previous,
+        });
+        Action::Visit {
+            pos: pos + 1,
+            registers: new_registers,
         }
-        // Backtrack the candidate-set narrowing.
-        match previous {
-            Some(p) => {
-                self.output_candidates.insert(step.key, p);
-            }
-            None => {
-                self.output_candidates.remove(&step.key);
-            }
-        }
-        false
     }
 
     /// Checks that the chosen update terms (with representative outputs) do
@@ -623,6 +726,34 @@ mod tests {
         assert_eq!(solution.updates[&(1, 1)], vec![Term::Register(0)]);
         let get_out = &solution.output_candidates[&(1, 1)][0];
         assert!(get_out.contains(&Term::Register(0)));
+    }
+
+    #[test]
+    fn long_traces_do_not_grow_the_thread_stack() {
+        // 50k steps of one positive trace: a search that recursed once per
+        // step would overflow a 1 MiB stack long before the end.
+        const STEPS: i64 = 50_000;
+        let handle = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(|| {
+                let inputs = Alphabet::from_symbols(["put"]);
+                let mut b = MealyBuilder::new(inputs);
+                let s0 = b.add_state();
+                b.add_transition(s0, "put", "echo", s0).unwrap();
+                let skeleton = b.build().unwrap();
+                let domain = TermDomain::new(1, 1);
+                let solver = Solver::new(&skeleton, &domain, vec![0], SolverConfig::default());
+                let steps = (0..STEPS)
+                    .map(|i| ("put", vec![i], "echo", vec![i]))
+                    .collect();
+                solver.solve(&[trace(steps)], &[])
+            })
+            .unwrap();
+        let solution = handle.join().expect("the solver thread must not overflow");
+        let solution = solution.expect("latching the input explains every step");
+        assert_eq!(solution.updates[&(0, 0)], vec![Term::Register(0)]);
+        assert!(solution.output_candidates[&(0, 0)][0].contains(&Term::InputField(0)));
+        assert!(solution.nodes_explored > STEPS as u64);
     }
 
     #[test]

@@ -122,6 +122,12 @@ impl ReferenceTcpClient {
     /// sequence space the segment consumes.
     pub fn concretize(&mut self, symbol: &str) -> Result<TcpSegment, ConcretizeError> {
         let (flags, payload_len) = Self::parse_abstract(symbol)?;
+        Ok(self.concretize_parsed(flags, payload_len))
+    }
+
+    /// [`ReferenceTcpClient::concretize`] for an already parsed symbol: an
+    /// adapter parses each symbol once and replays the parsed form.
+    pub fn concretize_parsed(&mut self, flags: TcpFlags, payload_len: usize) -> TcpSegment {
         let ack = if flags.ack { self.rcv_nxt } else { 0 };
         let payload = Bytes::from(vec![b'a'; payload_len]);
         let segment = TcpSegment {
@@ -134,7 +140,7 @@ impl ReferenceTcpClient {
             payload,
         };
         self.snd_nxt = self.snd_nxt.wrapping_add(segment.sequence_space());
-        Ok(segment)
+        segment
     }
 
     /// Absorbs a server response, updating the acknowledgement bookkeeping
@@ -190,6 +196,24 @@ mod tests {
         assert!(ReferenceTcpClient::parse_abstract("garbage").is_err());
         assert!(ReferenceTcpClient::parse_abstract("FOO(?,?,0)").is_err());
         assert!(ReferenceTcpClient::parse_abstract("SYN(?,?,x)").is_err());
+    }
+
+    #[test]
+    fn concretize_parsed_matches_concretize() {
+        let mut by_text = ReferenceTcpClient::new(1, 2, 500);
+        let mut by_parsed = by_text.clone();
+        for symbol in [
+            "SYN(?,?,0)",
+            "ACK+PSH(?,?,1)",
+            "ACK+PSH(?,?,64)",
+            "ACK+PSH(?,?,65)",
+        ] {
+            let (flags, len) = ReferenceTcpClient::parse_abstract(symbol).unwrap();
+            let expected = by_text.concretize(symbol).unwrap();
+            assert_eq!(by_parsed.concretize_parsed(flags, len), expected);
+            assert_eq!(&expected.payload[..], &vec![b'a'; len][..]);
+        }
+        assert_eq!(by_parsed.snd_nxt(), by_text.snd_nxt());
     }
 
     #[test]

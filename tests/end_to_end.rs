@@ -9,6 +9,7 @@ use prognosis::analysis::trace_count::informative_paths;
 use prognosis::automata::alphabet::{Alphabet, Symbol};
 use prognosis::automata::word::InputWord;
 use prognosis::core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
+use prognosis::core::oracle_table::OracleTable;
 use prognosis::core::pipeline::{learn_model, LearnConfig};
 use prognosis::core::quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul};
 use prognosis::core::sul::Sul;
@@ -48,6 +49,13 @@ fn tcp_pipeline_learns_a_handshake_model_and_registers() {
     let mut sul = TcpSul::with_defaults();
     let learned = learn_model(&mut sul, &alphabet, config(200, 6));
     sul.reset();
+    // The table this learn records is pinned: a change to the adapter's
+    // recording (symbols, fields, query boundaries) fails here.
+    assert_eq!(
+        oracle_table_digest(sul.oracle_table()),
+        (63, 0x3d3c_ee68_873b_2a8c),
+        "the E2 handshake learn recorded a different Oracle Table"
+    );
     // A handful of short, skeleton-consistent traces is enough to pin the
     // register behaviour down and keeps the enumerative solver fast.
     let traces: Vec<_> = sul
@@ -69,6 +77,36 @@ fn tcp_pipeline_learns_a_handshake_model_and_registers() {
     // The SYN+ACK acknowledgement number must be explainable by a register
     // or input-derived term, not fabricated.
     assert!(outcome.report.solver_nodes > 0);
+}
+
+/// FNV-1a over every recorded step (symbols and fields, with separators)
+/// and query boundary, plus the entry count.
+fn oracle_table_digest(table: &OracleTable) -> (usize, u64) {
+    fn feed(hash: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for entry in table.entries() {
+        for ((input, output), step) in entry.abstract_trace.steps().zip(&entry.steps) {
+            feed(&mut hash, input.as_str().as_bytes());
+            feed(&mut hash, &[0]);
+            for f in &step.input_fields {
+                feed(&mut hash, &f.to_le_bytes());
+            }
+            feed(&mut hash, &[1]);
+            feed(&mut hash, output.as_str().as_bytes());
+            feed(&mut hash, &[0]);
+            for f in &step.output_fields {
+                feed(&mut hash, &f.to_le_bytes());
+            }
+            feed(&mut hash, &[2]);
+        }
+        feed(&mut hash, &[3]);
+    }
+    (table.len(), hash)
 }
 
 #[test]
