@@ -9,7 +9,6 @@ use prognosis_automata::equivalence::{compare, EquivalenceResult};
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::minimize::minimize;
 use prognosis_automata::word::InputWord;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 /// Outcome of comparing the learned models of two implementations.
@@ -27,7 +26,7 @@ pub struct ModelComparison {
 }
 
 /// One behavioural difference between two models.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DiffEntry {
     /// The distinguishing input word.
     pub input: InputWord,

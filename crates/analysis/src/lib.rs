@@ -8,8 +8,7 @@
 //!   behind Issues 1 and 3);
 //! * [`model_diff`] — the labelled diff API layered on [`comparison`]:
 //!   one [`model_diff::ModelDiff`] value shared by the examples and the
-//!   campaign runner's `Diff` tasks, rendering and serializing identically
-//!   everywhere;
+//!   campaign runner's `Diff` tasks, rendering identically everywhere;
 //! * [`properties`] — safety-property checking over learned Mealy machines
 //!   ("after a CONNECTION_CLOSE output the server never sends STREAM data"),
 //!   with witness traces for violations;

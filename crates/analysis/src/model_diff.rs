@@ -7,16 +7,15 @@
 //! labels of the two models, their minimized sizes, the verdict and the
 //! shortest distinguishing traces.  The cross-implementation example, the
 //! bug-hunt example and the campaign runner's `Diff` tasks all produce
-//! exactly this value, so a diff renders and serializes identically no
-//! matter which front end asked for it.
+//! exactly this value, so a diff renders identically no matter which
+//! front end asked for it.
 
 use crate::comparison::{behavioural_diff, compare_models, DiffEntry};
 use prognosis_automata::mealy::MealyMachine;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome of diffing two labelled learned models.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelDiff {
     /// Human-readable name of the left model (e.g. "google").
     pub left_label: String,
@@ -140,13 +139,5 @@ mod tests {
         let diff = diff_models("a", &known::toggle(), "b", &known::counter(2), 5);
         assert!(!diff.equivalent);
         assert!(diff.diffs.is_empty());
-    }
-
-    #[test]
-    fn model_diff_round_trips_through_json() {
-        let diff = diff_models("l", &known::counter(2), "r", &known::counter(3), 2);
-        let json = serde_json::to_string(&diff).unwrap();
-        let back: ModelDiff = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, diff);
     }
 }

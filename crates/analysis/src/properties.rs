@@ -16,11 +16,10 @@
 
 use prognosis_automata::mealy::{MealyMachine, StateId};
 use prognosis_automata::word::InputWord;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 /// A safety property over abstract output symbols.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SafetyProperty {
     /// No reachable transition produces an output containing `forbidden`.
     NeverOutput {

@@ -9,10 +9,9 @@
 
 use prognosis_automata::alphabet::{Alphabet, Symbol};
 use prognosis_automata::mealy::MealyMachine;
-use serde::{Deserialize, Serialize};
 
 /// The trace-space-reduction summary for one learned model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceReduction {
     /// Trace length bound.
     pub max_length: u32,

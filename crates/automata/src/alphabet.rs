@@ -8,7 +8,6 @@
 //! alphabet of a few dozen symbols costs a handful of allocations for the
 //! whole learning run even though millions of queries are issued.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -20,8 +19,7 @@ use std::sync::Arc;
 /// lexicographic, which makes alphabets and learned machines deterministic
 /// across runs — an important property when diffing models of two
 /// implementations.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(Arc<str>);
 
 impl Symbol {
@@ -87,7 +85,7 @@ impl AsRef<str> for Symbol {
 /// The order of an alphabet is significant for reproducibility: learners
 /// iterate over it when filling observation tables, so two runs with the
 /// same alphabet order produce the same intermediate hypotheses.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Alphabet {
     symbols: Vec<Symbol>,
 }
@@ -256,13 +254,5 @@ mod tests {
         assert_eq!(a.words_up_to_length(10), 329_554_456);
         assert_eq!(a.words_of_length(0), 1);
         assert_eq!(a.words_of_length(2), 49);
-    }
-
-    #[test]
-    fn alphabet_serde_round_trip() {
-        let a = Alphabet::from_symbols(["SYN", "ACK", "RST"]);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Alphabet = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
     }
 }

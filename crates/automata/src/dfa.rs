@@ -7,7 +7,6 @@
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::word::InputWord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -17,7 +16,7 @@ use std::fmt;
 /// transition is interpreted as a transition to an implicit non-accepting
 /// sink (useful for monitors where "anything else is fine" or
 /// "anything else is a violation" depending on [`Dfa::missing_is_accepting`]).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dfa {
     alphabet: Alphabet,
     initial: usize,

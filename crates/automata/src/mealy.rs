@@ -9,7 +9,6 @@
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::word::{InputWord, IoTrace, OutputWord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,7 +17,7 @@ use std::fmt;
 pub type StateId = usize;
 
 /// A deterministic, total Mealy machine.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MealyMachine {
     input_alphabet: Alphabet,
     output_alphabet: Alphabet,
@@ -598,13 +597,5 @@ mod tests {
         let m = b.build().unwrap();
         assert_eq!(m.state_name(0), "closed");
         assert_eq!(m.state_name(1), "s1");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = handshake_machine();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: MealyMachine = serde_json::from_str(&json).unwrap();
-        assert_eq!(m, back);
     }
 }

@@ -5,18 +5,15 @@
 //! [`IoTrace`], the unit stored in the Oracle Table.
 
 use crate::alphabet::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
 /// A finite sequence of input symbols.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InputWord(Vec<Symbol>);
 
 /// A finite sequence of output symbols.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OutputWord(Vec<Symbol>);
 
 macro_rules! word_impl {
@@ -135,19 +132,6 @@ macro_rules! word_impl {
                 write!(f, "{}", parts.join(" · "))
             }
         }
-
-        impl serde::MapKey for $name {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-
-            fn from_key(key: &str) -> Option<Self> {
-                if key == "ε" {
-                    return Some($name::empty());
-                }
-                Some(key.split(" · ").map(Symbol::new).collect())
-            }
-        }
     };
 }
 
@@ -159,7 +143,7 @@ word_impl!(OutputWord);
 /// Invariant: learners only construct traces where both words have equal
 /// length (one output symbol per input symbol); this is checked by
 /// [`IoTrace::new`].
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IoTrace {
     /// The input word sent to the system.
     pub input: InputWord,
@@ -296,16 +280,5 @@ mod tests {
         let ab = InputWord::from_symbols(["a", "b"]);
         assert!(a < b);
         assert!(a < ab);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = IoTrace::new(
-            InputWord::from_symbols(["a", "b"]),
-            OutputWord::from_symbols(["1", "2"]),
-        );
-        let json = serde_json::to_string(&t).unwrap();
-        let back: IoTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -3,10 +3,11 @@
 //! Runs the simulated-RTT TCP scenario across engine shapes (1 blocking
 //! worker, 4 blocking workers, 1 worker × {16, 64} in-flight sessions),
 //! prints the comparison report — including scheduler occupancy — and
-//! appends the `session_engine` scenario to `BENCH_learning.json` (in the
-//! current directory), creating the file when E15 has not run yet.  While
-//! it grinds, a one-line status repaints per engine shape, driven by
-//! `bench:stage` events through the shared event sink (TTY only).  The
+//! merges the stamped `session_engine` scenario into
+//! `BENCH_learning.json` (in the current directory), creating the file
+//! when E15 has not run yet.  While it grinds, a one-line status repaints
+//! per engine shape, driven by `bench:stage` events through the shared
+//! event sink (TTY only).  The
 //! library asserts the headline numbers (64 in-flight ≥ 8× one blocking
 //! worker, and faster than 4 blocking workers), so this binary doubles as
 //! the CI smoke test for the session engine.
@@ -22,8 +23,5 @@ fn main() {
         as Arc<dyn EventSink>));
     progress.finish();
     println!("{report}");
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = prognosis_bench::merge_session_engine_scenario(existing.as_deref(), scenario);
-    std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
-    println!("appended session_engine scenario to BENCH_learning.json");
+    prognosis_bench::record_scenario("session_engine", scenario, false);
 }

@@ -34,8 +34,9 @@ use prognosis_core::pipeline::{
 };
 use prognosis_core::quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul, QuicSulFactory};
 use prognosis_core::session::{EngineStats, PhaseStats, QueryPhase, SimDuration};
-use prognosis_core::sul::Sul;
+use prognosis_core::sul::{w_method_failures, Sul};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
+use prognosis_events::json::{self, Value};
 use prognosis_events::{Event, EventSink};
 use prognosis_quic_sim::profile::ImplementationProfile;
 use prognosis_synth::synthesis::Synthesizer;
@@ -215,12 +216,29 @@ pub fn learn_quic_profile(profile: ImplementationProfile, seed: u64) -> (Learned
     (learned, sul)
 }
 
+/// The largest extra-state bound `k ≤ max` at which a fresh SUL from
+/// `fresh` passes the W-method suite for `model`, or `None` if it fails
+/// even at `k = 0`.  The suite at `k` extends the suite at `k - 1`, so the
+/// scan stops at the first failing bound.
+fn certified_extra_states(
+    model: &MealyMachine,
+    fresh: impl Fn() -> QuicSul,
+    max: usize,
+) -> Option<usize> {
+    (0..=max)
+        .take_while(|&k| w_method_failures(model, fresh(), k).1 == 0)
+        .last()
+}
+
 /// E3 / §6.2.2: learn the Google-like and Quiche-like implementations and
 /// report model sizes and query counts (paper: 12 states / 84 transitions /
-/// 24,301 queries and 8 states / 56 transitions / 12,301 queries).
+/// 24,301 queries and 8 states / 56 transitions / 12,301 queries), and
+/// how far each learned model is certified: the largest number of extra
+/// states `k ≤ 2` at which a fresh SUL passes the W-method suite.
 pub fn exp_quic_learning() -> (Report, LearnedModel, LearnedModel) {
-    let (google, _) = learn_quic_profile(ImplementationProfile::google(), 3);
-    let (quiche, _) = learn_quic_profile(ImplementationProfile::quiche(), 3);
+    const SUL_SEED: u64 = 3;
+    let (google, _) = learn_quic_profile(ImplementationProfile::google(), SUL_SEED);
+    let (quiche, _) = learn_quic_profile(ImplementationProfile::quiche(), SUL_SEED);
     let mut report = Report::new("E3 — QUIC model learning (paper §6.2.2, Appendix A.2/A.3)");
     report
         .row(
@@ -249,6 +267,21 @@ pub fn exp_quic_learning() -> (Report, LearnedModel, LearnedModel) {
                 quiche.stats.membership_queries
             ),
         );
+    for (name, profile, paper_states, learned) in [
+        ("google", ImplementationProfile::google(), 12, &google),
+        ("quiche", ImplementationProfile::quiche(), 8, &quiche),
+    ] {
+        let fresh = || QuicSul::new(profile.clone(), SUL_SEED);
+        let certified = certified_extra_states(&learned.model, fresh, 2)
+            .map_or_else(|| "none".to_string(), |k| format!("k = {k}"));
+        report.row(
+            format!("{name}: paper / learned states, certified k"),
+            format!(
+                "{paper_states} / {}, {certified}",
+                learned.model.num_states()
+            ),
+        );
+    }
     if google.model.num_states() > quiche.model.num_states() {
         report.finding("shape holds: the google-profile model is strictly larger than the quiche-profile model");
     } else {
@@ -599,7 +632,7 @@ pub struct WarmStartSummary {
 /// scenario is appended to `BENCH_learning.json` by
 /// [`exp_parallel_learning`], and the assertions double as the CI
 /// warm-start smoke test (`exp_warm_start` binary).
-pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
+pub fn exp_warm_start() -> (Report, WarmStartSummary, Value) {
     let cache_path = std::env::temp_dir().join(format!(
         "prognosis-warm-start-bench-{}.journal",
         std::process::id()
@@ -668,27 +701,24 @@ pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
         model_states: cold.model.num_states(),
     };
     let run_json = |seconds: f64, learned: &LearnedModel, sul_symbols: u64| {
-        serde_json::Value::Map(vec![
-            ("seconds".to_string(), serde_json::Value::F64(seconds)),
+        Value::Map(vec![
+            ("seconds".to_string(), Value::F64(seconds)),
             (
                 "membership_queries".to_string(),
-                serde_json::Value::U64(learned.stats.membership_queries),
+                Value::U64(learned.stats.membership_queries),
             ),
             (
                 "fresh_symbols".to_string(),
-                serde_json::Value::U64(learned.stats.fresh_symbols),
+                Value::U64(learned.stats.fresh_symbols),
             ),
-            (
-                "sul_symbols_sent".to_string(),
-                serde_json::Value::U64(sul_symbols),
-            ),
+            ("sul_symbols_sent".to_string(), Value::U64(sul_symbols)),
             (
                 "model_states".to_string(),
-                serde_json::Value::U64(learned.model.num_states() as u64),
+                Value::U64(learned.model.num_states() as u64),
             ),
         ])
     };
-    let json = serde_json::Value::Map(vec![
+    let json = Value::Map(vec![
         (
             "cold".to_string(),
             run_json(cold_seconds, &cold, cold_sul.stats().symbols_sent),
@@ -705,10 +735,7 @@ pub fn exp_warm_start() -> (Report, WarmStartSummary, serde_json::Value) {
                 parallel.sul_stats.symbols_sent,
             ),
         ),
-        (
-            "models_bit_identical".to_string(),
-            serde_json::Value::Bool(true),
-        ),
+        ("models_bit_identical".to_string(), Value::Bool(true)),
     ]);
 
     let mut report = Report::new(
@@ -856,39 +883,30 @@ where
     (sample, outcome.learned.model, outcome.engine)
 }
 
-fn sample_json(sample: &ThroughputSample) -> serde_json::Value {
+fn sample_json(sample: &ThroughputSample) -> Value {
     let mut fields = vec![
-        (
-            "seconds".to_string(),
-            serde_json::Value::F64(sample.seconds),
-        ),
+        ("seconds".to_string(), Value::F64(sample.seconds)),
         (
             "membership_queries".to_string(),
-            serde_json::Value::U64(sample.membership_queries),
+            Value::U64(sample.membership_queries),
         ),
-        (
-            "symbols_sent".to_string(),
-            serde_json::Value::U64(sample.symbols_sent),
-        ),
+        ("symbols_sent".to_string(), Value::U64(sample.symbols_sent)),
         (
             "symbols_per_sec".to_string(),
-            serde_json::Value::F64(sample.symbols_per_sec),
+            Value::F64(sample.symbols_per_sec),
         ),
         (
             "model_states".to_string(),
-            serde_json::Value::U64(sample.model_states as u64),
+            Value::U64(sample.model_states as u64),
         ),
     ];
     if let Some(virtual_seconds) = sample.virtual_seconds {
         fields.insert(
             1,
-            (
-                "virtual_seconds".to_string(),
-                serde_json::Value::F64(virtual_seconds),
-            ),
+            ("virtual_seconds".to_string(), Value::F64(virtual_seconds)),
         );
     }
-    serde_json::Value::Map(fields)
+    Value::Map(fields)
 }
 
 /// E15 — membership-query throughput of the batched-parallel engine.
@@ -935,7 +953,7 @@ pub fn exp_parallel_learning(workers: usize) -> (Report, String) {
     let mut report = Report::new(format!(
         "E15 — sequential vs {workers}-worker parallel learning throughput"
     ));
-    let mut json_scenarios: Vec<(String, serde_json::Value)> = Vec::new();
+    let mut json_scenarios: Vec<(String, Value)> = Vec::new();
 
     let tcp_latency = || LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
     let quic_latency = || {
@@ -975,10 +993,10 @@ pub fn exp_parallel_learning(workers: usize) -> (Report, String) {
                 .row(format!("{name}: models equivalent"), true);
             json_scenarios.push((
                 name.to_string(),
-                serde_json::Value::Map(vec![
+                Value::Map(vec![
                     ("sequential".to_string(), sample_json(&seq)),
                     (format!("parallel_{workers}"), sample_json(&par)),
-                    ("speedup".to_string(), serde_json::Value::F64(speedup)),
+                    ("speedup".to_string(), Value::F64(speedup)),
                 ]),
             ));
         };
@@ -1080,22 +1098,15 @@ pub fn exp_parallel_learning(workers: usize) -> (Report, String) {
         reset_rtt.as_micros()
     ));
 
-    let document = serde_json::Value::Map(vec![
+    let document = Value::Map(vec![
         (
             "experiment".to_string(),
-            serde_json::Value::Str("parallel_learning".to_string()),
+            Value::Str("parallel_learning".to_string()),
         ),
-        (
-            "workers".to_string(),
-            serde_json::Value::U64(workers as u64),
-        ),
-        (
-            "scenarios".to_string(),
-            serde_json::Value::Map(json_scenarios),
-        ),
+        ("workers".to_string(), Value::U64(workers as u64)),
+        ("scenarios".to_string(), Value::Map(json_scenarios)),
     ]);
-    let json = serde_json::to_string_pretty(&ValueDoc(document)).expect("render BENCH json");
-    (report, json)
+    (report, json::render_pretty(&document))
 }
 
 /// One protocol row of [`exp_cpu_scaling`]: best-of-`repeats` sequential
@@ -1113,7 +1124,7 @@ fn cpu_scaling_scenario<S, F>(
     config: &LearnConfig,
     grid: &[usize],
     repeats: usize,
-) -> (serde_json::Value, Vec<ScalePoint>)
+) -> (Value, Vec<ScalePoint>)
 where
     S: Sul,
     F: prognosis_core::session::SessionSulFactory,
@@ -1187,13 +1198,10 @@ where
                 format!("{answers_per_reply:.1}"),
             );
         fields.push((format!("parallel_{workers}"), sample_json(&par)));
-        fields.push((
-            format!("speedup_{workers}"),
-            serde_json::Value::F64(speedup),
-        ));
+        fields.push((format!("speedup_{workers}"), Value::F64(speedup)));
         fields.push((
             format!("answers_per_reply_{workers}"),
-            serde_json::Value::F64(answers_per_reply),
+            Value::F64(answers_per_reply),
         ));
         measures.push(ScalePoint {
             workers,
@@ -1202,7 +1210,7 @@ where
         });
     }
     report.row(format!("{name}: models bit-identical"), true);
-    (serde_json::Value::Map(fields), measures)
+    (Value::Map(fields), measures)
 }
 
 /// One worker-count measurement of [`cpu_scaling_scenario`].
@@ -1238,7 +1246,7 @@ struct ScalePoint {
 /// `quick` shrinks the equivalence-testing volume for CI smoke runs; the
 /// scenario JSON (merged into `BENCH_learning.json` under `cpu_scaling` by
 /// the `exp_cpu_scaling` binary) records which mode produced the numbers.
-pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
+pub fn exp_cpu_scaling(quick: bool) -> (Report, Value) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1259,14 +1267,8 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
         if quick { " (quick)" } else { "" }
     ));
     let mut scenario_fields = vec![
-        (
-            "parallelism".to_string(),
-            serde_json::Value::U64(cores as u64),
-        ),
-        (
-            "repeats".to_string(),
-            serde_json::Value::U64(repeats as u64),
-        ),
+        ("parallelism".to_string(), Value::U64(cores as u64)),
+        ("repeats".to_string(), Value::U64(repeats as u64)),
     ];
     let mut gates: Vec<(&str, Vec<ScalePoint>)> = Vec::new();
 
@@ -1340,7 +1342,7 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
              wall-clock gate degrades to the >= 0.50x no-collapse floor"
         )
     });
-    (report, serde_json::Value::Map(scenario_fields))
+    (report, Value::Map(scenario_fields))
 }
 
 /// E17 — in-flight-session scaling of the event-driven session engine.
@@ -1356,15 +1358,13 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, serde_json::Value) {
 /// under latency, throughput comes from keeping requests in flight, not
 /// from more threads.  The `exp_session_engine` binary appends the returned
 /// JSON scenario to `BENCH_learning.json`.
-pub fn exp_session_engine() -> (Report, serde_json::Value) {
+pub fn exp_session_engine() -> (Report, Value) {
     exp_session_engine_with_events(None)
 }
 
 /// [`exp_session_engine`] with an optional event sink receiving
 /// `bench:stage` progress markers as each engine shape runs.
-pub fn exp_session_engine_with_events(
-    events: Option<Arc<dyn EventSink>>,
-) -> (Report, serde_json::Value) {
+pub fn exp_session_engine_with_events(events: Option<Arc<dyn EventSink>>) -> (Report, Value) {
     use prognosis_automata::equivalence::machines_equivalent;
     let step_rtt = SimDuration::from_micros(50);
     let reset_rtt = SimDuration::from_micros(100);
@@ -1392,7 +1392,7 @@ pub fn exp_session_engine_with_events(
     let mut report = Report::new(
         "E17 — session-engine in-flight scaling (1 worker × {1,16,64} dataflow sessions vs 4 blocking workers)",
     );
-    let mut json_fields: Vec<(String, serde_json::Value)> = Vec::new();
+    let mut json_fields: Vec<(String, Value)> = Vec::new();
     let mut samples: Vec<(ThroughputSample, EngineStats)> = Vec::new();
     let mut baseline: Option<(MealyMachine, u64, u64)> = None;
 
@@ -1452,22 +1452,22 @@ pub fn exp_session_engine_with_events(
             ),
         );
         let mut fields = match sample_json(&sample) {
-            serde_json::Value::Map(fields) => fields,
+            Value::Map(fields) => fields,
             _ => unreachable!("sample_json returns a map"),
         };
         fields.push((
             "occupancy".to_string(),
-            serde_json::Value::F64(outcome.engine.occupancy()),
+            Value::F64(outcome.engine.occupancy()),
         ));
         fields.push((
             "clock_advances".to_string(),
-            serde_json::Value::U64(outcome.engine.clock_advances),
+            Value::U64(outcome.engine.clock_advances),
         ));
         fields.push((
             "peak_inflight".to_string(),
-            serde_json::Value::U64(outcome.engine.peak_inflight),
+            Value::U64(outcome.engine.peak_inflight),
         ));
-        json_fields.push((name.to_string(), serde_json::Value::Map(fields)));
+        json_fields.push((name.to_string(), Value::Map(fields)));
         samples.push((sample, outcome.engine));
     }
 
@@ -1500,31 +1500,31 @@ pub fn exp_session_engine_with_events(
         );
     json_fields.push((
         "speedup_inflight64_vs_blocking1".to_string(),
-        serde_json::Value::F64(speedup64),
+        Value::F64(speedup64),
     ));
     json_fields.push((
         "speedup_inflight64_vs_blocking4".to_string(),
-        serde_json::Value::F64(inflight64 / blocking4.max(1e-9)),
+        Value::F64(inflight64 / blocking4.max(1e-9)),
     ));
-    (report, serde_json::Value::Map(json_fields))
+    (report, Value::Map(json_fields))
 }
 
 /// Renders one phase's dispatch accounting as a JSON map.
-fn phase_json(stats: &PhaseStats, max_inflight: u64) -> serde_json::Value {
-    serde_json::Value::Map(vec![
-        ("batches".to_string(), serde_json::Value::U64(stats.batches)),
-        ("queries".to_string(), serde_json::Value::U64(stats.queries)),
+fn phase_json(stats: &PhaseStats, max_inflight: u64) -> Value {
+    Value::Map(vec![
+        ("batches".to_string(), Value::U64(stats.batches)),
+        ("queries".to_string(), Value::U64(stats.queries)),
         (
             "mean_batch_size".to_string(),
-            serde_json::Value::F64(stats.mean_batch_size()),
+            Value::F64(stats.mean_batch_size()),
         ),
         (
             "virtual_seconds".to_string(),
-            serde_json::Value::F64(stats.worker_micros as f64 / 1e6),
+            Value::F64(stats.worker_micros as f64 / 1e6),
         ),
         (
             "occupancy".to_string(),
-            serde_json::Value::F64(stats.occupancy(max_inflight)),
+            Value::F64(stats.occupancy(max_inflight)),
         ),
     ])
 }
@@ -1543,7 +1543,7 @@ fn phase_json(stats: &PhaseStats, max_inflight: u64) -> serde_json::Value {
 /// `max_inflight` = 16 for the CI smoke step; the full run uses 64.
 /// Returns the `sift_wavefront` scenario (per-phase occupancy, batch-size
 /// histograms, adaptive-limit events) for `BENCH_learning.json`.
-pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
+pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
     let step_rtt = SimDuration::from_micros(50);
     let reset_rtt = SimDuration::from_micros(100);
     let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
@@ -1680,7 +1680,7 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
         );
 
     let histogram_json = |engine: &EngineStats| {
-        serde_json::Value::Map(
+        Value::Map(
             engine
                 .batch_size_histogram
                 .iter()
@@ -1689,7 +1689,7 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
                 .map(|(bucket, count)| {
                     let lo = 1u64 << bucket;
                     let hi = (1u64 << (bucket + 1)) - 1;
-                    (format!("{lo}-{hi}"), serde_json::Value::U64(*count))
+                    (format!("{lo}-{hi}"), Value::U64(*count))
                 })
                 .collect(),
         )
@@ -1698,23 +1698,23 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
         prognosis_core::latency::LatencySul<TcpSul>,
     >,
                     seconds: f64| {
-        serde_json::Value::Map(vec![
-            ("seconds".to_string(), serde_json::Value::F64(seconds)),
+        Value::Map(vec![
+            ("seconds".to_string(), Value::F64(seconds)),
             (
                 "virtual_seconds".to_string(),
-                serde_json::Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
+                Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
             ),
             (
                 "membership_queries".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.membership_queries),
+                Value::U64(outcome.learned.stats.membership_queries),
             ),
             (
                 "fresh_symbols".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.fresh_symbols),
+                Value::U64(outcome.learned.stats.fresh_symbols),
             ),
             (
                 "occupancy".to_string(),
-                serde_json::Value::F64(outcome.engine.occupancy()),
+                Value::F64(outcome.engine.occupancy()),
             ),
             (
                 "construction".to_string(),
@@ -1734,31 +1734,28 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
             ),
             (
                 "limit_grows".to_string(),
-                serde_json::Value::U64(outcome.engine.limit_grows),
+                Value::U64(outcome.engine.limit_grows),
             ),
             (
                 "limit_shrinks".to_string(),
-                serde_json::Value::U64(outcome.engine.limit_shrinks),
+                Value::U64(outcome.engine.limit_shrinks),
             ),
             (
                 "occupancy_timeline_samples".to_string(),
-                serde_json::Value::U64(outcome.engine.occupancy_timeline.len() as u64),
+                Value::U64(outcome.engine.occupancy_timeline.len() as u64),
             ),
         ])
     };
-    let scenario = serde_json::Value::Map(vec![
-        ("workers".to_string(), serde_json::Value::U64(1)),
-        ("max_inflight".to_string(), serde_json::Value::U64(cap)),
+    let scenario = Value::Map(vec![
+        ("workers".to_string(), Value::U64(1)),
+        ("max_inflight".to_string(), Value::U64(cap)),
         ("wavefront".to_string(), run_json(&wave, wave_seconds)),
         ("serial".to_string(), run_json(&serial, serial_seconds)),
         (
             "construction_speedup".to_string(),
-            serde_json::Value::F64(construction_speedup),
+            Value::F64(construction_speedup),
         ),
-        (
-            "models_bit_identical".to_string(),
-            serde_json::Value::Bool(true),
-        ),
+        ("models_bit_identical".to_string(), Value::Bool(true)),
     ]);
     (report, scenario)
 }
@@ -1779,7 +1776,7 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, serde_json::Value) {
 /// the phase-barriered wavefront.  Returns the `dataflow_learner` scenario
 /// (per-strategy runs, speculation waste, occupancy and speedups) for
 /// `BENCH_learning.json`.
-pub fn exp_dataflow_learner(quick: bool) -> (Report, serde_json::Value) {
+pub fn exp_dataflow_learner(quick: bool) -> (Report, Value) {
     exp_dataflow_learner_with_events(quick, None)
 }
 
@@ -1788,7 +1785,7 @@ pub fn exp_dataflow_learner(quick: bool) -> (Report, serde_json::Value) {
 pub fn exp_dataflow_learner_with_events(
     quick: bool,
     events: Option<Arc<dyn EventSink>>,
-) -> (Report, serde_json::Value) {
+) -> (Report, Value) {
     let step_rtt = SimDuration::from_micros(50);
     let reset_rtt = SimDuration::from_micros(100);
     let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
@@ -1944,28 +1941,28 @@ pub fn exp_dataflow_learner_with_events(
     >,
                     seconds: f64| {
         let con = outcome.engine.phase(QueryPhase::Construction);
-        serde_json::Value::Map(vec![
-            ("seconds".to_string(), serde_json::Value::F64(seconds)),
+        Value::Map(vec![
+            ("seconds".to_string(), Value::F64(seconds)),
             (
                 "virtual_seconds".to_string(),
-                serde_json::Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
+                Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
             ),
             (
                 "membership_queries".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.membership_queries),
+                Value::U64(outcome.learned.stats.membership_queries),
             ),
             (
                 "fresh_symbols".to_string(),
-                serde_json::Value::U64(outcome.learned.stats.fresh_symbols),
+                Value::U64(outcome.learned.stats.fresh_symbols),
             ),
             (
                 "occupancy".to_string(),
-                serde_json::Value::F64(outcome.engine.occupancy()),
+                Value::F64(outcome.engine.occupancy()),
             ),
             ("construction".to_string(), phase_json(con, cap)),
             (
                 "construction_window_occupancy".to_string(),
-                serde_json::Value::F64(con.window_occupancy(cap)),
+                Value::F64(con.window_occupancy(cap)),
             ),
             (
                 "equivalence".to_string(),
@@ -1973,54 +1970,39 @@ pub fn exp_dataflow_learner_with_events(
             ),
         ])
     };
-    let scenario = serde_json::Value::Map(vec![
-        ("workers".to_string(), serde_json::Value::U64(1)),
-        ("max_inflight".to_string(), serde_json::Value::U64(cap)),
+    let scenario = Value::Map(vec![
+        ("workers".to_string(), Value::U64(1)),
+        ("max_inflight".to_string(), Value::U64(cap)),
         ("dataflow".to_string(), run_json(&flow, flow_seconds)),
         ("wavefront".to_string(), run_json(&wave, wave_seconds)),
         ("serial".to_string(), run_json(&serial, serial_seconds)),
         (
             "speculation".to_string(),
-            serde_json::Value::Map(vec![
+            Value::Map(vec![
                 (
                     "words_submitted".to_string(),
-                    serde_json::Value::U64(spec.words_submitted),
+                    Value::U64(spec.words_submitted),
                 ),
-                (
-                    "words_used".to_string(),
-                    serde_json::Value::U64(spec.words_used),
-                ),
+                ("words_used".to_string(), Value::U64(spec.words_used)),
                 (
                     "words_discarded".to_string(),
-                    serde_json::Value::U64(spec.words_discarded),
+                    Value::U64(spec.words_discarded),
                 ),
-                (
-                    "words_unsent".to_string(),
-                    serde_json::Value::U64(spec.words_unsent),
-                ),
-                ("suites".to_string(), serde_json::Value::U64(spec.suites)),
-                (
-                    "rollbacks".to_string(),
-                    serde_json::Value::U64(spec.rollbacks),
-                ),
-                (
-                    "waste_ratio".to_string(),
-                    serde_json::Value::F64(waste_ratio),
-                ),
+                ("words_unsent".to_string(), Value::U64(spec.words_unsent)),
+                ("suites".to_string(), Value::U64(spec.suites)),
+                ("rollbacks".to_string(), Value::U64(spec.rollbacks)),
+                ("waste_ratio".to_string(), Value::F64(waste_ratio)),
             ]),
         ),
         (
             "speedup_vs_wavefront".to_string(),
-            serde_json::Value::F64(speedup_vs_wave),
+            Value::F64(speedup_vs_wave),
         ),
         (
             "speedup_vs_serial".to_string(),
-            serde_json::Value::F64(speedup_vs_serial),
+            Value::F64(speedup_vs_serial),
         ),
-        (
-            "models_bit_identical".to_string(),
-            serde_json::Value::Bool(true),
-        ),
+        ("models_bit_identical".to_string(), Value::Bool(true)),
     ]);
     (report, scenario)
 }
@@ -2040,7 +2022,7 @@ pub fn exp_dataflow_learner_with_events(
 /// split of a 10%-loss link (0.9² ≈ 0.81 round-trip survival), the §5
 /// mechanism that surfaced the mvfst stateless-reset ratio.  `quick` keeps
 /// two sweep points for the CI smoke step; the full run sweeps four.
-pub fn exp_noise_sweep(quick: bool) -> (Report, serde_json::Value) {
+pub fn exp_noise_sweep(quick: bool) -> (Report, Value) {
     let alphabet = Alphabet::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)", "FIN+ACK(?,?,0)"]);
     let config = LearnConfig {
         seed: 7,
@@ -2058,7 +2040,7 @@ pub fn exp_noise_sweep(quick: bool) -> (Report, serde_json::Value) {
         "E18 — loss/jitter sweep under multiplexing (impaired-network session transport, \
          1 worker × 16 in-flight sessions)",
     );
-    let mut points: Vec<(String, serde_json::Value)> = Vec::new();
+    let mut points: Vec<(String, Value)> = Vec::new();
     let progress = Progress::stdout();
     for (point, &(loss, jitter_us)) in sweep.iter().enumerate() {
         progress.update(&format!(
@@ -2112,35 +2094,32 @@ pub fn exp_noise_sweep(quick: bool) -> (Report, serde_json::Value) {
         );
         points.push((
             name,
-            serde_json::Value::Map(vec![
-                ("loss".to_string(), serde_json::Value::F64(loss)),
-                ("jitter_us".to_string(), serde_json::Value::U64(jitter_us)),
-                ("seconds".to_string(), serde_json::Value::F64(seconds)),
-                (
-                    "virtual_seconds".to_string(),
-                    serde_json::Value::F64(virtual_seconds),
-                ),
+            Value::Map(vec![
+                ("loss".to_string(), Value::F64(loss)),
+                ("jitter_us".to_string(), Value::U64(jitter_us)),
+                ("seconds".to_string(), Value::F64(seconds)),
+                ("virtual_seconds".to_string(), Value::F64(virtual_seconds)),
                 (
                     "symbols_per_virtual_sec".to_string(),
-                    serde_json::Value::F64(symbols_per_virtual_sec),
+                    Value::F64(symbols_per_virtual_sec),
                 ),
                 (
                     "symbols_sent".to_string(),
-                    serde_json::Value::U64(outcome.sul_stats.symbols_sent),
+                    Value::U64(outcome.sul_stats.symbols_sent),
                 ),
                 (
                     "fresh_symbols".to_string(),
-                    serde_json::Value::U64(outcome.learned.stats.fresh_symbols),
+                    Value::U64(outcome.learned.stats.fresh_symbols),
                 ),
                 (
                     "model_states".to_string(),
-                    serde_json::Value::U64(outcome.learned.model.num_states() as u64),
+                    Value::U64(outcome.learned.model.num_states() as u64),
                 ),
                 (
                     "occupancy".to_string(),
-                    serde_json::Value::F64(outcome.engine.occupancy()),
+                    Value::F64(outcome.engine.occupancy()),
                 ),
-                ("grid_identical".to_string(), serde_json::Value::Bool(true)),
+                ("grid_identical".to_string(), Value::Bool(true)),
             ]),
         ));
     }
@@ -2198,31 +2177,25 @@ pub fn exp_noise_sweep(quick: bool) -> (Report, serde_json::Value) {
         );
         points.push((
             name,
-            serde_json::Value::Map(vec![
-                ("uplink_loss".to_string(), serde_json::Value::F64(0.0)),
-                ("downlink_loss".to_string(), serde_json::Value::F64(0.05)),
-                (
-                    "downlink_jitter_us".to_string(),
-                    serde_json::Value::U64(200),
-                ),
-                ("seconds".to_string(), serde_json::Value::F64(seconds)),
-                (
-                    "virtual_seconds".to_string(),
-                    serde_json::Value::F64(virtual_seconds),
-                ),
+            Value::Map(vec![
+                ("uplink_loss".to_string(), Value::F64(0.0)),
+                ("downlink_loss".to_string(), Value::F64(0.05)),
+                ("downlink_jitter_us".to_string(), Value::U64(200)),
+                ("seconds".to_string(), Value::F64(seconds)),
+                ("virtual_seconds".to_string(), Value::F64(virtual_seconds)),
                 (
                     "fresh_symbols".to_string(),
-                    serde_json::Value::U64(outcome.learned.stats.fresh_symbols),
+                    Value::U64(outcome.learned.stats.fresh_symbols),
                 ),
                 (
                     "model_states".to_string(),
-                    serde_json::Value::U64(outcome.learned.model.num_states() as u64),
+                    Value::U64(outcome.learned.model.num_states() as u64),
                 ),
                 (
                     "occupancy".to_string(),
-                    serde_json::Value::F64(outcome.engine.occupancy()),
+                    Value::F64(outcome.engine.occupancy()),
                 ),
-                ("grid_identical".to_string(), serde_json::Value::Bool(true)),
+                ("grid_identical".to_string(), Value::Bool(true)),
             ]),
         ));
     }
@@ -2266,37 +2239,34 @@ pub fn exp_noise_sweep(quick: bool) -> (Report, serde_json::Value) {
             "impairments now hit in-flight multiplexed queries; per-seed purity keeps every \
              sweep row reproducible and engine-shape independent",
         );
-    let scenario = serde_json::Value::Map(vec![
+    let scenario = Value::Map(vec![
         (
             "alphabet_symbols".to_string(),
-            serde_json::Value::U64(alphabet.len() as u64),
+            Value::U64(alphabet.len() as u64),
         ),
-        ("workers".to_string(), serde_json::Value::U64(1)),
-        ("max_inflight".to_string(), serde_json::Value::U64(16)),
+        ("workers".to_string(), Value::U64(1)),
+        ("max_inflight".to_string(), Value::U64(16)),
         (
             "base_latency_us".to_string(),
-            serde_json::Value::U64(base_latency.as_micros()),
+            Value::U64(base_latency.as_micros()),
         ),
-        ("points".to_string(), serde_json::Value::Map(points)),
+        ("points".to_string(), Value::Map(points)),
         (
             "check_multiplexed".to_string(),
-            serde_json::Value::Map(vec![
-                ("loss".to_string(), serde_json::Value::F64(0.10)),
+            Value::Map(vec![
+                ("loss".to_string(), Value::F64(0.10)),
                 (
                     "executions".to_string(),
-                    serde_json::Value::U64(check.executions as u64),
+                    Value::U64(check.executions as u64),
                 ),
                 (
                     "distinct_answers".to_string(),
-                    serde_json::Value::U64(check.distinct_outputs() as u64),
+                    Value::U64(check.distinct_outputs() as u64),
                 ),
-                (
-                    "majority_frequency".to_string(),
-                    serde_json::Value::F64(majority_freq),
-                ),
+                ("majority_frequency".to_string(), Value::F64(majority_freq)),
                 (
                     "deterministic".to_string(),
-                    serde_json::Value::Bool(check.deterministic),
+                    Value::Bool(check.deterministic),
                 ),
             ]),
         ),
@@ -2317,7 +2287,7 @@ pub fn exp_noise_sweep(quick: bool) -> (Report, serde_json::Value) {
 /// two canonical reports are asserted byte-identical — the determinism
 /// contract of the orchestrator.  `quick` shrinks the equivalence-testing
 /// effort for the CI smoke run; the matrix itself stays intact.
-pub fn exp_campaign(quick: bool) -> (Report, serde_json::Value) {
+pub fn exp_campaign(quick: bool) -> (Report, Value) {
     let tcp_symbols = ["SYN(?,?,0)", "ACK(?,?,0)", "FIN+ACK(?,?,0)"];
     let data_symbols: Vec<String> = quic_data_alphabet()
         .iter()
@@ -2532,62 +2502,47 @@ pub fn exp_campaign(quick: bool) -> (Report, serde_json::Value) {
         .map(|c| {
             (
                 c.id.clone(),
-                serde_json::Value::Map(vec![
-                    (
-                        "states".to_string(),
-                        serde_json::Value::U64(c.states as u64),
-                    ),
-                    (
-                        "cache_hit_rate".to_string(),
-                        serde_json::Value::F64(c.cache_hit_rate),
-                    ),
+                Value::Map(vec![
+                    ("states".to_string(), Value::U64(c.states as u64)),
+                    ("cache_hit_rate".to_string(), Value::F64(c.cache_hit_rate)),
                     (
                         "divergences".to_string(),
-                        serde_json::Value::U64(c.divergences.len() as u64),
+                        Value::U64(c.divergences.len() as u64),
                     ),
-                    (
-                        "cacheable".to_string(),
-                        serde_json::Value::Bool(c.cacheable),
-                    ),
+                    ("cacheable".to_string(), Value::Bool(c.cacheable)),
                 ]),
             )
         })
         .collect();
-    let scenario = serde_json::Value::Map(vec![
-        (
-            "cells".to_string(),
-            serde_json::Value::U64(primary.cells.len() as u64),
-        ),
-        ("seconds".to_string(), serde_json::Value::F64(seconds)),
+    let scenario = Value::Map(vec![
+        ("cells".to_string(), Value::U64(primary.cells.len() as u64)),
+        ("seconds".to_string(), Value::F64(seconds)),
         (
             "max_virtual_elapsed_micros".to_string(),
-            serde_json::Value::U64(primary.max_virtual_elapsed_micros()),
+            Value::U64(primary.max_virtual_elapsed_micros()),
         ),
         (
             "cross_version_hit_rate".to_string(),
-            serde_json::Value::F64(google_v2_cell.cache_hit_rate),
+            Value::F64(google_v2_cell.cache_hit_rate),
         ),
         (
             "primed_words".to_string(),
-            serde_json::Value::U64(google_v2_cell.primed_words),
+            Value::U64(google_v2_cell.primed_words),
         ),
         (
             "diff_findings".to_string(),
-            serde_json::Value::U64(primary.diff_findings() as u64),
+            Value::U64(primary.diff_findings() as u64),
         ),
         (
             "divergence_findings".to_string(),
-            serde_json::Value::U64(primary.divergence_findings() as u64),
+            Value::U64(primary.divergence_findings() as u64),
         ),
         (
             "violated_checks".to_string(),
-            serde_json::Value::U64(primary.violated_checks() as u64),
+            Value::U64(primary.violated_checks() as u64),
         ),
-        (
-            "schedule_independent".to_string(),
-            serde_json::Value::Bool(true),
-        ),
-        ("cell_detail".to_string(), serde_json::Value::Map(cells)),
+        ("schedule_independent".to_string(), Value::Bool(true)),
+        ("cell_detail".to_string(), Value::Map(cells)),
     ]);
     (report, scenario)
 }
@@ -2635,7 +2590,7 @@ fn store_bench_trie(
 /// compaction sizes are a pure function of the synthetic trie and the
 /// format, so both are asserted byte-exact: any change to the on-disk
 /// format fails the run.
-pub fn exp_store_format(quick: bool) -> (Report, serde_json::Value) {
+pub fn exp_store_format(quick: bool) -> (Report, Value) {
     exp_store_format_with_events(quick, None)
 }
 
@@ -2644,7 +2599,7 @@ pub fn exp_store_format(quick: bool) -> (Report, serde_json::Value) {
 pub fn exp_store_format_with_events(
     quick: bool,
     events: Option<Arc<dyn EventSink>>,
-) -> (Report, serde_json::Value) {
+) -> (Report, Value) {
     use prognosis_learner::cache::StoreKey;
     use prognosis_learner::journal::{JournalStore, RetainPolicy};
 
@@ -2757,65 +2712,41 @@ pub fn exp_store_format_with_events(
         );
 
     let fields = vec![
-        (
-            "observations".to_string(),
-            serde_json::Value::U64(observations),
-        ),
+        ("observations".to_string(), Value::U64(observations)),
         (
             "journal".to_string(),
-            serde_json::Value::Map(vec![
-                (
-                    "save_seconds".to_string(),
-                    serde_json::Value::F64(journal_save_seconds),
-                ),
-                (
-                    "load_seconds".to_string(),
-                    serde_json::Value::F64(journal_load_seconds),
-                ),
-                (
-                    "file_bytes".to_string(),
-                    serde_json::Value::U64(journal_bytes),
-                ),
+            Value::Map(vec![
+                ("save_seconds".to_string(), Value::F64(journal_save_seconds)),
+                ("load_seconds".to_string(), Value::F64(journal_load_seconds)),
+                ("file_bytes".to_string(), Value::U64(journal_bytes)),
             ]),
         ),
-        (
-            "load_bit_identical".to_string(),
-            serde_json::Value::Bool(true),
-        ),
+        ("load_bit_identical".to_string(), Value::Bool(true)),
         (
             "compaction".to_string(),
-            serde_json::Value::Map(vec![
-                (
-                    "before_bytes".to_string(),
-                    serde_json::Value::U64(outcome.before_bytes),
-                ),
-                (
-                    "after_bytes".to_string(),
-                    serde_json::Value::U64(outcome.after_bytes),
-                ),
+            Value::Map(vec![
+                ("before_bytes".to_string(), Value::U64(outcome.before_bytes)),
+                ("after_bytes".to_string(), Value::U64(outcome.after_bytes)),
                 (
                     "before_records".to_string(),
-                    serde_json::Value::U64(outcome.before_records as u64),
+                    Value::U64(outcome.before_records as u64),
                 ),
                 (
                     "after_records".to_string(),
-                    serde_json::Value::U64(outcome.after_records as u64),
+                    Value::U64(outcome.after_records as u64),
                 ),
-                (
-                    "replay_identical".to_string(),
-                    serde_json::Value::Bool(true),
-                ),
+                ("replay_identical".to_string(), Value::Bool(true)),
             ]),
         ),
     ];
-    (report, serde_json::Value::Map(fields))
+    (report, Value::Map(fields))
 }
 
 /// The fields stamping a scenario row with how it was measured: `quick`
 /// (a reduced smoke configuration), the host's available parallelism and
 /// the source revision (`git describe --always --dirty`, `"unknown"`
 /// outside a git checkout).
-fn run_stamp(quick: bool) -> Vec<(String, serde_json::Value)> {
+fn run_stamp(quick: bool) -> Vec<(String, Value)> {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let rev = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])
@@ -2826,12 +2757,12 @@ fn run_stamp(quick: bool) -> Vec<(String, serde_json::Value)> {
         .and_then(|out| String::from_utf8(out.stdout).ok())
         .map_or_else(|| "unknown".to_string(), |rev| rev.trim().to_string());
     vec![
-        ("quick".to_string(), serde_json::Value::Bool(quick)),
+        ("quick".to_string(), Value::Bool(quick)),
         (
             "host_parallelism".to_string(),
-            serde_json::Value::U64(parallelism as u64),
+            Value::U64(parallelism as u64),
         ),
-        ("git_rev".to_string(), serde_json::Value::Str(rev)),
+        ("git_rev".to_string(), Value::Str(rev)),
     ]
 }
 
@@ -2914,7 +2845,7 @@ fn process_cpu_seconds() -> f64 {
 /// round is left on disk for the analyzer (`prognosis-events verify` /
 /// `timeline` run on it in CI).  Returns the `event_log` scenario for
 /// `BENCH_learning.json`.
-pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_json::Value) {
+pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, Value) {
     use prognosis_events::analyze::scan_log;
     use prognosis_events::rotate::{rotated_indices, rotated_path, EventLog, EventLogConfig};
 
@@ -3127,114 +3058,110 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, serde_
              learned model bit-identical and stays within the <5% overhead budget",
         );
     let fields = vec![
-        (
-            "plain_cpu_seconds".to_string(),
-            serde_json::Value::F64(plain_best),
-        ),
-        (
-            "logged_cpu_seconds".to_string(),
-            serde_json::Value::F64(logged_best),
-        ),
+        ("plain_cpu_seconds".to_string(), Value::F64(plain_best)),
+        ("logged_cpu_seconds".to_string(), Value::F64(logged_best)),
         (
             "plain_wall_seconds".to_string(),
-            serde_json::Value::F64(plain_wall_best),
+            Value::F64(plain_wall_best),
         ),
         (
             "logged_wall_seconds".to_string(),
-            serde_json::Value::F64(logged_wall_best),
+            Value::F64(logged_wall_best),
         ),
-        (
-            "overhead_frac".to_string(),
-            serde_json::Value::F64(overhead),
-        ),
-        (
-            "events".to_string(),
-            serde_json::Value::U64(scan.events.len() as u64),
-        ),
-        ("bytes".to_string(), serde_json::Value::U64(scan.bytes)),
-        (
-            "files".to_string(),
-            serde_json::Value::U64(scan.files.len() as u64),
-        ),
-        ("sessions".to_string(), serde_json::Value::U64(sessions)),
-        (
-            "model_states".to_string(),
-            serde_json::Value::U64(model_states as u64),
-        ),
+        ("overhead_frac".to_string(), Value::F64(overhead)),
+        ("events".to_string(), Value::U64(scan.events.len() as u64)),
+        ("bytes".to_string(), Value::U64(scan.bytes)),
+        ("files".to_string(), Value::U64(scan.files.len() as u64)),
+        ("sessions".to_string(), Value::U64(sessions)),
+        ("model_states".to_string(), Value::U64(model_states as u64)),
     ];
-    (report, serde_json::Value::Map(fields))
+    (report, Value::Map(fields))
 }
 
 /// Records the scenario row `name` of an experiment binary, stamped by
 /// [`run_stamp`].  A `quick` run prints the rendered row and leaves
 /// `BENCH_learning.json` alone, so a smoke run never replaces a full-size
 /// row; a full run merges the row into `BENCH_learning.json` in the
-/// current directory, creating the file if needed.
-pub fn record_scenario(name: &str, mut scenario: serde_json::Value, quick: bool) {
-    if let serde_json::Value::Map(fields) = &mut scenario {
+/// current directory, creating the file only if it does not exist.
+///
+/// # Panics
+///
+/// If the existing file cannot be read or is not a JSON object — the run
+/// fails and leaves the file untouched rather than replace its rows.
+pub fn record_scenario(name: &str, mut scenario: Value, quick: bool) {
+    if let Value::Map(fields) = &mut scenario {
         fields.extend(run_stamp(quick));
     }
     if quick {
-        let row = serde_json::to_string_pretty(&ValueDoc(scenario)).expect("render scenario row");
-        println!("{row}");
+        println!("{}", json::render_pretty(&scenario));
         println!("quick run: BENCH_learning.json left unchanged");
         return;
     }
-    let existing = std::fs::read_to_string("BENCH_learning.json").ok();
-    let merged = merge_scenario(existing.as_deref(), name, scenario);
+    let existing = match std::fs::read_to_string("BENCH_learning.json") {
+        Ok(text) => Some(text),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => panic!("cannot read BENCH_learning.json (left unchanged): {e}"),
+    };
+    let merged = merge_scenario(existing.as_deref(), name, scenario)
+        .unwrap_or_else(|e| panic!("BENCH_learning.json left unchanged: {e}"));
     std::fs::write("BENCH_learning.json", merged).expect("write BENCH_learning.json");
     println!("merged {name} scenario into BENCH_learning.json");
 }
 
 /// Merges one named scenario into an existing `BENCH_learning.json`
-/// document (or builds a fresh one), returning the rendered file contents.
+/// document (or, for `None`, a fresh one), returning the rendered file
+/// contents.  A scenario already present is replaced in place; a new one
+/// is appended.  An existing document that is not a JSON object is an
+/// error, never silently replaced.
 ///
 /// Every merge also re-scans the whole document for perf regressions: any
 /// object carrying a `speedup`/`speedup_*` number below 1.0 is flagged
 /// with `"regression": true`, and a stale flag is dropped once the number
 /// recovers — so the trajectory file itself says where parallelism is
 /// currently losing to sequential.
-pub fn merge_scenario(existing: Option<&str>, name: &str, scenario: serde_json::Value) -> String {
-    let mut document = existing
-        .and_then(|text| serde_json::from_str::<ValueDocIn>(text).ok())
-        .map(|doc| doc.0)
-        .unwrap_or_else(|| {
-            serde_json::Value::Map(vec![(
-                "experiment".to_string(),
-                serde_json::Value::Str("parallel_learning".to_string()),
-            )])
-        });
-    if let serde_json::Value::Map(fields) = &mut document {
-        let scenarios = fields.iter_mut().find(|(k, _)| k == "scenarios");
-        match scenarios {
-            Some((_, serde_json::Value::Map(scenarios))) => {
-                scenarios.retain(|(k, _)| k != name);
-                scenarios.push((name.to_string(), scenario));
-            }
-            _ => fields.push((
-                "scenarios".to_string(),
-                serde_json::Value::Map(vec![(name.to_string(), scenario)]),
-            )),
-        }
+pub fn merge_scenario(
+    existing: Option<&str>,
+    name: &str,
+    scenario: Value,
+) -> Result<String, String> {
+    let mut document = match existing {
+        Some(text) => json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?,
+        None => Value::Map(vec![(
+            "experiment".to_string(),
+            Value::Str("parallel_learning".to_string()),
+        )]),
+    };
+    let Value::Map(fields) = &mut document else {
+        return Err("the document is not a JSON object".to_string());
+    };
+    match fields.iter_mut().find(|(k, _)| k == "scenarios") {
+        Some((_, Value::Map(scenarios))) => match scenarios.iter_mut().find(|(k, _)| k == name) {
+            Some((_, row)) => *row = scenario,
+            None => scenarios.push((name.to_string(), scenario)),
+        },
+        _ => fields.push((
+            "scenarios".to_string(),
+            Value::Map(vec![(name.to_string(), scenario)]),
+        )),
     }
     flag_regressions(&mut document);
-    serde_json::to_string_pretty(&ValueDoc(document)).expect("render BENCH json")
+    Ok(json::render_pretty(&document))
 }
 
 /// Walks a JSON tree and maintains the `"regression"` markers described on
 /// [`merge_scenario`].
-fn flag_regressions(value: &mut serde_json::Value) {
+fn flag_regressions(value: &mut Value) {
     match value {
-        serde_json::Value::Map(fields) => {
+        Value::Map(fields) => {
             let mut regressed = false;
             let mut has_speedup = false;
             for (key, entry) in fields.iter_mut() {
                 if key == "speedup" || key.starts_with("speedup_") {
                     has_speedup = true;
                     let number = match entry {
-                        serde_json::Value::F64(n) => Some(*n),
-                        serde_json::Value::U64(n) => Some(*n as f64),
-                        serde_json::Value::I64(n) => Some(*n as f64),
+                        Value::F64(n) => Some(*n),
+                        Value::U64(n) => Some(*n as f64),
+                        Value::I64(n) => Some(*n as f64),
                         _ => None,
                     };
                     if number.is_some_and(|n| n < 1.0) {
@@ -3246,43 +3173,16 @@ fn flag_regressions(value: &mut serde_json::Value) {
             }
             if regressed {
                 fields.retain(|(k, _)| k != "regression");
-                fields.push(("regression".to_string(), serde_json::Value::Bool(true)));
+                fields.push(("regression".to_string(), Value::Bool(true)));
             } else if has_speedup {
                 fields.retain(|(k, _)| k != "regression");
             }
         }
-        serde_json::Value::Seq(items) => {
+        Value::Seq(items) => {
             for item in items {
                 flag_regressions(item);
             }
         }
         _ => {}
-    }
-}
-
-/// Merges the E17 scenario into an existing `BENCH_learning.json` document
-/// (or builds a fresh one), returning the rendered file contents.
-pub fn merge_session_engine_scenario(
-    existing: Option<&str>,
-    scenario: serde_json::Value,
-) -> String {
-    merge_scenario(existing, "session_engine", scenario)
-}
-
-/// Wrapper making a pre-built JSON value serializable through the shim.
-struct ValueDoc(serde_json::Value);
-
-impl serde::Serialize for ValueDoc {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(self.0.clone())
-    }
-}
-
-/// Wrapper parsing a JSON document into the shim's raw value tree.
-struct ValueDocIn(serde_json::Value);
-
-impl<'de> serde::Deserialize<'de> for ValueDocIn {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.into_value().map(ValueDocIn)
     }
 }

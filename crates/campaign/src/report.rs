@@ -14,8 +14,8 @@
 use prognosis_analysis::model_diff::ModelDiff;
 use prognosis_analysis::properties::{PropertyCheck, SafetyProperty};
 use prognosis_automata::mealy::MealyMachine;
+use prognosis_events::json::{self, Value};
 use prognosis_learner::trie::TrieDivergence;
-use serde_json::Value;
 
 /// FNV-1a digest of a Mealy machine's transition structure.  The campaign
 /// report carries this instead of the machine itself: two digests match
@@ -288,16 +288,7 @@ impl CampaignReport {
     /// Byte-identical across engine sizes, task-worker counts and schedule
     /// seeds for the same spec.
     pub fn canonical_json(&self) -> String {
-        serde_json::to_string_pretty(&ValueDoc(self.to_json())).expect("render campaign report")
-    }
-}
-
-/// Wrapper making a pre-built JSON value serializable through the shim.
-struct ValueDoc(Value);
-
-impl serde::Serialize for ValueDoc {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_value(self.0.clone())
+        json::render_pretty(&self.to_json())
     }
 }
 

@@ -14,23 +14,22 @@
 //!   must reproduce the in-process google model exactly.
 //!
 //! The TCP and quiche pins are also certified against ground truth: a
-//! fresh SUL passes the W-method suite for at most two extra states
-//! ([`CERTIFIED_EXTRA_STATES`]), so those pins are the SULs' models up to
-//! that bound, not merely stable outputs.  The google pin is only the model
-//! *this configuration* learns (see [`GOOGLE`]).
+//! fresh SUL passes the W-method suite ([`w_method_failures`]) for at
+//! most two extra states ([`CERTIFIED_EXTRA_STATES`]), so those pins are
+//! the SULs' models up to that bound, not merely stable outputs.  The
+//! google pin is only the model *this configuration* learns (see
+//! [`GOOGLE`]).
 //!
 //! mvfst is left out: its answers depend on the query's position in the
 //! run (Issue 2's nondeterminism), so it has no single golden model.
 
-use prognosis_automata::access::w_method_suite_stream;
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_campaign::model_digest;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
 use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig};
 use prognosis_core::session::SimDuration;
-use prognosis_core::sul::{Sul, SulMembershipOracle};
+use prognosis_core::sul::w_method_failures;
 use prognosis_core::{quic_alphabet, tcp_alphabet, QuicSul, QuicSulFactory, TcpSul};
-use prognosis_learner::oracle::MembershipOracle;
 use prognosis_quic_sim::profile::ImplementationProfile;
 
 /// The E1 TCP model: (states, digest).
@@ -69,20 +68,6 @@ fn in_process_quic(profile: ImplementationProfile) -> MealyMachine {
 
 fn pin(model: &MealyMachine) -> (usize, u64) {
     (model.num_states(), model_digest(model))
-}
-
-/// Runs the W-method suite for `model` at `extra_states` against `sul`
-/// and returns (words run, words the SUL answers differently).
-fn w_method_failures(model: &MealyMachine, sul: impl Sul, extra_states: usize) -> (usize, usize) {
-    let mut oracle = SulMembershipOracle::new(sul);
-    let (mut words, mut failures) = (0, 0);
-    for word in w_method_suite_stream(model, extra_states) {
-        words += 1;
-        if model.run(&word).ok() != Some(oracle.query(&word)) {
-            failures += 1;
-        }
-    }
-    (words, failures)
 }
 
 fn e1_tcp_model() -> MealyMachine {

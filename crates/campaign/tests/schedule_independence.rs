@@ -4,6 +4,8 @@
 //! the completion order of independent tasks) move only wall-clock — the
 //! learned models, diff reports and every per-cell statistic must come
 //! back bit-identical, asserted here on the canonical JSON rendering.
+//! The reference rendering is also pinned to fixed bytes, so neither the
+//! campaign nor the JSON writer can drift unnoticed.
 
 use prognosis_analysis::properties::SafetyProperty;
 use prognosis_campaign::{run_campaign, CampaignSpec, CellSpec, Impairment, RunnerConfig};
@@ -42,6 +44,15 @@ fn spec() -> CampaignSpec {
         .diff("tcp-v1", "tcp-v1-loss")
         .check("tcp-v1", SafetyProperty::never_output("NEVER-EMITTED"))
         .with_learn(learn)
+}
+
+/// `canonical(2, 1, 0)`: (length, FNV-1a digest of its bytes).
+const CANONICAL: (usize, u64) = (2694, 0xc667_6a2c_c54b_cb9b);
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 fn canonical(engine_threads: usize, task_workers: usize, schedule_seed: u64) -> String {
@@ -96,4 +107,10 @@ fn reference_run_is_reproducible_and_primes() {
     assert!(v2.primed_words > 0, "the baseline edge primed tcp-v2");
     assert_eq!(v2.learn_misses, 0, "identical behaviour ⇒ full coverage");
     assert!(a.diffs[0].equivalent, "v1 and v2 share one SUL");
+}
+
+#[test]
+fn reference_report_bytes_are_pinned() {
+    let text = canonical(2, 1, 0);
+    assert_eq!((text.len(), fnv1a(text.as_bytes())), CANONICAL);
 }

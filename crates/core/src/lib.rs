@@ -75,5 +75,5 @@ pub use session::{
     SessionScheduler, SessionSul, SessionSulFactory, SharedClock, SimDuration, SimTime,
     TimedSession, TimedSul,
 };
-pub use sul::{replay_query, Sul, SulFactory, SulMembershipOracle, SulStats};
+pub use sul::{replay_query, w_method_failures, Sul, SulFactory, SulMembershipOracle, SulStats};
 pub use tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};

@@ -16,11 +16,10 @@ use crate::session::{QueryPhase, SessionScheduler};
 use crate::sul::{Sul, SulFactory};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::word::{InputWord, OutputWord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of the repeated-query check.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NondeterminismConfig {
     /// Minimum number of times every query is executed.
     pub min_repetitions: usize,
@@ -43,7 +42,7 @@ impl Default for NondeterminismConfig {
 }
 
 /// The verdict for one checked query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NondeterminismReport {
     /// The input word that was checked.
     pub input: InputWord,

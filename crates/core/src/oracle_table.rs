@@ -21,11 +21,10 @@
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
 use prognosis_synth::trace::{ConcreteStep, ConcreteTrace};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// One recorded query: the abstract trace plus per-step concrete fields.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OracleEntry {
     /// The abstract I/O trace.
     pub abstract_trace: IoTrace,
@@ -35,7 +34,7 @@ pub struct OracleEntry {
 
 /// One recorded step: its symbols and the end offsets of its input and
 /// output fields in the table's shared field buffer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct StepRecord {
     input: Symbol,
     output: Symbol,
@@ -44,7 +43,7 @@ struct StepRecord {
 }
 
 /// The Oracle Table: an append-only record of (abstract, concrete) trace pairs.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OracleTable {
     steps: Vec<StepRecord>,
     fields: Vec<i64>,

@@ -28,7 +28,6 @@ use prognosis_learner::oracle::{CacheOracle, MembershipOracle};
 use prognosis_learner::stats::LearningStats;
 use prognosis_learner::trie::PrefixTrie;
 use prognosis_learner::{DTreeLearner, Learner};
-use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
@@ -74,7 +73,7 @@ impl std::fmt::Display for LearnError {
 impl std::error::Error for LearnError {}
 
 /// Configuration of a learning run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LearnConfig {
     /// RNG seed for the equivalence oracle.
     pub seed: u64,

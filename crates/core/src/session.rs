@@ -25,7 +25,6 @@ use crate::sul::{Sul, SulFactory, SulStats};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_events::{Event, ScopedSink, CLOCK_SAMPLE_EVERY};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 pub use prognosis_learner::oracle::QueryPhase;
@@ -277,7 +276,7 @@ impl<F: SulFactory> SessionSulFactory for BlockingSessionFactory<F> {
 /// when two phases are in flight at once (speculative equivalence words
 /// overlapping construction), which a single global "current phase" flag
 /// cannot be.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseFlight {
     /// In-flight session-microseconds of this phase's own queries.
     pub busy_micros: u64,
@@ -292,7 +291,7 @@ pub struct PhaseFlight {
 }
 
 /// Occupancy and progress counters of one [`SessionScheduler`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Queries completed by this scheduler.
     pub queries_completed: u64,
@@ -359,7 +358,7 @@ pub fn phase_name(phase: QueryPhase) -> &'static str {
 /// flight.  This is what makes the sift wavefront measurable — before it,
 /// the construction phase dispatched batches of 1 and its occupancy sat
 /// at ~`1/max_inflight`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Membership batches dispatched during this phase.
     pub batches: u64,
@@ -423,7 +422,7 @@ impl PhaseStats {
 /// phase issued it, how large it was, and the busy/elapsed deltas it
 /// produced — enough to plot occupancy over the run and see the wavefront
 /// fill the pool round by round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OccupancySample {
     /// Learning phase the batch belonged to.
     pub phase: QueryPhase,
@@ -444,7 +443,7 @@ pub struct OccupancySample {
 pub const OCCUPANCY_TIMELINE_CAP: usize = 4096;
 
 /// Aggregated engine statistics across all workers of a parallel oracle.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
     /// Worker threads (schedulers).
     pub workers: u64,

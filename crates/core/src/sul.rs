@@ -7,10 +7,11 @@
 //! [`SulMembershipOracle`] closes the loop by exposing any `Sul` as a
 //! [`MembershipOracle`] for the learners in `prognosis-learner`.
 
+use prognosis_automata::access::w_method_suite_stream;
 use prognosis_automata::alphabet::Symbol;
+use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_learner::oracle::MembershipOracle;
-use serde::{Deserialize, Serialize};
 
 /// A system that can be learned: stepped with abstract symbols, reset
 /// between queries.
@@ -92,7 +93,7 @@ pub fn replay_query<S: Sul + ?Sized>(sul: &mut S, input: &InputWord) -> OutputWo
 }
 
 /// Interaction counters for a SUL.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SulStats {
     /// Abstract input symbols sent.
     pub symbols_sent: u64,
@@ -143,6 +144,28 @@ impl<S: Sul> MembershipOracle for SulMembershipOracle<S> {
     fn queries_answered(&self) -> u64 {
         self.queries
     }
+}
+
+/// Certifies `model` against ground truth: runs the W-method suite for
+/// `model` at `extra_states` extra states against `sul` (pass a fresh
+/// SUL, so no cached learning-time answer stands in for the system) and
+/// returns (words run, words the SUL answers differently).  Zero failures
+/// means the SUL's model equals `model` unless the SUL has more than
+/// `extra_states` states beyond it.
+pub fn w_method_failures(
+    model: &MealyMachine,
+    sul: impl Sul,
+    extra_states: usize,
+) -> (usize, usize) {
+    let mut oracle = SulMembershipOracle::new(sul);
+    let (mut words, mut failures) = (0, 0);
+    for word in w_method_suite_stream(model, extra_states) {
+        words += 1;
+        if model.run(&word).ok() != Some(oracle.query(&word)) {
+            failures += 1;
+        }
+    }
+    (words, failures)
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
+use crate::json::{self, Value};
 use crate::rotate::{rotated_indices, rotated_path};
 
 /// One parsed log line.
@@ -26,7 +27,7 @@ pub struct ParsedEvent {
     /// Logical sequence number (stream events).
     pub seq: Option<u64>,
     /// The `data` payload, if present.
-    pub data: serde_json::Value,
+    pub data: Value,
 }
 
 /// A verified read of a whole log sequence.
@@ -93,44 +94,23 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "bench:stage",
 ];
 
-/// Parses a raw JSON value through the vendored shim.
-struct RawValue(serde_json::Value);
-
-impl<'de> serde::Deserialize<'de> for RawValue {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.into_value().map(RawValue)
-    }
-}
-
-fn field<'a>(map: &'a [(String, serde_json::Value)], key: &str) -> Option<&'a serde_json::Value> {
-    map.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_u64(value: &serde_json::Value) -> Option<u64> {
-    match value {
-        serde_json::Value::U64(n) => Some(*n),
-        serde_json::Value::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
 fn parse_line(line: &str) -> Result<ParsedEvent, String> {
-    let value: RawValue = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let fields = match value.0 {
-        serde_json::Value::Map(fields) => fields,
-        _ => return Err("line is not a JSON object".to_string()),
-    };
-    let name = match field(&fields, "name") {
-        Some(serde_json::Value::Str(s)) => s.clone(),
-        _ => return Err("missing string `name` field".to_string()),
+    let value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    if !matches!(value, Value::Map(_)) {
+        return Err("line is not a JSON object".to_string());
+    }
+    let name = match value.get("name").and_then(Value::as_str) {
+        Some(s) => s.to_string(),
+        None => return Err("missing string `name` field".to_string()),
     };
     if !KNOWN_EVENTS.contains(&name.as_str()) {
         return Err(format!("unknown event name `{name}`"));
     }
     let numeric = |key: &str| -> Result<Option<u64>, String> {
-        match field(&fields, key) {
+        match value.get(key) {
             None => Ok(None),
-            Some(v) => as_u64(v)
+            Some(v) => v
+                .as_u64()
                 .map(Some)
                 .ok_or_else(|| format!("`{key}` is not an unsigned integer")),
         }
@@ -140,9 +120,7 @@ fn parse_line(line: &str) -> Result<ParsedEvent, String> {
         time: numeric("time")?,
         rel: numeric("rel")?,
         seq: numeric("seq")?,
-        data: field(&fields, "data")
-            .cloned()
-            .unwrap_or(serde_json::Value::Null),
+        data: value.get("data").cloned().unwrap_or(Value::Null),
     })
 }
 
@@ -227,21 +205,12 @@ pub fn stats_text(scan: &LogScan) -> String {
 /// The learner phases in canonical order.
 const PHASES: [&str; 3] = ["construction", "counterexample", "equivalence"];
 
-fn data_str<'a>(data: &'a serde_json::Value, key: &str) -> Option<&'a str> {
-    match data {
-        serde_json::Value::Map(fields) => match field(fields, key) {
-            Some(serde_json::Value::Str(s)) => Some(s),
-            _ => None,
-        },
-        _ => None,
-    }
+fn data_str<'a>(data: &'a Value, key: &str) -> Option<&'a str> {
+    data.get(key).and_then(Value::as_str)
 }
 
-fn data_u64(data: &serde_json::Value, key: &str) -> Option<u64> {
-    match data {
-        serde_json::Value::Map(fields) => field(fields, key).and_then(as_u64),
-        _ => None,
-    }
+fn data_u64(data: &Value, key: &str) -> Option<u64> {
+    data.get(key).and_then(Value::as_u64)
 }
 
 /// Buckets `samples` into at most `width` columns and renders one ASCII
@@ -485,6 +454,25 @@ mod tests {
         cleanup(&path);
     }
 
+    /// A line nested far past the JSON parser's depth bound is unsound —
+    /// an error, not a stack overflow.
+    #[test]
+    fn a_deeply_nested_line_is_unsound_not_an_abort() {
+        let path = temp_path("deep");
+        cleanup(&path);
+        let deep = format!(
+            "{{\"name\":\"task:start\",\"seq\":0,\"data\":{}\n",
+            "[".repeat(2_000_000)
+        );
+        // A sound line follows, so the torn-tail rule cannot excuse it.
+        std::fs::write(&path, deep + sound_line()).expect("write deep log");
+        assert!(matches!(
+            scan_log(&path),
+            Err(LogError::Unsound { line: 1, .. })
+        ));
+        cleanup(&path);
+    }
+
     #[test]
     fn timeline_renders_phases_and_wire_summary() {
         let path = temp_path("timeline");
@@ -574,6 +562,27 @@ mod tests {
                     timeline_text(&scan);
                 }
                 cleanup(&path);
+            }
+        }
+
+        // The JSON parser is total on its own: arbitrary text — bytes
+        // decoded lossily, or mapped onto JSON's structural characters so
+        // deep nesting and near-documents are common — parses to a value
+        // or an error, and a parsed value renders to JSON that reparses.
+        #[test]
+        fn arbitrary_text_never_panics_the_json_parser(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
+        ) {
+            const STRUCTURAL: &[u8] = b"[[[{{}}]]]\",:-+.eE0123456789 \\/untrfalse";
+            let raw = String::from_utf8_lossy(&bytes).into_owned();
+            let structural: String = bytes
+                .iter()
+                .map(|&b| STRUCTURAL[usize::from(b) % STRUCTURAL.len()] as char)
+                .collect();
+            for text in [raw, structural] {
+                if let Ok(value) = json::parse(&text) {
+                    proptest::prop_assert!(json::parse(&json::render(&value)).is_ok());
+                }
             }
         }
     }

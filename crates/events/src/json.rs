@@ -1,19 +1,72 @@
-//! Offline JSON front-end for the vendored serde shim.
+//! A minimal JSON value type, writer and parser for the reporting edges:
+//! the `BENCH_learning.json` merger, the canonical campaign report and the
+//! log analyzer.
 //!
-//! Renders and parses the shim's [`Value`] tree as standard JSON.  Only the
-//! API surface the workspace uses is provided: [`to_string`],
-//! [`to_string_pretty`], [`from_str`], [`to_value`] and [`from_value`].
+//! Objects keep their insertion order, so a document renders in exactly
+//! the order it was built.  The parser is total: it bounds nesting depth
+//! at [`MAX_DEPTH`] and returns an [`Error`] for any malformed input
+//! instead of panicking or exhausting the stack.
 
-use serde::{de, ser, DeserializeOwned, Serialize, ValueDeserializer};
-use std::fmt::{self, Display, Write as _};
+use std::fmt::{self, Write as _};
 
-pub use serde::Value;
+/// Deepest array/object nesting [`parse`] accepts.  Every document the
+/// workspace writes nests in single digits.
+pub const MAX_DEPTH: usize = 128;
 
-/// Errors produced while serializing or deserializing JSON.
+/// A JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A signed integer (how [`parse`] reads every integer that fits).
+    I64(i64),
+    /// An unsigned integer.
+    U64(u64),
+    /// A floating-point number; non-finite values render as `null`.
+    F64(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Seq(Vec<Value>),
+    /// An object, in insertion order.
+    Map(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// The entry `key` of an object (`None` for a missing key or a
+    /// non-object).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Map(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as a string, if it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer, if it is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::U64(n) => Some(n),
+            Value::I64(n) => u64::try_from(n).ok(),
+            _ => None,
+        }
+    }
+}
+
+/// Why a document failed to parse.
 #[derive(Clone, Debug)]
 pub struct Error(String);
 
-impl Display for Error {
+impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
@@ -21,49 +74,23 @@ impl Display for Error {
 
 impl std::error::Error for Error {}
 
-impl ser::Error for Error {
-    fn custom<T: Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
-impl de::Error for Error {
-    fn custom<T: Display>(msg: T) -> Self {
-        Error(msg.to_string())
-    }
-}
-
-/// Converts any serializable value into a [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    serde::to_value(value).map_err(|e| Error(e.to_string()))
-}
-
-/// Builds any deserializable value from a [`Value`] tree.
-pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T, Error> {
-    T::deserialize(ValueDeserializer::new(value)).map_err(|e| Error(e.to_string()))
-}
-
-/// Serializes a value to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders `value` as compact JSON.
+pub fn render(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, &to_value(value)?, None, 0);
-    Ok(out)
+    write_value(&mut out, value, false, 0);
+    out
 }
 
-/// Serializes a value to an indented JSON string.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders `value` as JSON indented by two spaces per level, with `": "`
+/// after each key.
+pub fn render_pretty(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, &to_value(value)?, Some(2), 0);
-    Ok(out)
+    write_value(&mut out, value, true, 0);
+    out
 }
 
-/// Parses a value from a JSON string.
-pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T, Error> {
-    from_value(parse(s)?)
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// Appends `s` escaped for the inside of a JSON string literal.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -77,19 +104,24 @@ fn write_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
     out.push('"');
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
+fn newline_indent(out: &mut String, pretty: bool, level: usize) {
+    if pretty {
         out.push('\n');
-        for _ in 0..width * level {
+        for _ in 0..2 * level {
             out.push(' ');
         }
     }
 }
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
+fn write_value(out: &mut String, value: &Value, pretty: bool, level: usize) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => {
@@ -101,76 +133,67 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
         Value::U64(n) => {
             let _ = write!(out, "{n}");
         }
-        Value::F64(n) => {
-            if n.is_finite() {
-                let _ = write!(out, "{n}");
-            } else {
-                out.push_str("null");
-            }
+        Value::F64(n) if n.is_finite() => {
+            let _ = write!(out, "{n}");
         }
-        Value::Str(s) => write_escaped(out, s),
+        Value::F64(_) => out.push_str("null"),
+        Value::Str(s) => write_str(out, s),
+        Value::Seq(items) if items.is_empty() => out.push_str("[]"),
         Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
-                    if indent.is_none() {
-                        // compact: no space
-                    }
                 }
-                newline_indent(out, indent, level + 1);
-                write_value(out, item, indent, level + 1);
+                newline_indent(out, pretty, level + 1);
+                write_value(out, item, pretty, level + 1);
             }
-            newline_indent(out, indent, level);
+            newline_indent(out, pretty, level);
             out.push(']');
         }
+        Value::Map(entries) if entries.is_empty() => out.push_str("{}"),
         Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
             out.push('{');
             for (i, (key, item)) in entries.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, level + 1);
-                write_escaped(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, level + 1);
+                newline_indent(out, pretty, level + 1);
+                write_str(out, key);
+                out.push_str(if pretty { ": " } else { ":" });
+                write_value(out, item, pretty, level + 1);
             }
-            newline_indent(out, indent, level);
+            newline_indent(out, pretty, level);
             out.push('}');
         }
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse(s: &str) -> Result<Value, Error> {
+/// Parses one JSON document (surrounding whitespace allowed).
+pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at byte {}", p.pos)));
+        return Err(p.err("trailing characters"));
     }
     Ok(value)
 }
 
-impl<'a> Parser<'a> {
+struct Parser<'a> {
+    src: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
+}
+
+impl Parser<'_> {
     fn err(&self, msg: &str) -> Error {
         Error(format!("{msg} at byte {}", self.pos))
     }
@@ -210,11 +233,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] so hostile input cannot exhaust the stack.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, Error> {
@@ -243,12 +278,10 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.err("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("invalid \\u escape"))?;
+                            let code = std::str::from_utf8(hex)
+                                .ok()
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid \\u code point"))?,
@@ -259,29 +292,16 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Consume one multi-byte UTF-8 character.  Validating
-                    // only its own bytes keeps parsing linear; the old
-                    // `from_utf8(&bytes[pos..])` re-validated the whole
-                    // remaining document per character (quadratic on the
-                    // megabyte-sized persisted observation caches).
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid UTF-8")),
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or_else(|| self.err("truncated UTF-8 character"))?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
+                Some(_) => {
+                    // The input is a `&str` and `pos` only ever stops on
+                    // character boundaries, so this is one whole character.
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -303,7 +323,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        // Only ASCII bytes were consumed, so both ends are boundaries.
+        let text = &self.src[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Value::I64(n));
@@ -368,20 +389,17 @@ mod tests {
 
     #[test]
     fn round_trips_scalars_and_containers() {
+        // Integers parse as `I64` whenever they fit.
         let v = Value::Map(vec![
-            ("a".to_string(), Value::U64(7)),
+            ("a".to_string(), Value::I64(7)),
             (
                 "b".to_string(),
                 Value::Seq(vec![Value::I64(-1), Value::Bool(true), Value::Null]),
             ),
             ("c".to_string(), Value::Str("x \"y\"\n".to_string())),
         ]);
-        let text = {
-            let mut out = String::new();
-            super::write_value(&mut out, &v, None, 0);
-            out
-        };
-        assert_eq!(parse(&text).unwrap(), v);
+        assert_eq!(parse(&render(&v)).unwrap(), v);
+        assert_eq!(parse(&render_pretty(&v)).unwrap(), v);
     }
 
     #[test]
@@ -392,10 +410,37 @@ mod tests {
     }
 
     #[test]
-    fn typed_round_trip() {
-        let pairs: Vec<(u64, String)> = vec![(1, "one".into()), (2, "two".into())];
-        let json = to_string(&pairs).unwrap();
-        let back: Vec<(u64, String)> = from_str(&json).unwrap();
-        assert_eq!(pairs, back);
+    fn renders_compact_and_pretty_layouts() {
+        let v = Value::Map(vec![
+            ("n".to_string(), Value::F64(f64::NAN)),
+            ("x".to_string(), Value::F64(0.25)),
+            ("e".to_string(), Value::Seq(Vec::new())),
+            (
+                "s".to_string(),
+                Value::Seq(vec![Value::U64(1), Value::Map(Vec::new())]),
+            ),
+            ("t".to_string(), Value::Str("\u{1}é".to_string())),
+        ]);
+        assert_eq!(
+            render(&v),
+            r#"{"n":null,"x":0.25,"e":[],"s":[1,{}],"t":"\u0001é"}"#
+        );
+        assert_eq!(
+            render_pretty(&v),
+            "{\n  \"n\": null,\n  \"x\": 0.25,\n  \"e\": [],\n  \"s\": [\n    1,\n    {}\n  ],\n  \"t\": \"\\u0001é\"\n}"
+        );
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep)
+            .unwrap_err()
+            .to_string()
+            .contains("nesting deeper"));
+        // Far past the bound the parser stops early rather than recursing.
+        assert!(parse(&"{\"a\":[".repeat(1_000_000)).is_err());
     }
 }

@@ -8,7 +8,10 @@
 //! and speculation commits/rollbacks, and the campaign runner reports task
 //! and engine-lease activity.  Sinks serialize events qlog-style as JSONL
 //! ([`EventLog`] adds size-capped rotation); [`analyze`] reads the logs
-//! back for the `prognosis-events` stats/verify/timeline binary.
+//! back for the `prognosis-events` stats/verify/timeline binary.  [`json`]
+//! is the workspace's one JSON value type, writer and depth-bounded
+//! parser, shared by the analyzer, the canonical campaign report and the
+//! `BENCH_learning.json` merger.
 //!
 //! # Determinism
 //!
@@ -33,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
+pub mod json;
 pub mod rotate;
 
 pub use rotate::{EventLog, EventLogConfig};
@@ -344,14 +348,14 @@ impl Event {
                 );
             }
             Event::TaskStart { id } => {
-                let _ = write!(out, "\"data\":{{\"id\":\"{}\"}}", escape_json(id));
+                out.push_str("\"data\":{\"id\":\"");
+                json::escape_into(out, id);
+                out.push_str("\"}");
             }
             Event::TaskDone { id, ok } => {
-                let _ = write!(
-                    out,
-                    "\"data\":{{\"id\":\"{}\",\"ok\":{ok}}}",
-                    escape_json(id)
-                );
+                out.push_str("\"data\":{\"id\":\"");
+                json::escape_into(out, id);
+                let _ = write!(out, "\",\"ok\":{ok}}}");
             }
             Event::LeaseAcquire { slots, free } => {
                 let _ = write!(out, "\"data\":{{\"slots\":{slots},\"free\":{free}}}");
@@ -360,7 +364,9 @@ impl Event {
                 let _ = write!(out, "\"data\":{{\"free\":{free}}}");
             }
             Event::BenchStage { label } => {
-                let _ = write!(out, "\"data\":{{\"label\":\"{}\"}}", escape_json(label));
+                out.push_str("\"data\":{\"label\":\"");
+                json::escape_into(out, label);
+                out.push_str("\"}");
             }
         }
         out.push('}');
@@ -381,26 +387,6 @@ fn push_u64(out: &mut String, mut v: u64) {
         }
     }
     out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Where events go.  Implementations must tolerate concurrent `emit`

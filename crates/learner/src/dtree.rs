@@ -43,11 +43,10 @@ use crate::{Learner, LearningResult};
 use prognosis_automata::alphabet::{Alphabet, Symbol};
 use prognosis_automata::mealy::{MealyBuilder, MealyMachine, StateId};
 use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How the learner drives membership queries during sifting.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SiftStrategy {
     /// One query at a time per word, fully descending each word before the
     /// next — the reference implementation (PR-4 behaviour).
@@ -71,7 +70,7 @@ pub enum SiftStrategy {
 /// rolled back, and how the rolled-back words split into executed waste
 /// (`words_discarded`) versus cancelled-before-execution
 /// (`words_unsent`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpeculationStats {
     /// Presampled suites streamed speculatively.
     pub suites: u64,

@@ -19,7 +19,6 @@ use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::interner::{IWord, SymbolId};
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Which learning phase the membership queries currently in flight belong
@@ -29,7 +28,7 @@ use std::collections::BTreeMap;
 /// occupancy and batch sizes per phase — the sift wavefront's whole point
 /// is raising the *construction*-phase batch size from 1 to
 /// `O(states × |Σ|)`, and per-phase accounting is what makes that visible.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum QueryPhase {
     /// Hypothesis construction: transition-row outputs and sift queries.
     #[default]

@@ -6,13 +6,12 @@
 //! numbers through the pipeline and into the experiment harness.
 
 use prognosis_automata::word::InputWord;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Add;
 
 /// Counters describing one learning run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LearningStats {
     /// Membership queries issued to the SUL (after caching).
     pub membership_queries: u64,
@@ -163,17 +162,5 @@ mod tests {
         s.record_batch(&[w2]);
         assert_eq!(s.membership_queries, 3);
         assert_eq!(s.input_symbols, 4);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = LearningStats {
-            membership_queries: 7,
-            model_states: 3,
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: LearningStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

@@ -31,7 +31,6 @@
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::{IWord, Interner, SymbolId};
 use prognosis_automata::word::{InputWord, OutputWord};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel for "no child" / "no output" (the root) in dense tables.
 const NO_ID: u32 = u32::MAX;
@@ -136,7 +135,7 @@ impl TrieMark {
 /// One shortest conflicting prefix between two tries' cached answers (see
 /// [`PrefixTrie::divergences`]): both tries answered `input`, with
 /// different final output symbols.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrieDivergence {
     /// The shortest input word on which the cached answers disagree.
     pub input: InputWord,

@@ -15,10 +15,9 @@
 
 use crate::endpoint::EndpointId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// The fate of a captured datagram.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fate {
     /// Delivered exactly once.
     Delivered,
@@ -29,7 +28,7 @@ pub enum Fate {
 }
 
 /// One captured datagram.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CaptureRecord {
     /// Virtual send time.
     pub sent_at: SimTime,
@@ -54,7 +53,7 @@ pub const DEFAULT_CAPTURE_CAPACITY: usize = 1 << 16;
 
 /// A size-capped capture of the traffic through a network, oldest records
 /// evicted first.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceCapture {
     records: Vec<CaptureRecord>,
     capacity: usize,

@@ -8,12 +8,11 @@
 
 use crate::time::SimTime;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies an endpoint within a [`crate::Network`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EndpointId(pub(crate) usize);
 
 impl EndpointId {

@@ -19,7 +19,6 @@
 use crate::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Sub-stream tags, one per impairment knob.
 const KNOB_LOSS: u64 = 1;
@@ -36,7 +35,7 @@ fn substream(seed: u64, index: u64, knob: u64) -> StdRng {
 }
 
 /// Impairment parameters for one direction of a link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkConfig {
     /// Base one-way latency.
     pub latency: SimDuration,

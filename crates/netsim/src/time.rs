@@ -6,22 +6,17 @@
 //! wall-clock scheduling — the property the paper's Docker testbed lacks and
 //! compensates for with repeated queries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An instant in virtual time (microseconds since simulation start).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 /// A span of virtual time (microseconds).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimTime {

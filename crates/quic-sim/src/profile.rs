@@ -7,11 +7,9 @@
 //! captures exactly the choices that are visible at the abstract-alphabet
 //! level, plus the three injected defects corresponding to Issues 2–4.
 
-use serde::{Deserialize, Serialize};
-
 /// The overall shape of the handshake responses (which packets are emitted
 /// when), mirroring the two families visible in Appendix A.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HandshakeStyle {
     /// Google-style: the first flight already carries early 1-RTT stream
     /// data, and handshake completion is signalled with separate
@@ -24,7 +22,7 @@ pub enum HandshakeStyle {
 }
 
 /// Observable configuration of one simulated QUIC server implementation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ImplementationProfile {
     /// Human-readable name used in reports.
     pub name: String,

@@ -3,14 +3,13 @@
 //! client's destination connection ID, mirroring how real QUIC derives
 //! Initial secrets.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum connection-ID length allowed by draft-29.
 pub const MAX_CID_LEN: usize = 20;
 
 /// An opaque connection identifier.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionId {
     bytes: Vec<u8>,
 }

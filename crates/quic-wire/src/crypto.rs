@@ -14,11 +14,10 @@
 //! the tag, failing exactly when the wrong secret or level is used — the
 //! same external behaviour as a real AEAD, with none of the cryptography.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// QUIC encryption levels / packet-number spaces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EncryptionLevel {
     /// Initial keys, derived from the client's destination connection ID.
     Initial,
@@ -80,7 +79,7 @@ impl std::error::Error for CryptoError {}
 pub const TAG_LEN: usize = 4;
 
 /// Packet-protection keys for one encryption level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Keys {
     secret: u64,
     level: EncryptionLevel,

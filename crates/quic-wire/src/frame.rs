@@ -10,11 +10,10 @@
 
 use crate::varint::{read_varint, write_varint, VarIntError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The twenty draft-29 frame types, by name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum FrameType {
     Padding,
@@ -103,7 +102,7 @@ impl fmt::Display for FrameType {
 }
 
 /// A decoded QUIC frame.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Frame {
     Padding,

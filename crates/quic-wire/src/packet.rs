@@ -11,14 +11,13 @@ use crate::crypto::{CryptoError, Keys};
 use crate::frame::{Frame, FrameError};
 use crate::varint::{read_varint, write_varint, VarIntError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The QUIC version this crate speaks (draft-29).
 pub const QUIC_VERSION_DRAFT29: u32 = 0xFF00_001D;
 
 /// The seven packet types of the paper's QUIC background section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PacketType {
     /// Initial packets carry the first CRYPTO flights and tokens.
     Initial,
@@ -79,7 +78,7 @@ impl fmt::Display for PacketType {
 }
 
 /// A decoded packet header.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PacketHeader {
     /// Packet type.
     pub packet_type: PacketType,
@@ -133,7 +132,7 @@ impl PacketHeader {
 }
 
 /// A QUIC packet: header plus frames.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Packet {
     /// The packet header.
     pub header: PacketHeader,

@@ -12,11 +12,10 @@ use crate::term::Term;
 use crate::trace::ConcreteTrace;
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::mealy::{MealyMachine, StateId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Register updates and output-field terms attached to one transition.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExtendedTransition {
     /// One update term per register; register `j` becomes
     /// `updates[j]` evaluated over the *old* registers and the input fields.
@@ -72,7 +71,7 @@ pub struct ConcreteOutput {
 }
 
 /// A Mealy machine extended with integer registers and numeric I/O fields.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExtendedMealyMachine {
     skeleton: MealyMachine,
     register_names: Vec<String>,

@@ -7,11 +7,10 @@
 //! `[r, r+1, pr, pr+1, pi, pi+1, sn, an]` for one unknown; [`TermDomain`]
 //! generates exactly this kind of candidate list.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A term over registers and the numeric fields of the current input.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// The current value of register `i`.
     Register(usize),
@@ -83,7 +82,7 @@ impl fmt::Display for Term {
 }
 
 /// Describes the candidate-term domain for a synthesis problem.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TermDomain {
     /// Number of registers available.
     pub num_registers: usize,
@@ -224,13 +223,5 @@ mod tests {
         assert_eq!(c.first(), Some(&Term::Register(0)));
         assert_eq!(c.last(), Some(&Term::Const(3)));
         assert_eq!(c.iter().filter(|t| t.is_constant()).count(), 2); // 0 and 3
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let d = TermDomain::new(2, 2).with_constant(5);
-        let json = serde_json::to_string(&d).unwrap();
-        let back: TermDomain = serde_json::from_str(&json).unwrap();
-        assert_eq!(d, back);
     }
 }

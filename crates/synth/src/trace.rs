@@ -9,10 +9,9 @@
 //! (for `NIL`) or `(4,5)`.
 
 use prognosis_automata::word::IoTrace;
-use serde::{Deserialize, Serialize};
 
 /// Numeric fields observed for one step of a concrete trace.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ConcreteStep {
     /// Numeric fields of the concrete input packet (e.g. `[seq, ack]`).
     pub input_fields: Vec<i64>,
@@ -32,7 +31,7 @@ impl ConcreteStep {
 }
 
 /// An abstract trace paired with per-step concrete numeric fields.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConcreteTrace {
     /// The abstract I/O trace (what the learner saw).
     pub abstract_trace: IoTrace,
@@ -137,13 +136,5 @@ mod tests {
             OutputWord::from_symbols(["x"]),
         );
         let _ = ConcreteTrace::new(abstract_trace, vec![]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let t = paper_trace();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: ConcreteTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

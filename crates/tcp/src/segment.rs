@@ -9,11 +9,10 @@
 //! (`"SYN"`, `"ACK+PSH"`, ...).
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// TCP header flags (subset relevant to the case study).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TcpFlags {
     /// Synchronize sequence numbers.
     pub syn: bool,
@@ -141,7 +140,7 @@ impl fmt::Display for TcpFlags {
 }
 
 /// A TCP segment (the concrete alphabet of the TCP case study).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TcpSegment {
     /// Source port.
     pub source_port: u16,
@@ -156,22 +155,7 @@ pub struct TcpSegment {
     /// Receive window.
     pub window: u16,
     /// Payload bytes.
-    #[serde(with = "serde_bytes_compat")]
     pub payload: Bytes,
-}
-
-mod serde_bytes_compat {
-    //! `Bytes` is serialized as a plain byte vector.
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        b.as_ref().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        Ok(Bytes::from(Vec::<u8>::deserialize(d)?))
-    }
 }
 
 /// Errors produced while decoding a segment.

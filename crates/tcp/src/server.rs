@@ -16,10 +16,9 @@ use bytes::Bytes;
 use prognosis_netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the server picks its initial sequence number on each new connection.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum IsnPolicy {
     /// Always the same ISN — what the learning experiments use, so that the
     /// abstract model is deterministic (Remark 3.1).
@@ -40,7 +39,7 @@ impl Default for IsnPolicy {
 }
 
 /// Server configuration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TcpServerConfig {
     /// Port the server listens on.
     pub port: u16,
@@ -61,7 +60,7 @@ impl Default for TcpServerConfig {
 }
 
 /// Connection states (RFC 793 nomenclature, server-relevant subset).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TcpState {
     /// Waiting for a connection request.
     Listen,
