@@ -1,7 +1,7 @@
 //! E23: event-log sink overhead on the E17 session-engine scenario.
 //!
 //! Learns the latency-modelled TCP scenario (1 worker × 64 in-flight
-//! dataflow sessions) with and without the rotating JSONL event sink
+//! wavefront sessions) with and without the rotating JSONL event sink
 //! attached, asserts the learned model is bit-identical and — in the full
 //! configuration — that the sink costs < 5% wall time, and leaves the
 //! instrumented run's log at `event_log.jsonl` in the current directory

@@ -8,7 +8,7 @@
 //! when E15 has not run yet.  While it grinds, a one-line status repaints
 //! per engine shape, driven by `bench:stage` events through the shared
 //! event sink (TTY only).  The
-//! library asserts the headline numbers (64 in-flight ≥ 8× one blocking
+//! library asserts the headline numbers (64 in-flight ≥ 40× one blocking
 //! worker, and faster than 4 blocking workers), so this binary doubles as
 //! the CI smoke test for the session engine.
 use prognosis_campaign::{Progress, ProgressSink};

@@ -1354,7 +1354,7 @@ pub fn exp_cpu_scaling(quick: bool) -> (Report, Value) {
 /// symbols/sec and scheduler occupancy per shape, asserts every shape learns
 /// an equivalent model with identical query-cost statistics, and asserts the
 /// headline claim: **one worker with 64 in-flight sessions beats 4 blocking
-/// workers outright and clears 8× the blocking single-worker throughput** —
+/// workers outright and clears 40× the blocking single-worker throughput** —
 /// under latency, throughput comes from keeping requests in flight, not
 /// from more threads.  The `exp_session_engine` binary appends the returned
 /// JSON scenario to `BENCH_learning.json`.
@@ -1378,25 +1378,23 @@ pub fn exp_session_engine_with_events(events: Option<Arc<dyn EventSink>>) -> (Re
         ..LearnConfig::default()
     };
 
-    // The multiplexed shapes run the dataflow learner (PR 6): sift
-    // continuations and speculative equivalence words share the session
-    // pool, so the in-flight slots stay busy across phase boundaries.  The
-    // blocking shapes keep the wavefront — with one session per worker
-    // there is nothing to overlap, and they are the historical baseline.
-    let shapes: [(&str, usize, usize, SiftStrategy); 4] = [
-        ("workers1_inflight1", 1, 1, SiftStrategy::Wavefront),
-        ("workers4_inflight1", 4, 1, SiftStrategy::Wavefront),
-        ("workers1_inflight16", 1, 16, SiftStrategy::Dataflow),
-        ("workers1_inflight64", 1, 64, SiftStrategy::Dataflow),
+    // Every shape runs the wavefront learner: each sift level, closure
+    // round and equivalence chunk is one blocking batch, which the
+    // multiplexed shapes spread over their in-flight sessions.
+    let shapes: [(&str, usize, usize); 4] = [
+        ("workers1_inflight1", 1, 1),
+        ("workers4_inflight1", 4, 1),
+        ("workers1_inflight16", 1, 16),
+        ("workers1_inflight64", 1, 64),
     ];
     let mut report = Report::new(
-        "E17 — session-engine in-flight scaling (1 worker × {1,16,64} dataflow sessions vs 4 blocking workers)",
+        "E17 — session-engine in-flight scaling (1 worker × {1,16,64} wavefront sessions vs 4 blocking workers)",
     );
     let mut json_fields: Vec<(String, Value)> = Vec::new();
     let mut samples: Vec<(ThroughputSample, EngineStats)> = Vec::new();
     let mut baseline: Option<(MealyMachine, u64, u64)> = None;
 
-    for (name, workers, max_inflight, sift) in shapes {
+    for (name, workers, max_inflight) in shapes {
         stage(&events, format!("E17 session engine: learning {name}"));
         let start = std::time::Instant::now();
         let outcome = learn_model_parallel(
@@ -1405,8 +1403,7 @@ pub fn exp_session_engine_with_events(events: Option<Arc<dyn EventSink>>) -> (Re
             config
                 .clone()
                 .with_workers(workers)
-                .with_max_inflight(max_inflight)
-                .with_sift(sift),
+                .with_max_inflight(max_inflight),
         )
         .expect("parallel learning succeeds");
         let seconds = start.elapsed().as_secs_f64();
@@ -1477,7 +1474,7 @@ pub fn exp_session_engine_with_events(events: Option<Arc<dyn EventSink>>) -> (Re
     let speedup64 = inflight64 / blocking1.max(1e-9);
     assert!(
         speedup64 >= 40.0,
-        "1 worker × 64 dataflow sessions must clear 40× the blocking \
+        "1 worker × 64 sessions must clear 40× the blocking \
          single-worker throughput (got {speedup64:.2}x)"
     );
     assert!(
@@ -1754,253 +1751,6 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
         (
             "construction_speedup".to_string(),
             Value::F64(construction_speedup),
-        ),
-        ("models_bit_identical".to_string(), Value::Bool(true)),
-    ]);
-    (report, scenario)
-}
-
-/// E20 — dataflow learner: overlapped sift continuations, interleaved
-/// phases and speculative equivalence streaming.
-///
-/// Runs the latency-modelled TCP scenario at 1 worker × 64 in-flight
-/// sessions with [`SiftStrategy::Dataflow`], [`SiftStrategy::Wavefront`]
-/// and [`SiftStrategy::Serial`] (`quick` only trims the random-word
-/// budget — the pool shape is the headline, so it stays at 64).  Asserts
-/// the determinism contract — **bit-identical** models, `membership_queries`
-/// ≤ serial, identical `fresh_symbols` and equivalence-test counts, exact
-/// speculation-word accounting — and the performance claims: the whole
-/// pool stays ≥ 0.9 occupied during hypothesis construction
-/// ([`PhaseStats::window_occupancy`] — speculative equivalence words fill
-/// whatever construction alone cannot), and end-to-end virtual time beats
-/// the phase-barriered wavefront.  Returns the `dataflow_learner` scenario
-/// (per-strategy runs, speculation waste, occupancy and speedups) for
-/// `BENCH_learning.json`.
-pub fn exp_dataflow_learner(quick: bool) -> (Report, Value) {
-    exp_dataflow_learner_with_events(quick, None)
-}
-
-/// [`exp_dataflow_learner`] with an optional event sink receiving
-/// `bench:stage` progress markers as each sift strategy runs.
-pub fn exp_dataflow_learner_with_events(
-    quick: bool,
-    events: Option<Arc<dyn EventSink>>,
-) -> (Report, Value) {
-    let step_rtt = SimDuration::from_micros(50);
-    let reset_rtt = SimDuration::from_micros(100);
-    let factory = LatencySulFactory::new(TcpSulFactory::default(), step_rtt, reset_rtt);
-    let max_inflight = 64usize;
-    let cap = max_inflight as u64;
-    let config = LearnConfig {
-        seed: 7,
-        random_tests: if quick { 600 } else { 2_000 },
-        min_word_len: 2,
-        max_word_len: 10,
-        eq_batch_size: 512,
-        ..LearnConfig::default()
-    }
-    .with_workers(1)
-    .with_max_inflight(max_inflight);
-
-    let run_at = |name: &str, sift: SiftStrategy| {
-        stage(&events, format!("E20 dataflow learner: learning {name}"));
-        let start = std::time::Instant::now();
-        let outcome =
-            learn_model_parallel(&factory, &tcp_alphabet(), config.clone().with_sift(sift))
-                .expect("parallel learning succeeds");
-        (outcome, start.elapsed().as_secs_f64())
-    };
-    let (flow, flow_seconds) = run_at("dataflow", SiftStrategy::Dataflow);
-    let (wave, wave_seconds) = run_at("wavefront", SiftStrategy::Wavefront);
-    let (serial, serial_seconds) = run_at("serial", SiftStrategy::Serial);
-
-    // Determinism contract: the dataflow learner is the same algorithm as
-    // serial sifting, merely reordered in time.
-    assert_eq!(
-        flow.learned.model, serial.learned.model,
-        "dataflow learning must produce a bit-identical model"
-    );
-    assert!(
-        flow.learned.stats.membership_queries <= serial.learned.stats.membership_queries,
-        "dataflow must not ask more membership queries ({} > {})",
-        flow.learned.stats.membership_queries,
-        serial.learned.stats.membership_queries
-    );
-    assert_eq!(
-        flow.learned.stats.fresh_symbols, serial.learned.stats.fresh_symbols,
-        "committed SUL work must match serial word for word"
-    );
-    assert_eq!(
-        flow.learned.stats.equivalence_tests, serial.learned.stats.equivalence_tests,
-        "chunk-commit identity must reproduce the serial equivalence-test count"
-    );
-    let spec = flow.learned.speculation;
-    assert_eq!(
-        spec.words_used + spec.words_discarded + spec.words_unsent,
-        spec.words_submitted,
-        "every speculative word must be committed, discarded, or unsent"
-    );
-
-    // Performance claims.  window_occupancy asks: while construction was
-    // ongoing, did the *whole pool* stay full (with work of any phase)?
-    let flow_window = flow
-        .engine
-        .phase(QueryPhase::Construction)
-        .window_occupancy(cap);
-    let wave_con_occ = wave.engine.phase(QueryPhase::Construction).occupancy(cap);
-    assert!(
-        flow_window >= 0.9,
-        "speculation must keep the pool ≥ 0.9 occupied during hypothesis \
-         construction at 1 worker × {max_inflight} sessions (got {flow_window:.3})"
-    );
-    let flow_virtual = flow.engine.virtual_elapsed_micros as f64 / 1e6;
-    let wave_virtual = wave.engine.virtual_elapsed_micros as f64 / 1e6;
-    let serial_virtual = serial.engine.virtual_elapsed_micros as f64 / 1e6;
-    let speedup_vs_wave = wave_virtual / flow_virtual.max(1e-9);
-    let speedup_vs_serial = serial_virtual / flow_virtual.max(1e-9);
-    assert!(
-        speedup_vs_wave > 1.0,
-        "overlapping phases must beat the phase-barriered wavefront \
-         end-to-end ({flow_virtual:.4}s vs {wave_virtual:.4}s virtual)"
-    );
-
-    let waste_ratio = if spec.words_submitted == 0 {
-        0.0
-    } else {
-        spec.words_discarded as f64 / spec.words_submitted as f64
-    };
-    let mut report = Report::new(format!(
-        "E20 — dataflow learner vs wavefront and serial (1 worker × {max_inflight} \
-         sessions, latency-modelled TCP)"
-    ));
-    for (name, outcome, seconds) in [
-        ("dataflow", &flow, flow_seconds),
-        ("wavefront", &wave, wave_seconds),
-        ("serial", &serial, serial_seconds),
-    ] {
-        let engine = &outcome.engine;
-        let con = engine.phase(QueryPhase::Construction);
-        report.row(
-            format!("{name}: construction phase"),
-            format!(
-                "{:.4} virtual s, own occupancy {:.3}, pool-window occupancy {:.3}",
-                con.worker_micros as f64 / 1e6,
-                con.occupancy(cap),
-                con.window_occupancy(cap)
-            ),
-        );
-        report.row(
-            format!("{name}: whole run"),
-            format!(
-                "{:.4} virtual s, {} membership queries, occupancy {:.3}, {seconds:.3}s wall",
-                engine.virtual_elapsed_micros as f64 / 1e6,
-                outcome.learned.stats.membership_queries,
-                engine.occupancy(),
-            ),
-        );
-    }
-    report
-        .row(
-            "construction pool-window occupancy (dataflow, must be ≥ 0.9)",
-            format!("{flow_window:.3}"),
-        )
-        .row(
-            "construction own occupancy (wavefront reference)",
-            format!("{wave_con_occ:.3}"),
-        )
-        .row(
-            "end-to-end speedup (virtual time vs wavefront / vs serial)",
-            format!("{speedup_vs_wave:.2}x / {speedup_vs_serial:.2}x"),
-        )
-        .row(
-            "speculation: submitted / used / discarded / unsent",
-            format!(
-                "{} / {} / {} / {} (waste {:.1}%, {} rollbacks over {} suites)",
-                spec.words_submitted,
-                spec.words_used,
-                spec.words_discarded,
-                spec.words_unsent,
-                waste_ratio * 100.0,
-                spec.rollbacks,
-                spec.suites
-            ),
-        )
-        .row(
-            "models bit-identical, membership ≤ serial, eq tests identical",
-            true,
-        )
-        .finding(
-            "per-word sift continuations plus speculative equivalence streaming keep \
-             the session pool full through hypothesis construction; counterexamples \
-             roll the speculative suite back to the serial runner's chunk boundary, \
-             so every statistic the blocking path reports is reproduced exactly",
-        );
-
-    let run_json = |outcome: &prognosis_core::pipeline::ParallelLearnOutcome<
-        prognosis_core::latency::LatencySul<TcpSul>,
-    >,
-                    seconds: f64| {
-        let con = outcome.engine.phase(QueryPhase::Construction);
-        Value::Map(vec![
-            ("seconds".to_string(), Value::F64(seconds)),
-            (
-                "virtual_seconds".to_string(),
-                Value::F64(outcome.engine.virtual_elapsed_micros as f64 / 1e6),
-            ),
-            (
-                "membership_queries".to_string(),
-                Value::U64(outcome.learned.stats.membership_queries),
-            ),
-            (
-                "fresh_symbols".to_string(),
-                Value::U64(outcome.learned.stats.fresh_symbols),
-            ),
-            (
-                "occupancy".to_string(),
-                Value::F64(outcome.engine.occupancy()),
-            ),
-            ("construction".to_string(), phase_json(con, cap)),
-            (
-                "construction_window_occupancy".to_string(),
-                Value::F64(con.window_occupancy(cap)),
-            ),
-            (
-                "equivalence".to_string(),
-                phase_json(outcome.engine.phase(QueryPhase::Equivalence), cap),
-            ),
-        ])
-    };
-    let scenario = Value::Map(vec![
-        ("workers".to_string(), Value::U64(1)),
-        ("max_inflight".to_string(), Value::U64(cap)),
-        ("dataflow".to_string(), run_json(&flow, flow_seconds)),
-        ("wavefront".to_string(), run_json(&wave, wave_seconds)),
-        ("serial".to_string(), run_json(&serial, serial_seconds)),
-        (
-            "speculation".to_string(),
-            Value::Map(vec![
-                (
-                    "words_submitted".to_string(),
-                    Value::U64(spec.words_submitted),
-                ),
-                ("words_used".to_string(), Value::U64(spec.words_used)),
-                (
-                    "words_discarded".to_string(),
-                    Value::U64(spec.words_discarded),
-                ),
-                ("words_unsent".to_string(), Value::U64(spec.words_unsent)),
-                ("suites".to_string(), Value::U64(spec.suites)),
-                ("rollbacks".to_string(), Value::U64(spec.rollbacks)),
-                ("waste_ratio".to_string(), Value::F64(waste_ratio)),
-            ]),
-        ),
-        (
-            "speedup_vs_wavefront".to_string(),
-            Value::F64(speedup_vs_wave),
-        ),
-        (
-            "speedup_vs_serial".to_string(),
-            Value::F64(speedup_vs_serial),
         ),
         ("models_bit_identical".to_string(), Value::Bool(true)),
     ]);
@@ -2834,7 +2584,7 @@ fn process_cpu_seconds() -> f64 {
 /// E23 — event-sink overhead on the E17 session-engine scenario.
 ///
 /// Learns the latency-modelled TCP model at 1 worker × 64 in-flight
-/// dataflow sessions in paired rounds: once with no sink attached, once
+/// wavefront sessions in paired rounds: once with no sink attached, once
 /// streaming the full event feed (diagnostics included) through the
 /// rotating JSONL [`prognosis_events::rotate::EventLog`] at `log_path`.
 /// Asserts that attaching the sink leaves the learned model bit-identical
@@ -2862,7 +2612,7 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, Value)
     }
     .with_workers(1)
     .with_max_inflight(64)
-    .with_sift(SiftStrategy::Dataflow);
+    .with_sift(SiftStrategy::Wavefront);
 
     // Timing methodology, tuned for a noisy shared host where a 5%
     // threshold must still resolve:
@@ -3022,7 +2772,7 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, Value)
     }
 
     let mut report = Report::new(
-        "E23 — event-log sink overhead (E17 scenario, 1 worker × 64 dataflow sessions)",
+        "E23 — event-log sink overhead (E17 scenario, 1 worker × 64 wavefront sessions)",
     );
     report
         .row(

@@ -59,9 +59,9 @@ pub struct RunnerConfig {
     pub progress: bool,
     /// Structured event sink for the whole campaign: task lifecycle and
     /// engine-lease diagnostics plus every learn task's full event
-    /// stream (sessions, phases, wire fates, speculation).  Concurrent
-    /// cells share the sink; their deterministic events stay separable
-    /// because each learn wraps it in its own scope staging.
+    /// stream (sessions, phases, wire fates).  Concurrent cells share
+    /// the sink; each learn's engine emits its queries' events in its own
+    /// batch-index order.
     pub events: Option<Arc<dyn EventSink>>,
 }
 

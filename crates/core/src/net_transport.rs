@@ -132,11 +132,10 @@ pub struct NetworkedSession<S: WireSul> {
     timeout: SimDuration,
     impaired: bool,
     state: StepState,
-    /// Event scope announced for the next query (see
+    /// Whether the next query records its wire events (see
     /// [`SessionSul::begin_event_scope`]); consumed by `start_reset`,
-    /// which registers it as the wire scope of this session's endpoint
-    /// pair.
-    pending_scope: Option<u64>,
+    /// which opens a wire scope on this session's endpoint pair.
+    pending_scope: bool,
 }
 
 impl<S: WireSul> NetworkedSession<S> {
@@ -166,7 +165,7 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
     fn start_reset(&mut self, now: SimTime) -> SimTime {
         self.sul.reset();
         self.state = StepState::Idle;
-        let pending_scope = self.pending_scope.take();
+        let pending_scope = std::mem::take(&mut self.pending_scope);
         let mut net = self.lock();
         net.advance_to(now);
         // One query's stragglers — late jittered deliveries, duplicates in
@@ -184,10 +183,10 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
             .expect("client endpoint bound");
         net.rewind_noise(self.server)
             .expect("server endpoint bound");
-        if let Some(scope) = pending_scope {
+        if pending_scope {
             // The network clock just advanced to `now`, so wire events of
             // this query get timestamps relative to its reset instant.
-            net.set_wire_scope(self.client, self.server, scope);
+            net.begin_wire_scope(self.client, self.server);
         }
         now
     }
@@ -319,14 +318,12 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
         }
     }
 
-    fn attach_event_sink(&mut self, sink: std::sync::Arc<prognosis_events::ScopedSink>) {
-        // All sessions of a worker group share one network; attaching is
-        // idempotent, the last sink wins.
-        self.lock().attach_event_sink(sink);
+    fn begin_event_scope(&mut self) {
+        self.pending_scope = true;
     }
 
-    fn begin_event_scope(&mut self, scope: u64) {
-        self.pending_scope = Some(scope);
+    fn end_event_scope(&mut self, events: &mut Vec<prognosis_events::Event>) {
+        self.lock().end_wire_scope(self.client, events);
     }
 
     fn into_sul(self) -> S {
@@ -471,7 +468,7 @@ where
                     timeout: self.timeout,
                     impaired: self.link.is_impaired() || self.reverse_link().is_impaired(),
                     state: StepState::Idle,
-                    pending_scope: None,
+                    pending_scope: false,
                 }
             })
             .collect();

@@ -31,7 +31,7 @@ use prognosis_learner::{DTreeLearner, Learner};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-pub use prognosis_learner::dtree::{SiftStrategy, SpeculationStats};
+pub use prognosis_learner::dtree::SiftStrategy;
 
 /// The session-SUL type a [`SessionSulFactory`] ultimately hands back —
 /// what [`ParallelLearnOutcome::suls`] contains.
@@ -177,9 +177,6 @@ pub struct LearnedModel {
     /// an answered word is cached and never forwarded again).  A fully
     /// warm-started run reports 0.
     pub distinct_queries: usize,
-    /// Speculative-equivalence accounting (all zero unless the run used
-    /// [`SiftStrategy::Dataflow`]).
-    pub speculation: SpeculationStats,
 }
 
 /// The result of a parallel learning run, including the session SULs
@@ -290,7 +287,6 @@ fn run_learner<M: MembershipOracle>(
         model: result.model,
         stats,
         distinct_queries: membership.misses() as usize,
-        speculation: learner.speculation(),
     };
     let (inner, trie) = membership.into_parts();
     (learned, inner, trie, prime_misses)
@@ -344,7 +340,7 @@ where
 }
 
 /// [`learn_model_parallel`] with a structured event sink attached: wire,
-/// session, phase and speculation events flow into `sink` as the run
+/// session and phase events flow into `sink` as the run
 /// executes (see [`prognosis_events`]).  With `diagnostics` false the sink
 /// receives only the deterministic stream, which is byte-identical across
 /// `(workers, max_inflight)` configurations for a fixed scenario.
@@ -670,56 +666,6 @@ mod tests {
                 "(workers, max_inflight) = ({workers}, {inflight}) changed the fresh-symbol cost"
             );
             assert_eq!(outcome.suls.len(), workers * inflight);
-        }
-    }
-
-    #[test]
-    fn dataflow_learning_over_the_session_engine_matches_serial() {
-        let config = LearnConfig {
-            random_tests: 300,
-            max_word_len: 8,
-            ..LearnConfig::default()
-        };
-        let factory = TcpSulFactory::default();
-        let serial = learn_model_parallel(
-            &factory,
-            &tcp_alphabet(),
-            config.clone().with_sift(SiftStrategy::Serial),
-        )
-        .expect("serial learning succeeds");
-        for (workers, inflight) in [(1, 1), (1, 8), (2, 8)] {
-            let flow = learn_model_parallel(
-                &factory,
-                &tcp_alphabet(),
-                config
-                    .clone()
-                    .with_sift(SiftStrategy::Dataflow)
-                    .with_workers(workers)
-                    .with_max_inflight(inflight),
-            )
-            .expect("dataflow learning succeeds");
-            assert_eq!(
-                serial.learned.model, flow.learned.model,
-                "({workers}, {inflight}): dataflow model must be bit-identical to serial"
-            );
-            assert_eq!(
-                serial.learned.stats.fresh_symbols, flow.learned.stats.fresh_symbols,
-                "({workers}, {inflight}): speculation must not change the fresh-symbol cost"
-            );
-            assert_eq!(
-                serial.learned.stats.equivalence_tests, flow.learned.stats.equivalence_tests,
-                "({workers}, {inflight}): tests-executed must match the blocking count"
-            );
-            assert!(
-                flow.learned.stats.membership_queries <= serial.learned.stats.membership_queries,
-                "({workers}, {inflight}): dataflow must not ask more membership queries"
-            );
-            let spec = flow.learned.speculation;
-            assert!(spec.suites >= 1, "dataflow streams presampled suites");
-            assert_eq!(
-                spec.words_used + spec.words_discarded + spec.words_unsent,
-                spec.words_submitted
-            );
         }
     }
 

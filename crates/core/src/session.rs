@@ -25,6 +25,7 @@ use crate::sul::{Sul, SulFactory, SulStats};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_events::{Event, ScopedSink, CLOCK_SAMPLE_EVERY};
+use std::ops::Range;
 use std::sync::Arc;
 
 pub use prognosis_learner::oracle::QueryPhase;
@@ -82,15 +83,16 @@ pub trait SessionSul {
     /// The underlying SUL's cross-run cache key (see [`Sul::cache_key`]).
     fn cache_key(&self) -> Option<String>;
 
-    /// Attaches the engine's event sink.  A no-op by default; sessions
-    /// that own instrumentable substrate (e.g. a simulated network)
-    /// forward it so wire-level events join the same stream.
-    fn attach_event_sink(&mut self, _sink: Arc<ScopedSink>) {}
-
     /// Announces that the query begun by the next
-    /// [`SessionSul::start_reset`] stages its events under `scope`.  A
-    /// no-op by default.
-    fn begin_event_scope(&mut self, _scope: u64) {}
+    /// [`SessionSul::start_reset`] records its events.  A no-op by
+    /// default; sessions that own instrumentable substrate (e.g. a
+    /// simulated network) record its events until
+    /// [`SessionSul::end_event_scope`].
+    fn begin_event_scope(&mut self) {}
+
+    /// Ends the current query's event scope, appending the events it
+    /// recorded to `events`.  A no-op by default.
+    fn end_event_scope(&mut self, _events: &mut Vec<Event>) {}
 
     /// Tears the session down, returning the underlying SUL.  Callers
     /// should [`SessionSul::start_reset`] first so any pending adapter-side
@@ -270,12 +272,8 @@ impl<F: SulFactory> SessionSulFactory for BlockingSessionFactory<F> {
 /// Per-phase slice of one scheduler's in-flight integral.  Attribution is
 /// **per query**, from the [`QueryPhase`] tag each job carries: when the
 /// clock jumps by Δ, every in-flight job adds Δ to its own phase's
-/// `busy_micros`, every phase with at least one job in flight adds Δ to its
-/// `active_micros`, and — for those active phases — the *whole pool's*
-/// in-flight count × Δ accrues to `pool_busy_micros`.  This stays correct
-/// when two phases are in flight at once (speculative equivalence words
-/// overlapping construction), which a single global "current phase" flag
-/// cannot be.
+/// `busy_micros`, and every phase with at least one job in flight adds Δ to
+/// its `active_micros`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseFlight {
     /// In-flight session-microseconds of this phase's own queries.
@@ -283,11 +281,6 @@ pub struct PhaseFlight {
     /// Virtual microseconds during which at least one query of this phase
     /// was in flight (the phase's own occupancy denominator).
     pub active_micros: u64,
-    /// In-flight session-microseconds of the *whole pool* (any phase)
-    /// during this phase's active windows — the numerator of
-    /// [`PhaseStats::window_occupancy`], which asks "while this phase was
-    /// ongoing, did the pool stay full?".
-    pub pool_busy_micros: u64,
 }
 
 /// Occupancy and progress counters of one [`SessionScheduler`].
@@ -372,39 +365,17 @@ pub struct PhaseStats {
     /// multiplying by `max_inflight`; for a single-worker engine this is
     /// the phase's virtual elapsed time).
     pub worker_micros: u64,
-    /// In-flight session-microseconds of the whole pool — any phase —
-    /// during this phase's active windows.  See
-    /// [`PhaseStats::window_occupancy`].
-    pub pool_busy_micros: u64,
 }
 
 impl PhaseStats {
-    /// Mean slot occupancy of **this phase's own queries** during its
-    /// active windows, for the given slot cap.  Under overlapped execution
-    /// the phases share the pool, so the per-phase occupancies no longer
-    /// sum to the pool occupancy — see [`PhaseStats::window_occupancy`]
-    /// for the "did the pool stay full while this phase ran" question.
+    /// Mean slot occupancy of this phase's queries during its active
+    /// windows, for the given slot cap.
     pub fn occupancy(&self, max_inflight: u64) -> f64 {
         let capacity = self.worker_micros.saturating_mul(max_inflight.max(1));
         if capacity == 0 {
             0.0
         } else {
             self.busy_micros as f64 / capacity as f64
-        }
-    }
-
-    /// Mean slot occupancy of the **whole pool** during this phase's
-    /// active windows: 1.0 means every slot was busy (with work of any
-    /// phase) whenever this phase had a query in flight.  This is the
-    /// dataflow learner's headline metric — overlapping phases exists
-    /// precisely so the pool never drains while construction is ongoing,
-    /// even when construction alone cannot fill it.
-    pub fn window_occupancy(&self, max_inflight: u64) -> f64 {
-        let capacity = self.worker_micros.saturating_mul(max_inflight.max(1));
-        if capacity == 0 {
-            0.0
-        } else {
-            self.pool_busy_micros as f64 / capacity as f64
         }
     }
 
@@ -498,7 +469,7 @@ pub struct EngineStats {
 impl EngineStats {
     /// Folds one worker's scheduler counters into the aggregate, including
     /// the per-query-tag phase flight integrals (which become the phases'
-    /// busy/worker/pool aggregates — exact even when phases overlap).
+    /// busy/worker aggregates).
     pub fn absorb(&mut self, s: &SchedulerStats) {
         self.queries_completed += s.queries_completed;
         self.clock_advances += s.clock_advances;
@@ -513,7 +484,6 @@ impl EngineStats {
             let stats = self.phase_mut(phase);
             stats.busy_micros += flight.busy_micros;
             stats.worker_micros += flight.active_micros;
-            stats.pool_busy_micros += flight.pool_busy_micros;
         }
     }
 
@@ -607,9 +577,8 @@ struct ActiveJob {
     /// Learning phase the query was dispatched under; virtual waits are
     /// attributed to this tag, not to any global phase flag.
     phase: QueryPhase,
-    /// Event-staging scope (= submit index) and the query's reset instant,
-    /// so `session:done` can carry a query-relative timestamp.
-    scope: u64,
+    /// The query's reset instant, so `session:done` can carry a
+    /// query-relative timestamp.
     begun_at: SimTime,
 }
 
@@ -657,6 +626,10 @@ pub struct SessionScheduler<Sn> {
     active_limit: usize,
     adaptive: bool,
     sink: Option<Arc<ScopedSink>>,
+    /// Events of the queries completed since the last
+    /// [`SessionScheduler::take_events`], each query's as one contiguous
+    /// run (empty without a sink).
+    events: Vec<Event>,
 }
 
 impl<Sn: SessionSul> SessionScheduler<Sn> {
@@ -693,17 +666,17 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             active_limit,
             adaptive: false,
             sink: None,
+            events: Vec::new(),
         }
     }
 
-    /// Attaches an event sink: session lifecycle events are staged under
-    /// each query's scope (= submit index), scheduler diagnostics are
-    /// emitted immediately.  The sink is also forwarded to every session
-    /// so deeper layers (e.g. the simulated network) join the stream.
+    /// Attaches an event sink: scheduler diagnostics are emitted into it
+    /// immediately, and every completed query's deterministic events —
+    /// `session:start`, whatever its session recorded between
+    /// [`SessionSul::begin_event_scope`] and
+    /// [`SessionSul::end_event_scope`], `session:done` — are kept for
+    /// [`SessionScheduler::take_events`].
     pub fn with_event_sink(mut self, sink: Arc<ScopedSink>) -> Self {
-        for slot in &mut self.slots {
-            slot.session.attach_event_sink(sink.clone());
-        }
         self.sink = Some(sink);
         self
     }
@@ -840,20 +813,10 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             .iter_mut()
             .find(|s| matches!(s.state, SlotState::Idle))
             .expect("submit on a scheduler without capacity");
-        let scope = index as u64;
         if self.sink.is_some() {
-            slot.session.begin_event_scope(scope);
+            slot.session.begin_event_scope();
         }
         let ready_at = slot.session.start_reset(now);
-        if let Some(sink) = &self.sink {
-            sink.stage(
-                scope,
-                Event::SessionStart {
-                    phase: phase_name(phase),
-                    symbols: input.len() as u64,
-                },
-            );
-        }
         slot.state = SlotState::Resetting { ready_at };
         slot.job = Some(ActiveJob {
             index,
@@ -861,7 +824,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             position: 0,
             output: OutputWord::empty(),
             phase,
-            scope,
             begun_at: now,
         });
         self.stats.peak_inflight = self.stats.peak_inflight.max(self.in_flight() as u64);
@@ -874,16 +836,20 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     /// the clock to the earliest deadline so the next pass will.
     pub fn drive(&mut self) -> Vec<(usize, OutputWord)> {
         self.drive_gated(true)
+            .into_iter()
+            .map(|(index, output, _)| (index, output))
+            .collect()
     }
 
     /// [`SessionScheduler::drive`] with the clock advance made optional:
     /// with `advance` false the pass only harvests progress possible at
     /// the current instant.  The parallel engine passes false while more
-    /// work could still join this virtual instant (the learner is active
-    /// or the queue holds pullable jobs), so late-arriving continuations
-    /// overlap the queries already in flight instead of starting one
-    /// round-trip behind them.
-    pub fn drive_gated(&mut self, advance: bool) -> Vec<(usize, OutputWord)> {
+    /// queued work could still join this virtual instant, so those
+    /// queries overlap the ones already in flight instead of starting one
+    /// round-trip behind them.  Each completed query also reports the
+    /// range of its events in the buffer [`SessionScheduler::take_events`]
+    /// returns (empty without an event sink).
+    pub fn drive_gated(&mut self, advance: bool) -> Vec<(usize, OutputWord, Range<usize>)> {
         let now = self.clock.now();
         let mut completed = Vec::new();
         let mut progressed = false;
@@ -900,7 +866,14 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                         progressed = true;
                         let job = slot.job.as_ref().expect("active slot has a job");
                         if job.input.is_empty() {
-                            finish(slot, &mut completed, &mut self.stats, &self.sink, now);
+                            finish(
+                                slot,
+                                &mut completed,
+                                &mut self.stats,
+                                &self.sink,
+                                &mut self.events,
+                                now,
+                            );
                             break;
                         }
                         let symbol = job.input.as_slice()[0].clone();
@@ -929,7 +902,14 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                             job.output.push(output);
                             job.position += 1;
                             if job.position == job.input.len() {
-                                finish(slot, &mut completed, &mut self.stats, &self.sink, now);
+                                finish(
+                                    slot,
+                                    &mut completed,
+                                    &mut self.stats,
+                                    &self.sink,
+                                    &mut self.events,
+                                    now,
+                                );
                                 break;
                             }
                             let symbol = job.input.as_slice()[job.position].clone();
@@ -963,7 +943,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                         let flight = self.stats.flight_mut(phase);
                         flight.busy_micros += by_phase[i] * delta;
                         flight.active_micros += delta;
-                        flight.pool_busy_micros += waiting * delta;
                     }
                 }
                 self.stats.clock_advances += 1;
@@ -979,6 +958,12 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             }
         }
         completed
+    }
+
+    /// Hands over the events of every query completed since the last call;
+    /// the ranges [`SessionScheduler::drive_gated`] reported index into it.
+    pub fn take_events(&mut self) -> Vec<Event> {
+        std::mem::take(&mut self.events)
     }
 
     /// Drives until every submitted query has completed; convenience for
@@ -997,25 +982,32 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     }
 }
 
-fn finish<Sn>(
+/// Retires a slot's finished query.  With a sink attached, the query's
+/// events go to `events` as one run: `session:start` (nothing of the
+/// query can precede it, so it is written here, with the rest), the
+/// session's own events in the order they happened, then `session:done`.
+fn finish<Sn: SessionSul>(
     slot: &mut Slot<Sn>,
-    completed: &mut Vec<(usize, OutputWord)>,
+    completed: &mut Vec<(usize, OutputWord, Range<usize>)>,
     stats: &mut SchedulerStats,
     sink: &Option<Arc<ScopedSink>>,
+    events: &mut Vec<Event>,
     now: SimTime,
 ) {
     let job = slot.job.take().expect("finishing slot has a job");
-    if let Some(sink) = sink {
-        sink.stage(
-            job.scope,
-            Event::SessionDone {
-                phase: phase_name(job.phase),
-                symbols: job.input.len() as u64,
-                rel: now.since(job.begun_at).as_micros(),
-            },
-        );
+    let start = events.len();
+    if sink.is_some() {
+        let phase = phase_name(job.phase);
+        let symbols = job.input.len() as u64;
+        events.push(Event::SessionStart { phase, symbols });
+        slot.session.end_event_scope(events);
+        events.push(Event::SessionDone {
+            phase,
+            symbols,
+            rel: now.since(job.begun_at).as_micros(),
+        });
     }
-    completed.push((job.index, job.output));
+    completed.push((job.index, job.output, start..events.len()));
     slot.state = SlotState::Idle;
     stats.queries_completed += 1;
 }
@@ -1386,15 +1378,12 @@ mod tests {
             construction_flight: PhaseFlight {
                 busy_micros: 1_600,
                 active_micros: 400,
-                pool_busy_micros: 2_000,
             },
             ..SchedulerStats::default()
         });
         let construction = engine.phase(QueryPhase::Construction);
         // 1_600 busy µs over 400 worker-µs × 8 slots.
         assert!((construction.occupancy(8) - 0.5).abs() < 1e-9);
-        // 2_000 pool-busy µs over the same windows.
-        assert!((construction.window_occupancy(8) - 0.625).abs() < 1e-9);
         assert_eq!(engine.phase(QueryPhase::Equivalence).busy_micros, 0);
     }
 
@@ -1451,9 +1440,6 @@ mod tests {
         assert_eq!(eq.busy_micros, step.as_micros());
         assert_eq!(con.active_micros, step.as_micros());
         assert_eq!(eq.active_micros, step.as_micros());
-        // Both phases were active while all three sessions waited.
-        assert_eq!(con.pool_busy_micros, 3 * step.as_micros());
-        assert_eq!(eq.pool_busy_micros, 3 * step.as_micros());
         assert_eq!(
             stats.busy_session_micros,
             con.busy_micros + eq.busy_micros,

@@ -81,8 +81,6 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "session:start",
     "session:done",
     "phase:enter",
-    "speculation:commit",
-    "speculation:rollback",
     "clock:advance",
     "limit:grow",
     "limit:shrink",

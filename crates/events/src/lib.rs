@@ -4,9 +4,8 @@
 //! Every layer of the system emits typed [`Event`]s into an [`EventSink`]:
 //! `netsim::Network` reports each packet's fate, the session scheduler
 //! reports session lifecycle / clock advances / in-flight-limit
-//! adaptations / occupancy samples, the learner reports phase transitions
-//! and speculation commits/rollbacks, and the campaign runner reports task
-//! and engine-lease activity.  Sinks serialize events qlog-style as JSONL
+//! adaptations / occupancy samples, the learner reports phase transitions,
+//! and the campaign runner reports task and engine-lease activity.  Sinks serialize events qlog-style as JSONL
 //! ([`EventLog`] adds size-capped rotation); [`analyze`] reads the logs
 //! back for the `prognosis-events` stats/verify/timeline binary.  [`json`]
 //! is the workspace's one JSON value type, writer and depth-bounded
@@ -21,10 +20,12 @@
 //!   carry *query-relative* virtual timestamps (`rel`, micros since the
 //!   query's session reset) or logical sequence numbers — never absolute
 //!   virtual time, worker identities or port numbers, all of which vary
-//!   with the engine shape.  Workers *stage* them per query scope through
-//!   [`ScopedSink`]; the learner thread commits scopes in learner order,
-//!   so for a fixed scenario the committed stream is **byte-identical
-//!   across `(workers, max_inflight)` grids** (asserted by proptest).
+//!   with the engine shape.  Workers collect each query's events in a
+//!   buffer that travels back with the query's answer, and the learner
+//!   thread emits the buffers in batch-index order through
+//!   [`ScopedSink::emit_batch`], so for a fixed scenario the stream is
+//!   **byte-identical across `(workers, max_inflight)` grids** (asserted
+//!   by proptest).
 //! * **Diagnostic** events ([`Event::is_diagnostic`]) time-stamp real
 //!   scheduler behaviour — absolute virtual clock readings, adaptive-limit
 //!   moves, occupancy, campaign tasks.  They are emitted immediately and
@@ -41,7 +42,6 @@ pub mod rotate;
 
 pub use rotate::{EventLog, EventLogConfig};
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Packet direction over a session's simulated link, relative to the
@@ -121,21 +121,6 @@ pub enum Event {
         /// Queries the learner had issued when the phase began (a logical
         /// clock driven by the learner alone).
         seq: u64,
-    },
-    /// Speculatively executed work was committed into the learner's
-    /// canonical history (deterministic stream event).
-    SpeculationCommit {
-        /// Speculative queries whose answers became canonical.
-        words: u64,
-    },
-    /// Diagnostic: speculative work was rolled back on a counterexample.
-    /// How far speculation ran ahead of the resolve frontier — and hence
-    /// how many tickets a rollback cancels — depends on the engine shape,
-    /// so the count cannot live in the deterministic stream; the rollback
-    /// itself is visible there as the counterexample phase that follows.
-    SpeculationRollback {
-        /// Speculative queries the learner cancelled.
-        cancelled: u64,
     },
     /// Diagnostic: the shared virtual clock advanced (sampled — emitted
     /// every [`CLOCK_SAMPLE_EVERY`]th advance per scheduler).
@@ -219,8 +204,6 @@ impl Event {
             Event::SessionStart { .. } => "session:start",
             Event::SessionDone { .. } => "session:done",
             Event::PhaseEnter { .. } => "phase:enter",
-            Event::SpeculationCommit { .. } => "speculation:commit",
-            Event::SpeculationRollback { .. } => "speculation:rollback",
             Event::ClockAdvance { .. } => "clock:advance",
             Event::LimitGrow { .. } => "limit:grow",
             Event::LimitShrink { .. } => "limit:shrink",
@@ -240,8 +223,7 @@ impl Event {
     pub fn is_diagnostic(&self) -> bool {
         matches!(
             self,
-            Event::SpeculationRollback { .. }
-                | Event::ClockAdvance { .. }
+            Event::ClockAdvance { .. }
                 | Event::LimitGrow { .. }
                 | Event::LimitShrink { .. }
                 | Event::Occupancy { .. }
@@ -323,12 +305,6 @@ impl Event {
             Event::PhaseEnter { phase, seq } => {
                 let _ = write!(out, "\"seq\":{seq},\"data\":{{\"phase\":\"{phase}\"}}");
             }
-            Event::SpeculationCommit { words } => {
-                let _ = write!(out, "\"data\":{{\"words\":{words}}}");
-            }
-            Event::SpeculationRollback { cancelled } => {
-                let _ = write!(out, "\"data\":{{\"cancelled\":{cancelled}}}");
-            }
             Event::ClockAdvance { time, advances } => {
                 let _ = write!(out, "\"time\":{time},\"data\":{{\"advances\":{advances}}}");
             }
@@ -396,6 +372,13 @@ fn push_u64(out: &mut String, mut v: u64) {
 pub trait EventSink: Send + Sync {
     /// Consume one event.
     fn emit(&self, event: &Event);
+    /// Consume a run of events in order.  The default emits them one by
+    /// one; sinks behind a lock override it to take the lock once.
+    fn emit_all(&self, events: &[Event]) {
+        for event in events {
+            self.emit(event);
+        }
+    }
     /// Flush any buffered output (no-op by default).
     fn flush(&self) {}
 }
@@ -461,57 +444,25 @@ impl EventSink for Tee {
     }
 }
 
-/// The staging front-end that makes the deterministic stream
-/// deterministic.
+/// The engine's front-end to an event sink: the gate that keeps the
+/// deterministic stream engine-shape independent.
 ///
-/// Workers stage query-scoped events under the query's scope id while
-/// they execute concurrently; the learner thread later [`commit`]s
-/// scopes in learner order (batch-index order for blocking dispatch,
-/// ticket-commit order for the async protocol), which appends the staged
-/// events to the inner sink as one contiguous run.  [`discard`] drops a
-/// rolled-back scope's events.  Diagnostic events bypass staging via
-/// [`diagnostic`] and can be disabled wholesale.
-///
-/// [`commit`]: ScopedSink::commit
-/// [`discard`]: ScopedSink::discard
-/// [`diagnostic`]: ScopedSink::diagnostic
+/// Query-scoped events never pass through here one at a time: each query
+/// collects its own events while it runs, and the dispatcher hands a
+/// finished batch's buffers to [`ScopedSink::emit_batch`] in batch-index
+/// order.
+/// Diagnostic events go through [`ScopedSink::diagnostic`] and can be
+/// disabled wholesale.
 pub struct ScopedSink {
     inner: Arc<dyn EventSink>,
     diagnostics: bool,
-    pending: Mutex<Staging>,
-}
-
-/// Staged scopes plus a freelist of their buffers: scopes churn at query
-/// rate, so retiring a scope returns its `Vec` for the next one instead
-/// of round-tripping the allocator per query.
-#[derive(Default)]
-struct Staging {
-    scopes: HashMap<u64, Vec<Event>>,
-    pool: Vec<Vec<Event>>,
-}
-
-impl Staging {
-    fn retire(&mut self, scope: u64) -> Option<Vec<Event>> {
-        self.scopes.remove(&scope)
-    }
-
-    fn recycle(&mut self, mut buf: Vec<Event>) {
-        if self.pool.len() < 64 {
-            buf.clear();
-            self.pool.push(buf);
-        }
-    }
 }
 
 impl ScopedSink {
     /// Wraps `inner`; `diagnostics = false` silently drops diagnostic
     /// events so the inner stream stays engine-shape independent.
     pub fn new(inner: Arc<dyn EventSink>, diagnostics: bool) -> Arc<Self> {
-        Arc::new(ScopedSink {
-            inner,
-            diagnostics,
-            pending: Mutex::new(Staging::default()),
-        })
+        Arc::new(ScopedSink { inner, diagnostics })
     }
 
     /// Emits a diagnostic event immediately (dropped when diagnostics
@@ -524,66 +475,19 @@ impl ScopedSink {
     }
 
     /// Emits a deterministic stream-level event immediately.  Only the
-    /// learner thread may call this: it interleaves with scope commits
-    /// in call order.
+    /// learner thread may call this: it interleaves with
+    /// [`ScopedSink::emit_batch`] in call order.
     pub fn deterministic(&self, event: Event) {
         debug_assert!(!event.is_diagnostic());
         self.inner.emit(&event);
     }
 
-    /// Stages a deterministic event under `scope` (callable from any
-    /// worker; scopes active concurrently must have distinct ids).
-    pub fn stage(&self, scope: u64, event: Event) {
-        debug_assert!(!event.is_diagnostic());
-        let mut staging = self.pending.lock().expect("scoped sink lock");
-        let Staging { scopes, pool } = &mut *staging;
-        match scopes.entry(scope) {
-            std::collections::hash_map::Entry::Occupied(slot) => slot.into_mut().push(event),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let mut buf = pool.pop().unwrap_or_default();
-                buf.push(event);
-                slot.insert(buf);
-            }
-        }
-    }
-
-    /// Appends `scope`'s staged events to the inner sink and clears the
-    /// scope.
-    pub fn commit(&self, scope: u64) {
-        let staged = self.pending.lock().expect("scoped sink lock").retire(scope);
-        if let Some(events) = staged {
-            for event in &events {
-                self.inner.emit(event);
-            }
-            self.pending
-                .lock()
-                .expect("scoped sink lock")
-                .recycle(events);
-        }
-    }
-
-    /// Drops `scope`'s staged events (rolled-back speculation).  Safe to
-    /// call again when a cancelled in-flight query's late answer
-    /// arrives, clearing anything staged after the first discard.
-    pub fn discard(&self, scope: u64) {
-        let mut staging = self.pending.lock().expect("scoped sink lock");
-        if let Some(buf) = staging.retire(scope) {
-            staging.recycle(buf);
-        }
-    }
-
-    /// Number of scopes currently staged (test/diagnostic aid).
-    pub fn staged_scopes(&self) -> usize {
-        self.pending.lock().expect("scoped sink lock").scopes.len()
-    }
-
-    /// Drops every staged scope (engine shutdown).
-    pub fn clear(&self) {
-        self.pending
-            .lock()
-            .expect("scoped sink lock")
-            .scopes
-            .clear();
+    /// Emits a dispatched batch's query events, already concatenated in
+    /// batch-index order, as one contiguous run.  Only the learner thread
+    /// may call this.
+    pub fn emit_batch(&self, events: &[Event]) {
+        debug_assert!(events.iter().all(|event| !event.is_diagnostic()));
+        self.inner.emit_all(events);
     }
 
     /// Flushes the inner sink.
@@ -629,49 +533,33 @@ mod tests {
     }
 
     #[test]
-    fn scoped_sink_orders_by_commit_not_staging() {
+    fn scoped_sink_emits_scopes_in_call_order() {
         let mem = Arc::new(MemorySink::new());
         let scoped = ScopedSink::new(mem.clone(), true);
-        // Stage scope 2's events before scope 1's, commit 1 first.
-        scoped.stage(
-            2,
-            Event::SessionStart {
-                phase: "equivalence",
-                symbols: 2,
-            },
-        );
-        scoped.stage(
-            1,
+        // Scope 2's buffer was filled first; emission follows call order.
+        let second = [Event::SessionStart {
+            phase: "equivalence",
+            symbols: 2,
+        }];
+        let first = [
             Event::SessionStart {
                 phase: "construction",
                 symbols: 1,
             },
-        );
-        scoped.commit(1);
-        scoped.commit(2);
-        let out = mem.contents();
-        let first = out.lines().next().expect("two lines");
-        assert!(first.contains("construction"));
-        assert_eq!(out.lines().count(), 2);
-        assert_eq!(scoped.staged_scopes(), 0);
-    }
-
-    #[test]
-    fn discarded_scopes_never_reach_the_inner_sink() {
-        let mem = Arc::new(MemorySink::new());
-        let scoped = ScopedSink::new(mem.clone(), true);
-        scoped.stage(
-            7,
-            Event::WireDrop {
-                rel: 10,
-                dir: "down",
-                packet: 0,
-                bytes: 9,
+            Event::SessionDone {
+                phase: "construction",
+                symbols: 1,
+                rel: 0,
             },
-        );
-        scoped.discard(7);
-        scoped.commit(7);
-        assert!(mem.contents().is_empty());
+        ];
+        scoped.emit_batch(&first);
+        scoped.emit_batch(&second);
+        let out = mem.contents();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("construction"));
+        assert!(lines[1].contains("session:done"));
+        assert!(lines[2].contains("equivalence"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! path` oldest-first and tolerate a torn final line in the live file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -69,11 +69,18 @@ pub fn rotated_indices(path: &Path) -> Vec<u32> {
     indices
 }
 
+/// Rendered bytes held before one `write` to the live file.
+const WRITE_BUFFER_BYTES: usize = 64 << 10;
+
 struct RotatingWriter {
     config: EventLogConfig,
-    file: BufWriter<File>,
+    file: File,
+    /// Size of the live file, counting the lines still in `pending`.
     live_bytes: u64,
-    line_buf: String,
+    /// Lines rendered but not yet written: events render straight into
+    /// this buffer, which goes to the file in one `write` per
+    /// [`WRITE_BUFFER_BYTES`].
+    pending: String,
 }
 
 impl RotatingWriter {
@@ -90,22 +97,28 @@ impl RotatingWriter {
         let live_bytes = file.metadata()?.len();
         Ok(RotatingWriter {
             config,
-            file: BufWriter::new(file),
+            file,
             live_bytes,
-            line_buf: String::with_capacity(160),
+            pending: String::with_capacity(WRITE_BUFFER_BYTES),
         })
     }
 
     fn write_event(&mut self, event: &Event) -> std::io::Result<()> {
-        self.line_buf.clear();
-        event.render(&mut self.line_buf);
-        self.line_buf.push('\n');
-        let len = self.line_buf.len() as u64;
+        let start = self.pending.len();
+        event.render(&mut self.pending);
+        self.pending.push('\n');
+        let len = (self.pending.len() - start) as u64;
         if self.live_bytes > 0 && self.live_bytes + len > self.config.max_file_bytes {
+            // The new line opens the next file; the lines before it
+            // close this one.
+            let line = self.pending.split_off(start);
             self.rotate()?;
+            self.pending.push_str(&line);
         }
-        self.file.write_all(self.line_buf.as_bytes())?;
         self.live_bytes += len;
+        if self.pending.len() >= WRITE_BUFFER_BYTES {
+            self.flush()?;
+        }
         Ok(())
     }
 
@@ -113,7 +126,7 @@ impl RotatingWriter {
     /// reopen a fresh live file, then enforce the total-byte cap from
     /// the oldest end.
     fn rotate(&mut self) -> std::io::Result<()> {
-        self.file.flush()?;
+        self.flush()?;
         let path = self.config.path.clone();
         let existing = rotated_indices(&path);
         for &index in existing.iter().rev() {
@@ -124,7 +137,7 @@ impl RotatingWriter {
             .create_new(true)
             .append(true)
             .open(&path)?;
-        self.file = BufWriter::new(fresh);
+        self.file = fresh;
         self.live_bytes = 0;
         self.enforce_total_cap()
     }
@@ -153,14 +166,19 @@ impl RotatingWriter {
         Ok(())
     }
 
+    /// Writes the pending lines to the live file.  They are dropped
+    /// even when the write fails, so a failing disk cannot grow the
+    /// buffer without bound.
     fn flush(&mut self) -> std::io::Result<()> {
-        self.file.flush()
+        let written = self.file.write_all(self.pending.as_bytes());
+        self.pending.clear();
+        written
     }
 }
 
 impl Drop for RotatingWriter {
     fn drop(&mut self) {
-        let _ = self.file.flush();
+        let _ = self.flush();
     }
 }
 
@@ -190,9 +208,15 @@ impl EventLog {
 
 impl EventSink for EventLog {
     fn emit(&self, event: &Event) {
+        self.emit_all(std::slice::from_ref(event));
+    }
+
+    fn emit_all(&self, events: &[Event]) {
         let mut writer = self.writer.lock().expect("event log lock");
-        if writer.write_event(event).is_err() {
-            *self.io_errors.lock().expect("event log lock") += 1;
+        for event in events {
+            if writer.write_event(event).is_err() {
+                *self.io_errors.lock().expect("event log lock") += 1;
+            }
         }
     }
 

@@ -35,14 +35,12 @@
 //! queries than serial sifting — coinciding level queries make it report
 //! fewer.
 
-use crate::oracle::{
-    AsyncAnswer, AsyncQuery, EquivalenceOracle, MembershipOracle, PresampledSuite, QueryPhase,
-};
+use crate::oracle::{EquivalenceOracle, MembershipOracle, QueryPhase};
 use crate::stats::LearningStats;
 use crate::{Learner, LearningResult};
-use prognosis_automata::alphabet::{Alphabet, Symbol};
+use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::mealy::{MealyBuilder, MealyMachine, StateId};
-use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
+use prognosis_automata::word::{InputWord, OutputWord};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How the learner drives membership queries during sifting.
@@ -56,36 +54,6 @@ pub enum SiftStrategy {
     /// [`SiftStrategy::Serial`] with `membership_queries` ≤ serial.
     #[default]
     Wavefront,
-    /// Continuation/dataflow sifting: every pending word carries its own
-    /// sift continuation, a membership answer immediately enqueues its
-    /// successor query (no level barrier), and presampled equivalence-suite
-    /// words stream *speculatively* through the same scheduler drain,
-    /// rolled back when a counterexample lands.  Bit-identical results to
-    /// [`SiftStrategy::Serial`] with `membership_queries` ≤ serial.
-    Dataflow,
-}
-
-/// Speculative-equivalence accounting for [`SiftStrategy::Dataflow`]: how
-/// many presampled suite words were streamed, how many a counterexample
-/// rolled back, and how the rolled-back words split into executed waste
-/// (`words_discarded`) versus cancelled-before-execution
-/// (`words_unsent`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpeculationStats {
-    /// Presampled suites streamed speculatively.
-    pub suites: u64,
-    /// Suites cut short by a counterexample.
-    pub rollbacks: u64,
-    /// Suite words submitted to the oracle stack.
-    pub words_submitted: u64,
-    /// Suite words whose results were committed (exactly the words the
-    /// blocking runner would have executed).
-    pub words_used: u64,
-    /// Rolled-back words that had already executed — the true waste cost
-    /// of speculation.
-    pub words_discarded: u64,
-    /// Rolled-back words cancelled before any SUL work happened.
-    pub words_unsent: u64,
 }
 
 /// A node of the discrimination tree.
@@ -111,96 +79,6 @@ pub struct DTreeLearner {
     leaves: Vec<usize>,
     strategy: SiftStrategy,
     stats: LearningStats,
-    /// Monotonic async-query ticket source ([`SiftStrategy::Dataflow`]).
-    next_ticket: u64,
-    speculation: SpeculationStats,
-}
-
-/// One pending transition word's sift continuation: where its descent has
-/// reached, and whether the descent is over (it reached a leaf or a missing
-/// child).  Within one hypothesis build sifting only ever *adds leaves*, so
-/// a word's inner-node path — and therefore the exact membership queries
-/// its descent asks — is the same against any tree snapshot of the build.
-/// That path invariance is what lets every continuation probe fully
-/// asynchronously while a strictly ordered replay frontier keeps leaf
-/// creation (and state numbering) bit-identical to the serial sift.
-struct SiftTask {
-    word: InputWord,
-    node: usize,
-    probed: bool,
-}
-
-/// Per-build dataflow state: the answer pool, parked continuations, and
-/// the in-order replay frontier.
-#[derive(Default)]
-struct BuildState {
-    tasks: Vec<SiftTask>,
-    /// Answers received this build, keyed by full query word.
-    answers: BTreeMap<InputWord, OutputWord>,
-    /// Words submitted and not yet answered.
-    pending: BTreeSet<InputWord>,
-    /// Task indices parked on a pending word.
-    waiters: BTreeMap<InputWord, Vec<usize>>,
-    /// Outstanding construction tickets → their query words.
-    ticket_query: BTreeMap<u64, InputWord>,
-    /// Queries accumulated since the last flush, submitted together so the
-    /// cache's prefix subsumption can group them.
-    submissions: Vec<AsyncQuery>,
-    /// Next task index to replay; tasks replay strictly in index order —
-    /// the serial processing order.
-    frontier: usize,
-}
-
-/// A presampled equivalence suite being streamed speculatively.
-struct SuiteStream {
-    words: Vec<InputWord>,
-    batch_size: usize,
-    /// Words submitted so far — always a whole number of chunks, because
-    /// the commit/rollback boundary is the blocking runner's chunk.
-    submitted: usize,
-    /// Ticket per submitted suite index.
-    tickets: Vec<u64>,
-    ticket_index: BTreeMap<u64, usize>,
-    /// Answers by suite index.
-    answers: BTreeMap<usize, OutputWord>,
-    /// Resolve frontier: suite words below this index have been checked
-    /// against the finished hypothesis.  Zero while the hypothesis is
-    /// still under construction.  The speculation window is measured from
-    /// here — not from the answered count — so a long build or resolve
-    /// wait never streams the whole suite ahead of what a counterexample
-    /// could still roll back.
-    resolved: usize,
-}
-
-impl SuiteStream {
-    fn new(suite: PresampledSuite) -> Self {
-        SuiteStream {
-            words: suite.words,
-            batch_size: suite.batch_size.max(1),
-            submitted: 0,
-            tickets: Vec::new(),
-            ticket_index: BTreeMap::new(),
-            answers: BTreeMap::new(),
-            resolved: 0,
-        }
-    }
-
-    /// Routes an answer to its suite slot; hands it back when the ticket
-    /// isn't ours (a still-buffered answer for another phase).
-    fn accept(&mut self, answer: AsyncAnswer) -> Option<AsyncAnswer> {
-        match self.ticket_index.get(&answer.ticket) {
-            Some(&idx) => {
-                assert_eq!(
-                    answer.output.len(),
-                    self.words[idx].len(),
-                    "oracle must answer symbol-per-symbol"
-                );
-                self.answers.insert(idx, answer.output);
-                None
-            }
-            None => Some(answer),
-        }
-    }
 }
 
 impl DTreeLearner {
@@ -226,20 +104,12 @@ impl DTreeLearner {
             leaves: vec![0],
             strategy,
             stats: LearningStats::new(),
-            next_ticket: 0,
-            speculation: SpeculationStats::default(),
         }
     }
 
     /// Statistics accumulated so far.
     pub fn stats(&self) -> LearningStats {
         self.stats
-    }
-
-    /// Speculative-equivalence accounting (all zero unless the learner ran
-    /// with [`SiftStrategy::Dataflow`]).
-    pub fn speculation(&self) -> SpeculationStats {
-        self.speculation
     }
 
     /// Number of states discovered so far.
@@ -513,9 +383,6 @@ impl DTreeLearner {
         // transitions[state][symbol index] = (target state, output symbol)
         let mut transitions: Vec<Vec<(StateId, prognosis_automata::alphabet::Symbol)>> = Vec::new();
         match self.strategy {
-            SiftStrategy::Dataflow => {
-                unreachable!("dataflow builds go through build_hypothesis_dataflow")
-            }
             SiftStrategy::Serial => {
                 let mut state = 0;
                 while state < self.leaves.len() {
@@ -595,347 +462,6 @@ impl DTreeLearner {
         builder.build().expect("every state row was filled")
     }
 
-    /// Submits `word` asynchronously unless this build already answered or
-    /// dispatched it.  Each distinct word is charged once per build —
-    /// serial sifting re-asks duplicates, so the dataflow count can only be
-    /// lower.
-    fn request_query(&mut self, build: &mut BuildState, word: &InputWord) {
-        if build.answers.contains_key(word) || build.pending.contains(word) {
-            return;
-        }
-        build.pending.insert(word.clone());
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        build.ticket_query.insert(ticket, word.clone());
-        self.stats.membership_queries += 1;
-        self.stats.input_symbols += word.len() as u64;
-        build.submissions.push(AsyncQuery {
-            ticket,
-            input: word.clone(),
-            phase: QueryPhase::Construction,
-            speculative: false,
-        });
-    }
-
-    /// Drives task `i`'s descent as far as the available answers allow.
-    /// Parks it (registering a waiter and submitting the query) at the
-    /// first unanswered level; marks it probed when it reaches a leaf or a
-    /// missing child — by path invariance no further queries can be needed.
-    fn advance_probe(&mut self, build: &mut BuildState, i: usize) {
-        loop {
-            let node = build.tasks[i].node;
-            let full = match &self.nodes[node] {
-                Node::Leaf { .. } => {
-                    build.tasks[i].probed = true;
-                    return;
-                }
-                Node::Inner { discriminator, .. } => build.tasks[i].word.concat(discriminator),
-            };
-            let Some(out) = build.answers.get(&full) else {
-                build.waiters.entry(full.clone()).or_default().push(i);
-                self.request_query(build, &full);
-                return;
-            };
-            let label = out.suffix_from(build.tasks[i].word.len());
-            let next = match &self.nodes[node] {
-                Node::Inner { children, .. } => children.get(&label).copied(),
-                Node::Leaf { .. } => unreachable!("probing task sits at an inner node"),
-            };
-            match next {
-                Some(child) => build.tasks[i].node = child,
-                None => {
-                    // The replay will create the leaf here (or land in one
-                    // an earlier word created) — no more queries either way.
-                    build.tasks[i].probed = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Routes a wave of answers: construction answers unpark their waiting
-    /// continuations immediately (enqueuing successor queries into
-    /// `build.submissions`); anything else belongs to the speculative
-    /// equivalence stream.
-    fn route_answers(
-        &mut self,
-        build: &mut BuildState,
-        spec: &mut Option<&mut SuiteStream>,
-        answers: Vec<AsyncAnswer>,
-    ) {
-        for answer in answers {
-            if let Some(word) = build.ticket_query.remove(&answer.ticket) {
-                assert_eq!(
-                    answer.output.len(),
-                    word.len(),
-                    "oracle must answer symbol-per-symbol"
-                );
-                build.pending.remove(&word);
-                build.answers.insert(word.clone(), answer.output);
-                if let Some(waiting) = build.waiters.remove(&word) {
-                    for i in waiting {
-                        self.advance_probe(build, i);
-                    }
-                }
-            } else if let Some(s) = spec.as_deref_mut() {
-                assert!(s.accept(answer).is_none(), "answer for an unknown ticket");
-            } else {
-                panic!("answer for an unknown ticket");
-            }
-        }
-    }
-
-    /// Flushes accumulated submissions (late-arriving continuations ride
-    /// into the running pool without a drain); oracles that answer inline
-    /// hand results straight back, which can queue further submissions.
-    fn flush_submissions(
-        &mut self,
-        membership: &mut dyn MembershipOracle,
-        build: &mut BuildState,
-        spec: &mut Option<&mut SuiteStream>,
-    ) {
-        while !build.submissions.is_empty() {
-            let batch = std::mem::take(&mut build.submissions);
-            let immediate = membership.submit_queries(batch);
-            self.route_answers(build, spec, immediate);
-        }
-    }
-
-    /// Replays probe-complete tasks strictly in task (= serial word) order,
-    /// filling hypothesis rows; replay is what mutates the tree, so leaf
-    /// creation order and state numbering match the serial sift exactly.
-    fn drain_replays(
-        &mut self,
-        build: &mut BuildState,
-        rows: &mut [Vec<Option<(StateId, Symbol)>>],
-        alphabet_len: usize,
-    ) {
-        while build.frontier < build.tasks.len() {
-            let i = build.frontier;
-            // The row output (the task's own word) rides the same submission
-            // wave as the first sift level; both must be in before replay.
-            if !build.tasks[i].probed || !build.answers.contains_key(&build.tasks[i].word) {
-                return;
-            }
-            let word = build.tasks[i].word.clone();
-            let leaf = self.sift_replay(&word, &build.answers);
-            let output = build.answers[&word]
-                .last()
-                .expect("non-empty query")
-                .clone();
-            rows[i / alphabet_len][i % alphabet_len] = Some((self.state_of_leaf(leaf), output));
-            build.frontier += 1;
-        }
-    }
-
-    /// Keeps the speculative window full: submits whole suite chunks while
-    /// less than one chunk is ahead of the resolve frontier.  Whole
-    /// chunks only — the blocking runner executes chunk-at-a-time, so the
-    /// chunk is the unit that can be committed without cache divergence.
-    /// One chunk (≫ the session pool) is always enough queued words to
-    /// keep the pool full through construction stalls, while bounding what
-    /// a counterexample can discard to roughly the chunk after its own;
-    /// and since the resolve walk only reaches an index once its whole
-    /// chunk was submitted, the counterexample's own chunk is always fully
-    /// in flight by the time the rollback needs to commit it.
-    fn pump_speculation(
-        &mut self,
-        membership: &mut dyn MembershipOracle,
-        s: &mut SuiteStream,
-    ) -> Vec<AsyncAnswer> {
-        let mut stray = Vec::new();
-        while s.submitted < s.words.len() {
-            if s.submitted - s.resolved >= s.batch_size {
-                break;
-            }
-            let end = (s.submitted + s.batch_size).min(s.words.len());
-            let mut chunk = Vec::with_capacity(end - s.submitted);
-            for idx in s.submitted..end {
-                let ticket = self.next_ticket;
-                self.next_ticket += 1;
-                s.tickets.push(ticket);
-                s.ticket_index.insert(ticket, idx);
-                chunk.push(AsyncQuery {
-                    ticket,
-                    input: s.words[idx].clone(),
-                    phase: QueryPhase::Equivalence,
-                    speculative: true,
-                });
-            }
-            s.submitted = end;
-            self.speculation.words_submitted += chunk.len() as u64;
-            // submit_queries may return any answers buffered oracle-side,
-            // including construction tickets that just resolved — hand those
-            // back to the caller to route.
-            for answer in membership.submit_queries(chunk) {
-                if let Some(other) = s.accept(answer) {
-                    stray.push(other);
-                }
-            }
-        }
-        stray
-    }
-
-    /// Dataflow hypothesis construction: one scheduler drain advances sift
-    /// continuations the moment their answers land, replays them in serial
-    /// order, and keeps the pool topped up with speculative equivalence
-    /// words whenever construction alone cannot fill it.
-    fn build_hypothesis_dataflow(
-        &mut self,
-        membership: &mut dyn MembershipOracle,
-        mut spec: Option<&mut SuiteStream>,
-    ) -> MealyMachine {
-        self.stats.learning_rounds += 1;
-        membership.note_phase(QueryPhase::Construction);
-        let alphabet = self.alphabet.clone();
-        let mut build = BuildState::default();
-        let mut rows: Vec<Vec<Option<(StateId, Symbol)>>> = Vec::new();
-        let mut seeded = 0usize;
-        loop {
-            // Newly discovered states enqueue their |Σ| transition words at
-            // once; the row-output query rides the same submission as the
-            // first sift level, so the prefix-subsuming cache gets it free.
-            while seeded < self.leaves.len() {
-                let access = self.leaf_access(self.leaves[seeded]).clone();
-                rows.push(vec![None; alphabet.len()]);
-                for sym in alphabet.iter() {
-                    let word = access.append(sym.clone());
-                    let idx = build.tasks.len();
-                    build.tasks.push(SiftTask {
-                        word: word.clone(),
-                        node: self.root,
-                        probed: false,
-                    });
-                    self.request_query(&mut build, &word);
-                    self.advance_probe(&mut build, idx);
-                }
-                seeded += 1;
-            }
-            self.flush_submissions(membership, &mut build, &mut spec);
-            self.drain_replays(&mut build, &mut rows, alphabet.len());
-            if seeded < self.leaves.len() {
-                continue; // replay discovered states: seed their rows now
-            }
-            if build.frontier == build.tasks.len() {
-                break;
-            }
-            let mut stray = Vec::new();
-            if let Some(s) = spec.as_deref_mut() {
-                stray = self.pump_speculation(membership, s);
-            }
-            if !stray.is_empty() {
-                self.route_answers(&mut build, &mut spec, stray);
-                self.flush_submissions(membership, &mut build, &mut spec);
-                continue;
-            }
-            let got = membership.poll_answers(true);
-            if got.is_empty() {
-                assert!(
-                    membership.outstanding_queries() > 0,
-                    "dataflow drain stalled: continuations parked with nothing in flight"
-                );
-            }
-            self.route_answers(&mut build, &mut spec, got);
-            self.flush_submissions(membership, &mut build, &mut spec);
-        }
-        debug_assert!(build.ticket_query.is_empty(), "construction fully answered");
-        let mut builder = MealyBuilder::new(self.alphabet.clone());
-        builder.add_states(self.leaves.len());
-        builder.set_initial(0);
-        for (q, row) in rows.iter().enumerate() {
-            for (idx, sym) in alphabet.iter().enumerate() {
-                let (target, output) = row[idx].clone().expect("every row cell filled");
-                builder
-                    .add_transition(q, sym.clone(), output, target)
-                    .expect("states pre-added");
-            }
-        }
-        builder.build().expect("every state row was filled")
-    }
-
-    /// Resolves a speculatively streamed suite against the finished
-    /// hypothesis: walks the words in suite order (polling in any remaining
-    /// answers), and on the first mismatch commits exactly the chunks the
-    /// blocking runner would have executed and cancels everything beyond —
-    /// in-flight speculative sessions are discarded, the cache keeps no
-    /// trace of rolled-back words, and `tests_executed` is counted as the
-    /// blocking path counts it.
-    fn resolve_speculative_suite(
-        &mut self,
-        membership: &mut dyn MembershipOracle,
-        equivalence: &mut dyn EquivalenceOracle,
-        hypothesis: &MealyMachine,
-        mut s: SuiteStream,
-    ) -> Option<IoTrace> {
-        self.speculation.suites += 1;
-        let mut found: Option<usize> = None;
-        let mut idx = 0;
-        while idx < s.words.len() {
-            s.resolved = idx;
-            if !s.answers.contains_key(&idx) {
-                let stray = self.pump_speculation(membership, &mut s);
-                assert!(stray.is_empty(), "answer for an unknown ticket");
-                if !s.answers.contains_key(&idx) {
-                    let got = membership.poll_answers(true);
-                    if got.is_empty() {
-                        assert!(
-                            membership.outstanding_queries() > 0,
-                            "equivalence resolve stalled with words in flight"
-                        );
-                    }
-                    for answer in got {
-                        assert!(s.accept(answer).is_none(), "answer for an unknown ticket");
-                    }
-                    continue;
-                }
-            }
-            let hyp_out = hypothesis
-                .run(&s.words[idx])
-                .expect("suite word over hypothesis alphabet");
-            if s.answers[&idx] != hyp_out {
-                found = Some(idx);
-                break;
-            }
-            idx += 1;
-        }
-        match found {
-            None => {
-                debug_assert_eq!(s.submitted, s.words.len());
-                membership.commit_queries(&s.tickets);
-                self.speculation.words_used += s.tickets.len() as u64;
-                equivalence.note_speculative_result(s.words.len() as u64);
-                None
-            }
-            Some(idx) => {
-                self.speculation.rollbacks += 1;
-                // The blocking runner executes the counterexample's whole
-                // chunk before stopping; commit exactly that much so the
-                // cache trie (and warm starts from it) stay bit-identical.
-                let keep = (((idx / s.batch_size) + 1) * s.batch_size).min(s.words.len());
-                while (0..keep).any(|i| !s.answers.contains_key(&i)) {
-                    let got = membership.poll_answers(true);
-                    if got.is_empty() {
-                        assert!(
-                            membership.outstanding_queries() > 0,
-                            "equivalence resolve stalled with words in flight"
-                        );
-                    }
-                    for answer in got {
-                        assert!(s.accept(answer).is_none(), "answer for an unknown ticket");
-                    }
-                }
-                membership.commit_queries(&s.tickets[..keep]);
-                self.speculation.words_used += keep as u64;
-                let outcome = membership.cancel_queries(&s.tickets[keep..]);
-                self.speculation.words_discarded += outcome.discarded;
-                self.speculation.words_unsent += outcome.unsent;
-                equivalence.note_speculative_result(idx as u64 + 1);
-                let output = s.answers[&idx].clone();
-                Some(IoTrace::new(s.words[idx].clone(), output))
-            }
-        }
-    }
-
     /// Rivest–Schapire decomposition of a counterexample: finds the single
     /// transition whose target state is wrong and splits the corresponding
     /// leaf with a new discriminator.
@@ -991,7 +517,7 @@ impl DTreeLearner {
                     }
                 }
             }
-            SiftStrategy::Wavefront | SiftStrategy::Dataflow => {
+            SiftStrategy::Wavefront => {
                 let batch: Vec<InputWord> = probes
                     .iter()
                     .flatten()
@@ -1042,7 +568,7 @@ impl DTreeLearner {
                         n.suffix_from(new_access.len()),
                     )
                 }
-                SiftStrategy::Wavefront | SiftStrategy::Dataflow => {
+                SiftStrategy::Wavefront => {
                     let outs = self.query_batch(membership, &[old_q, new_q]);
                     (
                         outs[0].suffix_from(old_access.len()),
@@ -1087,28 +613,11 @@ impl Learner for DTreeLearner {
         membership: &mut dyn MembershipOracle,
         equivalence: &mut dyn EquivalenceOracle,
     ) -> LearningResult {
-        let mut suite: Option<SuiteStream> = None;
         loop {
-            // Dataflow: pre-draw this round's equivalence suite so its
-            // words can stream speculatively while construction queries
-            // are still in flight; oracles that cannot presample fall
-            // back to the blocking equivalence query below.
-            if self.strategy == SiftStrategy::Dataflow && suite.is_none() {
-                let alphabet = self.alphabet.clone();
-                suite = equivalence.presample_suite(&alphabet).map(SuiteStream::new);
-            }
-            let hypothesis = if self.strategy == SiftStrategy::Dataflow {
-                self.build_hypothesis_dataflow(membership, suite.as_mut())
-            } else {
-                self.build_hypothesis(membership)
-            };
+            let hypothesis = self.build_hypothesis(membership);
             self.stats.equivalence_queries += 1;
             membership.note_phase(QueryPhase::Equivalence);
-            let ce = match suite.take() {
-                Some(s) => self.resolve_speculative_suite(membership, equivalence, &hypothesis, s),
-                None => equivalence.find_counterexample(&hypothesis, membership),
-            };
-            match ce {
+            match equivalence.find_counterexample(&hypothesis, membership) {
                 None => {
                     self.stats
                         .record_model(hypothesis.num_states(), hypothesis.num_transitions());
@@ -1258,77 +767,6 @@ mod tests {
             assert_eq!(serial.stats.learning_rounds, wave.stats.learning_rounds);
             assert_eq!(serial.stats.model_states, wave.stats.model_states);
         }
-    }
-
-    #[test]
-    fn dataflow_sifting_is_bit_identical_to_serial() {
-        for seed in 0..6u64 {
-            let target =
-                prognosis_automata::minimize::minimize(&known::random_machine(7, 3, 3, seed));
-            let (serial, serial_tree, serial_fresh) =
-                learn_with_strategy(&target, SiftStrategy::Serial, seed);
-            let (flow, flow_tree, flow_fresh) =
-                learn_with_strategy(&target, SiftStrategy::Dataflow, seed);
-            assert_eq!(serial.model, flow.model, "seed {seed}: models diverged");
-            assert_eq!(serial_tree, flow_tree, "seed {seed}: trees diverged");
-            assert!(
-                flow.stats.membership_queries <= serial.stats.membership_queries,
-                "seed {seed}: dataflow must not ask more queries ({} > {})",
-                flow.stats.membership_queries,
-                serial.stats.membership_queries
-            );
-            // Speculative words that roll back never touch the cache trie,
-            // and committed chunks are exactly the chunks serial executed —
-            // so the fresh-symbol count is not just bounded but *equal*.
-            assert_eq!(
-                serial_fresh, flow_fresh,
-                "seed {seed}: speculation leaked into the cache trie"
-            );
-            assert_eq!(serial.stats.counterexamples, flow.stats.counterexamples);
-            assert_eq!(serial.stats.learning_rounds, flow.stats.learning_rounds);
-            assert_eq!(serial.stats.model_states, flow.stats.model_states);
-        }
-    }
-
-    #[test]
-    fn dataflow_speculation_rolls_back_cleanly_on_counterexamples() {
-        // A target needing several rounds guarantees counterexamples land
-        // while speculative equivalence words are staged.
-        let target = known::counter(8);
-        let mut learner =
-            DTreeLearner::with_strategy(target.input_alphabet().clone(), SiftStrategy::Dataflow);
-        let mut membership = CacheOracle::new(MachineOracle::new(target.clone()));
-        let mut equivalence = RandomWordOracle::new(5, 2_000, 1, 12);
-        let result = learner.learn(&mut membership, &mut equivalence);
-        assert!(machines_equivalent(&result.model, &target));
-        let spec = learner.speculation();
-        assert!(spec.suites >= 2, "multi-round learning streams suites");
-        assert!(
-            spec.rollbacks >= 1,
-            "counterexamples must roll speculation back"
-        );
-        assert_eq!(
-            spec.words_used + spec.words_discarded + spec.words_unsent,
-            spec.words_submitted,
-            "every speculative word is used, discarded, or unsent exactly once"
-        );
-        assert!(
-            spec.words_used <= spec.words_submitted,
-            "committed words are a subset of submitted words"
-        );
-        // Serial executes exactly the committed chunks, so the speculative
-        // run reports the same per-round tests-executed totals.
-        let mut serial_learner =
-            DTreeLearner::with_strategy(target.input_alphabet().clone(), SiftStrategy::Serial);
-        let mut serial_membership = CacheOracle::new(MachineOracle::new(target.clone()));
-        let mut serial_eq = RandomWordOracle::new(5, 2_000, 1, 12);
-        let serial = serial_learner.learn(&mut serial_membership, &mut serial_eq);
-        assert_eq!(serial.model, result.model);
-        assert_eq!(serial_eq.tests_executed(), equivalence.tests_executed());
-        assert_eq!(
-            serial_eq.equivalence_queries(),
-            equivalence.equivalence_queries()
-        );
     }
 
     #[test]

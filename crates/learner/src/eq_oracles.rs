@@ -12,7 +12,7 @@
 //! * [`WMethodOracle`] — Chow's W-method conformance suite, which is exact
 //!   under an assumed bound on the number of extra states in the SUL.
 
-use crate::oracle::{EquivalenceOracle, MembershipOracle, PresampledSuite};
+use crate::oracle::{EquivalenceOracle, MembershipOracle};
 use prognosis_automata::access::w_method_suite_stream;
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::equivalence::find_counterexample;
@@ -222,27 +222,6 @@ impl EquivalenceOracle for RandomWordOracle {
 
     fn tests_executed(&self) -> u64 {
         self.tests_executed
-    }
-
-    /// Random suites depend only on the input alphabet, so the whole suite
-    /// for the next equivalence query can be drawn up front.  The RNG ends
-    /// in exactly the state the blocking path leaves it in (the blocking
-    /// path fast-forwards past unexecuted words), so a presampled round
-    /// followed by blocking rounds — or vice versa — is bit-identical to
-    /// all-blocking rounds.
-    fn presample_suite(&mut self, alphabet: &Alphabet) -> Option<PresampledSuite> {
-        self.queries += 1;
-        let words = (0..self.max_tests)
-            .map(|_| random_word(&mut self.rng, self.min_len, self.max_len, alphabet))
-            .collect();
-        Some(PresampledSuite {
-            words,
-            batch_size: self.batch_size,
-        })
-    }
-
-    fn note_speculative_result(&mut self, tests_executed: u64) {
-        self.tests_executed += tests_executed;
     }
 }
 
@@ -468,50 +447,6 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn w_method_oracle_rejects_zero_batch_size() {
         let _ = WMethodOracle::new(1).with_batch_size(0);
-    }
-
-    #[test]
-    fn presampled_suite_matches_blocking_path_and_preserves_rng_state() {
-        let target = known::counter(4);
-        let wrong = known::counter(3);
-        // Blocking reference: two equivalence rounds from one seed.
-        let mut membership = MachineOracle::new(target.clone());
-        let mut blocking = RandomWordOracle::new(11, 500, 1, 12);
-        let ce1 = blocking
-            .find_counterexample(&wrong, &mut membership)
-            .expect("4-vs-3 counter must be distinguished");
-        let exec1 = blocking.tests_executed();
-        let ce2 = blocking
-            .find_counterexample(&wrong, &mut membership)
-            .expect("second round finds a counterexample too");
-        // Same seed, but the first round resolved from a presampled suite.
-        let mut spec = RandomWordOracle::new(11, 500, 1, 12);
-        let suite = spec
-            .presample_suite(wrong.input_alphabet())
-            .expect("random oracles can presample");
-        assert_eq!(suite.words.len(), 500);
-        assert_eq!(suite.batch_size, DEFAULT_EQ_BATCH_SIZE);
-        let (idx, word) = suite
-            .words
-            .iter()
-            .enumerate()
-            .find(|(_, w)| target.run(w).unwrap() != wrong.run(w).unwrap())
-            .expect("suite contains a distinguishing word");
-        assert_eq!(
-            word, &ce1.input,
-            "first in-order mismatch is the blocking ce"
-        );
-        assert_eq!(target.run(word).unwrap(), ce1.output);
-        spec.note_speculative_result(idx as u64 + 1);
-        assert_eq!(spec.tests_executed(), exec1);
-        assert_eq!(spec.equivalence_queries(), 1);
-        let ce2_spec = spec
-            .find_counterexample(&wrong, &mut membership)
-            .expect("second round finds a counterexample too");
-        assert_eq!(
-            ce2_spec, ce2,
-            "RNG state after a presampled round must match the blocking path"
-        );
     }
 
     #[test]

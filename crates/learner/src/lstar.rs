@@ -13,7 +13,7 @@
 //! [`crate::dtree`] is the one used by the experiment harness (it is the
 //! family TTT belongs to and asks far fewer queries).
 
-use crate::oracle::{AsyncQuery, EquivalenceOracle, MembershipOracle, QueryPhase};
+use crate::oracle::{EquivalenceOracle, MembershipOracle, QueryPhase};
 use crate::stats::LearningStats;
 use crate::{Learner, LearningResult};
 use prognosis_automata::alphabet::{Alphabet, Symbol};
@@ -31,8 +31,6 @@ pub struct LStarLearner {
     /// Cache of cells: (prefix, suffix index) → output suffix.
     cells: BTreeMap<(InputWord, usize), OutputWord>,
     stats: LearningStats,
-    /// Monotonic ticket source for async closure-path dispatch.
-    next_ticket: u64,
 }
 
 impl LStarLearner {
@@ -52,7 +50,6 @@ impl LStarLearner {
             suffixes,
             cells: BTreeMap::new(),
             stats: LearningStats::new(),
-            next_ticket: 0,
         }
     }
 
@@ -108,40 +105,13 @@ impl LStarLearner {
             .map(|(prefix, i)| prefix.concat(&self.suffixes[*i]))
             .collect();
         self.stats.record_batch(&queries);
-        // The closure path rides the async continuation protocol the
-        // dataflow sifter uses: one submission wave, answers matched back
-        // by ticket in whatever order the scheduler completes them.
-        let base = self.next_ticket;
-        self.next_ticket += queries.len() as u64;
-        let submissions: Vec<AsyncQuery> = queries
-            .iter()
-            .enumerate()
-            .map(|(j, input)| AsyncQuery {
-                ticket: base + j as u64,
-                input: input.clone(),
-                phase: QueryPhase::Construction,
-                speculative: false,
-            })
-            .collect();
-        let mut outs: BTreeMap<u64, OutputWord> = membership
-            .submit_queries(submissions)
-            .into_iter()
-            .map(|a| (a.ticket, a.output))
-            .collect();
-        while outs.len() < queries.len() {
-            let got = membership.poll_answers(true);
-            if got.is_empty() {
-                assert!(
-                    membership.outstanding_queries() > 0,
-                    "closure batch stalled with cells unanswered"
-                );
-            }
-            outs.extend(got.into_iter().map(|a| (a.ticket, a.output)));
-        }
-        for (j, ((prefix, i), query)) in missing.into_iter().zip(queries).enumerate() {
-            let out = outs
-                .remove(&(base + j as u64))
-                .expect("every closure ticket answered");
+        let outs = membership.query_batch(&queries);
+        assert_eq!(
+            outs.len(),
+            queries.len(),
+            "oracle must answer the whole batch"
+        );
+        for (((prefix, i), query), out) in missing.into_iter().zip(queries).zip(outs) {
             assert_eq!(
                 out.len(),
                 query.len(),

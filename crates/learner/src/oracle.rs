@@ -15,11 +15,9 @@
 
 use crate::stats::LearningStats;
 use crate::trie::PrefixTrie;
-use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::interner::{IWord, SymbolId};
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
-use std::collections::BTreeMap;
 
 /// Which learning phase the membership queries currently in flight belong
 /// to.  Learners announce the phase through
@@ -50,24 +48,20 @@ impl QueryPhase {
     }
 }
 
-/// One asynchronously submitted membership query.  The `ticket` is
-/// caller-assigned and scopes the query through
-/// [`MembershipOracle::poll_answers`], [`MembershipOracle::cancel_queries`]
-/// and [`MembershipOracle::commit_queries`]; tickets must be unique among
-/// the caller's outstanding queries.
+/// One membership query submitted through
+/// [`MembershipOracle::submit_queries`].  The ticket-based entry points
+/// are kept for external oracle stacks that forward them; every oracle in
+/// this workspace answers them with the blocking defaults, and the
+/// learners only ever issue blocking batches.
 #[derive(Clone, Debug)]
 pub struct AsyncQuery {
     /// Caller-assigned correlation id.
     pub ticket: u64,
     /// The input word to execute.
     pub input: InputWord,
-    /// Learning phase the query belongs to, carried with the dispatch so
-    /// engine statistics stay correct when phases overlap in flight.
+    /// Learning phase the query belongs to.
     pub phase: QueryPhase,
-    /// Speculative queries run at lower priority and their side effects
-    /// (cache insertion, terminal marks) are *staged* until
-    /// [`MembershipOracle::commit_queries`] confirms them — or rolled back
-    /// by [`MembershipOracle::cancel_queries`].
+    /// Whether the caller may still cancel the query.
     pub speculative: bool,
 }
 
@@ -130,12 +124,8 @@ pub trait MembershipOracle {
     /// forward it to their inner oracle.
     fn note_phase(&mut self, _phase: QueryPhase) {}
 
-    /// Submits queries for asynchronous execution and returns whatever
-    /// answers are immediately available (for a synchronous oracle: all of
-    /// them, computed inline — which keeps the dataflow learner correct on
-    /// any oracle stack).  Remaining answers arrive via
-    /// [`MembershipOracle::poll_answers`].  Answers are pure, so execution
-    /// order never affects their values — only scheduling.
+    /// Submits queries and returns the answers available now.  The default
+    /// answers every query inline through [`Self::query`].
     fn submit_queries(&mut self, queries: Vec<AsyncQuery>) -> Vec<AsyncAnswer> {
         queries
             .into_iter()
@@ -146,46 +136,24 @@ pub trait MembershipOracle {
             .collect()
     }
 
-    /// Collects answers for previously submitted queries.  With `wait`
-    /// set, blocks for at least one answer — but only while queries are
-    /// actually outstanding; otherwise returns whatever is ready (possibly
-    /// nothing).
+    /// Collects answers for previously submitted queries (none by
+    /// default: [`Self::submit_queries`] already answered them).
     fn poll_answers(&mut self, _wait: bool) -> Vec<AsyncAnswer> {
         Vec::new()
     }
 
-    /// Cancels outstanding queries (rollback of speculative work).
-    /// Queries still queued are dropped before execution; queries already
-    /// executing finish but their answers are discarded, and staged side
-    /// effects of answered-but-uncommitted tickets are thrown away.
+    /// Cancels outstanding queries (nothing is outstanding by default).
     fn cancel_queries(&mut self, _tickets: &[u64]) -> CancelOutcome {
         CancelOutcome::default()
     }
 
-    /// Confirms speculative tickets: staged side effects (cache insertion,
-    /// terminal marks) are applied as if the queries had run
-    /// non-speculatively.  A no-op for tickets that carried no staged
-    /// state and for oracles without caches.
+    /// Confirms submitted tickets (a no-op by default).
     fn commit_queries(&mut self, _tickets: &[u64]) {}
 
-    /// Number of submitted-but-undelivered async answers (outstanding
-    /// executions plus buffered answers not yet returned by a poll).
+    /// Number of submitted queries not yet answered (0 by default).
     fn outstanding_queries(&self) -> u64 {
         0
     }
-}
-
-/// A complete, pre-drawn equivalence-test suite, handed to a dataflow
-/// learner so the suite words can stream *speculatively* through the
-/// membership oracle while construction queries are still in flight.
-#[derive(Clone, Debug)]
-pub struct PresampledSuite {
-    /// Test words in suite order — the first mismatch in this order is the
-    /// counterexample, exactly as the blocking suite runner would report.
-    pub words: Vec<InputWord>,
-    /// How many words the blocking runner would dispatch per membership
-    /// batch; the speculative commit/rollback boundary is this chunk size.
-    pub batch_size: usize,
 }
 
 /// Answers equivalence queries with a counterexample trace, or `None` when
@@ -209,24 +177,6 @@ pub trait EquivalenceOracle {
     fn tests_executed(&self) -> u64 {
         0
     }
-
-    /// Pre-draws the complete suite for the *next* equivalence query, for
-    /// oracles whose test words depend only on the input alphabet (not on
-    /// the hypothesis' structure).  Advances internal RNG state exactly as
-    /// the blocking query would, and counts as one equivalence query; the
-    /// caller **must** follow up with
-    /// [`EquivalenceOracle::note_speculative_result`] once the suite has
-    /// been resolved.  `None` (the default) means the oracle cannot
-    /// presample and the learner falls back to
-    /// [`EquivalenceOracle::find_counterexample`].
-    fn presample_suite(&mut self, _alphabet: &Alphabet) -> Option<PresampledSuite> {
-        None
-    }
-
-    /// Reports how many presampled suite words the learner executed —
-    /// counted exactly as the blocking runner counts `tests_executed`
-    /// (words up to and including the first mismatch).
-    fn note_speculative_result(&mut self, _tests_executed: u64) {}
 }
 
 /// A membership oracle backed by a known Mealy machine.  Used in unit tests
@@ -289,105 +239,6 @@ pub struct CacheOracle<O> {
     /// Input symbols beyond the longest cached prefix, summed over all
     /// forwarded queries — the genuinely *fresh* work the SUL performed.
     fresh_symbols: u64,
-    /// Bookkeeping for the asynchronous continuation path (dataflow
-    /// learner): outstanding tickets, in-flight forwarded words and staged
-    /// speculative answers awaiting commit.
-    async_state: AsyncCacheState,
-}
-
-/// Bookkeeping of one outstanding or staged async ticket.
-struct TicketState {
-    word: InputWord,
-    speculative: bool,
-    answered: bool,
-    /// Whether answering required SUL work (false = served from the trie).
-    executed: bool,
-}
-
-/// One word forwarded to the inner oracle on behalf of async tickets whose
-/// words are this word or prefixes of it.
-struct InflightWord {
-    inner_ticket: u64,
-    requesters: Vec<u64>,
-}
-
-/// An answered all-speculative word whose inner-oracle ticket still awaits
-/// its fate: the inner oracle holds resources (most importantly the
-/// query's staged event scope) until it hears a commit or cancel, so the
-/// cache forwards the **first** requester commit as the inner commit and,
-/// when every requester resolves without one, a cancel.
-struct StagedInner {
-    inner_ticket: u64,
-    /// Speculative requesters of this word not yet committed or cancelled.
-    live: Vec<u64>,
-    /// Whether a requester commit was already forwarded.
-    committed: bool,
-}
-
-#[derive(Default)]
-struct AsyncCacheState {
-    next_inner: u64,
-    tickets: BTreeMap<u64, TicketState>,
-    inflight: BTreeMap<InputWord, InflightWord>,
-    inner_words: BTreeMap<u64, InputWord>,
-    /// Full answers of forwarded words whose requesters were all
-    /// speculative: kept **out of the trie** until a commit confirms them,
-    /// so a rolled-back speculation leaves the cache — and therefore
-    /// `fresh_symbols` and every warm-start run — bit-identical to a
-    /// serial execution that never issued the speculative words.
-    staged: BTreeMap<InputWord, OutputWord>,
-    /// Inner tickets of answered all-speculative words, keyed by word,
-    /// awaiting the learner's commit/cancel of their requesters.
-    staged_inner: BTreeMap<InputWord, StagedInner>,
-    ready: Vec<AsyncAnswer>,
-}
-
-/// Whether `longer` answers `shorter` by prefix (or equality).
-fn covers(longer: &InputWord, shorter: &InputWord) -> bool {
-    longer.len() >= shorter.len() && &longer.as_slice()[..shorter.len()] == shorter.as_slice()
-}
-
-impl AsyncCacheState {
-    /// The staged answer covering `word`, truncated to its length.
-    fn staged_lookup(&self, word: &InputWord) -> Option<OutputWord> {
-        self.staged
-            .iter()
-            .find(|(k, _)| covers(k, word))
-            .map(|(_, out)| out.prefix(word.len()))
-    }
-
-    /// Drops staged entries no longer needed by any live ticket.
-    fn prune_staged(&mut self) {
-        let tickets = &self.tickets;
-        self.staged
-            .retain(|word, _| tickets.values().any(|st| covers(word, &st.word)));
-    }
-
-    /// Resolves `ticket`'s stake in an answered all-speculative word.
-    /// Returns the word's inner ticket exactly when this resolution
-    /// settles the inner oracle's scope: the first commit among the
-    /// word's requesters (`commit`), or the last cancel of a word no
-    /// requester committed (`!commit`).
-    fn resolve_staged_inner(&mut self, ticket: u64, commit: bool) -> Option<u64> {
-        let word = self
-            .staged_inner
-            .iter()
-            .find_map(|(w, e)| e.live.contains(&ticket).then(|| w.clone()))?;
-        let entry = self.staged_inner.get_mut(&word).expect("entry just found");
-        entry.live.retain(|&t| t != ticket);
-        let settle = if commit {
-            (!entry.committed).then(|| {
-                entry.committed = true;
-                entry.inner_ticket
-            })
-        } else {
-            (entry.live.is_empty() && !entry.committed).then_some(entry.inner_ticket)
-        };
-        if entry.live.is_empty() {
-            self.staged_inner.remove(&word);
-        }
-        settle
-    }
 }
 
 impl<O: MembershipOracle> CacheOracle<O> {
@@ -408,7 +259,6 @@ impl<O: MembershipOracle> CacheOracle<O> {
             hits: 0,
             misses: 0,
             fresh_symbols: 0,
-            async_state: AsyncCacheState::default(),
         }
     }
 
@@ -494,80 +344,6 @@ impl<O: MembershipOracle> CacheOracle<O> {
             .unwrap_or_else(|e| panic!("{e}"));
         self.fresh_symbols += created as u64;
         self.trie.mark_terminal_ids(input_ids);
-    }
-
-    /// Folds inner async answers back into cache state: resolves every
-    /// requester of the answered word, inserts the longest
-    /// **non-speculative** requester's prefix into the trie immediately
-    /// (a committed query — exactly what a serial run would have cached)
-    /// and stages the full answer for speculative requesters until their
-    /// commit.
-    fn process_inner_answers(&mut self, answers: Vec<AsyncAnswer>) {
-        for answer in answers {
-            let word = self
-                .async_state
-                .inner_words
-                .remove(&answer.ticket)
-                .expect("answer for an unknown inner ticket");
-            let entry = self
-                .async_state
-                .inflight
-                .remove(&word)
-                .expect("answered word was in flight");
-            debug_assert_eq!(answer.output.len(), word.len());
-            let mut requesters = entry.requesters;
-            // Longest words first, so the first non-speculative requester
-            // inserts its whole prefix and the rest are plain hits.
-            requesters.sort_by_key(|t| std::cmp::Reverse(self.async_state.tickets[t].word.len()));
-            let any_speculative = requesters
-                .iter()
-                .any(|t| self.async_state.tickets[t].speculative);
-            if any_speculative {
-                self.async_state
-                    .staged
-                    .insert(word.clone(), answer.output.clone());
-            }
-            if requesters
-                .iter()
-                .all(|t| self.async_state.tickets[t].speculative)
-            {
-                // The forwarded query was speculative end to end: the inner
-                // oracle keeps its scope staged until the learner's verdict
-                // on these requesters is relayed down.
-                self.async_state.staged_inner.insert(
-                    word.clone(),
-                    StagedInner {
-                        inner_ticket: answer.ticket,
-                        live: requesters.clone(),
-                        committed: false,
-                    },
-                );
-            }
-            let mut inserted = false;
-            for ticket in requesters {
-                let state = &self.async_state.tickets[&ticket];
-                let out = answer.output.prefix(state.word.len());
-                if state.speculative {
-                    let state = self.async_state.tickets.get_mut(&ticket).expect("live");
-                    state.answered = true;
-                } else {
-                    let ticket_word = state.word.clone();
-                    if inserted {
-                        self.hits += 1;
-                        self.trie.mark_terminal(&ticket_word);
-                    } else {
-                        self.record_answer(&ticket_word, &out);
-                        self.misses += 1;
-                        inserted = true;
-                    }
-                    self.async_state.tickets.remove(&ticket);
-                }
-                self.async_state.ready.push(AsyncAnswer {
-                    ticket,
-                    output: out,
-                });
-            }
-        }
     }
 }
 
@@ -678,256 +454,6 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
 
     fn note_phase(&mut self, phase: QueryPhase) {
         self.inner.note_phase(phase);
-    }
-
-    fn submit_queries(&mut self, queries: Vec<AsyncQuery>) -> Vec<AsyncAnswer> {
-        // Words that need the inner oracle this call, with their tickets.
-        let mut pending_forward: BTreeMap<InputWord, Vec<u64>> = BTreeMap::new();
-        let mut forward_phase: BTreeMap<InputWord, QueryPhase> = BTreeMap::new();
-        for q in queries {
-            if let Some(out) = self.trie.lookup(&q.input) {
-                if q.speculative {
-                    // Defer the terminal mark (and hit accounting) until
-                    // commit: a rolled-back speculation must leave the
-                    // trie untouched.
-                    self.async_state.tickets.insert(
-                        q.ticket,
-                        TicketState {
-                            word: q.input,
-                            speculative: true,
-                            answered: true,
-                            executed: false,
-                        },
-                    );
-                } else {
-                    self.hits += 1;
-                    self.trie.mark_terminal(&q.input);
-                }
-                self.async_state.ready.push(AsyncAnswer {
-                    ticket: q.ticket,
-                    output: out,
-                });
-                continue;
-            }
-            if let Some(out) = self.async_state.staged_lookup(&q.input) {
-                if q.speculative {
-                    self.async_state.tickets.insert(
-                        q.ticket,
-                        TicketState {
-                            word: q.input,
-                            speculative: true,
-                            answered: true,
-                            executed: true,
-                        },
-                    );
-                } else {
-                    // A committed query covered by a staged speculative
-                    // answer: a serial run would have executed it, so it
-                    // enters the trie now.
-                    self.record_answer(&q.input, &out);
-                    self.misses += 1;
-                }
-                self.async_state.ready.push(AsyncAnswer {
-                    ticket: q.ticket,
-                    output: out,
-                });
-                continue;
-            }
-            // Piggyback on a word already in flight that covers this one.
-            let carrier = self
-                .async_state
-                .inflight
-                .keys()
-                .find(|k| covers(k, &q.input))
-                .cloned();
-            self.async_state.tickets.insert(
-                q.ticket,
-                TicketState {
-                    word: q.input.clone(),
-                    speculative: q.speculative,
-                    answered: false,
-                    executed: true,
-                },
-            );
-            if let Some(carrier) = carrier {
-                self.async_state
-                    .inflight
-                    .get_mut(&carrier)
-                    .expect("carrier in flight")
-                    .requesters
-                    .push(q.ticket);
-                continue;
-            }
-            forward_phase.entry(q.input.clone()).or_insert(q.phase);
-            pending_forward.entry(q.input).or_default().push(q.ticket);
-        }
-        // Within-call prefix subsumption: in the sorted key list every
-        // proper prefix is adjacent to an extension, so chase carriers from
-        // the back (mirrors the blocking batch path).
-        let words: Vec<InputWord> = pending_forward.keys().cloned().collect();
-        let mut carrier_of: Vec<usize> = (0..words.len()).collect();
-        for i in (0..words.len().saturating_sub(1)).rev() {
-            if words[i + 1].len() > words[i].len() && covers(&words[i + 1], &words[i]) {
-                carrier_of[i] = carrier_of[i + 1];
-            }
-        }
-        let mut groups: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
-        for (i, word) in words.iter().enumerate() {
-            groups
-                .entry(carrier_of[i])
-                .or_default()
-                .extend(pending_forward.remove(word).expect("pending word"));
-        }
-        let mut forwards = Vec::with_capacity(groups.len());
-        for (carrier_idx, requesters) in groups {
-            let word = words[carrier_idx].clone();
-            let speculative = requesters
-                .iter()
-                .all(|t| self.async_state.tickets[t].speculative);
-            let inner_ticket = self.async_state.next_inner;
-            self.async_state.next_inner += 1;
-            self.async_state
-                .inner_words
-                .insert(inner_ticket, word.clone());
-            self.async_state.inflight.insert(
-                word.clone(),
-                InflightWord {
-                    inner_ticket,
-                    requesters,
-                },
-            );
-            forwards.push(AsyncQuery {
-                ticket: inner_ticket,
-                phase: forward_phase[&word],
-                input: word,
-                speculative,
-            });
-        }
-        let immediate = self.inner.submit_queries(forwards);
-        self.process_inner_answers(immediate);
-        std::mem::take(&mut self.async_state.ready)
-    }
-
-    fn poll_answers(&mut self, wait: bool) -> Vec<AsyncAnswer> {
-        loop {
-            let block =
-                wait && self.async_state.ready.is_empty() && !self.async_state.inflight.is_empty();
-            let answers = self.inner.poll_answers(block);
-            let got = !answers.is_empty();
-            self.process_inner_answers(answers);
-            if !wait || !self.async_state.ready.is_empty() || self.async_state.inflight.is_empty() {
-                break;
-            }
-            assert!(
-                got || self.inner.outstanding_queries() > 0,
-                "async cache poll stalled: words in flight but nothing outstanding below"
-            );
-        }
-        std::mem::take(&mut self.async_state.ready)
-    }
-
-    fn cancel_queries(&mut self, tickets: &[u64]) -> CancelOutcome {
-        let mut outcome = CancelOutcome::default();
-        let mut inner_cancel: Vec<u64> = Vec::new();
-        let mut drop_words: Vec<InputWord> = Vec::new();
-        for &ticket in tickets {
-            let Some(state) = self.async_state.tickets.remove(&ticket) else {
-                continue;
-            };
-            if let Some(pos) = self
-                .async_state
-                .ready
-                .iter()
-                .position(|a| a.ticket == ticket)
-            {
-                self.async_state.ready.remove(pos);
-            }
-            if state.answered {
-                if state.executed {
-                    outcome.discarded += 1;
-                    // The last cancel of a never-committed word releases
-                    // the inner oracle's staged scope.
-                    if let Some(inner) = self.async_state.resolve_staged_inner(ticket, false) {
-                        inner_cancel.push(inner);
-                    }
-                } else {
-                    outcome.unsent += 1; // Trie hit: no SUL work to waste.
-                }
-                continue;
-            }
-            let mut shared = false;
-            for (word, entry) in self.async_state.inflight.iter_mut() {
-                if let Some(pos) = entry.requesters.iter().position(|&r| r == ticket) {
-                    entry.requesters.remove(pos);
-                    if entry.requesters.is_empty() {
-                        inner_cancel.push(entry.inner_ticket);
-                        drop_words.push(word.clone());
-                    } else {
-                        shared = true;
-                    }
-                    break;
-                }
-            }
-            if shared {
-                // The word keeps executing for surviving requesters; this
-                // ticket's share of the work is not extra waste.
-                outcome.unsent += 1;
-            }
-        }
-        for word in drop_words {
-            let entry = self
-                .async_state
-                .inflight
-                .remove(&word)
-                .expect("word pending removal");
-            self.async_state.inner_words.remove(&entry.inner_ticket);
-        }
-        let inner_outcome = self.inner.cancel_queries(&inner_cancel);
-        outcome.unsent += inner_outcome.unsent;
-        outcome.discarded += inner_outcome.discarded;
-        self.async_state.prune_staged();
-        outcome
-    }
-
-    fn commit_queries(&mut self, tickets: &[u64]) {
-        let mut inner_commit: Vec<u64> = Vec::new();
-        for &ticket in tickets {
-            let Some(state) = self.async_state.tickets.remove(&ticket) else {
-                continue;
-            };
-            debug_assert!(
-                state.speculative && state.answered,
-                "commit of a pending or non-speculative ticket"
-            );
-            if self.trie.lookup(&state.word).is_some() {
-                self.hits += 1;
-                self.trie.mark_terminal(&state.word);
-            } else if let Some(out) = self.async_state.staged_lookup(&state.word) {
-                self.record_answer(&state.word, &out);
-                self.misses += 1;
-            } else {
-                panic!("commit of a ticket with no staged answer");
-            }
-            // The first requester commit confirms the inner oracle's
-            // speculative work — relay it so the inner scope can flush.
-            if let Some(inner) = self.async_state.resolve_staged_inner(ticket, true) {
-                inner_commit.push(inner);
-            }
-        }
-        if !inner_commit.is_empty() {
-            self.inner.commit_queries(&inner_commit);
-        }
-        self.async_state.prune_staged();
-    }
-
-    fn outstanding_queries(&self) -> u64 {
-        let pending = self
-            .async_state
-            .tickets
-            .values()
-            .filter(|t| !t.answered)
-            .count();
-        (pending + self.async_state.ready.len()) as u64
     }
 }
 

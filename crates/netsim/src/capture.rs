@@ -10,8 +10,8 @@
 //! recording another evicts the oldest half in one amortized-O(1) drain and
 //! counts the evictions in [`TraceCapture::dropped`], so a campaign-scale
 //! run holds at most `capacity` records instead of growing without bound.
-//! Streaming consumers that need every packet should attach an event sink
-//! to the network instead (`Network::attach_event_sink`).
+//! Streaming consumers that need every packet should open a wire-event
+//! scope on the network instead (`Network::begin_wire_scope`).
 
 use crate::endpoint::EndpointId;
 use crate::time::SimTime;

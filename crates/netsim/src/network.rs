@@ -11,10 +11,9 @@ use crate::endpoint::{Datagram, Endpoint, EndpointId};
 use crate::link::LinkConfig;
 use crate::time::{SharedClock, SimDuration, SimTime};
 use bytes::Bytes;
-use prognosis_events::{Dir, Event, ScopedSink};
+use prognosis_events::{Dir, Event};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// First port of the ephemeral (dynamic) range, per RFC 6335.
 pub const EPHEMERAL_PORT_MIN: u16 = 49_152;
@@ -60,15 +59,17 @@ struct WireTag {
     bytes: u64,
 }
 
-/// A registered wire-event scope: one membership query's traffic between
-/// a client endpoint and its server, time-based `rel` stamps measured
-/// from `base` (the query's session-reset instant).
-#[derive(Clone, Copy, Debug)]
+/// An open wire-event scope: one membership query's traffic between a
+/// client endpoint and its server, time-based `rel` stamps measured from
+/// `base` (the query's session-reset instant), and the `wire:*` events
+/// the traffic has produced so far.
+#[derive(Clone, Debug)]
 struct WireScope {
     client: EndpointId,
     server: EndpointId,
     base: SimTime,
     next_packet: u64,
+    events: Vec<Event>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -124,13 +125,13 @@ pub struct Network {
     /// Shared-clock handle the network publishes its virtual time to (so
     /// event-driven schedulers and other networks can share one "now").
     clock: Option<SharedClock>,
-    /// Event sink wire events are staged into (see
-    /// [`Network::attach_event_sink`]).
-    sink: Option<Arc<ScopedSink>>,
-    /// Registered wire-event scopes by scope id.
+    /// Open wire-event scopes by scope id.
     wire_scopes: HashMap<u64, WireScope>,
     /// Endpoint → owning wire scope id, for the send-path lookup.
     wire_endpoint: HashMap<EndpointId, u64>,
+    /// Id of the next wire scope; ids are never reused, so a straggler
+    /// tagged with a closed scope cannot land in a later one.
+    next_wire_scope: u64,
 }
 
 impl Network {
@@ -157,9 +158,9 @@ impl Network {
             endpoint_noise: HashMap::new(),
             capture: TraceCapture::new(),
             clock: None,
-            sink: None,
             wire_scopes: HashMap::new(),
             wire_endpoint: HashMap::new(),
+            next_wire_scope: 0,
         }
     }
 
@@ -205,26 +206,21 @@ impl Network {
         self.capture.clear();
     }
 
-    /// Attaches a [`ScopedSink`]: from now on, traffic between endpoints
-    /// registered via [`Network::set_wire_scope`] stages `wire:*` events
-    /// under the registered scope id.  Unregistered traffic stays silent,
-    /// so unit tests and non-learning consumers pay nothing.
-    pub fn attach_event_sink(&mut self, sink: Arc<ScopedSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Registers (or re-registers) a wire-event scope for the traffic
-    /// between `client` and `server`.  `base` is the query's session-reset
-    /// instant; every staged event's `rel` stamp is virtual micros since
-    /// `base`, and packet indices restart at 0.  A previous scope touching
-    /// either endpoint is dropped first, so per-query re-registration
-    /// cannot leak registry entries.
-    pub fn set_wire_scope(&mut self, client: EndpointId, server: EndpointId, scope: u64) {
+    /// Opens a wire-event scope for the traffic between `client` and
+    /// `server`: until [`Network::end_wire_scope`], their packets record
+    /// `wire:*` events whose `rel` stamps are virtual micros since now (the
+    /// query's session-reset instant), with packet indices from 0.  A
+    /// previous scope touching either endpoint is dropped first, events
+    /// and all.  Traffic outside every scope stays silent, so unit tests
+    /// and non-learning consumers pay nothing.
+    pub fn begin_wire_scope(&mut self, client: EndpointId, server: EndpointId) {
         for ep in [client, server] {
             if let Some(old_id) = self.wire_endpoint.get(&ep).copied() {
-                self.clear_wire_scope(old_id);
+                self.close_wire_scope(old_id);
             }
         }
+        let scope = self.next_wire_scope;
+        self.next_wire_scope += 1;
         self.wire_scopes.insert(
             scope,
             WireScope {
@@ -232,70 +228,74 @@ impl Network {
                 server,
                 base: self.now,
                 next_packet: 0,
+                events: Vec::new(),
             },
         );
         self.wire_endpoint.insert(client, scope);
         self.wire_endpoint.insert(server, scope);
     }
 
-    /// Unregisters a wire-event scope (a no-op for unknown ids).
-    pub fn clear_wire_scope(&mut self, scope: u64) {
-        if let Some(old) = self.wire_scopes.remove(&scope) {
-            self.wire_endpoint.remove(&old.client);
-            self.wire_endpoint.remove(&old.server);
+    /// Closes the wire scope `endpoint` belongs to, appending its events to
+    /// `events` in the order they happened (a no-op without an open
+    /// scope).  Stragglers of a closed scope stay silent.
+    pub fn end_wire_scope(&mut self, endpoint: EndpointId, events: &mut Vec<Event>) {
+        let Some(scope) = self.wire_endpoint.get(&endpoint).copied() else {
+            return;
+        };
+        if let Some(mut closed) = self.close_wire_scope(scope) {
+            events.append(&mut closed);
         }
     }
 
-    /// Stages the send-side wire events for a packet from `from`:
+    fn close_wire_scope(&mut self, scope: u64) -> Option<Vec<Event>> {
+        let old = self.wire_scopes.remove(&scope)?;
+        self.wire_endpoint.remove(&old.client);
+        self.wire_endpoint.remove(&old.server);
+        Some(old.events)
+    }
+
+    /// Records the send-side wire events for a packet from `from`:
     /// `wire:send` always, plus `wire:drop` (`copies` `None`) or
     /// `wire:duplicate` (`copies > 1`).  Returns the tag the packet's
     /// scheduled deliveries should carry, `None` when the packet is lost
-    /// or the sender has no registered scope.
-    fn stage_wire_send(
+    /// or the sender has no open scope.
+    fn record_wire_send(
         &mut self,
         from: EndpointId,
         bytes: u64,
         copies: Option<u64>,
     ) -> Option<WireTag> {
-        let sink = self.sink.as_ref()?;
         let scope = *self.wire_endpoint.get(&from)?;
         let ws = self.wire_scopes.get_mut(&scope)?;
         let rel = self.now.as_micros().saturating_sub(ws.base.as_micros());
         let dir: Dir = if from == ws.client { "up" } else { "down" };
         let packet = ws.next_packet;
         ws.next_packet += 1;
-        sink.stage(
-            scope,
-            Event::WireSend {
-                rel,
-                dir,
-                packet,
-                bytes,
-            },
-        );
+        ws.events.push(Event::WireSend {
+            rel,
+            dir,
+            packet,
+            bytes,
+        });
         match copies {
             None => {
-                sink.stage(
-                    scope,
-                    Event::WireDrop {
-                        rel,
-                        dir,
-                        packet,
-                        bytes,
-                    },
-                );
+                ws.events.push(Event::WireDrop {
+                    rel,
+                    dir,
+                    packet,
+                    bytes,
+                });
                 None
             }
-            Some(copies) if copies > 1 => {
-                sink.stage(
-                    scope,
-                    Event::WireDuplicate {
+            Some(copies) => {
+                if copies > 1 {
+                    ws.events.push(Event::WireDuplicate {
                         rel,
                         dir,
                         packet,
                         copies,
-                    },
-                );
+                    });
+                }
                 Some(WireTag {
                     scope,
                     packet,
@@ -303,35 +303,23 @@ impl Network {
                     bytes,
                 })
             }
-            Some(_) => Some(WireTag {
-                scope,
-                packet,
-                dir,
-                bytes,
-            }),
         }
     }
 
-    /// Stages a `wire:deliver` event for a delivered datagram carrying a
-    /// wire tag.  Stragglers whose scope was already cleared stay silent.
-    fn stage_wire_delivery(&mut self, tag: Option<WireTag>) {
+    /// Records a `wire:deliver` event for a delivered datagram carrying a
+    /// wire tag.  Stragglers whose scope was already closed stay silent.
+    fn record_wire_delivery(&mut self, tag: Option<WireTag>) {
         let Some(tag) = tag else { return };
-        let Some(sink) = self.sink.as_ref() else {
-            return;
-        };
-        let Some(ws) = self.wire_scopes.get(&tag.scope) else {
+        let Some(ws) = self.wire_scopes.get_mut(&tag.scope) else {
             return;
         };
         let rel = self.now.as_micros().saturating_sub(ws.base.as_micros());
-        sink.stage(
-            tag.scope,
-            Event::WireDeliver {
-                rel,
-                dir: tag.dir,
-                packet: tag.packet,
-                bytes: tag.bytes,
-            },
-        );
+        ws.events.push(Event::WireDeliver {
+            rel,
+            dir: tag.dir,
+            packet: tag.packet,
+            bytes: tag.bytes,
+        });
     }
 
     /// Binds a new endpoint to `port`.
@@ -499,7 +487,7 @@ impl Network {
                     length: payload.len(),
                     fate: Fate::Lost,
                 });
-                self.stage_wire_send(from, payload.len() as u64, None);
+                self.record_wire_send(from, payload.len() as u64, None);
             }
             Some(delays) => {
                 let fate = if delays.len() > 1 {
@@ -517,7 +505,7 @@ impl Network {
                     fate,
                 });
                 let wire =
-                    self.stage_wire_send(from, payload.len() as u64, Some(delays.len() as u64));
+                    self.record_wire_send(from, payload.len() as u64, Some(delays.len() as u64));
                 for delay in delays {
                     self.sequence += 1;
                     self.queue.push(Reverse(ScheduledDelivery {
@@ -560,7 +548,7 @@ impl Network {
                 }
             }
             if arrived {
-                self.stage_wire_delivery(event.wire);
+                self.record_wire_delivery(event.wire);
             }
         }
         self.now = target;
@@ -584,7 +572,7 @@ impl Network {
                 }
             }
             if arrived {
-                self.stage_wire_delivery(event.wire);
+                self.record_wire_delivery(event.wire);
             }
         }
         self.publish_time();
@@ -930,59 +918,67 @@ mod tests {
 
     #[test]
     fn wire_events_are_staged_per_scope_with_relative_stamps() {
-        use prognosis_events::{MemorySink, ScopedSink};
         let mut net =
             Network::with_default_link(3, LinkConfig::with_latency(SimDuration::from_millis(2)));
         net.advance(SimDuration::from_millis(10)); // nonzero base
-        let mem = Arc::new(MemorySink::new());
-        net.attach_event_sink(ScopedSink::new(mem.clone(), true));
         let client = net.bind(50_000).unwrap();
         let server = net.bind(443).unwrap();
-        let sink = net.sink.clone().unwrap();
-        net.set_wire_scope(client, server, 9);
+        net.begin_wire_scope(client, server);
         net.send(client, 443, Bytes::from_static(b"hello")).unwrap();
         net.advance(SimDuration::from_millis(2));
         net.send(server, 50_000, Bytes::from_static(b"ok")).unwrap();
         net.deliver_all();
-        sink.commit(9);
-        let out = mem.contents();
+        // A straggler sent inside the scope but delivered after its end.
+        net.send(client, 443, Bytes::from_static(b"straggler"))
+            .unwrap();
+        let mut events = Vec::new();
+        net.end_wire_scope(server, &mut events);
+        net.deliver_all();
+        // Unscoped traffic stays silent, and so does a closed scope.
+        let other = net.bind(7).unwrap();
+        net.send(other, 443, Bytes::from_static(b"x")).unwrap();
+        net.send(client, 443, Bytes::from_static(b"late")).unwrap();
+        net.deliver_all();
+        net.end_wire_scope(client, &mut events);
+        let mut out = String::new();
+        for event in &events {
+            event.render(&mut out);
+            out.push('\n');
+        }
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4, "send+deliver per direction: {out}");
+        assert_eq!(
+            lines.len(),
+            5,
+            "send+deliver per direction, then only the straggler's send: {out}"
+        );
         assert!(lines[0].contains("\"name\":\"wire:send\""));
         assert!(lines[0].contains("\"rel\":0,\"data\":{\"dir\":\"up\",\"packet\":0,\"bytes\":5}"));
         assert!(lines[1].contains("\"name\":\"wire:deliver\""));
         assert!(lines[1].contains("\"rel\":2000"), "2ms link latency: {out}");
         assert!(lines[2].contains("\"dir\":\"down\",\"packet\":1,\"bytes\":2"));
-        // Unregistered traffic stays silent, and a cleared scope stops
-        // reporting stragglers.
-        let other = net.bind(7).unwrap();
-        net.send(other, 443, Bytes::from_static(b"x")).unwrap();
-        net.send(client, 443, Bytes::from_static(b"straggler"))
-            .unwrap();
-        net.clear_wire_scope(9);
-        net.deliver_all();
-        sink.commit(9);
-        assert_eq!(
-            mem.contents().lines().count(),
-            5,
-            "only the straggler's send was staged before the clear"
-        );
+        assert!(lines[4].contains("\"name\":\"wire:send\""));
+        assert!(lines[4].contains("\"packet\":2,\"bytes\":9"));
     }
 
     #[test]
     fn lost_and_duplicated_packets_stage_matching_wire_events() {
-        use prognosis_events::{MemorySink, ScopedSink};
+        let render = |events: &[Event]| {
+            let mut out = String::new();
+            for event in events {
+                event.render(&mut out);
+                out.push('\n');
+            }
+            out
+        };
         let mut net = Network::with_default_link(7, LinkConfig::ideal().duplicate(1.0));
-        let mem = Arc::new(MemorySink::new());
-        net.attach_event_sink(ScopedSink::new(mem.clone(), true));
         let client = net.bind(1).unwrap();
         let server = net.bind(2).unwrap();
-        let sink = net.sink.clone().unwrap();
-        net.set_wire_scope(client, server, 1);
+        net.begin_wire_scope(client, server);
         net.send(client, 2, Bytes::from_static(b"dup")).unwrap();
         net.deliver_all();
-        sink.commit(1);
-        let out = mem.contents();
+        let mut events = Vec::new();
+        net.end_wire_scope(client, &mut events);
+        let out = render(&events);
         assert!(out.contains("\"name\":\"wire:duplicate\""));
         assert!(out.contains("\"copies\":2"));
         assert_eq!(
@@ -992,16 +988,14 @@ mod tests {
         );
 
         let mut lossy = Network::with_default_link(7, LinkConfig::ideal().loss(1.0));
-        let mem = Arc::new(MemorySink::new());
-        lossy.attach_event_sink(ScopedSink::new(mem.clone(), true));
         let client = lossy.bind(1).unwrap();
         let server = lossy.bind(2).unwrap();
-        let sink = lossy.sink.clone().unwrap();
-        lossy.set_wire_scope(client, server, 1);
+        lossy.begin_wire_scope(client, server);
         lossy.send(client, 2, Bytes::from_static(b"gone")).unwrap();
         lossy.deliver_all();
-        sink.commit(1);
-        let out = mem.contents();
+        let mut events = Vec::new();
+        lossy.end_wire_scope(client, &mut events);
+        let out = render(&events);
         assert!(out.contains("wire:send"));
         assert!(out.contains("wire:drop"));
         assert!(!out.contains("wire:deliver"));
