@@ -1,14 +1,18 @@
 //! E15: sequential vs batched-parallel learning throughput.
 //!
-//! Prints the comparison report and writes `BENCH_learning.json` (in the
-//! current directory) so later PRs have a perf trajectory.
+//! Prints the comparison report and merges its five stamped scenarios
+//! (`tcp`, `quic_google`, `tcp_cpu_bound`, `quic_google_cpu_bound`,
+//! `tcp_warm_start`) into `BENCH_learning.json` in the current directory,
+//! keeping every other experiment's row, so later PRs have a perf
+//! trajectory.
 fn main() {
     let workers = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(4);
-    let (report, json) = prognosis_bench::exp_parallel_learning(workers);
+    let (report, scenarios) = prognosis_bench::exp_parallel_learning(workers);
     println!("{report}");
-    std::fs::write("BENCH_learning.json", &json).expect("write BENCH_learning.json");
-    println!("wrote BENCH_learning.json");
+    for (name, scenario) in scenarios {
+        prognosis_bench::record_scenario(&name, scenario, false);
+    }
 }

@@ -922,11 +922,11 @@ fn sample_json(sample: &ThroughputSample) -> Value {
 /// rows report throughput over *virtual* seconds (what a deployment's wall
 /// clock would show) while the bench itself runs at CPU speed.  The
 /// `*_cpu_bound` scenarios run the raw in-process simulators and track pure
-/// CPU throughput over wall-clock time.  The JSON document is written to
-/// `BENCH_learning.json` by the `exp_parallel_learning` binary so later PRs
-/// have a perf trajectory; the `exp_session_engine` binary (E17) appends
-/// the in-flight-scaling scenario to the same file.
-pub fn exp_parallel_learning(workers: usize) -> (Report, String) {
+/// CPU throughput over wall-clock time.  Returns the five named scenarios,
+/// which the `exp_parallel_learning` binary merges into
+/// `BENCH_learning.json` one by one through [`record_scenario`], next to
+/// the other experiments' rows.
+pub fn exp_parallel_learning(workers: usize) -> (Report, Vec<(String, Value)>) {
     use prognosis_automata::equivalence::machines_equivalent;
     // Simulated per-packet round trip: 50µs per symbol, 100µs per reset —
     // a fast-LAN deployment; real WAN targets are orders of magnitude worse.
@@ -1098,15 +1098,7 @@ pub fn exp_parallel_learning(workers: usize) -> (Report, String) {
         reset_rtt.as_micros()
     ));
 
-    let document = Value::Map(vec![
-        (
-            "experiment".to_string(),
-            Value::Str("parallel_learning".to_string()),
-        ),
-        ("workers".to_string(), Value::U64(workers as u64)),
-        ("scenarios".to_string(), Value::Map(json_scenarios)),
-    ]);
-    (report, json::render_pretty(&document))
+    (report, json_scenarios)
 }
 
 /// One protocol row of [`exp_cpu_scaling`]: best-of-`repeats` sequential
@@ -1526,7 +1518,7 @@ fn phase_json(stats: &PhaseStats, max_inflight: u64) -> Value {
     ])
 }
 
-/// E19 — sift-wavefront batching and adaptive in-flight scaling.
+/// E19 — sift-wavefront batching against serial sifting.
 ///
 /// Runs the latency-modelled TCP scenario (50µs per symbol, 100µs per
 /// reset) at 1 worker × `max_inflight` sessions twice: once with the
@@ -1538,8 +1530,8 @@ fn phase_json(stats: &PhaseStats, max_inflight: u64) -> Value {
 /// occupancy > 0.5 (serial construction idles at ~`1/max_inflight`) and is
 /// ≥ 4× faster in construction-phase virtual time.  `quick` runs at
 /// `max_inflight` = 16 for the CI smoke step; the full run uses 64.
-/// Returns the `sift_wavefront` scenario (per-phase occupancy, batch-size
-/// histograms, adaptive-limit events) for `BENCH_learning.json`.
+/// Returns the `sift_wavefront` scenario (per-phase occupancy and
+/// batch-size histograms) for `BENCH_learning.json`.
 pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
     let step_rtt = SimDuration::from_micros(50);
     let reset_rtt = SimDuration::from_micros(100);
@@ -1600,7 +1592,7 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
     // The pool-filling criterion is pinned at 16 slots (the CI smoke
     // configuration): a TCP construction round's *fresh* queries — the
     // cache forwards only those — can saturate a 16-slot pool but not a
-    // 64-slot one, which is exactly why `max_inflight` is an adaptive cap.
+    // 64-slot one.
     let occupancy_at_16 = if quick {
         wave_occupancy
     } else {
@@ -1647,12 +1639,10 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
             format!("{name}: whole run"),
             format!(
                 "{:.4} virtual s, {} membership queries, occupancy {:.3}, \
-                 limit grows/shrinks {}/{}, {seconds:.3}s wall",
+                 {seconds:.3}s wall",
                 engine.virtual_elapsed_micros as f64 / 1e6,
                 outcome.learned.stats.membership_queries,
                 engine.occupancy(),
-                engine.limit_grows,
-                engine.limit_shrinks,
             ),
         );
     }
@@ -1672,8 +1662,8 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
         .row("models bit-identical, membership queries ≤ serial", true)
         .finding(
             "the wavefront turns hypothesis construction from one in-flight query into \
-             O(states × alphabet)-sized batches; the adaptive scheduler grows the pool \
-             while those batches keep it saturated and shrinks it for small windows",
+             O(states × alphabet)-sized batches, which keep the session slots filled; \
+             serial sifting leaves all but one slot idle",
         );
 
     let histogram_json = |engine: &EngineStats| {
@@ -1728,18 +1718,6 @@ pub fn exp_sift_wavefront(quick: bool) -> (Report, Value) {
             (
                 "batch_size_histogram".to_string(),
                 histogram_json(&outcome.engine),
-            ),
-            (
-                "limit_grows".to_string(),
-                Value::U64(outcome.engine.limit_grows),
-            ),
-            (
-                "limit_shrinks".to_string(),
-                Value::U64(outcome.engine.limit_shrinks),
-            ),
-            (
-                "occupancy_timeline_samples".to_string(),
-                Value::U64(outcome.engine.occupancy_timeline.len() as u64),
             ),
         ])
     };

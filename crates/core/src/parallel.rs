@@ -19,7 +19,7 @@ use crate::engine::EnginePool;
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
     add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
-    SessionSulFactory, SimTime,
+    SessionSulFactory, SimTime, ALL_PHASES,
 };
 use crate::sul::SulStats;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -121,8 +121,6 @@ impl Shared {
     /// learner is blocked waiting for answers, or the engine is shutting
     /// down (see [`QueueState::learner_waiting`]).  Otherwise the worker
     /// sleeps on the queue (in real time; the virtual clock holds still).
-    /// The returned `more` flag reports whether the queue still held work
-    /// after the pull — the adaptive scheduler's growth signal.
     fn next_jobs(&self, capacity: usize, idle: bool) -> Option<WorkerCommand> {
         let mut q = self.queue.lock().expect("work queue poisoned");
         if capacity > 0 && !q.jobs.is_empty() {
@@ -135,28 +133,18 @@ impl Shared {
             let queued = q.jobs.len();
             let fair_share = queued.div_ceil(self.workers.max(1));
             let want = (capacity + fair_share.min(PULL_AHEAD)).min(queued);
-            let jobs: Vec<Job> = q.jobs.drain(..want).collect();
-            return Some(WorkerCommand::Jobs {
-                jobs,
-                more: !q.jobs.is_empty(),
-            });
+            return Some(WorkerCommand::Jobs(q.jobs.drain(..want).collect()));
         }
         if q.shutdown {
             if idle {
                 return Some(WorkerCommand::Exit);
             }
-            return Some(WorkerCommand::Jobs {
-                jobs: Vec::new(),
-                more: !q.jobs.is_empty(),
-            });
+            return Some(WorkerCommand::Jobs(Vec::new()));
         }
         if !idle && q.learner_waiting {
             // The learner has quiesced (blocked on an answer), so
             // advancing the clock is the only way forward.
-            return Some(WorkerCommand::Jobs {
-                jobs: Vec::new(),
-                more: !q.jobs.is_empty(),
-            });
+            return Some(WorkerCommand::Jobs(Vec::new()));
         }
         None
     }
@@ -179,7 +167,7 @@ impl Shared {
 }
 
 enum WorkerCommand {
-    Jobs { jobs: Vec<Job>, more: bool },
+    Jobs(Vec<Job>),
     Exit,
 }
 
@@ -220,14 +208,12 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// threads) after the workers have been drained.
     owned_pool: Option<EnginePool>,
     max_inflight: usize,
-    queries: u64,
-    batches: u64,
     /// Phase the learner last announced via
     /// [`MembershipOracle::note_phase`]; dispatches are attributed to it.
     current_phase: QueryPhase,
-    /// Dispatcher-side accumulators (batch-size histogram, occupancy
-    /// timeline, per-phase stats) that [`ParallelSulOracle::engine_stats`]
-    /// folds into the reported [`EngineStats`].
+    /// The dispatcher's books (engine shape, reply count, batch-size
+    /// histogram, per-phase stats); [`ParallelSulOracle::engine_stats`]
+    /// adds the workers' scheduler counters to them.
     telemetry: EngineStats,
     /// Queries whose events have been emitted so far — the logical clock
     /// [`Event::PhaseEnter`] stamps, a pure function of the stream itself.
@@ -342,11 +328,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                 let worker_events = events.clone();
                 let (result_tx, result_rx) = channel::<WorkerResult<Sn>>();
                 lease.submit_worker_releasing(move |slot| {
-                    // Adaptive pool: start with one active slot, grow while
-                    // demand saturates the pool, shrink when a work window
-                    // cannot fill it.  `max_inflight` is the cap.
-                    let mut scheduler =
-                        SessionScheduler::with_clock(sessions, clock).with_adaptive_inflight(1);
+                    let mut scheduler = SessionScheduler::with_clock(sessions, clock);
                     if let Some(sink) = worker_events {
                         scheduler = scheduler.with_event_sink(sink);
                     }
@@ -387,10 +369,12 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             snapshots: vec![WorkerSnapshot::default(); num_workers],
             owned_pool: None,
             max_inflight,
-            queries: 0,
-            batches: 0,
             current_phase: QueryPhase::default(),
-            telemetry: EngineStats::default(),
+            telemetry: EngineStats {
+                workers: num_workers as u64,
+                max_inflight: max_inflight as u64,
+                ..EngineStats::default()
+            },
             flushed_queries: 0,
             events,
         }
@@ -408,7 +392,10 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
 
     /// Number of batches dispatched so far.
     pub fn batches_dispatched(&self) -> u64 {
-        self.batches
+        ALL_PHASES
+            .iter()
+            .map(|&p| self.telemetry.phase(p).batches)
+            .sum()
     }
 
     /// Aggregated interaction counters across all worker sessions, as of
@@ -424,8 +411,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// batch (final numbers come from [`ParallelSulOracle::shutdown`]).
     pub fn engine_stats(&self) -> EngineStats {
         let mut engine = self.telemetry.clone();
-        engine.workers = self.workers.len() as u64;
-        engine.max_inflight = self.max_inflight as u64;
         for snapshot in &self.snapshots {
             engine.absorb(&snapshot.scheduler);
         }
@@ -458,8 +443,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         }
         self.shared.available.notify_all();
         let mut engine = self.telemetry.clone();
-        engine.workers = self.workers.len() as u64;
-        engine.max_inflight = self.max_inflight as u64;
         let mut suls = Vec::with_capacity(self.workers.len() * self.max_inflight);
         for (worker_id, worker) in std::mem::take(&mut self.workers).into_iter().enumerate() {
             let (sessions, stats) = worker
@@ -491,8 +474,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     }
 
     fn dispatch(&mut self, inputs: &[Arc<InputWord>]) -> Vec<OutputWord> {
-        self.batches += 1;
-        self.queries += inputs.len() as u64;
         let (busy_before, virtual_before) = self.busy_virtual_snapshot();
         let phase = self.current_phase;
         {
@@ -554,20 +535,22 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             events.emit_batch(&batch);
             self.flushed_queries += inputs.len() as u64;
         }
+        // Every query of this batch has answered, and a worker's clock
+        // moves only while it has queries in flight, so the snapshot
+        // deltas are exactly this batch's share: the phase books are their
+        // sum, and the `occupancy` event carries the same numbers.
         let (busy_after, virtual_after) = self.busy_virtual_snapshot();
-        self.telemetry.record_dispatch(
-            self.current_phase,
-            inputs.len() as u64,
-            busy_after.saturating_sub(busy_before),
-            virtual_after.saturating_sub(virtual_before),
-        );
+        let busy = busy_after.saturating_sub(busy_before);
+        let elapsed = virtual_after.saturating_sub(virtual_before);
+        self.telemetry
+            .record_dispatch(phase, inputs.len() as u64, busy, elapsed);
         if let Some(events) = &self.events {
             events.diagnostic(Event::Occupancy {
                 time: virtual_after,
-                phase: phase_name(self.current_phase),
+                phase: phase_name(phase),
                 batch: inputs.len() as u64,
-                busy: busy_after.saturating_sub(busy_before),
-                worker: virtual_after.saturating_sub(virtual_before),
+                busy,
+                worker: elapsed.saturating_mul(self.max_inflight as u64),
             });
         }
         results
@@ -665,21 +648,13 @@ fn worker_loop<Sn: SessionSul>(
     let mut banked: Vec<Answer> = Vec::new();
     loop {
         let was_idle = scheduler.is_idle();
-        let pulled;
-        if !backlog.is_empty() && scheduler.has_capacity() {
+        // Whether work was taken at this virtual instant.
+        let pulled = if !backlog.is_empty() && scheduler.has_capacity() {
             // Hot path: feed free slots straight from the local backlog —
             // no shared-queue lock, and no advance license wanted (having
             // submittable work at this virtual instant means the clock
             // must hold still anyway).
-            let mut submitted = 0;
-            while scheduler.has_capacity() {
-                let Some(job) = backlog.pop_front() else {
-                    break;
-                };
-                scheduler.submit(job.index, job.input, job.phase);
-                submitted += 1;
-            }
-            pulled = submitted;
+            true
         } else {
             // Consult the shared queue without flushing eagerly: with a
             // chunk still in the backlog this path runs once per clock
@@ -710,30 +685,18 @@ fn worker_loop<Sn: SessionSul>(
                     }
                     return;
                 }
-                WorkerCommand::Jobs { jobs, more } => {
-                    pulled = jobs.len();
+                WorkerCommand::Jobs(jobs) => {
+                    let pulled = !jobs.is_empty();
                     backlog.extend(jobs);
-                    let mut submitted = 0;
-                    while scheduler.has_capacity() {
-                        let Some(job) = backlog.pop_front() else {
-                            break;
-                        };
-                        scheduler.submit(job.index, job.input, job.phase);
-                        submitted += 1;
-                    }
-                    // The local backlog counts as remaining demand: it
-                    // should grow the adaptive limit exactly like work
-                    // left on the shared queue.
-                    let demand = more || !backlog.is_empty();
-                    scheduler.note_pull(submitted, demand, was_idle);
-                    if demand && scheduler.has_capacity() {
-                        // The adaptive limit just grew (or peers refilled
-                        // the queue): keep feeding at this virtual instant
-                        // instead of advancing under a half-filled pool.
-                        continue;
-                    }
+                    pulled
                 }
             }
+        };
+        while scheduler.has_capacity() {
+            let Some(job) = backlog.pop_front() else {
+                break;
+            };
+            scheduler.submit(job.index, job.input, job.phase);
         }
         if scheduler.is_idle() {
             continue; // Woken without work; re-check the queue.
@@ -744,7 +707,7 @@ fn worker_loop<Sn: SessionSul>(
         // non-empty pull means more queued work may still join this
         // virtual instant, so harvest instant progress and loop back to
         // the gate instead of stepping time under a part-filled pool.
-        let completed = scheduler.drive_gated(pulled == 0);
+        let completed = scheduler.drive_gated(!pulled);
         if completed.is_empty() {
             continue;
         }
@@ -784,7 +747,10 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
     }
 
     fn queries_answered(&self) -> u64 {
-        self.queries
+        ALL_PHASES
+            .iter()
+            .map(|&p| self.telemetry.phase(p).queries)
+            .sum()
     }
 
     fn note_phase(&mut self, phase: QueryPhase) {
@@ -930,15 +896,14 @@ mod tests {
         // Bucket 2 holds sizes 4..=7, bucket 1 sizes 2..=3.
         assert_eq!(engine.batch_size_histogram[2], 1);
         assert_eq!(engine.batch_size_histogram[1], 1);
-        assert_eq!(engine.occupancy_timeline.len(), 2);
-        assert_eq!(engine.occupancy_timeline[0].phase, QueryPhase::Construction);
-        assert_eq!(engine.occupancy_timeline[1].batch_size, 3);
-        // The 5-word batch saturated the 1-slot initial pool, so the
-        // adaptive limit grew toward the 4-session cap.
-        assert!(
-            engine.limit_grows >= 1,
-            "a batch larger than the initial limit must grow the pool"
-        );
+        assert_eq!(parallel.batches_dispatched(), 2);
+        assert_eq!(parallel.queries_answered(), 8);
+        // Blocking sessions answer in zero virtual time: no phase accrues
+        // busy or worker time.
+        for phase in ALL_PHASES {
+            assert_eq!(engine.phase(phase).busy_micros, 0);
+            assert_eq!(engine.phase(phase).worker_micros, 0);
+        }
         let shutdown = parallel.shutdown().expect("clean shutdown");
         assert_eq!(shutdown.engine.construction.queries, 5);
         assert_eq!(shutdown.engine.queries_completed, 8);

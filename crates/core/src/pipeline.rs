@@ -379,22 +379,39 @@ where
     // same factory shares it (the determinism property of §3.2).
     let cache_key = factory.create_session().cache_key();
     let (warm, checkout) = checkout_store(config, cache_key.as_deref(), alphabet);
-    let membership = CacheOracle::with_trie(parallel, warm);
-    let (learned, parallel, trie, _) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_learner(alphabet, config, membership, &[])
-    })) {
-        Ok(parts) => parts,
-        Err(payload) => return Err(learn_error_from_panic(payload)),
-    };
+    let (outcome, trie, _) = learn_and_shut_down(parallel, alphabet, config, warm, &[])?;
     commit_store(checkout, trie);
+    Ok(outcome)
+}
+
+/// Learns over `parallel` behind a cache holding `warm`, priming it with
+/// `prime` first, then shuts the engine down.  Returns the outcome, the
+/// final trie and the SUL answers priming cost.  A panic in the learning
+/// loop (including a relayed worker death) becomes a [`LearnError`].
+fn learn_and_shut_down<Sn: SessionSul + Send + 'static>(
+    parallel: ParallelSulOracle<Sn>,
+    alphabet: &Alphabet,
+    config: &LearnConfig,
+    warm: PrefixTrie,
+    prime: &[InputWord],
+) -> Result<(ParallelLearnOutcome<Sn::Sul>, PrefixTrie, u64), LearnError> {
+    let membership = CacheOracle::with_trie(parallel, warm);
+    let (learned, parallel, trie, prime_misses) =
+        match std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_learner(alphabet, config, membership, prime)
+        })) {
+            Ok(parts) => parts,
+            Err(payload) => return Err(learn_error_from_panic(payload)),
+        };
     let sul_stats = parallel.stats();
     let EngineShutdown { suls, engine } = parallel.shutdown()?;
-    Ok(ParallelLearnOutcome {
+    let outcome = ParallelLearnOutcome {
         learned,
         suls,
         sul_stats,
         engine,
-    })
+    };
+    Ok((outcome, trie, prime_misses))
 }
 
 /// The result of a seeded learning run
@@ -457,24 +474,11 @@ where
         sink,
         true,
     );
-    let membership = CacheOracle::with_trie(parallel, warm);
-    let (learned, parallel, trie, prime_misses) =
-        match std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_learner(alphabet, config, membership, prime)
-        })) {
-            Ok(parts) => parts,
-            Err(payload) => return Err(learn_error_from_panic(payload)),
-        };
-    let sul_stats = parallel.stats();
-    let EngineShutdown { suls, engine } = parallel.shutdown()?;
-    let learn_misses = (learned.distinct_queries as u64).saturating_sub(prime_misses);
+    let (outcome, trie, prime_misses) =
+        learn_and_shut_down(parallel, alphabet, config, warm, prime)?;
+    let learn_misses = (outcome.learned.distinct_queries as u64).saturating_sub(prime_misses);
     Ok(SeededLearnOutcome {
-        outcome: ParallelLearnOutcome {
-            learned,
-            suls,
-            sul_stats,
-            engine,
-        },
+        outcome,
         trie,
         primed_words: prime.len() as u64,
         prime_misses,

@@ -269,20 +269,6 @@ impl<F: SulFactory> SessionSulFactory for BlockingSessionFactory<F> {
     }
 }
 
-/// Per-phase slice of one scheduler's in-flight integral.  Attribution is
-/// **per query**, from the [`QueryPhase`] tag each job carries: when the
-/// clock jumps by Δ, every in-flight job adds Δ to its own phase's
-/// `busy_micros`, and every phase with at least one job in flight adds Δ to
-/// its `active_micros`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PhaseFlight {
-    /// In-flight session-microseconds of this phase's own queries.
-    pub busy_micros: u64,
-    /// Virtual microseconds during which at least one query of this phase
-    /// was in flight (the phase's own occupancy denominator).
-    pub active_micros: u64,
-}
-
 /// Occupancy and progress counters of one [`SessionScheduler`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
@@ -299,35 +285,6 @@ pub struct SchedulerStats {
     pub peak_inflight: u64,
     /// Virtual time elapsed on this scheduler's clock since construction.
     pub virtual_elapsed_micros: u64,
-    /// Times the adaptive in-flight limit grew (saturated pulls).
-    pub limit_grows: u64,
-    /// Times the adaptive in-flight limit shrank (underfilled windows).
-    pub limit_shrinks: u64,
-    /// Per-query-tag flight integral for hypothesis-construction queries.
-    pub construction_flight: PhaseFlight,
-    /// Per-query-tag flight integral for counterexample probes.
-    pub counterexample_flight: PhaseFlight,
-    /// Per-query-tag flight integral for equivalence-suite queries.
-    pub equivalence_flight: PhaseFlight,
-}
-
-impl SchedulerStats {
-    /// The flight integral of one learning phase.
-    pub fn flight(&self, phase: QueryPhase) -> &PhaseFlight {
-        match phase {
-            QueryPhase::Construction => &self.construction_flight,
-            QueryPhase::Counterexample => &self.counterexample_flight,
-            QueryPhase::Equivalence => &self.equivalence_flight,
-        }
-    }
-
-    fn flight_mut(&mut self, phase: QueryPhase) -> &mut PhaseFlight {
-        match phase {
-            QueryPhase::Construction => &mut self.construction_flight,
-            QueryPhase::Counterexample => &mut self.counterexample_flight,
-            QueryPhase::Equivalence => &mut self.equivalence_flight,
-        }
-    }
 }
 
 /// The three learning phases, in a fixed order for iteration.
@@ -351,19 +308,24 @@ pub fn phase_name(phase: QueryPhase) -> &'static str {
 /// flight.  This is what makes the sift wavefront measurable — before it,
 /// the construction phase dispatched batches of 1 and its occupancy sat
 /// at ~`1/max_inflight`.
+///
+/// Every field is a sum over the phase's dispatches.  A dispatch blocks
+/// until its whole batch is answered and a worker's clock moves only while
+/// it has queries in flight, so a dispatch's busy/virtual deltas are
+/// exactly its own queries' share — the same deltas each `occupancy` event
+/// carries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Membership batches dispatched during this phase.
     pub batches: u64,
     /// Queries dispatched during this phase.
     pub queries: u64,
-    /// In-flight session-microseconds accrued by this phase's own queries
-    /// (attributed per query from its dispatch tag).
+    /// In-flight session-microseconds accrued by this phase's queries.
     pub busy_micros: u64,
-    /// Summed worker virtual-time advance during which this phase had at
-    /// least one query in flight (the phase's occupancy denominator before
-    /// multiplying by `max_inflight`; for a single-worker engine this is
-    /// the phase's virtual elapsed time).
+    /// Summed worker virtual-time advance while this phase's batches ran
+    /// (the phase's occupancy denominator before multiplying by
+    /// `max_inflight`; for a single-worker engine this is the phase's
+    /// virtual elapsed time).
     pub worker_micros: u64,
 }
 
@@ -389,30 +351,6 @@ impl PhaseStats {
     }
 }
 
-/// One dispatched batch in [`EngineStats::occupancy_timeline`]: which
-/// phase issued it, how large it was, and the busy/elapsed deltas it
-/// produced — enough to plot occupancy over the run and see the wavefront
-/// fill the pool round by round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OccupancySample {
-    /// Learning phase the batch belonged to.
-    pub phase: QueryPhase,
-    /// Number of queries in the dispatched batch.
-    pub batch_size: u64,
-    /// In-flight session-microseconds accrued while the batch ran.
-    pub busy_micros: u64,
-    /// Summed worker virtual-time advance while the batch ran.
-    pub worker_micros: u64,
-}
-
-/// Retained-sample budget for the occupancy timeline.  When a run
-/// produces more dispatches than this, the timeline is halved (every
-/// second retained sample dropped) and the sampling stride doubled, so
-/// long runs keep an approximately uniform **full-span** timeline instead
-/// of silently truncating the tail.  Exact aggregates always continue in
-/// the per-phase [`PhaseStats`].
-pub const OCCUPANCY_TIMELINE_CAP: usize = 4096;
-
 /// Aggregated engine statistics across all workers of a parallel oracle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
@@ -433,10 +371,6 @@ pub struct EngineStats {
     pub virtual_elapsed_micros: u64,
     /// Sum of all workers' virtual elapsed times (occupancy denominator).
     pub worker_virtual_micros: u64,
-    /// Adaptive in-flight limit growth events across all workers.
-    pub limit_grows: u64,
-    /// Adaptive in-flight limit shrink events across all workers.
-    pub limit_shrinks: u64,
     /// Reply messages the dispatcher received from workers.  Each message
     /// carries a whole answer chunk plus a stats snapshot, so
     /// `queries_completed / reply_messages` is the answers-per-wake-up
@@ -446,18 +380,6 @@ pub struct EngineStats {
     /// Histogram of dispatched batch sizes: bucket `i` counts batches of
     /// `2^i ..= 2^(i+1)-1` queries.
     pub batch_size_histogram: Vec<u64>,
-    /// Occupancy samples in dispatch order, one every
-    /// [`EngineStats::timeline_stride`] dispatches.  The retained count is
-    /// bounded by [`OCCUPANCY_TIMELINE_CAP`] via halve-and-downsample, so
-    /// the timeline always spans the whole run; aggregates in the phase
-    /// stats are always exact.
-    pub occupancy_timeline: Vec<OccupancySample>,
-    /// Current timeline sampling stride in dispatches (1 until the cap is
-    /// first hit, then doubled at each halving).
-    pub timeline_stride: u64,
-    /// Total dispatches seen by the timeline sampler (including ones that
-    /// fell between strides).
-    pub timeline_dispatches: u64,
     /// Dispatch accounting for hypothesis-construction queries.
     pub construction: PhaseStats,
     /// Dispatch accounting for counterexample-decomposition probes.
@@ -467,9 +389,7 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Folds one worker's scheduler counters into the aggregate, including
-    /// the per-query-tag phase flight integrals (which become the phases'
-    /// busy/worker aggregates).
+    /// Folds one worker's scheduler counters into the aggregate.
     pub fn absorb(&mut self, s: &SchedulerStats) {
         self.queries_completed += s.queries_completed;
         self.clock_advances += s.clock_advances;
@@ -477,21 +397,10 @@ impl EngineStats {
         self.peak_inflight = self.peak_inflight.max(s.peak_inflight);
         self.virtual_elapsed_micros = self.virtual_elapsed_micros.max(s.virtual_elapsed_micros);
         self.worker_virtual_micros += s.virtual_elapsed_micros;
-        self.limit_grows += s.limit_grows;
-        self.limit_shrinks += s.limit_shrinks;
-        for phase in ALL_PHASES {
-            let flight = s.flight(phase);
-            let stats = self.phase_mut(phase);
-            stats.busy_micros += flight.busy_micros;
-            stats.worker_micros += flight.active_micros;
-        }
     }
 
-    /// Records one dispatched batch: histogram bucket, timeline sample and
-    /// per-phase batch/query counts.  The busy/worker deltas feed only the
-    /// timeline sample (a plotting aid); the exact per-phase busy/worker
-    /// aggregates come from the scheduler-side [`PhaseFlight`] integrals
-    /// folded in by [`EngineStats::absorb`].
+    /// Records one dispatched batch: its histogram bucket, and its size and
+    /// busy/worker deltas into the phase's [`PhaseStats`].
     pub fn record_dispatch(
         &mut self,
         phase: QueryPhase,
@@ -504,29 +413,11 @@ impl EngineStats {
             self.batch_size_histogram.resize(bucket + 1, 0);
         }
         self.batch_size_histogram[bucket] += 1;
-        self.timeline_dispatches += 1;
-        let stride = self.timeline_stride.max(1);
-        if (self.timeline_dispatches - 1).is_multiple_of(stride) {
-            self.occupancy_timeline.push(OccupancySample {
-                phase,
-                batch_size,
-                busy_micros,
-                worker_micros,
-            });
-            if self.occupancy_timeline.len() >= OCCUPANCY_TIMELINE_CAP {
-                // Halve-and-downsample: keep every second sample and double
-                // the stride, preserving a full-span timeline.
-                let mut keep = false;
-                self.occupancy_timeline.retain(|_| {
-                    keep = !keep;
-                    keep
-                });
-                self.timeline_stride = stride * 2;
-            }
-        }
         let stats = self.phase_mut(phase);
         stats.batches += 1;
         stats.queries += batch_size;
+        stats.busy_micros += busy_micros;
+        stats.worker_micros += worker_micros;
     }
 
     /// The dispatch accounting of one learning phase.
@@ -574,8 +465,8 @@ struct ActiveJob {
     input: Arc<InputWord>,
     position: usize,
     output: OutputWord,
-    /// Learning phase the query was dispatched under; virtual waits are
-    /// attributed to this tag, not to any global phase flag.
+    /// Learning phase the query was dispatched under, named in its
+    /// session events.
     phase: QueryPhase,
     /// The query's reset instant, so `session:done` can carry a
     /// query-relative timestamp.
@@ -619,12 +510,6 @@ pub struct SessionScheduler<Sn> {
     clock: SharedClock,
     started_at: SimTime,
     stats: SchedulerStats,
-    /// Session slots currently eligible for new work.  Equal to
-    /// `slots.len()` unless adaptation is enabled, in which case it grows
-    /// while demand keeps every active slot occupied and shrinks when a
-    /// work window cannot fill the pool.
-    active_limit: usize,
-    adaptive: bool,
     sink: Option<Arc<ScopedSink>>,
     /// Events of the queries completed since the last
     /// [`SessionScheduler::take_events`], each query's as one contiguous
@@ -650,7 +535,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             "a scheduler needs at least one session"
         );
         let started_at = clock.now();
-        let active_limit = sessions.len();
         SessionScheduler {
             slots: sessions
                 .into_iter()
@@ -663,8 +547,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             clock,
             started_at,
             stats: SchedulerStats::default(),
-            active_limit,
-            adaptive: false,
             sink: None,
             events: Vec::new(),
         }
@@ -679,75 +561,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     pub fn with_event_sink(mut self, sink: Arc<ScopedSink>) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    /// Enables adaptive in-flight limiting: the scheduler starts with
-    /// `initial` eligible slots and **doubles** the limit whenever a work
-    /// pull fills every active slot with demand left over (instantaneous
-    /// occupancy 1.0 — the pool is the bottleneck), up to the session-count
-    /// cap; it shrinks the limit to the pulled size when a fresh work
-    /// window cannot fill the pool (batches smaller than the limit gain
-    /// nothing from extra active slots).  The total session count —
-    /// `LearnConfig::max_inflight` — becomes the *cap*, not the constant.
-    /// Adaptation changes which slots are polled, never what they answer.
-    ///
-    /// # Panics
-    /// Panics when `initial` is zero.
-    pub fn with_adaptive_inflight(mut self, initial: usize) -> Self {
-        assert!(initial >= 1, "at least one slot must stay active");
-        self.active_limit = initial.min(self.slots.len());
-        self.adaptive = true;
-        self
-    }
-
-    /// The current adaptive in-flight limit (= total slots when
-    /// adaptation is disabled).
-    pub fn inflight_limit(&self) -> usize {
-        self.active_limit
-    }
-
-    /// Feedback from the work queue after a pull of `pulled` jobs
-    /// (already submitted): `more_available` says the queue still held
-    /// work, `was_idle` that the pull opened a fresh work window.
-    pub fn note_pull(&mut self, pulled: usize, more_available: bool, was_idle: bool) {
-        if !self.adaptive {
-            return;
-        }
-        if more_available && self.capacity() == 0 {
-            // Every active slot is occupied and demand remains: grow.
-            let next = (self.active_limit * 2).min(self.slots.len());
-            if next > self.active_limit {
-                self.active_limit = next;
-                self.stats.limit_grows += 1;
-                if let Some(sink) = &self.sink {
-                    sink.diagnostic(Event::LimitGrow {
-                        time: self.clock.now().as_micros(),
-                        limit: self.active_limit as u64,
-                    });
-                }
-            }
-        } else if was_idle && pulled > 0 && pulled < self.active_limit {
-            // A fresh window opened with too little work to fill the
-            // pool: halve toward what the window actually needs.  (Gentle
-            // shrink keeps the limit warm across alternating small and
-            // large windows instead of re-ramping from scratch each time.
-            // With several workers this can also fire when peers drained a
-            // large batch before this worker woke — indistinguishable at
-            // the queue from a genuinely small window — but halving bounds
-            // the damage to one lost doubling, regained on the next
-            // saturated pull.)
-            let next = pulled.max(self.active_limit / 2).max(1);
-            if next < self.active_limit {
-                self.active_limit = next;
-                self.stats.limit_shrinks += 1;
-                if let Some(sink) = &self.sink {
-                    sink.diagnostic(Event::LimitShrink {
-                        time: self.clock.now().as_micros(),
-                        limit: self.active_limit as u64,
-                    });
-                }
-            }
-        }
     }
 
     /// The scheduler's clock handle.
@@ -768,9 +581,9 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             .count()
     }
 
-    /// Free session slots within the current in-flight limit.
+    /// Free session slots.
     pub fn capacity(&self) -> usize {
-        self.active_limit.saturating_sub(self.in_flight())
+        self.slots.len() - self.in_flight()
     }
 
     /// Whether at least one slot is free.
@@ -925,26 +738,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                 // Event-driven wait: every in-flight session pays this
                 // virtual wait concurrently — that is the multiplexing win.
                 let delta = wake.since(now).as_micros();
-                let mut waiting = 0u64;
-                let mut by_phase = [0u64; 3];
-                for slot in &self.slots {
-                    if let Some(job) = &slot.job {
-                        waiting += 1;
-                        by_phase[match job.phase {
-                            QueryPhase::Construction => 0,
-                            QueryPhase::Counterexample => 1,
-                            QueryPhase::Equivalence => 2,
-                        }] += 1;
-                    }
-                }
-                self.stats.busy_session_micros += waiting * delta;
-                for (i, phase) in ALL_PHASES.into_iter().enumerate() {
-                    if by_phase[i] > 0 {
-                        let flight = self.stats.flight_mut(phase);
-                        flight.busy_micros += by_phase[i] * delta;
-                        flight.active_micros += delta;
-                    }
-                }
+                self.stats.busy_session_micros += self.in_flight() as u64 * delta;
                 self.stats.clock_advances += 1;
                 if let Some(sink) = &self.sink {
                     if self.stats.clock_advances % CLOCK_SAMPLE_EVERY == 1 {
@@ -1259,7 +1053,6 @@ mod tests {
             busy_session_micros: 4_000,
             peak_inflight: 4,
             virtual_elapsed_micros: 1_000,
-            ..SchedulerStats::default()
         });
         engine.absorb(&SchedulerStats {
             queries_completed: 6,
@@ -1267,7 +1060,6 @@ mod tests {
             busy_session_micros: 1_000,
             peak_inflight: 2,
             virtual_elapsed_micros: 500,
-            ..SchedulerStats::default()
         });
         assert_eq!(engine.queries_completed, 16);
         assert_eq!(engine.virtual_elapsed_micros, 1_000, "makespan is the max");
@@ -1276,77 +1068,6 @@ mod tests {
         // 5_000 busy session-µs over 1_500 worker-µs × 4 slots.
         assert!((engine.occupancy() - 5_000.0 / 6_000.0).abs() < 1e-9);
         assert_eq!(engine.virtual_elapsed().as_micros(), 1_000);
-    }
-
-    #[test]
-    fn adaptive_limit_grows_on_saturation_and_shrinks_on_underfill() {
-        let sessions: Vec<_> = (0..8)
-            .map(|_| BlockingSession::new(TcpSul::with_defaults()))
-            .collect();
-        let mut scheduler = SessionScheduler::new(sessions).with_adaptive_inflight(1);
-        assert_eq!(scheduler.inflight_limit(), 1);
-        assert_eq!(scheduler.capacity(), 1);
-        // A saturated pull (pool full, demand left) doubles the limit.
-        scheduler.submit(
-            0,
-            InputWord::from_symbols(["SYN(?,?,0)"]),
-            QueryPhase::Construction,
-        );
-        scheduler.note_pull(1, true, true);
-        assert_eq!(scheduler.inflight_limit(), 2);
-        scheduler.submit(
-            1,
-            InputWord::from_symbols(["SYN(?,?,0)"]),
-            QueryPhase::Construction,
-        );
-        scheduler.note_pull(1, true, false);
-        assert_eq!(scheduler.inflight_limit(), 4);
-        scheduler.run_to_idle();
-        // A fresh window with too little work halves toward its size.
-        scheduler.submit(
-            2,
-            InputWord::from_symbols(["SYN(?,?,0)"]),
-            QueryPhase::Construction,
-        );
-        scheduler.note_pull(1, false, true);
-        assert_eq!(scheduler.inflight_limit(), 2);
-        let done = scheduler.run_to_idle();
-        assert_eq!(done.len(), 1);
-        let stats = scheduler.stats();
-        assert_eq!(stats.limit_grows, 2);
-        assert_eq!(stats.limit_shrinks, 1);
-        assert_eq!(stats.queries_completed, 3);
-    }
-
-    #[test]
-    fn adaptive_limit_caps_at_the_session_count_and_respects_capacity() {
-        let sessions: Vec<_> = (0..2)
-            .map(|_| BlockingSession::new(TcpSul::with_defaults()))
-            .collect();
-        let mut scheduler = SessionScheduler::new(sessions).with_adaptive_inflight(1);
-        scheduler.submit(
-            0,
-            InputWord::from_symbols(["SYN(?,?,0)"]),
-            QueryPhase::Construction,
-        );
-        scheduler.note_pull(1, true, true); // 1 → 2
-        scheduler.submit(
-            1,
-            InputWord::from_symbols(["SYN(?,?,0)"]),
-            QueryPhase::Construction,
-        );
-        scheduler.note_pull(1, true, false); // capped at 2
-        assert_eq!(scheduler.inflight_limit(), 2);
-        assert_eq!(scheduler.capacity(), 0);
-        assert_eq!(scheduler.stats().limit_grows, 1, "cap stops growth");
-        // Non-adaptive schedulers never move their limit.
-        let sessions: Vec<_> = (0..3)
-            .map(|_| BlockingSession::new(TcpSul::with_defaults()))
-            .collect();
-        let mut fixed = SessionScheduler::new(sessions);
-        fixed.note_pull(1, true, true);
-        assert_eq!(fixed.inflight_limit(), 3);
-        assert_eq!(fixed.stats().limit_grows, 0);
     }
 
     #[test]
@@ -1363,92 +1084,29 @@ mod tests {
         assert_eq!(engine.batch_size_histogram[5], 1);
         assert_eq!(engine.batch_size_histogram[9], 1);
         assert_eq!(engine.batch_size_histogram.len(), 10);
-        assert_eq!(engine.occupancy_timeline.len(), 3);
-        assert_eq!(engine.occupancy_timeline[1].batch_size, 42);
-        assert_eq!(engine.occupancy_timeline[1].phase, QueryPhase::Construction);
         let construction = engine.phase(QueryPhase::Construction);
         assert_eq!(construction.batches, 2);
         assert_eq!(construction.queries, 43);
         assert!((construction.mean_batch_size() - 21.5).abs() < 1e-9);
         assert_eq!(engine.phase(QueryPhase::Equivalence).queries, 512);
         assert_eq!(engine.phase(QueryPhase::Counterexample).batches, 0);
-        // Busy/worker phase aggregates come from the scheduler-side flight
-        // integrals, folded in by absorb.
-        engine.absorb(&SchedulerStats {
-            construction_flight: PhaseFlight {
-                busy_micros: 1_600,
-                active_micros: 400,
-            },
-            ..SchedulerStats::default()
-        });
-        let construction = engine.phase(QueryPhase::Construction);
+        // Busy/worker phase aggregates are the sums of the dispatch deltas.
+        assert_eq!(construction.busy_micros, 1_600);
+        assert_eq!(construction.worker_micros, 400);
         // 1_600 busy µs over 400 worker-µs × 8 slots.
         assert!((construction.occupancy(8) - 0.5).abs() < 1e-9);
-        assert_eq!(engine.phase(QueryPhase::Equivalence).busy_micros, 0);
-    }
-
-    #[test]
-    fn occupancy_timeline_downsamples_instead_of_truncating() {
-        let mut engine = EngineStats::default();
-        let total = (OCCUPANCY_TIMELINE_CAP * 5) as u64;
-        for i in 0..total {
-            engine.record_dispatch(QueryPhase::Construction, i + 1, 0, 0);
-        }
-        assert_eq!(engine.timeline_dispatches, total);
-        assert!(engine.timeline_stride > 1, "stride doubled at least once");
-        let len = engine.occupancy_timeline.len();
-        assert!(
-            (OCCUPANCY_TIMELINE_CAP / 2..OCCUPANCY_TIMELINE_CAP).contains(&len),
-            "halving keeps the timeline within (cap/2, cap), got {len}"
-        );
-        // The timeline spans the whole run: the first sample is the first
-        // dispatch and the last retained sample lies in the final stride
-        // window instead of at the pre-fix hard cutoff of 4096.
-        assert_eq!(engine.occupancy_timeline[0].batch_size, 1);
-        let last = engine.occupancy_timeline[len - 1].batch_size;
-        assert!(
-            last > total - 2 * engine.timeline_stride,
-            "tail is retained (last sample {last} of {total})"
-        );
-        // Exact aggregates are unaffected by downsampling.
-        assert_eq!(engine.phase(QueryPhase::Construction).batches, total);
-    }
-
-    #[test]
-    fn phase_flight_attributes_overlapped_waits_per_query_tag() {
-        let step = SimDuration::from_micros(50);
-        let make = || {
-            TimedSession::new(LatencySul::new(
-                TcpSul::with_defaults(),
-                step,
-                SimDuration::ZERO,
-            ))
-        };
-        let mut scheduler = SessionScheduler::new(vec![make(), make(), make()]);
-        // Two construction queries and one equivalence query in flight at
-        // once: waits must attribute per tag, not to a global phase.
-        let w = || InputWord::from_symbols(["SYN(?,?,0)"]);
-        scheduler.submit(0, w(), QueryPhase::Construction);
-        scheduler.submit(1, w(), QueryPhase::Construction);
-        scheduler.submit(2, w(), QueryPhase::Equivalence);
-        let done = scheduler.run_to_idle();
-        assert_eq!(done.len(), 3);
-        let stats = scheduler.stats();
-        let con = stats.flight(QueryPhase::Construction);
-        let eq = stats.flight(QueryPhase::Equivalence);
-        assert_eq!(con.busy_micros, 2 * step.as_micros());
-        assert_eq!(eq.busy_micros, step.as_micros());
-        assert_eq!(con.active_micros, step.as_micros());
-        assert_eq!(eq.active_micros, step.as_micros());
+        let equivalence = engine.phase(QueryPhase::Equivalence);
         assert_eq!(
-            stats.busy_session_micros,
-            con.busy_micros + eq.busy_micros,
-            "pool total equals the sum of per-phase busy integrals"
+            (equivalence.busy_micros, equivalence.worker_micros),
+            (4_000, 500)
         );
-        assert_eq!(
-            stats.flight(QueryPhase::Counterexample),
-            &PhaseFlight::default()
-        );
+        // Absorbing scheduler counters leaves the phase books alone.
+        engine.absorb(&SchedulerStats {
+            busy_session_micros: 5_600,
+            virtual_elapsed_micros: 900,
+            ..SchedulerStats::default()
+        });
+        assert_eq!(engine.phase(QueryPhase::Construction).busy_micros, 1_600);
     }
 
     #[test]

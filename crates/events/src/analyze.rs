@@ -82,8 +82,6 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "session:done",
     "phase:enter",
     "clock:advance",
-    "limit:grow",
-    "limit:shrink",
     "occupancy",
     "task:start",
     "task:done",
@@ -236,15 +234,34 @@ fn sparkline(samples: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// Renders the `timeline` view: a per-phase occupancy timeline (from
-/// diagnostic `occupancy` samples when present, session volume
-/// otherwise) plus the wire-loss summary.
-pub fn timeline_text(scan: &LogScan) -> String {
-    let mut out = String::new();
-    let width = 60;
+/// One phase's books folded from a log's diagnostic `occupancy` events.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PhaseOccupancy {
+    /// Summed busy session-micros of the phase's dispatch windows.
+    pub busy: u64,
+    /// Summed worker-micros (virtual elapsed × slots) of those windows.
+    pub worker: u64,
+    /// Each window's busy / worker ratio, in log order.
+    pub windows: Vec<f64>,
+}
 
-    // Per-phase occupancy over the diagnostic samples, in sample order.
-    let mut occupancy: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+impl PhaseOccupancy {
+    /// The phase's slot occupancy, Σbusy / Σworker (0 for a phase that
+    /// spent no virtual time).
+    pub fn occupancy(&self) -> f64 {
+        if self.worker == 0 {
+            0.0
+        } else {
+            self.busy as f64 / self.worker as f64
+        }
+    }
+}
+
+/// Folds the `occupancy` events of a log per phase.  For a single engine
+/// run the fold reproduces the engine's per-phase busy micros and
+/// occupancy exactly.
+pub fn phase_occupancy(scan: &LogScan) -> BTreeMap<&'static str, PhaseOccupancy> {
+    let mut phases: BTreeMap<&'static str, PhaseOccupancy> = BTreeMap::new();
     for event in &scan.events {
         if event.name == "occupancy" {
             if let (Some(phase), Some(busy), Some(worker)) = (
@@ -252,24 +269,37 @@ pub fn timeline_text(scan: &LogScan) -> String {
                 data_u64(&event.data, "busy"),
                 data_u64(&event.data, "worker"),
             ) {
-                let ratio = (busy as f64 / worker.max(1) as f64).min(1.0);
-                occupancy.entry(phase_key(phase)).or_default().push(ratio);
+                let entry = phases.entry(phase_key(phase)).or_default();
+                entry.busy = entry.busy.saturating_add(busy);
+                entry.worker = entry.worker.saturating_add(worker);
+                entry.windows.push(busy as f64 / worker.max(1) as f64);
             }
         }
     }
+    phases
+}
+
+/// Renders the `timeline` view: a per-phase occupancy timeline (from
+/// diagnostic `occupancy` samples when present, session volume
+/// otherwise) plus the wire-loss summary.
+pub fn timeline_text(scan: &LogScan) -> String {
+    let mut out = String::new();
+    let width = 60;
+
+    let occupancy = phase_occupancy(scan);
     if !occupancy.is_empty() {
         let _ = writeln!(
             out,
             "per-phase occupancy (dispatch-window samples → right):"
         );
         for phase in PHASES {
-            if let Some(samples) = occupancy.get(phase) {
-                let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+            if let Some(books) = occupancy.get(phase) {
                 let _ = writeln!(
                     out,
-                    "  {phase:<14} |{}| mean {mean:.2} over {} windows",
-                    sparkline(samples, width),
-                    samples.len()
+                    "  {phase:<14} |{}| occupancy {:.2} over {} windows",
+                    sparkline(&books.windows, width),
+                    books.occupancy(),
+                    books.windows.len()
                 );
             }
         }
@@ -485,6 +515,13 @@ mod tests {
                 worker: 100,
             });
         }
+        log.emit(&Event::Occupancy {
+            time: 900,
+            phase: "equivalence",
+            batch: 2,
+            busy: 300,
+            worker: 200,
+        });
         log.emit(&Event::SessionDone {
             phase: "construction",
             symbols: 3,
@@ -507,6 +544,14 @@ mod tests {
         let text = timeline_text(&scan);
         assert!(text.contains("construction"), "{text}");
         assert!(text.contains("per-phase occupancy"), "{text}");
+        // The phase occupancy is Σbusy / Σworker, not clamped to 1.
+        assert!(text.contains("occupancy 1.50 over 1 windows"), "{text}");
+        let books = phase_occupancy(&scan);
+        assert_eq!(
+            (books["construction"].busy, books["construction"].worker),
+            (540, 800)
+        );
+        assert_eq!(books["construction"].windows.len(), 8);
         assert!(text.contains("100.00% loss"), "{text}");
         let stats = stats_text(&scan);
         assert!(stats.contains("occupancy"), "{stats}");

@@ -2,10 +2,10 @@
 //! event stream from wire packets to campaign cells.
 //!
 //! Every layer of the system emits typed [`Event`]s into an [`EventSink`]:
-//! `netsim::Network` reports each packet's fate, the session scheduler
-//! reports session lifecycle / clock advances / in-flight-limit
-//! adaptations / occupancy samples, the learner reports phase transitions,
-//! and the campaign runner reports task and engine-lease activity.  Sinks serialize events qlog-style as JSONL
+//! `netsim::Network` reports each packet's fate, the session engine
+//! reports session lifecycle / clock advances / occupancy samples, the
+//! learner reports phase transitions, and the campaign runner reports task
+//! and engine-lease activity.  Sinks serialize events qlog-style as JSONL
 //! ([`EventLog`] adds size-capped rotation); [`analyze`] reads the logs
 //! back for the `prognosis-events` stats/verify/timeline binary.  [`json`]
 //! is the workspace's one JSON value type, writer and depth-bounded
@@ -27,8 +27,8 @@
 //!   **byte-identical across `(workers, max_inflight)` grids** (asserted
 //!   by proptest).
 //! * **Diagnostic** events ([`Event::is_diagnostic`]) time-stamp real
-//!   scheduler behaviour — absolute virtual clock readings, adaptive-limit
-//!   moves, occupancy, campaign tasks.  They are emitted immediately and
+//!   scheduler behaviour — absolute virtual clock readings, occupancy,
+//!   campaign tasks.  They are emitted immediately and
 //!   interleave nondeterministically; disable them
 //!   ([`ScopedSink::new`] with `diagnostics = false`) when the log itself
 //!   must be reproducible.
@@ -130,20 +130,6 @@ pub enum Event {
         /// Clock advances this scheduler has performed in total.
         advances: u64,
     },
-    /// Diagnostic: the adaptive in-flight limit grew.
-    LimitGrow {
-        /// Absolute virtual micros.
-        time: u64,
-        /// The new active-slot limit.
-        limit: u64,
-    },
-    /// Diagnostic: the adaptive in-flight limit shrank.
-    LimitShrink {
-        /// Absolute virtual micros.
-        time: u64,
-        /// The new active-slot limit.
-        limit: u64,
-    },
     /// Diagnostic: one dispatch window's occupancy accounting.
     Occupancy {
         /// Absolute virtual micros when the window closed.
@@ -154,7 +140,8 @@ pub enum Event {
         batch: u64,
         /// Busy session-micros accrued over the window.
         busy: u64,
-        /// Worker-micros (virtual elapsed × pool width) of the window.
+        /// Worker-micros of the window: the workers' summed virtual
+        /// elapsed × `max_inflight`, the slot capacity `busy` fills.
         worker: u64,
     },
     /// Diagnostic: a campaign task started executing.
@@ -205,8 +192,6 @@ impl Event {
             Event::SessionDone { .. } => "session:done",
             Event::PhaseEnter { .. } => "phase:enter",
             Event::ClockAdvance { .. } => "clock:advance",
-            Event::LimitGrow { .. } => "limit:grow",
-            Event::LimitShrink { .. } => "limit:shrink",
             Event::Occupancy { .. } => "occupancy",
             Event::TaskStart { .. } => "task:start",
             Event::TaskDone { .. } => "task:done",
@@ -224,8 +209,6 @@ impl Event {
         matches!(
             self,
             Event::ClockAdvance { .. }
-                | Event::LimitGrow { .. }
-                | Event::LimitShrink { .. }
                 | Event::Occupancy { .. }
                 | Event::TaskStart { .. }
                 | Event::TaskDone { .. }
@@ -307,9 +290,6 @@ impl Event {
             }
             Event::ClockAdvance { time, advances } => {
                 let _ = write!(out, "\"time\":{time},\"data\":{{\"advances\":{advances}}}");
-            }
-            Event::LimitGrow { time, limit } | Event::LimitShrink { time, limit } => {
-                let _ = write!(out, "\"time\":{time},\"data\":{{\"limit\":{limit}}}");
             }
             Event::Occupancy {
                 time,
