@@ -1159,6 +1159,16 @@ where
                 seq_model == model,
                 "{name}: {workers}-worker learning must produce a bit-identical model"
             );
+            // A one-worker engine runs on the learner's thread and replies
+            // once per batch; more replies mean it went back to a worker
+            // thread and its channel.
+            assert!(
+                workers != 1 || engine.reply_messages == engine.batches(),
+                "{name}: the 1-worker engine sent {} replies for {} batches — \
+                 it is no longer running inline",
+                engine.reply_messages,
+                engine.batches()
+            );
             if best
                 .as_ref()
                 .is_none_or(|(b, _)| sample.seconds < b.seconds)
@@ -1234,6 +1244,9 @@ struct ScalePoint {
 ///   itself host-independently: every 4-worker learner wake-up must carry
 ///   at least 4 answers on average (measured 15–30; 1.0 is the old
 ///   per-answer regime).
+/// - every 1-worker run must reply exactly once per dispatched batch: the
+///   engine runs one worker inline on the learner's thread, with no reply
+///   channel.
 ///
 /// `quick` shrinks the equivalence-testing volume for CI smoke runs; the
 /// scenario JSON (merged into `BENCH_learning.json` under `cpu_scaling` by

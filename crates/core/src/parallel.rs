@@ -3,23 +3,27 @@
 //! Learning wall-clock time is dominated by membership queries replayed
 //! symbol-by-symbol against the SUL (§4.1).  Queries within a batch are
 //! independent — each starts from a reset — so they can run concurrently on
-//! *separate* SUL instances.  [`ParallelSulOracle`] owns `N` worker
-//! threads, each running a [`SessionScheduler`] that multiplexes up to
-//! `max_inflight` concurrent query sessions on a virtual clock; a batch is
-//! published to a shared work queue and workers **pull** queries
-//! dynamically as their sessions free up (replacing the old static
-//! `index % N` sharding), so a slow query never idles the rest of the
-//! fleet.  Answers are merged back in query order.  Because every session's
-//! SUL is deterministic per query (§3.2 property 3) and answers are pure,
-//! the merged answers — and therefore the learned model and all query-cost
-//! statistics — are bit-identical to a sequential run, regardless of
-//! `(workers, max_inflight)` or which worker happens to grab which query.
+//! *separate* SUL instances.  [`ParallelSulOracle`] runs `N` workers, each
+//! a [`SessionScheduler`] that multiplexes up to `max_inflight` concurrent
+//! query sessions on a virtual clock.  A one-worker engine runs its
+//! scheduler inline, on the learner's own thread: a dispatch blocks the
+//! learner anyway, so a worker thread would only add hand-offs.  Larger
+//! engines run one worker thread each; a batch is published to a shared
+//! work queue and workers **pull** queries dynamically as their sessions
+//! free up (replacing the old static `index % N` sharding), so a slow query
+//! never idles the rest of the fleet.  Answers are merged back in query
+//! order.  Because every session's SUL is deterministic per query (§3.2
+//! property 3) and answers are pure, the merged answers — and therefore
+//! the learned model and all query-cost statistics — are bit-identical to
+//! a sequential run, regardless of `(workers, max_inflight)`, of which
+//! worker happens to grab which query, or of whether the worker is a
+//! thread.
 
 use crate::engine::EnginePool;
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
     add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
-    SessionSulFactory, SimTime, ALL_PHASES,
+    SessionSulFactory, SharedClock, SimTime, ALL_PHASES,
 };
 use crate::sul::SulStats;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -28,7 +32,7 @@ use prognosis_learner::oracle::MembershipOracle;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One queued query of the batch being dispatched.
@@ -164,6 +168,27 @@ impl Shared {
             let _unused = self.available.wait(q).expect("work queue poisoned");
         }
     }
+
+    /// Blocks the dispatcher for the next worker reply, with the
+    /// quiescence gate raised: the learner announces it is out of work to
+    /// submit *before* parking, which is what licenses the workers to
+    /// advance their virtual clocks.  The flag is lowered again on wake
+    /// (the worker also lowers it before sending, but this learner-side
+    /// clear closes the race where the answer is consumed before the
+    /// worker's clear lands).
+    fn recv_reply(&self, replies: &Receiver<Reply>) -> Result<Reply, RecvError> {
+        self.queue
+            .lock()
+            .expect("work queue poisoned")
+            .learner_waiting = true;
+        self.available.notify_all();
+        let reply = replies.recv();
+        self.queue
+            .lock()
+            .expect("work queue poisoned")
+            .learner_waiting = false;
+        reply
+    }
 }
 
 enum WorkerCommand {
@@ -178,6 +203,15 @@ struct WorkerSnapshot {
     scheduler: SchedulerStats,
 }
 
+impl WorkerSnapshot {
+    fn of<Sn: SessionSul>(scheduler: &SessionScheduler<Sn>) -> Self {
+        WorkerSnapshot {
+            sul: scheduler.sul_stats(),
+            scheduler: scheduler.stats(),
+        }
+    }
+}
+
 /// What a finished worker loop reports back: its sessions and final stats,
 /// or the panic payload that killed it.
 type WorkerResult<Sn> = std::thread::Result<(Vec<Sn>, SchedulerStats)>;
@@ -186,27 +220,45 @@ struct Worker<Sn> {
     result_rx: Receiver<WorkerResult<Sn>>,
 }
 
-/// A membership oracle that fans query batches out to worker threads, each
-/// multiplexing `max_inflight` concurrent SUL sessions on virtual time.
+/// Where an engine's workers run.
+enum Executor<Sn> {
+    /// A one-worker engine: the scheduler runs on the learner's thread, and
+    /// a dispatch is a plain loop over [`step`].
+    Inline(SessionScheduler<Sn>),
+    /// Worker loops on [`EnginePool`] threads, fed through a shared queue
+    /// and answering over a reply channel.
+    Pool {
+        shared: Arc<Shared>,
+        reply_rx: Receiver<Reply>,
+        workers: Vec<Worker<Sn>>,
+        /// The pool a multi-worker `spawn_with` built for itself; `None`
+        /// when the workers are leased from a caller-owned shared pool.
+        /// Dropped (joining its threads) after the workers have been
+        /// drained.
+        _owned_pool: Option<EnginePool>,
+    },
+}
+
+/// A membership oracle that fans query batches out to session workers,
+/// each multiplexing `max_inflight` concurrent SUL sessions on virtual
+/// time.
 ///
-/// The workers run on an [`EnginePool`]: either a private pool this oracle
-/// constructed for itself ([`ParallelSulOracle::spawn_with`], the classic
-/// one-oracle-per-pool shape) or a shared pool several concurrent learn
-/// tasks lease slots from ([`ParallelSulOracle::spawn_on_pool_with_events`],
-/// the campaign shape).  Which pool hosts the workers never affects
-/// answers or statistics — everything observable runs on virtual time.
+/// A one-worker engine from [`ParallelSulOracle::spawn_with`] runs its
+/// worker inline, on the calling thread.  Otherwise the workers run on an
+/// [`EnginePool`]: either a private pool this oracle constructed for itself
+/// ([`ParallelSulOracle::spawn_with`] with two or more workers) or a shared
+/// pool several concurrent learn tasks lease slots from
+/// ([`ParallelSulOracle::spawn_on_pool_with_events`], the campaign shape).
+/// Where the workers run never affects answers or statistics — everything
+/// observable runs on virtual time.
 pub struct ParallelSulOracle<Sn: SessionSul> {
-    shared: Arc<Shared>,
-    reply_rx: Receiver<Reply>,
-    workers: Vec<Worker<Sn>>,
+    /// `None` once the inline worker has panicked (its sessions are in an
+    /// unknown state) or the engine has been shut down.
+    executor: Option<Executor<Sn>>,
     /// Most recent counters shipped by each worker (with its last answer
     /// harvest).  Reading stats is a plain field access on the dispatcher
     /// thread — no cross-thread lock on any stats path.
     snapshots: Vec<WorkerSnapshot>,
-    /// The pool backing `spawn_with`-style oracles; `None` when the workers
-    /// are leased from a caller-owned shared pool.  Dropped (joining its
-    /// threads) after the workers have been drained.
-    owned_pool: Option<EnginePool>,
     max_inflight: usize,
     /// Phase the learner last announced via
     /// [`MembershipOracle::note_phase`]; dispatches are attributed to it.
@@ -219,9 +271,9 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// [`Event::PhaseEnter`] stamps, a pure function of the stream itself.
     flushed_queries: u64,
     /// The event sink.  Workers return each query's events with its
-    /// answer, and this dispatcher thread emits them in batch-index order,
-    /// which is what makes the deterministic stream byte-identical across
-    /// engine shapes.
+    /// answer, and the dispatcher emits them in batch-index order, which
+    /// is what makes the deterministic stream byte-identical across engine
+    /// shapes.
     events: Option<Arc<ScopedSink>>,
 }
 
@@ -235,12 +287,26 @@ pub struct EngineShutdown<S> {
     pub engine: EngineStats,
 }
 
+/// A worker's scheduler over its sessions, attached to the engine's sink.
+fn scheduler_for<Sn: SessionSul>(
+    sessions: Vec<Sn>,
+    clock: SharedClock,
+    events: Option<Arc<ScopedSink>>,
+) -> SessionScheduler<Sn> {
+    let scheduler = SessionScheduler::with_clock(sessions, clock);
+    match events {
+        Some(sink) => scheduler.with_event_sink(sink),
+        None => scheduler,
+    }
+}
+
 impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
-    /// Spawns `workers` threads, each multiplexing `max_inflight` sessions
-    /// minted by `factory` over one shared virtual clock.  The oracle owns
-    /// a private [`EnginePool`] sized to exactly these workers; use
-    /// [`ParallelSulOracle::spawn_on_pool_with_events`] to lease slots from
-    /// a shared pool instead.
+    /// Builds an engine of `workers` workers, each multiplexing
+    /// `max_inflight` sessions minted by `factory` over one shared virtual
+    /// clock.  One worker runs inline on the calling thread; more run on a
+    /// private [`EnginePool`] sized to exactly these workers.  Use
+    /// [`ParallelSulOracle::spawn_on_pool_with_events`] to lease slots
+    /// from a shared pool instead.
     ///
     /// # Panics
     /// Panics when `workers` or `max_inflight` is zero.
@@ -268,17 +334,23 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         F: SessionSulFactory<Session = Sn>,
     {
         assert!(workers >= 1, "a parallel oracle needs at least one worker");
-        let pool = EnginePool::new(workers);
-        let mut oracle = Self::spawn_on_pool_with_events(
-            &pool,
-            factory,
-            workers,
-            max_inflight,
-            sink,
-            diagnostics,
-        );
-        oracle.owned_pool = Some(pool);
-        oracle
+        assert!(max_inflight >= 1, "each worker needs at least one session");
+        let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
+        let executor = if workers == 1 {
+            let (sessions, clock) = factory.create_worker_sessions(max_inflight);
+            Executor::Inline(scheduler_for(sessions, clock, events.clone()))
+        } else {
+            let pool = EnginePool::new(workers);
+            let (shared, reply_rx, leased) =
+                lease_workers(&pool, factory, workers, max_inflight, &events);
+            Executor::Pool {
+                shared,
+                reply_rx,
+                workers: leased,
+                _owned_pool: Some(pool),
+            }
+        };
+        Self::with_executor(executor, workers, max_inflight, events)
     }
 
     /// Spawns the oracle's `workers` worker loops on slots leased from
@@ -286,7 +358,9 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// several concurrent learn tasks — possibly with different SUL types —
     /// share one engine: each task's oracle holds its lease for the
     /// oracle's lifetime and the slots return to the pool on shutdown (or
-    /// drop).  Engine telemetry flows into `sink` when one is given (see
+    /// drop), so the pool caps how many workers all tasks run at once.
+    /// The workers are threads even when `workers` is one.  Engine
+    /// telemetry flows into `sink` when one is given (see
     /// [`ParallelSulOracle::spawn_with_events`]).
     ///
     /// # Panics
@@ -306,72 +380,30 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         assert!(workers >= 1, "a parallel oracle needs at least one worker");
         assert!(max_inflight >= 1, "each worker needs at least one session");
         let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                learner_waiting: false,
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            workers,
-        });
-        let (reply_tx, reply_rx) = channel::<Reply>();
-        let mut lease = pool.lease(workers);
-        let num_workers = workers;
-        let workers = (0..workers)
-            .map(|worker_id| {
-                // One session group (and, for networked transports, one
-                // shared netsim network attached to this clock) per worker.
-                let (sessions, clock) = factory.create_worker_sessions(max_inflight);
-                let shared = Arc::clone(&shared);
-                let reply_tx = reply_tx.clone();
-                let worker_events = events.clone();
-                let (result_tx, result_rx) = channel::<WorkerResult<Sn>>();
-                lease.submit_worker_releasing(move |slot| {
-                    let mut scheduler = SessionScheduler::with_clock(sessions, clock);
-                    if let Some(sink) = worker_events {
-                        scheduler = scheduler.with_event_sink(sink);
-                    }
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        worker_loop(&shared, &mut scheduler, &reply_tx, worker_id);
-                    }));
-                    let result = match outcome {
-                        Ok(()) => {
-                            let stats = scheduler.stats();
-                            Ok((scheduler.into_sessions(), stats))
-                        }
-                        Err(payload) => {
-                            // Report the death both on the reply path (so a
-                            // dispatcher blocked mid-batch wakes up) and as
-                            // this worker's final result.  The panic is NOT
-                            // re-raised: the hosting pool thread survives to
-                            // serve later leases.
-                            let _ = reply_tx.send(Reply::Dead {
-                                worker: worker_id,
-                                message: panic_message(payload.as_ref()),
-                            });
-                            Err(payload)
-                        }
-                    };
-                    // Slot back first, report second: `shutdown()` returns
-                    // only after receiving every report, so callers that
-                    // joined a run observe its slots as already free.
-                    drop(slot);
-                    let _ = result_tx.send(result);
-                });
-                Worker { result_rx }
-            })
-            .collect();
-        ParallelSulOracle {
+        let (shared, reply_rx, leased) =
+            lease_workers(pool, factory, workers, max_inflight, &events);
+        let executor = Executor::Pool {
             shared,
             reply_rx,
-            workers,
-            snapshots: vec![WorkerSnapshot::default(); num_workers],
-            owned_pool: None,
+            workers: leased,
+            _owned_pool: None,
+        };
+        Self::with_executor(executor, workers, max_inflight, events)
+    }
+
+    fn with_executor(
+        executor: Executor<Sn>,
+        workers: usize,
+        max_inflight: usize,
+        events: Option<Arc<ScopedSink>>,
+    ) -> Self {
+        ParallelSulOracle {
+            executor: Some(executor),
+            snapshots: vec![WorkerSnapshot::default(); workers],
             max_inflight,
             current_phase: QueryPhase::default(),
             telemetry: EngineStats {
-                workers: num_workers as u64,
+                workers: workers as u64,
                 max_inflight: max_inflight as u64,
                 ..EngineStats::default()
             },
@@ -380,9 +412,9 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of workers.
     pub fn num_workers(&self) -> usize {
-        self.workers.len()
+        self.snapshots.len()
     }
 
     /// Session slots per worker.
@@ -392,10 +424,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
 
     /// Number of batches dispatched so far.
     pub fn batches_dispatched(&self) -> u64 {
-        ALL_PHASES
-            .iter()
-            .map(|&p| self.telemetry.phase(p).batches)
-            .sum()
+        self.telemetry.batches()
     }
 
     /// Aggregated interaction counters across all worker sessions, as of
@@ -437,33 +466,49 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// that panicked surfaces as [`LearnError::WorkerPanicked`] instead of
     /// poisoning the caller.
     pub fn shutdown(mut self) -> Result<EngineShutdown<Sn::Sul>, LearnError> {
-        {
-            let mut q = self.shared.queue.lock().expect("work queue poisoned");
-            q.shutdown = true;
-        }
-        self.shared.available.notify_all();
+        let finished: Vec<(Vec<Sn>, SchedulerStats)> = match self.executor.take() {
+            Some(Executor::Inline(scheduler)) => {
+                let stats = scheduler.stats();
+                vec![(scheduler.into_sessions(), stats)]
+            }
+            Some(Executor::Pool {
+                shared, workers, ..
+            }) => {
+                {
+                    let mut q = shared.queue.lock().expect("work queue poisoned");
+                    q.shutdown = true;
+                }
+                shared.available.notify_all();
+                let mut finished = Vec::with_capacity(workers.len());
+                for (worker_id, worker) in workers.into_iter().enumerate() {
+                    let result = worker
+                        .result_rx
+                        .recv()
+                        .map_err(|_| LearnError::EnginePanicked {
+                            message: format!(
+                                "session worker {worker_id} vanished without reporting"
+                            ),
+                        })?
+                        .map_err(|payload| LearnError::WorkerPanicked {
+                            worker: worker_id,
+                            message: panic_message(payload.as_ref()),
+                        })?;
+                    finished.push(result);
+                }
+                finished
+            }
+            None => return Err(inline_worker_dead()),
+        };
         let mut engine = self.telemetry.clone();
-        let mut suls = Vec::with_capacity(self.workers.len() * self.max_inflight);
-        for (worker_id, worker) in std::mem::take(&mut self.workers).into_iter().enumerate() {
-            let (sessions, stats) = worker
-                .result_rx
-                .recv()
-                .map_err(|_| LearnError::EnginePanicked {
-                    message: format!("session worker {worker_id} vanished without reporting"),
-                })?
-                .map_err(|payload| LearnError::WorkerPanicked {
-                    worker: worker_id,
-                    message: panic_message(payload.as_ref()),
-                })?;
+        let mut suls = Vec::with_capacity(finished.len() * self.max_inflight);
+        for (sessions, stats) in finished {
             engine.absorb(&stats);
             for mut session in sessions {
                 session.start_reset(SimTime::ZERO);
                 suls.push(session.into_sul());
             }
         }
-        if let Some(events) = &self.events {
-            events.flush();
-        }
+        // Dropping `self` flushes the event sink.
         Ok(EngineShutdown { suls, engine })
     }
 
@@ -476,61 +521,52 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     fn dispatch(&mut self, inputs: &[Arc<InputWord>]) -> Vec<OutputWord> {
         let (busy_before, virtual_before) = self.busy_virtual_snapshot();
         let phase = self.current_phase;
-        {
-            let mut q = self.shared.queue.lock().expect("work queue poisoned");
-            q.jobs.extend(
-                inputs
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .map(|(index, input)| Job {
-                        index,
-                        input,
-                        phase,
-                    }),
-            );
-        }
-        self.shared.notify_work(inputs.len());
+        let jobs: VecDeque<Job> = inputs
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(index, input)| Job {
+                index,
+                input,
+                phase,
+            })
+            .collect();
+        // Every reply of this batch: its answers, and the event buffer
+        // their ranges index into.
+        let mut replies: Vec<(Vec<Answer>, Vec<Event>)> = match &mut self.executor {
+            Some(Executor::Inline(scheduler)) => match run_inline(scheduler, jobs) {
+                Ok(answers) => {
+                    self.snapshots[0] = WorkerSnapshot::of(scheduler);
+                    vec![(answers, scheduler.take_events())]
+                }
+                Err(message) => {
+                    // Relay the death up through the learning loop, as a
+                    // pool worker's would be; the sessions are retired.
+                    self.executor = None;
+                    std::panic::panic_any(LearnError::WorkerPanicked { worker: 0, message });
+                }
+            },
+            Some(Executor::Pool {
+                shared, reply_rx, ..
+            }) => run_pooled(shared, reply_rx, jobs, &mut self.snapshots),
+            None => std::panic::panic_any(inline_worker_dead()),
+        };
+        self.telemetry.reply_messages += replies.len() as u64;
         let mut results: Vec<Option<OutputWord>> = vec![None; inputs.len()];
         // Per query: which reply's event buffer holds its events, and where.
         let mut scopes: Vec<(usize, Range<usize>)> = vec![(0, 0..0); inputs.len()];
-        let mut buffers: Vec<Vec<Event>> = Vec::new();
-        let mut received = 0;
-        while received < inputs.len() {
-            match self.recv_reply() {
-                Ok(Reply::Answers {
-                    worker,
-                    answers,
-                    events,
-                    snapshot,
-                }) => {
-                    self.telemetry.reply_messages += 1;
-                    self.snapshots[worker] = snapshot;
-                    for (index, output, range) in answers {
-                        debug_assert!(results[index].is_none(), "query answered twice");
-                        results[index] = Some(output);
-                        scopes[index] = (buffers.len(), range);
-                        received += 1;
-                    }
-                    buffers.push(events);
-                }
-                Ok(Reply::Dead { worker, message }) => {
-                    // Relay the worker's death up through the learning loop;
-                    // `learn_model_parallel` converts it into a `LearnError`.
-                    std::panic::panic_any(LearnError::WorkerPanicked { worker, message });
-                }
-                Err(_) => {
-                    std::panic::panic_any(LearnError::EnginePanicked {
-                        message: "all session workers exited mid-batch".to_string(),
-                    });
-                }
+        for (buffer, (answers, _)) in replies.iter_mut().enumerate() {
+            for (index, output, range) in answers.drain(..) {
+                debug_assert!(results[index].is_none(), "query answered twice");
+                results[index] = Some(output);
+                scopes[index] = (buffer, range);
             }
         }
         if let Some(events) = &self.events {
             // Batch-index order, whatever order the workers finished in.
-            let mut batch = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
+            let mut batch = Vec::with_capacity(replies.iter().map(|(_, e)| e.len()).sum());
             for (buffer, range) in scopes {
-                batch.extend_from_slice(&buffers[buffer][range]);
+                batch.extend_from_slice(&replies[buffer].1[range]);
             }
             events.emit_batch(&batch);
             self.flushed_queries += inputs.len() as u64;
@@ -558,26 +594,83 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             .map(|out| out.expect("every query index answered"))
             .collect()
     }
+}
 
-    /// Blocks for the next worker reply, with the quiescence gate raised:
-    /// the learner announces it is out of work to submit *before* parking,
-    /// which is what licenses the workers to advance their virtual clocks.
-    /// The flag is lowered again on wake (the worker also lowers it before
-    /// sending, but this learner-side clear closes the race where the
-    /// answer is consumed before the worker's clear lands).
-    fn recv_reply(&mut self) -> Result<Reply, std::sync::mpsc::RecvError> {
-        {
-            let mut q = self.shared.queue.lock().expect("work queue poisoned");
-            q.learner_waiting = true;
-        }
-        self.shared.available.notify_all();
-        let reply = self.reply_rx.recv();
-        {
-            let mut q = self.shared.queue.lock().expect("work queue poisoned");
-            q.learner_waiting = false;
-        }
-        reply
+/// The error a dead inline worker reports from then on.
+fn inline_worker_dead() -> LearnError {
+    LearnError::WorkerPanicked {
+        worker: 0,
+        message: "the session worker panicked in an earlier batch".to_string(),
     }
+}
+
+/// Spawns `workers` worker loops on slots leased from `pool`, each over
+/// `max_inflight` fresh sessions, returning their queue, the reply channel
+/// and one result handle per worker.
+fn lease_workers<Sn, F>(
+    pool: &EnginePool,
+    factory: &F,
+    workers: usize,
+    max_inflight: usize,
+    events: &Option<Arc<ScopedSink>>,
+) -> (Arc<Shared>, Receiver<Reply>, Vec<Worker<Sn>>)
+where
+    Sn: SessionSul + Send + 'static,
+    F: SessionSulFactory<Session = Sn>,
+{
+    let shared = Arc::new(Shared {
+        queue: Mutex::new(QueueState {
+            jobs: VecDeque::new(),
+            learner_waiting: false,
+            shutdown: false,
+        }),
+        available: Condvar::new(),
+        workers,
+    });
+    let (reply_tx, reply_rx) = channel::<Reply>();
+    let mut lease = pool.lease(workers);
+    let workers = (0..workers)
+        .map(|worker_id| {
+            // One session group (and, for networked transports, one
+            // shared netsim network attached to this clock) per worker.
+            let (sessions, clock) = factory.create_worker_sessions(max_inflight);
+            let shared = Arc::clone(&shared);
+            let reply_tx = reply_tx.clone();
+            let worker_events = events.clone();
+            let (result_tx, result_rx) = channel::<WorkerResult<Sn>>();
+            lease.submit_worker_releasing(move |slot| {
+                let mut scheduler = scheduler_for(sessions, clock, worker_events);
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    worker_loop(&shared, &mut scheduler, &reply_tx, worker_id);
+                }));
+                let result = match outcome {
+                    Ok(()) => {
+                        let stats = scheduler.stats();
+                        Ok((scheduler.into_sessions(), stats))
+                    }
+                    Err(payload) => {
+                        // Report the death both on the reply path (so a
+                        // dispatcher blocked mid-batch wakes up) and as
+                        // this worker's final result.  The panic is NOT
+                        // re-raised: the hosting pool thread survives to
+                        // serve later leases.
+                        let _ = reply_tx.send(Reply::Dead {
+                            worker: worker_id,
+                            message: panic_message(payload.as_ref()),
+                        });
+                        Err(payload)
+                    }
+                };
+                // Slot back first, report second: `shutdown()` returns
+                // only after receiving every report, so callers that
+                // joined a run observe its slots as already free.
+                drop(slot);
+                let _ = result_tx.send(result);
+            });
+            Worker { result_rx }
+        })
+        .collect();
+    (shared, reply_rx, workers)
 }
 
 impl<Sn: SessionSul> Drop for ParallelSulOracle<Sn> {
@@ -587,21 +680,112 @@ impl<Sn: SessionSul> Drop for ParallelSulOracle<Sn> {
         // only return to the pool once the loops finish, so wait for each
         // worker's final report before releasing the lease (and, for owned
         // pools, before the pool's own Drop joins its threads).
-        if self.workers.is_empty() {
-            return;
-        }
-        if let Ok(mut q) = self.shared.queue.lock() {
-            q.shutdown = true;
-            q.jobs.clear();
-        }
-        self.shared.available.notify_all();
-        for worker in std::mem::take(&mut self.workers) {
-            let _ = worker.result_rx.recv();
+        if let Some(Executor::Pool {
+            shared, workers, ..
+        }) = &mut self.executor
+        {
+            if let Ok(mut q) = shared.queue.lock() {
+                q.shutdown = true;
+                q.jobs.clear();
+            }
+            shared.available.notify_all();
+            for worker in workers.drain(..) {
+                let _ = worker.result_rx.recv();
+            }
         }
         if let Some(events) = &self.events {
             events.flush();
         }
     }
+}
+
+/// One pass of a worker's event loop, and the one gating rule that keeps
+/// virtual time the same whether the worker runs inline or on a thread:
+/// feed free slots from `backlog`, then drive the scheduler, advancing its
+/// clock only if nothing was pulled.  Work taken at this virtual instant
+/// means more queued work may still join it, so the pass harvests instant
+/// progress instead of stepping time under a part-filled pool; with no
+/// work taken (slots full, or nothing left to submit) advancing is the
+/// only way forward.
+fn step<Sn: SessionSul>(
+    scheduler: &mut SessionScheduler<Sn>,
+    backlog: &mut VecDeque<Job>,
+) -> Vec<Answer> {
+    let pulled = scheduler.has_capacity() && !backlog.is_empty();
+    while scheduler.has_capacity() {
+        let Some(job) = backlog.pop_front() else {
+            break;
+        };
+        scheduler.submit(job.index, job.input, job.phase);
+    }
+    if scheduler.is_idle() {
+        return Vec::new();
+    }
+    scheduler.drive_gated(!pulled)
+}
+
+/// Runs one whole batch on the calling thread: the inline executor's
+/// dispatch.  Returns every answer (with event ranges into the scheduler's
+/// event buffer), or the message of a session panic.
+fn run_inline<Sn: SessionSul>(
+    scheduler: &mut SessionScheduler<Sn>,
+    mut backlog: VecDeque<Job>,
+) -> Result<Vec<Answer>, String> {
+    let total = backlog.len();
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let mut answers = Vec::with_capacity(total);
+        while answers.len() < total {
+            answers.extend(step(scheduler, &mut backlog));
+        }
+        answers
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))
+}
+
+/// Runs one whole batch on the worker threads: publishes `jobs` to the
+/// shared queue and collects replies until every query has answered,
+/// keeping each worker's latest counters in `snapshots`.  Returns every
+/// reply's answers with the event buffer their ranges index into.  A
+/// worker death is relayed as a [`LearnError`] panic.
+fn run_pooled(
+    shared: &Shared,
+    reply_rx: &Receiver<Reply>,
+    jobs: VecDeque<Job>,
+    snapshots: &mut [WorkerSnapshot],
+) -> Vec<(Vec<Answer>, Vec<Event>)> {
+    let total = jobs.len();
+    {
+        let mut q = shared.queue.lock().expect("work queue poisoned");
+        q.jobs.extend(jobs);
+    }
+    shared.notify_work(total);
+    let mut replies = Vec::new();
+    let mut received = 0;
+    while received < total {
+        match shared.recv_reply(reply_rx) {
+            Ok(Reply::Answers {
+                worker,
+                answers,
+                events,
+                snapshot,
+            }) => {
+                snapshots[worker] = snapshot;
+                received += answers.len();
+                replies.push((answers, events));
+            }
+            Ok(Reply::Dead { worker, message }) => {
+                // Relay the worker's death up through the learning loop;
+                // `learn_model_parallel` converts it into a `LearnError`.
+                std::panic::panic_any(LearnError::WorkerPanicked { worker, message });
+            }
+            Err(_) => {
+                std::panic::panic_any(LearnError::EnginePanicked {
+                    message: "all session workers exited mid-batch".to_string(),
+                });
+            }
+        }
+    }
+    replies
 }
 
 /// Delivers every banked answer in one [`Reply::Answers`] message together
@@ -625,10 +809,7 @@ fn flush_answers<Sn: SessionSul>(
         worker: worker_id,
         answers: std::mem::take(banked),
         events: scheduler.take_events(),
-        snapshot: WorkerSnapshot {
-            sul: scheduler.sul_stats(),
-            scheduler: scheduler.stats(),
-        },
+        snapshot: WorkerSnapshot::of(scheduler),
     };
     reply_tx.send(reply).is_ok()
 }
@@ -647,26 +828,21 @@ fn worker_loop<Sn: SessionSul>(
     let mut backlog: VecDeque<Job> = VecDeque::new();
     let mut banked: Vec<Answer> = Vec::new();
     loop {
-        let was_idle = scheduler.is_idle();
-        // Whether work was taken at this virtual instant.
-        let pulled = if !backlog.is_empty() && scheduler.has_capacity() {
-            // Hot path: feed free slots straight from the local backlog —
-            // no shared-queue lock, and no advance license wanted (having
-            // submittable work at this virtual instant means the clock
-            // must hold still anyway).
-            true
-        } else {
-            // Consult the shared queue without flushing eagerly: with a
-            // chunk still in the backlog this path runs once per clock
-            // advance, and flushing here would deliver every answer
-            // individually — the exact per-query wake-up convoy the bank
-            // exists to avoid.  Only an actual condvar park demands a
-            // flush first (the learner must never sleep on answers a
-            // sleeping worker is sitting on); `next_jobs` returning `None`
-            // is that signal, and re-polling after the wait keeps the
-            // wake-condition check under the queue lock.
+        // Free slots with a local backlog are fed without touching the
+        // shared queue.  Otherwise consult it, without flushing eagerly:
+        // with a chunk still in the backlog this path runs once per clock
+        // advance, and flushing here would deliver every answer
+        // individually — the exact per-query wake-up convoy the bank
+        // exists to avoid.  Only an actual condvar park demands a flush
+        // first (the learner must never sleep on answers a sleeping worker
+        // is sitting on); `next_jobs` returning `None` is that signal, and
+        // re-polling after the wait keeps the wake-condition check under
+        // the queue lock.  An empty job list is the license to advance the
+        // clock, which `step` then takes because nothing was pulled.
+        if backlog.is_empty() || !scheduler.has_capacity() {
+            let idle = scheduler.is_idle();
             let command = loop {
-                match shared.next_jobs(scheduler.capacity(), was_idle) {
+                match shared.next_jobs(scheduler.capacity(), idle) {
                     Some(command) => break command,
                     None => {
                         if !banked.is_empty()
@@ -674,7 +850,7 @@ fn worker_loop<Sn: SessionSul>(
                         {
                             return;
                         }
-                        shared.wait_for_work(scheduler.capacity(), was_idle);
+                        shared.wait_for_work(scheduler.capacity(), idle);
                     }
                 }
             };
@@ -685,29 +861,10 @@ fn worker_loop<Sn: SessionSul>(
                     }
                     return;
                 }
-                WorkerCommand::Jobs(jobs) => {
-                    let pulled = !jobs.is_empty();
-                    backlog.extend(jobs);
-                    pulled
-                }
+                WorkerCommand::Jobs(jobs) => backlog.extend(jobs),
             }
-        };
-        while scheduler.has_capacity() {
-            let Some(job) = backlog.pop_front() else {
-                break;
-            };
-            scheduler.submit(job.index, job.input, job.phase);
         }
-        if scheduler.is_idle() {
-            continue; // Woken without work; re-check the queue.
-        }
-        // Only an *empty* pull licenses a clock advance: `next_jobs`
-        // returns no jobs exactly when advancing is the only way forward
-        // (pool full with work queued, or the learner has quiesced).  A
-        // non-empty pull means more queued work may still join this
-        // virtual instant, so harvest instant progress and loop back to
-        // the gate instead of stepping time under a part-filled pool.
-        let completed = scheduler.drive_gated(!pulled);
+        let completed = step(scheduler, &mut backlog);
         if completed.is_empty() {
             continue;
         }
@@ -975,20 +1132,80 @@ mod tests {
         }
     }
 
+    /// Counts the flushes it receives.
+    #[derive(Default)]
+    struct FlushCounter(std::sync::atomic::AtomicUsize);
+
+    impl EventSink for FlushCounter {
+        fn emit(&self, _event: &Event) {}
+
+        fn flush(&self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn panicking_workers_surface_as_learn_errors_not_hangs() {
+        // (1, _) runs its worker inline on this thread; (2, 1) on threads.
+        for (workers, inflight) in [(1, 1), (1, 4), (2, 1)] {
+            let factory = BlockingSessionFactory(PanickySulFactory);
+            let sink = Arc::new(FlushCounter::default());
+            let mut parallel = ParallelSulOracle::spawn_with_events(
+                &factory,
+                workers,
+                inflight,
+                Some(Arc::clone(&sink) as Arc<dyn EventSink>),
+                false,
+            );
+            let poisoned = vec![
+                InputWord::from_symbols(["fine"]),
+                InputWord::from_symbols(["poison"]),
+            ];
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                parallel.query_batch(&poisoned);
+            }));
+            let payload = outcome.expect_err("the dispatcher must observe the worker death");
+            let error = payload
+                .downcast_ref::<LearnError>()
+                .expect("worker death is relayed as a LearnError");
+            let LearnError::WorkerPanicked { worker, message } = error else {
+                panic!("({workers}, {inflight}): unexpected error variant: {error}");
+            };
+            assert!(*worker < workers);
+            if workers == 1 {
+                assert_eq!(*worker, 0, "the inline worker is worker 0");
+            }
+            assert!(message.contains("poisoned symbol"), "{message}");
+            drop(parallel); // must not hang or double-panic
+            assert_eq!(
+                sink.0.load(std::sync::atomic::Ordering::SeqCst),
+                1,
+                "({workers}, {inflight}): dropping the oracle flushes the sink"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dead_inline_worker_fails_later_batches_and_shutdown() {
         let factory = BlockingSessionFactory(PanickySulFactory);
-        let mut parallel = ParallelSulOracle::spawn_with(&factory, 2, 1);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 1, 1);
         let poisoned = vec![InputWord::from_symbols(["poison"])];
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
             parallel.query_batch(&poisoned);
         }));
-        let payload = outcome.expect_err("the dispatcher must observe the worker death");
-        let error = payload
-            .downcast_ref::<LearnError>()
-            .expect("worker death is relayed as a LearnError");
-        assert!(matches!(error, LearnError::WorkerPanicked { .. }));
-        assert!(error.to_string().contains("poisoned symbol"));
-        drop(parallel); // must not hang or double-panic
+        assert!(first.is_err());
+        let fine = vec![InputWord::from_symbols(["fine"])];
+        let second = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            parallel.query_batch(&fine);
+        }))
+        .expect_err("a dead engine answers nothing");
+        assert!(matches!(
+            second.downcast_ref::<LearnError>(),
+            Some(LearnError::WorkerPanicked { worker: 0, .. })
+        ));
+        assert!(matches!(
+            parallel.shutdown(),
+            Err(LearnError::WorkerPanicked { worker: 0, .. })
+        ));
     }
 }

@@ -375,7 +375,8 @@ pub struct EngineStats {
     /// carries a whole answer chunk plus a stats snapshot, so
     /// `queries_completed / reply_messages` is the answers-per-wake-up
     /// economy of the batched return path (1.0 = one learner wake-up per
-    /// query, the old per-answer regime).
+    /// query, the old per-answer regime).  A one-worker engine runs its
+    /// worker on the learner's thread and counts one reply per batch.
     pub reply_messages: u64,
     /// Histogram of dispatched batch sizes: bucket `i` counts batches of
     /// `2^i ..= 2^(i+1)-1` queries.
@@ -418,6 +419,11 @@ impl EngineStats {
         stats.queries += batch_size;
         stats.busy_micros += busy_micros;
         stats.worker_micros += worker_micros;
+    }
+
+    /// Batches dispatched, across all phases.
+    pub fn batches(&self) -> u64 {
+        ALL_PHASES.iter().map(|&p| self.phase(p).batches).sum()
     }
 
     /// The dispatch accounting of one learning phase.

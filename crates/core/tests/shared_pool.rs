@@ -3,17 +3,23 @@
 //! produce exactly the models and query-cost statistics of their private
 //! (`spawn_with`) runs — the pool moves scheduling, never results.  This is
 //! the substrate the campaign orchestrator builds its matrix cells on.
+//! A one-worker lease is also the threaded reference for the inline
+//! executor a private one-worker engine runs on the learner's thread.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_core::engine::EnginePool;
+use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
 use prognosis_core::pipeline::{
-    learn_model_parallel, learn_model_parallel_seeded_with_events, LearnConfig, LearnedModel,
+    learn_model_parallel, learn_model_parallel_seeded_with_events,
+    learn_model_parallel_with_events, LearnConfig, LearnedModel,
 };
 use prognosis_core::quic_adapter::{quic_alphabet, QuicSulFactory};
-use prognosis_core::session::SessionSulFactory;
+use prognosis_core::session::{SessionSulFactory, SimDuration};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSulFactory};
+use prognosis_events::{Event, EventSink, MemorySink};
 use prognosis_learner::trie::PrefixTrie;
 use prognosis_quic_sim::profile::ImplementationProfile;
+use std::sync::Arc;
 
 fn config() -> LearnConfig {
     LearnConfig {
@@ -121,4 +127,85 @@ fn an_undersized_pool_serializes_leases_without_changing_results() {
     assert_eq!(first.model, tcp_reference.model);
     assert_eq!(second.model, tcp_reference.model);
     assert_eq!(pool.free_slots(), pool.total_slots());
+}
+
+/// Keeps only the deterministic stream: diagnostics carry wall-clock
+/// scheduling and thread interleavings, which legitimately differ.
+#[derive(Default)]
+struct DeterministicOnly(MemorySink);
+
+impl EventSink for DeterministicOnly {
+    fn emit(&self, event: &Event) {
+        if !event.is_diagnostic() {
+            self.0.emit(event);
+        }
+    }
+}
+
+/// Learns with one worker twice — threaded on a one-slot shared pool (the
+/// reference worker loop), then inline on a private engine — and asserts
+/// the runs agree on everything but the reply count: model, learner
+/// statistics, every engine counter (virtual time, clock advances, busy
+/// time, per-phase books) and the deterministic event stream, byte for
+/// byte.
+fn assert_inline_matches_threaded<F>(factory: &F, alphabet: &Alphabet, config: LearnConfig)
+where
+    F: SessionSulFactory,
+    F::Session: Send + 'static,
+{
+    let pool = EnginePool::new(1);
+    let threaded_log = Arc::new(DeterministicOnly::default());
+    let threaded = learn_model_parallel_seeded_with_events(
+        &pool,
+        factory,
+        alphabet,
+        &config,
+        PrefixTrie::new(),
+        &[],
+        Some(Arc::clone(&threaded_log) as Arc<dyn EventSink>),
+    )
+    .expect("threaded learn succeeds")
+    .outcome;
+    let inline_log = Arc::new(DeterministicOnly::default());
+    let inline = learn_model_parallel_with_events(
+        factory,
+        alphabet,
+        config,
+        Arc::clone(&inline_log) as Arc<dyn EventSink>,
+        true,
+    )
+    .expect("inline learn succeeds");
+
+    assert_eq!(inline.learned.model, threaded.learned.model);
+    assert_eq!(inline.learned.stats, threaded.learned.stats);
+    assert_eq!(inline.sul_stats, threaded.sul_stats);
+    // The inline worker replies once per batch; the threaded one once per
+    // banked chunk.  Everything else is virtual time and must not move.
+    assert_eq!(inline.engine.reply_messages, inline.engine.batches());
+    let mut threaded_engine = threaded.engine;
+    threaded_engine.reply_messages = inline.engine.reply_messages;
+    assert_eq!(inline.engine, threaded_engine);
+    let (inline_log, threaded_log) = (inline_log.0.contents(), threaded_log.0.contents());
+    assert!(inline_log.contains("\"name\":\"session:done\""));
+    assert!(
+        inline_log == threaded_log,
+        "the deterministic event stream differs ({} vs {} bytes)",
+        inline_log.len(),
+        threaded_log.len()
+    );
+}
+
+#[test]
+fn inline_one_worker_engines_match_the_threaded_reference() {
+    let one_by_one = config().with_workers(1).with_max_inflight(1);
+    assert_inline_matches_threaded(&TcpSulFactory::default(), &tcp_alphabet(), one_by_one);
+
+    let link = LinkConfig::with_latency(SimDuration::from_micros(100))
+        .jitter(SimDuration::from_micros(100));
+    let google = NetworkedSessionFactory::new(
+        QuicSulFactory::new(ImplementationProfile::google(), 11),
+        link,
+    );
+    let one_by_sixteen = config().with_workers(1).with_max_inflight(16);
+    assert_inline_matches_threaded(&google, &quic_alphabet(), one_by_sixteen);
 }
