@@ -1,9 +1,11 @@
 //! Criterion benchmarks for the performance-shaped experiments.
 //!
-//! One group per experiment id from DESIGN.md §3: learning effort for the
-//! TCP and QUIC SULs (E1/E3), register synthesis (E2/E8), equivalence
-//! checking of learned models (E5), the nondeterminism check (E6/E13) and
-//! the wire codec that every query passes through.  Sample counts are kept
+//! One group per experiment id (E1–E24, as named in `prognosis_bench`):
+//! learning effort for the TCP and QUIC SULs (E1/E3), sequential vs
+//! parallel learning (E15/E17), register synthesis (E2/E8), equivalence
+//! checking of learned models (E5), the nondeterminism check (E6/E13), the
+//! wire codec that every query passes through and the symbol hot path
+//! (E24).  Sample counts are kept
 //! small because each iteration performs a complete learning run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -12,12 +14,13 @@ use prognosis_automata::equivalence::machines_equivalent;
 use prognosis_automata::known;
 use prognosis_automata::word::InputWord;
 use prognosis_automata::word::{IoTrace, OutputWord};
+use prognosis_bench::Scenario;
 use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
-use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig};
-use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul};
+use prognosis_core::pipeline::LearnConfig;
+use prognosis_core::quic_adapter::{quic_data_alphabet, QuicSul, QuicSulFactory};
 use prognosis_core::session::SimDuration;
-use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
+use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSulFactory};
 use prognosis_quic_sim::profile::ImplementationProfile;
 use prognosis_quic_wire::connection_id::ConnectionId;
 use prognosis_quic_wire::crypto::{EncryptionLevel, Keys};
@@ -44,12 +47,9 @@ fn bench_tcp_learning(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_millis(500));
+    let scenario = Scenario::new(TcpSulFactory::default(), tcp_alphabet(), quick_config());
     group.bench_function("seven_symbol_alphabet", |b| {
-        b.iter(|| {
-            let mut sul = TcpSul::with_defaults();
-            let learned = learn_model(&mut sul, &tcp_alphabet(), quick_config());
-            assert!(learned.model.num_states() >= 4);
-        })
+        b.iter(|| assert!(scenario.run().learned.model.num_states() >= 4))
     });
     group.finish();
 }
@@ -64,36 +64,30 @@ fn bench_quic_learning(c: &mut Criterion) {
         ImplementationProfile::quiche(),
         ImplementationProfile::google(),
     ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(profile.name.clone()),
-            &profile,
-            |b, profile| {
-                b.iter(|| {
-                    let mut sul = QuicSul::new(profile.clone(), 3);
-                    let learned = learn_model(&mut sul, &quic_data_alphabet(), quick_config());
-                    assert!(learned.model.num_states() >= 3);
-                })
-            },
-        );
+        let id = BenchmarkId::from_parameter(&profile.name);
+        let factory = QuicSulFactory::new(profile, 3);
+        let scenario = Scenario::new(factory, quic_data_alphabet(), quick_config());
+        group.bench_function(id, |b| {
+            b.iter(|| assert!(scenario.run().learned.model.num_states() >= 3))
+        });
     }
     group.finish();
 }
 
-/// E15: sequential vs batched-parallel learning on a latency-modelled TCP
-/// SUL (50µs per symbol, 100µs per reset — the §4.1 deployment regime the
-/// parallel engine exists for).
+/// E15/E17: sequential vs batched-parallel learning on a latency-modelled
+/// TCP SUL (50µs per symbol, 100µs per reset — the §4.1 deployment regime
+/// the parallel engine exists for), at 2/4 blocking workers and at 1 worker
+/// × 16/64 in-flight sessions.
 fn bench_parallel_learning(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_learning");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(4));
     group.warm_up_time(Duration::from_millis(200));
-    let factory = || {
-        LatencySulFactory::new(
-            TcpSulFactory::default(),
-            SimDuration::from_micros(50),
-            SimDuration::from_micros(100),
-        )
-    };
+    let factory = LatencySulFactory::new(
+        TcpSulFactory::default(),
+        SimDuration::from_micros(50),
+        SimDuration::from_micros(100),
+    );
     let config = LearnConfig {
         seed: 7,
         random_tests: 200,
@@ -102,45 +96,20 @@ fn bench_parallel_learning(c: &mut Criterion) {
         eq_batch_size: 256,
         ..LearnConfig::default()
     };
+    let sequential = Scenario::new(factory, tcp_alphabet(), config);
     group.bench_function("tcp_sequential", |b| {
-        b.iter(|| {
-            let learned = learn_model(&mut factory().create(), &tcp_alphabet(), config.clone());
-            assert!(learned.model.num_states() >= 4);
-        })
+        b.iter(|| assert!(sequential.run().learned.model.num_states() >= 4))
     });
-    for workers in [2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("tcp_parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let outcome = learn_model_parallel(
-                        &factory(),
-                        &tcp_alphabet(),
-                        config.clone().with_workers(workers),
-                    )
-                    .expect("parallel learning succeeds");
-                    assert!(outcome.learned.model.num_states() >= 4);
-                })
-            },
-        );
-    }
-    for inflight in [16usize, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("tcp_multiplexed_1worker", inflight),
-            &inflight,
-            |b, &inflight| {
-                b.iter(|| {
-                    let outcome = learn_model_parallel(
-                        &factory(),
-                        &tcp_alphabet(),
-                        config.clone().with_workers(1).with_max_inflight(inflight),
-                    )
-                    .expect("parallel learning succeeds");
-                    assert!(outcome.learned.model.num_states() >= 4);
-                })
-            },
-        );
+    for (id, workers, max_inflight) in [
+        ("tcp_parallel/2", 2, 1),
+        ("tcp_parallel/4", 4, 1),
+        ("tcp_multiplexed_1worker/16", 1, 16),
+        ("tcp_multiplexed_1worker/64", 1, 64),
+    ] {
+        let scenario = sequential.clone().engine(workers, max_inflight);
+        group.bench_function(id, |b| {
+            b.iter(|| assert!(scenario.run().learned.model.num_states() >= 4))
+        });
     }
     group.finish();
 }

@@ -1,10 +1,9 @@
 //! E15: sequential vs batched-parallel learning throughput.
 //!
-//! Prints the comparison report and merges its five stamped scenarios
-//! (`tcp`, `quic_google`, `tcp_cpu_bound`, `quic_google_cpu_bound`,
-//! `tcp_warm_start`) into `BENCH_learning.json` in the current directory,
-//! keeping every other experiment's row, so later PRs have a perf
-//! trajectory.
+//! Prints the comparison report and merges its three stamped scenarios
+//! (`tcp`, `quic_google`, `tcp_warm_start`) into `BENCH_learning.json` in
+//! the current directory, keeping every other experiment's row.  The
+//! optional argument is the worker count (default 4).
 fn main() {
     let workers = std::env::args()
         .nth(1)

@@ -4,10 +4,6 @@
 //! warm run issues zero fresh SUL symbols and reproduces the cold model
 //! bit-identically (for 1 and 4 workers), so a non-zero exit fails CI.
 fn main() {
-    let (report, summary, _) = prognosis_bench::exp_warm_start();
+    let (report, _) = prognosis_bench::exp_warm_start();
     println!("{report}");
-    println!(
-        "warm start OK: cold {} fresh symbols -> warm {} (sequential) / {} (4 workers)",
-        summary.cold_fresh_symbols, summary.warm_fresh_symbols, summary.warm_parallel_fresh_symbols
-    );
 }

@@ -5,7 +5,7 @@
 //! types, the twenty frame types, packet-number encoding and packet
 //! protection.
 //!
-//! **Substitution note (see DESIGN.md):** real QUIC protects packets with
+//! **Substitution note:** real QUIC protects packets with
 //! TLS-1.3-derived AEAD keys and header protection.  Prognosis never looks
 //! inside the cryptography — it only needs packets to be readable by the
 //! legitimate peer and the key-availability state machine (Initial /
