@@ -1,18 +1,45 @@
 //! Labelled model diffing — the shared library behind every "learn two
 //! things and compare them" analysis.
 //!
-//! [`comparison`](crate::comparison) provides the raw primitives
-//! (minimized equivalence checking, breadth-first behavioural diff); this
-//! module packages them into a single [`ModelDiff`] value that carries the
-//! labels of the two models, their minimized sizes, the verdict and the
-//! shortest distinguishing traces.  The cross-implementation example, the
-//! bug-hunt example and the campaign runner's `Diff` tasks all produce
-//! exactly this value, so a diff renders identically no matter which
-//! front end asked for it.
+//! §5's "Learned Model Analysis": Prognosis checks whether the models
+//! learned for two implementations of the same protocol are equivalent and,
+//! when they are not, produces concrete traces that exhibit the difference —
+//! the evidence handed to developers for Issues 1 and 3.  [`diff_models`]
+//! packages the minimized equivalence check and a breadth-first behavioural
+//! diff into a single [`ModelDiff`] value that carries the labels of the
+//! two models, their minimized sizes, the verdict and the shortest
+//! distinguishing traces.  The experiments, the examples and the campaign
+//! runner's `Diff` tasks all produce exactly this value, so a diff renders
+//! identically no matter which front end asked for it.
 
-use crate::comparison::{behavioural_diff, compare_models, DiffEntry};
+use prognosis_automata::equivalence::machines_equivalent;
 use prognosis_automata::mealy::MealyMachine;
+use prognosis_automata::minimize::minimize;
+use prognosis_automata::word::InputWord;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
+
+/// One behavioural difference between two models.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DiffEntry {
+    /// The distinguishing input word.
+    pub input: InputWord,
+    /// Output of the left model.
+    pub left_output: Vec<String>,
+    /// Output of the right model.
+    pub right_output: Vec<String>,
+}
+
+impl DiffEntry {
+    /// Index of the first step at which the outputs differ.
+    pub fn divergence_index(&self) -> usize {
+        self.left_output
+            .iter()
+            .zip(self.right_output.iter())
+            .position(|(a, b)| a != b)
+            .unwrap_or(0)
+    }
+}
 
 /// The outcome of diffing two labelled learned models.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,10 +98,11 @@ impl fmt::Display for ModelDiff {
     }
 }
 
-/// Diffs two learned models: minimized equivalence check plus up to
-/// `max_diffs` concrete distinguishing traces (shortest first).  Mismatched
-/// alphabets yield `equivalent: false` with no traces, mirroring
-/// [`compare_models`].
+/// Diffs two learned models: an equivalence check after minimization (so
+/// that incidental state-count differences do not mask behavioural
+/// equivalence) plus up to `max_diffs` concrete distinguishing traces
+/// (shortest first).  Mismatched alphabets yield `equivalent: false` with
+/// no traces.
 pub fn diff_models(
     left_label: impl Into<String>,
     left: &MealyMachine,
@@ -82,8 +110,10 @@ pub fn diff_models(
     right: &MealyMachine,
     max_diffs: usize,
 ) -> ModelDiff {
-    let cmp = compare_models(left, right);
-    let diffs = if cmp.equivalent {
+    let left_min = minimize(left);
+    let right_min = minimize(right);
+    let equivalent = machines_equivalent(&left_min, &right_min);
+    let diffs = if equivalent {
         Vec::new()
     } else {
         behavioural_diff(left, right, max_diffs)
@@ -91,11 +121,62 @@ pub fn diff_models(
     ModelDiff {
         left_label: left_label.into(),
         right_label: right_label.into(),
-        left_states: cmp.left_states,
-        right_states: cmp.right_states,
-        equivalent: cmp.equivalent,
+        left_states: left_min.num_states(),
+        right_states: right_min.num_states(),
+        equivalent,
         diffs,
     }
+}
+
+/// Enumerates up to `max_diffs` behavioural differences between two models
+/// by breadth-first exploration of the product machine (shortest
+/// differences first).  Each returned entry is a concrete input word on
+/// which the two implementations answer differently — the "concrete example
+/// traces that show the difference between the behaviors" of §5.
+fn behavioural_diff(left: &MealyMachine, right: &MealyMachine, max_diffs: usize) -> Vec<DiffEntry> {
+    let mut diffs = Vec::new();
+    if left.input_alphabet() != right.input_alphabet() {
+        return diffs;
+    }
+    let mut visited: HashSet<(usize, usize)> = HashSet::new();
+    let mut queue: VecDeque<(usize, usize, InputWord)> = VecDeque::new();
+    visited.insert((left.initial_state(), right.initial_state()));
+    queue.push_back((
+        left.initial_state(),
+        right.initial_state(),
+        InputWord::empty(),
+    ));
+    while let Some((ql, qr, word)) = queue.pop_front() {
+        if diffs.len() >= max_diffs {
+            break;
+        }
+        for symbol in left.input_alphabet().iter() {
+            let (nl, ol) = left.step(ql, symbol).expect("total machine");
+            let (nr, or) = right.step(qr, symbol).expect("total machine");
+            let next_word = word.append(symbol.clone());
+            if ol != or && diffs.len() < max_diffs {
+                diffs.push(DiffEntry {
+                    input: next_word.clone(),
+                    left_output: left
+                        .run(&next_word)
+                        .expect("shared alphabet")
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
+                    right_output: right
+                        .run(&next_word)
+                        .expect("shared alphabet")
+                        .iter()
+                        .map(|s| s.to_string())
+                        .collect(),
+                });
+            }
+            if visited.insert((nl, nr)) {
+                queue.push_back((nl, nr, next_word));
+            }
+        }
+    }
+    diffs
 }
 
 #[cfg(test)]
@@ -103,16 +184,19 @@ mod tests {
     use super::*;
     use prognosis_automata::known;
 
+    fn rendered(machine: &MealyMachine, input: &InputWord) -> Vec<String> {
+        machine
+            .run(input)
+            .unwrap()
+            .iter()
+            .map(|s| s.to_string())
+            .collect()
+    }
+
     #[test]
     fn equivalent_models_diff_to_an_empty_trace_list() {
         let m = known::redundant_pair();
-        let diff = diff_models(
-            "orig",
-            &m,
-            "minimized",
-            &prognosis_automata::minimize::minimize(&m),
-            5,
-        );
+        let diff = diff_models("orig", &m, "minimized", &minimize(&m), 5);
         assert!(diff.equivalent);
         assert!(diff.diffs.is_empty());
         assert!(diff.shortest().is_none());
@@ -120,18 +204,49 @@ mod tests {
     }
 
     #[test]
+    fn equivalent_models_compare_equal_after_minimization() {
+        let m = known::redundant_pair();
+        let diff = diff_models("left", &m, "right", &m, 5);
+        assert!(diff.equivalent);
+        assert_eq!(diff.left_states, diff.right_states);
+        assert_eq!(diff.left_states, minimize(&m).num_states());
+        assert!(behavioural_diff(&m, &m, 5).is_empty());
+    }
+
+    #[test]
     fn different_models_carry_shortest_first_traces_and_labels() {
         let diff = diff_models("three", &known::counter(3), "five", &known::counter(5), 4);
         assert!(!diff.equivalent);
-        assert_eq!((diff.left_states, diff.right_states), (3, 5));
         assert!(!diff.diffs.is_empty() && diff.diffs.len() <= 4);
         assert!(diff
             .diffs
             .windows(2)
             .all(|w| w[0].input.len() <= w[1].input.len()));
-        assert_eq!(diff.shortest().unwrap().input.len(), 3);
         let rendered = diff.to_string();
         assert!(rendered.contains("three") && rendered.contains("five"));
+    }
+
+    #[test]
+    fn different_models_yield_a_shortest_counterexample() {
+        let diff = diff_models("three", &known::counter(3), "five", &known::counter(5), 1);
+        assert!(!diff.equivalent);
+        assert_eq!((diff.left_states, diff.right_states), (3, 5));
+        let ce = diff.shortest().unwrap();
+        assert_eq!(ce.input.len(), 3, "shortest difference is the third `inc`");
+        assert_ne!(ce.left_output, ce.right_output);
+        assert_eq!(ce.divergence_index(), 2);
+    }
+
+    #[test]
+    fn behavioural_diff_lists_multiple_concrete_differences() {
+        let (a, b) = (known::counter(2), known::counter(4));
+        let diff = diff_models("two", &a, "four", &b, 10);
+        assert!(!diff.diffs.is_empty() && diff.diffs.len() <= 10);
+        for d in &diff.diffs {
+            assert_eq!(rendered(&a, &d.input), d.left_output);
+            assert_eq!(rendered(&b, &d.input), d.right_output);
+            assert_ne!(d.left_output, d.right_output);
+        }
     }
 
     #[test]
@@ -139,5 +254,15 @@ mod tests {
         let diff = diff_models("a", &known::toggle(), "b", &known::counter(2), 5);
         assert!(!diff.equivalent);
         assert!(diff.diffs.is_empty());
+    }
+
+    #[test]
+    fn mismatched_alphabets_are_handled_gracefully() {
+        // The behavioural diff refuses to walk a product whose alphabets
+        // differ, in either argument order, instead of stepping a symbol
+        // one machine lacks.
+        let (a, b) = (known::toggle(), known::counter(2));
+        assert!(behavioural_diff(&a, &b, 5).is_empty());
+        assert!(behavioural_diff(&b, &a, 5).is_empty());
     }
 }

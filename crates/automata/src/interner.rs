@@ -66,7 +66,7 @@ impl fmt::Debug for SymbolId {
 }
 
 /// A word of interned symbol ids — the dense counterpart of
-/// [`InputWord`](crate::word::InputWord) used on hot paths.
+/// [`InputWord`] used on hot paths.
 #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IWord(Vec<SymbolId>);
 

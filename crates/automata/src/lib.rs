@@ -1,9 +1,8 @@
 //! # prognosis-automata
 //!
 //! Finite-state models used throughout the Prognosis framework: abstract
-//! alphabets and words, Mealy machines (the models Prognosis learns), DFAs
-//! (used as safety-property monitors), together with the algorithms the
-//! learning and analysis modules rely on:
+//! alphabets and words and Mealy machines (the models Prognosis learns),
+//! together with the algorithms the learning and analysis modules rely on:
 //!
 //! * partition-refinement minimization,
 //! * product construction and equivalence checking with shortest
@@ -21,7 +20,6 @@
 
 pub mod access;
 pub mod alphabet;
-pub mod dfa;
 pub mod dot;
 pub mod equivalence;
 pub mod interner;
@@ -31,7 +29,6 @@ pub mod minimize;
 pub mod word;
 
 pub use alphabet::{Alphabet, Symbol};
-pub use dfa::Dfa;
 pub use equivalence::{find_counterexample, machines_equivalent};
 pub use interner::{IWord, Interner, SymbolId};
 pub use mealy::{MealyBuilder, MealyMachine, StateId};

@@ -16,7 +16,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use prognosis_analysis::comparison::{behavioural_diff, compare_models};
+use prognosis_analysis::model_diff::diff_models;
 use prognosis_analysis::properties::{check_property, SafetyProperty};
 use prognosis_analysis::report::Report;
 use prognosis_analysis::trace_count::{informative_paths, trace_reduction};
@@ -336,15 +336,14 @@ pub fn exp_trace_reduction(google: &MealyMachine, quiche: &MealyMachine) -> Repo
 /// different sizes and diverge behaviourally; the divergence traces are the
 /// evidence reported to the RFC maintainers.
 pub fn exp_issue1(google: &LearnedModel, quiche: &LearnedModel) -> Report {
-    let cmp = compare_models(&google.model, &quiche.model);
-    let diffs = behavioural_diff(&google.model, &quiche.model, 5);
+    let diff = diff_models("google", &google.model, "quiche", &quiche.model, 5);
     let mut report = Report::new("E5 / Issue 1 — cross-implementation divergence (paper §6.2.3)");
     report
-        .row("google model states (minimized)", cmp.left_states)
-        .row("quiche model states (minimized)", cmp.right_states)
-        .row("models equivalent", cmp.equivalent)
-        .row("distinguishing traces found", diffs.len());
-    for d in diffs.iter().take(3) {
+        .row("google model states (minimized)", diff.left_states)
+        .row("quiche model states (minimized)", diff.right_states)
+        .row("models equivalent", diff.equivalent)
+        .row("distinguishing traces found", diff.diffs.len());
+    for d in diff.diffs.iter().take(3) {
         report.finding(format!(
             "input {} → google: {:?} | quiche: {:?}",
             d.input, d.left_output, d.right_output
@@ -1897,11 +1896,12 @@ pub fn exp_event_log(quick: bool, log_path: &std::path::Path) -> (Report, Value)
     (report, Value::Map(row))
 }
 
-/// Records the scenario row `name` of an experiment binary, stamped by
-/// [`run_stamp`].  A `quick` run prints the rendered row and leaves
-/// `BENCH_learning.json` alone, so a smoke run never replaces a full-size
-/// row; a full run merges the row into `BENCH_learning.json` in the
-/// current directory, creating the file only if it does not exist.
+/// Records the scenario row `name` of an experiment binary, stamped with
+/// `quick`, the host's available parallelism and the source revision.  A
+/// `quick` run prints the rendered row and leaves `BENCH_learning.json`
+/// alone, so a smoke run never replaces a full-size row; a full run merges
+/// the row into `BENCH_learning.json` in the current directory, creating
+/// the file only if it does not exist.
 ///
 /// # Panics
 ///

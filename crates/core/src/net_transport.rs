@@ -237,7 +237,7 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
                     outbox = later;
                     for (_, reply_port, wire) in due {
                         // Replying to a spoofed source port (the Issue-3
-                        // defect) has no route; the capture records it lost.
+                        // defect) has no route, so the reply is discarded.
                         let _ = net.send_from_port(self.server, self.server_port, reply_port, wire);
                         progressed = true;
                     }
@@ -758,8 +758,8 @@ mod tests {
     #[test]
     fn asymmetric_links_apply_per_direction() {
         // Requests cross an ideal uplink; responses pay 400µs downlink
-        // latency.  Answers match the in-process path, the virtual time is
-        // downlink-only, and the capture shows every request delivered.
+        // latency.  Answers match the in-process path and the virtual time
+        // is downlink-only.
         let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), LinkConfig::ideal())
             .with_reverse_link(LinkConfig::with_latency(SimDuration::from_micros(400)));
         assert_eq!(factory.link().latency, SimDuration::ZERO);
@@ -785,43 +785,48 @@ mod tests {
 
     #[test]
     fn reverse_only_loss_times_out_after_the_server_was_reached() {
-        use prognosis_netsim::capture::Fate;
+        use prognosis_events::{Event, MemorySink, ScopedSink};
         // Uplink ideal, downlink drops everything: every step resolves to
-        // the timeout symbol, yet the capture shows the requests were
+        // the timeout symbol, yet the wire events show the requests were
         // *delivered* — the loss is genuinely direction-specific.
         let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), LinkConfig::ideal())
             .with_reverse_link(LinkConfig::ideal().loss(1.0));
         let word = InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]);
         let (sessions, clock) = factory.create_worker_sessions(1);
-        let (client_port, server_port) = (sessions[0].client_port(), sessions[0].server_port());
-        let net = Arc::clone(sessions[0].network());
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let sink = ScopedSink::new(Arc::new(MemorySink::new()), false);
+        let mut scheduler = SessionScheduler::with_clock(sessions, clock).with_event_sink(sink);
         scheduler.submit(0, word.clone(), QueryPhase::Construction);
         let done = scheduler.run_to_idle();
         let expected: OutputWord = word.iter().map(|_| Symbol::new("NIL")).collect();
         assert_eq!(done[0].1, expected, "lost responses must time out");
-        let guard = net.lock().unwrap();
-        let to_server: Vec<Fate> = guard
-            .capture()
-            .records()
+        let events = scheduler.take_events();
+        let fate = |dir: &str, packet: u64| {
+            events.iter().find_map(|e| match e {
+                Event::WireDeliver {
+                    dir: d, packet: p, ..
+                }
+                | Event::WireDrop {
+                    dir: d, packet: p, ..
+                } if (*d, *p) == (dir, packet) => Some(e.name()),
+                _ => None,
+            })
+        };
+        let sent: Vec<(&str, u64)> = events
             .iter()
-            .filter(|r| r.destination_port == server_port)
-            .map(|r| r.fate)
+            .filter_map(|e| match e {
+                Event::WireSend { dir, packet, .. } => Some((*dir, *packet)),
+                _ => None,
+            })
             .collect();
-        let to_client: Vec<Fate> = guard
-            .capture()
-            .records()
-            .iter()
-            .filter(|r| r.destination_port == client_port)
-            .map(|r| r.fate)
-            .collect();
+        let up: Vec<_> = sent.iter().filter(|(dir, _)| *dir == "up").collect();
+        let down: Vec<_> = sent.iter().filter(|(dir, _)| *dir == "down").collect();
         assert!(
-            !to_server.is_empty() && to_server.iter().all(|f| *f == Fate::Delivered),
-            "uplink must deliver every request: {to_server:?}"
+            !up.is_empty() && up.iter().all(|(d, p)| fate(d, *p) == Some("wire:deliver")),
+            "uplink must deliver every request: {events:?}"
         );
         assert!(
-            !to_client.is_empty() && to_client.iter().all(|f| *f == Fate::Lost),
-            "downlink must lose every response: {to_client:?}"
+            !down.is_empty() && down.iter().all(|(d, p)| fate(d, *p) == Some("wire:drop")),
+            "downlink must lose every response: {events:?}"
         );
     }
 

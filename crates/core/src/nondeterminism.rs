@@ -31,6 +31,14 @@ pub struct NondeterminismConfig {
     pub confidence: f64,
 }
 
+impl NondeterminismConfig {
+    fn assert_valid(&self) {
+        assert!(self.min_repetitions >= 1);
+        assert!(self.max_repetitions >= self.min_repetitions);
+        assert!((0.0..=1.0).contains(&self.confidence));
+    }
+}
+
 impl Default for NondeterminismConfig {
     fn default() -> Self {
         NondeterminismConfig {
@@ -78,9 +86,7 @@ pub struct NondeterminismChecker<S> {
 impl<S: Sul> NondeterminismChecker<S> {
     /// Wraps a SUL with the given configuration.
     pub fn new(sul: S, config: NondeterminismConfig) -> Self {
-        assert!(config.min_repetitions >= 1);
-        assert!(config.max_repetitions >= config.min_repetitions);
-        assert!((0.0..=1.0).contains(&config.confidence));
+        config.assert_valid();
         NondeterminismChecker { sul, config }
     }
 
@@ -108,48 +114,12 @@ impl<S: Sul> NondeterminismChecker<S> {
         out
     }
 
-    /// Runs the repeated-query protocol for one input word.
+    /// Runs the repeated-query protocol for one input word, one execution
+    /// at a time.
     pub fn check(&mut self, input: &InputWord) -> NondeterminismReport {
-        let mut observations: BTreeMap<OutputWord, usize> = BTreeMap::new();
-        let mut executions = 0;
-        // Phase 1: the mandatory minimum repetitions.
-        for _ in 0..self.config.min_repetitions {
-            let out = self.execute_once(input);
-            *observations.entry(out).or_insert(0) += 1;
-            executions += 1;
-        }
-        // Phase 2: if the answers disagree, keep sampling until the majority
-        // reaches the confidence threshold or the budget runs out.
-        loop {
-            if observations.len() == 1 {
-                return NondeterminismReport {
-                    input: input.clone(),
-                    observations,
-                    executions,
-                    deterministic: true,
-                };
-            }
-            let majority = observations.values().copied().max().unwrap_or(0);
-            if majority as f64 / executions as f64 >= self.config.confidence {
-                return NondeterminismReport {
-                    input: input.clone(),
-                    observations,
-                    executions,
-                    deterministic: true,
-                };
-            }
-            if executions >= self.config.max_repetitions {
-                return NondeterminismReport {
-                    input: input.clone(),
-                    observations,
-                    executions,
-                    deterministic: false,
-                };
-            }
-            let out = self.execute_once(input);
-            *observations.entry(out).or_insert(0) += 1;
-            executions += 1;
-        }
+        sample(input, self.config, 1, |_, wanted| {
+            (0..wanted).map(|_| self.execute_once(input)).collect()
+        })
     }
 
     /// Checks every single-symbol and two-symbol query over an alphabet and
@@ -193,52 +163,60 @@ where
     F: SulFactory,
     F::Sul: WireSul,
 {
-    assert!(config.min_repetitions >= 1);
-    assert!(config.max_repetitions >= config.min_repetitions);
-    assert!((0.0..=1.0).contains(&config.confidence));
+    sample(
+        input,
+        config,
+        config.min_repetitions,
+        |executions, wanted| {
+            // One wave: `wanted` concurrent sessions of the same query, each
+            // repetition on its own noise stream over one shared network.
+            let (sessions, clock) = factory.repetition_sessions(executions as u64, wanted);
+            let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+            for index in 0..wanted {
+                scheduler.submit(index, input.clone(), QueryPhase::Construction);
+            }
+            scheduler
+                .run_to_idle()
+                .into_iter()
+                .map(|(_, output)| output)
+                .collect()
+        },
+    )
+}
+
+/// The sampling rule both checks share.  `run(executions, wanted)`
+/// executes `wanted` more repetitions of `input` (`executions` have run so
+/// far) in waves of at most `wave`: first the mandatory
+/// `min_repetitions`, then, while the answers disagree, more until the
+/// majority reaches the confidence threshold (accepted) or the
+/// `max_repetitions` budget runs out (flagged nondeterministic).
+fn sample(
+    input: &InputWord,
+    config: NondeterminismConfig,
+    wave: usize,
+    mut run: impl FnMut(usize, usize) -> Vec<OutputWord>,
+) -> NondeterminismReport {
+    config.assert_valid();
     let mut observations: BTreeMap<OutputWord, usize> = BTreeMap::new();
     let mut executions = 0usize;
     loop {
-        // Decide how many more samples this wave needs.
         let wanted = if executions < config.min_repetitions {
             config.min_repetitions - executions
-        } else if observations.len() == 1 {
-            return NondeterminismReport {
-                input: input.clone(),
-                observations,
-                executions,
-                deterministic: true,
-            };
         } else {
             let majority = observations.values().copied().max().unwrap_or(0);
-            if majority as f64 / executions as f64 >= config.confidence {
+            let deterministic =
+                observations.len() == 1 || majority as f64 / executions as f64 >= config.confidence;
+            if deterministic || executions >= config.max_repetitions {
                 return NondeterminismReport {
                     input: input.clone(),
                     observations,
                     executions,
-                    deterministic: true,
+                    deterministic,
                 };
             }
-            if executions >= config.max_repetitions {
-                return NondeterminismReport {
-                    input: input.clone(),
-                    observations,
-                    executions,
-                    deterministic: false,
-                };
-            }
-            config
-                .min_repetitions
-                .min(config.max_repetitions - executions)
+            config.max_repetitions - executions
         };
-        // One wave: `wanted` concurrent sessions of the same query, each
-        // repetition on its own noise stream over one shared network.
-        let (sessions, clock) = factory.repetition_sessions(executions as u64, wanted);
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
-        for index in 0..wanted {
-            scheduler.submit(index, input.clone(), QueryPhase::Construction);
-        }
-        for (_, output) in scheduler.run_to_idle() {
+        for output in run(executions, wanted.min(wave)) {
             *observations.entry(output).or_insert(0) += 1;
             executions += 1;
         }

@@ -7,10 +7,10 @@
 //! heuristic equivalence oracle of §4.1.  Queries flow through the stack in
 //! batches; with [`LearnConfig::workers`] > 1 the batches fan out across
 //! independent SUL instances ([`crate::parallel::ParallelSulOracle`])
-//! minted by a [`SulFactory`].  Results are deterministic and identical to
-//! the sequential path for any worker count: the equivalence oracle's word
-//! stream depends only on the seed, and each SUL instance answers each word
-//! the same way (§3.2 property 3).
+//! minted by a [`SulFactory`](crate::sul::SulFactory).  Results are
+//! deterministic and identical to the sequential path for any worker
+//! count: the equivalence oracle's word stream depends only on the seed,
+//! and each SUL instance answers each word the same way (§3.2 property 3).
 
 use crate::engine::EnginePool;
 use crate::oracle_table::{HasOracleTable, OracleTable};

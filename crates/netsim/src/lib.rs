@@ -6,6 +6,8 @@
 //! implementations: datagram endpoints connected by links with configurable
 //! latency, jitter, loss, duplication and reordering, all driven by a
 //! virtual clock and a seeded RNG so every experiment is reproducible.
+//! A wire-event scope (`Network::begin_wire_scope`) records each scoped
+//! datagram's send and fate as `wire:*` events on the event log.
 //!
 //! The loss/latency knobs matter for one experiment in particular: the
 //! nondeterminism check of §5 exists precisely because "environmental events
@@ -16,13 +18,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capture;
 pub mod endpoint;
 pub mod link;
 pub mod network;
 pub mod time;
 
-pub use capture::{CaptureRecord, TraceCapture};
 pub use endpoint::{Datagram, Endpoint, EndpointId};
 pub use link::LinkConfig;
 pub use network::Network;

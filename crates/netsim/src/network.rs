@@ -6,7 +6,6 @@
 //! drive it explicitly — `send`, then `advance`/`deliver_all` — which keeps
 //! the adapter’s query/response loop fully deterministic.
 
-use crate::capture::{CaptureRecord, Fate, TraceCapture};
 use crate::endpoint::{Datagram, Endpoint, EndpointId};
 use crate::link::LinkConfig;
 use crate::time::{SharedClock, SimDuration, SimTime};
@@ -121,7 +120,6 @@ pub struct Network {
     /// every other endpoint's traffic, and can be rewound at query
     /// boundaries so repeated queries meet reproducible weather.
     endpoint_noise: HashMap<EndpointId, NoiseStream>,
-    capture: TraceCapture,
     /// Shared-clock handle the network publishes its virtual time to (so
     /// event-driven schedulers and other networks can share one "now").
     clock: Option<SharedClock>,
@@ -156,7 +154,6 @@ impl Network {
             },
             ephemeral_hint: EPHEMERAL_PORT_MIN,
             endpoint_noise: HashMap::new(),
-            capture: TraceCapture::new(),
             clock: None,
             wire_scopes: HashMap::new(),
             wire_endpoint: HashMap::new(),
@@ -194,16 +191,6 @@ impl Network {
         if let Some(clock) = &self.clock {
             clock.advance_to(self.now);
         }
-    }
-
-    /// The traffic capture.
-    pub fn capture(&self) -> &TraceCapture {
-        &self.capture
-    }
-
-    /// Clears the traffic capture.
-    pub fn clear_capture(&mut self) {
-        self.capture.clear();
     }
 
     /// Opens a wire-event scope for the traffic between `client` and
@@ -453,22 +440,14 @@ impl Network {
     ) -> Result<(), NetworkError> {
         // Validate the sender exists even when spoofing the port.
         let _ = self.endpoint(from)?;
-        let to = self.ports.get(&destination_port).copied();
-        let link = to
-            .and_then(|t| self.links.get(&(from, t)).copied())
-            .unwrap_or(self.default_link);
-        let Some(to) = to else {
-            self.capture.record(CaptureRecord {
-                sent_at: self.now,
-                from,
-                to: None,
-                source_port,
-                destination_port,
-                length: payload.len(),
-                fate: Fate::Lost,
-            });
+        let Some(to) = self.ports.get(&destination_port).copied() else {
             return Err(NetworkError::NoRoute(destination_port));
         };
+        let link = self
+            .links
+            .get(&(from, to))
+            .copied()
+            .unwrap_or(self.default_link);
         let stream = match self.endpoint_noise.get_mut(&from) {
             Some(stream) => stream,
             None => &mut self.noise,
@@ -478,32 +457,9 @@ impl Network {
         let seed = stream.seed;
         match link.fate(seed, packet_index) {
             None => {
-                self.capture.record(CaptureRecord {
-                    sent_at: self.now,
-                    from,
-                    to: Some(to),
-                    source_port,
-                    destination_port,
-                    length: payload.len(),
-                    fate: Fate::Lost,
-                });
                 self.record_wire_send(from, payload.len() as u64, None);
             }
             Some(delays) => {
-                let fate = if delays.len() > 1 {
-                    Fate::Duplicated
-                } else {
-                    Fate::Delivered
-                };
-                self.capture.record(CaptureRecord {
-                    sent_at: self.now,
-                    from,
-                    to: Some(to),
-                    source_port,
-                    destination_port,
-                    length: payload.len(),
-                    fate,
-                });
                 let wire =
                     self.record_wire_send(from, payload.len() as u64, Some(delays.len() as u64));
                 for delay in delays {
@@ -653,8 +609,6 @@ mod tests {
         assert_eq!(&dg.payload[..], b"hello");
         assert_eq!(dg.source_port, 1000);
         assert_eq!(dg.destination_port, 2000);
-        assert_eq!(net.capture().len(), 1);
-        assert_eq!(net.capture().lost(), 0);
     }
 
     #[test]
@@ -669,11 +623,6 @@ mod tests {
         assert_eq!(
             net.endpoint(EndpointId(42)).unwrap_err(),
             NetworkError::UnknownEndpoint(EndpointId(42))
-        );
-        assert_eq!(
-            net.capture().lost(),
-            1,
-            "unroutable datagrams are captured as lost"
         );
     }
 
@@ -696,6 +645,7 @@ mod tests {
         let mut net = Network::with_default_link(7, LinkConfig::ideal().loss(0.5));
         let a = net.bind(1).unwrap();
         let b = net.bind(2).unwrap();
+        net.begin_wire_scope(a, b);
         for _ in 0..200 {
             net.send(a, 2, Bytes::from_static(b"p")).unwrap();
         }
@@ -704,7 +654,13 @@ mod tests {
             delivered > 50 && delivered < 150,
             "delivered {delivered} of 200 at 50% loss"
         );
-        assert_eq!(net.capture().lost(), 200 - delivered);
+        let mut events = Vec::new();
+        net.end_wire_scope(a, &mut events);
+        let drops = events
+            .iter()
+            .filter(|e| matches!(e, Event::WireDrop { .. }))
+            .count();
+        assert_eq!(drops, 200 - delivered);
         assert_eq!(net.endpoint(b).unwrap().pending(), delivered);
     }
 
@@ -999,16 +955,5 @@ mod tests {
         assert!(out.contains("wire:send"));
         assert!(out.contains("wire:drop"));
         assert!(!out.contains("wire:deliver"));
-    }
-
-    #[test]
-    fn capture_can_be_cleared_between_queries() {
-        let mut net = Network::new(1);
-        let a = net.bind(1).unwrap();
-        let _b = net.bind(2).unwrap();
-        net.send(a, 2, Bytes::from_static(b"x")).unwrap();
-        assert_eq!(net.capture().len(), 1);
-        net.clear_capture();
-        assert!(net.capture().is_empty());
     }
 }

@@ -50,7 +50,7 @@ pub struct ImplementationProfile {
     pub supports_retry: bool,
     /// Issue-1 divergence: whether the server aborts the connection when a
     /// client resets its packet-number space after a Retry (the behaviour
-    /// the RFC clarification [PR #3990] explicitly allows), or silently
+    /// the RFC clarification (PR #3990) explicitly allows), or silently
     /// accepts it.
     pub abort_on_pn_reset_after_retry: bool,
 }

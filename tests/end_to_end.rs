@@ -3,7 +3,7 @@
 //! the paper reports (model shapes, the trace-space reduction and each of
 //! the four issues).
 
-use prognosis::analysis::comparison::{behavioural_diff, compare_models};
+use prognosis::analysis::model_diff::diff_models;
 use prognosis::analysis::properties::{check_property, SafetyProperty};
 use prognosis::analysis::trace_count::informative_paths;
 use prognosis::automata::alphabet::{Alphabet, Symbol};
@@ -124,9 +124,9 @@ fn quic_models_reproduce_the_paper_shape() {
         google.model.num_states(),
         quiche.model.num_states()
     );
-    let cmp = compare_models(&google.model, &quiche.model);
-    assert!(!cmp.equivalent);
-    assert!(!behavioural_diff(&google.model, &quiche.model, 3).is_empty());
+    let diff = diff_models("google", &google.model, "quiche", &quiche.model, 3);
+    assert!(!diff.equivalent);
+    assert!(!diff.diffs.is_empty());
 
     // E4: trace-space reduction — the informative model traces are orders of
     // magnitude fewer than the 329,554,456 candidate traces.

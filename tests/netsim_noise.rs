@@ -7,6 +7,7 @@ use bytes::Bytes;
 use prognosis::automata::alphabet::Symbol;
 use prognosis::core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
 use prognosis::core::sul::Sul;
+use prognosis::events::Event;
 use prognosis::netsim::{LinkConfig, Network, SimDuration};
 
 /// A toy SUL whose transport is the simulated network: each step sends a
@@ -96,11 +97,17 @@ fn packet_loss_is_flagged_as_nondeterminism() {
 fn capture_records_the_injected_loss() {
     let mut network = Network::with_default_link(3, LinkConfig::ideal().loss(0.5));
     let a = network.bind(1).unwrap();
-    let _b = network.bind(2).unwrap();
+    let b = network.bind(2).unwrap();
+    network.begin_wire_scope(a, b);
     for _ in 0..100 {
         network.send(a, 2, Bytes::from_static(b"x")).unwrap();
     }
     network.deliver_all();
-    let lost = network.capture().lost();
+    let mut events = Vec::new();
+    network.end_wire_scope(a, &mut events);
+    let lost = events
+        .iter()
+        .filter(|e| matches!(e, Event::WireDrop { .. }))
+        .count();
     assert!(lost > 20 && lost < 80, "lost {lost} of 100 at 50% loss");
 }
