@@ -7,8 +7,8 @@
 //! the evidence handed to developers for Issues 1 and 3.  [`diff_models`]
 //! packages the minimized equivalence check and a breadth-first behavioural
 //! diff into a single [`ModelDiff`] value that carries the labels of the
-//! two models, their minimized sizes, the verdict and the shortest
-//! distinguishing traces.  The experiments, the examples and the campaign
+//! two models, their minimized sizes, the verdict and shortest
+//! distinguishing traces (at most one per differing product transition).  The experiments, the examples and the campaign
 //! runner's `Diff` tasks all produce exactly this value, so a diff renders
 //! identically no matter which front end asked for it.
 
@@ -54,8 +54,10 @@ pub struct ModelDiff {
     pub right_states: usize,
     /// Whether the two models accept exactly the same I/O traces.
     pub equivalent: bool,
-    /// Up to `max_diffs` concrete distinguishing traces, shortest first
-    /// (empty when equivalent, and also when the alphabets mismatch).
+    /// Concrete distinguishing traces, shortest first: at most one per
+    /// product-machine transition on which the outputs differ — the
+    /// shortest word reaching it — and at most `max_diffs` in all (empty
+    /// when equivalent, and also when the alphabets mismatch).
     pub diffs: Vec<DiffEntry>,
 }
 
@@ -100,9 +102,10 @@ impl fmt::Display for ModelDiff {
 
 /// Diffs two learned models: an equivalence check after minimization (so
 /// that incidental state-count differences do not mask behavioural
-/// equivalence) plus up to `max_diffs` concrete distinguishing traces
-/// (shortest first).  Mismatched alphabets yield `equivalent: false` with
-/// no traces.
+/// equivalence) plus concrete distinguishing traces, shortest first: one
+/// shortest witness per differing product transition, at most `max_diffs`
+/// in all.  Mismatched alphabets yield `equivalent: false` with no
+/// traces.
 pub fn diff_models(
     left_label: impl Into<String>,
     left: &MealyMachine,
@@ -128,11 +131,13 @@ pub fn diff_models(
     }
 }
 
-/// Enumerates up to `max_diffs` behavioural differences between two models
-/// by breadth-first exploration of the product machine (shortest
-/// differences first).  Each returned entry is a concrete input word on
-/// which the two implementations answer differently — the "concrete example
-/// traces that show the difference between the behaviors" of §5.
+/// Enumerates behavioural differences between two models by breadth-first
+/// exploration of the product machine, which visits each product state
+/// once: every transition whose outputs differ yields one entry, the
+/// shortest word that takes it, in order of length, until `max_diffs`.
+/// Each entry is a concrete input word on which the two implementations
+/// answer differently — the "concrete example traces that show the
+/// difference between the behaviors" of §5.
 fn behavioural_diff(left: &MealyMachine, right: &MealyMachine, max_diffs: usize) -> Vec<DiffEntry> {
     let mut diffs = Vec::new();
     if left.input_alphabet() != right.input_alphabet() {

@@ -813,9 +813,9 @@ where
         // Best-of-repeats wall clocks: the repeat least disturbed by the
         // host.
         let speedup = sequential.best_wall() / parallel.best_wall().max(1e-9);
-        // The host-independent face of the batched return path: how many
-        // answers each learner wake-up carried (1.0 = the old one-message-
-        // per-answer regime).
+        // The host-independent face of the fork-join: how many answers
+        // each worker's reply carried (each worker answers its whole
+        // share of a batch at once; 1.0 would be one reply per query).
         let answers_per_reply =
             engine.queries_completed as f64 / (engine.reply_messages.max(1) as f64);
         report
@@ -834,13 +834,14 @@ where
                 "{name}: 4-worker wall clock is {speedup:.2}x of sequential on a \
                  {cores}-thread host, under its {floor:.2}x floor"
             );
-            // Wall clocks wobble with the runner, but the answer-banking
-            // economy is structural: measured 10–30 answers per learner
-            // wake-up, so anything under 4 means the banking regressed.
+            // Wall clocks wobble with the runner, but the reply economy is
+            // structural: a share of a batch answers in one reply, so
+            // anything under 4 answers per reply means shares are being
+            // split into smaller replies.
             assert!(
                 answers_per_reply >= 4.0,
                 "{name}: 4-worker replies carried only {answers_per_reply:.1} answers each — \
-                 worker-side answer banking has regressed to per-answer sends"
+                 workers no longer answer their whole share of a batch in one reply"
             );
         }
         row.extend(entries([
@@ -856,15 +857,15 @@ where
     (name.to_string(), Value::Map(row))
 }
 
-/// E24 — CPU-bound worker-count scaling of the interned, reply-batched
+/// E24 — CPU-bound worker-count scaling of the interned, fork-join
 /// engine.
 ///
 /// Learns the raw in-process TCP and google-profile QUIC simulators (no
-/// modelled round trip, so the engine's own locking and allocation are the
-/// only overheads) sequentially and at 1/2/4 workers.  Every mode must
+/// modelled round trip, so the engine's own hand-offs and allocation are
+/// the only overheads) sequentially and at 1/2/4 workers.  Every mode must
 /// learn a **bit-identical** model; every 1-worker run must reply once per
 /// batch (it runs inline on the learner's thread); the 4-worker run must
-/// carry ≥ 4 answers per learner wake-up and reach a best-of-repeats
+/// carry ≥ 4 answers per worker reply and reach a best-of-repeats
 /// wall-clock speedup of ≥ 2× on a ≥ 4-thread host, or stay above the
 /// 0.50× no-collapse floor on a smaller one.  `quick` shrinks the
 /// equivalence-testing volume and times one repeat for CI smoke runs.

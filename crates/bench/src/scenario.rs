@@ -114,8 +114,9 @@ where
     F::Session: Send + 'static,
 {
     /// Learns the scenario `repeats` times, timing each learn.  Every
-    /// repeat must learn the same model at the same query cost; the run
-    /// keeps the first repeat's outcome and every repeat's timings.
+    /// repeat must learn the same model at the same query cost, in the
+    /// same virtual seconds and with the same engine books; the run keeps
+    /// the first repeat's outcome and every repeat's timings.
     ///
     /// # Panics
     ///
@@ -131,13 +132,20 @@ where
             cpu.push(process_cpu_seconds() - start.1);
             match &first {
                 None => first = Some(run),
-                Some(first) => assert!(
-                    first.learned.model == run.learned.model
-                        && first.learned.stats == run.learned.stats
-                        && first.sul_symbols == run.sul_symbols,
-                    "a repeat of the {:?} scenario learned a different model or query cost",
-                    self.shape
-                ),
+                Some(first) => {
+                    assert!(
+                        first.learned.model == run.learned.model
+                            && first.learned.stats == run.learned.stats
+                            && first.sul_symbols == run.sul_symbols,
+                        "a repeat of the {:?} scenario learned a different model or query cost",
+                        self.shape
+                    );
+                    assert!(
+                        first.virtual_seconds == run.virtual_seconds && first.engine == run.engine,
+                        "a repeat of the {:?} scenario changed its virtual seconds or engine books",
+                        self.shape
+                    );
+                }
             }
         }
         Run {

@@ -131,7 +131,9 @@ fn property_label(property: &SafetyProperty) -> String {
 }
 
 impl CampaignReport {
-    /// Total distinguishing traces across all diff entries.
+    /// Total distinguishing traces across all diff entries: each entry's
+    /// shortest witnesses, one per differing product transition (see
+    /// [`prognosis_analysis::model_diff::diff_models`]).
     pub fn diff_findings(&self) -> usize {
         self.diffs.iter().map(|d| d.diffs.len()).sum()
     }

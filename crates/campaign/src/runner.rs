@@ -44,11 +44,13 @@ use std::sync::{Condvar, Mutex};
 /// these knobs may change the report).
 #[derive(Clone)]
 pub struct RunnerConfig {
-    /// Threads in the shared engine pool.  Clamped up to the per-cell
-    /// `learn.workers` so a single learn task can always assemble a lease.
+    /// Threads in the shared engine pool, which hosts the learn tasks'
+    /// helper workers (worker 0 of each learn runs on its task's thread).
+    /// Clamped up to the per-cell `learn.workers − 1`, so a single learn
+    /// task can always assemble a lease, and to at least one.
     pub engine_threads: usize,
     /// Concurrent campaign tasks (each learn task additionally leases
-    /// `learn.workers` engine slots while it runs).
+    /// `learn.workers − 1` engine slots while it runs).
     pub task_workers: usize,
     /// Seed permuting which ready task a free worker picks next — the
     /// schedule-independence proptest varies this to shake out ordering
@@ -300,9 +302,11 @@ pub fn run_campaign(
     }
     let ready: Vec<usize> = (0..total).filter(|&i| remaining_deps[i] == 0).collect();
 
-    // Every learn task leases `learn.workers` slots at once; the pool must
-    // be at least that deep or the first lease would wait forever.
-    let pool = EnginePool::new(runner.engine_threads.max(spec.learn.workers.max(1)));
+    // Every learn task leases `learn.workers − 1` helper slots at once; the
+    // pool must be at least that deep or the first lease would wait
+    // forever.
+    let helpers = spec.learn.workers.saturating_sub(1);
+    let pool = EnginePool::new(runner.engine_threads.max(helpers).max(1));
 
     // Observability spine: the caller's sink (if any) and the live
     // progress line both consume one event stream.  The progress line is

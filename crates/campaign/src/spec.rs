@@ -237,12 +237,14 @@ pub struct CampaignSpec {
     pub diffs: Vec<DiffSpec>,
     /// Safety properties to check against finished cells.
     pub checks: Vec<CheckSpec>,
-    /// The per-cell learning configuration (`workers` and `max_inflight`
-    /// are the engine slots *each* learn task leases from the shared pool;
-    /// `cache_path`/`warm_start` here are ignored — the campaign's shared
-    /// versioned store handles persistence).
+    /// The per-cell learning configuration (`workers × max_inflight` is
+    /// *each* learn task's engine shape: worker 0 runs on the task's
+    /// thread, the other `workers − 1` on slots leased from the shared
+    /// pool; `cache_path`/`warm_start` here are ignored — the campaign's
+    /// shared versioned store handles persistence).
     pub learn: LearnConfig,
-    /// Maximum distinguishing traces per diff entry.
+    /// Maximum distinguishing traces per diff entry (each a shortest
+    /// witness of a different product transition).
     pub max_diffs: usize,
     /// Where the shared versioned observation cache persists across
     /// campaign runs (`None` keeps it in-memory for the run).

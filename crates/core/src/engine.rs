@@ -9,10 +9,11 @@
 //! and per-worker `netsim` network.  [`EnginePool`] is that split: it owns
 //! plain executor threads and a slot ledger; a learn task *leases* slots
 //! ([`EnginePool::lease`], blocking until enough are free), installs its
-//! typed worker loops on the leased threads, and returns the slots when its
-//! oracle shuts down.  Because every worker loop runs entirely on virtual
-//! time, *which* pool thread hosts a given worker never affects learned
-//! models or statistics — leasing moves only wall-clock scheduling.
+//! typed helper workers on the leased threads (worker 0 of every engine
+//! runs on the learn task's own thread), and returns the slots when its
+//! oracle shuts down.  Because every worker runs entirely on virtual time,
+//! *which* thread hosts a given worker never affects learned models or
+//! statistics — leasing moves only wall-clock scheduling.
 //!
 //! The pool is deliberately untyped (it executes boxed closures), which is
 //! what lets a TCP learn task and a QUIC learn task share one pool at the
@@ -46,11 +47,11 @@ struct PoolShared {
     events: Mutex<Option<Arc<dyn EventSink>>>,
 }
 
-/// A pool of engine threads that session workers run on.  Each thread hosts
-/// at most one leased worker at a time (a slot *is* a thread), so a leased
-/// worker gets a dedicated OS thread for its scheduler's lifetime — the
-/// same execution model the pre-pool engine had, minus the per-oracle
-/// spawn/join cost and the one-oracle-per-pool restriction.
+/// A pool of engine threads that helper workers run on.  Each thread hosts
+/// at most one leased helper at a time (a slot *is* a thread), so a leased
+/// helper gets a dedicated OS thread for its scheduler's lifetime, and
+/// concurrent learn tasks with different SUL types share one set of
+/// threads.
 pub struct EnginePool {
     shared: Arc<PoolShared>,
     threads: Vec<JoinHandle<()>>,
@@ -169,8 +170,8 @@ impl EnginePool {
     }
 
     /// Submits one worker-loop closure to run on a pool thread.  Callers go
-    /// through [`EngineLease::submit_worker`], which ties the submission to
-    /// a reserved slot.
+    /// through [`EngineLease::submit_worker_releasing`], which ties the
+    /// submission to a reserved slot.
     fn submit(shared: &PoolShared, job: PoolJob) {
         let mut q = shared.jobs.lock().expect("engine pool queue poisoned");
         assert!(!q.shutdown, "submitting work to a shut-down engine pool");
@@ -194,9 +195,10 @@ impl Drop for EnginePool {
 }
 
 /// A reservation of worker slots in an [`EnginePool`].  Each call to
-/// [`EngineLease::submit_worker`] spends one reserved slot; the slot
-/// returns to the pool automatically when that worker's closure finishes
-/// (normally or by panic).  Dropping a lease returns any unspent slots.
+/// [`EngineLease::submit_worker_releasing`] spends one reserved slot; the
+/// slot returns to the pool when the job drops its [`SlotHandle`], and at
+/// the latest when that job finishes (normally or by panic).  Dropping a
+/// lease returns any unspent slots.
 pub struct EngineLease {
     shared: Arc<PoolShared>,
     unspent: usize,
@@ -208,26 +210,15 @@ impl EngineLease {
         self.unspent
     }
 
-    /// Runs `job` on a pool thread, spending one reserved slot.  The slot
-    /// is released when `job` returns — including when it panics internally
-    /// and swallows the panic, which is how session worker loops report
-    /// failure.
-    ///
-    /// # Panics
-    /// Panics when the lease has no slots left.
-    pub fn submit_worker<J: FnOnce() + Send + 'static>(&mut self, job: J) {
-        self.submit_worker_releasing(move |_slot| job());
-    }
-
-    /// Like [`EngineLease::submit_worker`], but hands the job its slot's
-    /// return guard so it can release the slot *before* its final effects
-    /// (dropping the handle mid-job returns the slot immediately).  Worker
-    /// loops use this to return the slot before sending their shutdown
-    /// report, so a learn task that has joined its workers observes the
-    /// pool as already reusable — without the early release, the ledger
-    /// update would race every observer of the finished run.  A job that
-    /// never drops the handle behaves exactly like `submit_worker`: the
-    /// slot returns when the closure finishes, normally or by unwind.
+    /// Runs `job` on a pool thread, spending one reserved slot, and hands
+    /// the job its slot's return guard so it can release the slot *before*
+    /// its final effects (dropping the handle mid-job returns the slot
+    /// immediately).  Helper workers use this to return the slot before
+    /// sending their shutdown report, so a learn task that has joined its
+    /// helpers observes the pool as already reusable — without the early
+    /// release, the ledger update would race every observer of the
+    /// finished run.  A job that never drops the handle returns the slot
+    /// when the closure finishes, normally or by unwind.
     ///
     /// # Panics
     /// Panics when the lease has no slots left.
@@ -312,7 +303,7 @@ mod tests {
         assert_eq!(pool.free_slots(), 1);
         for i in 0..2 {
             let tx = tx.clone();
-            lease.submit_worker(move || tx.send(i).unwrap());
+            lease.submit_worker_releasing(move |_slot| tx.send(i).unwrap());
         }
         let mut got: Vec<usize> = (0..2).map(|_| rx.recv().unwrap()).collect();
         got.sort_unstable();
@@ -337,7 +328,7 @@ mod tests {
         let pool = Arc::new(EnginePool::new(1));
         let (release_tx, release_rx) = channel::<()>();
         let mut first = pool.lease(1);
-        first.submit_worker(move || {
+        first.submit_worker_releasing(move |_slot| {
             release_rx.recv().unwrap();
         });
         let order = Arc::new(AtomicUsize::new(0));
@@ -359,14 +350,14 @@ mod tests {
     fn a_panicking_worker_returns_its_slot_and_keeps_the_thread() {
         let pool = EnginePool::new(1);
         let mut lease = pool.lease(1);
-        lease.submit_worker(|| {
+        lease.submit_worker_releasing(|_slot| {
             let _ = std::panic::catch_unwind(|| panic!("worker died"));
         });
         // The slot comes back and the single pool thread still executes
         // later leases.
         let (tx, rx) = channel();
         let mut second = pool.lease(1);
-        second.submit_worker(move || tx.send(42).unwrap());
+        second.submit_worker_releasing(move |_slot| tx.send(42).unwrap());
         assert_eq!(rx.recv().unwrap(), 42);
     }
 }

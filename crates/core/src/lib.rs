@@ -28,14 +28,16 @@
 //!   queries; lost packets resolve to the adapter's timeout symbol at the
 //!   step deadline.
 //! * [`engine`] — the shared engine pool: a standalone, reusable pool of
-//!   worker threads ([`engine::EnginePool`]) that concurrent learn tasks
-//!   lease session-worker slots from, so an entire campaign of
-//!   heterogeneous SULs runs over one set of engine threads.
+//!   helper-worker threads ([`engine::EnginePool`]) that concurrent learn
+//!   tasks lease slots from, so an entire campaign of heterogeneous SULs
+//!   runs over one set of engine threads.
 //! * [`parallel`] — the parallel membership-query engine: a
 //!   [`session::SessionSulFactory`] mints independent query sessions and
-//!   [`parallel::ParallelSulOracle`] runs a per-worker session scheduler
-//!   with dynamic work-pulling dispatch — model- and statistics-identical
-//!   to a sequential run for any `(workers, max_inflight)`.
+//!   [`parallel::ParallelSulOracle`] runs a session scheduler per worker,
+//!   dealing query `k` of its dispatch stream to worker `k mod N`; worker
+//!   0 runs on the learner's thread and the helpers fork-join each batch.
+//!   Models and statistics are identical to a sequential run for any
+//!   `(workers, max_inflight)`, and virtual time repeats run to run.
 //! * [`pipeline`] — end-to-end orchestration: learn a Mealy model of a SUL
 //!   (sequentially or with parallel session workers), optionally synthesize
 //!   a register machine from the Oracle Table, and hand both to the

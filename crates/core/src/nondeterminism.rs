@@ -122,9 +122,9 @@ impl<S: Sul> NondeterminismChecker<S> {
         })
     }
 
-    /// Checks every single-symbol and two-symbol query over an alphabet and
-    /// returns the reports for the queries found to be nondeterministic —
-    /// the sweep Prognosis runs when the learner first observes conflicting
+    /// Checks `prefix · a` for each symbol `a` of `alphabet` and returns
+    /// the reports for the queries found to be nondeterministic — the
+    /// sweep Prognosis runs when the learner first observes conflicting
     /// answers.
     pub fn sweep(&mut self, alphabet: &[Symbol], prefix: &InputWord) -> Vec<NondeterminismReport> {
         let mut flagged = Vec::new();

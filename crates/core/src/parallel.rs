@@ -2,24 +2,24 @@
 //!
 //! Learning wall-clock time is dominated by membership queries replayed
 //! symbol-by-symbol against the SUL (§4.1).  Queries within a batch are
-//! independent — each starts from a reset — so they can run concurrently on
-//! *separate* SUL instances.  [`ParallelSulOracle`] runs `N` workers, each
-//! a [`SessionScheduler`] that multiplexes up to `max_inflight` concurrent
-//! query sessions on a virtual clock.  A one-worker engine runs its
-//! scheduler inline, on the learner's own thread: a dispatch blocks the
-//! learner anyway, so a worker thread would only add hand-offs.  Larger
-//! engines run one worker thread each; a batch is published to a shared
-//! work queue and workers **pull** queries dynamically as their sessions
-//! free up (replacing the old static `index % N` sharding), so a slow query
-//! never idles the rest of the fleet.  Answers are merged back in query
-//! order.  Because every session's SUL is deterministic per query (§3.2
-//! property 3) and answers are pure, the merged answers — and therefore
-//! the learned model and all query-cost statistics — are bit-identical to
-//! a sequential run, regardless of `(workers, max_inflight)`, of which
-//! worker happens to grab which query, or of whether the worker is a
-//! thread.
+//! independent — each starts from a reset — and each answer is a pure
+//! function of its word (§3.2 property 3), so a batch can be split across
+//! *separate* SUL instances by a fixed rule, with no balancing at run
+//! time.  [`ParallelSulOracle`] runs `N` workers, each a
+//! [`SessionScheduler`] that multiplexes up to `max_inflight` concurrent
+//! query sessions on its own virtual clock.  Query `k` of the engine's
+//! dispatch stream goes to worker `k mod N` (the count carries across
+//! batches).  A dispatch is a fork-join: each helper worker `1..N`, on
+//! its own pool thread, gets its share over its own mailbox, worker 0
+//! runs its share on the learner's thread (a dispatch blocks the learner
+//! anyway), and the dispatcher then takes one reply per helper and merges
+//! the answers back in query order.  Every worker sees the same queries
+//! in the same order on every run, so its virtual time is as
+//! deterministic as its answers; and the merged answers — hence the
+//! learned model and every query-cost statistic — are bit-identical to a
+//! sequential run for any `(workers, max_inflight)`.
 
-use crate::engine::EnginePool;
+use crate::engine::{EngineLease, EnginePool};
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
     add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
@@ -32,15 +32,15 @@ use prognosis_learner::oracle::MembershipOracle;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 
-/// One queued query of the batch being dispatched.
+/// One query of a worker's share of the batch being dispatched.
 struct Job {
     /// Index of the query in its batch.
     index: usize,
     /// Shared handle to the input word: the learner's allocation travels
-    /// through the queue to a session slot without a per-query deep clone.
+    /// to a session slot without a per-query deep clone.
     input: Arc<InputWord>,
     /// Learning phase the query belongs to.
     phase: QueryPhase,
@@ -50,153 +50,35 @@ struct Job {
 /// its events in the reply's event buffer.
 type Answer = (usize, OutputWord, Range<usize>);
 
-enum Reply {
-    /// One worker harvest: every query that completed in one drive cycle,
-    /// the events those queries recorded (empty without an event sink),
-    /// plus the worker's cumulative counters as of that harvest.  Batching
-    /// the returns means one channel send — and one snapshot publication —
-    /// per drive cycle instead of per answer, and the dispatcher never
-    /// locks a worker-side mutex to read stats.
+/// A helper worker's message to the dispatcher.
+enum Reply<Sn> {
+    /// The helper's share of one batch, answered: the answers, the events
+    /// those queries recorded (empty without an event sink) and the
+    /// helper's cumulative counters.
     Answers {
-        worker: usize,
         answers: Vec<Answer>,
         events: Vec<Event>,
         snapshot: WorkerSnapshot,
     },
-    /// A worker's session panicked; the message is the panic payload.
-    Dead { worker: usize, message: String },
+    /// A session of the helper panicked (the message is the panic
+    /// payload); the helper has exited.
+    Dead(String),
+    /// The helper's mailbox closed: its sessions and final counters.  Its
+    /// slot is already back in the pool.
+    Finished {
+        sessions: Vec<Sn>,
+        stats: SchedulerStats,
+    },
 }
 
-struct QueueState {
-    /// The current batch's queries not yet pulled by a worker.
-    jobs: VecDeque<Job>,
-    /// Whether the dispatcher is blocked waiting for a reply.  A busy
-    /// worker advances its virtual clock only while this is set: workers
-    /// clear it before sending answers and the dispatcher sets it again
-    /// before its next blocking receive, so while the dispatcher takes in
-    /// a reply the workers hold still and idle peers get to pull their
-    /// share of the queued batch.  Without this pacing, on a small host
-    /// the first worker to wake can run through most of a batch alone,
-    /// which stretches the virtual makespan of multi-worker engines.
-    learner_waiting: bool,
-    shutdown: bool,
+/// The dispatcher's ends of one helper worker's channels.  Dropping the
+/// mailbox tells the helper to finish.
+struct Helper<Sn> {
+    mailbox: Sender<VecDeque<Job>>,
+    replies: Receiver<Reply<Sn>>,
 }
 
-impl Shared {
-    /// Wakes enough workers for `jobs` newly queued queries.  Construction
-    /// phases enqueue mostly single queries; waking the whole pool for one
-    /// job costs `workers - 1` futile wake-ups per query (painful on small
-    /// hosts, where every wake-up is a context switch off the one busy
-    /// core), so the wake fans out no wider than the work.
-    fn notify_work(&self, jobs: usize) {
-        if jobs >= self.workers {
-            self.available.notify_all();
-        } else {
-            for _ in 0..jobs {
-                self.available.notify_one();
-            }
-        }
-    }
-}
-
-/// Upper bound on the jobs a worker prefetches beyond its free session
-/// capacity in one queue lock, and the flush threshold for answers banked
-/// between queue visits.  The prefetched tail lands in a worker-local
-/// backlog that feeds slots as they free up, so a chunk of queries costs
-/// one lock acquisition and one learner wake-up instead of one of each per
-/// query.  Fair-share bounded in [`Shared::next_jobs`] so a chunk never
-/// starves peer workers of queued work.
-const PULL_AHEAD: usize = 64;
-
-/// The shared dispatcher ⇄ worker state: a work queue plus its condvar.
-struct Shared {
-    queue: Mutex<QueueState>,
-    available: Condvar,
-    /// Worker count, fixed at spawn: the fair-share divisor for chunked
-    /// pulls (see [`Shared::next_jobs`]).
-    workers: usize,
-}
-
-impl Shared {
-    /// What a worker should do next given its free capacity and whether it
-    /// still has queries in flight.  An empty job list tells the worker to
-    /// drive its virtual clock instead; that is only allowed once nothing
-    /// more could join the current virtual instant — the pool is full, the
-    /// learner is blocked waiting for answers, or the engine is shutting
-    /// down (see [`QueueState::learner_waiting`]).  Otherwise the worker
-    /// sleeps on the queue (in real time; the virtual clock holds still).
-    fn next_jobs(&self, capacity: usize, idle: bool) -> Option<WorkerCommand> {
-        let mut q = self.queue.lock().expect("work queue poisoned");
-        if capacity > 0 && !q.jobs.is_empty() {
-            // Chunked pull: take the free-capacity fill plus a
-            // fair-share prefetch for the worker-local backlog.  One
-            // lock acquisition moves a whole chunk of queries; the
-            // fair-share bound (an equal split of what is queued right
-            // now) keeps one worker from walking off with work its
-            // peers could be running.
-            let queued = q.jobs.len();
-            let fair_share = queued.div_ceil(self.workers.max(1));
-            let want = (capacity + fair_share.min(PULL_AHEAD)).min(queued);
-            return Some(WorkerCommand::Jobs(q.jobs.drain(..want).collect()));
-        }
-        if q.shutdown {
-            if idle {
-                return Some(WorkerCommand::Exit);
-            }
-            return Some(WorkerCommand::Jobs(Vec::new()));
-        }
-        if !idle && q.learner_waiting {
-            // The learner has quiesced (blocked on an answer), so
-            // advancing the clock is the only way forward.
-            return Some(WorkerCommand::Jobs(Vec::new()));
-        }
-        None
-    }
-
-    /// Parks the worker on the queue condvar until something that could
-    /// change [`Shared::next_jobs`]'s answer arrives.  Re-checks the
-    /// predicate under the lock (the wake condition may have landed between
-    /// an unlocked poll and this call), waits at most one condvar round,
-    /// and lets the caller re-poll — spurious wake-ups are handled by the
-    /// poll loop, not here.
-    fn wait_for_work(&self, capacity: usize, idle: bool) {
-        let q = self.queue.lock().expect("work queue poisoned");
-        let ready = |q: &QueueState| {
-            (capacity > 0 && !q.jobs.is_empty()) || q.shutdown || (!idle && q.learner_waiting)
-        };
-        if !ready(&q) {
-            let _unused = self.available.wait(q).expect("work queue poisoned");
-        }
-    }
-
-    /// Blocks the dispatcher for the next worker reply, with the
-    /// quiescence gate raised: the learner announces it is out of work to
-    /// submit *before* parking, which is what licenses the workers to
-    /// advance their virtual clocks.  The flag is lowered again on wake
-    /// (the worker also lowers it before sending, but this learner-side
-    /// clear closes the race where the answer is consumed before the
-    /// worker's clear lands).
-    fn recv_reply(&self, replies: &Receiver<Reply>) -> Result<Reply, RecvError> {
-        self.queue
-            .lock()
-            .expect("work queue poisoned")
-            .learner_waiting = true;
-        self.available.notify_all();
-        let reply = replies.recv();
-        self.queue
-            .lock()
-            .expect("work queue poisoned")
-            .learner_waiting = false;
-        reply
-    }
-}
-
-enum WorkerCommand {
-    Jobs(Vec<Job>),
-    Exit,
-}
-
-/// Cumulative counters one worker ships with each answer harvest.
+/// Cumulative counters of one worker as of its last answered share.
 #[derive(Clone, Copy, Default)]
 struct WorkerSnapshot {
     sul: SulStats,
@@ -212,60 +94,39 @@ impl WorkerSnapshot {
     }
 }
 
-/// What a finished worker loop reports back: its sessions and final stats,
-/// or the panic payload that killed it.
-type WorkerResult<Sn> = std::thread::Result<(Vec<Sn>, SchedulerStats)>;
-
-struct Worker<Sn> {
-    result_rx: Receiver<WorkerResult<Sn>>,
-}
-
-/// Where an engine's workers run.
-enum Executor<Sn> {
-    /// A one-worker engine: the scheduler runs on the learner's thread, and
-    /// a dispatch is a plain loop over [`step`].
-    Inline(SessionScheduler<Sn>),
-    /// Worker loops on [`EnginePool`] threads, fed through a shared queue
-    /// and answering over a reply channel.
-    Pool {
-        shared: Arc<Shared>,
-        reply_rx: Receiver<Reply>,
-        workers: Vec<Worker<Sn>>,
-        /// The pool a multi-worker `spawn_with` built for itself; `None`
-        /// when the workers are leased from a caller-owned shared pool.
-        /// Dropped (joining its threads) after the workers have been
-        /// drained.
-        _owned_pool: Option<EnginePool>,
-    },
-}
-
 /// A membership oracle that fans query batches out to session workers,
 /// each multiplexing `max_inflight` concurrent SUL sessions on virtual
 /// time.
 ///
-/// A one-worker engine from [`ParallelSulOracle::spawn_with`] runs its
-/// worker inline, on the calling thread.  Otherwise the workers run on an
-/// [`EnginePool`]: either a private pool this oracle constructed for itself
-/// ([`ParallelSulOracle::spawn_with`] with two or more workers) or a shared
-/// pool several concurrent learn tasks lease slots from
-/// ([`ParallelSulOracle::spawn_on_pool_with_events`], the campaign shape).
-/// Where the workers run never affects answers or statistics — everything
-/// observable runs on virtual time.
+/// Worker 0 always runs on the calling thread.  Workers `1..N` are helper
+/// threads on an [`EnginePool`]: either a private pool of `N − 1` threads
+/// this oracle constructed for itself ([`ParallelSulOracle::spawn_with`])
+/// or `N − 1` slots leased from a shared pool several concurrent learn
+/// tasks draw on ([`ParallelSulOracle::spawn_on_pool_with_events`], the
+/// campaign shape).  Where the workers run never affects answers or
+/// statistics — everything observable runs on virtual time.
 pub struct ParallelSulOracle<Sn: SessionSul> {
-    /// `None` once the inline worker has panicked (its sessions are in an
-    /// unknown state) or the engine has been shut down.
-    executor: Option<Executor<Sn>>,
-    /// Most recent counters shipped by each worker (with its last answer
-    /// harvest).  Reading stats is a plain field access on the dispatcher
-    /// thread — no cross-thread lock on any stats path.
+    /// Worker 0's scheduler, driven on the calling thread; `None` once
+    /// the engine has shut down.
+    local: Option<SessionScheduler<Sn>>,
+    /// Workers `1..N`, in order.
+    helpers: Vec<Helper<Sn>>,
+    /// The worker the next dispatched query goes to.
+    next_worker: usize,
+    /// The worker whose session panicked, once one has: the engine's
+    /// sessions are then in an unknown state and it answers nothing more.
+    failed: Option<usize>,
+    /// Counters of each worker as of its last answered share.  Reading
+    /// stats is a plain field access on the dispatcher thread — no
+    /// cross-thread lock on any stats path.
     snapshots: Vec<WorkerSnapshot>,
     max_inflight: usize,
     /// Phase the learner last announced via
     /// [`MembershipOracle::note_phase`]; dispatches are attributed to it.
     current_phase: QueryPhase,
-    /// The dispatcher's books (engine shape, reply count, batch-size
-    /// histogram, per-phase stats); [`ParallelSulOracle::engine_stats`]
-    /// adds the workers' scheduler counters to them.
+    /// The dispatcher's books (engine shape, reply count, per-phase
+    /// stats); [`ParallelSulOracle::engine_stats`] adds the workers'
+    /// scheduler counters to them.
     telemetry: EngineStats,
     /// Queries whose events have been emitted so far — the logical clock
     /// [`Event::PhaseEnter`] stamps, a pure function of the stream itself.
@@ -275,6 +136,11 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// is what makes the deterministic stream byte-identical across engine
     /// shapes.
     events: Option<Arc<ScopedSink>>,
+    /// The pool a multi-worker [`ParallelSulOracle::spawn_with`] built for
+    /// its helpers; `None` when they lease slots from a caller's pool, or
+    /// there are none.  Dropped (joining its threads) after the helpers
+    /// have finished.
+    _owned_pool: Option<EnginePool>,
 }
 
 /// The result of shutting the engine down: the session SULs (adapter-side
@@ -302,11 +168,11 @@ fn scheduler_for<Sn: SessionSul>(
 
 impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// Builds an engine of `workers` workers, each multiplexing
-    /// `max_inflight` sessions minted by `factory` over one shared virtual
-    /// clock.  One worker runs inline on the calling thread; more run on a
-    /// private [`EnginePool`] sized to exactly these workers.  Use
-    /// [`ParallelSulOracle::spawn_on_pool_with_events`] to lease slots
-    /// from a shared pool instead.
+    /// `max_inflight` sessions minted by `factory` over its own virtual
+    /// clock.  Worker 0 runs on the calling thread; the other
+    /// `workers − 1` run on a private [`EnginePool`] of exactly that many
+    /// threads.  Use [`ParallelSulOracle::spawn_on_pool_with_events`] to
+    /// lease helper slots from a shared pool instead.
     ///
     /// # Panics
     /// Panics when `workers` or `max_inflight` is zero.
@@ -333,41 +199,58 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     where
         F: SessionSulFactory<Session = Sn>,
     {
-        assert!(workers >= 1, "a parallel oracle needs at least one worker");
-        assert!(max_inflight >= 1, "each worker needs at least one session");
-        let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
-        let executor = if workers == 1 {
-            let (sessions, clock) = factory.create_worker_sessions(max_inflight);
-            Executor::Inline(scheduler_for(sessions, clock, events.clone()))
-        } else {
-            let pool = EnginePool::new(workers);
-            let (shared, reply_rx, leased) =
-                lease_workers(&pool, factory, workers, max_inflight, &events);
-            Executor::Pool {
-                shared,
-                reply_rx,
-                workers: leased,
-                _owned_pool: Some(pool),
-            }
-        };
-        Self::with_executor(executor, workers, max_inflight, events)
+        let pool = (workers > 1).then(|| EnginePool::new(workers - 1));
+        let mut engine = Self::spawn(
+            pool.as_ref(),
+            factory,
+            workers,
+            max_inflight,
+            sink,
+            diagnostics,
+        );
+        engine._owned_pool = pool;
+        engine
     }
 
-    /// Spawns the oracle's `workers` worker loops on slots leased from
-    /// `pool`, blocking until that many slots are free.  This is how
-    /// several concurrent learn tasks — possibly with different SUL types —
-    /// share one engine: each task's oracle holds its lease for the
-    /// oracle's lifetime and the slots return to the pool on shutdown (or
-    /// drop), so the pool caps how many workers all tasks run at once.
-    /// The workers are threads even when `workers` is one.  Engine
-    /// telemetry flows into `sink` when one is given (see
-    /// [`ParallelSulOracle::spawn_with_events`]).
+    /// Builds an engine whose `workers − 1` helper workers run on slots
+    /// leased from `pool`, blocking until that many slots are free; worker
+    /// 0 runs on the calling thread, and a one-worker engine leases
+    /// nothing.  This is how several concurrent learn tasks — possibly
+    /// with different SUL types — share one engine: each task's oracle
+    /// holds its lease for the oracle's lifetime and the slots return to
+    /// the pool on shutdown (or drop), so the pool caps how many helpers
+    /// all tasks run at once.  Engine telemetry flows into `sink` when one
+    /// is given (see [`ParallelSulOracle::spawn_with_events`]).
     ///
     /// # Panics
-    /// Panics when `workers` or `max_inflight` is zero, or when `workers`
-    /// exceeds the pool size.
+    /// Panics when `workers` or `max_inflight` is zero, or when
+    /// `workers − 1` exceeds the pool size.
     pub fn spawn_on_pool_with_events<F>(
         pool: &EnginePool,
+        factory: &F,
+        workers: usize,
+        max_inflight: usize,
+        sink: Option<Arc<dyn EventSink>>,
+        diagnostics: bool,
+    ) -> Self
+    where
+        F: SessionSulFactory<Session = Sn>,
+    {
+        Self::spawn(
+            Some(pool),
+            factory,
+            workers,
+            max_inflight,
+            sink,
+            diagnostics,
+        )
+    }
+
+    /// Mints every worker's sessions, worker 0 first, and starts workers
+    /// `1..N` on slots leased from `pool` (which only a one-worker engine
+    /// may omit).
+    fn spawn<F>(
+        pool: Option<&EnginePool>,
         factory: &F,
         workers: usize,
         max_inflight: usize,
@@ -380,25 +263,28 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         assert!(workers >= 1, "a parallel oracle needs at least one worker");
         assert!(max_inflight >= 1, "each worker needs at least one session");
         let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
-        let (shared, reply_rx, leased) =
-            lease_workers(pool, factory, workers, max_inflight, &events);
-        let executor = Executor::Pool {
-            shared,
-            reply_rx,
-            workers: leased,
-            _owned_pool: None,
+        // One session group (and, for networked transports, one netsim
+        // network attached to its clock) per worker.
+        let mut schedulers = (0..workers).map(|_| {
+            let (sessions, clock) = factory.create_worker_sessions(max_inflight);
+            scheduler_for(sessions, clock, events.clone())
+        });
+        let local = schedulers.next();
+        let helpers = match pool {
+            Some(pool) if workers > 1 => {
+                let mut lease = pool.lease(workers - 1);
+                schedulers.map(|s| spawn_helper(&mut lease, s)).collect()
+            }
+            _ => {
+                assert_eq!(workers, 1, "helper workers need an engine pool");
+                Vec::new()
+            }
         };
-        Self::with_executor(executor, workers, max_inflight, events)
-    }
-
-    fn with_executor(
-        executor: Executor<Sn>,
-        workers: usize,
-        max_inflight: usize,
-        events: Option<Arc<ScopedSink>>,
-    ) -> Self {
         ParallelSulOracle {
-            executor: Some(executor),
+            local,
+            helpers,
+            next_worker: 0,
+            failed: None,
             snapshots: vec![WorkerSnapshot::default(); workers],
             max_inflight,
             current_phase: QueryPhase::default(),
@@ -409,6 +295,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             },
             flushed_queries: 0,
             events,
+            _owned_pool: None,
         }
     }
 
@@ -420,11 +307,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// Session slots per worker.
     pub fn max_inflight(&self) -> usize {
         self.max_inflight
-    }
-
-    /// Number of batches dispatched so far.
-    pub fn batches_dispatched(&self) -> u64 {
-        self.telemetry.batches()
     }
 
     /// Aggregated interaction counters across all worker sessions, as of
@@ -447,7 +329,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     }
 
     /// Summed (busy session-µs, worker virtual-µs) across the workers'
-    /// shipped snapshots — the delta basis for per-dispatch attribution.
+    /// snapshots — the delta basis for per-dispatch attribution.
     fn busy_virtual_snapshot(&self) -> (u64, u64) {
         self.snapshots
             .iter()
@@ -466,39 +348,25 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// that panicked surfaces as [`LearnError::WorkerPanicked`] instead of
     /// poisoning the caller.
     pub fn shutdown(mut self) -> Result<EngineShutdown<Sn::Sul>, LearnError> {
-        let finished: Vec<(Vec<Sn>, SchedulerStats)> = match self.executor.take() {
-            Some(Executor::Inline(scheduler)) => {
-                let stats = scheduler.stats();
-                vec![(scheduler.into_sessions(), stats)]
-            }
-            Some(Executor::Pool {
-                shared, workers, ..
-            }) => {
-                {
-                    let mut q = shared.queue.lock().expect("work queue poisoned");
-                    q.shutdown = true;
+        if let Some(worker) = self.failed {
+            return Err(worker_dead(worker));
+        }
+        let local = self.local.take().expect("a live engine has worker 0");
+        let stats = local.stats();
+        let mut finished = vec![(local.into_sessions(), stats)];
+        for (helper, replies) in close_mailboxes(&mut self.helpers).into_iter().enumerate() {
+            match replies.recv() {
+                Ok(Reply::Finished { sessions, stats }) => finished.push((sessions, stats)),
+                _ => {
+                    return Err(LearnError::EnginePanicked {
+                        message: format!(
+                            "session worker {} vanished without reporting",
+                            helper + 1
+                        ),
+                    })
                 }
-                shared.available.notify_all();
-                let mut finished = Vec::with_capacity(workers.len());
-                for (worker_id, worker) in workers.into_iter().enumerate() {
-                    let result = worker
-                        .result_rx
-                        .recv()
-                        .map_err(|_| LearnError::EnginePanicked {
-                            message: format!(
-                                "session worker {worker_id} vanished without reporting"
-                            ),
-                        })?
-                        .map_err(|payload| LearnError::WorkerPanicked {
-                            worker: worker_id,
-                            message: panic_message(payload.as_ref()),
-                        })?;
-                    finished.push(result);
-                }
-                finished
             }
-            None => return Err(inline_worker_dead()),
-        };
+        }
         let mut engine = self.telemetry.clone();
         let mut suls = Vec::with_capacity(finished.len() * self.max_inflight);
         for (sessions, stats) in finished {
@@ -519,38 +387,76 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     }
 
     fn dispatch(&mut self, inputs: &[Arc<InputWord>]) -> Vec<OutputWord> {
+        if let Some(worker) = self.failed {
+            std::panic::panic_any(worker_dead(worker));
+        }
         let (busy_before, virtual_before) = self.busy_virtual_snapshot();
         let phase = self.current_phase;
-        let jobs: VecDeque<Job> = inputs
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(index, input)| Job {
+        let workers = self.num_workers();
+        let mut shares: Vec<VecDeque<Job>> = (0..workers).map(|_| VecDeque::new()).collect();
+        for (index, input) in inputs.iter().enumerate() {
+            shares[(self.next_worker + index) % workers].push_back(Job {
                 index,
-                input,
+                input: Arc::clone(input),
                 phase,
-            })
-            .collect();
+            });
+        }
+        self.next_worker = (self.next_worker + inputs.len()) % workers;
+        // Fork: every helper with work starts on its share before worker 0
+        // runs its own on this thread.
+        let mut shares = shares.into_iter();
+        let local_share = shares.next().expect("worker 0 has a share");
+        let mut forked = Vec::with_capacity(self.helpers.len());
+        for (worker, (helper, share)) in (1..).zip(self.helpers.iter().zip(shares)) {
+            if !share.is_empty() {
+                if helper.mailbox.send(share).is_err() {
+                    self.failed = Some(worker);
+                    std::panic::panic_any(helper_vanished(worker));
+                }
+                forked.push(worker);
+            }
+        }
         // Every reply of this batch: its answers, and the event buffer
         // their ranges index into.
-        let mut replies: Vec<(Vec<Answer>, Vec<Event>)> = match &mut self.executor {
-            Some(Executor::Inline(scheduler)) => match run_inline(scheduler, jobs) {
+        let mut replies: Vec<(Vec<Answer>, Vec<Event>)> = Vec::with_capacity(workers);
+        if !local_share.is_empty() {
+            let scheduler = self.local.as_mut().expect("a live engine has worker 0");
+            match run_share(scheduler, local_share) {
                 Ok(answers) => {
                     self.snapshots[0] = WorkerSnapshot::of(scheduler);
-                    vec![(answers, scheduler.take_events())]
+                    replies.push((answers, scheduler.take_events()));
                 }
                 Err(message) => {
                     // Relay the death up through the learning loop, as a
-                    // pool worker's would be; the sessions are retired.
-                    self.executor = None;
+                    // helper's would be; the sessions are retired.
+                    self.failed = Some(0);
                     std::panic::panic_any(LearnError::WorkerPanicked { worker: 0, message });
                 }
-            },
-            Some(Executor::Pool {
-                shared, reply_rx, ..
-            }) => run_pooled(shared, reply_rx, jobs, &mut self.snapshots),
-            None => std::panic::panic_any(inline_worker_dead()),
-        };
+            }
+        }
+        // Join: one reply per forked helper.
+        for worker in forked {
+            match self.helpers[worker - 1].replies.recv() {
+                Ok(Reply::Answers {
+                    answers,
+                    events,
+                    snapshot,
+                }) => {
+                    self.snapshots[worker] = snapshot;
+                    replies.push((answers, events));
+                }
+                Ok(Reply::Dead(message)) => {
+                    // `learn_model_parallel` converts the relayed death
+                    // into a `LearnError`.
+                    self.failed = Some(worker);
+                    std::panic::panic_any(LearnError::WorkerPanicked { worker, message });
+                }
+                Ok(Reply::Finished { .. }) | Err(_) => {
+                    self.failed = Some(worker);
+                    std::panic::panic_any(helper_vanished(worker));
+                }
+            }
+        }
         self.telemetry.reply_messages += replies.len() as u64;
         let mut results: Vec<Option<OutputWord>> = vec![None; inputs.len()];
         // Per query: which reply's event buffer holds its events, and where.
@@ -563,7 +469,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             }
         }
         if let Some(events) = &self.events {
-            // Batch-index order, whatever order the workers finished in.
+            // Batch-index order, whichever worker answered each query.
             let mut batch = Vec::with_capacity(replies.iter().map(|(_, e)| e.len()).sum());
             for (buffer, range) in scopes {
                 batch.extend_from_slice(&replies[buffer].1[range]);
@@ -596,102 +502,79 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     }
 }
 
-/// The error a dead inline worker reports from then on.
-fn inline_worker_dead() -> LearnError {
+/// The error a dead engine reports from then on.
+fn worker_dead(worker: usize) -> LearnError {
     LearnError::WorkerPanicked {
-        worker: 0,
+        worker,
         message: "the session worker panicked in an earlier batch".to_string(),
     }
 }
 
-/// Spawns `workers` worker loops on slots leased from `pool`, each over
-/// `max_inflight` fresh sessions, returning their queue, the reply channel
-/// and one result handle per worker.
-fn lease_workers<Sn, F>(
-    pool: &EnginePool,
-    factory: &F,
-    workers: usize,
-    max_inflight: usize,
-    events: &Option<Arc<ScopedSink>>,
-) -> (Arc<Shared>, Receiver<Reply>, Vec<Worker<Sn>>)
-where
-    Sn: SessionSul + Send + 'static,
-    F: SessionSulFactory<Session = Sn>,
-{
-    let shared = Arc::new(Shared {
-        queue: Mutex::new(QueueState {
-            jobs: VecDeque::new(),
-            learner_waiting: false,
-            shutdown: false,
-        }),
-        available: Condvar::new(),
-        workers,
+/// The error for a helper that left without a reply.
+fn helper_vanished(worker: usize) -> LearnError {
+    LearnError::EnginePanicked {
+        message: format!("session worker {worker} exited mid-batch"),
+    }
+}
+
+/// Closes every helper's mailbox — each finishes its current share, if
+/// any, and then exits — and returns their reply channels, in order.
+fn close_mailboxes<Sn>(helpers: &mut Vec<Helper<Sn>>) -> Vec<Receiver<Reply<Sn>>> {
+    std::mem::take(helpers)
+        .into_iter()
+        .map(|helper| helper.replies)
+        .collect()
+}
+
+/// Starts a helper worker over `scheduler` on one slot of `lease`: it runs
+/// each share its mailbox delivers and replies once per share, until the
+/// mailbox closes or a session panics.
+fn spawn_helper<Sn: SessionSul + Send + 'static>(
+    lease: &mut EngineLease,
+    mut scheduler: SessionScheduler<Sn>,
+) -> Helper<Sn> {
+    let (mailbox, shares) = channel::<VecDeque<Job>>();
+    let (reply_tx, replies) = channel::<Reply<Sn>>();
+    lease.submit_worker_releasing(move |slot| {
+        for share in shares {
+            let reply = match run_share(&mut scheduler, share) {
+                Ok(answers) => Reply::Answers {
+                    answers,
+                    events: scheduler.take_events(),
+                    snapshot: WorkerSnapshot::of(&scheduler),
+                },
+                Err(message) => {
+                    // The panic is not re-raised: the hosting pool thread
+                    // survives to serve later leases.
+                    drop(slot);
+                    let _ = reply_tx.send(Reply::Dead(message));
+                    return;
+                }
+            };
+            if reply_tx.send(reply).is_err() {
+                return;
+            }
+        }
+        // Slot back first, report second: `shutdown()` returns only after
+        // every helper's report, so callers that joined a run observe its
+        // slots as already free.
+        let stats = scheduler.stats();
+        let sessions = scheduler.into_sessions();
+        drop(slot);
+        let _ = reply_tx.send(Reply::Finished { sessions, stats });
     });
-    let (reply_tx, reply_rx) = channel::<Reply>();
-    let mut lease = pool.lease(workers);
-    let workers = (0..workers)
-        .map(|worker_id| {
-            // One session group (and, for networked transports, one
-            // shared netsim network attached to this clock) per worker.
-            let (sessions, clock) = factory.create_worker_sessions(max_inflight);
-            let shared = Arc::clone(&shared);
-            let reply_tx = reply_tx.clone();
-            let worker_events = events.clone();
-            let (result_tx, result_rx) = channel::<WorkerResult<Sn>>();
-            lease.submit_worker_releasing(move |slot| {
-                let mut scheduler = scheduler_for(sessions, clock, worker_events);
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    worker_loop(&shared, &mut scheduler, &reply_tx, worker_id);
-                }));
-                let result = match outcome {
-                    Ok(()) => {
-                        let stats = scheduler.stats();
-                        Ok((scheduler.into_sessions(), stats))
-                    }
-                    Err(payload) => {
-                        // Report the death both on the reply path (so a
-                        // dispatcher blocked mid-batch wakes up) and as
-                        // this worker's final result.  The panic is NOT
-                        // re-raised: the hosting pool thread survives to
-                        // serve later leases.
-                        let _ = reply_tx.send(Reply::Dead {
-                            worker: worker_id,
-                            message: panic_message(payload.as_ref()),
-                        });
-                        Err(payload)
-                    }
-                };
-                // Slot back first, report second: `shutdown()` returns
-                // only after receiving every report, so callers that
-                // joined a run observe its slots as already free.
-                drop(slot);
-                let _ = result_tx.send(result);
-            });
-            Worker { result_rx }
-        })
-        .collect();
-    (shared, reply_rx, workers)
+    Helper { mailbox, replies }
 }
 
 impl<Sn: SessionSul> Drop for ParallelSulOracle<Sn> {
     fn drop(&mut self) {
         // A dropped oracle (e.g. during a panic unwind) must not leak
-        // blocked — or still-running — worker loops: their leased slots
-        // only return to the pool once the loops finish, so wait for each
-        // worker's final report before releasing the lease (and, for owned
-        // pools, before the pool's own Drop joins its threads).
-        if let Some(Executor::Pool {
-            shared, workers, ..
-        }) = &mut self.executor
-        {
-            if let Ok(mut q) = shared.queue.lock() {
-                q.shutdown = true;
-                q.jobs.clear();
-            }
-            shared.available.notify_all();
-            for worker in workers.drain(..) {
-                let _ = worker.result_rx.recv();
-            }
+        // running helpers: their leased slots only return to the pool once
+        // they finish, so wait for each reply channel to disconnect before
+        // releasing the lease (and, for an owned pool, before the pool's
+        // own Drop joins its threads).
+        for replies in close_mailboxes(&mut self.helpers) {
+            while replies.recv().is_ok() {}
         }
         if let Some(events) = &self.events {
             events.flush();
@@ -699,11 +582,10 @@ impl<Sn: SessionSul> Drop for ParallelSulOracle<Sn> {
     }
 }
 
-/// One pass of a worker's event loop, and the one gating rule that keeps
-/// virtual time the same whether the worker runs inline or on a thread:
-/// feed free slots from `backlog`, then drive the scheduler, advancing its
-/// clock only if nothing was pulled.  Work taken at this virtual instant
-/// means more queued work may still join it, so the pass harvests instant
+/// One pass of a worker's event loop, and its one gating rule: feed free
+/// slots from `backlog`, then drive the scheduler, advancing its clock
+/// only if nothing was pulled.  Work taken at this virtual instant means
+/// more of the share may still join it, so the pass harvests instant
 /// progress instead of stepping time under a part-filled pool; with no
 /// work taken (slots full, or nothing left to submit) advancing is the
 /// only way forward.
@@ -724,10 +606,10 @@ fn step<Sn: SessionSul>(
     scheduler.drive_gated(!pulled)
 }
 
-/// Runs one whole batch on the calling thread: the inline executor's
-/// dispatch.  Returns every answer (with event ranges into the scheduler's
-/// event buffer), or the message of a session panic.
-fn run_inline<Sn: SessionSul>(
+/// Runs one worker's whole share of a batch on the calling thread.
+/// Returns every answer (with event ranges into the scheduler's event
+/// buffer), or the message of a session panic.
+fn run_share<Sn: SessionSul>(
     scheduler: &mut SessionScheduler<Sn>,
     mut backlog: VecDeque<Job>,
 ) -> Result<Vec<Answer>, String> {
@@ -740,145 +622,6 @@ fn run_inline<Sn: SessionSul>(
         answers
     }))
     .map_err(|payload| panic_message(payload.as_ref()))
-}
-
-/// Runs one whole batch on the worker threads: publishes `jobs` to the
-/// shared queue and collects replies until every query has answered,
-/// keeping each worker's latest counters in `snapshots`.  Returns every
-/// reply's answers with the event buffer their ranges index into.  A
-/// worker death is relayed as a [`LearnError`] panic.
-fn run_pooled(
-    shared: &Shared,
-    reply_rx: &Receiver<Reply>,
-    jobs: VecDeque<Job>,
-    snapshots: &mut [WorkerSnapshot],
-) -> Vec<(Vec<Answer>, Vec<Event>)> {
-    let total = jobs.len();
-    {
-        let mut q = shared.queue.lock().expect("work queue poisoned");
-        q.jobs.extend(jobs);
-    }
-    shared.notify_work(total);
-    let mut replies = Vec::new();
-    let mut received = 0;
-    while received < total {
-        match shared.recv_reply(reply_rx) {
-            Ok(Reply::Answers {
-                worker,
-                answers,
-                events,
-                snapshot,
-            }) => {
-                snapshots[worker] = snapshot;
-                received += answers.len();
-                replies.push((answers, events));
-            }
-            Ok(Reply::Dead { worker, message }) => {
-                // Relay the worker's death up through the learning loop;
-                // `learn_model_parallel` converts it into a `LearnError`.
-                std::panic::panic_any(LearnError::WorkerPanicked { worker, message });
-            }
-            Err(_) => {
-                std::panic::panic_any(LearnError::EnginePanicked {
-                    message: "all session workers exited mid-batch".to_string(),
-                });
-            }
-        }
-    }
-    replies
-}
-
-/// Delivers every banked answer in one [`Reply::Answers`] message together
-/// with their events and the worker's current counters.  The learner is about to receive
-/// them and react — from here on it counts as active again, so the
-/// quiescence gate is cleared *before* the send (clearing after could race
-/// a learner that already consumed an answer and re-entered its wait).
-/// Returns `false` when the dispatcher is gone.
-fn flush_answers<Sn: SessionSul>(
-    shared: &Shared,
-    scheduler: &mut SessionScheduler<Sn>,
-    reply_tx: &Sender<Reply>,
-    worker_id: usize,
-    banked: &mut Vec<Answer>,
-) -> bool {
-    {
-        let mut q = shared.queue.lock().expect("work queue poisoned");
-        q.learner_waiting = false;
-    }
-    let reply = Reply::Answers {
-        worker: worker_id,
-        answers: std::mem::take(banked),
-        events: scheduler.take_events(),
-        snapshot: WorkerSnapshot::of(scheduler),
-    };
-    reply_tx.send(reply).is_ok()
-}
-
-fn worker_loop<Sn: SessionSul>(
-    shared: &Shared,
-    scheduler: &mut SessionScheduler<Sn>,
-    reply_tx: &Sender<Reply>,
-    worker_id: usize,
-) {
-    // Jobs pulled ahead of free session slots, and answers banked between
-    // queue visits: both amortise the shared-queue lock and the learner
-    // wake-up over whole chunks instead of paying one of each per query —
-    // with `max_inflight = 1` that is the difference between a lock convoy
-    // and a tight local loop.
-    let mut backlog: VecDeque<Job> = VecDeque::new();
-    let mut banked: Vec<Answer> = Vec::new();
-    loop {
-        // Free slots with a local backlog are fed without touching the
-        // shared queue.  Otherwise consult it, without flushing eagerly:
-        // with a chunk still in the backlog this path runs once per clock
-        // advance, and flushing here would deliver every answer
-        // individually — the exact per-query wake-up convoy the bank
-        // exists to avoid.  Only an actual condvar park demands a flush
-        // first (the learner must never sleep on answers a sleeping worker
-        // is sitting on); `next_jobs` returning `None` is that signal, and
-        // re-polling after the wait keeps the wake-condition check under
-        // the queue lock.  An empty job list is the license to advance the
-        // clock, which `step` then takes because nothing was pulled.
-        if backlog.is_empty() || !scheduler.has_capacity() {
-            let idle = scheduler.is_idle();
-            let command = loop {
-                match shared.next_jobs(scheduler.capacity(), idle) {
-                    Some(command) => break command,
-                    None => {
-                        if !banked.is_empty()
-                            && !flush_answers(shared, scheduler, reply_tx, worker_id, &mut banked)
-                        {
-                            return;
-                        }
-                        shared.wait_for_work(scheduler.capacity(), idle);
-                    }
-                }
-            };
-            match command {
-                WorkerCommand::Exit => {
-                    if !banked.is_empty() {
-                        flush_answers(shared, scheduler, reply_tx, worker_id, &mut banked);
-                    }
-                    return;
-                }
-                WorkerCommand::Jobs(jobs) => backlog.extend(jobs),
-            }
-        }
-        let completed = step(scheduler, &mut backlog);
-        if completed.is_empty() {
-            continue;
-        }
-        banked.extend(completed);
-        // Deliver once the local chunk is exhausted (the learner gets the
-        // whole chunk in one wake-up); long backlogs also flush at the
-        // chunk size so the learner is never starved behind a full
-        // prefetch window.
-        if (backlog.is_empty() || banked.len() >= PULL_AHEAD)
-            && !flush_answers(shared, scheduler, reply_tx, worker_id, &mut banked)
-        {
-            return;
-        }
-    }
 }
 
 impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn> {
@@ -1020,10 +763,25 @@ mod tests {
         assert_eq!(out, known::toggle().run(&word).unwrap());
         assert_eq!(parallel.stats().symbols_sent, 3);
         assert_eq!(parallel.stats().resets, 1);
-        assert_eq!(parallel.batches_dispatched(), 1);
+        assert_eq!(parallel.engine_stats().batches(), 1);
         let suls = parallel.into_suls().expect("clean shutdown");
         assert_eq!(suls.len(), 2);
         assert_eq!(suls.iter().map(|s| s.stats().symbols_sent).sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn queries_are_dealt_round_robin_across_batches() {
+        let factory = session_factory(known::toggle());
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 3, 1);
+        let press = vec![InputWord::from_symbols(["press"]); 2];
+        // The second batch starts at the worker the first one stopped at.
+        parallel.query_batch(&press);
+        parallel.query_batch(&press);
+        // One reply per worker with a non-empty share: {0, 1}, then {2, 0}.
+        assert_eq!(parallel.engine_stats().reply_messages, 4);
+        let suls = parallel.into_suls().expect("clean shutdown");
+        let per_worker: Vec<u64> = suls.iter().map(|s| s.stats().symbols_sent).collect();
+        assert_eq!(per_worker, vec![2, 1, 1]);
     }
 
     #[test]
@@ -1031,7 +789,7 @@ mod tests {
         let factory = session_factory(known::toggle());
         let mut parallel = ParallelSulOracle::spawn_with(&factory, 3, 1);
         assert!(parallel.query_batch(&[]).is_empty());
-        assert_eq!(parallel.batches_dispatched(), 0);
+        assert_eq!(parallel.engine_stats().batches(), 0);
     }
 
     #[test]
@@ -1050,10 +808,7 @@ mod tests {
         assert_eq!(engine.equivalence.batches, 1);
         assert_eq!(engine.equivalence.queries, 3);
         assert_eq!(engine.counterexample.batches, 0);
-        // Bucket 2 holds sizes 4..=7, bucket 1 sizes 2..=3.
-        assert_eq!(engine.batch_size_histogram[2], 1);
-        assert_eq!(engine.batch_size_histogram[1], 1);
-        assert_eq!(parallel.batches_dispatched(), 2);
+        assert_eq!(engine.batches(), 2);
         assert_eq!(parallel.queries_answered(), 8);
         // Blocking sessions answer in zero virtual time: no phase accrues
         // busy or worker time.
@@ -1146,8 +901,10 @@ mod tests {
 
     #[test]
     fn panicking_workers_surface_as_learn_errors_not_hangs() {
-        // (1, _) runs its worker inline on this thread; (2, 1) on threads.
-        for (workers, inflight) in [(1, 1), (1, 4), (2, 1)] {
+        // Query k goes to worker k mod N: worker 0 runs on this thread,
+        // worker 1 of a (2, _) engine on a helper thread.  The poisoned
+        // word's batch index picks the worker that dies.
+        for (workers, inflight, poisoned_at) in [(1, 1, 1), (1, 4, 1), (2, 1, 1), (2, 1, 0)] {
             let factory = BlockingSessionFactory(PanickySulFactory);
             let sink = Arc::new(FlushCounter::default());
             let mut parallel = ParallelSulOracle::spawn_with_events(
@@ -1157,10 +914,8 @@ mod tests {
                 Some(Arc::clone(&sink) as Arc<dyn EventSink>),
                 false,
             );
-            let poisoned = vec![
-                InputWord::from_symbols(["fine"]),
-                InputWord::from_symbols(["poison"]),
-            ];
+            let mut poisoned = vec![InputWord::from_symbols(["fine"]); 2];
+            poisoned[poisoned_at] = InputWord::from_symbols(["poison"]);
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 parallel.query_batch(&poisoned);
             }));
@@ -1169,18 +924,15 @@ mod tests {
                 .downcast_ref::<LearnError>()
                 .expect("worker death is relayed as a LearnError");
             let LearnError::WorkerPanicked { worker, message } = error else {
-                panic!("({workers}, {inflight}): unexpected error variant: {error}");
+                panic!("({workers}, {inflight}, {poisoned_at}): unexpected error variant: {error}");
             };
-            assert!(*worker < workers);
-            if workers == 1 {
-                assert_eq!(*worker, 0, "the inline worker is worker 0");
-            }
+            assert_eq!(*worker, poisoned_at % workers);
             assert!(message.contains("poisoned symbol"), "{message}");
             drop(parallel); // must not hang or double-panic
             assert_eq!(
                 sink.0.load(std::sync::atomic::Ordering::SeqCst),
                 1,
-                "({workers}, {inflight}): dropping the oracle flushes the sink"
+                "({workers}, {inflight}, {poisoned_at}): dropping the oracle flushes the sink"
             );
         }
     }

@@ -371,16 +371,12 @@ pub struct EngineStats {
     pub virtual_elapsed_micros: u64,
     /// Sum of all workers' virtual elapsed times (occupancy denominator).
     pub worker_virtual_micros: u64,
-    /// Reply messages the dispatcher received from workers.  Each message
-    /// carries a whole answer chunk plus a stats snapshot, so
-    /// `queries_completed / reply_messages` is the answers-per-wake-up
-    /// economy of the batched return path (1.0 = one learner wake-up per
-    /// query, the old per-answer regime).  A one-worker engine runs its
-    /// worker on the learner's thread and counts one reply per batch.
+    /// Worker replies the dispatcher took in: one per worker with a
+    /// non-empty share of a batch, worker 0's run on the learner's thread
+    /// included, so `queries_completed / reply_messages` is the answers
+    /// each reply carried.  A one-worker engine counts one reply per
+    /// batch.
     pub reply_messages: u64,
-    /// Histogram of dispatched batch sizes: bucket `i` counts batches of
-    /// `2^i ..= 2^(i+1)-1` queries.
-    pub batch_size_histogram: Vec<u64>,
     /// Dispatch accounting for hypothesis-construction queries.
     pub construction: PhaseStats,
     /// Dispatch accounting for counterexample-decomposition probes.
@@ -400,8 +396,8 @@ impl EngineStats {
         self.worker_virtual_micros += s.virtual_elapsed_micros;
     }
 
-    /// Records one dispatched batch: its histogram bucket, and its size and
-    /// busy/worker deltas into the phase's [`PhaseStats`].
+    /// Records one dispatched batch: its size and busy/worker deltas into
+    /// the phase's [`PhaseStats`].
     pub fn record_dispatch(
         &mut self,
         phase: QueryPhase,
@@ -409,11 +405,6 @@ impl EngineStats {
         busy_micros: u64,
         worker_micros: u64,
     ) {
-        let bucket = (u64::BITS - 1 - batch_size.max(1).leading_zeros()) as usize;
-        if self.batch_size_histogram.len() <= bucket {
-            self.batch_size_histogram.resize(bucket + 1, 0);
-        }
-        self.batch_size_histogram[bucket] += 1;
         let stats = self.phase_mut(phase);
         stats.batches += 1;
         stats.queries += batch_size;
@@ -572,11 +563,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     /// The scheduler's clock handle.
     pub fn clock(&self) -> &SharedClock {
         &self.clock
-    }
-
-    /// Total session slots.
-    pub fn num_sessions(&self) -> usize {
-        self.slots.len()
     }
 
     /// Number of sessions currently executing a query.
@@ -1077,7 +1063,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_stats_record_dispatch_buckets_and_phases() {
+    fn engine_stats_record_dispatch_into_phases() {
         let mut engine = EngineStats {
             max_inflight: 8,
             ..EngineStats::default()
@@ -1085,11 +1071,6 @@ mod tests {
         engine.record_dispatch(QueryPhase::Construction, 1, 100, 200);
         engine.record_dispatch(QueryPhase::Construction, 42, 1_500, 200);
         engine.record_dispatch(QueryPhase::Equivalence, 512, 4_000, 500);
-        // Buckets: 1 → bucket 0, 42 → bucket 5 (32..63), 512 → bucket 9.
-        assert_eq!(engine.batch_size_histogram[0], 1);
-        assert_eq!(engine.batch_size_histogram[5], 1);
-        assert_eq!(engine.batch_size_histogram[9], 1);
-        assert_eq!(engine.batch_size_histogram.len(), 10);
         let construction = engine.phase(QueryPhase::Construction);
         assert_eq!(construction.batches, 2);
         assert_eq!(construction.queries, 43);

@@ -1,5 +1,5 @@
-//! The interning tentpole's safety net: symbol ids, chunked queue pulls
-//! and banked answer replies are pure engine-internal mechanics.  A
+//! The interning tentpole's safety net: symbol ids and the split of each
+//! batch into per-worker shares are pure engine-internal mechanics.  A
 //! learning run's observable face — the learned model, the learner-side
 //! statistics, the SUL interaction counters, the deterministic event-log
 //! bytes and the final observation trie — must be bit-identical across
@@ -127,8 +127,8 @@ fn reference(lossy: bool) -> &'static RunFingerprint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // The tentpole contract: interned ids, chunked pulls and banked
-    // replies may move wall-clock scheduling, but every learner-visible
+    // The tentpole contract: interned ids and per-worker shares may move
+    // wall-clock scheduling, but every learner-visible
     // artefact is a pure function of the scenario — identical across
     // (workers 1–3, max_inflight 1–64, loss ∈ {0, 0.1}).
     #[test]

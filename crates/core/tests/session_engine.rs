@@ -3,11 +3,14 @@
 //! bit-identical model with identical query-cost statistics
 //! (`fresh_symbols`, `equivalence_tests`, `membership_queries`) — and a
 //! warm start against a persisted observation cache must answer everything
-//! from disk regardless of the engine shape.
+//! from disk regardless of the engine shape.  The engine's own books
+//! (virtual time, clock advances, occupancy) repeat exactly run to run,
+//! at any worker count.
 
 use prognosis_core::latency::LatencySulFactory;
+use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
 use prognosis_core::pipeline::{learn_model, learn_model_parallel, LearnConfig, LearnedModel};
-use prognosis_core::session::SimDuration;
+use prognosis_core::session::{SessionSulFactory, SimDuration};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -28,6 +31,47 @@ fn sequential_baseline() -> &'static LearnedModel {
         let mut sul = TcpSul::with_defaults();
         learn_model(&mut sul, &tcp_alphabet(), engine_config())
     })
+}
+
+/// Learns at `workers × max_inflight` twice and asserts both runs keep
+/// identical engine books.  Every worker gets the same queries in the same
+/// order on every run, so even a multi-worker engine's virtual time, clock
+/// advances and occupancy repeat exactly.
+fn assert_engine_books_repeat<F>(factory: &F, workers: usize, max_inflight: usize)
+where
+    F: SessionSulFactory,
+    F::Session: Send + 'static,
+{
+    let config = engine_config()
+        .with_workers(workers)
+        .with_max_inflight(max_inflight);
+    let learn = || {
+        learn_model_parallel(factory, &tcp_alphabet(), config.clone())
+            .expect("parallel learning succeeds")
+    };
+    let (first, second) = (learn(), learn());
+    assert!(first.engine.virtual_elapsed_micros > 0);
+    assert_eq!(
+        first.engine, second.engine,
+        "{workers} × {max_inflight}: a repeat changed the engine books"
+    );
+    assert_eq!(first.learned.model, second.learned.model);
+}
+
+#[test]
+fn multi_worker_engine_books_repeat_run_to_run() {
+    let latency = LatencySulFactory::new(
+        TcpSulFactory::default(),
+        SimDuration::from_micros(50),
+        SimDuration::from_micros(100),
+    );
+    assert_engine_books_repeat(&latency, 3, 4);
+    let lossy = NetworkedSessionFactory::new(
+        TcpSulFactory::default(),
+        LinkConfig::with_latency(SimDuration::from_micros(100)).loss(0.05),
+    )
+    .with_noise_seed(7);
+    assert_engine_books_repeat(&lossy, 2, 8);
 }
 
 proptest! {

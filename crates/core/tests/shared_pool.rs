@@ -3,8 +3,8 @@
 //! produce exactly the models and query-cost statistics of their private
 //! (`spawn_with`) runs — the pool moves scheduling, never results.  This is
 //! the substrate the campaign orchestrator builds its matrix cells on.
-//! A one-worker lease is also the threaded reference for the inline
-//! executor a private one-worker engine runs on the learner's thread.
+//! Worker 0 runs on the learner's thread either way; a lease only decides
+//! where the helper workers run.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_core::engine::EnginePool;
@@ -69,8 +69,9 @@ fn concurrent_heterogeneous_leases_match_private_runs() {
     let tcp_reference = private_tcp();
     let quic_reference = private_quic();
 
-    // 4 slots, two concurrent 2-worker leases: both protocols run at once
-    // on the same engine threads, interleaving heterogeneous session types.
+    // 4 slots, two concurrent 2-worker engines (one helper slot each): both
+    // protocols run at once on the same engine threads, interleaving
+    // heterogeneous session types.
     let pool = EnginePool::new(4);
     let (tcp_shared, quic_shared) = std::thread::scope(|scope| {
         let tcp = scope.spawn(|| learn_on(&pool, &TcpSulFactory::default(), &tcp_alphabet()));
@@ -111,10 +112,10 @@ fn concurrent_heterogeneous_leases_match_private_runs() {
 fn an_undersized_pool_serializes_leases_without_changing_results() {
     let tcp_reference = private_tcp();
 
-    // 2 slots but two 2-worker runs: the second lease must wait for the
-    // first to finish — all-or-nothing acquisition, no deadlock, and the
-    // results stay identical.
-    let pool = EnginePool::new(2);
+    // 1 slot but two 2-worker runs, each leasing one helper slot: the
+    // second lease must wait for the first to finish — all-or-nothing
+    // acquisition, no deadlock, and the results stay identical.
+    let pool = EnginePool::new(1);
     let (first, second) = std::thread::scope(|scope| {
         let a = scope.spawn(|| learn_on(&pool, &TcpSulFactory::default(), &tcp_alphabet()));
         let b = scope.spawn(|| learn_on(&pool, &TcpSulFactory::default(), &tcp_alphabet()));
@@ -142,63 +143,57 @@ impl EventSink for DeterministicOnly {
     }
 }
 
-/// Learns with one worker twice — threaded on a one-slot shared pool (the
-/// reference worker loop), then inline on a private engine — and asserts
-/// the runs agree on everything but the reply count: model, learner
-/// statistics, every engine counter (virtual time, clock advances, busy
-/// time, per-phase books) and the deterministic event stream, byte for
-/// byte.
-fn assert_inline_matches_threaded<F>(factory: &F, alphabet: &Alphabet, config: LearnConfig)
+/// Learns with two workers twice — helper leased from a one-slot shared
+/// pool, then on a private engine — and asserts the runs agree on
+/// everything: model, learner statistics, every engine counter (virtual
+/// time, clock advances, busy time, replies, per-phase books) and the
+/// deterministic event stream, byte for byte.
+fn assert_private_matches_leased<F>(factory: &F, alphabet: &Alphabet, config: LearnConfig)
 where
     F: SessionSulFactory,
     F::Session: Send + 'static,
 {
     let pool = EnginePool::new(1);
-    let threaded_log = Arc::new(DeterministicOnly::default());
-    let threaded = learn_model_parallel_seeded_with_events(
+    let leased_log = Arc::new(DeterministicOnly::default());
+    let leased = learn_model_parallel_seeded_with_events(
         &pool,
         factory,
         alphabet,
         &config,
         PrefixTrie::new(),
         &[],
-        Some(Arc::clone(&threaded_log) as Arc<dyn EventSink>),
+        Some(Arc::clone(&leased_log) as Arc<dyn EventSink>),
     )
-    .expect("threaded learn succeeds")
+    .expect("leased learn succeeds")
     .outcome;
-    let inline_log = Arc::new(DeterministicOnly::default());
-    let inline = learn_model_parallel_with_events(
+    let private_log = Arc::new(DeterministicOnly::default());
+    let private = learn_model_parallel_with_events(
         factory,
         alphabet,
         config,
-        Arc::clone(&inline_log) as Arc<dyn EventSink>,
+        Arc::clone(&private_log) as Arc<dyn EventSink>,
         true,
     )
-    .expect("inline learn succeeds");
+    .expect("private learn succeeds");
 
-    assert_eq!(inline.learned.model, threaded.learned.model);
-    assert_eq!(inline.learned.stats, threaded.learned.stats);
-    assert_eq!(inline.sul_stats, threaded.sul_stats);
-    // The inline worker replies once per batch; the threaded one once per
-    // banked chunk.  Everything else is virtual time and must not move.
-    assert_eq!(inline.engine.reply_messages, inline.engine.batches());
-    let mut threaded_engine = threaded.engine;
-    threaded_engine.reply_messages = inline.engine.reply_messages;
-    assert_eq!(inline.engine, threaded_engine);
-    let (inline_log, threaded_log) = (inline_log.0.contents(), threaded_log.0.contents());
-    assert!(inline_log.contains("\"name\":\"session:done\""));
+    assert_eq!(private.learned.model, leased.learned.model);
+    assert_eq!(private.learned.stats, leased.learned.stats);
+    assert_eq!(private.sul_stats, leased.sul_stats);
+    assert_eq!(private.engine, leased.engine);
+    let (private_log, leased_log) = (private_log.0.contents(), leased_log.0.contents());
+    assert!(private_log.contains("\"name\":\"session:done\""));
     assert!(
-        inline_log == threaded_log,
+        private_log == leased_log,
         "the deterministic event stream differs ({} vs {} bytes)",
-        inline_log.len(),
-        threaded_log.len()
+        private_log.len(),
+        leased_log.len()
     );
 }
 
 #[test]
-fn inline_one_worker_engines_match_the_threaded_reference() {
-    let one_by_one = config().with_workers(1).with_max_inflight(1);
-    assert_inline_matches_threaded(&TcpSulFactory::default(), &tcp_alphabet(), one_by_one);
+fn private_engines_match_shared_pool_leases() {
+    let two_by_one = config().with_workers(2).with_max_inflight(1);
+    assert_private_matches_leased(&TcpSulFactory::default(), &tcp_alphabet(), two_by_one);
 
     let link = LinkConfig::with_latency(SimDuration::from_micros(100))
         .jitter(SimDuration::from_micros(100));
@@ -206,6 +201,6 @@ fn inline_one_worker_engines_match_the_threaded_reference() {
         QuicSulFactory::new(ImplementationProfile::google(), 11),
         link,
     );
-    let one_by_sixteen = config().with_workers(1).with_max_inflight(16);
-    assert_inline_matches_threaded(&google, &quic_alphabet(), one_by_sixteen);
+    let two_by_eight = config().with_workers(2).with_max_inflight(8);
+    assert_private_matches_leased(&google, &quic_alphabet(), two_by_eight);
 }

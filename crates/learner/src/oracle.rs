@@ -13,7 +13,6 @@
 //! same role the Oracle Table's cache plays in the paper, without the
 //! seed's linear scans.
 
-use crate::stats::LearningStats;
 use crate::trie::PrefixTrie;
 use prognosis_automata::interner::{IWord, SymbolId};
 use prognosis_automata::mealy::MealyMachine;
@@ -454,21 +453,6 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
 
     fn note_phase(&mut self, phase: QueryPhase) {
         self.inner.note_phase(phase);
-    }
-}
-
-/// Snapshot query accounting from an oracle pair into a [`LearningStats`].
-pub fn snapshot_stats(
-    membership: &dyn MembershipOracle,
-    equivalence: &dyn EquivalenceOracle,
-    rounds: u64,
-) -> LearningStats {
-    LearningStats {
-        membership_queries: membership.queries_answered(),
-        equivalence_queries: equivalence.equivalence_queries(),
-        equivalence_tests: equivalence.tests_executed(),
-        learning_rounds: rounds,
-        ..LearningStats::default()
     }
 }
 

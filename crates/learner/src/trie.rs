@@ -172,11 +172,6 @@ impl PrefixTrie {
         self.nodes.len()
     }
 
-    /// The input-symbol interner: encode once, then walk the trie by id.
-    pub fn input_interner(&self) -> &Interner {
-        &self.inputs
-    }
-
     /// Encodes an input word against this trie's interner, minting ids for
     /// fresh symbols.  The returned [`IWord`] can be used with the `_ids`
     /// entry points for string-free lookups and inserts.

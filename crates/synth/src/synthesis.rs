@@ -114,7 +114,6 @@ pub struct Synthesizer {
     register_names: Vec<String>,
     field_names: Vec<String>,
     initial_registers: Vec<i64>,
-    config: SolverConfig,
 }
 
 impl Synthesizer {
@@ -136,14 +135,7 @@ impl Synthesizer {
             register_names,
             field_names,
             initial_registers,
-            config: SolverConfig::default(),
         }
-    }
-
-    /// Overrides the solver budget.
-    pub fn with_config(mut self, config: SolverConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Runs synthesis once over the given positive/negative traces.
@@ -157,7 +149,7 @@ impl Synthesizer {
             skeleton,
             &self.domain,
             self.initial_registers.clone(),
-            self.config,
+            SolverConfig::default(),
         );
         let solution = solver.solve(positives, negatives)?;
         Ok(self.assemble(skeleton, &solution, positives.len(), negatives.len(), 0))
@@ -182,7 +174,7 @@ impl Synthesizer {
                 skeleton,
                 &self.domain,
                 self.initial_registers.clone(),
-                self.config,
+                SolverConfig::default(),
             );
             let solution = solver.solve(&positives, &[])?;
             let outcome = self.assemble(skeleton, &solution, positives.len(), 0, rounds);
