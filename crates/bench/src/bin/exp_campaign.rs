@@ -1,5 +1,5 @@
 //! E21: DAG-scheduled differential-learning campaign over the shared
-//! engine pool and versioned observation cache
+//! versioned observation cache
 //! ([`prognosis_bench::exp_campaign`]); its live progress line paints on
 //! interactive terminals only.  Merges the stamped `campaign` row into
 //! `BENCH_learning.json` in the current directory; `--quick`, the reduced

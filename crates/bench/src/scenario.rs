@@ -260,9 +260,9 @@ impl Run {
         }
     }
 
-    /// The fastest repeat's wall-clock seconds.
-    pub fn best_wall(&self) -> f64 {
-        self.wall.iter().copied().fold(f64::INFINITY, f64::min)
+    /// The median repeat's wall-clock seconds (the row's `wall_s_p50`).
+    pub fn wall_p50(&self) -> f64 {
+        p50_iqr(&self.wall).0
     }
 
     /// SUL symbols per virtual second.
@@ -306,7 +306,7 @@ impl Run {
             self.learned.stats.membership_queries,
             self.learned.stats.fresh_symbols,
             self.sul_symbols,
-            p50_iqr(&self.wall).0
+            self.wall_p50()
         );
         if let Some(seconds) = self.virtual_seconds {
             line += &format!(", {seconds:.4} virtual s");

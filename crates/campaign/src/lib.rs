@@ -3,8 +3,8 @@
 //! Fleet-scale differential-learning campaigns: turn a
 //! {protocol} × {implementation profile} × {version} × {impairment point}
 //! matrix into a dependency DAG of `Learn` / `Diff` / `PropertyCheck` /
-//! `Report` tasks and execute it over **one shared engine pool** and
-//! **one shared, versioned observation cache**.
+//! `Report` tasks and execute it over **one shared, versioned observation
+//! cache**, each learn task on a session engine of its own.
 //!
 //! * [`dag`] — the generic task graph with validation (duplicate ids,
 //!   dangling/self dependencies and cycles are rejected before any engine
@@ -17,15 +17,15 @@
 //!   instead of corrupting the cache);
 //! * [`runner`] — the executor: task workers drain the ready set (diffs
 //!   and checks fan out as upstream learns complete — no global barrier),
-//!   learn tasks lease session-worker slots from a shared
-//!   [`prognosis_core::engine::EnginePool`], and finished observations
+//!   each learn task runs its own session engine and owns its helper
+//!   threads, and finished observations
 //!   append their deltas to a shared
 //!   [`prognosis_learner::journal::JournalStore`] under a per-path writer
 //!   guard;
 //! * [`report`] — the machine-readable result, assembled in spec order
 //!   with no wall-clock anywhere: the same spec yields a byte-identical
-//!   [`report::CampaignReport::canonical_json`] at any engine size,
-//!   task-worker count or schedule seed;
+//!   [`report::CampaignReport::canonical_json`] at any task-worker count
+//!   or schedule seed;
 //! * [`progress`] — the live one-line status repaint, suppressed when
 //!   stdout is not a TTY.
 

@@ -54,19 +54,10 @@ impl Progress {
         let _ = std::io::stdout().flush();
     }
 
-    /// The campaign-shaped status line: task and engine occupancy.
-    #[allow(clippy::too_many_arguments)]
-    pub fn update_campaign(
-        &self,
-        completed: usize,
-        total: usize,
-        in_flight: usize,
-        queued: usize,
-        busy_slots: usize,
-        total_slots: usize,
-    ) {
+    /// The campaign-shaped status line: task occupancy.
+    pub fn update_campaign(&self, completed: usize, total: usize, in_flight: usize, queued: usize) {
         self.update(&format!(
-            "campaign: {completed}/{total} done · {in_flight} running · {queued} queued · engine {busy_slots}/{total_slots} slots busy"
+            "campaign: {completed}/{total} done · {in_flight} running · {queued} queued"
         ));
     }
 
@@ -85,36 +76,31 @@ impl Progress {
 
 /// An [`EventSink`] that drives a [`Progress`] line from the event
 /// stream itself — the campaign runner no longer paints directly; it
-/// emits `task:start` / `task:done` / lease events and this consumer
+/// emits `task:start` / `task:done` events and this consumer
 /// turns them into the one-line status.  Bench binaries reuse it with
 /// `total_tasks == 0`, where only [`Event::BenchStage`] labels paint.
 #[derive(Debug)]
 pub struct ProgressSink {
     progress: Progress,
     total_tasks: usize,
-    total_slots: usize,
     completed: AtomicUsize,
     in_flight: AtomicUsize,
-    busy_slots: AtomicUsize,
 }
 
 impl ProgressSink {
-    /// A sink painting campaign occupancy over `total_tasks` DAG tasks
-    /// and `total_slots` engine slots.
-    pub fn new(progress: Progress, total_tasks: usize, total_slots: usize) -> Self {
+    /// A sink painting campaign occupancy over `total_tasks` DAG tasks.
+    pub fn new(progress: Progress, total_tasks: usize) -> Self {
         ProgressSink {
             progress,
             total_tasks,
-            total_slots,
             completed: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
-            busy_slots: AtomicUsize::new(0),
         }
     }
 
     /// A sink for experiment binaries: paints only `bench:stage` labels.
     pub fn stages(progress: Progress) -> Self {
-        ProgressSink::new(progress, 0, 0)
+        ProgressSink::new(progress, 0)
     }
 
     /// Whether the underlying line will paint anything.
@@ -135,8 +121,6 @@ impl ProgressSink {
             self.total_tasks,
             in_flight,
             self.total_tasks.saturating_sub(completed + in_flight),
-            self.busy_slots.load(Ordering::Relaxed),
-            self.total_slots,
         );
     }
 }
@@ -151,13 +135,6 @@ impl EventSink for ProgressSink {
             Event::TaskDone { .. } => {
                 self.in_flight.fetch_sub(1, Ordering::Relaxed);
                 self.completed.fetch_add(1, Ordering::Relaxed);
-                self.paint_campaign();
-            }
-            Event::LeaseAcquire { free, .. } | Event::LeaseRelease { free } => {
-                self.busy_slots.store(
-                    self.total_slots.saturating_sub(*free as usize),
-                    Ordering::Relaxed,
-                );
                 self.paint_campaign();
             }
             Event::BenchStage { label } => self.progress.update(label),
@@ -175,31 +152,27 @@ mod tests {
         let p = Progress::forced(false);
         assert!(!p.enabled());
         p.update("anything");
-        p.update_campaign(1, 9, 2, 6, 4, 8);
+        p.update_campaign(1, 9, 2, 6);
         p.finish();
     }
 
     #[test]
     fn progress_sink_tracks_occupancy_without_painting() {
-        let sink = ProgressSink::new(Progress::forced(false), 4, 2);
+        let sink = ProgressSink::new(Progress::forced(false), 4);
         assert!(!sink.enabled());
         sink.emit(&Event::TaskStart {
             id: "learn:a".to_string(),
         });
-        sink.emit(&Event::LeaseAcquire { slots: 2, free: 0 });
         assert_eq!(sink.in_flight.load(Ordering::Relaxed), 1);
-        assert_eq!(sink.busy_slots.load(Ordering::Relaxed), 2);
         sink.emit(&Event::TaskDone {
             id: "learn:a".to_string(),
             ok: true,
         });
-        sink.emit(&Event::LeaseRelease { free: 2 });
         sink.emit(&Event::BenchStage {
             label: "stage".to_string(),
         });
         assert_eq!(sink.completed.load(Ordering::Relaxed), 1);
         assert_eq!(sink.in_flight.load(Ordering::Relaxed), 0);
-        assert_eq!(sink.busy_slots.load(Ordering::Relaxed), 0);
         sink.finish();
     }
 

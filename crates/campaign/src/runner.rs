@@ -1,19 +1,18 @@
-//! The campaign executor: one shared engine pool, one shared versioned
-//! observation cache, and a pool of task workers draining the DAG's ready
-//! set.
+//! The campaign executor: one shared versioned observation cache and a
+//! pool of task workers draining the DAG's ready set.
 //!
-//! Learn tasks lease session-worker slots from the shared
-//! [`EnginePool`] (several cells learn concurrently on one set of engine
-//! threads); diff and property-check tasks fan out the moment their
-//! upstream learns complete — there is no global barrier between "all
-//! learns" and "all diffs".  Determinism: every task's *inputs* are fixed
+//! Each learn task runs its own session engine (worker 0 on the task's
+//! thread, `learn.workers − 1` helper threads the engine owns), so
+//! concurrent cells share no engine state; diff and property-check tasks
+//! fan out the moment their upstream learns complete — there is no
+//! global barrier between "all learns" and "all diffs".  Determinism: every task's *inputs* are fixed
 //! by the spec (a cell's warm observations come from a snapshot of the
 //! shared store taken at campaign start plus its declared baseline's
 //! finished trie — never from whichever unrelated cell happened to finish
 //! first), every task's *outputs* are schedule-independent (the learning
 //! pipeline's worker-count invariance), and the report is assembled in
-//! spec order.  Re-running the same spec at any engine size, task-worker
-//! count or schedule seed yields byte-identical models, diffs and stats.
+//! spec order.  Re-running the same spec at any task-worker count or
+//! schedule seed yields byte-identical models, diffs and stats.
 
 use crate::progress::{Progress, ProgressSink};
 use crate::report::{model_digest, CampaignReport, CellReport, CheckReport};
@@ -22,7 +21,6 @@ use prognosis_analysis::model_diff::{diff_models, ModelDiff};
 use prognosis_analysis::properties::check_property;
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::InputWord;
-use prognosis_core::engine::EnginePool;
 use prognosis_core::net_transport::{LinkConfig, NetworkedSessionFactory};
 use prognosis_core::pipeline::{
     learn_model_parallel_seeded_with_events, LearnConfig, LearnError, SeededLearnOutcome,
@@ -44,13 +42,9 @@ use std::sync::{Condvar, Mutex};
 /// these knobs may change the report).
 #[derive(Clone)]
 pub struct RunnerConfig {
-    /// Threads in the shared engine pool, which hosts the learn tasks'
-    /// helper workers (worker 0 of each learn runs on its task's thread).
-    /// Clamped up to the per-cell `learn.workers − 1`, so a single learn
-    /// task can always assemble a lease, and to at least one.
-    pub engine_threads: usize,
-    /// Concurrent campaign tasks (each learn task additionally leases
-    /// `learn.workers − 1` engine slots while it runs).
+    /// Concurrent campaign tasks.  A learn task's engine runs worker 0 on
+    /// the task's thread plus `learn.workers − 1` helper threads, so at
+    /// most `task_workers × learn.workers` threads learn at once.
     pub task_workers: usize,
     /// Seed permuting which ready task a free worker picks next — the
     /// schedule-independence proptest varies this to shake out ordering
@@ -59,18 +53,17 @@ pub struct RunnerConfig {
     /// Whether to drive the live progress line (still suppressed when
     /// stdout is not a TTY).
     pub progress: bool,
-    /// Structured event sink for the whole campaign: task lifecycle and
-    /// engine-lease diagnostics plus every learn task's full event
-    /// stream (sessions, phases, wire fates).  Concurrent cells share
-    /// the sink; each learn's engine emits its queries' events in its own
-    /// batch-index order.
+    /// Structured event sink for the whole campaign: task lifecycle
+    /// diagnostics plus every learn task's full event stream (sessions,
+    /// phases, wire fates).  Concurrent cells share the sink; each
+    /// learn's engine emits its queries' events in its own batch-index
+    /// order.
     pub events: Option<Arc<dyn EventSink>>,
 }
 
 impl fmt::Debug for RunnerConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunnerConfig")
-            .field("engine_threads", &self.engine_threads)
             .field("task_workers", &self.task_workers)
             .field("schedule_seed", &self.schedule_seed)
             .field("progress", &self.progress)
@@ -82,7 +75,6 @@ impl fmt::Debug for RunnerConfig {
 impl Default for RunnerConfig {
     fn default() -> Self {
         RunnerConfig {
-            engine_threads: 4,
             task_workers: 2,
             schedule_seed: 0,
             progress: true,
@@ -200,7 +192,6 @@ fn link_config(imp: &crate::spec::Impairment) -> LinkConfig {
 
 /// Dispatches one cell's learn to the right monomorphized pipeline call.
 fn learn_cell(
-    pool: &EnginePool,
     learn: &LearnConfig,
     cell: &CellSpec,
     warm: PrefixTrie,
@@ -209,7 +200,6 @@ fn learn_cell(
 ) -> Result<LearnBits, LearnError> {
     let alphabet = cell.effective_alphabet();
     fn go<F>(
-        pool: &EnginePool,
         factory: &F,
         alphabet: &prognosis_automata::alphabet::Alphabet,
         learn: &LearnConfig,
@@ -221,12 +211,11 @@ fn learn_cell(
         F: SessionSulFactory,
         F::Session: Send + 'static,
     {
-        learn_model_parallel_seeded_with_events(pool, factory, alphabet, learn, warm, prime, events)
+        learn_model_parallel_seeded_with_events(factory, alphabet, learn, warm, prime, events)
             .map(extract_bits)
     }
     match (cell.protocol, &cell.impairment) {
         (Protocol::Tcp, None) => go(
-            pool,
             &TcpSulFactory::default(),
             &alphabet,
             learn,
@@ -237,7 +226,7 @@ fn learn_cell(
         (Protocol::Tcp, Some(imp)) => {
             let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), link_config(imp))
                 .with_noise_seed(imp.noise_seed);
-            go(pool, &factory, &alphabet, learn, warm, prime, events)
+            go(&factory, &alphabet, learn, warm, prime, events)
         }
         (Protocol::Quic, impairment) => {
             let profile = cell
@@ -249,11 +238,11 @@ fn learn_cell(
                 factory = factory.with_buggy_retry_client();
             }
             match impairment {
-                None => go(pool, &factory, &alphabet, learn, warm, prime, events),
+                None => go(&factory, &alphabet, learn, warm, prime, events),
                 Some(imp) => {
                     let factory = NetworkedSessionFactory::new(factory, link_config(imp))
                         .with_noise_seed(imp.noise_seed);
-                    go(pool, &factory, &alphabet, learn, warm, prime, events)
+                    go(&factory, &alphabet, learn, warm, prime, events)
                 }
             }
         }
@@ -282,9 +271,8 @@ struct Sched {
     picks: u64,
 }
 
-/// Runs a validated campaign spec to completion over one shared engine
-/// pool and one shared versioned observation cache, returning the
-/// spec-ordered report.
+/// Runs a validated campaign spec to completion over one shared versioned
+/// observation cache, returning the spec-ordered report.
 pub fn run_campaign(
     spec: &CampaignSpec,
     runner: &RunnerConfig,
@@ -302,19 +290,12 @@ pub fn run_campaign(
     }
     let ready: Vec<usize> = (0..total).filter(|&i| remaining_deps[i] == 0).collect();
 
-    // Every learn task leases `learn.workers − 1` helper slots at once; the
-    // pool must be at least that deep or the first lease would wait
-    // forever.
-    let helpers = spec.learn.workers.saturating_sub(1);
-    let pool = EnginePool::new(runner.engine_threads.max(helpers).max(1));
-
     // Observability spine: the caller's sink (if any) and the live
     // progress line both consume one event stream.  The progress line is
     // itself just another sink — the runner no longer paints directly.
     let progress = Arc::new(ProgressSink::new(
         Progress::forced(runner.progress && Progress::stdout().enabled()),
         total,
-        pool.total_slots(),
     ));
     let events: Option<Arc<dyn EventSink>> = {
         let mut sinks: Vec<Arc<dyn EventSink>> = Vec::new();
@@ -330,10 +311,6 @@ pub fn run_campaign(
             _ => Some(Arc::new(Tee::new(sinks))),
         }
     };
-    if let Some(sink) = &events {
-        pool.set_event_sink(Arc::clone(sink));
-    }
-
     // The shared journaled store and its warm-start snapshot: cells read
     // the *snapshot* taken here, never the live store, so what a cell
     // learns cannot depend on which unrelated cell finished first.
@@ -394,11 +371,12 @@ pub fn run_campaign(
                     }
                     None => (Vec::new(), None),
                 };
-                let bits = learn_cell(&pool, &spec.learn, cell, warm, &prime, events.clone())
-                    .map_err(|error| CampaignError::Learn {
+                let bits = learn_cell(&spec.learn, cell, warm, &prime, events.clone()).map_err(
+                    |error| CampaignError::Learn {
                         task: graph.nodes()[task].id.clone(),
                         error,
-                    })?;
+                    },
+                )?;
                 // Divergent cached answers between the baseline's trie and
                 // this cell's own answers are the cross-version regression
                 // findings (left = baseline, right = this cell).
@@ -625,7 +603,6 @@ mod tests {
         let report = run_campaign(
             &spec,
             &RunnerConfig {
-                engine_threads: 2,
                 task_workers: 2,
                 schedule_seed: 1,
                 progress: false,

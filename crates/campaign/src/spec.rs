@@ -239,8 +239,8 @@ pub struct CampaignSpec {
     pub checks: Vec<CheckSpec>,
     /// The per-cell learning configuration (`workers × max_inflight` is
     /// *each* learn task's engine shape: worker 0 runs on the task's
-    /// thread, the other `workers − 1` on slots leased from the shared
-    /// pool; `cache_path`/`warm_start` here are ignored — the campaign's
+    /// thread, the other `workers − 1` on helper threads its engine owns;
+    /// `cache_path`/`warm_start` here are ignored — the campaign's
     /// shared versioned store handles persistence).
     pub learn: LearnConfig,
     /// Maximum distinguishing traces per diff entry (each a shortest

@@ -1,5 +1,5 @@
 //! The campaign determinism contract: the report is a function of the
-//! spec alone.  Engine-pool size, task-worker count and the schedule seed
+//! spec alone.  Task-worker count and the schedule seed
 //! (which permutes the order free workers pick ready tasks, and with it
 //! the completion order of independent tasks) move only wall-clock — the
 //! learned models, diff reports and every per-cell statistic must come
@@ -46,7 +46,7 @@ fn spec() -> CampaignSpec {
         .with_learn(learn)
 }
 
-/// `canonical(2, 1, 0)`: (length, FNV-1a digest of its bytes).
+/// `canonical(1, 0)`: (length, FNV-1a digest of its bytes).
 const CANONICAL: (usize, u64) = (2694, 0xc667_6a2c_c54b_cb9b);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -55,11 +55,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn canonical(engine_threads: usize, task_workers: usize, schedule_seed: u64) -> String {
+fn canonical(task_workers: usize, schedule_seed: u64) -> String {
     run_campaign(
         &spec(),
         &RunnerConfig {
-            engine_threads,
             task_workers,
             schedule_seed,
             progress: false,
@@ -74,15 +73,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     // Permuting completion order (via the schedule seed) and varying the
-    // engine and task-worker counts yields a byte-identical report.
+    // task-worker count yields a byte-identical report.
     #[test]
     fn report_is_schedule_independent(
-        engine_threads in 1usize..4,
         task_workers in 1usize..4,
         schedule_seed in any::<u64>(),
     ) {
-        let reference = canonical(2, 1, 0);
-        let permuted = canonical(engine_threads, task_workers, schedule_seed);
+        let reference = canonical(1, 0);
+        let permuted = canonical(task_workers, schedule_seed);
         prop_assert_eq!(reference, permuted);
     }
 }
@@ -94,7 +92,6 @@ fn reference_run_is_reproducible_and_primes() {
     let a = run_campaign(
         &spec(),
         &RunnerConfig {
-            engine_threads: 2,
             task_workers: 1,
             schedule_seed: 0,
             progress: false,
@@ -102,7 +99,7 @@ fn reference_run_is_reproducible_and_primes() {
         },
     )
     .expect("campaign succeeds");
-    assert_eq!(a.canonical_json(), canonical(2, 1, 0));
+    assert_eq!(a.canonical_json(), canonical(1, 0));
     let v2 = &a.cells[1];
     assert!(v2.primed_words > 0, "the baseline edge primed tcp-v2");
     assert_eq!(v2.learn_misses, 0, "identical behaviour ⇒ full coverage");
@@ -111,6 +108,6 @@ fn reference_run_is_reproducible_and_primes() {
 
 #[test]
 fn reference_report_bytes_are_pinned() {
-    let text = canonical(2, 1, 0);
+    let text = canonical(1, 0);
     assert_eq!((text.len(), fnv1a(text.as_bytes())), CANONICAL);
 }

@@ -27,15 +27,12 @@
 //!   loss, jitter, reordering and duplication apply to in-flight learning
 //!   queries; lost packets resolve to the adapter's timeout symbol at the
 //!   step deadline.
-//! * [`engine`] — the shared engine pool: a standalone, reusable pool of
-//!   helper-worker threads ([`engine::EnginePool`]) that concurrent learn
-//!   tasks lease slots from, so an entire campaign of heterogeneous SULs
-//!   runs over one set of engine threads.
 //! * [`parallel`] — the parallel membership-query engine: a
 //!   [`session::SessionSulFactory`] mints independent query sessions and
 //!   [`parallel::ParallelSulOracle`] runs a session scheduler per worker,
 //!   dealing query `k` of its dispatch stream to worker `k mod N`; worker
-//!   0 runs on the learner's thread and the helpers fork-join each batch.
+//!   0 runs on the learner's thread and workers `1..N` are helper threads
+//!   the engine spawns, owns and joins, which fork-join each batch.
 //!   Models and statistics are identical to a sequential run for any
 //!   `(workers, max_inflight)`, and virtual time repeats run to run.
 //! * [`pipeline`] — end-to-end orchestration: learn a Mealy model of a SUL
@@ -46,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod latency;
 mod memo;
 pub mod net_transport;
@@ -59,7 +55,6 @@ pub mod session;
 pub mod sul;
 pub mod tcp_adapter;
 
-pub use engine::{EngineLease, EnginePool};
 pub use latency::{LatencySul, LatencySulFactory};
 pub use net_transport::{
     LinkConfig, Network, NetworkedSession, NetworkedSessionFactory, WireRequest, WireSul,

@@ -10,7 +10,7 @@
 //! query sessions on its own virtual clock.  Query `k` of the engine's
 //! dispatch stream goes to worker `k mod N` (the count carries across
 //! batches).  A dispatch is a fork-join: each helper worker `1..N`, on
-//! its own pool thread, gets its share over its own mailbox, worker 0
+//! its own thread, gets its share over its own mailbox, worker 0
 //! runs its share on the learner's thread (a dispatch blocks the learner
 //! anyway), and the dispatcher then takes one reply per helper and merges
 //! the answers back in query order.  Every worker sees the same queries
@@ -19,7 +19,6 @@
 //! learned model and every query-cost statistic — are bit-identical to a
 //! sequential run for any `(workers, max_inflight)`.
 
-use crate::engine::{EngineLease, EnginePool};
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
     add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
@@ -34,6 +33,7 @@ use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// One query of a worker's share of the batch being dispatched.
 struct Job {
@@ -51,7 +51,7 @@ struct Job {
 type Answer = (usize, OutputWord, Range<usize>);
 
 /// A helper worker's message to the dispatcher.
-enum Reply<Sn> {
+enum Reply {
     /// The helper's share of one batch, answered: the answers, the events
     /// those queries recorded (empty without an event sink) and the
     /// helper's cumulative counters.
@@ -63,19 +63,19 @@ enum Reply<Sn> {
     /// A session of the helper panicked (the message is the panic
     /// payload); the helper has exited.
     Dead(String),
-    /// The helper's mailbox closed: its sessions and final counters.  Its
-    /// slot is already back in the pool.
-    Finished {
-        sessions: Vec<Sn>,
-        stats: SchedulerStats,
-    },
 }
 
-/// The dispatcher's ends of one helper worker's channels.  Dropping the
-/// mailbox tells the helper to finish.
+/// A helper's sessions and final counters, returned by its thread once
+/// its mailbox closes; `None` when it exited early (a session panicked,
+/// or the dispatcher stopped listening).
+type Finished<Sn> = Option<(Vec<Sn>, SchedulerStats)>;
+
+/// The dispatcher's ends of one helper worker: its channels and its
+/// thread.  Dropping the mailbox tells the helper to finish.
 struct Helper<Sn> {
     mailbox: Sender<VecDeque<Job>>,
-    replies: Receiver<Reply<Sn>>,
+    replies: Receiver<Reply>,
+    thread: JoinHandle<Finished<Sn>>,
 }
 
 /// Cumulative counters of one worker as of its last answered share.
@@ -99,12 +99,10 @@ impl WorkerSnapshot {
 /// time.
 ///
 /// Worker 0 always runs on the calling thread.  Workers `1..N` are helper
-/// threads on an [`EnginePool`]: either a private pool of `N − 1` threads
-/// this oracle constructed for itself ([`ParallelSulOracle::spawn_with`])
-/// or `N − 1` slots leased from a shared pool several concurrent learn
-/// tasks draw on ([`ParallelSulOracle::spawn_on_pool_with_events`], the
-/// campaign shape).  Where the workers run never affects answers or
-/// statistics — everything observable runs on virtual time.
+/// threads the oracle spawns for itself and joins on shutdown or drop, so
+/// concurrent learns (a campaign's cells) share no engine state.  Where
+/// the workers run never affects answers or statistics — everything
+/// observable runs on virtual time.
 pub struct ParallelSulOracle<Sn: SessionSul> {
     /// Worker 0's scheduler, driven on the calling thread; `None` once
     /// the engine has shut down.
@@ -136,11 +134,6 @@ pub struct ParallelSulOracle<Sn: SessionSul> {
     /// is what makes the deterministic stream byte-identical across engine
     /// shapes.
     events: Option<Arc<ScopedSink>>,
-    /// The pool a multi-worker [`ParallelSulOracle::spawn_with`] built for
-    /// its helpers; `None` when they lease slots from a caller's pool, or
-    /// there are none.  Dropped (joining its threads) after the helpers
-    /// have finished.
-    _owned_pool: Option<EnginePool>,
 }
 
 /// The result of shutting the engine down: the session SULs (adapter-side
@@ -170,9 +163,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     /// Builds an engine of `workers` workers, each multiplexing
     /// `max_inflight` sessions minted by `factory` over its own virtual
     /// clock.  Worker 0 runs on the calling thread; the other
-    /// `workers − 1` run on a private [`EnginePool`] of exactly that many
-    /// threads.  Use [`ParallelSulOracle::spawn_on_pool_with_events`] to
-    /// lease helper slots from a shared pool instead.
+    /// `workers − 1` run on helper threads of their own.
     ///
     /// # Panics
     /// Panics when `workers` or `max_inflight` is zero.
@@ -199,67 +190,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
     where
         F: SessionSulFactory<Session = Sn>,
     {
-        let pool = (workers > 1).then(|| EnginePool::new(workers - 1));
-        let mut engine = Self::spawn(
-            pool.as_ref(),
-            factory,
-            workers,
-            max_inflight,
-            sink,
-            diagnostics,
-        );
-        engine._owned_pool = pool;
-        engine
-    }
-
-    /// Builds an engine whose `workers − 1` helper workers run on slots
-    /// leased from `pool`, blocking until that many slots are free; worker
-    /// 0 runs on the calling thread, and a one-worker engine leases
-    /// nothing.  This is how several concurrent learn tasks — possibly
-    /// with different SUL types — share one engine: each task's oracle
-    /// holds its lease for the oracle's lifetime and the slots return to
-    /// the pool on shutdown (or drop), so the pool caps how many helpers
-    /// all tasks run at once.  Engine telemetry flows into `sink` when one
-    /// is given (see [`ParallelSulOracle::spawn_with_events`]).
-    ///
-    /// # Panics
-    /// Panics when `workers` or `max_inflight` is zero, or when
-    /// `workers − 1` exceeds the pool size.
-    pub fn spawn_on_pool_with_events<F>(
-        pool: &EnginePool,
-        factory: &F,
-        workers: usize,
-        max_inflight: usize,
-        sink: Option<Arc<dyn EventSink>>,
-        diagnostics: bool,
-    ) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
-        Self::spawn(
-            Some(pool),
-            factory,
-            workers,
-            max_inflight,
-            sink,
-            diagnostics,
-        )
-    }
-
-    /// Mints every worker's sessions, worker 0 first, and starts workers
-    /// `1..N` on slots leased from `pool` (which only a one-worker engine
-    /// may omit).
-    fn spawn<F>(
-        pool: Option<&EnginePool>,
-        factory: &F,
-        workers: usize,
-        max_inflight: usize,
-        sink: Option<Arc<dyn EventSink>>,
-        diagnostics: bool,
-    ) -> Self
-    where
-        F: SessionSulFactory<Session = Sn>,
-    {
         assert!(workers >= 1, "a parallel oracle needs at least one worker");
         assert!(max_inflight >= 1, "each worker needs at least one session");
         let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
@@ -270,16 +200,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             scheduler_for(sessions, clock, events.clone())
         });
         let local = schedulers.next();
-        let helpers = match pool {
-            Some(pool) if workers > 1 => {
-                let mut lease = pool.lease(workers - 1);
-                schedulers.map(|s| spawn_helper(&mut lease, s)).collect()
-            }
-            _ => {
-                assert_eq!(workers, 1, "helper workers need an engine pool");
-                Vec::new()
-            }
-        };
+        let helpers = schedulers.map(spawn_helper).collect();
         ParallelSulOracle {
             local,
             helpers,
@@ -295,7 +216,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
             },
             flushed_queries: 0,
             events,
-            _owned_pool: None,
         }
     }
 
@@ -354,9 +274,9 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         let local = self.local.take().expect("a live engine has worker 0");
         let stats = local.stats();
         let mut finished = vec![(local.into_sessions(), stats)];
-        for (helper, replies) in close_mailboxes(&mut self.helpers).into_iter().enumerate() {
-            match replies.recv() {
-                Ok(Reply::Finished { sessions, stats }) => finished.push((sessions, stats)),
+        for (helper, parts) in join_helpers(&mut self.helpers).into_iter().enumerate() {
+            match parts {
+                Ok(Some(parts)) => finished.push(parts),
                 _ => {
                     return Err(LearnError::EnginePanicked {
                         message: format!(
@@ -451,7 +371,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
                     self.failed = Some(worker);
                     std::panic::panic_any(LearnError::WorkerPanicked { worker, message });
                 }
-                Ok(Reply::Finished { .. }) | Err(_) => {
+                Err(_) => {
                     self.failed = Some(worker);
                     std::panic::panic_any(helper_vanished(worker));
                 }
@@ -518,24 +438,24 @@ fn helper_vanished(worker: usize) -> LearnError {
 }
 
 /// Closes every helper's mailbox — each finishes its current share, if
-/// any, and then exits — and returns their reply channels, in order.
-fn close_mailboxes<Sn>(helpers: &mut Vec<Helper<Sn>>) -> Vec<Receiver<Reply<Sn>>> {
-    std::mem::take(helpers)
+/// any, and then exits — and joins them all, in order.
+fn join_helpers<Sn>(helpers: &mut Vec<Helper<Sn>>) -> Vec<std::thread::Result<Finished<Sn>>> {
+    let threads: Vec<_> = std::mem::take(helpers)
         .into_iter()
-        .map(|helper| helper.replies)
-        .collect()
+        .map(|helper| helper.thread)
+        .collect();
+    threads.into_iter().map(JoinHandle::join).collect()
 }
 
-/// Starts a helper worker over `scheduler` on one slot of `lease`: it runs
+/// Starts a helper worker over `scheduler` on a thread of its own: it runs
 /// each share its mailbox delivers and replies once per share, until the
 /// mailbox closes or a session panics.
 fn spawn_helper<Sn: SessionSul + Send + 'static>(
-    lease: &mut EngineLease,
     mut scheduler: SessionScheduler<Sn>,
 ) -> Helper<Sn> {
     let (mailbox, shares) = channel::<VecDeque<Job>>();
-    let (reply_tx, replies) = channel::<Reply<Sn>>();
-    lease.submit_worker_releasing(move |slot| {
+    let (reply_tx, replies) = channel::<Reply>();
+    let thread = std::thread::spawn(move || {
         for share in shares {
             let reply = match run_share(&mut scheduler, share) {
                 Ok(answers) => Reply::Answers {
@@ -544,38 +464,29 @@ fn spawn_helper<Sn: SessionSul + Send + 'static>(
                     snapshot: WorkerSnapshot::of(&scheduler),
                 },
                 Err(message) => {
-                    // The panic is not re-raised: the hosting pool thread
-                    // survives to serve later leases.
-                    drop(slot);
+                    // Reported, not re-raised: the dispatcher turns it
+                    // into a `LearnError`.
                     let _ = reply_tx.send(Reply::Dead(message));
-                    return;
+                    return None;
                 }
             };
-            if reply_tx.send(reply).is_err() {
-                return;
-            }
+            reply_tx.send(reply).ok()?;
         }
-        // Slot back first, report second: `shutdown()` returns only after
-        // every helper's report, so callers that joined a run observe its
-        // slots as already free.
         let stats = scheduler.stats();
-        let sessions = scheduler.into_sessions();
-        drop(slot);
-        let _ = reply_tx.send(Reply::Finished { sessions, stats });
+        Some((scheduler.into_sessions(), stats))
     });
-    Helper { mailbox, replies }
+    Helper {
+        mailbox,
+        replies,
+        thread,
+    }
 }
 
 impl<Sn: SessionSul> Drop for ParallelSulOracle<Sn> {
     fn drop(&mut self) {
         // A dropped oracle (e.g. during a panic unwind) must not leak
-        // running helpers: their leased slots only return to the pool once
-        // they finish, so wait for each reply channel to disconnect before
-        // releasing the lease (and, for an owned pool, before the pool's
-        // own Drop joins its threads).
-        for replies in close_mailboxes(&mut self.helpers) {
-            while replies.recv().is_ok() {}
-        }
+        // running helpers: join each, and drop the sessions it returns.
+        drop(join_helpers(&mut self.helpers));
         if let Some(events) = &self.events {
             events.flush();
         }
@@ -669,12 +580,14 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{learn_model_parallel, LearnConfig};
     use crate::session::BlockingSessionFactory;
     use crate::sul::{Sul, SulFactory, SulMembershipOracle};
-    use prognosis_automata::alphabet::Symbol;
+    use prognosis_automata::alphabet::{Alphabet, Symbol};
     use prognosis_automata::known;
     use prognosis_automata::mealy::{MealyMachine, StateId};
     use prognosis_learner::oracle::{AsyncQuery, CancelOutcome};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A factory-friendly SUL backed by a Mealy machine.
     #[derive(Clone)]
@@ -865,8 +778,9 @@ mod tests {
         assert_eq!(shutdown.engine.queries_completed, 12);
     }
 
-    /// A SUL that panics on a poisoned symbol, for the error-path test.
-    struct PanickySul;
+    /// A SUL that panics on a poisoned symbol, for the error-path tests.
+    /// It counts the live instances of its factory.
+    struct PanickySul(Arc<AtomicUsize>);
 
     impl Sul for PanickySul {
         fn step(&mut self, input: &Symbol) -> Symbol {
@@ -877,13 +791,27 @@ mod tests {
         fn reset(&mut self) {}
     }
 
-    struct PanickySulFactory;
+    impl Drop for PanickySul {
+        fn drop(&mut self) {
+            // Slow off the test's (named) thread, so a drop that leaves a
+            // helper to finish on its own loses the race to the count.
+            if std::thread::current().name().is_none() {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Mints [`PanickySul`]s; its counter is their live count.
+    #[derive(Default)]
+    struct PanickySulFactory(Arc<AtomicUsize>);
 
     impl SulFactory for PanickySulFactory {
         type Sul = PanickySul;
 
         fn create(&self) -> PanickySul {
-            PanickySul
+            self.0.fetch_add(1, Ordering::SeqCst);
+            PanickySul(Arc::clone(&self.0))
         }
     }
 
@@ -905,7 +833,7 @@ mod tests {
         // worker 1 of a (2, _) engine on a helper thread.  The poisoned
         // word's batch index picks the worker that dies.
         for (workers, inflight, poisoned_at) in [(1, 1, 1), (1, 4, 1), (2, 1, 1), (2, 1, 0)] {
-            let factory = BlockingSessionFactory(PanickySulFactory);
+            let factory = BlockingSessionFactory(PanickySulFactory::default());
             let sink = Arc::new(FlushCounter::default());
             let mut parallel = ParallelSulOracle::spawn_with_events(
                 &factory,
@@ -939,7 +867,7 @@ mod tests {
 
     #[test]
     fn a_dead_inline_worker_fails_later_batches_and_shutdown() {
-        let factory = BlockingSessionFactory(PanickySulFactory);
+        let factory = BlockingSessionFactory(PanickySulFactory::default());
         let mut parallel = ParallelSulOracle::spawn_with(&factory, 1, 1);
         let poisoned = vec![InputWord::from_symbols(["poison"])];
         let first = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -959,5 +887,33 @@ mod tests {
             parallel.shutdown(),
             Err(LearnError::WorkerPanicked { worker: 0, .. })
         ));
+    }
+
+    #[test]
+    fn dropping_an_engine_joins_its_helpers_and_drops_every_session() {
+        let factory = BlockingSessionFactory(PanickySulFactory::default());
+        let live = Arc::clone(&factory.0 .0);
+        let mut parallel = ParallelSulOracle::spawn_with(&factory, 3, 4);
+        assert_eq!(live.load(Ordering::SeqCst), 3 * 4);
+        parallel.query_batch(&vec![InputWord::from_symbols(["fine"]); 7]);
+        drop(parallel); // no shutdown()
+        assert_eq!(live.load(Ordering::SeqCst), 0, "a helper outlived drop");
+
+        // A session panics mid-batch: by the time the learn returns its
+        // error, the engine and every session of every worker are gone.
+        let alphabet = Alphabet::from_symbols(["fine", "poison"]);
+        let config = LearnConfig::default().with_workers(3).with_max_inflight(4);
+        let error = learn_model_parallel(&factory, &alphabet, config)
+            .err()
+            .expect("the poisoned SUL fails the learn");
+        assert!(
+            matches!(error, LearnError::WorkerPanicked { .. }),
+            "{error}"
+        );
+        assert_eq!(
+            live.load(Ordering::SeqCst),
+            0,
+            "a helper outlived the error"
+        );
     }
 }

@@ -12,7 +12,6 @@
 //! count: the equivalence oracle's word stream depends only on the seed,
 //! and each SUL instance answers each word the same way (§3.2 property 3).
 
-use crate::engine::EnginePool;
 use crate::oracle_table::{HasOracleTable, OracleTable};
 use crate::parallel::{EngineShutdown, ParallelSulOracle};
 use crate::session::{EngineStats, QueryPhase, SessionSul, SessionSulFactory};
@@ -436,10 +435,10 @@ pub struct SeededLearnOutcome<S> {
     pub learn_misses: u64,
 }
 
-/// Campaign-shape learning: runs on a shared [`EnginePool`] with a
-/// caller-supplied warm trie and an explicit set of *priming* words, and
-/// hands the final trie back instead of persisting it — the caller (the
-/// campaign runner's versioned shared cache) owns persistence.
+/// Campaign-shape learning: runs with a caller-supplied warm trie and an
+/// explicit set of *priming* words, and hands the final trie back instead
+/// of persisting it — the caller (the campaign runner's versioned shared
+/// cache) owns persistence.
 ///
 /// `warm` must answer queries exactly as this factory's SULs would (same
 /// cache key — the usual warm-start soundness rule).  `prime` may be any
@@ -452,9 +451,7 @@ pub struct SeededLearnOutcome<S> {
 /// With `sink` set, engine traffic (diagnostics enabled) flows into it:
 /// the campaign runner threads its shared sink through here so every
 /// cell's engine traffic lands in one log.
-#[allow(clippy::too_many_arguments)]
 pub fn learn_model_parallel_seeded_with_events<F>(
-    pool: &EnginePool,
     factory: &F,
     alphabet: &Alphabet,
     config: &LearnConfig,
@@ -466,8 +463,7 @@ where
     F: SessionSulFactory,
     F::Session: Send + 'static,
 {
-    let parallel = ParallelSulOracle::spawn_on_pool_with_events(
-        pool,
+    let parallel = ParallelSulOracle::spawn_with_events(
         factory,
         config.workers.max(1),
         config.max_inflight.max(1),

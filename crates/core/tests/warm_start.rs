@@ -4,7 +4,6 @@
 //! model, for any worker count.  A changed SUL configuration or alphabet
 //! invalidates the key and the run soundly starts cold.
 
-use prognosis_core::engine::EnginePool;
 use prognosis_core::pipeline::{
     learn_model, learn_model_parallel, learn_model_parallel_seeded_with_events, LearnConfig,
 };
@@ -192,7 +191,6 @@ fn partially_warm_learn_appends_what_save_merged_appends() {
     );
     let seed_trie = JournalStore::load_matching(&copy, &key).unwrap();
     let seeded = learn_model_parallel_seeded_with_events(
-        &EnginePool::new(1),
         &TcpSulFactory::default(),
         &tcp_alphabet(),
         &second,

@@ -85,8 +85,6 @@ pub const KNOWN_EVENTS: &[&str] = &[
     "occupancy",
     "task:start",
     "task:done",
-    "lease:acquire",
-    "lease:release",
     "bench:stage",
 ];
 
@@ -393,6 +391,7 @@ mod tests {
     use super::*;
     use crate::rotate::{EventLog, EventLogConfig};
     use crate::{Event, EventSink};
+    use std::collections::BTreeSet;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -556,6 +555,95 @@ mod tests {
         let stats = stats_text(&scan);
         assert!(stats.contains("occupancy"), "{stats}");
         cleanup(&path);
+    }
+
+    /// One instance of every [`Event`] variant.  The exhaustive `match`
+    /// stops compiling when a variant is added, until it is built here.
+    fn every_event() -> Vec<Event> {
+        let (dir, phase, id) = ("up", "construction", "learn:a".to_string());
+        let events = vec![
+            Event::WireSend {
+                rel: 1,
+                dir,
+                packet: 0,
+                bytes: 40,
+            },
+            Event::WireDeliver {
+                rel: 2,
+                dir,
+                packet: 0,
+                bytes: 40,
+            },
+            Event::WireDrop {
+                rel: 3,
+                dir,
+                packet: 1,
+                bytes: 40,
+            },
+            Event::WireDuplicate {
+                rel: 4,
+                dir,
+                packet: 2,
+                copies: 2,
+            },
+            Event::SessionStart { phase, symbols: 3 },
+            Event::SessionDone {
+                phase,
+                symbols: 3,
+                rel: 150,
+            },
+            Event::PhaseEnter { phase, seq: 9 },
+            Event::ClockAdvance {
+                time: 5,
+                advances: 1,
+            },
+            Event::Occupancy {
+                time: 6,
+                phase,
+                batch: 4,
+                busy: 50,
+                worker: 100,
+            },
+            Event::TaskStart { id: id.clone() },
+            Event::TaskDone { id, ok: true },
+            Event::BenchStage {
+                label: "stage".to_string(),
+            },
+        ];
+        let variants: BTreeSet<usize> = events
+            .iter()
+            .map(|event| match event {
+                Event::WireSend { .. } => 0,
+                Event::WireDeliver { .. } => 1,
+                Event::WireDrop { .. } => 2,
+                Event::WireDuplicate { .. } => 3,
+                Event::SessionStart { .. } => 4,
+                Event::SessionDone { .. } => 5,
+                Event::PhaseEnter { .. } => 6,
+                Event::ClockAdvance { .. } => 7,
+                Event::Occupancy { .. } => 8,
+                Event::TaskStart { .. } => 9,
+                Event::TaskDone { .. } => 10,
+                Event::BenchStage { .. } => 11,
+            })
+            .collect();
+        assert_eq!(variants.len(), events.len(), "one instance per variant");
+        events
+    }
+
+    #[test]
+    fn known_events_are_exactly_the_writer_names() {
+        let events = every_event();
+        for event in &events {
+            let mut line = String::new();
+            event.render(&mut line);
+            let parsed = parse_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(parsed.name, event.name());
+        }
+        let names: BTreeSet<&str> = events.iter().map(Event::name).collect();
+        let known: BTreeSet<&str> = KNOWN_EVENTS.iter().copied().collect();
+        assert_eq!(known.len(), KNOWN_EVENTS.len(), "no name listed twice");
+        assert_eq!(known, names);
     }
 
     /// One sound log line, as the writer renders it.

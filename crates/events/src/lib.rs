@@ -5,7 +5,7 @@
 //! `netsim::Network` reports each packet's fate, the session engine
 //! reports session lifecycle / clock advances / occupancy samples, the
 //! learner reports phase transitions, and the campaign runner reports task
-//! and engine-lease activity.  Sinks serialize events qlog-style as JSONL
+//! activity.  Sinks serialize events qlog-style as JSONL
 //! ([`EventLog`] adds size-capped rotation); [`analyze`] reads the logs
 //! back for the `prognosis-events` stats/verify/timeline binary.  [`json`]
 //! is the workspace's one JSON value type, writer and depth-bounded
@@ -156,18 +156,6 @@ pub enum Event {
         /// Whether the task succeeded.
         ok: bool,
     },
-    /// Diagnostic: an engine-pool lease was granted.
-    LeaseAcquire {
-        /// Slots the lease took.
-        slots: u64,
-        /// Free slots remaining after the grant.
-        free: u64,
-    },
-    /// Diagnostic: an engine-pool slot returned to the pool.
-    LeaseRelease {
-        /// Free slots after the return.
-        free: u64,
-    },
     /// Diagnostic: a long-running experiment moved to a new stage (used
     /// by bench binaries to drive the one-line progress repaint).
     BenchStage {
@@ -195,8 +183,6 @@ impl Event {
             Event::Occupancy { .. } => "occupancy",
             Event::TaskStart { .. } => "task:start",
             Event::TaskDone { .. } => "task:done",
-            Event::LeaseAcquire { .. } => "lease:acquire",
-            Event::LeaseRelease { .. } => "lease:release",
             Event::BenchStage { .. } => "bench:stage",
         }
     }
@@ -212,8 +198,6 @@ impl Event {
                 | Event::Occupancy { .. }
                 | Event::TaskStart { .. }
                 | Event::TaskDone { .. }
-                | Event::LeaseAcquire { .. }
-                | Event::LeaseRelease { .. }
                 | Event::BenchStage { .. }
         )
     }
@@ -313,12 +297,6 @@ impl Event {
                 json::escape_into(out, id);
                 let _ = write!(out, "\",\"ok\":{ok}}}");
             }
-            Event::LeaseAcquire { slots, free } => {
-                let _ = write!(out, "\"data\":{{\"slots\":{slots},\"free\":{free}}}");
-            }
-            Event::LeaseRelease { free } => {
-                let _ = write!(out, "\"data\":{{\"free\":{free}}}");
-            }
             Event::BenchStage { label } => {
                 out.push_str("\"data\":{\"label\":\"");
                 json::escape_into(out, label);
@@ -346,8 +324,8 @@ fn push_u64(out: &mut String, mut v: u64) {
 }
 
 /// Where events go.  Implementations must tolerate concurrent `emit`
-/// calls (the campaign runner and engine pool share one sink across
-/// threads); ordering between concurrent emitters is whatever the sink's
+/// calls (the campaign runner and its concurrent learns share one sink
+/// across threads); ordering between concurrent emitters is whatever the sink's
 /// internal lock yields.
 pub trait EventSink: Send + Sync {
     /// Consume one event.

@@ -18,7 +18,7 @@
 //!   nondeterminism check, protocol bindings and the learning pipeline.
 //! * [`analysis`] — model diffing, property checking and reports.
 //! * [`campaign`] — DAG-scheduled differential-learning campaigns over a
-//!   shared engine pool and versioned observation cache.
+//!   shared versioned observation cache.
 //! * [`events`] — the streaming event-log spine: `EventSink`, rotating
 //!   JSONL `EventLog` writer, and log analysis.
 //!
