@@ -269,10 +269,10 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
                 // The step is over at its deadline, or as soon as nothing
                 // addressed to this session is on the wire any more (a lost
                 // request quiesces immediately — the timeout symbol needs
-                // no virtual waiting, its fate is already decided).
-                let quiescent = outbox.is_empty()
-                    && net.in_flight_to(self.client_port) == 0
-                    && net.in_flight_to(self.server_port) == 0;
+                // no virtual waiting, its fate is already decided).  One
+                // pass over the wire answers both that and the wake-up.
+                let next_delivery = net.next_delivery_to(&[self.client_port, self.server_port]);
+                let quiescent = outbox.is_empty() && next_delivery.is_none();
                 if now >= deadline || quiescent {
                     if !quiescent {
                         // The step gave up with packets still on the wire
@@ -285,17 +285,12 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
                     drop(net);
                     return SessionPoll::Ready(self.sul.finish_step());
                 }
-                let mut wake_at = deadline;
-                for (ready_at, _, _) in &outbox {
-                    wake_at = wake_at.min(*ready_at);
-                }
-                if let Some(at) = net.next_delivery_to(self.client_port) {
-                    wake_at = wake_at.min(at);
-                }
-                if let Some(at) = net.next_delivery_to(self.server_port) {
-                    wake_at = wake_at.min(at);
-                }
                 drop(net);
+                let wake_at = outbox
+                    .iter()
+                    .map(|(ready_at, _, _)| *ready_at)
+                    .chain(next_delivery)
+                    .fold(deadline, SimTime::min);
                 self.state = StepState::Awaiting { deadline, outbox };
                 SessionPoll::Pending { wake_at }
             }

@@ -113,7 +113,7 @@ impl SessionSulFactory for QuicSulFactory {
 /// spells.
 type PacketKind = (PacketType, u32);
 
-fn packet_kind(packet: &Packet) -> PacketKind {
+fn packet_kind(packet: &Packet<'_>) -> PacketKind {
     let frames = packet
         .frames
         .iter()
@@ -126,7 +126,7 @@ fn packet_kind(packet: &Packet) -> PacketKind {
 /// The QUIC system under learning: one implementation profile + the adapter.
 pub struct QuicSul {
     server: QuicServer,
-    client: ReferenceQuicClient,
+    adapter: Adapter,
     /// Rendering of the profile + seed this SUL was built from, kept for
     /// the cross-run cache key (the pair fully determines query answers;
     /// the reference-client defect flag is folded in at key time because
@@ -137,6 +137,14 @@ pub struct QuicSul {
     /// from RNG state that advances per reset, so its answers depend on
     /// query position — such SULs must opt out of the persistent cache.
     deterministic: bool,
+}
+
+/// The adapter half of a [`QuicSul`]: the reference client, the memos, the
+/// Oracle Table and the step in progress.  It is apart from the server so
+/// a step can absorb the server's flight while the flight borrows the
+/// server.
+struct Adapter {
+    client: ReferenceQuicClient,
     oracle: OracleTable,
     stats: SulStats,
     /// Input symbol → parsed (packet type, frame types); `None` when the
@@ -155,7 +163,7 @@ pub struct QuicSul {
     input_fields: Vec<i64>,
     replies: Vec<(usize, Range<usize>)>,
     reply_fields: Vec<i64>,
-    /// Scratch for [`QuicSul::record`]: the sorted kind ids and fields.
+    /// Scratch for [`Adapter::record`]: the sorted kind ids and fields.
     output_kinds: Vec<usize>,
     output_fields: Vec<i64>,
 }
@@ -169,33 +177,35 @@ impl QuicSul {
         QuicSul {
             server: QuicServer::new(profile, seed),
             deterministic,
-            client: ReferenceQuicClient::new(seed ^ 0xADA9, 40_000),
+            adapter: Adapter {
+                client: ReferenceQuicClient::new(seed ^ 0xADA9, 40_000),
+                oracle: OracleTable::new(),
+                stats: SulStats::default(),
+                inputs: Memo::default(),
+                kinds: Memo::default(),
+                outputs: Memo::default(),
+                silence: Symbol::new("{}"),
+                wire_input: None,
+                input_fields: Vec::new(),
+                replies: Vec::new(),
+                reply_fields: Vec::new(),
+                output_kinds: Vec::new(),
+                output_fields: Vec::new(),
+            },
             identity,
-            oracle: OracleTable::new(),
-            stats: SulStats::default(),
-            inputs: Memo::default(),
-            kinds: Memo::default(),
-            outputs: Memo::default(),
-            silence: Symbol::new("{}"),
-            wire_input: None,
-            input_fields: Vec::new(),
-            replies: Vec::new(),
-            reply_fields: Vec::new(),
-            output_kinds: Vec::new(),
-            output_fields: Vec::new(),
         }
     }
 
     /// Enables the Issue-3 reference-implementation defect (the post-Retry
     /// Initial is sent from a fresh ephemeral port).
     pub fn with_buggy_retry_client(mut self) -> Self {
-        self.client.rebind_on_retry = true;
+        self.adapter.client.rebind_on_retry = true;
         self
     }
 
     /// The Oracle Table accumulated so far.
     pub fn oracle_table(&self) -> &OracleTable {
-        &self.oracle
+        &self.adapter.oracle
     }
 
     /// The server (for white-box assertions in tests and experiments).
@@ -203,10 +213,33 @@ impl QuicSul {
         &self.server
     }
 
+    /// One step on the virtual clock: the abstract output plus the instant
+    /// the server's response flight is ready (`now` when nothing was sent).
+    /// Both [`Sul::step`] and [`TimedSul::step_at`] funnel through here, so
+    /// the two paths answer identically by construction.  The request and
+    /// the replies go from buffer to buffer without a copy.
+    fn step_timed(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
+        let adapter = &mut self.adapter;
+        adapter.stats.symbols_sent += 1;
+        // Building a request never rebinds the client's port.
+        let port = adapter.client.source_port();
+        let Some(request) = adapter.concretize(input) else {
+            return (adapter.record_silence(input), now);
+        };
+        let (flight, ready_at) = self.server.handle_datagram_at(request, port, now);
+        for datagram in flight.iter() {
+            adapter.absorb(datagram);
+        }
+        (adapter.record(input), ready_at)
+    }
+}
+
+impl Adapter {
     /// Starts a step: builds the request for `input` from its memoised
-    /// parsed form and keeps its fields, or returns `None` when the symbol
-    /// does not parse or names a frame the client cannot build.
-    fn concretize(&mut self, input: &Symbol) -> Option<Bytes> {
+    /// parsed form, keeps its fields and returns its datagram, or returns
+    /// `None` when the symbol does not parse or names a frame the client
+    /// cannot build.
+    fn concretize(&mut self, input: &Symbol) -> Option<&[u8]> {
         self.input_fields.clear();
         self.replies.clear();
         self.reply_fields.clear();
@@ -214,24 +247,24 @@ impl QuicSul {
             ReferenceQuicClient::parse_abstract(input.as_str()).ok()
         });
         let (packet_type, frames) = parsed.as_ref()?;
-        let (request, wire) = self.client.concretize_parsed(*packet_type, frames).ok()?;
+        self.client.concretize_parsed(*packet_type, frames).ok()?;
         self.stats.concrete_packets_sent += 1;
-        numeric_fields_into(&request, &mut self.input_fields);
-        Some(wire)
+        numeric_fields_into(self.client.request_frames(), &mut self.input_fields);
+        Some(self.client.request_datagram())
     }
 
     /// Absorbs one reply datagram into the step in progress.
-    fn absorb(&mut self, datagram: &Bytes) {
-        let Some(packet) = self.client.absorb(datagram) else {
-            return;
-        };
-        self.stats.concrete_packets_received += 1;
-        let kind = self
-            .kinds
-            .slot(&packet_kind(&packet), || packet.abstract_name());
-        let start = self.reply_fields.len();
-        numeric_fields_into(&packet, &mut self.reply_fields);
-        self.replies.push((kind, start..self.reply_fields.len()));
+    fn absorb(&mut self, datagram: &[u8]) {
+        let (kinds, replies, fields) = (&mut self.kinds, &mut self.replies, &mut self.reply_fields);
+        let absorbed = self.client.absorb(datagram, |packet| {
+            let kind = kinds.slot(&packet_kind(packet), || packet.abstract_name());
+            let start = fields.len();
+            numeric_fields_into(&packet.frames, fields);
+            replies.push((kind, start..fields.len()));
+        });
+        if absorbed.is_some() {
+            self.stats.concrete_packets_received += 1;
+        }
     }
 
     /// Ends the step in progress: abstracts the absorbed replies into one
@@ -270,24 +303,6 @@ impl QuicSul {
         self.oracle.push_step(input, &[], &self.silence, &[]);
         self.silence.clone()
     }
-
-    /// One step on the virtual clock: the abstract output plus the instant
-    /// the server's response flight is ready (`now` when nothing was sent).
-    /// Both [`Sul::step`] and [`TimedSul::step_at`] funnel through here, so
-    /// the two paths answer identically by construction.
-    fn step_timed(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
-        self.stats.symbols_sent += 1;
-        let Some(wire) = self.concretize(input) else {
-            return (self.record_silence(input), now);
-        };
-        let (responses, ready_at) =
-            self.server
-                .handle_datagram_at(&wire, self.client.source_port(), now);
-        for datagram in &responses {
-            self.absorb(datagram);
-        }
-        (self.record(input), ready_at)
-    }
 }
 
 impl Sul for QuicSul {
@@ -296,15 +311,16 @@ impl Sul for QuicSul {
     }
 
     fn reset(&mut self) {
-        self.stats.resets += 1;
-        self.wire_input = None;
-        self.oracle.end_query();
+        let adapter = &mut self.adapter;
+        adapter.stats.resets += 1;
+        adapter.wire_input = None;
+        adapter.oracle.end_query();
+        adapter.client.reset();
         self.server.reset();
-        self.client.reset();
     }
 
     fn stats(&self) -> SulStats {
-        self.stats
+        self.adapter.stats
     }
 
     fn cache_key(&self) -> Option<String> {
@@ -314,7 +330,7 @@ impl Sul for QuicSul {
         self.deterministic.then(|| {
             format!(
                 "{}:rebind_on_retry={}",
-                self.identity, self.client.rebind_on_retry
+                self.identity, self.adapter.client.rebind_on_retry
             )
         })
     }
@@ -331,25 +347,31 @@ impl TimedSul for QuicSul {
     }
 }
 
+/// The networked steps.  Datagrams become [`Bytes`] only here, where they
+/// leave for the simulated network: the request once, and each response
+/// flight once, as one buffer its datagrams share.
 impl WireSul for QuicSul {
     fn wire_request(&mut self, input: &Symbol) -> WireRequest {
-        self.stats.symbols_sent += 1;
-        match self.concretize(input) {
-            None => WireRequest::Immediate(self.record_silence(input)),
-            Some(wire) => {
-                self.wire_input = Some(input.clone());
-                WireRequest::Datagram(wire)
+        let adapter = &mut self.adapter;
+        adapter.stats.symbols_sent += 1;
+        match adapter.concretize(input) {
+            None => WireRequest::Immediate(adapter.record_silence(input)),
+            Some(request) => {
+                let request = Bytes::copy_from_slice(request);
+                adapter.wire_input = Some(input.clone());
+                WireRequest::Datagram(request)
             }
         }
     }
 
     fn wire_source_port(&self, bound: u16) -> u16 {
-        if self.client.rebound() {
+        let client = &self.adapter.client;
+        if client.rebound() {
             // The Issue-3 defect on the netsim wire: the post-Retry
             // Initial leaves from a fresh port, distinct per rebind and
             // kept below the ephemeral range so it can never collide with
             // another session's bound endpoint.
-            1_024 + self.client.source_port() % 16_384
+            1_024 + client.source_port() % 16_384
         } else {
             bound
         }
@@ -361,25 +383,32 @@ impl WireSul for QuicSul {
         source_port: u16,
         now: SimTime,
     ) -> (Vec<Bytes>, SimTime) {
-        self.server.handle_datagram_at(datagram, source_port, now)
+        let (flight, ready_at) = self.server.handle_datagram_at(datagram, source_port, now);
+        if flight.is_empty() {
+            return (Vec::new(), ready_at);
+        }
+        let shared = Bytes::copy_from_slice(flight.as_bytes());
+        let datagrams = flight.ranges().map(|range| shared.slice(range)).collect();
+        (datagrams, ready_at)
     }
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
-        self.absorb(datagram);
+        self.adapter.absorb(datagram);
     }
 
     fn finish_step(&mut self) -> Symbol {
         let input = self
+            .adapter
             .wire_input
             .take()
             .expect("finish_step follows a wire_request that sent a datagram");
-        self.record(&input)
+        self.adapter.record(&input)
     }
 }
 
 impl HasOracleTable for QuicSul {
     fn oracle_table(&self) -> &OracleTable {
-        &self.oracle
+        &self.adapter.oracle
     }
 }
 

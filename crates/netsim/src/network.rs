@@ -317,7 +317,6 @@ impl Network {
         let id = EndpointId(self.endpoints.len());
         self.endpoints.push(Endpoint::new(id, port));
         self.ports.insert(port, id);
-        id.index(); // silence "unused" style concerns in older compilers
         Ok(id)
     }
 
@@ -560,35 +559,28 @@ impl Network {
         }
     }
 
-    /// Number of in-flight datagrams addressed to `port`.
-    pub fn in_flight_to(&self, port: u16) -> usize {
-        self.queue
-            .iter()
-            .filter(|Reverse(d)| d.datagram.destination_port == port)
-            .count()
-    }
-
     /// The earliest scheduled delivery time of an in-flight datagram
-    /// addressed to `port`, if any — the wake-up deadline an event-driven
-    /// session waiting on that port should report.
-    pub fn next_delivery_to(&self, port: u16) -> Option<SimTime> {
+    /// addressed to any of `ports`, if any — the wake-up deadline an
+    /// event-driven session waiting on those ports should report, and
+    /// `None` exactly when nothing addressed to them is in flight.  One
+    /// pass over the queue, however many ports.
+    pub fn next_delivery_to(&self, ports: &[u16]) -> Option<SimTime> {
         self.queue
             .iter()
-            .filter(|Reverse(d)| d.datagram.destination_port == port)
+            .filter(|Reverse(d)| ports.contains(&d.datagram.destination_port))
             .map(|Reverse(d)| d.deliver_at)
             .min()
     }
 
     /// Drops every in-flight datagram addressed to `port`, returning how
     /// many were dropped — the session transport uses this at query
-    /// boundaries so one query's stragglers never leak into the next.
+    /// boundaries so one query's stragglers never leak into the next.  The
+    /// survivors keep their delivery order: the queue orders by
+    /// `(deliver_at, sequence)`, a total order.
     pub fn drop_in_flight_to(&mut self, port: u16) -> usize {
         let before = self.queue.len();
-        let kept: Vec<Reverse<ScheduledDelivery>> = std::mem::take(&mut self.queue)
-            .into_iter()
-            .filter(|Reverse(d)| d.datagram.destination_port != port)
-            .collect();
-        self.queue = kept.into_iter().collect();
+        self.queue
+            .retain(|Reverse(d)| d.datagram.destination_port != port);
         before - self.queue.len()
     }
 }
@@ -800,20 +792,52 @@ mod tests {
         let _c = net.bind(3).unwrap();
         net.send(a, 2, Bytes::from_static(b"x")).unwrap();
         net.send(a, 3, Bytes::from_static(b"y")).unwrap();
-        assert_eq!(net.in_flight_to(2), 1);
-        assert_eq!(net.in_flight_to(3), 1);
-        assert_eq!(net.in_flight_to(9), 0);
+        assert_eq!(net.in_flight(), 2);
         assert_eq!(
-            net.next_delivery_to(2),
+            net.next_delivery_to(&[2]),
             Some(SimTime::from_micros(2_000)),
             "2ms link latency"
         );
-        assert_eq!(net.next_delivery_to(9), None);
+        assert_eq!(net.next_delivery_to(&[9]), None);
+        assert_eq!(
+            net.next_delivery_to(&[9, 3]),
+            Some(SimTime::from_micros(2_000))
+        );
         assert_eq!(net.drop_in_flight_to(2), 1);
+        assert_eq!(net.drop_in_flight_to(9), 0);
         assert_eq!(net.in_flight(), 1, "port 3's datagram survives");
+        assert_eq!(net.next_delivery_to(&[2]), None);
         assert_eq!(net.deliver_due(), 0, "nothing due yet at t=0");
         net.advance(SimDuration::from_millis(2));
         assert_eq!(net.endpoint(_c).unwrap().pending(), 1);
+    }
+
+    #[test]
+    fn dropping_one_port_keeps_the_delivery_order_of_the_rest() {
+        // Jitter reorders the datagrams; dropping port 2's must leave port
+        // 3's in exactly the order they arrive without the drop.
+        let arrivals = |drop: bool| {
+            let link = LinkConfig::with_latency(SimDuration::from_micros(100))
+                .jitter(SimDuration::from_micros(500));
+            let mut net = Network::with_default_link(7, link);
+            let a = net.bind(1).unwrap();
+            let _b = net.bind(2).unwrap();
+            let c = net.bind(3).unwrap();
+            for i in 0..40u8 {
+                net.send(a, 2 + u16::from(i % 2), Bytes::from(vec![i]))
+                    .unwrap();
+            }
+            if drop {
+                assert_eq!(net.drop_in_flight_to(2), 20);
+                assert_eq!(net.next_delivery_to(&[2]), None);
+            }
+            net.deliver_all();
+            let ep = net.endpoint_mut(c).unwrap();
+            std::iter::from_fn(|| ep.receive().map(|d| d.payload[0])).collect::<Vec<_>>()
+        };
+        let kept = arrivals(true);
+        assert_eq!(kept, arrivals(false));
+        assert_ne!(kept, (0..40).filter(|i| i % 2 == 1).collect::<Vec<_>>());
     }
 
     #[test]

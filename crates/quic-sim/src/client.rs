@@ -12,12 +12,16 @@
 //! faithful QUIC-Tracker profile), the post-Retry Initial is sent from a
 //! freshly-bound ephemeral UDP port, so the server's address validation
 //! fails and the handshake can never complete.
+//!
+//! The client reuses its buffers: a request's frames (built over static
+//! payloads) and its datagram, and the buffers it opens responses in, so a
+//! warmed-up client allocates nothing per packet.
 
-use bytes::Bytes;
 use prognosis_quic_wire::connection_id::ConnectionId;
 use prognosis_quic_wire::crypto::{EncryptionLevel, Keys};
 use prognosis_quic_wire::frame::{Frame, FrameType};
-use prognosis_quic_wire::packet::{Packet, PacketHeader, PacketType};
+use prognosis_quic_wire::packet::{Packet, PacketHeader, PacketType, RxBuffers};
+use std::borrow::Cow;
 
 /// Errors raised while concretizing an abstract QUIC symbol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,12 +64,18 @@ pub struct ReferenceQuicClient {
     base_port: u16,
     current_port: u16,
     next_ephemeral: u16,
-    /// Retry token received from the server, echoed in subsequent Initials.
-    retry_token: Option<Bytes>,
+    /// Retry token received from the server, echoed in subsequent
+    /// Initials (empty before any Retry, which encodes the same as none).
+    retry_token: Vec<u8>,
     /// Issue-3 defect: rebind to a fresh port when answering a Retry.
     pub rebind_on_retry: bool,
     /// Whether the server's HANDSHAKE_DONE has been observed.
     handshake_complete: bool,
+    /// The last request's frames and datagram.
+    request_frames: Vec<Frame<'static>>,
+    request_datagram: Vec<u8>,
+    /// Receive buffers, reused from datagram to datagram.
+    rx: RxBuffers,
 }
 
 /// Payload carried in client STREAM frames (per request).
@@ -74,6 +84,8 @@ const CLIENT_STREAM_CHUNK: usize = 50;
 const CLIENT_STREAM_ID: u64 = 0;
 /// The server's response stream (the one we grant credit on).
 const SERVER_STREAM_ID: u64 = 1;
+/// The bytes of every client STREAM frame.
+static CLIENT_STREAM_DATA: [u8; CLIENT_STREAM_CHUNK] = [b'q'; CLIENT_STREAM_CHUNK];
 
 impl ReferenceQuicClient {
     /// Creates a client bound to `port`, with deterministic connection IDs
@@ -93,9 +105,12 @@ impl ReferenceQuicClient {
             base_port: port,
             current_port: port,
             next_ephemeral: 50_000,
-            retry_token: None,
+            retry_token: Vec::new(),
             rebind_on_retry: false,
             handshake_complete: false,
+            request_frames: Vec::new(),
+            request_datagram: Vec::new(),
+            rx: RxBuffers::default(),
         }
     }
 
@@ -132,7 +147,7 @@ impl ReferenceQuicClient {
         self.stream_offset = 0;
         self.granted_stream_data = 200;
         self.current_port = self.base_port;
-        self.retry_token = None;
+        self.retry_token.clear();
         self.handshake_complete = false;
     }
 
@@ -181,14 +196,17 @@ impl ReferenceQuicClient {
         &mut self,
         frame_type: FrameType,
         packet_type: PacketType,
-    ) -> Result<Frame, QuicConcretizeError> {
+    ) -> Result<Frame<'static>, QuicConcretizeError> {
         let frame = match frame_type {
             FrameType::Crypto => {
-                let data = match packet_type {
-                    PacketType::Initial => Bytes::from_static(b"client-hello"),
-                    _ => Bytes::from_static(b"client-finished"),
+                let data: &'static [u8] = match packet_type {
+                    PacketType::Initial => b"client-hello",
+                    _ => b"client-finished",
                 };
-                Frame::Crypto { offset: 0, data }
+                Frame::Crypto {
+                    offset: 0,
+                    data: Cow::Borrowed(data),
+                }
             }
             FrameType::Ack => {
                 let level = match packet_type {
@@ -208,7 +226,7 @@ impl ReferenceQuicClient {
                     stream_id: CLIENT_STREAM_ID,
                     offset: self.stream_offset,
                     fin: false,
-                    data: Bytes::from(vec![b'q'; CLIENT_STREAM_CHUNK]),
+                    data: Cow::Borrowed(&CLIENT_STREAM_DATA),
                 };
                 self.stream_offset += CLIENT_STREAM_CHUNK as u64;
                 f
@@ -228,7 +246,7 @@ impl ReferenceQuicClient {
             FrameType::ConnectionClose => Frame::ConnectionClose {
                 error_code: 0,
                 frame_type: 0,
-                reason: "client close".to_string(),
+                reason: Cow::Borrowed("client close"),
                 application: true,
             },
             other => {
@@ -241,9 +259,11 @@ impl ReferenceQuicClient {
     }
 
     /// Concretizes an abstract request (`γ`): builds and encodes a packet
-    /// that is valid in the current connection state.  Returns the decoded
-    /// packet (for the Oracle Table) together with its wire bytes.
-    pub fn concretize(&mut self, symbol: &str) -> Result<(Packet, Bytes), QuicConcretizeError> {
+    /// that is valid in the current connection state.  The request's frames
+    /// (for the Oracle Table) and its wire bytes are then
+    /// [`ReferenceQuicClient::request_frames`] and
+    /// [`ReferenceQuicClient::request_datagram`].
+    pub fn concretize(&mut self, symbol: &str) -> Result<(), QuicConcretizeError> {
         let (packet_type, frame_types) = Self::parse_abstract(symbol)?;
         self.concretize_parsed(packet_type, &frame_types)
     }
@@ -254,102 +274,121 @@ impl ReferenceQuicClient {
         &mut self,
         packet_type: PacketType,
         frame_types: &[FrameType],
-    ) -> Result<(Packet, Bytes), QuicConcretizeError> {
+    ) -> Result<(), QuicConcretizeError> {
         let level = match packet_type {
             PacketType::Initial | PacketType::ZeroRtt => EncryptionLevel::Initial,
             PacketType::Handshake => EncryptionLevel::Handshake,
             _ => EncryptionLevel::OneRtt,
         };
-        let mut frames = Vec::with_capacity(frame_types.len());
+        self.request_frames.clear();
         for &ft in frame_types {
-            frames.push(self.build_frame(ft, packet_type)?);
+            let frame = self.build_frame(ft, packet_type)?;
+            self.request_frames.push(frame);
         }
         let space = Self::space(level);
         let pn = self.tx_pn[space];
         self.tx_pn[space] += 1;
+        let keys = self.keys(level);
         let header = match packet_type {
-            PacketType::Short => PacketHeader::short(self.initial_dcid.clone(), pn),
+            PacketType::Short => PacketHeader::short(self.initial_dcid, pn),
             PacketType::Initial => {
-                let mut h = PacketHeader::long(
-                    PacketType::Initial,
-                    self.initial_dcid.clone(),
-                    self.scid.clone(),
-                    pn,
-                );
-                if let Some(token) = &self.retry_token {
-                    h = h.with_token(token.clone());
-                }
-                h
+                PacketHeader::long(PacketType::Initial, self.initial_dcid, self.scid, pn)
+                    .with_token(&self.retry_token)
             }
-            other => PacketHeader::long(other, self.initial_dcid.clone(), self.scid.clone(), pn),
+            other => PacketHeader::long(other, self.initial_dcid, self.scid, pn),
         };
-        let packet = Packet::new(header, frames);
-        let wire = packet.encode(&self.keys(level));
-        Ok((packet, wire))
+        self.request_datagram.clear();
+        Packet::encode_frames_into(
+            &header,
+            &self.request_frames,
+            &keys,
+            &mut self.request_datagram,
+        );
+        Ok(())
+    }
+
+    /// The frames of the last concretized request.
+    pub fn request_frames(&self) -> &[Frame<'static>] {
+        &self.request_frames
+    }
+
+    /// The datagram of the last concretized request.
+    pub fn request_datagram(&self) -> &[u8] {
+        &self.request_datagram
     }
 
     /// Absorbs a server datagram (`α` direction): updates acknowledgement
     /// bookkeeping, stores Retry tokens (rebinding the port if the Issue-3
-    /// defect is enabled) and returns the decoded packet, or `None` when the
-    /// datagram cannot be decoded.
-    pub fn absorb(&mut self, datagram: &Bytes) -> Option<Packet> {
-        let (header, _) = Packet::decode_header(datagram).ok()?;
+    /// defect is enabled) and hands the decoded packet to `visit`, whose
+    /// result it returns; `None` when the datagram cannot be decoded.  The
+    /// header is parsed once and the payload opened in the client's reused
+    /// buffers, which the packet borrows for the call.
+    pub fn absorb<R>(
+        &mut self,
+        datagram: &[u8],
+        visit: impl FnOnce(&Packet<'_>) -> R,
+    ) -> Option<R> {
+        let (header, protected) = Packet::decode_header(datagram).ok()?;
         let level = match header.packet_type {
             PacketType::Initial | PacketType::ZeroRtt => EncryptionLevel::Initial,
             PacketType::Handshake => EncryptionLevel::Handshake,
             PacketType::Short => EncryptionLevel::OneRtt,
             PacketType::Retry => {
-                self.retry_token = Some(header.token.clone());
+                self.retry_token.clear();
+                self.retry_token.extend_from_slice(header.token);
                 if self.rebind_on_retry {
                     // The Issue-3 defect: the token will be echoed from a
                     // different UDP port, so address validation fails.
                     self.current_port = self.next_ephemeral;
                     self.next_ephemeral += 1;
                 }
-                return Some(Packet::new(header, vec![]));
+                return Some(visit(&Packet::new(header, Vec::new())));
             }
             PacketType::VersionNegotiation | PacketType::StatelessReset => {
-                return Some(Packet::new(header, vec![]));
+                return Some(visit(&Packet::new(header, Vec::new())));
             }
         };
-        let packet = Packet::decode(datagram, &self.keys(level)).ok()?;
-        let space = Self::space(level);
-        self.largest_rx[space] = Some(
-            self.largest_rx[space].map_or(packet.header.packet_number, |l| {
-                l.max(packet.header.packet_number)
-            }),
-        );
-        if packet
-            .frames
-            .iter()
-            .any(|f| f.frame_type() == FrameType::HandshakeDone)
-        {
-            self.handshake_complete = true;
-        }
-        Some(packet)
+        let keys = self.keys(level);
+        let largest_rx = &mut self.largest_rx[Self::space(level)];
+        let handshake_complete = &mut self.handshake_complete;
+        self.rx
+            .open(header, protected, &keys, |packet| {
+                let pn = packet.header.packet_number;
+                *largest_rx = Some(largest_rx.map_or(pn, |l| l.max(pn)));
+                if packet
+                    .frames
+                    .iter()
+                    .any(|f| f.frame_type() == FrameType::HandshakeDone)
+                {
+                    *handshake_complete = true;
+                }
+                visit(packet)
+            })
+            .ok()
     }
 
     /// Abstracts a packet back into the paper's notation (`α`).
-    pub fn abstract_packet(packet: &Packet) -> String {
+    pub fn abstract_packet(packet: &Packet<'_>) -> String {
         packet.abstract_name()
     }
 }
 
-/// Extracts the numeric fields of interest from a packet, in frame order —
-/// the concrete values stored in the Oracle Table and consumed by the
-/// synthesis module.  For each frame: STREAM → offset, STREAM_DATA_BLOCKED →
-/// maximum stream data (the Issue-4 field), MAX_DATA / MAX_STREAM_DATA →
-/// the limit, ACK → largest acknowledged, CRYPTO → offset.
-pub fn numeric_fields(packet: &Packet) -> Vec<i64> {
+/// Extracts the numeric fields of interest from a packet's frames, in frame
+/// order — the concrete values stored in the Oracle Table and consumed by
+/// the synthesis module.  For each frame: STREAM → offset,
+/// STREAM_DATA_BLOCKED → maximum stream data (the Issue-4 field), MAX_DATA
+/// / MAX_STREAM_DATA → the limit, ACK → largest acknowledged, CRYPTO →
+/// offset.
+pub fn numeric_fields(frames: &[Frame<'_>]) -> Vec<i64> {
     let mut fields = Vec::new();
-    numeric_fields_into(packet, &mut fields);
+    numeric_fields_into(frames, &mut fields);
     fields
 }
 
 /// [`numeric_fields`], appended to `fields` so a caller can reuse one
 /// buffer across packets.
-pub fn numeric_fields_into(packet: &Packet, fields: &mut Vec<i64>) {
-    for frame in &packet.frames {
+pub fn numeric_fields_into(frames: &[Frame<'_>], fields: &mut Vec<i64>) {
+    for frame in frames {
         match frame {
             Frame::Stream { offset, .. } => fields.push(*offset as i64),
             Frame::StreamDataBlocked {
@@ -383,12 +422,11 @@ mod tests {
     ) -> Vec<String> {
         let mut outputs = Vec::new();
         for symbol in inputs {
-            let (_, wire) = client.concretize(symbol).unwrap();
-            let responses = server.handle_datagram(&wire, client.source_port());
+            client.concretize(symbol).unwrap();
+            let responses = server.handle_datagram(client.request_datagram(), client.source_port());
             let mut names: Vec<String> = responses
                 .iter()
-                .filter_map(|d| client.absorb(d))
-                .map(|p| ReferenceQuicClient::abstract_packet(&p))
+                .filter_map(|d| client.absorb(d, ReferenceQuicClient::abstract_packet))
                 .collect();
             names.sort();
             outputs.push(format!("{{{}}}", names.join(",")));
@@ -507,19 +545,17 @@ mod tests {
         let mut client = ReferenceQuicClient::new(11, 40_004);
         // Handshake, then keep asking for data until the server exhausts the
         // 200-byte credit (100 bytes per response) and reports itself blocked.
-        let (_, wire) = client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
-        for d in server.handle_datagram(&wire, client.source_port()) {
-            client.absorb(&d);
-        }
-        let (_, wire) = client.concretize("HANDSHAKE(?,?)[ACK,CRYPTO]").unwrap();
-        for d in server.handle_datagram(&wire, client.source_port()) {
-            client.absorb(&d);
-        }
+        run_query(
+            &mut server,
+            &mut client,
+            &["INITIAL(?,?)[CRYPTO]", "HANDSHAKE(?,?)[ACK,CRYPTO]"],
+        );
         let mut saw_blocked_zero = false;
         for _ in 0..4 {
-            let (_, wire) = client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
-            for d in server.handle_datagram(&wire, client.source_port()) {
-                if let Some(p) = client.absorb(&d) {
+            client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
+            let responses = server.handle_datagram(client.request_datagram(), client.source_port());
+            for d in responses.iter() {
+                client.absorb(d, |p| {
                     for f in &p.frames {
                         if let Frame::StreamDataBlocked {
                             maximum_stream_data,
@@ -533,7 +569,7 @@ mod tests {
                             );
                         }
                     }
-                }
+                });
             }
         }
         assert!(
@@ -556,9 +592,10 @@ mod tests {
         );
         let mut blocked_values = Vec::new();
         for _ in 0..4 {
-            let (_, wire) = client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
-            for d in server.handle_datagram(&wire, client.source_port()) {
-                if let Some(p) = client.absorb(&d) {
+            client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
+            let responses = server.handle_datagram(client.request_datagram(), client.source_port());
+            for d in responses.iter() {
+                client.absorb(d, |p| {
                     for f in &p.frames {
                         if let Frame::StreamDataBlocked {
                             maximum_stream_data,
@@ -568,7 +605,7 @@ mod tests {
                             blocked_values.push(*maximum_stream_data);
                         }
                     }
-                }
+                });
             }
         }
         assert!(!blocked_values.is_empty());
@@ -591,8 +628,8 @@ mod tests {
         let mut resets = 0;
         let mut silences = 0;
         for _ in 0..400 {
-            let (_, wire) = client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
-            let responses = server.handle_datagram(&wire, client.source_port());
+            client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
+            let responses = server.handle_datagram(client.request_datagram(), client.source_port());
             if responses.is_empty() {
                 silences += 1;
             } else {
@@ -621,8 +658,8 @@ mod tests {
         );
         assert_eq!(server.phase(), ServerPhase::Closed);
         for _ in 0..20 {
-            let (_, wire) = client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
-            let responses = server.handle_datagram(&wire, client.source_port());
+            client.concretize("SHORT(?,?)[ACK,STREAM]").unwrap();
+            let responses = server.handle_datagram(client.request_datagram(), client.source_port());
             assert_eq!(
                 responses.len(),
                 1,
@@ -640,18 +677,18 @@ mod tests {
         let mut client = ReferenceQuicClient::new(15, 40_008);
         client.rebind_on_retry = true;
         let original_port = client.source_port();
-        let (_, wire) = client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
-        let responses = server.handle_datagram(&wire, client.source_port());
+        client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
+        let responses = server.handle_datagram(client.request_datagram(), client.source_port());
         assert_eq!(responses.len(), 1);
-        let retry = client.absorb(&responses[0]).unwrap();
-        assert_eq!(retry.header.packet_type, PacketType::Retry);
+        let retry = client.absorb(&responses[0], |p| p.header.packet_type);
+        assert_eq!(retry, Some(PacketType::Retry));
         assert_ne!(
             client.source_port(),
             original_port,
             "the defect rebinds the port"
         );
-        let (_, wire) = client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
-        let responses = server.handle_datagram(&wire, client.source_port());
+        client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
+        let responses = server.handle_datagram(client.request_datagram(), client.source_port());
         assert!(responses.is_empty(), "validation fails: handshake is stuck");
         assert_eq!(server.phase(), ServerPhase::Idle);
     }
@@ -661,17 +698,17 @@ mod tests {
         let mut server = QuicServer::new(ImplementationProfile::quiche().with_retry(), 1);
         let mut client = ReferenceQuicClient::new(16, 40_009);
         client.rebind_on_retry = false;
-        let (_, wire) = client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
-        let responses = server.handle_datagram(&wire, client.source_port());
-        client.absorb(&responses[0]);
-        let (_, wire) = client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
-        let responses = server.handle_datagram(&wire, client.source_port());
+        client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
+        let responses = server.handle_datagram(client.request_datagram(), client.source_port());
+        client.absorb(&responses[0], |_| ());
+        client.concretize("INITIAL(?,?)[CRYPTO]").unwrap();
+        let responses = server.handle_datagram(client.request_datagram(), client.source_port());
         assert!(!responses.is_empty(), "validated handshake proceeds");
-        for d in &responses {
-            client.absorb(d);
+        for d in responses.iter() {
+            client.absorb(d, |_| ());
         }
-        let (_, wire) = client.concretize("HANDSHAKE(?,?)[ACK,CRYPTO]").unwrap();
-        let responses = server.handle_datagram(&wire, client.source_port());
+        client.concretize("HANDSHAKE(?,?)[ACK,CRYPTO]").unwrap();
+        let responses = server.handle_datagram(client.request_datagram(), client.source_port());
         assert!(!responses.is_empty());
         assert_eq!(server.phase(), ServerPhase::Established);
     }
@@ -730,7 +767,7 @@ mod tests {
                     stream_id: 1,
                     offset: 200,
                     fin: false,
-                    data: Bytes::from_static(b"x"),
+                    data: Cow::Borrowed(b"x"),
                 },
                 Frame::StreamDataBlocked {
                     stream_id: 1,
@@ -738,6 +775,6 @@ mod tests {
                 },
             ],
         );
-        assert_eq!(numeric_fields(&p), vec![9, 200, 0]);
+        assert_eq!(numeric_fields(&p.frames), vec![9, 200, 0]);
     }
 }

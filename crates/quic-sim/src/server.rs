@@ -8,16 +8,22 @@
 //! data under the flow-control limits granted by the client, closes the
 //! connection on protocol violations (a client-sent `HANDSHAKE_DONE`), and
 //! applies the profile's defects where the paper found them.
+//!
+//! A datagram's header is parsed once, its payload is opened in place in a
+//! buffer the server reuses, and the response [`Flight`] is encoded into
+//! another reused buffer, so a warmed-up server allocates nothing per
+//! datagram.
 
 use crate::profile::{HandshakeStyle, ImplementationProfile};
-use bytes::Bytes;
 use prognosis_netsim::time::{SimDuration, SimTime};
 use prognosis_quic_wire::connection_id::ConnectionId;
 use prognosis_quic_wire::crypto::{EncryptionLevel, Keys};
 use prognosis_quic_wire::frame::{Frame, FrameType};
-use prognosis_quic_wire::packet::{Packet, PacketHeader, PacketType};
+use prognosis_quic_wire::packet::{Packet, PacketHeader, PacketType, RxBuffers};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::ops::{Index, Range};
 
 /// Connection phase of the server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,6 +37,64 @@ pub enum ServerPhase {
     Established,
     /// Connection closed after a protocol violation or reset.
     Closed,
+}
+
+/// The datagrams the server sends in response to one datagram, back to
+/// back in one buffer the server reuses.
+#[derive(Debug, Default)]
+pub struct Flight {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Flight {
+    /// Number of datagrams.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the server sent nothing.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every datagram, back to back.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Each datagram's range in [`Flight::as_bytes`], in sending order.
+    pub fn ranges(&self) -> impl ExactSizeIterator<Item = Range<usize>> + '_ {
+        (0..self.ends.len()).map(|i| self.range(i))
+    }
+
+    /// The datagrams, in sending order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.ranges().map(|range| &self.bytes[range])
+    }
+
+    fn range(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        start..self.ends[i]
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    fn push(&mut self, header: &PacketHeader<'_>, frames: &[Frame<'_>], keys: &Keys) {
+        Packet::encode_frames_into(header, frames, keys, &mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+}
+
+impl Index<usize> for Flight {
+    type Output = [u8];
+
+    fn index(&self, i: usize) -> &[u8] {
+        &self.bytes[self.range(i)]
+    }
 }
 
 /// The simulated QUIC server.
@@ -57,21 +121,35 @@ pub struct QuicServer {
     sent_stream_offset: u64,
     /// Response data we wanted to send but could not because of the limit.
     blocked_bytes: u64,
-    /// Retry state.
+    /// Retry state; `expected_token` is meaningful once `retry_sent`.
     retry_sent: bool,
-    expected_token: Option<Bytes>,
+    expected_token: Vec<u8>,
     validated_port: Option<u16>,
     /// Largest Initial packet number seen before a Retry, for the Issue-1
     /// packet-number-space-reset check.
     pre_retry_initial_pn: Option<u64>,
     /// Number of datagrams processed since the last reset (statistics).
     datagrams_processed: u64,
+    /// Receive buffers, reused from datagram to datagram.
+    rx: RxBuffers,
+    /// The response flight to the datagram handled last.
+    flight: Flight,
 }
 
 const STREAM_RESPONSE_ID: u64 = 1;
 
 /// Seed for the server's connection ID (fixed so experiments are reproducible).
 const SERVER_CID_SEED: u64 = 0x5EED_5EED_5EED_5EED;
+
+/// `len` bytes of response-stream data (`b'r'`), borrowed from a static run
+/// when it is long enough.
+fn response_data(len: u64) -> Cow<'static, [u8]> {
+    static RUN: [u8; 1024] = [b'r'; 1024];
+    match RUN.get(..len as usize) {
+        Some(run) => Cow::Borrowed(run),
+        None => Cow::Owned(vec![b'r'; len as usize]),
+    }
+}
 
 impl QuicServer {
     /// Creates a server with the given profile and RNG seed (the seed only
@@ -92,10 +170,12 @@ impl QuicServer {
             sent_stream_offset: 0,
             blocked_bytes: 0,
             retry_sent: false,
-            expected_token: None,
+            expected_token: Vec::new(),
             validated_port: None,
             pre_retry_initial_pn: None,
             datagrams_processed: 0,
+            rx: RxBuffers::default(),
+            flight: Flight::default(),
         }
     }
 
@@ -116,9 +196,47 @@ impl QuicServer {
 
     /// Drops all connection state, returning the server to `Idle`
     /// (property (3) of §3.2: the SUL must be resettable between queries).
+    /// The state is reset in place — every field is named, so a new one
+    /// cannot be missed — and the RNG is reseeded from its own next draw,
+    /// exactly as a server built anew with that seed would be.
     pub fn reset(&mut self) {
-        let seed_keep = self.rng.gen::<u64>();
-        *self = QuicServer::new(self.profile.clone(), seed_keep);
+        let QuicServer {
+            profile,
+            rng,
+            phase,
+            scid: _,
+            client_cid,
+            key_material,
+            tx_pn,
+            largest_rx,
+            one_rtt_available,
+            peer_max_stream_data,
+            sent_stream_offset,
+            blocked_bytes,
+            retry_sent,
+            expected_token,
+            validated_port,
+            pre_retry_initial_pn,
+            datagrams_processed,
+            rx: _,
+            flight,
+        } = self;
+        *rng = StdRng::seed_from_u64(rng.gen::<u64>());
+        *phase = ServerPhase::Idle;
+        *client_cid = ConnectionId::empty();
+        *key_material = None;
+        *tx_pn = [0; 3];
+        *largest_rx = [None; 3];
+        *one_rtt_available = false;
+        *peer_max_stream_data = profile.initial_peer_max_stream_data;
+        *sent_stream_offset = 0;
+        *blocked_bytes = 0;
+        *retry_sent = false;
+        expected_token.clear();
+        *validated_port = None;
+        *pre_retry_initial_pn = None;
+        *datagrams_processed = 0;
+        flight.clear();
     }
 
     fn level_for(packet_type: PacketType) -> Option<EncryptionLevel> {
@@ -142,20 +260,21 @@ impl QuicServer {
         self.key_material.map(|m| Keys::derive(m, level))
     }
 
-    fn build(&mut self, packet_type: PacketType, frames: Vec<Frame>) -> Bytes {
+    /// Encodes a packet of `packet_type` carrying `frames` onto the flight.
+    fn send(&mut self, packet_type: PacketType, frames: &[Frame<'_>]) {
         let level = Self::level_for(packet_type).unwrap_or(EncryptionLevel::Initial);
         let space = Self::space(level);
         let pn = self.tx_pn[space];
         self.tx_pn[space] += 1;
         let header = match packet_type {
-            PacketType::Short => PacketHeader::short(self.client_cid.clone(), pn),
-            _ => PacketHeader::long(packet_type, self.client_cid.clone(), self.scid.clone(), pn),
+            PacketType::Short => PacketHeader::short(self.client_cid, pn),
+            _ => PacketHeader::long(packet_type, self.client_cid, self.scid, pn),
         };
         let keys = self.keys(level).unwrap_or_else(|| Keys::derive(0, level));
-        Packet::new(header, frames).encode(&keys)
+        self.flight.push(&header, frames, &keys);
     }
 
-    fn ack_frame(&self, level: EncryptionLevel) -> Frame {
+    fn ack_frame(&self, level: EncryptionLevel) -> Frame<'static> {
         let largest = self.largest_rx[Self::space(level)].unwrap_or(0);
         Frame::Ack {
             largest_acknowledged: largest,
@@ -164,16 +283,17 @@ impl QuicServer {
         }
     }
 
-    fn stateless_reset(&mut self) -> Bytes {
+    fn stateless_reset(&mut self) {
         let header = PacketHeader {
             packet_type: PacketType::StatelessReset,
             version: 0,
-            destination_cid: self.client_cid.clone(),
+            destination_cid: self.client_cid,
             source_cid: ConnectionId::empty(),
-            token: Bytes::new(),
+            token: &[],
             packet_number: 0,
         };
-        Packet::new(header, vec![]).encode(&Keys::derive(0, EncryptionLevel::OneRtt))
+        self.flight
+            .push(&header, &[], &Keys::derive(0, EncryptionLevel::OneRtt));
     }
 
     /// Modeled per-datagram processing time of the server on the virtual
@@ -189,24 +309,33 @@ impl QuicServer {
     /// [`QuicServer::handle_datagram`].
     pub fn handle_datagram_at(
         &mut self,
-        datagram: &Bytes,
+        datagram: &[u8],
         source_port: u16,
         now: SimTime,
-    ) -> (Vec<Bytes>, SimTime) {
-        let responses = self.handle_datagram(datagram, source_port);
-        (responses, now + Self::SERVICE_DELAY)
+    ) -> (&Flight, SimTime) {
+        (
+            self.handle_datagram(datagram, source_port),
+            now + Self::SERVICE_DELAY,
+        )
     }
 
     /// Handles a datagram arriving from `source_port`, returning the
-    /// datagrams the server sends in response (possibly none).
-    pub fn handle_datagram(&mut self, datagram: &Bytes, source_port: u16) -> Vec<Bytes> {
+    /// datagrams the server sends in response (possibly none).  The flight
+    /// is valid until the next call.
+    pub fn handle_datagram(&mut self, datagram: &[u8], source_port: u16) -> &Flight {
+        self.flight.clear();
         self.datagrams_processed += 1;
-        let Ok((header, _)) = Packet::decode_header(datagram) else {
-            return Vec::new();
+        self.receive(datagram, source_port);
+        &self.flight
+    }
+
+    fn receive(&mut self, datagram: &[u8], source_port: u16) {
+        let Ok((header, protected)) = Packet::decode_header(datagram) else {
+            return;
         };
         let Some(level) = Self::level_for(header.packet_type) else {
             // Clients do not legitimately send Retry / VN / stateless resets.
-            return Vec::new();
+            return;
         };
 
         // Once closed, the connection no longer tries to decrypt anything:
@@ -224,21 +353,27 @@ impl QuicServer {
             EncryptionLevel::OneRtt => self.one_rtt_available,
         };
         if !can_process {
-            return Vec::new();
+            return;
         }
 
         // Derive key material from the client's chosen destination CID on
         // first contact, exactly as Initial secrets are derived.
         if self.key_material.is_none() {
             if header.packet_type != PacketType::Initial {
-                return Vec::new();
+                return;
             }
             self.key_material = Some(header.destination_cid.key_material());
         }
         let keys = self.keys(level).expect("key material set above");
-        let Ok(packet) = Packet::decode(datagram, &keys) else {
-            return Vec::new();
-        };
+        // A packet that does not open or decode is ignored.
+        let mut rx = std::mem::take(&mut self.rx);
+        let _ = rx.open(header, protected, &keys, |packet| {
+            self.on_packet(packet, level, source_port)
+        });
+        self.rx = rx;
+    }
+
+    fn on_packet(&mut self, packet: &Packet<'_>, level: EncryptionLevel, source_port: u16) {
         let space = Self::space(level);
         self.largest_rx[space] = Some(
             self.largest_rx[space].map_or(packet.header.packet_number, |l| {
@@ -256,60 +391,49 @@ impl QuicServer {
         }
 
         match (self.phase, packet.header.packet_type) {
-            (ServerPhase::Idle, PacketType::Initial) => {
-                self.on_client_initial(&packet, source_port)
-            }
+            (ServerPhase::Idle, PacketType::Initial) => self.on_client_initial(packet, source_port),
             (ServerPhase::HandshakeStarted, PacketType::Handshake) => {
-                self.on_client_handshake(&packet)
+                self.on_client_handshake(packet)
             }
-            (ServerPhase::HandshakeStarted, PacketType::Initial) => {
-                // Duplicate / reordered Initial: acknowledge, nothing more.
-                Vec::new()
-            }
-            (ServerPhase::Established, PacketType::Short) => self.on_one_rtt(&packet),
-            (ServerPhase::Established, _) => Vec::new(),
-            _ => Vec::new(),
+            (ServerPhase::Established, PacketType::Short) => self.on_one_rtt(packet),
+            // A duplicate / reordered Initial is acknowledged implicitly,
+            // nothing more; everything else is ignored.
+            _ => {}
         }
     }
 
-    fn on_client_initial(&mut self, packet: &Packet, source_port: u16) -> Vec<Bytes> {
+    fn on_client_initial(&mut self, packet: &Packet<'_>, source_port: u16) {
         let has_crypto = packet
             .frames
             .iter()
             .any(|f| f.frame_type() == FrameType::Crypto);
         if !has_crypto {
-            return Vec::new();
+            return;
         }
-        self.client_cid = packet.header.source_cid.clone();
+        self.client_cid = packet.header.source_cid;
 
         if self.profile.supports_retry {
             if !self.retry_sent {
                 // First flight: validate the address with a Retry.
                 self.retry_sent = true;
                 self.pre_retry_initial_pn = Some(packet.header.packet_number);
-                let token = Bytes::from(format!("token-{}-{}", source_port, self.scid));
-                self.expected_token = Some(token.clone());
+                self.expected_token = format!("token-{}-{}", source_port, self.scid).into_bytes();
                 self.validated_port = Some(source_port);
                 // Key material resets with the new connection attempt.
                 self.key_material = None;
-                let header = PacketHeader::long(
-                    PacketType::Retry,
-                    self.client_cid.clone(),
-                    self.scid.clone(),
-                    0,
-                )
-                .with_token(token);
-                let retry =
-                    Packet::new(header, vec![]).encode(&Keys::derive(0, EncryptionLevel::Initial));
-                return vec![retry];
+                let header = PacketHeader::long(PacketType::Retry, self.client_cid, self.scid, 0)
+                    .with_token(&self.expected_token);
+                self.flight
+                    .push(&header, &[], &Keys::derive(0, EncryptionLevel::Initial));
+                return;
             }
             // Post-Retry Initial: the token must match and must arrive from
             // the validated address/port (Issue 3: the tracker client fails
             // this by re-binding to a fresh port).
-            let token_ok = self.expected_token.as_deref() == Some(&packet.header.token[..]);
+            let token_ok = self.expected_token == packet.header.token;
             let port_ok = self.validated_port == Some(source_port);
             if !token_ok || !port_ok {
-                return Vec::new();
+                return;
             }
             // Issue 1: implementations disagree on what to do when the
             // client resets its packet-number space after Retry.
@@ -323,227 +447,213 @@ impl QuicServer {
         }
 
         self.phase = ServerPhase::HandshakeStarted;
-        let mut out = Vec::new();
-        out.push(self.build(
+        self.send(
             PacketType::Initial,
-            vec![
+            &[
                 self.ack_frame(EncryptionLevel::Initial),
                 Frame::Crypto {
                     offset: 0,
-                    data: Bytes::from_static(b"server-hello"),
+                    data: Cow::Borrowed(b"server-hello"),
                 },
             ],
-        ));
-        out.push(self.build(
+        );
+        self.send(
             PacketType::Handshake,
-            vec![Frame::Crypto {
+            &[Frame::Crypto {
                 offset: 0,
-                data: Bytes::from_static(b"encrypted-extensions"),
+                data: Cow::Borrowed(b"encrypted-extensions"),
             }],
-        ));
-        out.push(self.build(
+        );
+        self.send(
             PacketType::Handshake,
-            vec![Frame::Crypto {
+            &[Frame::Crypto {
                 offset: 20,
-                data: Bytes::from_static(b"certificate-finished"),
+                data: Cow::Borrowed(b"certificate-finished"),
             }],
-        ));
+        );
         if self.profile.handshake_style == HandshakeStyle::Google {
             // Google's first flight already carries early application data.
             self.one_rtt_available = true;
-            out.push(self.build(
+            self.send(
                 PacketType::Short,
-                vec![Frame::Stream {
+                &[Frame::Stream {
                     stream_id: STREAM_RESPONSE_ID,
                     offset: 0,
                     fin: false,
-                    data: Bytes::from_static(b"early-data"),
+                    data: Cow::Borrowed(b"early-data"),
                 }],
-            ));
+            );
         }
-        out
     }
 
-    fn on_client_handshake(&mut self, packet: &Packet) -> Vec<Bytes> {
+    fn on_client_handshake(&mut self, packet: &Packet<'_>) {
         let has_crypto = packet
             .frames
             .iter()
             .any(|f| f.frame_type() == FrameType::Crypto);
         if !has_crypto {
-            return Vec::new();
+            return;
         }
         self.phase = ServerPhase::Established;
         self.one_rtt_available = true;
+        let session_ticket = Frame::Crypto {
+            offset: 0,
+            data: Cow::Borrowed(b"session-ticket"),
+        };
         match self.profile.handshake_style {
-            HandshakeStyle::Google => vec![
-                self.build(
-                    PacketType::Short,
-                    vec![Frame::Crypto {
-                        offset: 0,
-                        data: Bytes::from_static(b"session-ticket"),
-                    }],
-                ),
-                self.build(PacketType::Short, vec![Frame::HandshakeDone]),
-            ],
-            HandshakeStyle::Quiche => vec![
-                self.build(
+            HandshakeStyle::Google => {
+                self.send(PacketType::Short, &[session_ticket]);
+                self.send(PacketType::Short, &[Frame::HandshakeDone]);
+            }
+            HandshakeStyle::Quiche => {
+                self.send(
                     PacketType::Handshake,
-                    vec![self.ack_frame(EncryptionLevel::Handshake)],
-                ),
-                self.build(
+                    &[self.ack_frame(EncryptionLevel::Handshake)],
+                );
+                self.send(
                     PacketType::Short,
-                    vec![
-                        Frame::Crypto {
-                            offset: 0,
-                            data: Bytes::from_static(b"session-ticket"),
-                        },
+                    &[
+                        session_ticket,
                         Frame::HandshakeDone,
                         Frame::Stream {
                             stream_id: STREAM_RESPONSE_ID,
                             offset: 0,
                             fin: false,
-                            data: Bytes::from_static(b"welcome"),
+                            data: Cow::Borrowed(b"welcome"),
                         },
                     ],
-                ),
-            ],
+                );
+            }
         }
     }
 
-    fn on_one_rtt(&mut self, packet: &Packet) -> Vec<Bytes> {
+    fn on_one_rtt(&mut self, packet: &Packet<'_>) {
         let mut has_stream = false;
         let mut has_flow_update = false;
-        let mut only_ack = true;
         for frame in &packet.frames {
             match frame {
-                Frame::Stream { .. } => {
-                    has_stream = true;
-                    only_ack = false;
-                }
-                Frame::MaxData { maximum } => {
-                    // Connection-level credit is tracked implicitly through
-                    // the stream-level limit in this simulator.
-                    let _ = maximum;
-                    has_flow_update = true;
-                    only_ack = false;
-                }
+                Frame::Stream { .. } => has_stream = true,
+                // Connection-level credit (MAX_DATA) is tracked implicitly
+                // through the stream-level limit in this simulator.
+                Frame::MaxData { .. } => has_flow_update = true,
                 Frame::MaxStreamData { maximum, .. } => {
                     self.peer_max_stream_data = self.peer_max_stream_data.max(*maximum);
                     has_flow_update = true;
-                    only_ack = false;
                 }
-                Frame::Ack { .. } | Frame::Padding => {}
-                _ => only_ack = false,
+                _ => {}
             }
         }
-        if only_ack {
-            return Vec::new();
+        // Nothing but ACKs, PADDING or frames the server does not act on:
+        // no response.
+        if !has_stream && !has_flow_update {
+            return;
         }
 
-        let mut frames = vec![self.ack_frame(EncryptionLevel::OneRtt)];
+        // ACK, then STREAM data and STREAM_DATA_BLOCKED when they apply.
+        let mut frames = [
+            self.ack_frame(EncryptionLevel::OneRtt),
+            Frame::Padding,
+            Frame::Padding,
+        ];
+        let mut len = 1;
         if has_stream {
             // The client sent request data; we owe it `response_chunk` bytes
             // of response on our stream, subject to its flow-control limit.
             self.blocked_bytes += self.profile.response_chunk;
         }
-        if has_stream || has_flow_update {
-            let budget = self
-                .peer_max_stream_data
-                .saturating_sub(self.sent_stream_offset);
-            let to_send = self.blocked_bytes.min(budget);
-            if to_send > 0 {
-                frames.push(Frame::Stream {
-                    stream_id: STREAM_RESPONSE_ID,
-                    offset: self.sent_stream_offset,
-                    fin: false,
-                    data: Bytes::from(vec![b'r'; to_send as usize]),
-                });
-                self.sent_stream_offset += to_send;
-                self.blocked_bytes -= to_send;
-            }
-            if self.blocked_bytes > 0 {
-                // We are blocked: advertise it.  The Google profile ships the
-                // Issue-4 defect here — the field is a leftover placeholder 0.
-                let advertised = if self.profile.stream_data_blocked_constant_zero {
-                    0
-                } else {
-                    self.peer_max_stream_data
-                };
-                frames.push(Frame::StreamDataBlocked {
-                    stream_id: STREAM_RESPONSE_ID,
-                    maximum_stream_data: advertised,
-                });
-            }
+        let budget = self
+            .peer_max_stream_data
+            .saturating_sub(self.sent_stream_offset);
+        let to_send = self.blocked_bytes.min(budget);
+        if to_send > 0 {
+            frames[len] = Frame::Stream {
+                stream_id: STREAM_RESPONSE_ID,
+                offset: self.sent_stream_offset,
+                fin: false,
+                data: response_data(to_send),
+            };
+            len += 1;
+            self.sent_stream_offset += to_send;
+            self.blocked_bytes -= to_send;
         }
-        if frames.len() == 1 && !has_stream && !has_flow_update {
-            return Vec::new();
+        if self.blocked_bytes > 0 {
+            // We are blocked: advertise it.  The Google profile ships the
+            // Issue-4 defect here — the field is a leftover placeholder 0.
+            let advertised = if self.profile.stream_data_blocked_constant_zero {
+                0
+            } else {
+                self.peer_max_stream_data
+            };
+            frames[len] = Frame::StreamDataBlocked {
+                stream_id: STREAM_RESPONSE_ID,
+                maximum_stream_data: advertised,
+            };
+            len += 1;
         }
-        vec![self.build(PacketType::Short, frames)]
+        self.send(PacketType::Short, &frames[..len]);
     }
 
-    fn close_on_violation(&mut self, trigger: PacketType) -> Vec<Bytes> {
+    fn close_on_violation(&mut self, trigger: PacketType) {
         let close = Frame::ConnectionClose {
             error_code: 0x0A, // PROTOCOL_VIOLATION
             frame_type: 0x1E, // HANDSHAKE_DONE
-            reason: "client sent HANDSHAKE_DONE".to_string(),
+            reason: Cow::Borrowed("client sent HANDSHAKE_DONE"),
             application: false,
         };
-        let mut out = Vec::new();
         match (self.phase, trigger) {
             (ServerPhase::Idle, _) | (ServerPhase::HandshakeStarted, PacketType::Initial) => {
-                out.push(self.build(
+                self.send(
                     PacketType::Initial,
-                    vec![self.ack_frame(EncryptionLevel::Initial), close.clone()],
-                ));
+                    &[self.ack_frame(EncryptionLevel::Initial), close.clone()],
+                );
                 if self.phase != ServerPhase::Idle {
-                    out.push(self.build(PacketType::Handshake, vec![close.clone()]));
+                    self.send(PacketType::Handshake, &[close]);
                 }
             }
             (ServerPhase::HandshakeStarted, _) => {
-                out.push(self.build(
+                self.send(
                     PacketType::Handshake,
-                    vec![self.ack_frame(EncryptionLevel::Handshake), close.clone()],
-                ));
+                    &[self.ack_frame(EncryptionLevel::Handshake), close.clone()],
+                );
                 if self.profile.handshake_style == HandshakeStyle::Google && self.one_rtt_available
                 {
-                    out.push(self.build(
+                    self.send(
                         PacketType::Short,
-                        vec![
-                            close.clone(),
+                        &[
+                            close,
                             Frame::Stream {
                                 stream_id: STREAM_RESPONSE_ID,
                                 offset: self.sent_stream_offset,
                                 fin: true,
-                                data: Bytes::new(),
+                                data: Cow::Borrowed(&[]),
                             },
                         ],
-                    ));
+                    );
                 }
             }
             (ServerPhase::Established, _) => {
-                out.push(self.build(
+                self.send(
                     PacketType::Short,
-                    vec![self.ack_frame(EncryptionLevel::OneRtt), close.clone()],
-                ));
+                    &[self.ack_frame(EncryptionLevel::OneRtt), close],
+                );
             }
             (ServerPhase::Closed, _) => {}
         }
         self.phase = ServerPhase::Closed;
-        out
     }
 
     /// What the server does with packets that arrive after the connection
     /// was closed.  Correct implementations answer deterministically; the
     /// mvfst profile answers with a stateless reset only ≈82% of the time
     /// (Issue 2) and stays silent otherwise, with no back-off.
-    fn after_close_response(&mut self) -> Vec<Bytes> {
+    fn after_close_response(&mut self) {
         let p = self.profile.reset_probability_after_close;
         if p >= 1.0 {
             // Deterministic: retransmit the connection close.
             let close = Frame::ConnectionClose {
                 error_code: 0x0A,
                 frame_type: 0x1E,
-                reason: "closed".to_string(),
+                reason: Cow::Borrowed("closed"),
                 application: false,
             };
             let packet_type = if self.one_rtt_available {
@@ -551,12 +661,9 @@ impl QuicServer {
             } else {
                 PacketType::Initial
             };
-            return vec![self.build(packet_type, vec![close])];
-        }
-        if self.rng.gen_bool(p) {
-            vec![self.stateless_reset()]
-        } else {
-            Vec::new()
+            self.send(packet_type, &[close]);
+        } else if self.rng.gen_bool(p) {
+            self.stateless_reset();
         }
     }
 }
@@ -573,8 +680,7 @@ mod tests {
     fn timed_datagram_path_reports_the_service_deadline() {
         let mut server = QuicServer::new(ImplementationProfile::google(), 1);
         let now = SimTime::from_micros(250);
-        let (responses, ready_at) =
-            server.handle_datagram_at(&Bytes::from_static(b"not-a-quic-packet"), 40_000, now);
+        let (responses, ready_at) = server.handle_datagram_at(b"not-a-quic-packet", 40_000, now);
         assert!(responses.is_empty(), "garbage datagrams are ignored");
         assert_eq!(ready_at, now + QuicServer::SERVICE_DELAY);
         assert_eq!(server.datagrams_processed(), 1);

@@ -13,6 +13,9 @@
 //! number) and appends a 4-byte integrity tag; `open` recomputes and checks
 //! the tag, failing exactly when the wrong secret or level is used — the
 //! same external behaviour as a real AEAD, with none of the cryptography.
+//! The packet codec uses the in-place forms, [`Keys::seal_in_place`] and
+//! [`Keys::open_in_place`], so protecting or opening a packet copies no
+//! payload.
 
 use std::fmt;
 
@@ -120,26 +123,48 @@ impl Keys {
         (acc as u32).to_be_bytes()
     }
 
+    /// Protects `buf[payload_start..]` in place: XORs it with the keystream
+    /// and appends the integrity tag, so a packet's header and sealed
+    /// payload share one buffer.
+    ///
+    /// # Panics
+    /// Panics when `payload_start` is past the end of `buf`.
+    pub fn seal_in_place(&self, packet_number: u64, buf: &mut Vec<u8>, payload_start: usize) {
+        let tag = self.tag(packet_number, &buf[payload_start..]);
+        self.apply_keystream(packet_number, &mut buf[payload_start..]);
+        buf.extend_from_slice(&tag);
+    }
+
+    /// Removes protection in place: `buf` holds a sealed payload (keystream
+    /// XOR plus tag) and, on success, is left holding the plaintext.  On
+    /// failure its contents are unspecified.
+    pub fn open_in_place(&self, packet_number: u64, buf: &mut Vec<u8>) -> Result<(), CryptoError> {
+        let body_len = buf
+            .len()
+            .checked_sub(TAG_LEN)
+            .ok_or(CryptoError::Truncated)?;
+        let mut tag = [0; TAG_LEN];
+        tag.copy_from_slice(&buf[body_len..]);
+        buf.truncate(body_len);
+        self.apply_keystream(packet_number, buf);
+        if self.tag(packet_number, buf) != tag {
+            return Err(CryptoError::TagMismatch);
+        }
+        Ok(())
+    }
+
     /// Protects a payload: XOR keystream plus appended integrity tag.
     pub fn seal(&self, packet_number: u64, plaintext: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
         out.extend_from_slice(plaintext);
-        self.apply_keystream(packet_number, &mut out);
-        out.extend_from_slice(&self.tag(packet_number, plaintext));
+        self.seal_in_place(packet_number, &mut out, 0);
         out
     }
 
     /// Removes protection, verifying the integrity tag.
     pub fn open(&self, packet_number: u64, ciphertext: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        if ciphertext.len() < TAG_LEN {
-            return Err(CryptoError::Truncated);
-        }
-        let (body, tag) = ciphertext.split_at(ciphertext.len() - TAG_LEN);
-        let mut plaintext = body.to_vec();
-        self.apply_keystream(packet_number, &mut plaintext);
-        if self.tag(packet_number, &plaintext) != tag {
-            return Err(CryptoError::TagMismatch);
-        }
+        let mut plaintext = ciphertext.to_vec();
+        self.open_in_place(packet_number, &mut plaintext)?;
         Ok(plaintext)
     }
 }
@@ -227,6 +252,24 @@ mod tests {
         sealed[0] ^= 0xFF;
         assert_eq!(keys.open(3, &sealed).unwrap_err(), CryptoError::TagMismatch);
         assert_eq!(keys.open(3, &[1, 2]).unwrap_err(), CryptoError::Truncated);
+    }
+
+    #[test]
+    fn in_place_forms_match_the_copying_ones() {
+        let keys = Keys::derive(77, EncryptionLevel::OneRtt);
+        let mut buf = b"header".to_vec();
+        buf.extend_from_slice(b"payload bytes");
+        keys.seal_in_place(4, &mut buf, 6);
+        assert_eq!(&buf[..6], b"header", "the header stays in the clear");
+        assert_eq!(&buf[6..], &keys.seal(4, b"payload bytes")[..]);
+        let mut sealed = buf[6..].to_vec();
+        keys.open_in_place(4, &mut sealed).unwrap();
+        assert_eq!(sealed, b"payload bytes");
+        let mut short = vec![1, 2, 3];
+        assert_eq!(
+            keys.open_in_place(4, &mut short),
+            Err(CryptoError::Truncated)
+        );
     }
 
     #[test]

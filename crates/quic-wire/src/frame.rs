@@ -7,9 +7,13 @@
 //! stream IDs, flow-control limits) are what the synthesis module recovers
 //! from the Oracle Table — most prominently the `STREAM_DATA_BLOCKED`
 //! `Maximum Stream Data` field at the heart of Issue 4.
+//!
+//! A [`Frame`] borrows its byte fields (`Cow`): a decoded frame points into
+//! the opened payload and a built one usually into static data, so neither
+//! copies them; owned data is for frames whose bytes are computed.
 
-use crate::varint::{read_varint, write_varint, VarIntError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::varint::{read_varint, take, take_array, write_varint, VarIntError};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The twenty draft-29 frame types, by name.
@@ -101,10 +105,10 @@ impl fmt::Display for FrameType {
     }
 }
 
-/// A decoded QUIC frame.
+/// A QUIC frame whose byte fields live for `'a`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
-pub enum Frame {
+pub enum Frame<'a> {
     Padding,
     Ping,
     /// Simplified ACK: a single range ending at `largest_acknowledged`.
@@ -124,16 +128,16 @@ pub enum Frame {
     },
     Crypto {
         offset: u64,
-        data: Bytes,
+        data: Cow<'a, [u8]>,
     },
     NewToken {
-        token: Bytes,
+        token: Cow<'a, [u8]>,
     },
     Stream {
         stream_id: u64,
         offset: u64,
         fin: bool,
-        data: Bytes,
+        data: Cow<'a, [u8]>,
     },
     MaxData {
         maximum: u64,
@@ -160,7 +164,7 @@ pub enum Frame {
     NewConnectionId {
         sequence: u64,
         retire_prior_to: u64,
-        connection_id: Bytes,
+        connection_id: Cow<'a, [u8]>,
         reset_token: [u8; 16],
     },
     RetireConnectionId {
@@ -175,7 +179,7 @@ pub enum Frame {
     ConnectionClose {
         error_code: u64,
         frame_type: u64,
-        reason: String,
+        reason: Cow<'a, str>,
         application: bool,
     },
     HandshakeDone,
@@ -210,7 +214,7 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-impl Frame {
+impl<'a> Frame<'a> {
     /// The frame's type name.
     pub fn frame_type(&self) -> FrameType {
         match self {
@@ -246,18 +250,21 @@ impl Frame {
         )
     }
 
-    /// Encodes the frame onto a buffer.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    /// Appends the frame's encoding to `buf`.
+    ///
+    /// # Panics
+    /// Panics when a numeric field exceeds the varint range (2⁶² − 1).
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         // Frame-type codes follow draft-29 §19.
         match self {
-            Frame::Padding => buf.put_u8(0x00),
-            Frame::Ping => buf.put_u8(0x01),
+            Frame::Padding => buf.push(0x00),
+            Frame::Ping => buf.push(0x01),
             Frame::Ack {
                 largest_acknowledged,
                 ack_delay,
                 first_ack_range,
             } => {
-                buf.put_u8(0x02);
+                buf.push(0x02);
                 write_varint(buf, *largest_acknowledged).unwrap();
                 write_varint(buf, *ack_delay).unwrap();
                 write_varint(buf, 0).unwrap(); // ack range count
@@ -268,7 +275,7 @@ impl Frame {
                 error_code,
                 final_size,
             } => {
-                buf.put_u8(0x04);
+                buf.push(0x04);
                 write_varint(buf, *stream_id).unwrap();
                 write_varint(buf, *error_code).unwrap();
                 write_varint(buf, *final_size).unwrap();
@@ -277,20 +284,20 @@ impl Frame {
                 stream_id,
                 error_code,
             } => {
-                buf.put_u8(0x05);
+                buf.push(0x05);
                 write_varint(buf, *stream_id).unwrap();
                 write_varint(buf, *error_code).unwrap();
             }
             Frame::Crypto { offset, data } => {
-                buf.put_u8(0x06);
+                buf.push(0x06);
                 write_varint(buf, *offset).unwrap();
                 write_varint(buf, data.len() as u64).unwrap();
-                buf.put_slice(data);
+                buf.extend_from_slice(data);
             }
             Frame::NewToken { token } => {
-                buf.put_u8(0x07);
+                buf.push(0x07);
                 write_varint(buf, token.len() as u64).unwrap();
-                buf.put_slice(token);
+                buf.extend_from_slice(token);
             }
             Frame::Stream {
                 stream_id,
@@ -299,18 +306,18 @@ impl Frame {
                 data,
             } => {
                 // OFF and LEN bits always set; FIN bit as requested.
-                buf.put_u8(0x0E | u8::from(*fin));
+                buf.push(0x0E | u8::from(*fin));
                 write_varint(buf, *stream_id).unwrap();
                 write_varint(buf, *offset).unwrap();
                 write_varint(buf, data.len() as u64).unwrap();
-                buf.put_slice(data);
+                buf.extend_from_slice(data);
             }
             Frame::MaxData { maximum } => {
-                buf.put_u8(0x10);
+                buf.push(0x10);
                 write_varint(buf, *maximum).unwrap();
             }
             Frame::MaxStreamData { stream_id, maximum } => {
-                buf.put_u8(0x11);
+                buf.push(0x11);
                 write_varint(buf, *stream_id).unwrap();
                 write_varint(buf, *maximum).unwrap();
             }
@@ -318,18 +325,18 @@ impl Frame {
                 bidirectional,
                 maximum,
             } => {
-                buf.put_u8(if *bidirectional { 0x12 } else { 0x13 });
+                buf.push(if *bidirectional { 0x12 } else { 0x13 });
                 write_varint(buf, *maximum).unwrap();
             }
             Frame::DataBlocked { limit } => {
-                buf.put_u8(0x14);
+                buf.push(0x14);
                 write_varint(buf, *limit).unwrap();
             }
             Frame::StreamDataBlocked {
                 stream_id,
                 maximum_stream_data,
             } => {
-                buf.put_u8(0x15);
+                buf.push(0x15);
                 write_varint(buf, *stream_id).unwrap();
                 write_varint(buf, *maximum_stream_data).unwrap();
             }
@@ -337,7 +344,7 @@ impl Frame {
                 bidirectional,
                 limit,
             } => {
-                buf.put_u8(if *bidirectional { 0x16 } else { 0x17 });
+                buf.push(if *bidirectional { 0x16 } else { 0x17 });
                 write_varint(buf, *limit).unwrap();
             }
             Frame::NewConnectionId {
@@ -346,24 +353,24 @@ impl Frame {
                 connection_id,
                 reset_token,
             } => {
-                buf.put_u8(0x18);
+                buf.push(0x18);
                 write_varint(buf, *sequence).unwrap();
                 write_varint(buf, *retire_prior_to).unwrap();
-                buf.put_u8(connection_id.len() as u8);
-                buf.put_slice(connection_id);
-                buf.put_slice(reset_token);
+                buf.push(connection_id.len() as u8);
+                buf.extend_from_slice(connection_id);
+                buf.extend_from_slice(reset_token);
             }
             Frame::RetireConnectionId { sequence } => {
-                buf.put_u8(0x19);
+                buf.push(0x19);
                 write_varint(buf, *sequence).unwrap();
             }
             Frame::PathChallenge { data } => {
-                buf.put_u8(0x1A);
-                buf.put_slice(data);
+                buf.push(0x1A);
+                buf.extend_from_slice(data);
             }
             Frame::PathResponse { data } => {
-                buf.put_u8(0x1B);
-                buf.put_slice(data);
+                buf.push(0x1B);
+                buf.extend_from_slice(data);
             }
             Frame::ConnectionClose {
                 error_code,
@@ -371,26 +378,24 @@ impl Frame {
                 reason,
                 application,
             } => {
-                buf.put_u8(if *application { 0x1D } else { 0x1C });
+                buf.push(if *application { 0x1D } else { 0x1C });
                 write_varint(buf, *error_code).unwrap();
                 if !application {
                     write_varint(buf, *frame_type).unwrap();
                 }
                 write_varint(buf, reason.len() as u64).unwrap();
-                buf.put_slice(reason.as_bytes());
+                buf.extend_from_slice(reason.as_bytes());
             }
-            Frame::HandshakeDone => buf.put_u8(0x1E),
+            Frame::HandshakeDone => buf.push(0x1E),
         }
     }
 
-    /// Decodes a single frame from the front of `buf`, advancing it.
-    pub fn decode(buf: &mut Bytes) -> Result<Frame, FrameError> {
+    /// Decodes a single frame from the front of `buf`, advancing it.  The
+    /// frame's byte fields borrow from `buf`.
+    pub fn decode(buf: &mut &'a [u8]) -> Result<Frame<'a>, FrameError> {
         let frame_type = read_varint(buf)?;
-        let take_bytes = |buf: &mut Bytes, len: usize| -> Result<Bytes, FrameError> {
-            if buf.remaining() < len {
-                return Err(FrameError::Truncated);
-            }
-            Ok(buf.split_to(len))
+        let take_bytes = |buf: &mut &'a [u8], len: u64| -> Result<&'a [u8], FrameError> {
+            take(buf, len as usize).ok_or(FrameError::Truncated)
         };
         let frame = match frame_type {
             0x00 => Frame::Padding,
@@ -426,16 +431,16 @@ impl Frame {
             },
             0x06 => {
                 let offset = read_varint(buf)?;
-                let len = read_varint(buf)? as usize;
+                let len = read_varint(buf)?;
                 Frame::Crypto {
                     offset,
-                    data: take_bytes(buf, len)?,
+                    data: Cow::Borrowed(take_bytes(buf, len)?),
                 }
             }
             0x07 => {
-                let len = read_varint(buf)? as usize;
+                let len = read_varint(buf)?;
                 Frame::NewToken {
-                    token: take_bytes(buf, len)?,
+                    token: Cow::Borrowed(take_bytes(buf, len)?),
                 }
             }
             0x08..=0x0F => {
@@ -445,17 +450,16 @@ impl Frame {
                 let stream_id = read_varint(buf)?;
                 let offset = if has_offset { read_varint(buf)? } else { 0 };
                 let data = if has_len {
-                    let len = read_varint(buf)? as usize;
+                    let len = read_varint(buf)?;
                     take_bytes(buf, len)?
                 } else {
-                    let rest = buf.remaining();
-                    take_bytes(buf, rest)?
+                    std::mem::take(buf)
                 };
                 Frame::Stream {
                     stream_id,
                     offset,
                     fin,
-                    data,
+                    data: Cow::Borrowed(data),
                 }
             }
             0x10 => Frame::MaxData {
@@ -483,18 +487,13 @@ impl Frame {
             0x18 => {
                 let sequence = read_varint(buf)?;
                 let retire_prior_to = read_varint(buf)?;
-                if buf.remaining() < 1 {
-                    return Err(FrameError::Truncated);
-                }
-                let cid_len = buf.get_u8() as usize;
-                let connection_id = take_bytes(buf, cid_len)?;
-                let token_bytes = take_bytes(buf, 16)?;
-                let mut reset_token = [0u8; 16];
-                reset_token.copy_from_slice(&token_bytes);
+                let [cid_len] = take_array(buf).ok_or(FrameError::Truncated)?;
+                let connection_id = take_bytes(buf, u64::from(cid_len))?;
+                let reset_token = take_array(buf).ok_or(FrameError::Truncated)?;
                 Frame::NewConnectionId {
                     sequence,
                     retire_prior_to,
-                    connection_id,
+                    connection_id: Cow::Borrowed(connection_id),
                     reset_token,
                 }
             }
@@ -502,9 +501,7 @@ impl Frame {
                 sequence: read_varint(buf)?,
             },
             0x1A | 0x1B => {
-                let data_bytes = take_bytes(buf, 8)?;
-                let mut data = [0u8; 8];
-                data.copy_from_slice(&data_bytes);
+                let data = take_array(buf).ok_or(FrameError::Truncated)?;
                 if frame_type == 0x1A {
                     Frame::PathChallenge { data }
                 } else {
@@ -515,12 +512,11 @@ impl Frame {
                 let application = frame_type == 0x1D;
                 let error_code = read_varint(buf)?;
                 let ft = if application { 0 } else { read_varint(buf)? };
-                let len = read_varint(buf)? as usize;
-                let reason_bytes = take_bytes(buf, len)?;
+                let len = read_varint(buf)?;
                 Frame::ConnectionClose {
                     error_code,
                     frame_type: ft,
-                    reason: String::from_utf8_lossy(&reason_bytes).into_owned(),
+                    reason: String::from_utf8_lossy(take_bytes(buf, len)?),
                     application,
                 }
             }
@@ -530,22 +526,32 @@ impl Frame {
         Ok(frame)
     }
 
-    /// Decodes every frame in a payload.
-    pub fn decode_all(mut payload: Bytes) -> Result<Vec<Frame>, FrameError> {
-        let mut frames = Vec::new();
-        while payload.has_remaining() {
+    /// Decodes every frame in a payload, appending them to `frames`.  On
+    /// error `frames` keeps the frames decoded before the bad one.
+    pub fn decode_into(
+        mut payload: &'a [u8],
+        frames: &mut Vec<Frame<'a>>,
+    ) -> Result<(), FrameError> {
+        while !payload.is_empty() {
             frames.push(Frame::decode(&mut payload)?);
         }
+        Ok(())
+    }
+
+    /// Decodes every frame in a payload.
+    pub fn decode_all(payload: &'a [u8]) -> Result<Vec<Frame<'a>>, FrameError> {
+        let mut frames = Vec::new();
+        Frame::decode_into(payload, &mut frames)?;
         Ok(frames)
     }
 
     /// Encodes a list of frames into a payload.
-    pub fn encode_all(frames: &[Frame]) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode_all(frames: &[Frame<'_>]) -> Vec<u8> {
+        let mut buf = Vec::new();
         for frame in frames {
             frame.encode(&mut buf);
         }
-        buf.freeze()
+        buf
     }
 }
 
@@ -553,7 +559,7 @@ impl Frame {
 mod tests {
     use super::*;
 
-    fn sample_frames() -> Vec<Frame> {
+    fn sample_frames() -> Vec<Frame<'static>> {
         vec![
             Frame::Padding,
             Frame::Ping,
@@ -573,16 +579,16 @@ mod tests {
             },
             Frame::Crypto {
                 offset: 0,
-                data: Bytes::from_static(b"client hello"),
+                data: Cow::Borrowed(b"client hello"),
             },
             Frame::NewToken {
-                token: Bytes::from_static(b"tok"),
+                token: Cow::Borrowed(b"tok"),
             },
             Frame::Stream {
                 stream_id: 0,
                 offset: 64,
                 fin: true,
-                data: Bytes::from_static(b"GET /"),
+                data: Cow::Borrowed(b"GET /"),
             },
             Frame::MaxData { maximum: 65_536 },
             Frame::MaxStreamData {
@@ -605,7 +611,7 @@ mod tests {
             Frame::NewConnectionId {
                 sequence: 1,
                 retire_prior_to: 0,
-                connection_id: Bytes::from_static(&[1, 2, 3, 4]),
+                connection_id: Cow::Borrowed(&[1, 2, 3, 4]),
                 reset_token: [7; 16],
             },
             Frame::RetireConnectionId { sequence: 0 },
@@ -618,7 +624,7 @@ mod tests {
             Frame::ConnectionClose {
                 error_code: 0x0A,
                 frame_type: 0x1E,
-                reason: "protocol violation".to_string(),
+                reason: "protocol violation".into(),
                 application: false,
             },
             Frame::HandshakeDone,
@@ -630,7 +636,7 @@ mod tests {
         let frames = sample_frames();
         assert_eq!(frames.len(), 20);
         let encoded = Frame::encode_all(&frames);
-        let decoded = Frame::decode_all(encoded).unwrap();
+        let decoded = Frame::decode_all(&encoded).unwrap();
         assert_eq!(decoded, frames);
     }
 
@@ -675,7 +681,7 @@ mod tests {
         assert!(!Frame::ConnectionClose {
             error_code: 0,
             frame_type: 0,
-            reason: String::new(),
+            reason: "".into(),
             application: true
         }
         .is_ack_eliciting());
@@ -685,7 +691,7 @@ mod tests {
             stream_id: 0,
             offset: 0,
             fin: false,
-            data: Bytes::new()
+            data: Cow::Borrowed(&[])
         }
         .is_ack_eliciting());
     }
@@ -697,9 +703,10 @@ mod tests {
                 stream_id: 8,
                 offset: 0,
                 fin,
-                data: Bytes::from_static(b"d"),
+                data: Cow::Borrowed(b"d"),
             };
-            let decoded = Frame::decode_all(Frame::encode_all(std::slice::from_ref(&f))).unwrap();
+            let encoded = Frame::encode_all(std::slice::from_ref(&f));
+            let decoded = Frame::decode_all(&encoded).unwrap();
             assert_eq!(decoded, vec![f]);
         }
     }
@@ -709,33 +716,33 @@ mod tests {
         let f = Frame::ConnectionClose {
             error_code: 3,
             frame_type: 0,
-            reason: "bye".to_string(),
+            reason: "bye".into(),
             application: true,
         };
-        let decoded = Frame::decode_all(Frame::encode_all(std::slice::from_ref(&f))).unwrap();
+        let encoded = Frame::encode_all(std::slice::from_ref(&f));
+        let decoded = Frame::decode_all(&encoded).unwrap();
         assert_eq!(decoded, vec![f]);
     }
 
     #[test]
     fn decode_errors() {
         // Unknown frame type.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         write_varint(&mut buf, 0x30).unwrap();
         assert!(matches!(
-            Frame::decode_all(buf.freeze()),
+            Frame::decode_all(&buf),
             Err(FrameError::UnknownType(0x30))
         ));
         // Truncated CRYPTO frame (declares more data than present).
-        let mut buf = BytesMut::new();
-        buf.put_u8(0x06);
+        let mut buf = vec![0x06];
         write_varint(&mut buf, 0).unwrap();
         write_varint(&mut buf, 100).unwrap();
-        buf.put_slice(b"short");
-        let err = Frame::decode_all(buf.freeze()).unwrap_err();
+        buf.extend_from_slice(b"short");
+        let err = Frame::decode_all(&buf).unwrap_err();
         assert!(matches!(err, FrameError::Truncated));
         assert!(err.to_string().contains("truncated"));
         // Truncated varint.
-        let err = Frame::decode_all(Bytes::from_static(&[0x02, 0xC0])).unwrap_err();
+        let err = Frame::decode_all(&[0x02, 0xC0]).unwrap_err();
         assert!(matches!(err, FrameError::VarInt(_)));
     }
 }

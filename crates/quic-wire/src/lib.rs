@@ -27,5 +27,5 @@ pub mod varint;
 pub use connection_id::ConnectionId;
 pub use crypto::{EncryptionLevel, Keys};
 pub use frame::{Frame, FrameType};
-pub use packet::{Packet, PacketHeader, PacketType};
+pub use packet::{Packet, PacketHeader, PacketType, RxBuffers};
 pub use varint::{read_varint, write_varint, VarIntError};

@@ -3,8 +3,10 @@
 //! The two most significant bits of the first byte select the encoding
 //! length (1, 2, 4 or 8 bytes); the remaining bits carry the value in
 //! network byte order.  The largest representable value is 2⁶²−1.
+//!
+//! Decoders read from a `&mut &[u8]` cursor, which they advance past what
+//! they consumed; encoders append to a `Vec<u8>`.
 
-use bytes::{Buf, BufMut};
 use std::fmt;
 
 /// Maximum value representable as a QUIC varint (2⁶² − 1).
@@ -42,58 +44,63 @@ pub fn varint_len(value: u64) -> Result<usize, VarIntError> {
 }
 
 /// Appends `value` to `buf` in varint encoding.
-pub fn write_varint(buf: &mut impl BufMut, value: u64) -> Result<(), VarIntError> {
+pub fn write_varint(buf: &mut Vec<u8>, value: u64) -> Result<(), VarIntError> {
     match varint_len(value)? {
-        1 => buf.put_u8(value as u8),
-        2 => buf.put_u16((value as u16) | 0x4000),
-        4 => buf.put_u32((value as u32) | 0x8000_0000),
-        _ => buf.put_u64(value | 0xC000_0000_0000_0000),
+        1 => buf.push(value as u8),
+        2 => buf.extend_from_slice(&((value as u16) | 0x4000).to_be_bytes()),
+        4 => buf.extend_from_slice(&((value as u32) | 0x8000_0000).to_be_bytes()),
+        _ => buf.extend_from_slice(&(value | 0xC000_0000_0000_0000).to_be_bytes()),
     }
     Ok(())
 }
 
 /// Reads a varint from the front of `buf`, advancing it.
-pub fn read_varint(buf: &mut impl Buf) -> Result<u64, VarIntError> {
-    if buf.remaining() < 1 {
-        return Err(VarIntError::Truncated);
-    }
-    let first = buf.chunk()[0];
+pub fn read_varint(buf: &mut &[u8]) -> Result<u64, VarIntError> {
+    let first = *buf.first().ok_or(VarIntError::Truncated)?;
     let len = 1usize << (first >> 6);
-    if buf.remaining() < len {
-        return Err(VarIntError::Truncated);
-    }
-    let value = match len {
-        1 => u64::from(buf.get_u8() & 0x3F),
-        2 => u64::from(buf.get_u16() & 0x3FFF),
-        4 => u64::from(buf.get_u32() & 0x3FFF_FFFF),
-        _ => buf.get_u64() & 0x3FFF_FFFF_FFFF_FFFF,
-    };
+    let bytes = take(buf, len).ok_or(VarIntError::Truncated)?;
+    let value = bytes[1..]
+        .iter()
+        .fold(u64::from(first & 0x3F), |acc, &b| acc << 8 | u64::from(b));
     Ok(value)
+}
+
+/// Splits the first `len` bytes off `buf`, or `None` when it is shorter.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], len: usize) -> Option<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(len)?;
+    *buf = rest;
+    Some(head)
+}
+
+/// Reads a fixed-size big-endian field from the front of `buf`.
+pub(crate) fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::{Bytes, BytesMut};
 
     fn round_trip(value: u64) -> (usize, u64) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         write_varint(&mut buf, value).unwrap();
         let len = buf.len();
-        let mut bytes = buf.freeze();
-        (len, read_varint(&mut bytes).unwrap())
+        (len, read_varint(&mut &buf[..]).unwrap())
     }
 
     #[test]
     fn rfc_9000_appendix_a_examples() {
         // The canonical examples from RFC 9000 Appendix A.1.
-        let mut b = Bytes::from_static(&[0xc2, 0x19, 0x7c, 0x5e, 0xff, 0x14, 0xe8, 0x8c]);
+        let mut b: &[u8] = &[0xc2, 0x19, 0x7c, 0x5e, 0xff, 0x14, 0xe8, 0x8c];
         assert_eq!(read_varint(&mut b).unwrap(), 151_288_809_941_952_652);
-        let mut b = Bytes::from_static(&[0x9d, 0x7f, 0x3e, 0x7d]);
+        assert!(b.is_empty(), "the cursor advances past the varint");
+        let mut b: &[u8] = &[0x9d, 0x7f, 0x3e, 0x7d];
         assert_eq!(read_varint(&mut b).unwrap(), 494_878_333);
-        let mut b = Bytes::from_static(&[0x7b, 0xbd]);
+        let mut b: &[u8] = &[0x7b, 0xbd];
         assert_eq!(read_varint(&mut b).unwrap(), 15_293);
-        let mut b = Bytes::from_static(&[0x25]);
+        let mut b: &[u8] = &[0x25];
         assert_eq!(read_varint(&mut b).unwrap(), 37);
     }
 
@@ -111,7 +118,7 @@ mod tests {
 
     #[test]
     fn errors() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         assert_eq!(
             write_varint(&mut buf, MAX_VARINT + 1),
             Err(VarIntError::TooLarge(MAX_VARINT + 1))
@@ -120,9 +127,9 @@ mod tests {
             varint_len(u64::MAX).unwrap_err(),
             VarIntError::TooLarge(u64::MAX)
         );
-        let mut empty = Bytes::new();
+        let mut empty: &[u8] = &[];
         assert_eq!(read_varint(&mut empty), Err(VarIntError::Truncated));
-        let mut short = Bytes::from_static(&[0xc0, 0x01]);
+        let mut short: &[u8] = &[0xc0, 0x01];
         assert_eq!(read_varint(&mut short), Err(VarIntError::Truncated));
         assert!(VarIntError::Truncated.to_string().contains("truncated"));
     }

@@ -2,15 +2,14 @@
 //! survive encode/decode round trips for arbitrary field values, and packet
 //! protection fails cleanly under corruption.
 
-use bytes::{Bytes, BytesMut};
 use prognosis_quic_wire::connection_id::ConnectionId;
-use prognosis_quic_wire::crypto::{EncryptionLevel, Keys};
+use prognosis_quic_wire::crypto::{CryptoError, EncryptionLevel, Keys, TAG_LEN};
 use prognosis_quic_wire::frame::Frame;
-use prognosis_quic_wire::packet::{Packet, PacketHeader, PacketType};
+use prognosis_quic_wire::packet::{Packet, PacketError, PacketHeader, PacketType, RxBuffers};
 use prognosis_quic_wire::varint::{read_varint, write_varint, MAX_VARINT};
 use proptest::prelude::*;
 
-fn arb_frame() -> impl Strategy<Value = Frame> {
+fn arb_frame() -> impl Strategy<Value = Frame<'static>> {
     let v = 0u64..(1 << 30);
     prop_oneof![
         Just(Frame::Ping),
@@ -22,7 +21,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         (v.clone(), prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(offset, data)| {
             Frame::Crypto {
                 offset,
-                data: Bytes::from(data),
+                data: data.into(),
             }
         }),
         (
@@ -35,7 +34,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 stream_id,
                 offset,
                 fin,
-                data: Bytes::from(data)
+                data: data.into()
             }),
         v.clone().prop_map(|maximum| Frame::MaxData { maximum }),
         (v.clone(), v.clone())
@@ -50,7 +49,7 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             Frame::ConnectionClose {
                 error_code,
                 frame_type: 0,
-                reason,
+                reason: reason.into(),
                 application,
             }
         }),
@@ -63,10 +62,10 @@ proptest! {
 
     #[test]
     fn varints_round_trip(value in 0u64..=MAX_VARINT) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         write_varint(&mut buf, value).unwrap();
         prop_assert!(buf.len() <= 8);
-        let mut bytes = buf.freeze();
+        let mut bytes = &buf[..];
         prop_assert_eq!(read_varint(&mut bytes).unwrap(), value);
         prop_assert!(bytes.is_empty());
     }
@@ -74,7 +73,7 @@ proptest! {
     #[test]
     fn frame_sequences_round_trip(frames in prop::collection::vec(arb_frame(), 0..8)) {
         let encoded = Frame::encode_all(&frames);
-        let decoded = Frame::decode_all(encoded).unwrap();
+        let decoded = Frame::decode_all(&encoded).unwrap();
         prop_assert_eq!(decoded, frames);
     }
 
@@ -87,17 +86,18 @@ proptest! {
     ) {
         let dcid = ConnectionId::from_seed(cid_seed);
         let (header, level) = if short {
-            (PacketHeader::short(dcid.clone(), pn), EncryptionLevel::OneRtt)
+            (PacketHeader::short(dcid, pn), EncryptionLevel::OneRtt)
         } else {
             (
-                PacketHeader::long(PacketType::Handshake, dcid.clone(), ConnectionId::from_seed(cid_seed ^ 1), pn),
+                PacketHeader::long(PacketType::Handshake, dcid, ConnectionId::from_seed(cid_seed ^ 1), pn),
                 EncryptionLevel::Handshake,
             )
         };
         let keys = Keys::derive(dcid.key_material(), level);
         let packet = Packet::new(header, frames);
         let wire = packet.encode(&keys);
-        let decoded = Packet::decode(&wire, &keys).unwrap();
+        let mut payload = Vec::new();
+        let decoded = Packet::decode(&wire, &keys, &mut payload).unwrap();
         prop_assert_eq!(decoded, packet);
     }
 
@@ -114,7 +114,8 @@ proptest! {
         let mut corrupted = wire.to_vec();
         let idx = flip_at.index(corrupted.len());
         corrupted[idx] ^= 0xFF;
-        match Packet::decode(&Bytes::from(corrupted), &keys) {
+        let mut payload = Vec::new();
+        match Packet::decode(&corrupted, &keys, &mut payload) {
             // Either the corruption is detected...
             Err(_) => {}
             // ...or it only hit header bytes that do not affect the frames
@@ -132,9 +133,47 @@ proptest! {
         let dcid = ConnectionId::from_seed(3);
         let keys = Keys::derive(dcid.key_material(), EncryptionLevel::OneRtt);
         let packet = Packet::new(PacketHeader::short(dcid, pn), frames);
-        let decoded = Packet::decode(&packet.encode(&keys), &keys).unwrap();
+        let wire = packet.encode(&keys);
+        let mut payload = Vec::new();
+        let decoded = Packet::decode(&wire, &keys, &mut payload).unwrap();
         prop_assert_eq!(decoded.abstract_name(), packet.abstract_name());
         prop_assert!(packet.abstract_name().starts_with("SHORT(?,?)["));
+    }
+
+    #[test]
+    fn payloads_shorter_than_the_tag_are_truncated(
+        cid_seed in any::<u64>(),
+        pn in 0u64..u32::MAX as u64,
+        short in any::<bool>(),
+        cut in 1..=TAG_LEN,
+    ) {
+        // A frameless packet's sealed payload is exactly the tag; cutting
+        // its last bytes leaves a ciphertext shorter than the tag.
+        let dcid = ConnectionId::from_seed(cid_seed);
+        let header = if short {
+            PacketHeader::short(dcid, pn)
+        } else {
+            PacketHeader::long(PacketType::Handshake, dcid, dcid, pn)
+        };
+        let keys = Keys::derive(dcid.key_material(), EncryptionLevel::Handshake);
+        let mut wire = Packet::new(header, vec![]).encode(&keys);
+        wire.truncate(wire.len() - cut);
+        if !short {
+            // Keep the Length field (one byte: 4 + TAG_LEN) consistent.
+            let length_at = wire.len() - (4 + TAG_LEN - cut) - 1;
+            wire[length_at] -= cut as u8;
+        }
+        let (_, protected) = Packet::decode_header(&wire).unwrap();
+        prop_assert_eq!(protected.len(), TAG_LEN - cut);
+        let mut payload = Vec::new();
+        prop_assert_eq!(
+            Packet::decode(&wire, &keys, &mut payload),
+            Err(PacketError::Crypto(CryptoError::Truncated))
+        );
+        prop_assert_eq!(
+            keys.open_in_place(pn, &mut protected.to_vec()),
+            Err(CryptoError::Truncated)
+        );
     }
 }
 
@@ -142,15 +181,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8192))]
 
     // The decoders are total: arbitrary bytes give a value or a typed
-    // error, never a panic.  Whatever frame list decodes survives
+    // error, never a panic.  The one-parse receive path (header once, then
+    // an in-place open into reused buffers and borrowed frames) agrees
+    // with the full decode, and whatever frame list decodes survives
     // re-encoding unchanged.
     #[test]
     fn arbitrary_bytes_never_panic_the_decoders(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
-        let bytes = Bytes::from(bytes);
-        let _ = read_varint(&mut bytes.clone());
-        if let Ok((header, _)) = Packet::decode_header(&bytes) {
+        let _ = read_varint(&mut &bytes[..]);
+        if let Ok((header, protected)) = Packet::decode_header(&bytes) {
             // Keys for the claimed connection, so decoding reaches the
             // payload checks instead of stopping at a key mismatch.
             let level = match header.packet_type {
@@ -159,10 +199,17 @@ proptest! {
                 _ => EncryptionLevel::Initial,
             };
             let keys = Keys::derive(header.destination_cid.key_material(), level);
-            let _ = Packet::decode(&bytes, &keys);
+            let mut payload = Vec::new();
+            let decoded = Packet::decode(&bytes, &keys, &mut payload);
+            let mut rx = RxBuffers::default();
+            match rx.open(header, protected, &keys, |packet| decoded.as_ref() == Ok(packet)) {
+                Ok(same) => prop_assert!(same, "the receive path disagrees with decode"),
+                Err(e) => prop_assert_eq!(decoded.err(), Some(e)),
+            }
         }
-        if let Ok(frames) = Frame::decode_all(bytes) {
-            let reencoded = Frame::decode_all(Frame::encode_all(&frames));
+        if let Ok(frames) = Frame::decode_all(&bytes) {
+            let encoded = Frame::encode_all(&frames);
+            let reencoded = Frame::decode_all(&encoded);
             prop_assert_eq!(reencoded, Ok(frames));
         }
     }
