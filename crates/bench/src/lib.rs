@@ -1521,9 +1521,9 @@ fn store_bench_trie(
 /// `--quick` mode), persists it through the journaled store
 /// ([`prognosis_learner::journal::JournalStore`]), and times the save and
 /// warm-load halves, asserting the load replays a bit-identical trie.  A
-/// second, churned store (each word appended as a short prefix first, then
-/// extended) then demonstrates compaction: `compact()` must shrink the
-/// file while replaying to the identical trie.  The journal and
+/// second, churned store (a checkpointed base, then new words appended as
+/// short prefixes first and extended after) then demonstrates compaction:
+/// `compact()` must shrink the file while replaying to the identical trie.  The journal and
 /// compaction sizes are a pure function of the synthetic trie and the
 /// format, so both are asserted byte-exact: any change to the on-disk
 /// format fails the run.  `events` receives a `bench:stage` marker as each
@@ -1536,9 +1536,9 @@ pub fn exp_store_format(quick: bool, events: Option<Arc<dyn EventSink>>) -> (Rep
     // Expected (journal bytes, compaction bytes, compaction frames); the
     // full-size values are the committed `store_format` row's.
     let (expected_bytes, expected_compaction) = if quick {
-        (961_157, ((22_850, 14_464), (600, 300)))
+        (134_270, ((6_531, 4_404), (60, 0)))
     } else {
-        (5_766_780, ((57_612, 43_281), (1_412, 900)))
+        (472_574, ((17_537, 10_890), (180, 0)))
     };
     let n: usize = if quick { 20_000 } else { 120_000 };
     let word_len = 6;
@@ -1579,19 +1579,26 @@ pub fn exp_store_format(quick: bool, events: Option<Arc<dyn EventSink>>) -> (Rep
         "the journal of {n} observations changed size"
     );
 
-    // Compaction: append each word as a 3-symbol non-terminal prefix
-    // first, then as the full query — every short record is superseded, so
-    // compaction must shrink the file while replaying identically.  The
-    // churn is sized below the auto-compaction threshold so the manual
-    // `compact()` is what reclaims the space.
+    // Compaction: checkpoint a base of `churn_n` queries, then append each
+    // of `churn_extra` new words as a 4-symbol non-terminal prefix first
+    // (the first 3 symbols are shared with a base word) and as the full
+    // query after — every short record is superseded, so compaction must
+    // shrink the file while replaying identically.  The appended tail
+    // stays lighter than the base's checkpoint, so no save rewrites the
+    // store and the manual `compact()` is what reclaims the space.
     stage(&events, "E22 store format: churn + compaction");
-    let churn_n = if quick { 300 } else { 900 };
-    let churn_full = store_bench_trie(churn_n, word_len, true, &alphabet);
-    let churn_short = store_bench_trie(churn_n, 3, false, &alphabet);
-    JournalStore::save_merged_at(&churn_path, &key, &churn_short, RetainPolicy::All)
-        .expect("churn prefix round succeeds");
-    JournalStore::save_merged_at(&churn_path, &key, &churn_full, RetainPolicy::All)
-        .expect("churn full round succeeds");
+    let (churn_n, churn_extra) = if quick { (300, 30) } else { (900, 90) };
+    let churn_base = store_bench_trie(churn_n, word_len, true, &alphabet);
+    let churn_short = store_bench_trie(churn_n + churn_extra, 4, false, &alphabet);
+    let churn_full = store_bench_trie(churn_n + churn_extra, word_len, true, &alphabet);
+    for (round, churn) in [
+        ("base", &churn_base),
+        ("prefix", &churn_short),
+        ("full", &churn_full),
+    ] {
+        JournalStore::save_merged_at(&churn_path, &key, churn, RetainPolicy::All)
+            .unwrap_or_else(|e| panic!("churn {round} round fails: {e}"));
+    }
     let before_replay =
         JournalStore::load_matching(&churn_path, &key).expect("churned store loads");
     let churn_store = JournalStore::open(&churn_path).expect("churned store opens");

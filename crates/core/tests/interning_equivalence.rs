@@ -7,9 +7,9 @@
 //! 1 session) reference of the same scenario.  A second test warm-starts
 //! the interned learner from a journal file encoded byte-by-byte against
 //! the *documented* pre-interning on-disk format (string symbols, LEB128
-//! varints, FNV-checksummed frames) — written here by hand, not by
-//! today's `JournalStore` writer — proving the disk format survived the
-//! interning rewrite unchanged.
+//! varints, FNV-checksummed frames, the `PGNJRNL1` magic) — written here
+//! by hand, not by today's `JournalStore` writer — proving that a file an
+//! older build wrote still warm-starts today's learner.
 
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -21,7 +21,7 @@ use prognosis_core::sul::{Sul, SulStats};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};
 use prognosis_events::{EventSink, MemorySink};
 use prognosis_learner::cache::{alphabet_hash, StoreKey};
-use prognosis_learner::journal::{JournalStore, JOURNAL_MAGIC};
+use prognosis_learner::journal::JournalStore;
 use prognosis_learner::stats::LearningStats;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -195,15 +195,17 @@ fn push_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
 }
 
 /// Encodes a journal file exactly as the pre-interning writer laid it out:
-/// magic, one string-keyed segment header, one string-symbol record per
-/// path.  Deliberately independent of `JournalStore`'s own encoder — this
-/// is the documented disk format, transcribed from the spec.
+/// the first format's magic `PGNJRNL1`, one string-keyed segment header,
+/// one string-symbol record per path.  Deliberately independent of
+/// `JournalStore`'s own encoder — this is the documented disk format,
+/// transcribed from the spec, and the magic is spelled out so the file
+/// stays the one an older build wrote.
 fn encode_pre_interning_journal(
     key: &StoreKey,
     paths: &[(InputWord, OutputWord, bool)],
 ) -> Vec<u8> {
     let mut file = Vec::new();
-    file.extend_from_slice(JOURNAL_MAGIC);
+    file.extend_from_slice(b"PGNJRNL1");
     let mut segment = Vec::new();
     push_str(&mut segment, key.sul_id());
     push_str(&mut segment, key.impl_version());
@@ -227,8 +229,8 @@ fn encode_pre_interning_journal(
 }
 
 /// A journal file in the pre-interning on-disk format (hand-encoded string
-/// records) warm-starts the interned learner to a zero-fresh-symbol,
-/// bit-identical repeat run — the disk format did not change.
+/// records under the first format's magic) warm-starts the interned
+/// learner to a zero-fresh-symbol, bit-identical repeat run.
 #[test]
 fn warm_start_from_a_pre_interning_journal_file() {
     let alphabet = tcp_alphabet();

@@ -1,9 +1,9 @@
 //! `prognosis-cache` — inspect and maintain journaled observation stores.
 //!
 //! ```text
-//! prognosis-cache stats   <store-path>   # format, sizes, per-key entries
+//! prognosis-cache stats   <store-path>   # format, checkpoint and tail sizes, entries
 //! prognosis-cache verify  <store-path>   # checksums, torn tail, key hashes
-//! prognosis-cache compact <store-path>   # rewrite live paths, report sizes
+//! prognosis-cache compact <store-path>   # fold the tail into checkpoints
 //! ```
 //!
 //! `verify` exits nonzero when the store is unsound (torn tail, replay
@@ -41,12 +41,13 @@ fn main() -> ExitCode {
                 }
             };
             let stats = store.stats();
-            println!("store:         {path}");
-            println!("format:        {}", format_name(stats.format));
-            println!("file bytes:    {}", stats.file_bytes);
-            println!("record frames: {}", stats.record_frames);
-            println!("live paths:    {}", stats.live_paths);
-            println!("entries:       {}", stats.entries.len());
+            println!("store:            {path}");
+            println!("format:           {}", format_name(stats.format));
+            println!("file bytes:       {}", stats.file_bytes);
+            println!("checkpoint bytes: {}", stats.checkpoint_bytes);
+            println!("tail bytes:       {}", stats.tail_bytes);
+            println!("tail records:     {}", stats.tail_records);
+            println!("entries:          {}", stats.entries.len());
             for entry in &stats.entries {
                 println!(
                     "  ({:?}, {:?}, {} symbols, hash {:016x}): {} paths, {} terminal words, {} nodes",
@@ -99,16 +100,26 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            let before = store.stats();
             match store.compact() {
                 Ok(outcome) => {
-                    println!("store:   {path}");
+                    let after = store.stats();
+                    println!("store:            {path}");
                     println!(
-                        "bytes:   {} -> {}",
+                        "bytes:            {} -> {}",
                         outcome.before_bytes, outcome.after_bytes
                     );
                     println!(
-                        "records: {} -> {}",
+                        "tail records:     {} -> {}",
                         outcome.before_records, outcome.after_records
+                    );
+                    println!(
+                        "checkpoint bytes: {} -> {}",
+                        before.checkpoint_bytes, after.checkpoint_bytes
+                    );
+                    println!(
+                        "tail bytes:       {} -> {}",
+                        before.tail_bytes, after.tail_bytes
                     );
                     ExitCode::SUCCESS
                 }

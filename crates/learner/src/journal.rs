@@ -13,14 +13,24 @@
 //! # File layout
 //!
 //! ```text
-//! magic  "PGNJRNL1"                                  (8 bytes)
+//! magic  "PGNJRNL2"                                  (8 bytes)
 //! frame* := tag (1 byte) | payload_len varint | payload | fnv32 (4 bytes LE)
 //!
+//! tag 0x04  generation — payload: u64 LE.  A rewrite's first frame, and
+//!           only valid there: the stamp re-syncing handles compare.
 //! tag 0x01  segment header — payload:
 //!     sul_id        varint len | bytes
 //!     impl_version  varint len | bytes
 //!     alphabet_hash u64 LE
 //!     symbol_count  varint, then per symbol: varint len | bytes
+//! tag 0x03  checkpoint — payload (the most recent segment header's whole
+//!           entry, replacing whatever replay held for it):
+//!     input_count   varint, then per input symbol:  varint len | bytes
+//!     output_count  varint, then per output symbol: varint len | bytes
+//!     node_count    varint, then the trie's nodes in preorder:
+//!         root        varint (child_count << 1 | terminal)
+//!         other node  input index varint | output index varint |
+//!                     varint (child_count << 1 | terminal)
 //! tag 0x02  record — payload (belongs to the most recent segment header):
 //!     flags         1 byte (bit0 = terminal)
 //!     step_count    varint, then per step:
@@ -36,6 +46,14 @@
 //! truncates the torn tail before appending, so the file always converges
 //! back to a clean frame sequence.
 //!
+//! A checkpoint lists symbols in string order and each node's children in
+//! string order of their inputs, so its bytes depend only on the entry's
+//! observations, and replay rebuilds the trie in one bulk arena fill
+//! instead of re-walking spelled paths.  A checkpoint whose indices fall outside its
+//! symbol lists, that gives two siblings one input, or whose node count or
+//! child counts do not match its nodes ends the replay at that frame, as a
+//! torn tail does.
+//!
 //! # Streaming replay
 //!
 //! Opening, verifying and tail re-syncing all replay through one reader
@@ -47,25 +65,37 @@
 //! interner ids once, after the first record using it has decoded fully.
 //! A tail re-sync seeks to the synced offset and reads only what grew.
 //!
-//! # Compaction
+//! # Checkpoints and the record tail
 //!
-//! Appending deltas means superseded paths accumulate: a path that was
-//! later extended (its terminal marker and symbols now implied by a longer
-//! path) still occupies a record frame.  When the journal holds at least
-//! [`COMPACT_MIN_RECORDS`] record frames *and* more than twice as many
-//! frames as there are live maximal paths, the store rewrites itself: one
-//! segment per key, one record per live path, swapped in by the same
-//! fsync-then-rename dance every durable write in this crate uses.
+//! A rewrite writes the generation frame, then per key a segment header
+//! and one checkpoint.  Saves after it append record frames — the *tail*
+//! — holding only paths the store does not cover yet.  Once the tail's
+//! bytes would exceed the checkpoints' bytes, the save rewrites the store
+//! instead of appending, through the same fsync-then-rename dance every
+//! durable write in this crate uses.  A replay therefore reads at most
+//! about twice the checkpoints, and rewrites cost amortised `O(1)` per
+//! appended byte.  [`JournalStore::compact`] forces a rewrite.
+//!
+//! A `PGNJRNL1` file from an older build holds only segment headers and
+//! records, a subset of today's frames: it replays as a journal whose tail
+//! is the whole file, so it still warm-starts, and the first save that
+//! writes anything (or a compaction) rewrites it as `PGNJRNL2`.  Older
+//! builds see a `PGNJRNL2` file as not a journal and start cold.
 //!
 //! # Concurrency and determinism
 //!
 //! All mutation happens under a per-path process-wide writer lock, and
-//! every mutating call re-syncs from the file first (tail replay when it
-//! grew, full replay when it was compacted or replaced), so many in-process handles — one per campaign task — append
-//! deltas without a load-merge-rewrite critical section and without losing
-//! each other's observations.  Readers clone `Arc` snapshots; a warm
-//! snapshot is shared, never copied.  Replayed tries depend only on file
-//! content, so warm-started learns stay bit-identical to cold ones.
+//! every mutating call re-syncs from the file first, so many in-process
+//! handles — one per campaign task — append deltas without a
+//! load-merge-rewrite critical section and without losing each other's
+//! observations.  Every rewrite stamps the next generation, and a handle
+//! trusts its synced view only while the file carries the generation it
+//! synced: same generation and length ⇒ synced, same generation and longer
+//! ⇒ tail replay from the synced offset, anything else (another handle
+//! rewrote or replaced the file, whatever its new length) ⇒ full replay.
+//! Readers clone `Arc` snapshots; a warm snapshot is shared, never copied.
+//! Replayed tries depend only on file content, so warm-started learns stay
+//! bit-identical to cold ones.
 //!
 //! A single learning run opens the store once and works through a
 //! [`Checkout`]: [`JournalStore::checkout`] moves its key's trie out of
@@ -77,9 +107,9 @@
 //! the paths ending in a new or newly terminal node, the same records
 //! [`JournalStore::save_merged`] would append, in the same order — and a
 //! run that learned nothing new writes nothing, found in `O(1)`.  When
-//! the file moved meanwhile (another handle appended), the commit
-//! re-reads it and merges like `save_merged`, so concurrent runs still
-//! leave the union of their observations.
+//! the file moved meanwhile (another handle appended or rewrote it), the
+//! commit re-reads it and merges like `save_merged`, so concurrent runs
+//! still leave the union of their observations.
 //!
 //! # Files that are not journals
 //!
@@ -89,28 +119,33 @@
 //! a run.  [`JournalStore::verify`] reports such a file as an error.
 
 use crate::cache::{atomic_write_durable, hold_path_lock, path_write_lock, CacheError, StoreKey};
-use crate::trie::{PathCoverage, PrefixTrie, TrieMark};
+use crate::trie::{PathCoverage, PrefixTrie, PreorderFill, PreorderNode, TrieMark};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::SymbolId;
 use prognosis_automata::word::{InputWord, OutputWord};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Magic bytes opening every journal file; the trailing digit is the
-/// journal format version.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"PGNJRNL1";
+/// Magic bytes opening every journal file this build writes; the
+/// trailing digit is the journal format version.
+pub const JOURNAL_MAGIC: &[u8; 8] = b"PGNJRNL2";
+
+/// Magic of the first format, whose frames (segment headers and records)
+/// are a subset of today's: such a file still replays.
+const JOURNAL_MAGIC_V1: &[u8; 8] = b"PGNJRNL1";
 
 /// Frame tag: a segment header carrying a [`StoreKey`].
 const FRAME_SEGMENT: u8 = 0x01;
 /// Frame tag: one `(input, output, terminal)` observation path.
 const FRAME_RECORD: u8 = 0x02;
-
-/// Compaction never triggers below this many record frames — tiny stores
-/// rewrite so fast that append-only bookkeeping isn't worth churning.
-pub const COMPACT_MIN_RECORDS: usize = 1024;
+/// Frame tag: one key's whole trie as preorder nodes.
+const FRAME_CHECKPOINT: u8 = 0x03;
+/// Frame tag: the generation stamp opening a rewritten file.
+const FRAME_GENERATION: u8 = 0x04;
 
 /// FNV-1a-64 (same function the cache key uses for alphabets).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -175,10 +210,25 @@ fn read_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Option<&'a str> {
 }
 
 fn push_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.push(tag);
-    write_varint(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
+    push_frame_with(out, tag, |out| out.extend_from_slice(payload));
+}
+
+/// Appends a frame whose payload `write` appends to `out` itself, so a
+/// large payload is built in place instead of in a buffer of its own.
+fn push_frame_with(out: &mut Vec<u8>, tag: u8, write: impl FnOnce(&mut Vec<u8>)) {
+    let frame = out.len();
+    out.resize(frame + FRAME_HEAD_MAX, 0);
+    write(out);
+    let payload_len = out.len() - frame - FRAME_HEAD_MAX;
+    let mut head = Vec::with_capacity(FRAME_HEAD_MAX);
+    head.push(tag);
+    write_varint(&mut head, payload_len as u64);
+    // Close the gap the widest head would have needed.
+    out.copy_within(frame + FRAME_HEAD_MAX.., frame + head.len());
+    out[frame..frame + head.len()].copy_from_slice(&head);
+    out.truncate(frame + head.len() + payload_len);
+    let checksum = frame_checksum(&out[frame + head.len()..]);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 fn encode_segment_header(key: &StoreKey) -> Vec<u8> {
@@ -267,6 +317,86 @@ fn decode_record(
         steps.push((input, output));
     }
     (pos == payload.len()).then_some(flags == 1)
+}
+
+fn write_symbols<'a>(out: &mut Vec<u8>, symbols: impl ExactSizeIterator<Item = &'a Symbol>) {
+    write_varint(out, symbols.len() as u64);
+    for symbol in symbols {
+        write_bytes(out, symbol.as_str().as_bytes());
+    }
+}
+
+/// Appends a checkpoint payload holding all of `trie` to `payload`.
+fn write_checkpoint(payload: &mut Vec<u8>, trie: &PrefixTrie) {
+    write_symbols(payload, trie.input_symbols());
+    write_symbols(payload, trie.output_symbols());
+    write_varint(payload, trie.num_nodes() as u64);
+    trie.for_each_node_preorder(|node| {
+        if let Some((input, output)) = node.edge {
+            write_varint(payload, input.into());
+            write_varint(payload, output.into());
+        }
+        write_varint(
+            payload,
+            (node.children as u64) << 1 | u64::from(node.terminal),
+        );
+    });
+}
+
+/// A little over the bytes a rewrite spends on `trie`'s segment: its
+/// checkpoint takes about three bytes a node over small alphabets, plus
+/// its symbols and the segment header.
+fn checkpoint_size_hint(trie: &Arc<PrefixTrie>) -> usize {
+    let symbols: usize = (trie.input_symbols().map(|s| s.as_str().len() + 1))
+        .chain(trie.output_symbols().map(|s| s.as_str().len() + 1))
+        .sum();
+    4 * trie.num_nodes() + symbols + 256
+}
+
+fn read_symbols(payload: &[u8], pos: &mut usize, spellings: &mut Spellings) -> Option<Vec<Symbol>> {
+    let count = read_varint(payload, pos)?;
+    // Every symbol takes at least its length byte.
+    let mut symbols = Vec::with_capacity(usize::try_from(count).ok()?.min(payload.len() - *pos));
+    for _ in 0..count {
+        let index = spellings.index_of(read_bytes(payload, pos)?)?;
+        symbols.push(spellings.symbols[index as usize].clone());
+    }
+    Some(symbols)
+}
+
+fn read_u32(payload: &[u8], pos: &mut usize) -> Option<u32> {
+    u32::try_from(read_varint(payload, pos)?).ok()
+}
+
+/// Decodes a checkpoint payload into its trie, or `None` when it is
+/// malformed: see [`PreorderFill`] for what a node stream must satisfy.
+fn decode_checkpoint(payload: &[u8], spellings: &mut Spellings) -> Option<PrefixTrie> {
+    let mut pos = 0;
+    let inputs = read_symbols(payload, &mut pos, spellings)?;
+    let outputs = read_symbols(payload, &mut pos, spellings)?;
+    let count = read_varint(payload, &mut pos)?;
+    // Every node takes at least one byte, so the payload bounds the arena
+    // whatever the count claims, and a corrupt count ends the loop at the
+    // payload's end.  The arena gets the power of two that growing it node
+    // by node would reach: room for the tail records after the checkpoint,
+    // and the few block sizes an allocator reuses from one load to the next.
+    let capacity = usize::try_from(count).ok()?.min(payload.len() - pos);
+    let mut fill = PreorderFill::new(&inputs, &outputs, capacity.next_power_of_two()).ok()?;
+    for index in 0..count {
+        let edge = match index {
+            0 => None,
+            _ => Some((read_u32(payload, &mut pos)?, read_u32(payload, &mut pos)?)),
+        };
+        let flags = read_varint(payload, &mut pos)?;
+        fill.push(PreorderNode {
+            edge,
+            terminal: flags & 1 == 1,
+            children: usize::try_from(flags >> 1).ok()?,
+        })
+        .ok()?;
+    }
+    let trie = fill.finish().ok()?;
+    (pos == payload.len()).then_some(trie)
 }
 
 /// `memo[spelling]`, filled through `intern` on the first lookup.
@@ -374,13 +504,42 @@ impl<R: Read> FrameReader<R> {
         self.start += n;
     }
 
-    /// Whether the stream starts with [`JOURNAL_MAGIC`]; consumes it if so.
+    /// Whether the stream starts with a journal magic, [`JOURNAL_MAGIC`]
+    /// or the first format's; consumes it if so.
     fn take_magic(&mut self) -> std::io::Result<bool> {
-        let found = self.fill(JOURNAL_MAGIC.len())?.starts_with(JOURNAL_MAGIC);
+        let head = self.fill(JOURNAL_MAGIC.len())?;
+        let found = head.starts_with(JOURNAL_MAGIC) || head.starts_with(JOURNAL_MAGIC_V1);
         if found {
             self.consume(JOURNAL_MAGIC.len());
         }
         Ok(found)
+    }
+
+    /// The next frame as `(tag, payload, frame length)`, without consuming
+    /// it; `None` at the end of the stream and at a frame that is short,
+    /// has an unreadable length or fails its checksum.
+    fn next_frame(&mut self) -> std::io::Result<Option<(u8, &[u8], usize)>> {
+        let head = self.fill(FRAME_HEAD_MAX)?;
+        let Some(&tag) = head.first() else {
+            return Ok(None);
+        };
+        let mut pos = 1;
+        let Some(frame_len) = read_varint(head, &mut pos)
+            .and_then(|len| usize::try_from(len).ok())
+            .and_then(|len| len.checked_add(pos + 4))
+        else {
+            return Ok(None);
+        };
+        let Some(frame) = self.fill(frame_len)?.get(pos..frame_len) else {
+            return Ok(None);
+        };
+        let Some((payload, stored)) = frame.split_last_chunk::<4>() else {
+            return Ok(None);
+        };
+        if u32::from_le_bytes(*stored) != frame_checksum(payload) {
+            return Ok(None);
+        }
+        Ok(Some((tag, payload, frame_len)))
     }
 
     /// How many bytes are left in the stream, reading through them.
@@ -407,7 +566,7 @@ struct Replay {
     by_key: BTreeMap<StoreKey, usize>,
     /// Segment of the most recent header, resolved once per header.
     current: Option<usize>,
-    record_frames: usize,
+    layout: Layout,
     contradictions: usize,
     spellings: Spellings,
     /// Per-record buffers, reused across records.
@@ -422,7 +581,7 @@ impl Replay {
             segments: Vec::new(),
             by_key: BTreeMap::new(),
             current: None,
-            record_frames: 0,
+            layout: Layout::empty(),
             contradictions: 0,
             spellings: Spellings::default(),
             steps: Vec::new(),
@@ -439,7 +598,7 @@ impl Replay {
             replay.segments[index].trie = Some(trie);
         }
         replay.current = state.last_header_key.take().map(|key| replay.segment(key));
-        replay.record_frames = state.record_frames;
+        replay.layout = state.layout;
         replay
     }
 
@@ -466,35 +625,34 @@ impl Replay {
     fn replay<R: Read>(&mut self, reader: &mut FrameReader<R>) -> std::io::Result<u64> {
         loop {
             let frame_start = reader.offset();
-            let head = reader.fill(FRAME_HEAD_MAX)?;
-            let Some(&tag) = head.first() else {
+            let Some((tag, payload, frame_len)) = reader.next_frame()? else {
                 return Ok(frame_start);
             };
-            let mut pos = 1;
-            let Some(frame_len) = read_varint(head, &mut pos)
-                .and_then(|len| usize::try_from(len).ok())
-                .and_then(|len| len.checked_add(pos + 4))
-            else {
-                return Ok(frame_start);
-            };
-            let Some(frame) = reader.fill(frame_len)?.get(pos..frame_len) else {
-                return Ok(frame_start);
-            };
-            let Some((payload, stored)) = frame.split_last_chunk::<4>() else {
-                return Ok(frame_start);
-            };
-            if u32::from_le_bytes(*stored) != frame_checksum(payload) {
-                return Ok(frame_start);
-            }
+            let frame_end = frame_start + frame_len as u64;
             let applied = match tag {
                 FRAME_SEGMENT => self.apply_header(payload),
                 FRAME_RECORD => self.apply_record(payload),
+                FRAME_CHECKPOINT => self.apply_checkpoint(payload, frame_start, frame_end),
+                FRAME_GENERATION if frame_start == JOURNAL_MAGIC.len() as u64 => {
+                    self.apply_generation(payload, frame_end)
+                }
                 _ => false,
             };
             if !applied {
                 return Ok(frame_start);
             }
             reader.consume(frame_len);
+        }
+    }
+
+    fn apply_generation(&mut self, payload: &[u8], frame_end: u64) -> bool {
+        match decode_generation(payload) {
+            Some(generation) => {
+                self.layout.generation = generation;
+                self.layout.tail_start = frame_end;
+                true
+            }
+            None => false,
         }
     }
 
@@ -508,6 +666,25 @@ impl Replay {
         }
     }
 
+    fn apply_checkpoint(&mut self, payload: &[u8], frame_start: u64, frame_end: u64) -> bool {
+        let Some(current) = self.current else {
+            return false;
+        };
+        let Some(trie) = decode_checkpoint(payload, &mut self.spellings) else {
+            return false;
+        };
+        let segment = &mut self.segments[current];
+        segment.trie = Some(Arc::new(trie));
+        // The memos held the replaced trie's ids.
+        segment.input_ids.clear();
+        segment.output_ids.clear();
+        let layout = &mut self.layout;
+        layout.checkpoint_bytes += frame_end - frame_start;
+        layout.tail_start = frame_end;
+        layout.tail_records = 0;
+        true
+    }
+
     fn apply_record(&mut self, payload: &[u8]) -> bool {
         // A record before any segment header is not a valid stream; treat
         // it as the torn tail.
@@ -517,7 +694,7 @@ impl Replay {
         let Some(terminal) = decode_record(payload, &mut self.spellings, &mut self.steps) else {
             return false;
         };
-        self.record_frames += 1;
+        self.layout.tail_records += 1;
         let Segment {
             trie,
             input_ids,
@@ -560,9 +737,39 @@ impl Replay {
                 .filter_map(|s| Some((s.key, s.trie?)))
                 .collect(),
             synced_len,
-            record_frames: self.record_frames,
+            layout: self.layout,
             last_header_key,
             source: StoreFormat::Journal,
+        }
+    }
+}
+
+fn decode_generation(payload: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(payload.try_into().ok()?))
+}
+
+/// Where a journal's checkpoints end and its record tail begins.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    /// The generation stamp of the rewrite that wrote the file (0 when it
+    /// has none: a `PGNJRNL1` file, or one only ever appended to).
+    generation: u64,
+    /// Offset just past the last checkpoint (or the file's opening
+    /// frames): the record tail runs from here to the synced length.
+    tail_start: u64,
+    /// Bytes of checkpoint frames — what the tail is weighed against.
+    checkpoint_bytes: u64,
+    /// Record frames in the tail, superseded ones included.
+    tail_records: usize,
+}
+
+impl Layout {
+    fn empty() -> Self {
+        Layout {
+            generation: 0,
+            tail_start: JOURNAL_MAGIC.len() as u64,
+            checkpoint_bytes: 0,
+            tail_records: 0,
         }
     }
 }
@@ -573,9 +780,7 @@ struct State {
     /// File length the state reflects — the offset appends continue at
     /// (everything past it is a torn tail to truncate).
     synced_len: u64,
-    /// Record frames replayed (including superseded/covered ones) — the
-    /// compaction trigger's numerator.
-    record_frames: usize,
+    layout: Layout,
     /// Key of the file's most recent segment header; appending records
     /// for a different key must write a fresh header first.
     last_header_key: Option<StoreKey>,
@@ -587,14 +792,15 @@ impl State {
         State {
             entries: BTreeMap::new(),
             synced_len: 0,
-            record_frames: 0,
+            layout: Layout::empty(),
             last_header_key: None,
             source: StoreFormat::Absent,
         }
     }
 
-    fn live_paths(&self) -> usize {
-        self.entries.values().map(|t| t.path_count()).sum()
+    /// Bytes of the record tail.
+    fn tail_bytes(&self) -> u64 {
+        self.synced_len.saturating_sub(self.layout.tail_start)
     }
 }
 
@@ -619,11 +825,13 @@ pub struct JournalStats {
     pub format: StoreFormat,
     /// File size in bytes (0 when absent).
     pub file_bytes: u64,
-    /// Record frames in the journal (0 when absent).
-    pub record_frames: usize,
-    /// Live maximal paths across all entries — what a fresh compaction
-    /// would write.
-    pub live_paths: usize,
+    /// Bytes of checkpoint frames: what a replay decodes in bulk.
+    pub checkpoint_bytes: u64,
+    /// Bytes of the record tail after the last checkpoint; a save that
+    /// would take it past `checkpoint_bytes` rewrites the store instead.
+    pub tail_bytes: u64,
+    /// Record frames in the tail, superseded ones included.
+    pub tail_records: usize,
     /// Per-entry breakdowns, in deterministic key order.
     pub entries: Vec<EntryStats>,
 }
@@ -662,9 +870,10 @@ pub struct CompactOutcome {
     pub before_bytes: u64,
     /// File size after compaction.
     pub after_bytes: u64,
-    /// Record frames before compaction.
+    /// Record frames in the tail before compaction.
     pub before_records: usize,
-    /// Record frames after — exactly the live path count.
+    /// Record frames in the tail after — 0: compaction folds every record
+    /// into its key's checkpoint.
     pub after_records: usize,
 }
 
@@ -763,6 +972,7 @@ impl JournalStore {
             let lineage = Lineage {
                 mark: trie.mark(),
                 synced_len: state.synced_len,
+                generation: state.layout.generation,
                 had_entry,
             };
             (trie, Some(lineage))
@@ -785,8 +995,9 @@ impl JournalStore {
     /// can't express the change: a contradictory existing entry is
     /// replaced wholesale by the live trie (a stale cache never mixes with
     /// live answers), [`RetainPolicy::OnlyThisKey`] drops other keys, an
-    /// absent or non-journal file is written out as a journal, and a
-    /// journal past its compaction threshold is compacted on the way out.
+    /// absent or non-journal file is written out as a journal, and a delta
+    /// that would make the record tail outweigh the checkpoints is folded
+    /// into fresh checkpoints instead of appended.
     ///
     /// The whole resync-merge-append runs under the path's process-wide
     /// writer lock, so concurrent savers through any number of handles
@@ -814,32 +1025,34 @@ impl JournalStore {
         JournalStore::open_or_empty(path).save_merged(key, trie, retain)
     }
 
-    /// Rewrites the store as one segment per key holding only live paths,
-    /// regardless of thresholds.  Returns the before/after sizes.
+    /// Rewrites the store as one checkpoint per key, whatever the tail
+    /// weighs.  Returns the before/after sizes.
     pub fn compact(&self) -> Result<CompactOutcome, CacheError> {
         let lock = Arc::clone(&self.lock);
         let _guard = hold_path_lock(&lock);
         let mut state = self.state.lock().expect("journal state poisoned");
         resync(&mut state, &self.path)?;
         let before_bytes = state.synced_len;
-        let before_records = state.record_frames;
+        let before_records = state.layout.tail_records;
         rewrite(&mut state, &self.path)?;
         Ok(CompactOutcome {
             before_bytes,
             after_bytes: state.synced_len,
             before_records,
-            after_records: state.record_frames,
+            after_records: state.layout.tail_records,
         })
     }
 
-    /// Summarizes the store: format, sizes, per-entry path counts.
+    /// Summarizes the store: format, checkpoint and tail sizes, per-entry
+    /// path counts.
     pub fn stats(&self) -> JournalStats {
         let state = self.state.lock().expect("journal state poisoned");
         JournalStats {
             format: state.source,
             file_bytes: std::fs::metadata(&self.path).map(|m| m.len()).unwrap_or(0),
-            record_frames: state.record_frames,
-            live_paths: state.live_paths(),
+            checkpoint_bytes: state.layout.checkpoint_bytes,
+            tail_bytes: state.tail_bytes(),
+            tail_records: state.layout.tail_records,
             entries: state
                 .entries
                 .iter()
@@ -874,7 +1087,7 @@ impl JournalStore {
         let mut reader = FrameReader::new(file, 0, REPLAY_CHUNK);
         if !reader.take_magic()? {
             return Err(CacheError::Format(
-                "not a journal (no PGNJRNL1 magic)".into(),
+                "not a journal (no PGNJRNL2 or PGNJRNL1 magic)".into(),
             ));
         }
         let mut replay = Replay::empty();
@@ -901,6 +1114,7 @@ impl JournalStore {
 struct Lineage {
     mark: TrieMark,
     synced_len: u64,
+    generation: u64,
     /// Whether the store held an entry for the key at all.
     had_entry: bool,
 }
@@ -922,7 +1136,8 @@ impl Checkout {
     /// Persists the run's final trie, which for a warm checkout must be
     /// the checked-out trie grown by the run.
     ///
-    /// While the file is still exactly as the checkout saw it, the delta is
+    /// While the file is still exactly as the checkout saw it (the same
+    /// generation stamp and length), the delta is
     /// read off the trie's lineage: the paths whose end node is new or
     /// newly terminal since the checkout
     /// ([`PrefixTrie::for_each_path_since`]), which are the paths
@@ -944,16 +1159,12 @@ impl Checkout {
             resync(&mut state, &store.path)?;
             return merge_synced(&mut state, &store.path, &key, Cow::Owned(trie), retain);
         };
-        let file_len = match std::fs::metadata(&store.path) {
-            Ok(meta) => Some(meta.len()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e.into()),
-        };
+        let head = open_head(&store.path)?.map(|(_, len, generation)| (len, generation));
         // The checked-out key is no longer in `entries`: any entry left is
         // another key's.
         let drops_other_keys = retain == RetainPolicy::OnlyThisKey && !state.entries.is_empty();
         let in_place = state.source == StoreFormat::Journal
-            && file_len == Some(lineage.synced_len)
+            && head == Some((lineage.synced_len, Some(lineage.generation)))
             && !drops_other_keys;
         if !in_place {
             // The checked-out entry left this handle's state, so rebuild
@@ -1074,10 +1285,11 @@ fn merge_synced(
     append_delta(state, path, key, merged, &bytes, fresh.len())
 }
 
-/// Appends `bytes`, a delta of `records` record frames for `key`, then
-/// records `merged` as the key's entry.  Compacts once superseded records
-/// outnumber live paths 2:1 — past [`COMPACT_MIN_RECORDS`], so small
-/// stores never churn.
+/// Records `merged` as `key`'s entry and persists `bytes`, a delta of
+/// `records` record frames for it: appended, unless the record tail would
+/// then outweigh the checkpoints — then the store is rewritten as fresh
+/// checkpoints instead, so a replay never reads much more than twice the
+/// checkpoints.
 fn append_delta(
     state: &mut State,
     path: &Path,
@@ -1086,6 +1298,10 @@ fn append_delta(
     bytes: &[u8],
     records: usize,
 ) -> Result<(), CacheError> {
+    state.entries.insert(key.clone(), merged);
+    if state.tail_bytes() + bytes.len() as u64 > state.layout.checkpoint_bytes {
+        return rewrite(state, path);
+    }
     if let Err(e) = append_durable(path, state.synced_len, bytes) {
         // What reached the file is unknown: drop the synced view so the
         // next mutation re-reads the file.
@@ -1093,12 +1309,8 @@ fn append_delta(
         return Err(e);
     }
     state.synced_len += bytes.len() as u64;
-    state.record_frames += records;
+    state.layout.tail_records += records;
     state.last_header_key = Some(key.clone());
-    state.entries.insert(key.clone(), merged);
-    if state.record_frames >= COMPACT_MIN_RECORDS && state.record_frames > 2 * state.live_paths() {
-        rewrite(state, path)?;
-    }
     Ok(())
 }
 
@@ -1106,67 +1318,89 @@ fn append_delta(
 /// or one without the journal magic, leaves the state empty; the first
 /// write then replaces the file.
 fn read_into(state: &mut State, path: &Path) -> Result<(), CacheError> {
-    let file = match std::fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            *state = State::empty();
-            return Ok(());
-        }
+    match File::open(path) {
+        Ok(file) => *state = read_journal(file)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => *state = State::empty(),
         Err(e) => return Err(e.into()),
-    };
-    let mut reader = FrameReader::new(file, 0, REPLAY_CHUNK);
-    if !reader.take_magic()? {
-        *state = State::empty();
-        return Ok(());
     }
-    let mut replay = Replay::empty();
-    let good_len = replay.replay(&mut reader)?;
-    *state = replay.into_state(good_len);
     Ok(())
 }
 
-/// Brings `state` up to date with the file before a mutation.  Same
-/// length and source ⇒ already synced; a grown journal gets a cheap tail
-/// replay from the synced offset; anything else (shrunk, replaced, not a
-/// journal) gets a full re-read.
-fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
-    let file_len = match std::fs::metadata(path) {
-        Ok(meta) => meta.len(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            *state = State::empty();
-            return Ok(());
-        }
+/// Replays a whole journal from `source`; empty without the magic.
+fn read_journal(source: impl Read) -> std::io::Result<State> {
+    let mut reader = FrameReader::new(source, 0, REPLAY_CHUNK);
+    if !reader.take_magic()? {
+        return Ok(State::empty());
+    }
+    let mut replay = Replay::empty();
+    let good_len = replay.replay(&mut reader)?;
+    Ok(replay.into_state(good_len))
+}
+
+/// Bytes [`open_head`] reads: the magic and a generation frame.
+const HEAD_CHUNK: usize = 32;
+
+/// Opens the file at `path` and reads what tells whether a synced view
+/// still describes it: its length and generation stamp (`None` without
+/// the journal magic, 0 for a journal that does not open with a stamp).
+/// `None` when there is no file.
+fn open_head(path: &Path) -> Result<Option<(File, u64, Option<u64>)>, CacheError> {
+    let mut file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    if state.source == StoreFormat::Journal && file_len == state.synced_len {
+    let len = file.metadata()?.len();
+    let mut reader = FrameReader::new(&mut file, 0, HEAD_CHUNK);
+    let generation = if reader.take_magic()? {
+        Some(match reader.next_frame()? {
+            Some((FRAME_GENERATION, payload, _)) => decode_generation(payload).unwrap_or(0),
+            _ => 0,
+        })
+    } else {
+        None
+    };
+    Ok(Some((file, len, generation)))
+}
+
+/// Brings `state` up to date with the file before a mutation.  The same
+/// generation stamp and length ⇒ already synced; the same stamp and a
+/// longer file ⇒ another handle appended, so a cheap tail replay from the
+/// synced offset; anything else (rewritten or replaced whatever its new
+/// length, shrunk, not a journal) ⇒ a full re-read.
+fn resync(state: &mut State, path: &Path) -> Result<(), CacheError> {
+    let Some((mut file, file_len, generation)) = open_head(path)? else {
+        *state = State::empty();
+        return Ok(());
+    };
+    let same_file =
+        state.source == StoreFormat::Journal && generation == Some(state.layout.generation);
+    if same_file && file_len == state.synced_len {
         return Ok(());
     }
-    if state.source == StoreFormat::Journal && file_len > state.synced_len {
-        // The journal grew (another handle appended): replay just the
-        // tail, reading nothing before the synced offset but the magic.
-        // Frame boundaries are stable because every writer appends at its
-        // synced offset under the same path lock.
-        let mut file = std::fs::File::open(path)?;
-        let mut magic = [0u8; JOURNAL_MAGIC.len()];
-        if file.read_exact(&mut magic).is_ok() && &magic == JOURNAL_MAGIC {
-            file.seek(SeekFrom::Start(state.synced_len))?;
-            let mut reader = FrameReader::new(file, state.synced_len, REPLAY_CHUNK);
-            let mut replay = Replay::resume(state);
-            return match replay.replay(&mut reader) {
-                Ok(good_len) => {
-                    *state = replay.into_state(good_len);
-                    Ok(())
-                }
-                Err(e) => {
-                    // The entries went into the failed replay: forget
-                    // them, so the next mutation re-reads the whole file.
-                    *state = State::empty();
-                    Err(e.into())
-                }
-            };
-        }
+    if same_file && file_len > state.synced_len {
+        // Read nothing before the synced offset but the head.  Frame
+        // boundaries are stable within a generation because every writer
+        // appends at its synced offset under the same path lock.
+        file.seek(SeekFrom::Start(state.synced_len))?;
+        let mut reader = FrameReader::new(file, state.synced_len, REPLAY_CHUNK);
+        let mut replay = Replay::resume(state);
+        return match replay.replay(&mut reader) {
+            Ok(good_len) => {
+                *state = replay.into_state(good_len);
+                Ok(())
+            }
+            Err(e) => {
+                // The entries went into the failed replay: forget
+                // them, so the next mutation re-reads the whole file.
+                *state = State::empty();
+                Err(e.into())
+            }
+        };
     }
-    read_into(state, path)
+    file.rewind()?;
+    *state = read_journal(file)?;
+    Ok(())
 }
 
 /// Appends `bytes` at `offset`, truncating any torn tail past it first,
@@ -1185,29 +1419,42 @@ fn append_durable(path: &Path, offset: u64, bytes: &[u8]) -> Result<(), CacheErr
     Ok(())
 }
 
-/// Serializes the state's entries as a fresh journal — one segment per
-/// key, one record per live path — and atomically, durably swaps it in.
-/// This is both the compaction path and the replace-the-file path.
+/// Serializes the state's entries as a fresh journal — the next
+/// generation stamp, then per key a segment header and one checkpoint —
+/// and atomically, durably swaps it in.  This is the compaction path, the
+/// replace-the-file path and the heavy-tail path alike.
 fn rewrite(state: &mut State, path: &Path) -> Result<(), CacheError> {
-    let mut bytes = Vec::new();
+    let generation = state.layout.generation + 1;
+    // One buffer sized up front for the whole file, the checkpoints
+    // written into it in place.
+    let size_hint: usize = state.entries.values().map(checkpoint_size_hint).sum();
+    let mut bytes = Vec::with_capacity(size_hint);
     bytes.extend_from_slice(JOURNAL_MAGIC);
-    let mut records = 0;
+    push_frame(&mut bytes, FRAME_GENERATION, &generation.to_le_bytes());
+    let mut checkpoint_bytes = 0;
     let mut last_key = None;
     for (key, trie) in &state.entries {
         push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
-        trie.for_each_path(|input, output, terminal| {
-            push_frame(
-                &mut bytes,
-                FRAME_RECORD,
-                &encode_record(input, output, terminal),
-            );
-            records += 1;
+        let start = bytes.len();
+        push_frame_with(&mut bytes, FRAME_CHECKPOINT, |out| {
+            write_checkpoint(out, trie)
         });
+        checkpoint_bytes += (bytes.len() - start) as u64;
         last_key = Some(key.clone());
     }
-    atomic_write_durable(path, &bytes)?;
+    if let Err(e) = atomic_write_durable(path, &bytes) {
+        // The entries may hold what never reached the file: re-read it
+        // on the next mutation.
+        *state = State::empty();
+        return Err(e.into());
+    }
     state.synced_len = bytes.len() as u64;
-    state.record_frames = records;
+    state.layout = Layout {
+        generation,
+        tail_start: state.synced_len,
+        checkpoint_bytes,
+        tail_records: 0,
+    };
     state.last_header_key = last_key;
     state.source = StoreFormat::Journal;
     Ok(())
@@ -1502,12 +1749,12 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// What two replays must agree on: entries, synced length, record
-    /// frames, contradictions and the last header's key.
+    /// What two replays must agree on: entries, synced length, tail
+    /// start, checkpoint bytes, tail records, contradictions and the last
+    /// header's key.
     type ReplaySummary = (
         Vec<(StoreKey, Vec<(InputWord, OutputWord, bool)>)>,
-        u64,
-        usize,
+        (u64, u64, u64, usize),
         usize,
         Option<StoreKey>,
     );
@@ -1527,29 +1774,44 @@ mod tests {
                 .iter()
                 .map(|(key, trie)| (key.clone(), trie.paths()))
                 .collect(),
-            state.synced_len,
-            state.record_frames,
+            (
+                state.synced_len,
+                state.layout.tail_start,
+                state.layout.checkpoint_bytes,
+                state.layout.tail_records,
+            ),
             contradictions,
             state.last_header_key,
         )
     }
 
     /// One generated frame: kind 0 is a segment header (for the key its
-    /// step count selects), anything else a record of `(input, output)`
+    /// step count selects), kind 1 a checkpoint of the trie holding its
+    /// steps as one path, anything else a record of `(input, output)`
     /// spelling picks with a terminal flag.
     type FrameSpec = (u8, Vec<(u8, u8)>, bool);
 
-    /// A journal opening with `keys[0]`'s header, then headers for `keys`
-    /// and records over three input spellings with two outputs, so records
-    /// under one key often contradict each other.
+    /// A journal opening with a generation stamp and `keys[0]`'s header,
+    /// then headers for `keys`, checkpoints, and records over three input
+    /// spellings with two outputs, so records under one key often
+    /// contradict each other.
     fn journal_bytes(frames: &[FrameSpec], keys: &[StoreKey]) -> Vec<u8> {
         let spell = |i: u8| Symbol::new(["a", "b", "ñ"][i as usize % 3]);
         let mut bytes = JOURNAL_MAGIC.to_vec();
+        push_frame(&mut bytes, FRAME_GENERATION, &7u64.to_le_bytes());
         push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(&keys[0]));
         for (kind, steps, terminal) in frames {
             if *kind == 0 {
                 let key = &keys[steps.len() % keys.len()];
                 push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
+            } else if *kind == 1 {
+                let input: Vec<Symbol> = steps.iter().map(|&(i, _)| spell(i)).collect();
+                let output: Vec<Symbol> = steps.iter().map(|&(_, o)| spell(o % 2)).collect();
+                let mut trie = PrefixTrie::new();
+                trie.apply_path(&input, &output, *terminal).unwrap();
+                push_frame_with(&mut bytes, FRAME_CHECKPOINT, |out| {
+                    write_checkpoint(out, &trie)
+                });
             } else {
                 let input: Vec<Symbol> = steps.iter().map(|&(i, _)| spell(i)).collect();
                 let output: Vec<Symbol> = steps.iter().map(|&(_, o)| spell(o % 2)).collect();
@@ -1574,7 +1836,7 @@ mod tests {
         #[test]
         fn streaming_replay_matches_a_single_buffer_replay(
             frames in prop::collection::vec(
-                (0u8..4, prop::collection::vec((0u8..3, 0u8..2), 0..6), any::<bool>()),
+                (0u8..5, prop::collection::vec((0u8..3, 0u8..2), 0..6), any::<bool>()),
                 0..40,
             ),
             cut in 0u64..=10_000,
@@ -1592,6 +1854,95 @@ mod tests {
                 prop_assert_eq!(&replay_bytes(&bytes, size), &whole);
             }
         }
+    }
+
+    /// A store written in the first format (records only) replays as a
+    /// journal whose tail is the whole file; its first rewrite yields a
+    /// current-format file holding one checkpoint, no tail, and the same
+    /// observations.
+    #[test]
+    fn a_v1_file_replays_and_its_first_rewrite_upgrades_it() {
+        let alphabet = Alphabet::from_symbols(["a", "b"]);
+        let path = tmp_path("v1-upgrade.journal");
+        let k = key(&alphabet);
+        let mut trie = sample_trie();
+        trie.insert(
+            &InputWord::from_symbols(["b", "a"]),
+            &OutputWord::from_symbols(["9", "8"]),
+        );
+        let mut v1 = JOURNAL_MAGIC_V1.to_vec();
+        push_frame(&mut v1, FRAME_SEGMENT, &encode_segment_header(&k));
+        trie.for_each_path(|input, output, terminal| {
+            push_frame(
+                &mut v1,
+                FRAME_RECORD,
+                &encode_record(input, output, terminal),
+            );
+        });
+        std::fs::write(&path, &v1).unwrap();
+        assert!(JournalStore::verify(&path).unwrap().is_clean());
+        let store = JournalStore::open(&path).unwrap();
+        assert_eq!(store.snapshot(&k).unwrap().paths(), trie.paths());
+        let stats = store.stats();
+        assert_eq!(
+            (stats.checkpoint_bytes, stats.tail_bytes, stats.tail_records),
+            (0, (v1.len() - JOURNAL_MAGIC_V1.len()) as u64, 2)
+        );
+
+        let outcome = store.compact().unwrap();
+        assert_eq!((outcome.before_records, outcome.after_records), (2, 0));
+        let upgraded = std::fs::read(&path).unwrap();
+        assert!(upgraded.starts_with(JOURNAL_MAGIC));
+        let stats = JournalStore::open(&path).unwrap().stats();
+        assert!(stats.checkpoint_bytes > 0);
+        assert_eq!((stats.tail_bytes, stats.tail_records), (0, 0));
+        assert_eq!(
+            JournalStore::load_matching(&path, &k).unwrap().paths(),
+            trie.paths()
+        );
+        assert!(JournalStore::verify(&path).unwrap().is_clean());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Saves append records while the tail stays lighter than the
+    /// checkpoints, and fold them into a rewrite once it would not.
+    #[test]
+    fn a_tail_heavier_than_the_checkpoints_is_rewritten() {
+        let alphabet = Alphabet::from_symbols(["a", "b"]);
+        let path = tmp_path("tail-rule.journal");
+        std::fs::remove_file(&path).ok();
+        let k = key(&alphabet);
+        let store = JournalStore::open_or_empty(&path);
+        let mut trie = PrefixTrie::new();
+        let mut appended = 0;
+        for n in 0..64 {
+            let word: Vec<&str> = (0..6).map(|i| ["a", "b"][(n >> i) & 1]).collect();
+            let input = InputWord::from_symbols(word.iter().copied());
+            let output = OutputWord::from_symbols(word.iter().map(|s| s.to_uppercase()));
+            trie.insert(&input, &output);
+            trie.mark_terminal(&input);
+            let before = store.stats();
+            store.save_merged(&k, &trie, RetainPolicy::All).unwrap();
+            let after = store.stats();
+            assert!(
+                after.tail_bytes <= after.checkpoint_bytes,
+                "a save never leaves the tail heavier than the checkpoints"
+            );
+            if after.tail_records > before.tail_records {
+                appended += 1;
+                assert_eq!(after.checkpoint_bytes, before.checkpoint_bytes);
+            } else {
+                assert_eq!((after.tail_bytes, after.tail_records), (0, 0));
+            }
+            assert_eq!(after.file_bytes, std::fs::metadata(&path).unwrap().len());
+        }
+        assert!(appended > 0, "some saves append");
+        assert!(appended < 63, "some saves rewrite");
+        assert_eq!(
+            JournalStore::load_matching(&path, &k).unwrap().paths(),
+            trie.paths()
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //! replay).
 //!
 //! The trie is also the unit of *cross-run persistence*: the journal
-//! ([`crate::journal::JournalStore`]) stores it as `(input, output,
-//! terminal)` maximal-path records (see [`PrefixTrie::for_each_path`])
-//! rather than its arena representation, so the on-disk format is stable
-//! under node reordering and survives refactors of the in-memory layout.
+//! ([`crate::journal::JournalStore`]) checkpoints it as its preorder node
+//! stream over string-ordered symbols (`PrefixTrie::for_each_node_preorder`,
+//! rebuilt by `PreorderFill`) and appends later growth as `(input, output, terminal)` maximal-path
+//! records ([`PrefixTrie::for_each_path`]).  Neither spells arena indices
+//! or symbol ids, so the on-disk format is stable under node reordering
+//! and survives refactors of the in-memory layout.
 
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::{IWord, Interner, SymbolId};
@@ -39,9 +41,10 @@ const NO_ID: u32 = u32::MAX;
 #[derive(Clone, Debug, Default)]
 struct TrieNode {
     /// Child node per next input symbol, indexed by input `SymbolId`.
-    /// `NO_ID` marks an absent edge; the table may be shorter than the
-    /// interner when trailing ids have no edge here.
-    children: Vec<u32>,
+    /// `NO_ID` marks an absent edge; the table ends at the node's largest
+    /// child id (a leaf's is empty and allocates nothing).  A boxed slice,
+    /// not a `Vec`: no spare capacity, and a node of 24 bytes, not 32.
+    children: Box<[u32]>,
     /// Output symbol id (into the output interner) the SUL produced on the
     /// edge *into* this node (`NO_ID` only for the root).
     output: u32,
@@ -52,9 +55,14 @@ struct TrieNode {
 
 impl TrieNode {
     fn root() -> Self {
+        TrieNode::leaf(NO_ID)
+    }
+
+    /// A childless, non-terminal node reached on output `output`.
+    fn leaf(output: u32) -> Self {
         TrieNode {
-            children: Vec::new(),
-            output: NO_ID,
+            children: Box::default(),
+            output,
             terminal: false,
         }
     }
@@ -69,7 +77,9 @@ impl TrieNode {
 
     fn set_child(&mut self, id: SymbolId, child: usize) {
         if self.children.len() <= id.index() {
-            self.children.resize(id.index() + 1, NO_ID);
+            let mut grown = vec![NO_ID; id.index() + 1];
+            grown[..self.children.len()].copy_from_slice(&self.children);
+            self.children = grown.into_boxed_slice();
         }
         self.children[id.index()] = child as u32;
     }
@@ -129,6 +139,134 @@ impl TrieMark {
         self.terminals
             .get(node / 64)
             .is_some_and(|word| word & (1 << (node % 64)) != 0)
+    }
+}
+
+/// One node of a trie's preorder stream (see
+/// [`PrefixTrie::for_each_node_preorder`] and [`PreorderFill`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PreorderNode {
+    /// The edge into the node as `(input, output)` indices into the
+    /// stream's input and output symbol lists; `None` for the root.
+    pub(crate) edge: Option<(u32, u32)>,
+    /// Whether a query ended exactly here.
+    pub(crate) terminal: bool,
+    /// How many children follow the node in the stream, each with its
+    /// subtree.
+    pub(crate) children: usize,
+}
+
+/// Rebuilds a [`PrefixTrie`] from a preorder node stream in one bulk arena
+/// fill: each node is appended once, with no path walk and no coverage
+/// check.  The stream is untrusted (it comes off disk), so every node is
+/// validated as it arrives — the root first and only first, symbol indices
+/// in range, no two siblings on one input, no more children than distinct
+/// inputs — and [`PreorderFill::finish`] fails unless the child counts
+/// were met exactly.  Nothing is allocated by a claimed count: the arena
+/// grows as nodes arrive, past the caller's capacity hint.
+pub(crate) struct PreorderFill {
+    trie: PrefixTrie,
+    /// `(node, children still to come, start of its children in
+    /// `siblings`)` for each node whose children are still arriving.
+    open: Vec<(usize, usize, usize)>,
+    /// `(input, node)` of the children that arrived so far, innermost open
+    /// node's last.  A node's child table is built once, at its exact
+    /// size, when its last child arrives.
+    siblings: Vec<(u32, u32)>,
+    root_seen: bool,
+}
+
+impl PreorderFill {
+    /// A fill over the given symbol lists (interned in list order, so
+    /// stream index `i` is symbol id `i`), reserving room for `capacity`
+    /// nodes.  Fails when a list repeats a symbol.
+    pub(crate) fn new(
+        inputs: &[Symbol],
+        outputs: &[Symbol],
+        capacity: usize,
+    ) -> Result<Self, String> {
+        let mut trie = PrefixTrie::new();
+        for (symbols, interner) in [(inputs, &mut trie.inputs), (outputs, &mut trie.outputs)] {
+            for (index, symbol) in symbols.iter().enumerate() {
+                if interner.intern(symbol).index() != index {
+                    return Err(format!("symbol {:?} listed twice", symbol.as_str()));
+                }
+            }
+        }
+        trie.nodes.reserve(capacity);
+        Ok(PreorderFill {
+            trie,
+            open: Vec::new(),
+            siblings: Vec::new(),
+            root_seen: false,
+        })
+    }
+
+    /// Appends the next node of the stream.
+    pub(crate) fn push(&mut self, node: PreorderNode) -> Result<(), String> {
+        if node.children > self.trie.inputs.len() {
+            return Err("more children than distinct inputs".to_string());
+        }
+        let index = match (node.edge, self.root_seen) {
+            (None, false) => {
+                self.root_seen = true;
+                0
+            }
+            (Some((input, output)), true) => self.push_child(input, output)?,
+            (None, true) => return Err("a second root".to_string()),
+            (Some(_), false) => return Err("the stream must open with the root".to_string()),
+        };
+        if node.terminal {
+            self.trie.nodes[index].terminal = true;
+            self.trie.terminal_words += 1;
+        }
+        if node.children > 0 {
+            self.open.push((index, node.children, self.siblings.len()));
+        }
+        Ok(())
+    }
+
+    /// Appends a child of the innermost open node, returning its index.
+    fn push_child(&mut self, input: u32, output: u32) -> Result<usize, String> {
+        let Some((parent, left, first)) = self.open.last_mut() else {
+            return Err("more nodes than the child counts hold".to_string());
+        };
+        if input as usize >= self.trie.inputs.len() || output as usize >= self.trie.outputs.len() {
+            return Err("symbol index out of range".to_string());
+        }
+        if self.siblings[*first..]
+            .iter()
+            .any(|&(seen, _)| seen == input)
+        {
+            return Err("two siblings on one input".to_string());
+        }
+        let index = self.trie.nodes.len();
+        self.trie.nodes.push(TrieNode::leaf(output));
+        self.siblings.push((input, index as u32));
+        *left -= 1;
+        if *left == 0 {
+            let (parent, first) = (*parent, *first);
+            let len = self.siblings[first..]
+                .iter()
+                .map(|&(i, _)| i)
+                .max()
+                .map_or(0, |i| i as usize + 1);
+            let mut table = vec![NO_ID; len];
+            for (input, child) in self.siblings.drain(first..) {
+                table[input as usize] = child;
+            }
+            self.trie.nodes[parent].children = table.into_boxed_slice();
+            self.open.pop();
+        }
+        Ok(index)
+    }
+
+    /// The filled trie, once every announced child has arrived.
+    pub(crate) fn finish(self) -> Result<PrefixTrie, String> {
+        if !self.root_seen || !self.open.is_empty() {
+            return Err("fewer nodes than the child counts announce".to_string());
+        }
+        Ok(self.trie)
     }
 }
 
@@ -316,11 +454,7 @@ impl PrefixTrie {
                 None => {
                     let out_id = self.outputs.intern(out);
                     let child = self.nodes.len();
-                    self.nodes.push(TrieNode {
-                        children: Vec::new(),
-                        output: out_id.raw(),
-                        terminal: false,
-                    });
+                    self.nodes.push(TrieNode::leaf(out_id.raw()));
                     self.nodes[node].set_child(id, child);
                     node = child;
                     created += 1;
@@ -408,11 +542,7 @@ impl PrefixTrie {
         // Create the fresh suffix (nothing cached below a missing edge).
         while depth < input.len() {
             let child = self.nodes.len();
-            self.nodes.push(TrieNode {
-                children: Vec::new(),
-                output: output[depth].raw(),
-                terminal: false,
-            });
+            self.nodes.push(TrieNode::leaf(output[depth].raw()));
             self.nodes[node].set_child(input[depth], child);
             node = child;
             depth += 1;
@@ -692,6 +822,49 @@ impl PrefixTrie {
         }
     }
 
+    /// The input symbols in string order: the list the edges of
+    /// [`PrefixTrie::for_each_node_preorder`] index into.
+    pub(crate) fn input_symbols(&self) -> impl ExactSizeIterator<Item = &Symbol> {
+        let inputs = &self.inputs;
+        inputs.ids_in_order().iter().map(|&id| inputs.resolve(id))
+    }
+
+    /// The output symbols in string order: the list the edges of
+    /// [`PrefixTrie::for_each_node_preorder`] index into.
+    pub(crate) fn output_symbols(&self) -> impl ExactSizeIterator<Item = &Symbol> {
+        let outputs = &self.outputs;
+        outputs.ids_in_order().iter().map(|&id| outputs.resolve(id))
+    }
+
+    /// Visits every node in preorder, the root first and each node's
+    /// children in string order of their inputs.  Edges index the string
+    /// ordered [`PrefixTrie::input_symbols`] and
+    /// [`PrefixTrie::output_symbols`], so the stream depends only on the
+    /// cached answers and the interned symbol sets, never on arena layout
+    /// or intern order.  [`PreorderFill`] rebuilds the trie from it; the
+    /// journal checkpoints each entry this way.
+    pub(crate) fn for_each_node_preorder<F: FnMut(PreorderNode)>(&self, mut f: F) {
+        // (node, edge into it); children are pushed in reverse string
+        // order so they pop in string order.
+        let mut stack: Vec<(usize, Option<(u32, u32)>)> = vec![(0, None)];
+        let mut children = Vec::new();
+        while let Some((node, edge)) = stack.pop() {
+            children.clear();
+            for (rank, &id) in self.inputs.ids_in_order().iter().enumerate() {
+                if let Some(child) = self.nodes[node].child(id) {
+                    let output = self.outputs.rank_of(self.nodes[child].output);
+                    children.push((child, Some((rank as u32, output))));
+                }
+            }
+            f(PreorderNode {
+                edge,
+                terminal: self.nodes[node].terminal,
+                children: children.len(),
+            });
+            stack.extend(children.iter().rev());
+        }
+    }
+
     /// Rebuilds a trie from a [`PrefixTrie::paths`] dump.  Fails when a
     /// triple pairs words of different lengths or contradicts another
     /// triple's outputs (corrupt or hand-edited cache data).
@@ -961,6 +1134,78 @@ mod tests {
         reverse.insert(&w(&["a"]), &o(&["1"]));
         assert_eq!(forward.paths(), reverse.paths());
         assert_eq!(forward.entries(), reverse.entries());
+    }
+
+    /// Fills `trie`'s preorder stream back into a trie.
+    fn refill(trie: &PrefixTrie) -> Result<PrefixTrie, String> {
+        let inputs: Vec<Symbol> = trie.input_symbols().cloned().collect();
+        let outputs: Vec<Symbol> = trie.output_symbols().cloned().collect();
+        let mut fill = PreorderFill::new(&inputs, &outputs, trie.num_nodes())?;
+        let mut result = Ok(());
+        trie.for_each_node_preorder(|node| {
+            if result.is_ok() {
+                result = fill.push(node);
+            }
+        });
+        result?;
+        fill.finish()
+    }
+
+    #[test]
+    fn preorder_fill_rebuilds_the_trie_from_its_node_stream() {
+        let mut trie = PrefixTrie::new();
+        trie.mark_terminal(&InputWord::empty());
+        trie.insert(&w(&["b", "a", "c"]), &o(&["1", "2", "3"]));
+        trie.mark_terminal(&w(&["b", "a", "c"]));
+        trie.mark_terminal(&w(&["b"]));
+        trie.insert(&w(&["a", "x"]), &o(&["1", "9"]));
+        let rebuilt = refill(&trie).unwrap();
+        assert_eq!(rebuilt.paths(), trie.paths());
+        assert_eq!(rebuilt.num_nodes(), trie.num_nodes());
+        assert_eq!(rebuilt.terminal_words(), trie.terminal_words());
+        // The stream follows string order, not arena or intern order.
+        let mut streams = Vec::new();
+        for t in [
+            &trie,
+            &rebuilt,
+            &PrefixTrie::from_paths(&trie.paths()).unwrap(),
+        ] {
+            let mut stream = Vec::new();
+            t.for_each_node_preorder(|node| stream.push(node));
+            streams.push(stream);
+        }
+        assert_eq!(streams[0], streams[1]);
+        assert_eq!(streams[0], streams[2]);
+        assert_eq!(refill(&PrefixTrie::new()).unwrap().num_nodes(), 1);
+    }
+
+    #[test]
+    fn preorder_fill_rejects_malformed_streams() {
+        let symbols = [Symbol::new("a"), Symbol::new("b")];
+        let node = |edge, children| PreorderNode {
+            edge,
+            terminal: false,
+            children,
+        };
+        let fill = |nodes: &[PreorderNode]| {
+            let mut fill = PreorderFill::new(&symbols, &symbols[..1], 4)?;
+            for &n in nodes {
+                fill.push(n)?;
+            }
+            fill.finish()
+        };
+        assert!(fill(&[node(None, 1), node(Some((1, 0)), 0)]).is_ok());
+        // Index out of range, duplicate sibling, missing and extra nodes,
+        // a second root, more children than inputs.
+        assert!(fill(&[node(None, 1), node(Some((2, 0)), 0)]).is_err());
+        assert!(fill(&[node(None, 1), node(Some((0, 1)), 0)]).is_err());
+        assert!(fill(&[node(None, 2), node(Some((0, 0)), 0), node(Some((0, 0)), 0)]).is_err());
+        assert!(fill(&[node(None, 2), node(Some((0, 0)), 0)]).is_err());
+        assert!(fill(&[node(None, 0), node(Some((0, 0)), 0)]).is_err());
+        assert!(fill(&[node(None, 1), node(None, 0)]).is_err());
+        assert!(fill(&[node(None, 3)]).is_err());
+        assert!(fill(&[]).is_err());
+        assert!(PreorderFill::new(&[symbols[0].clone(), symbols[0].clone()], &[], 0).is_err());
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Property and stress tests for the journaled observation store: the
 //! binary record codec round-trips arbitrary consistent path sets, a
 //! journal truncated mid-record (a crash's torn tail) replays to exactly
-//! the records before the tear, and many threads appending through
-//! separate handles to one shared store lose no observations and produce
-//! bit-identical warm tries.
+//! the records before the tear, many threads appending through separate
+//! handles to one shared store lose no observations and produce
+//! bit-identical warm tries, a handle whose file another handle rewrote
+//! re-reads it, and the checkpoint decoder is total: no payload panics
+//! it or makes it allocate by a count the payload claims, and each kind
+//! of malformed checkpoint ends the replay at its frame.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -11,6 +14,50 @@ use prognosis_learner::cache::StoreKey;
 use prognosis_learner::journal::{JournalStore, RetainPolicy, JOURNAL_MAGIC};
 use prognosis_learner::trie::PrefixTrie;
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+
+/// Tracks the largest single allocation each thread makes, then defers to
+/// the system allocator.
+struct LargestPerThread;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_allocation(size: usize) {
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// bookkeeping touches only a const-initialised thread-local `Cell`, which
+// never allocates.
+unsafe impl GlobalAlloc for LargestPerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestPerThread = LargestPerThread;
+
+/// The largest single allocation `f` makes on this thread.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let result = f();
+    (result, LARGEST.with(Cell::get))
+}
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -74,7 +121,9 @@ proptest! {
     // Crash recovery: truncating the journal at an arbitrary byte offset
     // replays to exactly the observations of some append prefix — the
     // torn final record is skipped, nothing before it is lost, and the
-    // next write heals the file.
+    // next write heals the file.  A save that rewrote the store replaced
+    // the file, so only the saves since the last rewrite are prefixes of
+    // it, and a cut inside the rewrite's checkpoint tears the whole entry.
     #[test]
     fn truncated_tails_recover_to_a_clean_append_prefix(
         words in prop::collection::vec(prop::collection::vec(0usize..4, 1..8), 2..12),
@@ -85,24 +134,26 @@ proptest! {
         let alphabet = Alphabet::from_symbols(SYMBOLS);
         let key = StoreKey::new("sul-prop", "v1", &alphabet);
         // Append word by word, recording the file length and the expected
-        // replay after each append.
+        // replay after each append since the last rewrite.
         let store = JournalStore::open_or_empty(&path);
         let mut cumulative: Vec<Vec<usize>> = Vec::new();
-        let mut checkpoints: Vec<(u64, PrefixTrie)> = vec![(0, PrefixTrie::new())];
+        let mut saves: Vec<(u64, PrefixTrie)> = vec![(0, PrefixTrie::new())];
         for word in &words {
             cumulative.push(word.clone());
             let trie = trie_from_words(&cumulative);
             store.save_merged(&key, &trie, RetainPolicy::All).unwrap();
-            checkpoints.push((std::fs::metadata(&path).unwrap().len(), trie));
+            if store.stats().tail_records == 0 {
+                saves.truncate(1);
+            }
+            saves.push((std::fs::metadata(&path).unwrap().len(), trie));
         }
-        let full_len = checkpoints.last().unwrap().0;
+        let full_len = saves.last().unwrap().0;
         let cut_len = cut * full_len / 10_000;
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..cut_len as usize]).unwrap();
-        // The replayed store equals the latest checkpoint at or below the
-        // cut: every fully present record survives, the torn one is
-        // skipped.
-        let expected = checkpoints
+        // The replayed store equals the latest save at or below the cut:
+        // every fully present record survives, the torn one is skipped.
+        let expected = saves
             .iter()
             .rev()
             .find(|(len, _)| *len <= cut_len)
@@ -315,4 +366,346 @@ fn commit_after_a_concurrent_append_merges_both_runs() {
     assert_eq!(replayed.paths(), trie_from_words(&all).paths());
     assert!(JournalStore::verify(&path).unwrap().is_clean());
     std::fs::remove_file(&path).ok();
+}
+
+/// Another handle rewrites the file to a *longer* one between two saves
+/// through a handle: the stale handle must re-read the whole file rather
+/// than tail-replay the rewrite from its old, now misaligned offset (and
+/// then truncate the file back to it).
+#[test]
+fn a_save_after_another_handle_rewrote_the_file_keeps_both() {
+    let path = tmp_path("stale-resync");
+    std::fs::remove_file(&path).ok();
+    let alphabet = Alphabet::from_symbols(SYMBOLS);
+    let key = StoreKey::new("sul-stale", "v1", &alphabet);
+    // "δ" sorts after every other symbol, so the rewrite does not open
+    // with the record the stale handle synced past.
+    let base = vec![vec![3, 3]];
+    JournalStore::save_merged_at(&path, &key, &trie_from_words(&base), RetainPolicy::All).unwrap();
+    let stale = JournalStore::open(&path).unwrap();
+    let synced = std::fs::metadata(&path).unwrap().len();
+
+    let theirs: Vec<Vec<usize>> = (0..256)
+        .map(|i| vec![i % 4, i / 4 % 4, i / 16 % 4, i / 64 % 4])
+        .collect();
+    let other = JournalStore::open(&path).unwrap();
+    other
+        .save_merged(
+            &key,
+            &trie_from_words(&[base.clone(), theirs.clone()].concat()),
+            RetainPolicy::All,
+        )
+        .unwrap();
+    other.compact().unwrap();
+    assert!(std::fs::metadata(&path).unwrap().len() > synced);
+
+    let ours = vec![vec![1, 1, 1, 1, 1]];
+    stale
+        .save_merged(
+            &key,
+            &trie_from_words(&[base.clone(), ours.clone()].concat()),
+            RetainPolicy::All,
+        )
+        .unwrap();
+    let all = [base, theirs, ours].concat();
+    let replayed = JournalStore::load_matching(&path, &key).unwrap();
+    assert_eq!(replayed.paths(), trie_from_words(&all).paths());
+    assert!(JournalStore::verify(&path).unwrap().is_clean());
+    std::fs::remove_file(&path).ok();
+}
+
+/// Another handle replaces a checked-out entry with a contradicting one of
+/// the same size, so the file keeps its length: the commit must still see
+/// that the file changed, and replace the contradicting entry wholesale
+/// instead of appending its delta to it.
+#[test]
+fn a_commit_after_a_same_length_rewrite_does_not_append_in_place() {
+    let path = tmp_path("stale-commit");
+    std::fs::remove_file(&path).ok();
+    let alphabet = Alphabet::from_symbols(["a", "b"]);
+    let key = StoreKey::new("sul-stale", "v1", &alphabet);
+    let answer = |input: &str, output: &str| {
+        let mut trie = PrefixTrie::new();
+        trie.insert(
+            &InputWord::from_symbols([input]),
+            &OutputWord::from_symbols([output]),
+        );
+        trie.mark_terminal(&InputWord::from_symbols([input]));
+        trie
+    };
+    JournalStore::save_merged_at(&path, &key, &answer("a", "1"), RetainPolicy::All).unwrap();
+    let synced = std::fs::metadata(&path).unwrap().len();
+    let (mut trie, checkout) = JournalStore::open(&path)
+        .unwrap()
+        .checkout(key.clone(), true);
+
+    JournalStore::save_merged_at(&path, &key, &answer("a", "2"), RetainPolicy::All).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), synced);
+
+    trie.insert(
+        &InputWord::from_symbols(["b"]),
+        &OutputWord::from_symbols(["3"]),
+    );
+    trie.mark_terminal(&InputWord::from_symbols(["b"]));
+    let ours = trie.clone();
+    checkout.commit(trie, RetainPolicy::All).unwrap();
+    let replayed = JournalStore::load_matching(&path, &key).unwrap();
+    assert_eq!(replayed.paths(), ours.paths());
+    assert!(JournalStore::verify(&path).unwrap().is_clean());
+    std::fs::remove_file(&path).ok();
+}
+
+fn push_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+fn push_str(out: &mut Vec<u8>, s: &str) {
+    push_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a frame: tag, varint payload length, payload, and the low 32
+/// bits of FNV-1a-64 over the payload.
+fn push_frame(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in payload {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    out.push(tag);
+    push_varint(out, payload.len() as u64);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&(hash as u32).to_le_bytes());
+}
+
+/// A checkpoint node as the format spells it: input index, output index,
+/// terminal flag and child count (the root's indices are not written).
+type NodeSpec = (u64, u64, bool, u64);
+
+/// A checkpoint payload spelled out from the documented layout: both
+/// symbol lists (each preceded by `*_count`), the node count, then the
+/// nodes.
+fn checkpoint_payload(
+    (input_count, inputs): (u64, &[String]),
+    (output_count, outputs): (u64, &[String]),
+    node_count: u64,
+    nodes: &[NodeSpec],
+) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for (count, symbols) in [(input_count, inputs), (output_count, outputs)] {
+        push_varint(&mut payload, count);
+        for symbol in symbols {
+            push_str(&mut payload, symbol);
+        }
+    }
+    push_varint(&mut payload, node_count);
+    for (index, &(input, output, terminal, children)) in nodes.iter().enumerate() {
+        if index > 0 {
+            push_varint(&mut payload, input);
+            push_varint(&mut payload, output);
+        }
+        push_varint(&mut payload, children << 1 | u64::from(terminal));
+    }
+    payload
+}
+
+/// A journal holding `key`'s segment header, a checkpoint frame with
+/// `payload`, and one record frame after it; also returns the offset the
+/// checkpoint frame starts at.
+fn journal_with_checkpoint(key: &StoreKey, payload: &[u8]) -> (Vec<u8>, u64) {
+    let mut header = Vec::new();
+    push_str(&mut header, key.sul_id());
+    push_str(&mut header, key.impl_version());
+    header.extend_from_slice(&key.alphabet_hash().to_le_bytes());
+    push_varint(&mut header, key.alphabet().len() as u64);
+    for symbol in key.alphabet() {
+        push_str(&mut header, symbol);
+    }
+    let mut file = JOURNAL_MAGIC.to_vec();
+    push_frame(&mut file, 0x04, &1u64.to_le_bytes());
+    push_frame(&mut file, 0x01, &header);
+    let start = file.len() as u64;
+    push_frame(&mut file, 0x03, payload);
+    let mut record = vec![1];
+    push_varint(&mut record, 1);
+    push_str(&mut record, SYMBOLS[0]);
+    push_str(&mut record, &output_for(&[0]));
+    push_frame(&mut file, 0x02, &record);
+    (file, start)
+}
+
+/// One trie node as the test spells tries: its output, terminal flag and
+/// children by input symbol (a `BTreeMap`, so in string order).
+#[derive(Default)]
+struct Node {
+    output: String,
+    terminal: bool,
+    children: BTreeMap<String, Node>,
+}
+
+/// The checkpoint of `trie_from_words(words)`, built independently of the
+/// store: its sorted symbol lists, and its nodes in preorder.
+fn checkpoint_of(words: &[Vec<usize>]) -> (Vec<String>, Vec<String>, Vec<NodeSpec>) {
+    let mut root = Node::default();
+    for word in words.iter().filter(|w| !w.is_empty()) {
+        let mut node = &mut root;
+        for n in 1..=word.len() {
+            let symbol = SYMBOLS[word[n - 1] % SYMBOLS.len()].to_string();
+            node = node.children.entry(symbol).or_default();
+            node.output = output_for(&word[..n]);
+        }
+        node.terminal = true;
+    }
+    fn symbols(node: &Node, inputs: &mut Vec<String>, outputs: &mut Vec<String>) {
+        for (input, child) in &node.children {
+            inputs.push(input.clone());
+            outputs.push(child.output.clone());
+            symbols(child, inputs, outputs);
+        }
+    }
+    let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
+    symbols(&root, &mut inputs, &mut outputs);
+    for list in [&mut inputs, &mut outputs] {
+        list.sort();
+        list.dedup();
+    }
+    fn preorder(
+        node: &Node,
+        edge: (u64, u64),
+        lists: (&[String], &[String]),
+        out: &mut Vec<NodeSpec>,
+    ) {
+        out.push((edge.0, edge.1, node.terminal, node.children.len() as u64));
+        for (input, child) in &node.children {
+            let index = |list: &[String], s: &str| list.iter().position(|x| x == s).unwrap() as u64;
+            let edge = (index(lists.0, input), index(lists.1, &child.output));
+            preorder(child, edge, lists, out);
+        }
+    }
+    let mut nodes = Vec::new();
+    preorder(&root, (0, 0), (&inputs, &outputs), &mut nodes);
+    (inputs, outputs, nodes)
+}
+
+/// A count a payload may claim: small, or far past anything the payload
+/// could hold, so allocating by it would dwarf the replay's read window.
+fn claimed_count() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..8, (1u64 << 21)..u64::MAX]
+}
+
+/// The replay's read window, the largest buffer a replay of a small file
+/// needs.
+const REPLAY_WINDOW: usize = 1 << 20;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // Any checkpoint payload under a valid checksum — raw bytes, or the
+    // documented layout with arbitrary lists, indices and counts, claimed
+    // counts included — replays without panicking and without allocating
+    // past the read window: it either loads, or ends the replay at its
+    // own frame, which `verify` accounts as the torn tail.
+    #[test]
+    fn arbitrary_checkpoint_payloads_never_panic_or_allocate_by_a_claimed_count(
+        raw in (any::<bool>(), prop::collection::vec(any::<u8>(), 0..256)),
+        inputs in prop::collection::vec(0usize..5, 0..5),
+        outputs in prop::collection::vec(0usize..5, 0..5),
+        claimed in ((any::<bool>(), claimed_count()), (any::<bool>(), claimed_count())),
+        node_count in (any::<bool>(), claimed_count()),
+        nodes in prop::collection::vec((0u64..6, 0u64..6, any::<bool>(), claimed_count()), 0..12),
+        case in 0u64..u64::MAX,
+    ) {
+        // Each `(bool, count)` pair claims its count when the flag is set
+        // and the true one otherwise.
+        let claim = |(lie, count): (bool, u64), truth: usize| if lie { count } else { truth as u64 };
+        let path = tmp_path(&format!("checkpoint-total-{case}"));
+        let alphabet = Alphabet::from_symbols(SYMBOLS);
+        let key = StoreKey::new("sul-prop", "v1", &alphabet);
+        let spell = |picks: &[usize]| -> Vec<String> {
+            picks.iter().map(|&i| format!("s{i}")).collect()
+        };
+        let (inputs, outputs) = (spell(&inputs), spell(&outputs));
+        let payload = match raw {
+            (true, raw) => raw,
+            (false, _) => checkpoint_payload(
+                (claim(claimed.0, inputs.len()), &inputs),
+                (claim(claimed.1, outputs.len()), &outputs),
+                claim(node_count, nodes.len()),
+                &nodes,
+            ),
+        };
+        let (bytes, start) = journal_with_checkpoint(&key, &payload);
+        std::fs::write(&path, &bytes).unwrap();
+        let (loaded, largest) = largest_allocation(|| JournalStore::load_matching(&path, &key));
+        prop_assert!(largest <= REPLAY_WINDOW, "a replay allocated {} bytes", largest);
+        let report = JournalStore::verify(&path).unwrap();
+        prop_assert_eq!(report.sound_bytes + report.torn_bytes, bytes.len() as u64);
+        if loaded.is_some() {
+            prop_assert_eq!(report.sound_bytes, bytes.len() as u64);
+        } else {
+            prop_assert_eq!(report.sound_bytes, start);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    // A well-formed checkpoint written from the documented layout loads
+    // the trie it spells, and each kind of defect in it — an index out of
+    // its symbol list, two siblings on one input, a symbol listed twice,
+    // a child count past the payload, a child count that leaves nodes
+    // over, a node count off by one either way — ends the replay at that
+    // frame, losing the entry as a torn tail would.
+    #[test]
+    fn each_checkpoint_defect_ends_the_replay_at_its_frame(
+        words in prop::collection::vec(prop::collection::vec(0usize..4, 1..6), 0..10),
+        defect in 0usize..9,
+        case in 0u64..u64::MAX,
+    ) {
+        let path = tmp_path(&format!("checkpoint-defect-{case}"));
+        let alphabet = Alphabet::from_symbols(SYMBOLS);
+        let key = StoreKey::new("sul-prop", "v1", &alphabet);
+        // Two single-symbol words give the root two children.
+        let words = [vec![vec![0], vec![1]], words].concat();
+        let (mut inputs, outputs, mut nodes) = checkpoint_of(&words);
+        let mut count = nodes.len() as u64;
+        let last = nodes.len() - 1;
+        // The root's second child follows the first child's subtree.
+        let (mut second, mut pending) = (1, 1);
+        while pending > 0 {
+            pending = pending + nodes[second].3 - 1;
+            second += 1;
+        }
+        match defect {
+            0 => {}
+            1 => nodes[last].0 = inputs.len() as u64,
+            2 => nodes[last].1 = outputs.len() as u64,
+            3 => nodes[second].0 = nodes[1].0,
+            4 => inputs.push(inputs[0].clone()),
+            5 => nodes[0].3 += 1,
+            6 => nodes[0].3 -= 1,
+            7 => count += 1,
+            _ => count -= 1,
+        }
+        let payload = checkpoint_payload(
+            (inputs.len() as u64, &inputs),
+            (outputs.len() as u64, &outputs),
+            count,
+            &nodes,
+        );
+        let (bytes, start) = journal_with_checkpoint(&key, &payload);
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = JournalStore::load_matching(&path, &key);
+        let report = JournalStore::verify(&path).unwrap();
+        if defect == 0 {
+            prop_assert_eq!(loaded.unwrap().paths(), trie_from_words(&words).paths());
+            prop_assert!(report.is_clean());
+        } else {
+            prop_assert!(loaded.is_none());
+            prop_assert_eq!(report.sound_bytes, start);
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
