@@ -100,9 +100,6 @@ enum StepState {
         /// The step's hard deadline: with nothing received by then, the
         /// step resolves to the adapter's timeout symbol.
         deadline: SimTime,
-        /// Response flights handled by the server but not yet ready to
-        /// leave it: `(ready_at, reply-to port, wire bytes)`.
-        outbox: Vec<(SimTime, u16, Bytes)>,
     },
 }
 
@@ -132,6 +129,11 @@ pub struct NetworkedSession<S: WireSul> {
     timeout: SimDuration,
     impaired: bool,
     state: StepState,
+    /// Response flights the server handled in the current step but that
+    /// are not yet ready to leave it: `(ready_at, reply-to port, wire
+    /// bytes)`.  Empty between steps; kept on the session so every step
+    /// reuses one buffer.
+    outbox: Vec<(SimTime, u16, Bytes)>,
     /// Whether the next query records its wire events (see
     /// [`SessionSul::begin_event_scope`]); consumed by `start_reset`,
     /// which opens a wire scope on this session's endpoint pair.
@@ -165,14 +167,14 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
     fn start_reset(&mut self, now: SimTime) -> SimTime {
         self.sul.reset();
         self.state = StepState::Idle;
+        self.outbox.clear();
         let pending_scope = std::mem::take(&mut self.pending_scope);
         let mut net = self.lock();
         net.advance_to(now);
         // One query's stragglers — late jittered deliveries, duplicates in
         // flight — must never leak into the next query, and the next query
         // must meet the same network weather as every run of it.
-        net.drop_in_flight_to(self.client_port);
-        net.drop_in_flight_to(self.server_port);
+        net.drop_in_flight_to(&[self.client_port, self.server_port]);
         net.endpoint_mut(self.client)
             .expect("client endpoint bound")
             .clear();
@@ -204,97 +206,97 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
                 drop(net);
                 self.state = StepState::Awaiting {
                     deadline: now + self.timeout,
-                    outbox: Vec::new(),
                 };
             }
         }
     }
 
     fn poll_step(&mut self, now: SimTime) -> SessionPoll {
-        match std::mem::replace(&mut self.state, StepState::Idle) {
+        let deadline = match std::mem::replace(&mut self.state, StepState::Idle) {
             StepState::Idle => panic!("poll_step without start_step"),
-            StepState::Immediate(symbol) => SessionPoll::Ready(symbol),
-            StepState::Awaiting {
-                deadline,
-                mut outbox,
-            } => {
-                let mut net = self.net.lock().expect("session network poisoned");
-                // Pump the wire until this instant is quiescent: release
-                // response flights whose service deadline has passed, feed
-                // delivered requests to the server, absorb delivered
-                // responses at the client.  Every send can enable another
-                // delivery at the same instant (zero-latency links), hence
-                // the loop.
-                loop {
-                    // The session drives the network straight from the
-                    // scheduler-provided instant, so it works under any
-                    // clock — attached or not.
-                    net.advance_to(now);
-                    let mut progressed = false;
-                    let (due, later): (Vec<_>, Vec<_>) = outbox
-                        .drain(..)
-                        .partition(|(ready_at, _, _)| *ready_at <= now);
-                    outbox = later;
-                    for (_, reply_port, wire) in due {
-                        // Replying to a spoofed source port (the Issue-3
-                        // defect) has no route, so the reply is discarded.
-                        let _ = net.send_from_port(self.server, self.server_port, reply_port, wire);
-                        progressed = true;
-                    }
-                    let requests = net
-                        .endpoint_mut(self.server)
-                        .expect("server endpoint bound")
-                        .receive_all();
-                    for datagram in requests {
-                        let (responses, ready_at) =
-                            self.sul
-                                .handle_wire(&datagram.payload, datagram.source_port, now);
-                        progressed = true;
-                        for response in responses {
-                            outbox.push((ready_at, datagram.source_port, response));
-                        }
-                    }
-                    let responses = net
-                        .endpoint_mut(self.client)
-                        .expect("client endpoint bound")
-                        .receive_all();
-                    for datagram in responses {
-                        self.sul.absorb_wire(&datagram.payload);
-                        progressed = true;
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-                // The step is over at its deadline, or as soon as nothing
-                // addressed to this session is on the wire any more (a lost
-                // request quiesces immediately — the timeout symbol needs
-                // no virtual waiting, its fate is already decided).  One
-                // pass over the wire answers both that and the wake-up.
-                let next_delivery = net.next_delivery_to(&[self.client_port, self.server_port]);
-                let quiescent = outbox.is_empty() && next_delivery.is_none();
-                if now >= deadline || quiescent {
-                    if !quiescent {
-                        // The step gave up with packets still on the wire
-                        // (timeout below the worst-case round trip): discard
-                        // everything addressed to this session so a late
-                        // response can never be attributed to a later step.
-                        net.drop_in_flight_to(self.client_port);
-                        net.drop_in_flight_to(self.server_port);
-                    }
-                    drop(net);
-                    return SessionPoll::Ready(self.sul.finish_step());
-                }
-                drop(net);
-                let wake_at = outbox
-                    .iter()
-                    .map(|(ready_at, _, _)| *ready_at)
-                    .chain(next_delivery)
-                    .fold(deadline, SimTime::min);
-                self.state = StepState::Awaiting { deadline, outbox };
-                SessionPoll::Pending { wake_at }
+            StepState::Immediate(symbol) => return SessionPoll::Ready(symbol),
+            StepState::Awaiting { deadline } => deadline,
+        };
+        let mut net = self.net.lock().expect("session network poisoned");
+        // Pump the wire until this instant is quiescent: release response
+        // flights whose service deadline has passed, feed delivered
+        // requests to the server, absorb delivered responses at the
+        // client.  Every send can enable another delivery at the same
+        // instant (zero-latency links), hence the loop; only a send, or a
+        // flight ready by now, can.  Nothing here allocates: due flights
+        // leave the outbox in order, and inbox datagrams are popped one at
+        // a time (`handle_wire` and `absorb_wire` never touch the network,
+        // so popping as we go sees exactly the datagrams a drain would
+        // have).
+        loop {
+            // The session drives the network straight from the
+            // scheduler-provided instant, so it works under any clock —
+            // attached or not.
+            net.advance_to(now);
+            let mut sent = false;
+            for (_, reply_port, wire) in self
+                .outbox
+                .extract_if(.., |(ready_at, _, _)| *ready_at <= now)
+            {
+                // Replying to a spoofed source port (the Issue-3 defect)
+                // has no route, so the reply is discarded.
+                let _ = net.send_from_port(self.server, self.server_port, reply_port, wire);
+                sent = true;
+            }
+            while let Some(datagram) = net
+                .endpoint_mut(self.server)
+                .expect("server endpoint bound")
+                .receive()
+            {
+                let (responses, ready_at) =
+                    self.sul
+                        .handle_wire(&datagram.payload, datagram.source_port, now);
+                self.outbox.extend(
+                    responses
+                        .into_iter()
+                        .map(|response| (ready_at, datagram.source_port, response)),
+                );
+            }
+            while let Some(datagram) = net
+                .endpoint_mut(self.client)
+                .expect("client endpoint bound")
+                .receive()
+            {
+                self.sul.absorb_wire(&datagram.payload);
+            }
+            if !sent && self.outbox.iter().all(|(ready_at, _, _)| *ready_at > now) {
+                break;
             }
         }
+        // The step is over at its deadline, or as soon as nothing
+        // addressed to this session is on the wire any more (a lost
+        // request quiesces immediately — the timeout symbol needs no
+        // virtual waiting, its fate is already decided).  One pass over
+        // the wire answers both that and the wake-up.
+        let ports = [self.client_port, self.server_port];
+        let next_delivery = net.next_delivery_to(&ports);
+        let quiescent = self.outbox.is_empty() && next_delivery.is_none();
+        if now >= deadline || quiescent {
+            if !quiescent {
+                // The step gave up with packets still on the wire (timeout
+                // below the worst-case round trip): discard everything
+                // addressed to this session so a late response can never
+                // be attributed to a later step.
+                net.drop_in_flight_to(&ports);
+                self.outbox.clear();
+            }
+            drop(net);
+            return SessionPoll::Ready(self.sul.finish_step());
+        }
+        drop(net);
+        let wake_at = self
+            .outbox
+            .iter()
+            .map(|(ready_at, _, _)| *ready_at)
+            .chain(next_delivery)
+            .fold(deadline, SimTime::min);
+        self.state = StepState::Awaiting { deadline };
+        SessionPoll::Pending { wake_at }
     }
 
     fn stats(&self) -> SulStats {
@@ -449,8 +451,10 @@ where
                     // Direction-specific links on this session's endpoint
                     // pair; the network default (the forward config) keeps
                     // covering spoofed-source sends.
-                    guard.set_link(client, server, self.link);
-                    guard.set_link(server, client, reverse);
+                    guard
+                        .set_link(client, server, self.link)
+                        .expect("just bound");
+                    guard.set_link(server, client, reverse).expect("just bound");
                 }
                 drop(guard);
                 NetworkedSession {
@@ -463,6 +467,7 @@ where
                     timeout: self.timeout,
                     impaired: self.link.is_impaired() || self.reverse_link().is_impaired(),
                     state: StepState::Idle,
+                    outbox: Vec::new(),
                     pending_scope: false,
                 }
             })

@@ -484,8 +484,9 @@ enum SlotState {
     },
 }
 
-struct Slot<Sn> {
-    session: Sn,
+/// A session slot's scheduling state; its session lives apart, in
+/// [`SessionScheduler::sessions`].
+struct Slot {
     state: SlotState,
     job: Option<ActiveJob>,
 }
@@ -503,7 +504,13 @@ struct Slot<Sn> {
 /// outputs are bit-identical to running the same queries sequentially —
 /// multiplexing moves only virtual time.
 pub struct SessionScheduler<Sn> {
-    slots: Vec<Slot<Sn>>,
+    slots: Vec<Slot>,
+    /// The slots' sessions, by slot index.  They are kept apart from the
+    /// compact slot states, so a pass that skips every session not due
+    /// reads a few cache lines, however large a session is.
+    sessions: Vec<Sn>,
+    /// Slots executing a query (not [`SlotState::Idle`]).
+    inflight: usize,
     clock: SharedClock,
     started_at: SimTime,
     stats: SchedulerStats,
@@ -534,13 +541,14 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
         let started_at = clock.now();
         SessionScheduler {
             slots: sessions
-                .into_iter()
-                .map(|session| Slot {
-                    session,
+                .iter()
+                .map(|_| Slot {
                     state: SlotState::Idle,
                     job: None,
                 })
                 .collect(),
+            sessions,
+            inflight: 0,
             clock,
             started_at,
             stats: SchedulerStats::default(),
@@ -567,10 +575,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
 
     /// Number of sessions currently executing a query.
     pub fn in_flight(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !matches!(s.state, SlotState::Idle))
-            .count()
+        self.inflight
     }
 
     /// Free session slots.
@@ -597,9 +602,9 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
 
     /// Aggregated SUL interaction counters across all sessions.
     pub fn sul_stats(&self) -> SulStats {
-        self.slots
+        self.sessions
             .iter()
-            .map(|s| s.session.stats())
+            .map(SessionSul::stats)
             .fold(SulStats::default(), add_stats)
     }
 
@@ -613,15 +618,16 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     pub fn submit(&mut self, index: usize, input: impl Into<Arc<InputWord>>, phase: QueryPhase) {
         let input = input.into();
         let now = self.clock.now();
-        let slot = self
+        let at = self
             .slots
-            .iter_mut()
-            .find(|s| matches!(s.state, SlotState::Idle))
+            .iter()
+            .position(|s| matches!(s.state, SlotState::Idle))
             .expect("submit on a scheduler without capacity");
+        let (slot, session) = (&mut self.slots[at], &mut self.sessions[at]);
         if self.sink.is_some() {
-            slot.session.begin_event_scope();
+            session.begin_event_scope();
         }
-        let ready_at = slot.session.start_reset(now);
+        let ready_at = session.start_reset(now);
         slot.state = SlotState::Resetting { ready_at };
         slot.job = Some(ActiveJob {
             index,
@@ -631,7 +637,8 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
             phase,
             begun_at: now,
         });
-        self.stats.peak_inflight = self.stats.peak_inflight.max(self.in_flight() as u64);
+        self.inflight += 1;
+        self.stats.peak_inflight = self.stats.peak_inflight.max(self.inflight as u64);
     }
 
     /// Makes one pass of progress: polls every in-flight session that is
@@ -659,7 +666,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
         let mut completed = Vec::new();
         let mut progressed = false;
         let mut min_wake: Option<SimTime> = None;
-        for slot in &mut self.slots {
+        for (slot, session) in self.slots.iter_mut().zip(&mut self.sessions) {
             loop {
                 match slot.state {
                     SlotState::Idle => break,
@@ -673,6 +680,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                         if job.input.is_empty() {
                             finish(
                                 slot,
+                                session,
                                 &mut completed,
                                 &mut self.stats,
                                 &self.sink,
@@ -682,7 +690,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                             break;
                         }
                         let symbol = job.input.as_slice()[0].clone();
-                        slot.session.start_step(&symbol, now);
+                        session.start_step(&symbol, now);
                         slot.state = SlotState::Stepping { wake_at: None };
                     }
                     SlotState::Stepping {
@@ -693,7 +701,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                         min_wake = Some(min_wake.map_or(wake_at, |w| w.min(wake_at)));
                         break;
                     }
-                    SlotState::Stepping { .. } => match slot.session.poll_step(now) {
+                    SlotState::Stepping { .. } => match session.poll_step(now) {
                         SessionPoll::Pending { wake_at } => {
                             slot.state = SlotState::Stepping {
                                 wake_at: Some(wake_at),
@@ -709,6 +717,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                             if job.position == job.input.len() {
                                 finish(
                                     slot,
+                                    session,
                                     &mut completed,
                                     &mut self.stats,
                                     &self.sink,
@@ -718,19 +727,20 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                                 break;
                             }
                             let symbol = job.input.as_slice()[job.position].clone();
-                            slot.session.start_step(&symbol, now);
+                            session.start_step(&symbol, now);
                             slot.state = SlotState::Stepping { wake_at: None };
                         }
                     },
                 }
             }
         }
+        self.inflight -= completed.len();
         if !progressed && advance {
             if let Some(wake) = min_wake {
                 // Event-driven wait: every in-flight session pays this
                 // virtual wait concurrently — that is the multiplexing win.
                 let delta = wake.since(now).as_micros();
-                self.stats.busy_session_micros += self.in_flight() as u64 * delta;
+                self.stats.busy_session_micros += self.inflight as u64 * delta;
                 self.stats.clock_advances += 1;
                 if let Some(sink) = &self.sink {
                     if self.stats.clock_advances % CLOCK_SAMPLE_EVERY == 1 {
@@ -764,7 +774,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
 
     /// Tears the scheduler down, returning its sessions.
     pub fn into_sessions(self) -> Vec<Sn> {
-        self.slots.into_iter().map(|s| s.session).collect()
+        self.sessions
     }
 }
 
@@ -773,7 +783,8 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
 /// query can precede it, so it is written here, with the rest), the
 /// session's own events in the order they happened, then `session:done`.
 fn finish<Sn: SessionSul>(
-    slot: &mut Slot<Sn>,
+    slot: &mut Slot,
+    session: &mut Sn,
     completed: &mut Vec<(usize, OutputWord, Range<usize>)>,
     stats: &mut SchedulerStats,
     sink: &Option<Arc<ScopedSink>>,
@@ -786,7 +797,7 @@ fn finish<Sn: SessionSul>(
         let phase = phase_name(job.phase);
         let symbols = job.input.len() as u64;
         events.push(Event::SessionStart { phase, symbols });
-        slot.session.end_event_scope(events);
+        session.end_event_scope(events);
         events.push(Event::SessionDone {
             phase,
             symbols,

@@ -646,6 +646,155 @@ mod tests {
         assert_eq!(known, names);
     }
 
+    /// The `format!`-built render the fmt-free writer replaced, kept as
+    /// the reference its bytes must equal.
+    fn format_render(event: &Event) -> String {
+        let escape = |s: &str| {
+            let mut escaped = String::new();
+            json::escape_into(&mut escaped, s);
+            escaped
+        };
+        let body = match event {
+            Event::WireSend {
+                rel,
+                dir,
+                packet,
+                bytes,
+            }
+            | Event::WireDeliver {
+                rel,
+                dir,
+                packet,
+                bytes,
+            }
+            | Event::WireDrop {
+                rel,
+                dir,
+                packet,
+                bytes,
+            } => format!(
+                "\"rel\":{rel},\"data\":{{\"dir\":\"{dir}\",\"packet\":{packet},\"bytes\":{bytes}}}"
+            ),
+            Event::WireDuplicate {
+                rel,
+                dir,
+                packet,
+                copies,
+            } => format!(
+                "\"rel\":{rel},\"data\":{{\"dir\":\"{dir}\",\"packet\":{packet},\"copies\":{copies}}}"
+            ),
+            Event::SessionStart { phase, symbols } => {
+                format!("\"rel\":0,\"data\":{{\"phase\":\"{phase}\",\"symbols\":{symbols}}}")
+            }
+            Event::SessionDone {
+                phase,
+                symbols,
+                rel,
+            } => format!(
+                "\"rel\":{rel},\"data\":{{\"phase\":\"{phase}\",\"symbols\":{symbols}}}"
+            ),
+            Event::PhaseEnter { phase, seq } => {
+                format!("\"seq\":{seq},\"data\":{{\"phase\":\"{phase}\"}}")
+            }
+            Event::ClockAdvance { time, advances } => {
+                format!("\"time\":{time},\"data\":{{\"advances\":{advances}}}")
+            }
+            Event::Occupancy {
+                time,
+                phase,
+                batch,
+                busy,
+                worker,
+            } => format!(
+                "\"time\":{time},\"data\":{{\"phase\":\"{phase}\",\"batch\":{batch},\"busy\":{busy},\"worker\":{worker}}}"
+            ),
+            Event::TaskStart { id } => {
+                format!("\"data\":{{\"id\":\"{}\"}}", escape(id))
+            }
+            Event::TaskDone { id, ok } => {
+                format!("\"data\":{{\"id\":\"{}\",\"ok\":{ok}}}", escape(id))
+            }
+            Event::BenchStage { label } => {
+                format!("\"data\":{{\"label\":\"{}\"}}", escape(label))
+            }
+        };
+        format!("{{\"name\":\"{}\",{body}}}", event.name())
+    }
+
+    #[test]
+    fn wire_events_render_as_the_format_render_and_parse_back() {
+        const VALUES: [u64; 4] = [0, 9, 10, u64::MAX];
+        let mut checked = 0;
+        for dir in ["up", "down"] {
+            for rel in VALUES {
+                for packet in VALUES {
+                    for count in VALUES {
+                        let events = [
+                            Event::WireSend {
+                                rel,
+                                dir,
+                                packet,
+                                bytes: count,
+                            },
+                            Event::WireDeliver {
+                                rel,
+                                dir,
+                                packet,
+                                bytes: count,
+                            },
+                            Event::WireDrop {
+                                rel,
+                                dir,
+                                packet,
+                                bytes: count,
+                            },
+                            Event::WireDuplicate {
+                                rel,
+                                dir,
+                                packet,
+                                copies: count,
+                            },
+                        ];
+                        for event in &events {
+                            let mut line = String::new();
+                            event.render(&mut line);
+                            assert_eq!(line, format_render(event));
+                            let parsed =
+                                parse_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                            assert_eq!(parsed.name, event.name());
+                            assert_eq!(parsed.rel, Some(rel));
+                            let key = match event {
+                                Event::WireDuplicate { .. } => "copies",
+                                _ => "bytes",
+                            };
+                            assert_eq!(parsed.data.get("dir").and_then(Value::as_str), Some(dir));
+                            assert_eq!(
+                                parsed.data.get("packet").and_then(Value::as_u64),
+                                Some(packet)
+                            );
+                            assert_eq!(parsed.data.get(key).and_then(Value::as_u64), Some(count));
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 4 * 2 * 4 * 4 * 4);
+        // The other variants render as they did through `format!` too.
+        for event in every_event() {
+            let mut line = String::new();
+            event.render(&mut line);
+            assert_eq!(line, format_render(&event));
+        }
+        let failed = Event::TaskDone {
+            id: "diff:\"a\"\n".to_string(),
+            ok: false,
+        };
+        let mut line = String::new();
+        failed.render(&mut line);
+        assert_eq!(line, format_render(&failed));
+    }
+
     /// One sound log line, as the writer renders it.
     fn sound_line() -> &'static str {
         static LINE: std::sync::OnceLock<String> = std::sync::OnceLock::new();

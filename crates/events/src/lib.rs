@@ -205,8 +205,12 @@ impl Event {
     /// Renders the event as one JSONL line (no trailing newline) with a
     /// fixed field order, so equal event sequences serialize to equal
     /// bytes.
+    ///
+    /// Rendering bypasses the `fmt` machinery: `wire:*` events are most of
+    /// every networked stream and the two session events come once per
+    /// query, and manual appends cut the per-event cost severalfold, which
+    /// is what keeps the E23 sink-overhead budget honest.
     pub fn render(&self, out: &mut String) {
-        use std::fmt::Write;
         out.push_str("{\"name\":\"");
         out.push_str(self.name());
         out.push_str("\",");
@@ -228,27 +232,13 @@ impl Event {
                 dir,
                 packet,
                 bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"rel\":{rel},\"data\":{{\"dir\":\"{dir}\",\"packet\":{packet},\"bytes\":{bytes}}}"
-                );
-            }
+            } => render_wire(out, *rel, dir, *packet, "bytes", *bytes),
             Event::WireDuplicate {
                 rel,
                 dir,
                 packet,
                 copies,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"rel\":{rel},\"data\":{{\"dir\":\"{dir}\",\"packet\":{packet},\"copies\":{copies}}}"
-                );
-            }
-            // The two session events are the bulk of every stream (two
-            // per query), so they bypass the `fmt` machinery: manual
-            // appends cut the per-event render cost severalfold, which
-            // is what keeps the E23 sink-overhead budget honest.
+            } => render_wire(out, *rel, dir, *packet, "copies", *copies),
             Event::SessionStart { phase, symbols } => {
                 out.push_str("\"rel\":0,\"data\":{\"phase\":\"");
                 out.push_str(phase);
@@ -270,10 +260,18 @@ impl Event {
                 out.push('}');
             }
             Event::PhaseEnter { phase, seq } => {
-                let _ = write!(out, "\"seq\":{seq},\"data\":{{\"phase\":\"{phase}\"}}");
+                out.push_str("\"seq\":");
+                push_u64(out, *seq);
+                out.push_str(",\"data\":{\"phase\":\"");
+                out.push_str(phase);
+                out.push_str("\"}");
             }
             Event::ClockAdvance { time, advances } => {
-                let _ = write!(out, "\"time\":{time},\"data\":{{\"advances\":{advances}}}");
+                out.push_str("\"time\":");
+                push_u64(out, *time);
+                out.push_str(",\"data\":{\"advances\":");
+                push_u64(out, *advances);
+                out.push('}');
             }
             Event::Occupancy {
                 time,
@@ -282,10 +280,17 @@ impl Event {
                 busy,
                 worker,
             } => {
-                let _ = write!(
-                    out,
-                    "\"time\":{time},\"data\":{{\"phase\":\"{phase}\",\"batch\":{batch},\"busy\":{busy},\"worker\":{worker}}}"
-                );
+                out.push_str("\"time\":");
+                push_u64(out, *time);
+                out.push_str(",\"data\":{\"phase\":\"");
+                out.push_str(phase);
+                out.push_str("\",\"batch\":");
+                push_u64(out, *batch);
+                out.push_str(",\"busy\":");
+                push_u64(out, *busy);
+                out.push_str(",\"worker\":");
+                push_u64(out, *worker);
+                out.push('}');
             }
             Event::TaskStart { id } => {
                 out.push_str("\"data\":{\"id\":\"");
@@ -295,7 +300,9 @@ impl Event {
             Event::TaskDone { id, ok } => {
                 out.push_str("\"data\":{\"id\":\"");
                 json::escape_into(out, id);
-                let _ = write!(out, "\",\"ok\":{ok}}}");
+                out.push_str("\",\"ok\":");
+                out.push_str(if *ok { "true" } else { "false" });
+                out.push('}');
             }
             Event::BenchStage { label } => {
                 out.push_str("\"data\":{\"label\":\"");
@@ -307,8 +314,24 @@ impl Event {
     }
 }
 
-/// Appends `v` in decimal without going through the `fmt` machinery —
-/// the render hot path runs twice per membership query.
+/// Appends the body of a `wire:*` event: its `rel` stamp, then its data
+/// object of direction, packet index and the one count (`bytes`, or
+/// `copies` for a duplicate).
+fn render_wire(out: &mut String, rel: u64, dir: &str, packet: u64, key: &str, value: u64) {
+    out.push_str("\"rel\":");
+    push_u64(out, rel);
+    out.push_str(",\"data\":{\"dir\":\"");
+    out.push_str(dir);
+    out.push_str("\",\"packet\":");
+    push_u64(out, packet);
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    push_u64(out, value);
+    out.push('}');
+}
+
+/// Appends `v` in decimal without going through the `fmt` machinery.
 fn push_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();

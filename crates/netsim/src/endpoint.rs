@@ -90,11 +90,6 @@ impl Endpoint {
         self.inbound.pop_front()
     }
 
-    /// Drains every delivered datagram.
-    pub fn receive_all(&mut self) -> Vec<Datagram> {
-        self.inbound.drain(..).collect()
-    }
-
     /// Discards all pending datagrams (used when an adapter resets the SUL).
     pub fn clear(&mut self) {
         self.inbound.clear();
@@ -121,7 +116,9 @@ mod tests {
         }
         assert_eq!(ep.pending(), 3);
         assert_eq!(ep.receive().unwrap().payload[0], 0);
-        assert_eq!(ep.receive_all().len(), 2);
+        assert_eq!(ep.receive().unwrap().payload[0], 1);
+        assert_eq!(ep.receive().unwrap().payload[0], 2);
+        assert_eq!(ep.pending(), 0);
         assert!(ep.receive().is_none());
     }
 

@@ -24,6 +24,6 @@ pub mod network;
 pub mod time;
 
 pub use endpoint::{Datagram, Endpoint, EndpointId};
-pub use link::LinkConfig;
+pub use link::{Fate, LinkConfig};
 pub use network::Network;
 pub use time::{SharedClock, SimDuration, SimTime};

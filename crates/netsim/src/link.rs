@@ -15,6 +15,10 @@
 //! and two packets with the same stream seed and index meet identical
 //! network weather no matter which session, worker or virtual instant
 //! sends them.
+//!
+//! A delivered packet's fate is an inline [`Fate`] value — one delay, plus
+//! a flag for the duplicate that arrives a microsecond after it — so the
+//! per-packet decision allocates nothing.
 
 use crate::time::SimDuration;
 use rand::rngs::StdRng;
@@ -32,6 +36,35 @@ fn substream(seed: u64, index: u64, knob: u64) -> StdRng {
     StdRng::seed_from_u64(
         seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ knob.wrapping_mul(0xD1B5_4A32_D192_ED03),
     )
+}
+
+/// How much later than the original a duplicate copy is delivered.
+const DUPLICATE_GAP: SimDuration = SimDuration::from_micros(1);
+
+/// Where a delivered packet goes: its delivery delay, and whether the link
+/// duplicated it (the copy arrives a microsecond later).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fate {
+    delay: SimDuration,
+    duplicated: bool,
+}
+
+impl Fate {
+    /// The delay of the first (or only) delivery.
+    pub fn delay(&self) -> SimDuration {
+        self.delay
+    }
+
+    /// Copies scheduled for delivery: 1, or 2 when duplicated.
+    pub fn copies(&self) -> u64 {
+        1 + u64::from(self.duplicated)
+    }
+
+    /// Every delivery delay, in delivery order.
+    pub fn deliveries(self) -> impl Iterator<Item = SimDuration> {
+        let duplicate = self.duplicated.then(|| self.delay + DUPLICATE_GAP);
+        std::iter::once(self.delay).chain(duplicate)
+    }
 }
 
 /// Impairment parameters for one direction of a link.
@@ -119,14 +152,14 @@ impl LinkConfig {
     }
 
     /// Decides the fate of packet `index` on noise stream `seed`: `None`
-    /// when the datagram is lost, otherwise the list of delivery delays
-    /// (one entry, or two when duplicated).
+    /// when the datagram is lost, otherwise its [`Fate`] (one delivery
+    /// delay, or two when duplicated).
     ///
     /// Each impairment draws from its own `(seed, index, knob)` sub-stream,
     /// so its decision is a pure function of the stream seed and packet
     /// index: sweeping the loss rate leaves jitter draws untouched, and the
     /// same `(seed, index)` pair meets the same weather on every call.
-    pub fn fate(&self, seed: u64, index: u64) -> Option<Vec<SimDuration>> {
+    pub fn fate(&self, seed: u64, index: u64) -> Option<Fate> {
         if self.loss_rate > 0.0 && substream(seed, index, KNOB_LOSS).gen_bool(self.loss_rate) {
             return None;
         }
@@ -142,13 +175,9 @@ impl LinkConfig {
         {
             delay = delay + self.reorder_delay;
         }
-        let mut deliveries = vec![delay];
-        if self.duplicate_rate > 0.0
-            && substream(seed, index, KNOB_DUPLICATE).gen_bool(self.duplicate_rate)
-        {
-            deliveries.push(delay + SimDuration::from_micros(1));
-        }
-        Some(deliveries)
+        let duplicated = self.duplicate_rate > 0.0
+            && substream(seed, index, KNOB_DUPLICATE).gen_bool(self.duplicate_rate);
+        Some(Fate { delay, duplicated })
     }
 
     /// Whether the link introduces any nondeterminism-relevant impairment.
@@ -169,7 +198,7 @@ mod tests {
         let link = LinkConfig::ideal();
         for index in 0..100 {
             let d = link.fate(1, index).expect("ideal link never loses");
-            assert_eq!(d, vec![SimDuration::ZERO]);
+            assert_eq!(d.deliveries().collect::<Vec<_>>(), vec![SimDuration::ZERO]);
         }
         assert!(!link.is_impaired());
     }
@@ -188,7 +217,7 @@ mod tests {
     #[test]
     fn duplication_yields_two_deliveries() {
         let link = LinkConfig::ideal().duplicate(1.0);
-        let d = link.fate(7, 0).unwrap();
+        let d: Vec<_> = link.fate(7, 0).unwrap().deliveries().collect();
         assert_eq!(d.len(), 2);
         assert!(d[1] > d[0]);
     }
@@ -198,8 +227,7 @@ mod tests {
         let link = LinkConfig::with_latency(SimDuration::from_millis(10))
             .jitter(SimDuration::from_millis(2))
             .reorder(1.0);
-        let d = link.fate(3, 0).unwrap();
-        let delay = d[0].as_micros();
+        let delay = link.fate(3, 0).unwrap().delay().as_micros();
         assert!(
             delay >= 15_000,
             "10ms latency + 5ms reorder delay, got {delay}µs"
@@ -241,10 +269,18 @@ mod tests {
             // Wherever the lossy link delivers, the jitter delay is
             // identical to the lossless link's.
             if let Some(d) = jitter_and_loss.fate(11, index) {
-                assert_eq!(d[0], base[0], "loss knob changed jitter at {index}");
+                assert_eq!(
+                    d.delay(),
+                    base.delay(),
+                    "loss knob changed jitter at {index}"
+                );
             }
             if let Some(d) = jitter_loss_dup.fate(11, index) {
-                assert_eq!(d[0], base[0], "dup knob changed jitter at {index}");
+                assert_eq!(
+                    d.delay(),
+                    base.delay(),
+                    "dup knob changed jitter at {index}"
+                );
                 // And duplication decisions agree with the loss+dup link
                 // regardless of the jitter bound.
                 let no_jitter = LinkConfig::with_latency(SimDuration::from_millis(1))
@@ -252,8 +288,8 @@ mod tests {
                     .duplicate(0.3);
                 if let Some(nd) = no_jitter.fate(11, index) {
                     assert_eq!(
-                        d.len(),
-                        nd.len(),
+                        d.copies(),
+                        nd.copies(),
                         "jitter knob changed duplication at {index}"
                     );
                 }

@@ -5,14 +5,29 @@
 //! sequence number so FIFO order is preserved on ideal links).  Callers
 //! drive it explicitly — `send`, then `advance`/`deliver_all` — which keeps
 //! the adapter’s query/response loop fully deterministic.
+//!
+//! # Per-endpoint state
+//!
+//! Sends and deliveries are the hot path of every networked learning
+//! query, so nothing on it hashes or allocates per packet.  Everything a
+//! send needs to know about its sender lives in the sender's slot of one
+//! `Vec` indexed by [`EndpointId`]: the endpoint itself, its private
+//! noise stream ([`Network::set_noise_seed`]), its per-destination link
+//! overrides ([`Network::set_link`]) and the wire scope it belongs to.
+//! Ports resolve through a paged table (two indexes, no hashing), a
+//! packet's fate is an inline [`crate::link::Fate`], and a datagram on the
+//! wire waits in a reused slot behind a small queue key.  Wire scopes
+//! live in recycled slots: a closed scope's slot, and its event buffer,
+//! serve the next scope that opens, so a query's `wire:*` events reuse
+//! capacity an earlier query grew.
 
 use crate::endpoint::{Datagram, Endpoint, EndpointId};
-use crate::link::LinkConfig;
+use crate::link::{Fate, LinkConfig};
 use crate::time::{SharedClock, SimDuration, SimTime};
 use bytes::Bytes;
 use prognosis_events::{Dir, Event};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// First port of the ephemeral (dynamic) range, per RFC 6335.
 pub const EPHEMERAL_PORT_MIN: u16 = 49_152;
@@ -52,18 +67,25 @@ impl std::error::Error for NetworkError {}
 /// index as its send.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct WireTag {
+    /// The scope's slot in [`Network::wire_scopes`].
+    slot: usize,
+    /// The scope's id: the slot still holds this scope only while its id
+    /// matches.
     scope: u64,
     packet: u64,
     dir: Dir,
     bytes: u64,
 }
 
-/// An open wire-event scope: one membership query's traffic between a
-/// client endpoint and its server, time-based `rel` stamps measured from
-/// `base` (the query's session-reset instant), and the `wire:*` events
-/// the traffic has produced so far.
+/// A wire-event scope slot: while open, one membership query's traffic
+/// between a client endpoint and its server, time-based `rel` stamps
+/// measured from `base` (the query's session-reset instant), and the
+/// `wire:*` events the traffic has produced so far.  A closed slot keeps
+/// its (empty) event buffer for the next scope.
 #[derive(Clone, Debug)]
 struct WireScope {
+    /// The open scope's id; `None` once the scope closed.
+    id: Option<u64>,
     client: EndpointId,
     server: EndpointId,
     base: SimTime,
@@ -71,25 +93,24 @@ struct WireScope {
     events: Vec<Event>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct ScheduledDelivery {
+/// A scheduled delivery's entry in the queue: small, so the queue's sifts
+/// and port scans stay in cache.  Entries order by `(deliver_at,
+/// sequence)`, a total order (sequence numbers are unique), and the
+/// datagram itself waits in [`Network::in_flight`] slot `slot`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Scheduled {
     deliver_at: SimTime,
     sequence: u64,
+    destination_port: u16,
+    slot: u32,
+}
+
+/// A datagram on the wire, waiting for its scheduled delivery.
+#[derive(Debug)]
+struct InFlight {
     to: EndpointId,
     datagram: Datagram,
     wire: Option<WireTag>,
-}
-
-impl Ord for ScheduledDelivery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.sequence).cmp(&(other.deliver_at, other.sequence))
-    }
-}
-
-impl PartialOrd for ScheduledDelivery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A per-sender impairment stream: packet fates are a pure function of the
@@ -100,13 +121,61 @@ struct NoiseStream {
     next_index: u64,
 }
 
+/// An endpoint and the state the send path reads about it.
+struct EndpointSlot {
+    endpoint: Endpoint,
+    /// The endpoint's private noise stream (see
+    /// [`Network::set_noise_seed`]); `None` draws from the network's.
+    noise: Option<NoiseStream>,
+    /// Links for datagrams this endpoint sends to specific endpoints
+    /// ([`Network::set_link`]); others cross the default link.
+    links: Vec<(EndpointId, LinkConfig)>,
+    /// Slot of the open wire scope the endpoint belongs to.
+    scope: Option<usize>,
+}
+
+/// Port → endpoint, hash-free: 256 pages of 256 ports, each page
+/// allocated when a port in it is first bound, so a lookup is two indexes
+/// and a network binding a few ports keeps a few KiB.
+struct PortTable {
+    /// Per port of the page: the owner's endpoint index + 1 (0: unbound).
+    pages: Vec<Option<Box<[u32; 256]>>>,
+}
+
+impl PortTable {
+    fn new() -> Self {
+        PortTable {
+            pages: vec![None; 256],
+        }
+    }
+
+    fn owner(&self, port: u16) -> Option<EndpointId> {
+        let page = self.pages[usize::from(port >> 8)].as_ref()?;
+        match page[usize::from(port & 0xff)] {
+            0 => None,
+            owner => Some(EndpointId(owner as usize - 1)),
+        }
+    }
+
+    fn set(&mut self, port: u16, owner: Option<EndpointId>) {
+        let page = self.pages[usize::from(port >> 8)].get_or_insert_with(|| Box::new([0; 256]));
+        page[usize::from(port & 0xff)] = owner.map_or(0, |id| {
+            u32::try_from(id.index() + 1).expect("fewer than 2^32 endpoints")
+        });
+    }
+}
+
 /// The simulated network.
 pub struct Network {
-    endpoints: Vec<Endpoint>,
-    ports: HashMap<u16, EndpointId>,
+    slots: Vec<EndpointSlot>,
+    ports: PortTable,
     default_link: LinkConfig,
-    links: HashMap<(EndpointId, EndpointId), LinkConfig>,
-    queue: BinaryHeap<Reverse<ScheduledDelivery>>,
+    queue: BinaryHeap<Reverse<Scheduled>>,
+    /// The datagrams the queue's entries schedule, by slot; a delivered
+    /// or dropped datagram's slot is reused.
+    in_flight: Vec<Option<InFlight>>,
+    /// Empty slots of `in_flight`.
+    free_in_flight: Vec<u32>,
     now: SimTime,
     sequence: u64,
     /// Network-level noise stream for senders without their own.
@@ -115,18 +184,13 @@ pub struct Network {
     /// below it is bound), keeping [`Network::bind_ephemeral`]'s
     /// lowest-free-port scan amortized O(1).
     ephemeral_hint: u16,
-    /// Per-endpoint noise streams (see [`Network::set_noise_seed`]): they
-    /// give each sender an impairment trajectory that is independent of
-    /// every other endpoint's traffic, and can be rewound at query
-    /// boundaries so repeated queries meet reproducible weather.
-    endpoint_noise: HashMap<EndpointId, NoiseStream>,
     /// Shared-clock handle the network publishes its virtual time to (so
     /// event-driven schedulers and other networks can share one "now").
     clock: Option<SharedClock>,
-    /// Open wire-event scopes by scope id.
-    wire_scopes: HashMap<u64, WireScope>,
-    /// Endpoint → owning wire scope id, for the send-path lookup.
-    wire_endpoint: HashMap<EndpointId, u64>,
+    /// Wire-scope slots, open and closed.
+    wire_scopes: Vec<WireScope>,
+    /// Slots of closed wire scopes, ready for reuse.
+    free_scopes: Vec<usize>,
     /// Id of the next wire scope; ids are never reused, so a straggler
     /// tagged with a closed scope cannot land in a later one.
     next_wire_scope: u64,
@@ -141,11 +205,12 @@ impl Network {
     /// Creates a network whose default link has the given impairments.
     pub fn with_default_link(seed: u64, default_link: LinkConfig) -> Self {
         Network {
-            endpoints: Vec::new(),
-            ports: HashMap::new(),
+            slots: Vec::new(),
+            ports: PortTable::new(),
             default_link,
-            links: HashMap::new(),
             queue: BinaryHeap::new(),
+            in_flight: Vec::new(),
+            free_in_flight: Vec::new(),
             now: SimTime::ZERO,
             sequence: 0,
             noise: NoiseStream {
@@ -153,10 +218,9 @@ impl Network {
                 next_index: 0,
             },
             ephemeral_hint: EPHEMERAL_PORT_MIN,
-            endpoint_noise: HashMap::new(),
             clock: None,
-            wire_scopes: HashMap::new(),
-            wire_endpoint: HashMap::new(),
+            wire_scopes: Vec::new(),
+            free_scopes: Vec::new(),
             next_wire_scope: 0,
         }
     }
@@ -193,6 +257,18 @@ impl Network {
         }
     }
 
+    fn slot(&self, id: EndpointId) -> Result<&EndpointSlot, NetworkError> {
+        self.slots
+            .get(id.index())
+            .ok_or(NetworkError::UnknownEndpoint(id))
+    }
+
+    fn slot_mut(&mut self, id: EndpointId) -> Result<&mut EndpointSlot, NetworkError> {
+        self.slots
+            .get_mut(id.index())
+            .ok_or(NetworkError::UnknownEndpoint(id))
+    }
+
     /// Opens a wire-event scope for the traffic between `client` and
     /// `server`: until [`Network::end_wire_scope`], their packets record
     /// `wire:*` events whose `rel` stamps are virtual micros since now (the
@@ -200,45 +276,65 @@ impl Network {
     /// previous scope touching either endpoint is dropped first, events
     /// and all.  Traffic outside every scope stays silent, so unit tests
     /// and non-learning consumers pay nothing.
+    ///
+    /// # Panics
+    /// Panics when either endpoint is not bound on this network.
     pub fn begin_wire_scope(&mut self, client: EndpointId, server: EndpointId) {
         for ep in [client, server] {
-            if let Some(old_id) = self.wire_endpoint.get(&ep).copied() {
-                self.close_wire_scope(old_id);
+            let slot = self.slot(ep).expect("wire scope over a known endpoint");
+            if let Some(old) = slot.scope {
+                self.close_wire_scope(old);
             }
         }
-        let scope = self.next_wire_scope;
+        let id = self.next_wire_scope;
         self.next_wire_scope += 1;
-        self.wire_scopes.insert(
-            scope,
-            WireScope {
-                client,
-                server,
-                base: self.now,
-                next_packet: 0,
-                events: Vec::new(),
-            },
-        );
-        self.wire_endpoint.insert(client, scope);
-        self.wire_endpoint.insert(server, scope);
+        let scope = WireScope {
+            id: Some(id),
+            client,
+            server,
+            base: self.now,
+            next_packet: 0,
+            events: Vec::new(),
+        };
+        let slot = match self.free_scopes.pop() {
+            Some(slot) => {
+                let recycled = &mut self.wire_scopes[slot];
+                *recycled = WireScope {
+                    events: std::mem::take(&mut recycled.events),
+                    ..scope
+                };
+                slot
+            }
+            None => {
+                self.wire_scopes.push(scope);
+                self.wire_scopes.len() - 1
+            }
+        };
+        self.slots[client.index()].scope = Some(slot);
+        self.slots[server.index()].scope = Some(slot);
     }
 
     /// Closes the wire scope `endpoint` belongs to, appending its events to
     /// `events` in the order they happened (a no-op without an open
     /// scope).  Stragglers of a closed scope stay silent.
     pub fn end_wire_scope(&mut self, endpoint: EndpointId, events: &mut Vec<Event>) {
-        let Some(scope) = self.wire_endpoint.get(&endpoint).copied() else {
+        let Some(slot) = self.slot(endpoint).ok().and_then(|s| s.scope) else {
             return;
         };
-        if let Some(mut closed) = self.close_wire_scope(scope) {
-            events.append(&mut closed);
-        }
+        events.append(&mut self.wire_scopes[slot].events);
+        self.close_wire_scope(slot);
     }
 
-    fn close_wire_scope(&mut self, scope: u64) -> Option<Vec<Event>> {
-        let old = self.wire_scopes.remove(&scope)?;
-        self.wire_endpoint.remove(&old.client);
-        self.wire_endpoint.remove(&old.server);
-        Some(old.events)
+    /// Closes the scope in `slot`, dropping any events it still holds but
+    /// keeping their buffer, and frees the slot.
+    fn close_wire_scope(&mut self, slot: usize) {
+        let scope = &mut self.wire_scopes[slot];
+        scope.id = None;
+        scope.events.clear();
+        let (client, server) = (scope.client, scope.server);
+        self.slots[client.index()].scope = None;
+        self.slots[server.index()].scope = None;
+        self.free_scopes.push(slot);
     }
 
     /// Records the send-side wire events for a packet from `from`:
@@ -252,8 +348,9 @@ impl Network {
         bytes: u64,
         copies: Option<u64>,
     ) -> Option<WireTag> {
-        let scope = *self.wire_endpoint.get(&from)?;
-        let ws = self.wire_scopes.get_mut(&scope)?;
+        let slot = self.slots[from.index()].scope?;
+        let ws = &mut self.wire_scopes[slot];
+        let scope = ws.id?;
         let rel = self.now.as_micros().saturating_sub(ws.base.as_micros());
         let dir: Dir = if from == ws.client { "up" } else { "down" };
         let packet = ws.next_packet;
@@ -284,6 +381,7 @@ impl Network {
                     });
                 }
                 Some(WireTag {
+                    slot,
                     scope,
                     packet,
                     dir,
@@ -297,9 +395,10 @@ impl Network {
     /// wire tag.  Stragglers whose scope was already closed stay silent.
     fn record_wire_delivery(&mut self, tag: Option<WireTag>) {
         let Some(tag) = tag else { return };
-        let Some(ws) = self.wire_scopes.get_mut(&tag.scope) else {
+        let ws = &mut self.wire_scopes[tag.slot];
+        if ws.id != Some(tag.scope) {
             return;
-        };
+        }
         let rel = self.now.as_micros().saturating_sub(ws.base.as_micros());
         ws.events.push(Event::WireDeliver {
             rel,
@@ -311,12 +410,17 @@ impl Network {
 
     /// Binds a new endpoint to `port`.
     pub fn bind(&mut self, port: u16) -> Result<EndpointId, NetworkError> {
-        if self.ports.contains_key(&port) {
+        if self.ports.owner(port).is_some() {
             return Err(NetworkError::PortInUse(port));
         }
-        let id = EndpointId(self.endpoints.len());
-        self.endpoints.push(Endpoint::new(id, port));
-        self.ports.insert(port, id);
+        let id = EndpointId(self.slots.len());
+        self.ports.set(port, Some(id));
+        self.slots.push(EndpointSlot {
+            endpoint: Endpoint::new(id, port),
+            noise: None,
+            links: Vec::new(),
+            scope: None,
+        });
         Ok(id)
     }
 
@@ -332,7 +436,7 @@ impl Network {
     /// ephemeral port is bound.
     pub fn bind_ephemeral(&mut self) -> Result<(EndpointId, u16), NetworkError> {
         for port in self.ephemeral_hint..=EPHEMERAL_PORT_MAX {
-            if !self.ports.contains_key(&port) {
+            if self.ports.owner(port).is_none() {
                 let id = self.bind(port)?;
                 self.ephemeral_hint = port.saturating_add(1);
                 return Ok((id, port));
@@ -348,14 +452,11 @@ impl Network {
     /// endpoint: unbinding twice after the port was reassigned must not
     /// steal the new owner's binding.
     pub fn unbind(&mut self, endpoint: EndpointId) -> Result<(), NetworkError> {
-        let ep = self
-            .endpoints
-            .get_mut(endpoint.index())
-            .ok_or(NetworkError::UnknownEndpoint(endpoint))?;
+        let ep = &mut self.slot_mut(endpoint)?.endpoint;
         ep.clear();
         let port = ep.port();
-        if self.ports.get(&port) == Some(&endpoint) {
-            self.ports.remove(&port);
+        if self.ports.owner(port) == Some(endpoint) {
+            self.ports.set(port, None);
             if port >= EPHEMERAL_PORT_MIN {
                 self.ephemeral_hint = self.ephemeral_hint.min(port);
             }
@@ -368,14 +469,10 @@ impl Network {
     /// [`LinkConfig::fate`], independent of all other traffic on the
     /// network.
     pub fn set_noise_seed(&mut self, endpoint: EndpointId, seed: u64) -> Result<(), NetworkError> {
-        let _ = self.endpoint(endpoint)?;
-        self.endpoint_noise.insert(
-            endpoint,
-            NoiseStream {
-                seed,
-                next_index: 0,
-            },
-        );
+        self.slot_mut(endpoint)?.noise = Some(NoiseStream {
+            seed,
+            next_index: 0,
+        });
         Ok(())
     }
 
@@ -384,35 +481,41 @@ impl Network {
     /// boundary of the session transport.  A no-op for endpoints without a
     /// private stream.
     pub fn rewind_noise(&mut self, endpoint: EndpointId) -> Result<(), NetworkError> {
-        let _ = self.endpoint(endpoint)?;
-        if let Some(stream) = self.endpoint_noise.get_mut(&endpoint) {
+        if let Some(stream) = &mut self.slot_mut(endpoint)?.noise {
             stream.next_index = 0;
         }
         Ok(())
     }
 
     /// Sets the link configuration for datagrams flowing `from → to`.
-    pub fn set_link(&mut self, from: EndpointId, to: EndpointId, config: LinkConfig) {
-        self.links.insert((from, to), config);
+    pub fn set_link(
+        &mut self,
+        from: EndpointId,
+        to: EndpointId,
+        config: LinkConfig,
+    ) -> Result<(), NetworkError> {
+        self.slot(to)?;
+        let links = &mut self.slot_mut(from)?.links;
+        match links.iter_mut().find(|(dest, _)| *dest == to) {
+            Some((_, link)) => *link = config,
+            None => links.push((to, config)),
+        }
+        Ok(())
     }
 
     /// The endpoint bound to `port`, if any.
     pub fn endpoint_on_port(&self, port: u16) -> Option<EndpointId> {
-        self.ports.get(&port).copied()
+        self.ports.owner(port)
     }
 
     /// Immutable access to an endpoint.
     pub fn endpoint(&self, id: EndpointId) -> Result<&Endpoint, NetworkError> {
-        self.endpoints
-            .get(id.index())
-            .ok_or(NetworkError::UnknownEndpoint(id))
+        Ok(&self.slot(id)?.endpoint)
     }
 
     /// Mutable access to an endpoint (to receive datagrams).
     pub fn endpoint_mut(&mut self, id: EndpointId) -> Result<&mut Endpoint, NetworkError> {
-        self.endpoints
-            .get_mut(id.index())
-            .ok_or(NetworkError::UnknownEndpoint(id))
+        Ok(&mut self.slot_mut(id)?.endpoint)
     }
 
     /// Sends a datagram from `from` to whichever endpoint is bound to
@@ -438,76 +541,108 @@ impl Network {
         payload: Bytes,
     ) -> Result<(), NetworkError> {
         // Validate the sender exists even when spoofing the port.
-        let _ = self.endpoint(from)?;
-        let Some(to) = self.ports.get(&destination_port).copied() else {
+        self.slot(from)?;
+        let Some(to) = self.ports.owner(destination_port) else {
             return Err(NetworkError::NoRoute(destination_port));
         };
-        let link = self
+        let sender = &mut self.slots[from.index()];
+        let link = sender
             .links
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_link);
-        let stream = match self.endpoint_noise.get_mut(&from) {
-            Some(stream) => stream,
-            None => &mut self.noise,
-        };
+            .iter()
+            .find(|(dest, _)| *dest == to)
+            .map_or(self.default_link, |(_, link)| *link);
+        let stream = sender.noise.as_mut().unwrap_or(&mut self.noise);
         let packet_index = stream.next_index;
         stream.next_index += 1;
-        let seed = stream.seed;
-        match link.fate(seed, packet_index) {
-            None => {
-                self.record_wire_send(from, payload.len() as u64, None);
-            }
-            Some(delays) => {
-                let wire =
-                    self.record_wire_send(from, payload.len() as u64, Some(delays.len() as u64));
-                for delay in delays {
-                    self.sequence += 1;
-                    self.queue.push(Reverse(ScheduledDelivery {
-                        deliver_at: self.now + delay,
-                        sequence: self.sequence,
-                        to,
-                        datagram: Datagram {
-                            source_port,
-                            destination_port,
-                            delivered_at: self.now + delay,
-                            payload: payload.clone(),
-                        },
-                        wire,
-                    }));
-                }
-            }
+        let fate = link.fate(stream.seed, packet_index);
+        let bytes = payload.len() as u64;
+        let wire = self.record_wire_send(from, bytes, fate.map(|fate| fate.copies()));
+        for delay in fate.into_iter().flat_map(Fate::deliveries) {
+            let deliver_at = self.now + delay;
+            let datagram = Datagram {
+                source_port,
+                destination_port,
+                delivered_at: deliver_at,
+                payload: payload.clone(),
+            };
+            self.schedule(deliver_at, to, datagram, wire);
         }
         Ok(())
+    }
+
+    /// Puts `datagram` on the queue for delivery to `to` at `deliver_at`.
+    fn schedule(
+        &mut self,
+        deliver_at: SimTime,
+        to: EndpointId,
+        datagram: Datagram,
+        wire: Option<WireTag>,
+    ) {
+        self.sequence += 1;
+        let destination_port = datagram.destination_port;
+        let flight = Some(InFlight { to, datagram, wire });
+        let slot = match self.free_in_flight.pop() {
+            Some(slot) => {
+                self.in_flight[slot as usize] = flight;
+                slot
+            }
+            None => {
+                self.in_flight.push(flight);
+                u32::try_from(self.in_flight.len() - 1).expect("fewer than 2^32 in flight")
+            }
+        };
+        self.queue.push(Reverse(Scheduled {
+            deliver_at,
+            sequence: self.sequence,
+            destination_port,
+            slot,
+        }));
+    }
+
+    /// Takes the datagram of a popped queue entry out of its slot.
+    fn take_in_flight(&mut self, slot: u32) -> InFlight {
+        self.free_in_flight.push(slot);
+        self.in_flight[slot as usize]
+            .take()
+            .expect("a queued delivery's slot holds its datagram")
+    }
+
+    /// Pops the next delivery, advancing the clock to its instant, and
+    /// hands it to its endpoint — only while the destination port is still
+    /// bound to it (unbinding drops in-flight traffic) — recording its
+    /// `wire:deliver`.  Returns whether it arrived.
+    fn deliver_next(&mut self) -> bool {
+        let Reverse(next) = self.queue.pop().expect("a delivery is queued");
+        self.now = self.now.max(next.deliver_at);
+        let flight = self.take_in_flight(next.slot);
+        if self.ports.owner(next.destination_port) != Some(flight.to) {
+            return false;
+        }
+        self.slots[flight.to.index()]
+            .endpoint
+            .inbound
+            .push_back(flight.datagram);
+        self.record_wire_delivery(flight.wire);
+        true
     }
 
     /// Advances virtual time by `delta`, delivering everything scheduled in
     /// the interval.  Returns the number of datagrams delivered.
     pub fn advance(&mut self, delta: SimDuration) -> usize {
         let target = self.now + delta;
+        let before = self.now;
         let mut delivered = 0;
-        while let Some(Reverse(next)) = self.queue.peek() {
-            if next.deliver_at > target {
-                break;
-            }
-            let Reverse(event) = self.queue.pop().expect("peeked above");
-            self.now = event.deliver_at;
-            let mut arrived = false;
-            if let Some(ep) = self.endpoints.get_mut(event.to.index()) {
-                // Deliver only if the destination port is still bound to
-                // this endpoint (unbinding drops in-flight traffic).
-                if self.ports.get(&event.datagram.destination_port) == Some(&event.to) {
-                    ep.inbound.push_back(event.datagram);
-                    delivered += 1;
-                    arrived = true;
-                }
-            }
-            if arrived {
-                self.record_wire_delivery(event.wire);
-            }
+        while self
+            .queue
+            .peek()
+            .is_some_and(|Reverse(next)| next.deliver_at <= target)
+        {
+            delivered += usize::from(self.deliver_next());
         }
         self.now = target;
-        self.publish_time();
+        if self.now > before {
+            self.publish_time();
+        }
         delivered
     }
 
@@ -515,22 +650,14 @@ impl Network {
     /// advancing the clock to the last delivery.  Convenient for the
     /// request/response style the adapter uses.
     pub fn deliver_all(&mut self) -> usize {
+        let before = self.now;
         let mut delivered = 0;
-        while let Some(Reverse(event)) = self.queue.pop() {
-            self.now = self.now.max(event.deliver_at);
-            let mut arrived = false;
-            if let Some(ep) = self.endpoints.get_mut(event.to.index()) {
-                if self.ports.get(&event.datagram.destination_port) == Some(&event.to) {
-                    ep.inbound.push_back(event.datagram);
-                    delivered += 1;
-                    arrived = true;
-                }
-            }
-            if arrived {
-                self.record_wire_delivery(event.wire);
-            }
+        while !self.queue.is_empty() {
+            delivered += usize::from(self.deliver_next());
         }
-        self.publish_time();
+        if self.now > before {
+            self.publish_time();
+        }
         delivered
     }
 
@@ -567,20 +694,28 @@ impl Network {
     pub fn next_delivery_to(&self, ports: &[u16]) -> Option<SimTime> {
         self.queue
             .iter()
-            .filter(|Reverse(d)| ports.contains(&d.datagram.destination_port))
+            .filter(|Reverse(d)| ports.contains(&d.destination_port))
             .map(|Reverse(d)| d.deliver_at)
             .min()
     }
 
-    /// Drops every in-flight datagram addressed to `port`, returning how
-    /// many were dropped — the session transport uses this at query
-    /// boundaries so one query's stragglers never leak into the next.  The
-    /// survivors keep their delivery order: the queue orders by
+    /// Drops every in-flight datagram addressed to any of `ports`,
+    /// returning how many were dropped — the session transport uses this
+    /// at query boundaries so one query's stragglers never leak into the
+    /// next.  One pass over the queue, however many ports.  The survivors
+    /// keep their delivery order: the queue orders by
     /// `(deliver_at, sequence)`, a total order.
-    pub fn drop_in_flight_to(&mut self, port: u16) -> usize {
+    pub fn drop_in_flight_to(&mut self, ports: &[u16]) -> usize {
         let before = self.queue.len();
-        self.queue
-            .retain(|Reverse(d)| d.datagram.destination_port != port);
+        let (in_flight, free) = (&mut self.in_flight, &mut self.free_in_flight);
+        self.queue.retain(|Reverse(d)| {
+            let keep = !ports.contains(&d.destination_port);
+            if !keep {
+                in_flight[d.slot as usize] = None;
+                free.push(d.slot);
+            }
+            keep
+        });
         before - self.queue.len()
     }
 }
@@ -803,8 +938,8 @@ mod tests {
             net.next_delivery_to(&[9, 3]),
             Some(SimTime::from_micros(2_000))
         );
-        assert_eq!(net.drop_in_flight_to(2), 1);
-        assert_eq!(net.drop_in_flight_to(9), 0);
+        assert_eq!(net.drop_in_flight_to(&[2]), 1);
+        assert_eq!(net.drop_in_flight_to(&[9]), 0);
         assert_eq!(net.in_flight(), 1, "port 3's datagram survives");
         assert_eq!(net.next_delivery_to(&[2]), None);
         assert_eq!(net.deliver_due(), 0, "nothing due yet at t=0");
@@ -828,7 +963,7 @@ mod tests {
                     .unwrap();
             }
             if drop {
-                assert_eq!(net.drop_in_flight_to(2), 20);
+                assert_eq!(net.drop_in_flight_to(&[2]), 20);
                 assert_eq!(net.next_delivery_to(&[2]), None);
             }
             net.deliver_all();
@@ -862,13 +997,8 @@ mod tests {
             net.send(a, 2, Bytes::from(vec![i])).unwrap();
         }
         net.deliver_all();
-        let payloads: Vec<u8> = net
-            .endpoint_mut(b)
-            .unwrap()
-            .receive_all()
-            .into_iter()
-            .map(|d| d.payload[0])
-            .collect();
+        let ep = net.endpoint_mut(b).unwrap();
+        let payloads: Vec<u8> = std::iter::from_fn(|| ep.receive().map(|d| d.payload[0])).collect();
         assert_eq!(payloads, (0..10).collect::<Vec<u8>>());
     }
 
