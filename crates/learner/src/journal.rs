@@ -49,10 +49,12 @@
 //! A checkpoint lists symbols in string order and each node's children in
 //! string order of their inputs, so its bytes depend only on the entry's
 //! observations, and replay rebuilds the trie in one bulk arena fill
-//! instead of re-walking spelled paths.  A checkpoint whose indices fall outside its
-//! symbol lists, that gives two siblings one input, or whose node count or
-//! child counts do not match its nodes ends the replay at that frame, as a
-//! torn tail does.
+//! instead of re-walking spelled paths.  A checkpoint whose symbol lists or
+//! sibling inputs are not strictly ascending (every writer sorts them, and
+//! the order makes each check `O(1)`, so replay stays linear in the
+//! payload), whose indices fall outside its symbol lists, or whose node
+//! count or child counts do not match its nodes ends the replay at that
+//! frame, as a torn tail does.
 //!
 //! # Streaming replay
 //!
@@ -147,21 +149,59 @@ const FRAME_CHECKPOINT: u8 = 0x03;
 /// Frame tag: the generation stamp opening a rewritten file.
 const FRAME_GENERATION: u8 = 0x04;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a-64 (same function the cache key uses for alphabets).
 fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+    let mut hash = [FNV_OFFSET];
+    fnv1a_lanes(&mut hash, [bytes]);
+    hash[0]
+}
+
+/// Continues the FNV-1a-64 `hashes` over their equally long `lanes` in
+/// one interleaved loop: each hash is a serial multiply chain, and
+/// independent chains overlap in the CPU.
+#[inline]
+fn fnv1a_lanes<const N: usize>(hashes: &mut [u64; N], lanes: [&[u8]; N]) {
+    let len = lanes.first().map_or(0, |lane| lane.len());
+    let lanes = lanes.map(|lane| &lane[..len]);
+    for i in 0..len {
+        for (hash, lane) in hashes.iter_mut().zip(&lanes) {
+            *hash = (*hash ^ u64::from(lane[i])).wrapping_mul(FNV_PRIME);
+        }
     }
-    hash
 }
 
 /// The per-frame checksum: FNV-1a-64 truncated to its low 32 bits.
 fn frame_checksum(payload: &[u8]) -> u32 {
     fnv1a(payload) as u32
+}
+
+/// The [`frame_checksum`]s of four payloads, interleaved: all four
+/// chains run over the shortest payload's length, the three longest over
+/// the next one's, and so on.
+fn frame_checksums(payloads: [&[u8]; 4]) -> [u32; 4] {
+    let mut order = [0, 1, 2, 3];
+    order.sort_by_key(|&lane| payloads[lane].len());
+    let [a, b, c, d] = order.map(|lane| payloads[lane]);
+    let mut h4 = [FNV_OFFSET; 4];
+    fnv1a_lanes(&mut h4, [a, &b[..a.len()], &c[..a.len()], &d[..a.len()]]);
+    let mut h3 = [h4[1], h4[2], h4[3]];
+    fnv1a_lanes(
+        &mut h3,
+        [&b[a.len()..], &c[a.len()..b.len()], &d[a.len()..b.len()]],
+    );
+    let mut h2 = [h3[1], h3[2]];
+    fnv1a_lanes(&mut h2, [&c[b.len()..], &d[b.len()..c.len()]]);
+    let mut h1 = [h2[1]];
+    fnv1a_lanes(&mut h1, [&d[c.len()..]]);
+    let by_length = [h4[0], h3[0], h2[0], h1[0]];
+    let mut sums = [0; 4];
+    for (hash, lane) in by_length.into_iter().zip(order) {
+        sums[lane] = hash as u32;
+    }
+    sums
 }
 
 fn write_varint(out: &mut Vec<u8>, mut value: u64) {
@@ -274,22 +314,66 @@ fn encode_record(input: &[Symbol], output: &[Symbol], terminal: bool) -> Vec<u8>
 /// UTF-8-checked and turned into a [`Symbol`] once; records then refer to
 /// spellings by index, and each entry's trie resolves an index to its own
 /// symbol id once.
-#[derive(Default)]
 struct Spellings {
     index: HashMap<Box<[u8]>, u32>,
     symbols: Vec<Symbol>,
+    /// A direct-mapped cache in front of `index`: the spelling last found
+    /// in each slot (`u32::MAX` for none).  A record tail spells the same
+    /// few symbols over and over, and a hit costs one word mix and one
+    /// byte comparison instead of a SipHash lookup.  A miss falls back to
+    /// `index`, so a file crafted to collide costs no more than before.
+    recent: [u32; RECENT_SLOTS],
+}
+
+/// Slots of [`Spellings::recent`], a power of two.
+const RECENT_SLOTS: usize = 64;
+
+impl Default for Spellings {
+    fn default() -> Self {
+        Spellings {
+            index: HashMap::new(),
+            symbols: Vec::new(),
+            recent: [u32::MAX; RECENT_SLOTS],
+        }
+    }
+}
+
+/// The [`Spellings::recent`] slot of `bytes`: a multiplicative mix of
+/// their length and first and last eight bytes (of all of them, when
+/// fewer).
+fn recent_slot(bytes: &[u8]) -> usize {
+    let (head, tail) = match (bytes.first_chunk::<8>(), bytes.last_chunk::<8>()) {
+        (Some(head), Some(tail)) => (u64::from_le_bytes(*head), u64::from_le_bytes(*tail)),
+        _ => (bytes.iter().fold(0, |word, &b| word << 8 | u64::from(b)), 0),
+    };
+    let mixed =
+        (head ^ tail.rotate_left(29) ^ bytes.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - RECENT_SLOTS.trailing_zeros())) as usize
 }
 
 impl Spellings {
     /// The index of spelling `bytes`, or `None` when they are not UTF-8.
     fn index_of(&mut self, bytes: &[u8]) -> Option<u32> {
-        if let Some(&index) = self.index.get(bytes) {
-            return Some(index);
+        let slot = recent_slot(bytes);
+        let cached = self.recent[slot];
+        if self
+            .symbols
+            .get(cached as usize)
+            .is_some_and(|symbol| symbol.as_str().as_bytes() == bytes)
+        {
+            return Some(cached);
         }
-        let symbol = Symbol::new(std::str::from_utf8(bytes).ok()?);
-        let index = self.symbols.len() as u32;
-        self.symbols.push(symbol);
-        self.index.insert(bytes.into(), index);
+        let index = match self.index.get(bytes) {
+            Some(&index) => index,
+            None => {
+                let symbol = Symbol::new(std::str::from_utf8(bytes).ok()?);
+                let index = self.symbols.len() as u32;
+                self.symbols.push(symbol);
+                self.index.insert(bytes.into(), index);
+                index
+            }
+        };
+        self.recent[slot] = index;
         Some(index)
     }
 }
@@ -377,11 +461,9 @@ fn decode_checkpoint(payload: &[u8], spellings: &mut Spellings) -> Option<Prefix
     let count = read_varint(payload, &mut pos)?;
     // Every node takes at least one byte, so the payload bounds the arena
     // whatever the count claims, and a corrupt count ends the loop at the
-    // payload's end.  The arena gets the power of two that growing it node
-    // by node would reach: room for the tail records after the checkpoint,
-    // and the few block sizes an allocator reuses from one load to the next.
-    let capacity = usize::try_from(count).ok()?.min(payload.len() - pos);
-    let mut fill = PreorderFill::new(&inputs, &outputs, capacity.next_power_of_two()).ok()?;
+    // payload's end.
+    let max_nodes = usize::try_from(count).ok()?.min(payload.len() - pos);
+    let mut fill = PreorderFill::new(&inputs, &outputs, max_nodes).ok()?;
     for index in 0..count {
         let edge = match index {
             0 => None,
@@ -454,6 +536,8 @@ struct FrameReader<R> {
     /// Stream offset of `buf[0]`.
     base: u64,
     eof: bool,
+    /// The frames from `start` up to here passed their checksums.
+    checked: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -467,6 +551,7 @@ impl<R: Read> FrameReader<R> {
             end: 0,
             base: offset,
             eof: false,
+            checked: 0,
         }
     }
 
@@ -483,6 +568,7 @@ impl<R: Read> FrameReader<R> {
                 self.buf.copy_within(self.start..self.end, 0);
                 self.base += self.start as u64;
                 self.end -= self.start;
+                self.checked = self.checked.saturating_sub(self.start);
                 self.start = 0;
             }
             if self.end == self.buf.len() {
@@ -530,16 +616,53 @@ impl<R: Read> FrameReader<R> {
         else {
             return Ok(None);
         };
-        let Some(frame) = self.fill(frame_len)?.get(pos..frame_len) else {
-            return Ok(None);
-        };
-        let Some((payload, stored)) = frame.split_last_chunk::<4>() else {
-            return Ok(None);
-        };
-        if u32::from_le_bytes(*stored) != frame_checksum(payload) {
+        if self.fill(frame_len)?.len() < frame_len {
             return Ok(None);
         }
+        if self.start + frame_len > self.checked {
+            self.check_ahead();
+            if self.start + frame_len > self.checked {
+                return Ok(None);
+            }
+        }
+        let payload = &self.buf[self.start + pos..self.start + frame_len - 4];
         Ok(Some((tag, payload, frame_len)))
+    }
+
+    /// Checks the next four frames the buffer holds whole, the first of
+    /// which must be, in one interleaved pass, and moves `checked` past
+    /// those that pass up to the first that fails.  A replay reads a
+    /// record tail as thousands of small frames, so the frames' checksum
+    /// chains overlap instead of running one after another.
+    fn check_ahead(&mut self) {
+        let buffered = &self.buf[..self.end];
+        // `(payload start, payload end, stored checksum)` of each frame.
+        let mut frames = [(0, 0, 0); 4];
+        let mut count = 0;
+        let mut at = self.start;
+        for frame in &mut frames {
+            let mut pos = at + 1;
+            let Some(frame_end) = read_varint(buffered, &mut pos)
+                .and_then(|len| usize::try_from(len).ok())
+                .and_then(|len| len.checked_add(pos + 4))
+                .filter(|&end| end <= buffered.len())
+            else {
+                break;
+            };
+            let stored = buffered[frame_end - 4..frame_end]
+                .try_into()
+                .expect("4 bytes");
+            *frame = (pos, frame_end - 4, u32::from_le_bytes(stored));
+            at = frame_end;
+            count += 1;
+        }
+        let sums = frame_checksums(frames.map(|(start, end, _)| &buffered[start..end]));
+        for ((_, end, stored), sum) in frames.into_iter().zip(sums).take(count) {
+            if sum != stored {
+                break;
+            }
+            self.checked = end + 4;
+        }
     }
 
     /// How many bytes are left in the stream, reading through them.
@@ -550,13 +673,18 @@ impl<R: Read> FrameReader<R> {
 }
 
 /// One key's replay target: its trie — created by the key's first record,
-/// so a header without records leaves no entry — and the memos resolving
-/// spelling indices to this trie's symbol ids.
+/// so a header without records leaves no entry — the memos resolving
+/// spelling indices to this trie's symbol ids, and the trie path of the
+/// segment's last record.
 struct Segment {
     key: StoreKey,
     trie: Option<Arc<PrefixTrie>>,
     input_ids: Vec<Option<SymbolId>>,
     output_ids: Vec<Option<SymbolId>>,
+    /// The nodes the last record walked (see
+    /// [`PrefixTrie::apply_path_ids_along`]): records are written in path
+    /// order, so the next one mostly starts down the same path.
+    path: Vec<u32>,
 }
 
 /// Replay state: the decoded entries plus enough context to continue
@@ -614,6 +742,7 @@ impl Replay {
             trie: None,
             input_ids: Vec::new(),
             output_ids: Vec::new(),
+            path: Vec::new(),
         });
         index
     }
@@ -675,9 +804,10 @@ impl Replay {
         };
         let segment = &mut self.segments[current];
         segment.trie = Some(Arc::new(trie));
-        // The memos held the replaced trie's ids.
+        // The memos and the path held the replaced trie's ids.
         segment.input_ids.clear();
         segment.output_ids.clear();
+        segment.path.clear();
         let layout = &mut self.layout;
         layout.checkpoint_bytes += frame_end - frame_start;
         layout.tail_start = frame_end;
@@ -699,6 +829,7 @@ impl Replay {
             trie,
             input_ids,
             output_ids,
+            path,
             ..
         } = &mut self.segments[current];
         // `make_mut` is a plain deref while replay owns the entry, which it
@@ -718,7 +849,7 @@ impl Replay {
                 trie.intern_output(&symbols[output as usize])
             }));
         }
-        match trie.apply_path_ids(&self.inputs, &self.outputs, terminal) {
+        match trie.apply_path_ids_along(&self.inputs, &self.outputs, terminal, path) {
             Ok(PathCoverage::Contradicts) => self.contradictions += 1,
             Ok(_) => {}
             Err(_) => return false,
@@ -1475,6 +1606,46 @@ mod tests {
 
     fn key(alphabet: &Alphabet) -> StoreKey {
         StoreKey::new("sul-1", "", alphabet)
+    }
+
+    #[test]
+    fn interleaved_checksums_match_one_at_a_time() {
+        let bytes: Vec<u8> = (0..600u32).map(|i| (i * 37 % 251) as u8).collect();
+        for lengths in [
+            [0, 0, 0, 0],
+            [5, 0, 300, 17],
+            [600, 599, 1, 64],
+            [9, 9, 9, 9],
+        ] {
+            let payloads = lengths.map(|len| &bytes[600 - len..]);
+            assert_eq!(frame_checksums(payloads), payloads.map(frame_checksum));
+        }
+    }
+
+    #[test]
+    fn spellings_resolve_through_their_front_cache() {
+        let mut spellings = Spellings::default();
+        // More spellings than cache slots, short and long, so slots are
+        // shared and evicted.
+        let words: Vec<String> = (0..3 * RECENT_SLOTS)
+            .map(|i| "x".repeat(i % 11) + &i.to_string())
+            .collect();
+        let first: Vec<u32> = words
+            .iter()
+            .map(|w| spellings.index_of(w.as_bytes()).unwrap())
+            .collect();
+        assert_eq!(first, (0..words.len() as u32).collect::<Vec<_>>());
+        for (word, &index) in words
+            .iter()
+            .zip(&first)
+            .rev()
+            .chain(words.iter().zip(&first))
+        {
+            assert_eq!(spellings.index_of(word.as_bytes()), Some(index));
+            assert_eq!(spellings.symbols[index as usize].as_str(), word);
+        }
+        assert_eq!(spellings.index_of(&[0xff, 0xfe]), None);
+        assert_eq!(spellings.symbols.len(), words.len());
     }
 
     fn sample_trie() -> PrefixTrie {

@@ -11,16 +11,25 @@
 //! seed's flat `HashMap` cache, whose prefix lookups were linear scans over
 //! every cached word.
 //!
-//! Internally the trie is fully *interned*: every node holds a dense
-//! `SymbolId`-indexed child table instead of a `HashMap<Symbol, _>`, so an
-//! insert or lookup on the hot path performs zero string hashing — symbols
-//! are resolved to ids once per query (or arrive pre-encoded as
-//! [`IWord`]s from the batch dedup layer) and to strings only at
-//! serialization boundaries.  Sorted iteration (entries, paths,
-//! divergences) walks children in the interner's lexicographic *rank*
-//! order, which reproduces string order exactly regardless of the order in
-//! which symbols were first interned (e.g. during a warm-start journal
-//! replay).
+//! Internally the trie is fully *interned*: every node holds its input
+//! and output as `SymbolId`s instead of strings, so an insert or lookup on
+//! the hot path performs zero string hashing — symbols are resolved to ids
+//! once per query (or arrive pre-encoded as [`IWord`]s from the batch
+//! dedup layer) and to strings only at serialization boundaries.
+//!
+//! All nodes live in one arena `Vec` and link to each other by index: a
+//! node names its first child and its next sibling, so a node costs 16
+//! bytes and no heap block of its own, and the trie takes `O(nodes)` memory
+//! whatever the alphabet size.  Each sibling list is kept in string order
+//! of its inputs (a new child is linked in at its interner *rank*, and
+//! interning a new symbol shifts ranks without reordering them), so the
+//! sorted walks (entries, paths, divergences, the preorder stream) follow
+//! the lists and reproduce string order exactly, regardless of the order
+//! in which symbols were first interned (e.g. during a warm-start journal
+//! replay).  A trie loaded from a checkpoint holds each sibling list in
+//! consecutive arena slots (see `PreorderFill`), so a lookup reads one or
+//! two cache lines per level; a child added later sits at the arena's end
+//! and is linked into its list.
 //!
 //! The trie is also the unit of *cross-run persistence*: the journal
 //! ([`crate::journal::JournalStore`]) checkpoints it as its preorder node
@@ -34,58 +43,75 @@ use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::{IWord, Interner, SymbolId};
 use prognosis_automata::word::{InputWord, OutputWord};
 
-/// Sentinel for "no child" / "no output" (the root) in dense tables.
+/// Sentinel for "no node" in the arena links.
 const NO_ID: u32 = u32::MAX;
 
-/// One trie node: the outputs observed after some input prefix.
-#[derive(Clone, Debug, Default)]
+/// The bit of [`TrieNode::output`] that marks the node terminal.
+const TERMINAL: u32 = 1 << 31;
+
+/// One trie node: the edge into it and its links in the arena.
+#[derive(Clone, Copy, Debug)]
 struct TrieNode {
-    /// Child node per next input symbol, indexed by input `SymbolId`.
-    /// `NO_ID` marks an absent edge; the table ends at the node's largest
-    /// child id (a leaf's is empty and allocates nothing).  A boxed slice,
-    /// not a `Vec`: no spare capacity, and a node of 24 bytes, not 32.
-    children: Box<[u32]>,
+    /// Arena index of the node's first child in string order of the
+    /// children's inputs, or `NO_ID` for a leaf.
+    first_child: u32,
+    /// Arena index of the parent's next child in that order, or `NO_ID`.
+    next_sibling: u32,
+    /// Input symbol id of the edge into this node (0 for the root).
+    input: u32,
     /// Output symbol id (into the output interner) the SUL produced on the
-    /// edge *into* this node (`NO_ID` only for the root).
+    /// edge into this node (0 for the root), with [`TERMINAL`] set when a
+    /// query ended exactly here (used by [`PrefixTrie::entries`] and the
+    /// distinct-query count).
     output: u32,
-    /// Whether a query ended exactly here (used by [`PrefixTrie::entries`]
-    /// and the distinct-query count).
-    terminal: bool,
 }
 
-impl TrieNode {
-    fn root() -> Self {
-        TrieNode::leaf(NO_ID)
-    }
+const _: () = assert!(std::mem::size_of::<TrieNode>() == 16);
 
-    /// A childless, non-terminal node reached on output `output`.
-    fn leaf(output: u32) -> Self {
+impl TrieNode {
+    /// A childless, non-terminal node reached on `input` / `output`.
+    fn leaf(input: u32, output: u32) -> Self {
+        assert!(output < TERMINAL, "output symbol id overflow");
         TrieNode {
-            children: Box::default(),
+            first_child: NO_ID,
+            next_sibling: NO_ID,
+            input,
             output,
-            terminal: false,
         }
     }
 
     #[inline]
-    fn child(&self, id: SymbolId) -> Option<usize> {
-        match self.children.get(id.index()) {
-            Some(&c) if c != NO_ID => Some(c as usize),
-            _ => None,
-        }
+    fn output(&self) -> u32 {
+        self.output & !TERMINAL
     }
 
-    fn set_child(&mut self, id: SymbolId, child: usize) {
-        if self.children.len() <= id.index() {
-            let mut grown = vec![NO_ID; id.index() + 1];
-            grown[..self.children.len()].copy_from_slice(&self.children);
-            self.children = grown.into_boxed_slice();
-        }
-        self.children[id.index()] = child as u32;
+    #[inline]
+    fn terminal(&self) -> bool {
+        self.output & TERMINAL != 0
     }
 
-    fn has_children(&self) -> bool {
-        self.children.iter().any(|&c| c != NO_ID)
+    /// Marks the node terminal; `false` when it already was.
+    fn set_terminal(&mut self) -> bool {
+        let fresh = !self.terminal();
+        self.output |= TERMINAL;
+        fresh
+    }
+}
+
+/// The arena indices of a sibling list, from `next` on.
+struct Siblings<'a> {
+    nodes: &'a [TrieNode],
+    next: u32,
+}
+
+impl Iterator for Siblings<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let node = self.next as usize;
+        self.next = self.nodes.get(node)?.next_sibling;
+        Some(node)
     }
 }
 
@@ -157,52 +183,62 @@ pub(crate) struct PreorderNode {
 }
 
 /// Rebuilds a [`PrefixTrie`] from a preorder node stream in one bulk arena
-/// fill: each node is appended once, with no path walk and no coverage
-/// check.  The stream is untrusted (it comes off disk), so every node is
-/// validated as it arrives — the root first and only first, symbol indices
-/// in range, no two siblings on one input, no more children than distinct
-/// inputs — and [`PreorderFill::finish`] fails unless the child counts
-/// were met exactly.  Nothing is allocated by a claimed count: the arena
-/// grows as nodes arrive, past the caller's capacity hint.
+/// fill, with no path walk and no coverage check.  A node that announces
+/// `k` children gets the next `k` arena slots as its children's block, and
+/// each child takes its slot as it arrives, so a loaded trie keeps every
+/// sibling list side by side in the arena: a lookup scans one or two
+/// cache lines per level instead of hopping across subtrees.  The stream
+/// is untrusted (it comes off disk), so every node is validated as it
+/// arrives — the root first and only first, symbol indices in range, no
+/// more children than distinct inputs, each node's children strictly
+/// ascending in input, no block past the fill's node bound — and
+/// [`PreorderFill::finish`] fails unless the child counts were met
+/// exactly.  Every check is `O(1)` per node, and the arena never holds
+/// more than the node bound.
 pub(crate) struct PreorderFill {
     trie: PrefixTrie,
-    /// `(node, children still to come, start of its children in
-    /// `siblings`)` for each node whose children are still arriving.
-    open: Vec<(usize, usize, usize)>,
-    /// `(input, node)` of the children that arrived so far, innermost open
-    /// node's last.  A node's child table is built once, at its exact
-    /// size, when its last child arrives.
-    siblings: Vec<(u32, u32)>,
+    /// `(first, next, end)` of each children block still filling,
+    /// innermost last: the block is arena slots `first..end`, and the next
+    /// child to arrive takes slot `next`.
+    open: Vec<(u32, u32, u32)>,
+    /// The most nodes the arena may hold.
+    max_nodes: usize,
     root_seen: bool,
 }
 
 impl PreorderFill {
-    /// A fill over the given symbol lists (interned in list order, so
-    /// stream index `i` is symbol id `i`), reserving room for `capacity`
-    /// nodes.  Fails when a list repeats a symbol.
+    /// A fill of at most `max_nodes` nodes over the given symbol lists.
+    /// Each list must be strictly ascending in string order (no symbol
+    /// twice), as [`PrefixTrie::input_symbols`] and
+    /// [`PrefixTrie::output_symbols`] list them: interned in that order,
+    /// stream index `i` is symbol id `i`, and rank `i`.  The arena reserves
+    /// the power of two that growing it node by node would reach: room for
+    /// inserts after the fill, and the few block sizes an allocator reuses
+    /// from one load to the next.
     pub(crate) fn new(
         inputs: &[Symbol],
         outputs: &[Symbol],
-        capacity: usize,
+        max_nodes: usize,
     ) -> Result<Self, String> {
         let mut trie = PrefixTrie::new();
         for (symbols, interner) in [(inputs, &mut trie.inputs), (outputs, &mut trie.outputs)] {
-            for (index, symbol) in symbols.iter().enumerate() {
-                if interner.intern(symbol).index() != index {
-                    return Err(format!("symbol {:?} listed twice", symbol.as_str()));
-                }
+            if symbols.windows(2).any(|w| w[0].as_str() >= w[1].as_str()) {
+                return Err("symbols out of string order".to_string());
+            }
+            for symbol in symbols {
+                interner.intern(symbol);
             }
         }
-        trie.nodes.reserve(capacity);
+        trie.nodes.reserve(max_nodes.next_power_of_two());
         Ok(PreorderFill {
             trie,
             open: Vec::new(),
-            siblings: Vec::new(),
+            max_nodes,
             root_seen: false,
         })
     }
 
-    /// Appends the next node of the stream.
+    /// Places the next node of the stream.
     pub(crate) fn push(&mut self, node: PreorderNode) -> Result<(), String> {
         if node.children > self.trie.inputs.len() {
             return Err("more children than distinct inputs".to_string());
@@ -217,48 +253,44 @@ impl PreorderFill {
             (Some(_), false) => return Err("the stream must open with the root".to_string()),
         };
         if node.terminal {
-            self.trie.nodes[index].terminal = true;
+            self.trie.nodes[index].set_terminal();
             self.trie.terminal_words += 1;
         }
         if node.children > 0 {
-            self.open.push((index, node.children, self.siblings.len()));
+            let first = self.trie.nodes.len();
+            let end = first + node.children;
+            if end > self.max_nodes {
+                return Err("more nodes than the fill holds".to_string());
+            }
+            self.trie.nodes.resize(end, TrieNode::leaf(0, 0));
+            self.trie.nodes[index].first_child = first as u32;
+            self.open.push((first as u32, first as u32, end as u32));
         }
         Ok(())
     }
 
-    /// Appends a child of the innermost open node, returning its index.
+    /// Places a child of the innermost open node in the next slot of its
+    /// block, returning its index.
     fn push_child(&mut self, input: u32, output: u32) -> Result<usize, String> {
-        let Some((parent, left, first)) = self.open.last_mut() else {
+        let Some((first, next, end)) = self.open.last_mut() else {
             return Err("more nodes than the child counts hold".to_string());
         };
         if input as usize >= self.trie.inputs.len() || output as usize >= self.trie.outputs.len() {
             return Err("symbol index out of range".to_string());
         }
-        if self.siblings[*first..]
-            .iter()
-            .any(|&(seen, _)| seen == input)
-        {
-            return Err("two siblings on one input".to_string());
+        let slot = *next as usize;
+        if *next > *first && self.trie.nodes[slot - 1].input >= input {
+            return Err("siblings out of order".to_string());
         }
-        let index = self.trie.nodes.len();
-        self.trie.nodes.push(TrieNode::leaf(output));
-        self.siblings.push((input, index as u32));
-        *left -= 1;
-        if *left == 0 {
-            let (parent, first) = (*parent, *first);
-            let len = self.siblings[first..]
-                .iter()
-                .map(|&(i, _)| i)
-                .max()
-                .map_or(0, |i| i as usize + 1);
-            let mut table = vec![NO_ID; len];
-            for (input, child) in self.siblings.drain(first..) {
-                table[input as usize] = child;
-            }
-            self.trie.nodes[parent].children = table.into_boxed_slice();
+        let mut leaf = TrieNode::leaf(input, output);
+        *next += 1;
+        if *next < *end {
+            leaf.next_sibling = *next;
+        } else {
             self.open.pop();
         }
-        Ok(index)
+        self.trie.nodes[slot] = leaf;
+        Ok(slot)
     }
 
     /// The filled trie, once every announced child has arrived.
@@ -293,7 +325,7 @@ impl PrefixTrie {
     /// An empty trie.
     pub fn new() -> Self {
         PrefixTrie {
-            nodes: vec![TrieNode::root()],
+            nodes: vec![TrieNode::leaf(0, 0)],
             inputs: Interner::new(),
             outputs: Interner::new(),
             terminal_words: 0,
@@ -308,6 +340,42 @@ impl PrefixTrie {
     /// Number of trie nodes (≈ distinct symbols stored + root).
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The child of `node` on input `id`.
+    #[inline]
+    fn child(&self, node: usize, id: SymbolId) -> Option<usize> {
+        self.children(node)
+            .find(|&child| self.nodes[child].input == id.raw())
+    }
+
+    /// The children of `node`, in string order of their inputs.
+    fn children(&self, node: usize) -> Siblings<'_> {
+        Siblings {
+            nodes: &self.nodes,
+            next: self.nodes[node].first_child,
+        }
+    }
+
+    /// Appends a leaf under `parent` on `input`, answering `output`, and
+    /// links it into `parent`'s children at its input's rank.  `parent`
+    /// must have no child on `input` yet.  Returns the leaf's index.
+    fn push_child(&mut self, parent: usize, input: SymbolId, output: u32) -> usize {
+        let index = self.nodes.len() as u32;
+        let rank = self.inputs.rank_of(input);
+        let (mut prev, mut next) = (NO_ID, self.nodes[parent].first_child);
+        while next != NO_ID && self.inputs.rank_of(self.nodes[next as usize].input) < rank {
+            prev = next;
+            next = self.nodes[next as usize].next_sibling;
+        }
+        let mut leaf = TrieNode::leaf(input.raw(), output);
+        leaf.next_sibling = next;
+        self.nodes.push(leaf);
+        match prev {
+            NO_ID => self.nodes[parent].first_child = index,
+            prev => self.nodes[prev as usize].next_sibling = index,
+        }
+        index as usize
     }
 
     /// Encodes an input word against this trie's interner, minting ids for
@@ -331,7 +399,7 @@ impl PrefixTrie {
             match self
                 .inputs
                 .lookup(symbol)
-                .and_then(|id| self.nodes[node].child(id))
+                .and_then(|id| self.child(node, id))
             {
                 Some(child) => node = child,
                 None => return depth,
@@ -346,8 +414,8 @@ impl PrefixTrie {
         let mut out = OutputWord::empty();
         for symbol in input.iter() {
             let id = self.inputs.lookup(symbol)?;
-            node = self.nodes[node].child(id)?;
-            out.push(self.outputs.resolve(self.nodes[node].output).clone());
+            node = self.child(node, id)?;
+            out.push(self.outputs.resolve(self.nodes[node].output()).clone());
         }
         Some(out)
     }
@@ -357,8 +425,8 @@ impl PrefixTrie {
         let mut node = 0;
         let mut out = OutputWord::empty();
         for &id in input {
-            node = self.nodes[node].child(id)?;
-            out.push(self.outputs.resolve(self.nodes[node].output).clone());
+            node = self.child(node, id)?;
+            out.push(self.outputs.resolve(self.nodes[node].output()).clone());
         }
         Some(out)
     }
@@ -374,7 +442,7 @@ impl PrefixTrie {
             node = self
                 .inputs
                 .lookup(symbol)
-                .and_then(|id| self.nodes[node].child(id))
+                .and_then(|id| self.child(node, id))
                 .expect("mark_terminal requires a fully cached word");
         }
         self.mark_terminal_node(node)
@@ -387,21 +455,17 @@ impl PrefixTrie {
     pub fn mark_terminal_ids(&mut self, input: &[SymbolId]) -> bool {
         let mut node = 0;
         for &id in input {
-            node = self.nodes[node]
-                .child(id)
+            node = self
+                .child(node, id)
                 .expect("mark_terminal requires a fully cached word");
         }
         self.mark_terminal_node(node)
     }
 
     fn mark_terminal_node(&mut self, node: usize) -> bool {
-        if self.nodes[node].terminal {
-            false
-        } else {
-            self.nodes[node].terminal = true;
-            self.terminal_words += 1;
-            true
-        }
+        let fresh = self.nodes[node].set_terminal();
+        self.terminal_words += usize::from(fresh);
+        fresh
     }
 
     /// Inserts a full (input, output) answer, extending the cached paths.
@@ -431,6 +495,7 @@ impl PrefixTrie {
 
     /// Id-word form of [`PrefixTrie::try_insert`]: the input arrives
     /// pre-encoded (no string hashing), only output symbols are interned.
+    /// Also errors on an input id this trie's interner did not mint.
     pub fn try_insert_ids(
         &mut self,
         input: &[SymbolId],
@@ -442,21 +507,21 @@ impl PrefixTrie {
         let mut node = 0;
         let mut created = 0;
         for (&id, out) in input.iter().zip(output.iter()) {
-            match self.nodes[node].child(id) {
+            match self.child(node, id) {
                 Some(child) => {
                     node = child;
-                    if self.outputs.resolve(self.nodes[node].output) != out {
+                    if self.outputs.resolve(self.nodes[node].output()) != out {
                         return Err("prefix trie: SUL answered a cached prefix differently \
                              (nondeterministic SUL?)"
                             .to_string());
                     }
                 }
+                None if id.index() >= self.inputs.len() => {
+                    return Err("symbol id not minted by this trie".to_string());
+                }
                 None => {
                     let out_id = self.outputs.intern(out);
-                    let child = self.nodes.len();
-                    self.nodes.push(TrieNode::leaf(out_id.raw()));
-                    self.nodes[node].set_child(id, child);
-                    node = child;
+                    node = self.push_child(node, id, out_id.raw());
                     created += 1;
                 }
             }
@@ -511,6 +576,27 @@ impl PrefixTrie {
         output: &[SymbolId],
         terminal: bool,
     ) -> Result<PathCoverage, String> {
+        self.apply_path_ids_along(
+            input,
+            output,
+            terminal,
+            &mut Vec::with_capacity(input.len()),
+        )
+    }
+
+    /// [`PrefixTrie::apply_path_ids`] starting down the path of an earlier
+    /// call: `path` holds the nodes that call walked (node `d` is reached
+    /// after `d + 1` steps), and as long as the inputs follow it each step
+    /// is one comparison instead of a sibling-list search.  On return
+    /// `path` holds the nodes this call walked.  `path` must come from
+    /// calls on this trie (or start empty).
+    pub(crate) fn apply_path_ids_along(
+        &mut self,
+        input: &[SymbolId],
+        output: &[SymbolId],
+        terminal: bool,
+        path: &mut Vec<u32>,
+    ) -> Result<PathCoverage, String> {
         if input.len() != output.len() {
             return Err("one output symbol per input symbol".to_string());
         }
@@ -520,17 +606,31 @@ impl PrefixTrie {
         // happened yet when a contradiction is found, so a contradicting
         // path leaves the trie untouched.
         while depth < input.len() {
-            match self.nodes[node].child(input[depth]) {
-                Some(child) => {
-                    if self.nodes[child].output != output[depth].raw() {
-                        return Ok(PathCoverage::Contradicts);
-                    }
-                    node = child;
-                    depth += 1;
+            // `path[..depth]` is this walk so far, so `path[depth]`, a child
+            // of `node`, is the child on `input[depth]` if its input matches.
+            let child = match path.get(depth) {
+                Some(&next) if self.nodes[next as usize].input == input[depth].raw() => {
+                    Some(next as usize)
                 }
-                None => break,
+                _ => {
+                    path.truncate(depth);
+                    self.child(node, input[depth])
+                }
+            };
+            let Some(child) = child else {
+                break;
+            };
+            if self.nodes[child].output() != output[depth].raw() {
+                path.truncate(depth);
+                return Ok(PathCoverage::Contradicts);
             }
+            if path.len() == depth {
+                path.push(child as u32);
+            }
+            node = child;
+            depth += 1;
         }
+        path.truncate(depth);
         if input[depth..]
             .iter()
             .zip(&output[depth..])
@@ -541,14 +641,11 @@ impl PrefixTrie {
         let mut fresh = depth < input.len();
         // Create the fresh suffix (nothing cached below a missing edge).
         while depth < input.len() {
-            let child = self.nodes.len();
-            self.nodes.push(TrieNode::leaf(output[depth].raw()));
-            self.nodes[node].set_child(input[depth], child);
-            node = child;
+            node = self.push_child(node, input[depth], output[depth].raw());
+            path.push(node as u32);
             depth += 1;
         }
-        if terminal && !self.nodes[node].terminal {
-            self.nodes[node].terminal = true;
+        if terminal && self.nodes[node].set_terminal() {
             self.terminal_words += 1;
             fresh = true;
         }
@@ -576,22 +673,20 @@ impl PrefixTrie {
         output: &mut Vec<Symbol>,
         result: &mut Vec<(InputWord, OutputWord)>,
     ) {
-        if self.nodes[node].terminal {
+        if self.nodes[node].terminal() {
             result.push((
                 input.iter().cloned().collect(),
                 output.iter().cloned().collect(),
             ));
         }
-        // Rank order = string order: deterministic listings with no per-node
-        // sort allocation.
-        for &id in self.inputs.ids_in_order() {
-            if let Some(child) = self.nodes[node].child(id) {
-                input.push(self.inputs.resolve(id).clone());
-                output.push(self.outputs.resolve(self.nodes[child].output).clone());
-                self.collect(child, input, output, result);
-                input.pop();
-                output.pop();
-            }
+        // Sibling lists are in string order: deterministic listings with no
+        // per-node sort allocation.
+        for child in self.children(node) {
+            input.push(self.inputs.resolve(self.nodes[child].input).clone());
+            output.push(self.outputs.resolve(self.nodes[child].output()).clone());
+            self.collect(child, input, output, result);
+            input.pop();
+            output.pop();
         }
     }
 
@@ -624,22 +719,19 @@ impl PrefixTrie {
             if limit > 0 && found.len() >= limit {
                 break;
             }
-            // Left children in rank (string) order; the two tries intern
+            // Left children in string order; the two tries intern
             // independently, so edges are matched by symbol, not id.
-            for &lid in self.inputs.ids_in_order() {
-                let Some(lc) = self.nodes[left].child(lid) else {
-                    continue;
-                };
-                let symbol = self.inputs.resolve(lid);
+            for lc in self.children(left) {
+                let symbol = self.inputs.resolve(self.nodes[lc].input);
                 let Some(rc) = other
                     .inputs
                     .lookup(symbol)
-                    .and_then(|rid| other.nodes[right].child(rid))
+                    .and_then(|rid| other.child(right, rid))
                 else {
                     continue;
                 };
-                let lo = self.outputs.resolve(self.nodes[lc].output);
-                let ro = other.outputs.resolve(other.nodes[rc].output);
+                let lo = self.outputs.resolve(self.nodes[lc].output());
+                let ro = other.outputs.resolve(other.nodes[rc].output());
                 if lo != ro {
                     if limit == 0 || found.len() < limit {
                         let mut word = vec![symbol.clone()];
@@ -697,7 +789,7 @@ impl PrefixTrie {
     pub fn mark(&self) -> TrieMark {
         let mut terminals = vec![0u64; self.nodes.len().div_ceil(64)];
         for (index, node) in self.nodes.iter().enumerate() {
-            if node.terminal {
+            if node.terminal() {
                 terminals[index / 64] |= 1 << (index % 64);
             }
         }
@@ -728,7 +820,7 @@ impl PrefixTrie {
         mut f: F,
     ) {
         let fresh = |node: usize| {
-            node >= mark.nodes || (self.nodes[node].terminal && !mark.was_terminal(node))
+            node >= mark.nodes || (self.nodes[node].terminal() && !mark.was_terminal(node))
         };
         let mut input = Vec::new();
         let mut output = Vec::new();
@@ -745,20 +837,18 @@ impl PrefixTrie {
         keep: &K,
         f: &mut F,
     ) {
-        let is_leaf = !self.nodes[node].has_children();
+        let this = self.nodes[node];
         // The root is emitted only when marked terminal (an ε query was
         // asked); an empty trie dumps to an empty list.
-        if (self.nodes[node].terminal || (is_leaf && node != 0)) && keep(node) {
-            f(input, output, self.nodes[node].terminal);
+        if (this.terminal() || (this.first_child == NO_ID && node != 0)) && keep(node) {
+            f(input, output, this.terminal());
         }
-        for &id in self.inputs.ids_in_order() {
-            if let Some(child) = self.nodes[node].child(id) {
-                input.push(self.inputs.resolve(id).clone());
-                output.push(self.outputs.resolve(self.nodes[child].output).clone());
-                self.visit_paths(child, input, output, keep, f);
-                input.pop();
-                output.pop();
-            }
+        for child in self.children(node) {
+            input.push(self.inputs.resolve(self.nodes[child].input).clone());
+            output.push(self.outputs.resolve(self.nodes[child].output()).clone());
+            self.visit_paths(child, input, output, keep, f);
+            input.pop();
+            output.pop();
         }
     }
 
@@ -768,7 +858,7 @@ impl PrefixTrie {
     pub fn path_count(&self) -> usize {
         let mut terminals_or_leaves = 0;
         for (index, node) in self.nodes.iter().enumerate() {
-            if node.terminal || (!node.has_children() && index != 0) {
+            if node.terminal() || (node.first_child == NO_ID && index != 0) {
                 terminals_or_leaves += 1;
             }
         }
@@ -782,13 +872,13 @@ impl PrefixTrie {
             match self
                 .inputs
                 .lookup(symbol)
-                .and_then(|id| self.nodes[node].child(id))
+                .and_then(|id| self.child(node, id))
             {
                 Some(child) => node = child,
                 None => return false,
             }
         }
-        self.nodes[node].terminal
+        self.nodes[node].terminal()
     }
 
     /// Classifies a `(input, output, terminal)` path against this trie's
@@ -804,10 +894,10 @@ impl PrefixTrie {
             match self
                 .inputs
                 .lookup(symbol)
-                .and_then(|id| self.nodes[node].child(id))
+                .and_then(|id| self.child(node, id))
             {
                 Some(child) => {
-                    if self.outputs.resolve(self.nodes[child].output) != out {
+                    if self.outputs.resolve(self.nodes[child].output()) != out {
                         return PathCoverage::Contradicts;
                     }
                     node = child;
@@ -815,7 +905,7 @@ impl PrefixTrie {
                 None => return PathCoverage::Fresh,
             }
         }
-        if terminal && !self.nodes[node].terminal {
+        if terminal && !self.nodes[node].terminal() {
             PathCoverage::Fresh
         } else {
             PathCoverage::Covered
@@ -844,24 +934,27 @@ impl PrefixTrie {
     /// or intern order.  [`PreorderFill`] rebuilds the trie from it; the
     /// journal checkpoints each entry this way.
     pub(crate) fn for_each_node_preorder<F: FnMut(PreorderNode)>(&self, mut f: F) {
-        // (node, edge into it); children are pushed in reverse string
-        // order so they pop in string order.
-        let mut stack: Vec<(usize, Option<(u32, u32)>)> = vec![(0, None)];
-        let mut children = Vec::new();
-        while let Some((node, edge)) = stack.pop() {
-            children.clear();
-            for (rank, &id) in self.inputs.ids_in_order().iter().enumerate() {
-                if let Some(child) = self.nodes[node].child(id) {
-                    let output = self.outputs.rank_of(self.nodes[child].output);
-                    children.push((child, Some((rank as u32, output))));
-                }
+        // A node's next sibling waits on the stack while its subtree is
+        // streamed, so nodes pop in preorder.
+        let mut stack = vec![0];
+        while let Some(node) = stack.pop() {
+            let this = self.nodes[node];
+            if node != 0 && this.next_sibling != NO_ID {
+                stack.push(this.next_sibling as usize);
             }
             f(PreorderNode {
-                edge,
-                terminal: self.nodes[node].terminal,
-                children: children.len(),
+                edge: (node != 0).then(|| {
+                    (
+                        self.inputs.rank_of(this.input),
+                        self.outputs.rank_of(this.output()),
+                    )
+                }),
+                terminal: this.terminal(),
+                children: self.children(node).count(),
             });
-            stack.extend(children.iter().rev());
+            if this.first_child != NO_ID {
+                stack.push(this.first_child as usize);
+            }
         }
     }
 
@@ -1004,6 +1097,10 @@ mod tests {
             .try_insert_ids(ids.as_slice(), &o(&["1", "9"]))
             .unwrap_err();
         assert!(err.contains("nondeterministic"));
+        // An id the interner never minted is refused, not linked.
+        let unminted = [SymbolId::from(7u32)];
+        assert!(trie.try_insert_ids(&unminted, &o(&["1"])).is_err());
+        assert_eq!(trie.num_nodes(), 3);
     }
 
     #[test]
@@ -1195,17 +1292,91 @@ mod tests {
             fill.finish()
         };
         assert!(fill(&[node(None, 1), node(Some((1, 0)), 0)]).is_ok());
-        // Index out of range, duplicate sibling, missing and extra nodes,
-        // a second root, more children than inputs.
+        assert!(fill(&[node(None, 2), node(Some((0, 0)), 0), node(Some((1, 0)), 0)]).is_ok());
+        // Index out of range, duplicate or descending siblings, missing and
+        // extra nodes, a second root, more children than inputs.
         assert!(fill(&[node(None, 1), node(Some((2, 0)), 0)]).is_err());
         assert!(fill(&[node(None, 1), node(Some((0, 1)), 0)]).is_err());
         assert!(fill(&[node(None, 2), node(Some((0, 0)), 0), node(Some((0, 0)), 0)]).is_err());
+        assert!(fill(&[node(None, 2), node(Some((1, 0)), 0), node(Some((0, 0)), 0)]).is_err());
         assert!(fill(&[node(None, 2), node(Some((0, 0)), 0)]).is_err());
         assert!(fill(&[node(None, 0), node(Some((0, 0)), 0)]).is_err());
         assert!(fill(&[node(None, 1), node(None, 0)]).is_err());
         assert!(fill(&[node(None, 3)]).is_err());
         assert!(fill(&[]).is_err());
+        // A symbol listed twice, or symbols out of string order.
         assert!(PreorderFill::new(&[symbols[0].clone(), symbols[0].clone()], &[], 0).is_err());
+        assert!(PreorderFill::new(&[symbols[1].clone(), symbols[0].clone()], &[], 0).is_err());
+        assert!(PreorderFill::new(&[], &[symbols[1].clone(), symbols[0].clone()], 0).is_err());
+    }
+
+    #[test]
+    fn preorder_fill_keeps_each_sibling_list_side_by_side() {
+        let mut trie = PrefixTrie::new();
+        for word in [["c", "a"], ["a", "b"], ["b", "c"], ["a", "a"], ["c", "c"]] {
+            trie.insert(&w(&word), &o(&["1", "2"]));
+        }
+        let rebuilt = refill(&trie).unwrap();
+        assert_eq!(rebuilt.paths(), trie.paths());
+        for node in 0..rebuilt.num_nodes() {
+            let children: Vec<usize> = rebuilt.children(node).collect();
+            let first = children.first().copied().unwrap_or(0);
+            assert_eq!(
+                children,
+                (first..first + children.len()).collect::<Vec<_>>()
+            );
+        }
+        // A block past the node bound fails the fill before it allocates.
+        let symbols = [Symbol::new("a"), Symbol::new("b")];
+        let mut fill = PreorderFill::new(&symbols, &symbols[..1], 2).unwrap();
+        let root = PreorderNode {
+            edge: None,
+            terminal: false,
+            children: 2,
+        };
+        assert!(fill.push(root).is_err());
+    }
+
+    #[test]
+    fn applying_along_a_remembered_path_matches_a_walk_from_the_root() {
+        let words: [(&[&str], &[&str], bool); 7] = [
+            (&["a", "b", "c"], &["1", "2", "3"], true),
+            (&["a", "b", "d"], &["1", "2", "4"], false),
+            (&["a", "c"], &["1", "9"], true),
+            (&["a", "b"], &["1", "2"], true),
+            (&["a", "b", "c"], &["1", "5", "3"], true), // contradicts at "b"
+            (&["a", "b", "d", "e"], &["1", "2", "4", "5"], true),
+            (&["b"], &["7"], false),
+        ];
+        let (mut plain, mut along) = (PrefixTrie::new(), PrefixTrie::new());
+        let mut path = Vec::new();
+        for (input, output, terminal) in words {
+            let apply = |trie: &mut PrefixTrie, path: Option<&mut Vec<u32>>| {
+                let input: Vec<SymbolId> = input
+                    .iter()
+                    .map(|s| trie.intern_input(&Symbol::new(s)))
+                    .collect();
+                let output: Vec<SymbolId> = output
+                    .iter()
+                    .map(|s| trie.intern_output(&Symbol::new(s)))
+                    .collect();
+                match path {
+                    Some(path) => trie.apply_path_ids_along(&input, &output, terminal, path),
+                    None => trie.apply_path_ids(&input, &output, terminal),
+                }
+            };
+            assert_eq!(apply(&mut along, Some(&mut path)), apply(&mut plain, None));
+            // The remembered path is the walk from the root.
+            let mut node = 0;
+            for (depth, &next) in path.iter().enumerate() {
+                let id = along.inputs.lookup(&Symbol::new(input[depth])).unwrap();
+                node = along.child(node, id).unwrap();
+                assert_eq!(next as usize, node);
+            }
+        }
+        assert_eq!(along.paths(), plain.paths());
+        assert_eq!(along.num_nodes(), plain.num_nodes());
+        assert_eq!(along.terminal_words(), plain.terminal_words());
     }
 
     #[test]

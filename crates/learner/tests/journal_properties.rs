@@ -5,8 +5,9 @@
 //! handles to one shared store lose no observations and produce
 //! bit-identical warm tries, a handle whose file another handle rewrote
 //! re-reads it, and the checkpoint decoder is total: no payload panics
-//! it or makes it allocate by a count the payload claims, and each kind
-//! of malformed checkpoint ends the replay at its frame.
+//! it or makes it allocate by a count the payload claims, each kind of
+//! malformed checkpoint ends the replay at its frame, and a replay's live
+//! heap stays linear in its payload.
 
 use prognosis_automata::alphabet::Alphabet;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -18,45 +19,66 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-/// Tracks the largest single allocation each thread makes, then defers to
-/// the system allocator.
-struct LargestPerThread;
+/// Tracks, per thread, the largest single allocation and the live heap
+/// with its peak, then defers to the system allocator.
+struct TrackPerThread;
 
 thread_local! {
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed, and the most
+    /// that difference reached, since the last reset.
+    static LIVE: Cell<(isize, isize)> = const { Cell::new((0, 0)) };
 }
 
-fn note_allocation(size: usize) {
+/// Notes an allocation of `size` bytes that replaces `freed` bytes.
+fn note_allocation(size: usize, freed: usize) {
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    note_live(size as isize - freed as isize);
+}
+
+fn note_live(delta: isize) {
+    let _ = LIVE.try_with(|live| {
+        let (now, peak) = live.get();
+        live.set((now + delta, peak.max(now + delta)));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// bookkeeping touches only a const-initialised thread-local `Cell`, which
-// never allocates.
-unsafe impl GlobalAlloc for LargestPerThread {
+// bookkeeping touches only const-initialised thread-local `Cell`s, which
+// never allocate.
+unsafe impl GlobalAlloc for TrackPerThread {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation(layout.size());
+        note_allocation(layout.size(), 0);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation(new_size);
+        note_allocation(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
-static GLOBAL: LargestPerThread = LargestPerThread;
+static GLOBAL: TrackPerThread = TrackPerThread;
 
 /// The largest single allocation `f` makes on this thread.
 fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
     LARGEST.with(|largest| largest.set(0));
     let result = f();
     (result, LARGEST.with(Cell::get))
+}
+
+/// The most heap `f` held live at once on this thread, past what was live
+/// when it started.
+fn peak_live_heap<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LIVE.with(|live| live.set((0, 0)));
+    let result = f();
+    (result, LIVE.with(Cell::get).1 as usize)
 }
 
 fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -656,12 +678,13 @@ proptest! {
     // the trie it spells, and each kind of defect in it — an index out of
     // its symbol list, two siblings on one input, a symbol listed twice,
     // a child count past the payload, a child count that leaves nodes
-    // over, a node count off by one either way — ends the replay at that
-    // frame, losing the entry as a torn tail would.
+    // over, a node count off by one either way, symbols out of string
+    // order, siblings out of order — ends the replay at that frame, losing
+    // the entry as a torn tail would.
     #[test]
     fn each_checkpoint_defect_ends_the_replay_at_its_frame(
         words in prop::collection::vec(prop::collection::vec(0usize..4, 1..6), 0..10),
-        defect in 0usize..9,
+        defect in 0usize..11,
         case in 0u64..u64::MAX,
     ) {
         let path = tmp_path(&format!("checkpoint-defect-{case}"));
@@ -687,7 +710,11 @@ proptest! {
             5 => nodes[0].3 += 1,
             6 => nodes[0].3 -= 1,
             7 => count += 1,
-            _ => count -= 1,
+            8 => count -= 1,
+            // The root's children are on `a` and `b`, so both lists hold
+            // at least two symbols.
+            9 => inputs.swap(0, 1),
+            _ => (nodes[1].0, nodes[second].0) = (nodes[second].0, nodes[1].0),
         }
         let payload = checkpoint_payload(
             (inputs.len() as u64, &inputs),
@@ -706,6 +733,52 @@ proptest! {
             prop_assert!(loaded.is_none());
             prop_assert_eq!(report.sound_bytes, start);
         }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The checkpoint of a chain of `n` nodes below the root, each on its own
+/// input symbol: the shape that makes a per-node child table indexed by
+/// input id cost `O(n²)` bytes.
+fn chain_checkpoint(n: u64) -> Vec<u8> {
+    let inputs: Vec<String> = (0..n).map(|i| format!("s{i:06}")).collect();
+    let outputs = [output_for(&[0])];
+    let nodes: Vec<NodeSpec> = (0..=n)
+        .map(|i| (i.saturating_sub(1), 0, i == n, u64::from(i < n)))
+        .collect();
+    checkpoint_payload((n, &inputs), (1, &outputs), nodes.len() as u64, &nodes)
+}
+
+// A replay holds at most its read window plus a small multiple of the
+// checkpoint payload live at once, whatever the trie's shape: a chain over
+// as many inputs as nodes replays in memory linear in its payload.  The
+// multiple is about what a symbol costs: a spelling of a few payload bytes
+// takes some 200 heap bytes across the replay's spelling table, the
+// symbol list and the trie's interner.
+#[test]
+fn a_checkpoint_replay_holds_heap_linear_in_its_payload() {
+    let alphabet = Alphabet::from_symbols(SYMBOLS);
+    let key = StoreKey::new("sul-prop", "v1", &alphabet);
+    for n in [1_000, 4_000] {
+        let path = tmp_path(&format!("checkpoint-chain-{n}"));
+        let payload = chain_checkpoint(n);
+        let (bytes, _) = journal_with_checkpoint(&key, &payload);
+        std::fs::write(&path, &bytes).unwrap();
+        let (loaded, peak) = peak_live_heap(|| JournalStore::load_matching(&path, &key));
+        // The chain, and the record after it: one more leaf on `a`.
+        let loaded = loaded.expect("the chain checkpoint loads");
+        assert_eq!(loaded.num_nodes() as u64, n + 2);
+        assert_eq!(loaded.terminal_words(), 2);
+        eprintln!(
+            "{n}-node chain: {} payload bytes, {peak} live bytes",
+            payload.len()
+        );
+        let bound = REPLAY_WINDOW + 32 * payload.len();
+        assert!(
+            peak <= bound,
+            "a {n}-node chain ({} payload bytes) held {peak} live bytes, bound {bound}",
+            payload.len()
+        );
         std::fs::remove_file(&path).ok();
     }
 }
