@@ -123,7 +123,7 @@
 use crate::cache::{atomic_write_durable, hold_path_lock, path_write_lock, CacheError, StoreKey};
 use crate::trie::{PathCoverage, PrefixTrie, PreorderFill, PreorderNode, TrieMark};
 use prognosis_automata::alphabet::Symbol;
-use prognosis_automata::interner::SymbolId;
+use prognosis_automata::interner::{Interner, SymbolId};
 use prognosis_automata::word::{InputWord, OutputWord};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
@@ -216,7 +216,23 @@ fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Reads an unsigned LEB128 varint at `pos`, moving `pos` past it.
+/// Nearly every varint a journal holds is a single byte below `0x80`
+/// (node fields, spelling lengths), so that case returns before the loop.
+#[inline]
 fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let byte = *bytes.get(*pos)?;
+    if byte < 0x80 {
+        *pos += 1;
+        return Some(u64::from(byte));
+    }
+    read_varint_loop(bytes, pos)
+}
+
+/// The general case of [`read_varint`]: seven bits a byte, low bits first.
+/// An overlong encoding decodes to its value; a tenth byte contributes
+/// only its lowest bit, and an eleventh ends the read with `None`.
+fn read_varint_loop(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -437,15 +453,21 @@ fn checkpoint_size_hint(trie: &Arc<PrefixTrie>) -> usize {
     4 * trie.num_nodes() + symbols + 256
 }
 
-fn read_symbols(payload: &[u8], pos: &mut usize, spellings: &mut Spellings) -> Option<Vec<Symbol>> {
+/// Reads a checkpoint's symbol list straight from the replay's spellings
+/// into an interner of its own, so list index `i` is symbol id `i`.
+/// `None` when the list is malformed or names a symbol twice; the order
+/// is [`PreorderFill::new`]'s to check.
+fn read_symbols(payload: &[u8], pos: &mut usize, spellings: &mut Spellings) -> Option<Interner> {
     let count = read_varint(payload, pos)?;
-    // Every symbol takes at least its length byte.
-    let mut symbols = Vec::with_capacity(usize::try_from(count).ok()?.min(payload.len() - *pos));
-    for _ in 0..count {
-        let index = spellings.index_of(read_bytes(payload, pos)?)?;
-        symbols.push(spellings.symbols[index as usize].clone());
+    let mut interner = Interner::new();
+    for index in 0..count {
+        let spelling = spellings.index_of(read_bytes(payload, pos)?)?;
+        let id = interner.intern(&spellings.symbols[spelling as usize]);
+        if id.index() as u64 != index {
+            return None;
+        }
     }
-    Some(symbols)
+    Some(interner)
 }
 
 fn read_u32(payload: &[u8], pos: &mut usize) -> Option<u32> {
@@ -463,7 +485,7 @@ fn decode_checkpoint(payload: &[u8], spellings: &mut Spellings) -> Option<Prefix
     // whatever the count claims, and a corrupt count ends the loop at the
     // payload's end.
     let max_nodes = usize::try_from(count).ok()?.min(payload.len() - pos);
-    let mut fill = PreorderFill::new(&inputs, &outputs, max_nodes).ok()?;
+    let mut fill = PreorderFill::new(inputs, outputs, max_nodes).ok()?;
     for index in 0..count {
         let edge = match index {
             0 => None,
@@ -1091,6 +1113,9 @@ impl JournalStore {
     /// With `warm` the entry's trie moves out of the store uncopied to seed
     /// the run (an empty trie when the store has none), and the checkout
     /// keeps only its lineage: a [`TrieMark`] plus the synced file offset.
+    /// Taking the mark is `O(1)`: it reads no node, and the trie logs the
+    /// run's changes to the nodes it had, which only a commit that writes
+    /// something reads.
     /// Without `warm` the run starts from an empty trie and the entry
     /// stays in the store.  Either way the run ends with
     /// [`Checkout::commit`] through the same handle.
@@ -1099,7 +1124,7 @@ impl JournalStore {
             let mut state = self.state.lock().expect("journal state poisoned");
             let entry = state.entries.remove(&key);
             let had_entry = entry.is_some();
-            let trie = entry.map(Arc::unwrap_or_clone).unwrap_or_default();
+            let mut trie = entry.map(Arc::unwrap_or_clone).unwrap_or_default();
             let lineage = Lineage {
                 mark: trie.mark(),
                 synced_len: state.synced_len,
@@ -2114,6 +2139,191 @@ mod tests {
             trie.paths()
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `read_varint` without its one-byte fast path: the loop it must
+    /// read exactly like.
+    fn read_varint_reference(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+        let mut value = 0u64;
+        let mut shift = 0u32;
+        loop {
+            let byte = *bytes.get(*pos)?;
+            *pos += 1;
+            if shift >= 64 {
+                return None;
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Some(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// `value` as a varint of exactly `len` bytes (overlong when longer
+    /// than needed), with `junk` or-ed into the last byte.
+    fn varint_of_len(value: u64, len: usize, junk: u8) -> Vec<u8> {
+        let mut bytes: Vec<u8> = (0..len)
+            .map(|i| (value.checked_shr(7 * i as u32).unwrap_or(0) & 0x7f) as u8 | 0x80)
+            .collect();
+        bytes[len - 1] = bytes[len - 1] & 0x7f | junk;
+        bytes
+    }
+
+    /// Encodings of `value`: canonical, overlong up to ten bytes, ten
+    /// bytes with bits past the 64th set, and eleven bytes.
+    fn varint_encodings(value: u64) -> Vec<Vec<u8>> {
+        let mut canonical = Vec::new();
+        write_varint(&mut canonical, value);
+        let mut encodings = vec![canonical.clone()];
+        encodings.extend((canonical.len() + 1..=11).map(|len| varint_of_len(value, len, 0)));
+        encodings.push(varint_of_len(value, 10, 0x7e));
+        encodings
+    }
+
+    #[test]
+    fn the_one_byte_fast_path_reads_like_the_loop() {
+        let check = |bytes: &[u8]| {
+            for start in 0..=bytes.len() {
+                let (mut fast, mut reference) = (start, start);
+                assert_eq!(
+                    (read_varint(bytes, &mut fast), fast),
+                    (read_varint_reference(bytes, &mut reference), reference),
+                    "{bytes:02x?} from {start}"
+                );
+            }
+        };
+        for first in 0..=u8::MAX {
+            check(&[first]);
+            for second in 0..=u8::MAX {
+                check(&[first, second]);
+            }
+        }
+        // Random inputs of up to 11 bytes, most bytes continuation bytes
+        // so that long and over-long reads are common.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200_000 {
+            let len = (next() % 12) as usize;
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    let byte = next();
+                    (byte >> 8) as u8 | if byte % 8 == 0 { 0 } else { 0x80 }
+                })
+                .collect();
+            check(&bytes);
+        }
+        for value in [0, 1, 127, 128, 300, 1 << 35, u64::MAX >> 1, u64::MAX] {
+            for encoding in varint_encodings(value) {
+                check(&encoding);
+            }
+        }
+    }
+
+    /// For each varint field of a payload `build` writes (through the
+    /// writer it is given, field by field), and each encoding of that
+    /// field's value: `decode` must read the payload as it reads the
+    /// canonical one when the reference loop reads the encoding as the
+    /// value, and must fail when it fails.
+    fn check_varint_fields<T: PartialEq + std::fmt::Debug>(
+        build: impl Fn(&mut dyn FnMut(&mut Vec<u8>, u64)) -> Vec<u8>,
+        decode: impl Fn(&[u8]) -> Option<T>,
+    ) {
+        let canonical = build(&mut |out, value| write_varint(out, value));
+        let expected = decode(&canonical);
+        assert!(expected.is_some(), "the canonical payload decodes");
+        let mut fields = 0;
+        build(&mut |_, _| fields += 1);
+        for field in 0..fields {
+            let mut value_of_field = 0;
+            let mut seen = 0;
+            build(&mut |_, value| {
+                if seen == field {
+                    value_of_field = value;
+                }
+                seen += 1;
+            });
+            for encoding in varint_encodings(value_of_field) {
+                let mut seen = 0;
+                let payload = build(&mut |out, value| {
+                    if seen == field {
+                        out.extend_from_slice(&encoding);
+                    } else {
+                        write_varint(out, value);
+                    }
+                    seen += 1;
+                });
+                let mut pos = 0;
+                let read = read_varint_reference(&encoding, &mut pos);
+                let want = if read == Some(value_of_field) && pos == encoding.len() {
+                    &expected
+                } else {
+                    &None
+                };
+                assert_eq!(&decode(&payload), want, "field {field} as {encoding:02x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_and_checkpoint_decoders_read_varints_like_the_loop() {
+        let spelled = |out: &mut Vec<u8>, var: &mut dyn FnMut(&mut Vec<u8>, u64), s: &str| {
+            var(out, s.len() as u64);
+            out.extend_from_slice(s.as_bytes());
+        };
+        check_varint_fields(
+            |var| {
+                let mut out = vec![1];
+                var(&mut out, 2);
+                for symbol in ["syn", "SYN+ACK", "ack", "NIL"] {
+                    spelled(&mut out, var, symbol);
+                }
+                out
+            },
+            |payload| {
+                let mut spellings = Spellings::default();
+                let mut steps = Vec::new();
+                let terminal = decode_record(payload, &mut spellings, &mut steps)?;
+                let spell = |index: u32| spellings.symbols[index as usize].as_str().to_string();
+                let steps: Vec<(String, String)> =
+                    steps.iter().map(|&(i, o)| (spell(i), spell(o))).collect();
+                Some((terminal, steps))
+            },
+        );
+        // The checkpoint of a root (terminal, two children) over a chain
+        // `a → x`, `b → y · a → x` (terminal).
+        check_varint_fields(
+            |var| {
+                let mut out = Vec::new();
+                for list in [["a", "b"], ["x", "y"]] {
+                    var(&mut out, 2);
+                    for symbol in list {
+                        spelled(&mut out, var, symbol);
+                    }
+                }
+                var(&mut out, 4);
+                let nodes = [
+                    (None, 2 << 1 | 1),
+                    (Some((0, 0)), 0),
+                    (Some((1, 1)), 1 << 1),
+                    (Some((0, 0)), 1),
+                ];
+                for (edge, flags) in nodes {
+                    if let Some((input, output)) = edge {
+                        var(&mut out, input);
+                        var(&mut out, output);
+                    }
+                    var(&mut out, flags);
+                }
+                out
+            },
+            |payload| decode_checkpoint(payload, &mut Spellings::default()).map(|t| t.paths()),
+        );
     }
 
     #[test]

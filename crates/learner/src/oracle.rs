@@ -238,6 +238,10 @@ pub struct CacheOracle<O> {
     /// Input symbols beyond the longest cached prefix, summed over all
     /// forwarded queries — the genuinely *fresh* work the SUL performed.
     fresh_symbols: u64,
+    /// The word being answered, encoded; reused across queries.
+    ids: Vec<SymbolId>,
+    /// Scratch space for [`PrefixTrie::answer_ids`].
+    path: Vec<u32>,
 }
 
 impl<O: MembershipOracle> CacheOracle<O> {
@@ -258,6 +262,8 @@ impl<O: MembershipOracle> CacheOracle<O> {
             hits: 0,
             misses: 0,
             fresh_symbols: 0,
+            ids: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -314,23 +320,25 @@ impl<O: MembershipOracle> CacheOracle<O> {
         self.trie.entries().into_iter()
     }
 
+    /// Encodes `input` into the reused id buffer (minting ids for fresh
+    /// symbols) and answers it from the trie when every step is cached,
+    /// marking it asked in the same walk.  A hit allocates only its answer;
+    /// a miss allocates nothing and leaves the encoding in `self.ids`.
+    fn answer_cached(&mut self, input: &InputWord) -> Option<OutputWord> {
+        self.ids.clear();
+        for symbol in input.iter() {
+            let id = self.trie.intern_input(symbol);
+            self.ids.push(id);
+        }
+        self.trie.answer_ids(&self.ids, &mut self.path)
+    }
+
     /// Records a forwarded answer and accounts its fresh symbols: exactly
     /// the trie nodes this answer created.  Counting at insertion time (not
     /// against a pre-batch snapshot of the trie) makes the total immune to
     /// batching — two batch words sharing an uncached prefix pay for that
-    /// prefix once, the same as sequential queries would.
-    fn record_answer(&mut self, input: &InputWord, output: &OutputWord) {
-        assert_eq!(
-            output.len(),
-            input.len(),
-            "membership oracle must return one output symbol per input symbol"
-        );
-        self.fresh_symbols += self.trie.insert(input, output) as u64;
-        self.trie.mark_terminal(input);
-    }
-
-    /// Id-word form of [`CacheOracle::record_answer`] for the batch path:
-    /// the input is already encoded, so the insert hashes no strings.
+    /// prefix once, the same as sequential queries would.  The input
+    /// arrives encoded, so the insert hashes no strings.
     fn record_answer_ids(&mut self, input_ids: &[SymbolId], output: &OutputWord) {
         assert_eq!(
             output.len(),
@@ -348,32 +356,32 @@ impl<O: MembershipOracle> CacheOracle<O> {
 
 impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
     fn query(&mut self, input: &InputWord) -> OutputWord {
-        if let Some(out) = self.trie.lookup(input) {
+        if let Some(out) = self.answer_cached(input) {
             self.hits += 1;
-            self.trie.mark_terminal(input);
             return out;
         }
         self.misses += 1;
         let out = self.inner.query(input);
-        self.record_answer(input, &out);
+        let ids = std::mem::take(&mut self.ids);
+        self.record_answer_ids(&ids, &out);
+        self.ids = ids;
         out
     }
 
     fn query_batch(&mut self, inputs: &[InputWord]) -> Vec<OutputWord> {
         // First pass: encode each word once against the trie's interner,
-        // then answer what the trie already knows.  Everything after this
-        // loop — dedup, subsumption, insertion — runs on integer ids; the
-        // strings are only touched again at the forwarding boundary.
+        // then answer what the trie already knows.  Only misses keep their
+        // encoding, and everything after this loop — dedup, subsumption,
+        // insertion — runs on integer ids; the strings are only touched
+        // again at the forwarding boundary.
         let mut results: Vec<Option<OutputWord>> = Vec::with_capacity(inputs.len());
         let mut encoded: Vec<Option<IWord>> = Vec::with_capacity(inputs.len());
         let mut missing: Vec<usize> = Vec::new();
         let mut missing_occurrences: u64 = 0;
         for (index, input) in inputs.iter().enumerate() {
-            let ids = self.trie.encode_input(input);
-            match self.trie.lookup_ids(ids.as_slice()) {
+            match self.answer_cached(input) {
                 Some(out) => {
                     self.hits += 1;
-                    self.trie.mark_terminal_ids(ids.as_slice());
                     results.push(Some(out));
                     encoded.push(None);
                 }
@@ -381,7 +389,7 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
                     missing_occurrences += 1;
                     missing.push(index);
                     results.push(None);
-                    encoded.push(Some(ids));
+                    encoded.push(Some(IWord::from_ids(self.ids.clone())));
                 }
             }
         }
@@ -436,12 +444,9 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
                 Some(out) => out,
                 None => {
                     let ids = ids.expect("missing word was encoded");
-                    let out = self
-                        .trie
-                        .lookup_ids(ids.as_slice())
-                        .expect("batch member cached after forwarding its superword");
-                    self.trie.mark_terminal_ids(ids.as_slice());
-                    out
+                    self.trie
+                        .answer_ids(ids.as_slice(), &mut self.path)
+                        .expect("batch member cached after forwarding its superword")
                 }
             })
             .collect()

@@ -122,6 +122,24 @@ pub struct PrefixTrie {
     inputs: Interner,
     outputs: Interner,
     terminal_words: usize,
+    log: MarkLog,
+}
+
+/// The changes since the latest [`PrefixTrie::mark`] that touched nodes
+/// existing at it — the part of a delta node indices cannot tell, since
+/// every later node has a larger index.  Nothing is logged before the
+/// first mark, so a trie that is never marked (or gains only nodes of its
+/// own) logs nothing.
+#[derive(Clone, Debug, Default)]
+struct MarkLog {
+    /// The node count at the latest mark: a change to a node below it is
+    /// logged.
+    watched: usize,
+    /// Per change, the path from the root (excluded) to the node that
+    /// turned terminal or gained a child, one path after another.
+    touched: Vec<u32>,
+    /// The logged nodes that turned terminal.
+    terminals: Vec<u32>,
 }
 
 /// How a `(input, output, terminal)` path relates to the answers a trie
@@ -143,29 +161,21 @@ pub enum PathCoverage {
 }
 
 /// A point in a trie's append-only history, taken by
-/// [`PrefixTrie::mark`]: the node count, the terminal count, and which of
-/// the marked nodes were terminal.  A trie only ever appends nodes and
-/// sets terminal markers, so for the marked trie and every *descendant* of
-/// it (the same trie after further inserts) the mark tells what is new in
-/// constant space per node: nodes at an index past the marked count, and
-/// marked nodes that are terminal now but were not then.  The journal
-/// store keeps one per checked-out entry to find the delta a commit must
-/// append.
+/// [`PrefixTrie::mark`]: four counts, no per-node state.  A trie only ever
+/// appends nodes and sets terminal markers, so for the marked trie and
+/// every *descendant* of it (the same trie after further inserts) the mark
+/// tells what is new: nodes at an index past the marked node count, and
+/// the marked nodes the trie logged turning terminal since (it logs a
+/// change to a marked node from the mark on, with the path leading to
+/// it).  The journal store keeps one per checked-out entry to find the
+/// delta a commit must append.
 #[derive(Clone, Debug)]
 pub struct TrieMark {
     nodes: usize,
     terminal_words: usize,
-    /// Terminal bitset over the marked nodes.
-    terminals: Vec<u64>,
-}
-
-impl TrieMark {
-    /// Whether marked node `node` was terminal at the mark.
-    fn was_terminal(&self, node: usize) -> bool {
-        self.terminals
-            .get(node / 64)
-            .is_some_and(|word| word & (1 << (node % 64)) != 0)
-    }
+    /// The lengths of the trie's [`MarkLog`] lists at the mark.
+    touched: usize,
+    terminals: usize,
 }
 
 /// One node of a trie's preorder stream (see
@@ -207,28 +217,30 @@ pub(crate) struct PreorderFill {
 }
 
 impl PreorderFill {
-    /// A fill of at most `max_nodes` nodes over the given symbol lists.
-    /// Each list must be strictly ascending in string order (no symbol
-    /// twice), as [`PrefixTrie::input_symbols`] and
-    /// [`PrefixTrie::output_symbols`] list them: interned in that order,
-    /// stream index `i` is symbol id `i`, and rank `i`.  The arena reserves
-    /// the power of two that growing it node by node would reach: room for
-    /// inserts after the fill, and the few block sizes an allocator reuses
-    /// from one load to the next.
+    /// A fill of at most `max_nodes` nodes over the given symbol lists,
+    /// each already interned: stream index `i` is symbol id `i`.  Each list
+    /// must have been interned in strictly ascending string order, as
+    /// [`PrefixTrie::input_symbols`] and [`PrefixTrie::output_symbols`] list
+    /// them, so id `i` is also rank `i`.  The arena reserves the power of
+    /// two that growing it node by node would reach: room for inserts after
+    /// the fill, and the few block sizes an allocator reuses from one load
+    /// to the next.
     pub(crate) fn new(
-        inputs: &[Symbol],
-        outputs: &[Symbol],
+        inputs: Interner,
+        outputs: Interner,
         max_nodes: usize,
-    ) -> Result<Self, String> {
-        let mut trie = PrefixTrie::new();
-        for (symbols, interner) in [(inputs, &mut trie.inputs), (outputs, &mut trie.outputs)] {
-            if symbols.windows(2).any(|w| w[0].as_str() >= w[1].as_str()) {
-                return Err("symbols out of string order".to_string());
-            }
-            for symbol in symbols {
-                interner.intern(symbol);
+    ) -> Result<Self, &'static str> {
+        for interner in [&inputs, &outputs] {
+            let in_order = interner.ids_in_order().iter().enumerate();
+            if in_order.into_iter().any(|(rank, id)| id.index() != rank) {
+                return Err("symbols out of string order");
             }
         }
+        let mut trie = PrefixTrie {
+            inputs,
+            outputs,
+            ..PrefixTrie::new()
+        };
         trie.nodes.reserve(max_nodes.next_power_of_two());
         Ok(PreorderFill {
             trie,
@@ -239,18 +251,19 @@ impl PreorderFill {
     }
 
     /// Places the next node of the stream.
-    pub(crate) fn push(&mut self, node: PreorderNode) -> Result<(), String> {
+    #[inline]
+    pub(crate) fn push(&mut self, node: PreorderNode) -> Result<(), &'static str> {
         if node.children > self.trie.inputs.len() {
-            return Err("more children than distinct inputs".to_string());
+            return Err("more children than distinct inputs");
         }
         let index = match (node.edge, self.root_seen) {
+            (Some((input, output)), true) => self.push_child(input, output)?,
             (None, false) => {
                 self.root_seen = true;
                 0
             }
-            (Some((input, output)), true) => self.push_child(input, output)?,
-            (None, true) => return Err("a second root".to_string()),
-            (Some(_), false) => return Err("the stream must open with the root".to_string()),
+            (None, true) => return Err("a second root"),
+            (Some(_), false) => return Err("the stream must open with the root"),
         };
         if node.terminal {
             self.trie.nodes[index].set_terminal();
@@ -260,7 +273,7 @@ impl PreorderFill {
             let first = self.trie.nodes.len();
             let end = first + node.children;
             if end > self.max_nodes {
-                return Err("more nodes than the fill holds".to_string());
+                return Err("more nodes than the fill holds");
             }
             self.trie.nodes.resize(end, TrieNode::leaf(0, 0));
             self.trie.nodes[index].first_child = first as u32;
@@ -271,16 +284,17 @@ impl PreorderFill {
 
     /// Places a child of the innermost open node in the next slot of its
     /// block, returning its index.
-    fn push_child(&mut self, input: u32, output: u32) -> Result<usize, String> {
+    #[inline]
+    fn push_child(&mut self, input: u32, output: u32) -> Result<usize, &'static str> {
         let Some((first, next, end)) = self.open.last_mut() else {
-            return Err("more nodes than the child counts hold".to_string());
+            return Err("more nodes than the child counts hold");
         };
         if input as usize >= self.trie.inputs.len() || output as usize >= self.trie.outputs.len() {
-            return Err("symbol index out of range".to_string());
+            return Err("symbol index out of range");
         }
         let slot = *next as usize;
         if *next > *first && self.trie.nodes[slot - 1].input >= input {
-            return Err("siblings out of order".to_string());
+            return Err("siblings out of order");
         }
         let mut leaf = TrieNode::leaf(input, output);
         *next += 1;
@@ -294,9 +308,9 @@ impl PreorderFill {
     }
 
     /// The filled trie, once every announced child has arrived.
-    pub(crate) fn finish(self) -> Result<PrefixTrie, String> {
+    pub(crate) fn finish(self) -> Result<PrefixTrie, &'static str> {
         if !self.root_seen || !self.open.is_empty() {
-            return Err("fewer nodes than the child counts announce".to_string());
+            return Err("fewer nodes than the child counts announce");
         }
         Ok(self.trie)
     }
@@ -329,6 +343,7 @@ impl PrefixTrie {
             inputs: Interner::new(),
             outputs: Interner::new(),
             terminal_words: 0,
+            log: MarkLog::default(),
         }
     }
 
@@ -357,9 +372,32 @@ impl PrefixTrie {
         }
     }
 
+    /// Whether a change to `node` must be logged for the latest mark.
+    #[inline]
+    fn watched(&self, node: usize) -> bool {
+        node < self.log.watched
+    }
+
+    /// Logs a change to the watched node `input` leads to: the path to it,
+    /// and the node itself when it turned terminal.  `input` must be
+    /// cached.  Runs once per change to a node the latest mark saw, never
+    /// per query.
+    #[cold]
+    fn log_change(&mut self, input: &[SymbolId], terminal: bool) {
+        let mut node = 0;
+        for &id in input {
+            node = self.child(node, id).expect("a logged path is cached");
+            self.log.touched.push(node as u32);
+        }
+        if terminal {
+            self.log.terminals.push(node as u32);
+        }
+    }
+
     /// Appends a leaf under `parent` on `input`, answering `output`, and
     /// links it into `parent`'s children at its input's rank.  `parent`
-    /// must have no child on `input` yet.  Returns the leaf's index.
+    /// must have no child on `input` yet, and a watched `parent` must have
+    /// been logged.  Returns the leaf's index.
     fn push_child(&mut self, parent: usize, input: SymbolId, output: u32) -> usize {
         let index = self.nodes.len() as u32;
         let rank = self.inputs.rank_of(input);
@@ -431,21 +469,42 @@ impl PrefixTrie {
         Some(out)
     }
 
+    /// [`PrefixTrie::lookup_ids`] and, on a hit, [`PrefixTrie::mark_terminal_ids`]
+    /// in one walk: the cache-hit path.  The walk keeps its nodes in
+    /// `path`, reused scratch space, so the answer is built at its exact
+    /// length once the word is known to be cached; a miss leaves the trie
+    /// untouched and allocates nothing.
+    pub(crate) fn answer_ids(
+        &mut self,
+        input: &[SymbolId],
+        path: &mut Vec<u32>,
+    ) -> Option<OutputWord> {
+        path.clear();
+        let mut node = 0;
+        for &id in input {
+            node = self.child(node, id)?;
+            path.push(node as u32);
+        }
+        let outputs = &self.outputs;
+        let answer = path
+            .iter()
+            .map(|&node| outputs.resolve(self.nodes[node as usize].output()).clone())
+            .collect();
+        self.mark_terminal_node(node, input);
+        Some(answer)
+    }
+
     /// Marks `input` as having been asked as a full query.  Returns `true`
     /// when this is the first time (the word is new to the distinct count).
     ///
     /// # Panics
     /// Panics when `input` is not fully present in the trie.
     pub fn mark_terminal(&mut self, input: &InputWord) -> bool {
-        let mut node = 0;
-        for symbol in input.iter() {
-            node = self
-                .inputs
-                .lookup(symbol)
-                .and_then(|id| self.child(node, id))
-                .expect("mark_terminal requires a fully cached word");
-        }
-        self.mark_terminal_node(node)
+        let ids = self
+            .inputs
+            .try_encode(input)
+            .expect("mark_terminal requires a fully cached word");
+        self.mark_terminal_ids(ids.as_slice())
     }
 
     /// Id-word form of [`PrefixTrie::mark_terminal`].
@@ -459,12 +518,18 @@ impl PrefixTrie {
                 .child(node, id)
                 .expect("mark_terminal requires a fully cached word");
         }
-        self.mark_terminal_node(node)
+        self.mark_terminal_node(node, input)
     }
 
-    fn mark_terminal_node(&mut self, node: usize) -> bool {
+    /// Marks `node`, which `input` leads to, terminal.
+    fn mark_terminal_node(&mut self, node: usize, input: &[SymbolId]) -> bool {
         let fresh = self.nodes[node].set_terminal();
-        self.terminal_words += usize::from(fresh);
+        if fresh {
+            self.terminal_words += 1;
+            if self.watched(node) {
+                self.log_change(input, true);
+            }
+        }
         fresh
     }
 
@@ -506,7 +571,7 @@ impl PrefixTrie {
         }
         let mut node = 0;
         let mut created = 0;
-        for (&id, out) in input.iter().zip(output.iter()) {
+        for (depth, (&id, out)) in input.iter().zip(output.iter()).enumerate() {
             match self.child(node, id) {
                 Some(child) => {
                     node = child;
@@ -520,6 +585,9 @@ impl PrefixTrie {
                     return Err("symbol id not minted by this trie".to_string());
                 }
                 None => {
+                    if self.watched(node) {
+                        self.log_change(&input[..depth], false);
+                    }
                     let out_id = self.outputs.intern(out);
                     node = self.push_child(node, id, out_id.raw());
                     created += 1;
@@ -639,14 +707,16 @@ impl PrefixTrie {
             return Err("symbol id not minted by this trie".to_string());
         }
         let mut fresh = depth < input.len();
+        if fresh && self.watched(node) {
+            self.log_change(&input[..depth], false);
+        }
         // Create the fresh suffix (nothing cached below a missing edge).
         while depth < input.len() {
             node = self.push_child(node, input[depth], output[depth].raw());
             path.push(node as u32);
             depth += 1;
         }
-        if terminal && self.nodes[node].set_terminal() {
-            self.terminal_words += 1;
+        if terminal && self.mark_terminal_node(node, input) {
             fresh = true;
         }
         Ok(if fresh {
@@ -781,22 +851,22 @@ impl PrefixTrie {
     pub fn for_each_path<F: FnMut(&[Symbol], &[Symbol], bool)>(&self, mut f: F) {
         let mut input = Vec::new();
         let mut output = Vec::new();
-        self.visit_paths(0, &mut input, &mut output, &|_| true, &mut f);
+        let all = |_| true;
+        self.visit_paths(0, &mut input, &mut output, &all, &all, &mut f);
     }
 
     /// Records this trie's place in its append-only history (see
-    /// [`TrieMark`]).  Costs one pass over the nodes.
-    pub fn mark(&self) -> TrieMark {
-        let mut terminals = vec![0u64; self.nodes.len().div_ceil(64)];
-        for (index, node) in self.nodes.iter().enumerate() {
-            if node.terminal() {
-                terminals[index / 64] |= 1 << (index % 64);
-            }
-        }
+    /// [`TrieMark`]) in `O(1)`, and from now on logs each change to a node
+    /// that exists now: the node turning terminal or gaining a child, with
+    /// the path to it.  The log costs nothing until such a change, then
+    /// one entry per node on its path.
+    pub fn mark(&mut self) -> TrieMark {
+        self.log.watched = self.nodes.len();
         TrieMark {
             nodes: self.nodes.len(),
             terminal_words: self.terminal_words,
-            terminals,
+            touched: self.log.touched.len(),
+            terminals: self.log.terminals.len(),
         }
     }
 
@@ -814,39 +884,59 @@ impl PrefixTrie {
     /// against the marked trie, visited in the same order — the delta a
     /// journal append writes, found without a second trie.  `self` must be
     /// the marked trie or a descendant of it (see [`TrieMark`]).
+    ///
+    /// The walk enters only new nodes and the marked nodes on a logged
+    /// path, so it costs `O(new nodes + logged nodes)` sibling hops, not a
+    /// pass over the trie.
     pub fn for_each_path_since<F: FnMut(&[Symbol], &[Symbol], bool)>(
         &self,
         mark: &TrieMark,
         mut f: F,
     ) {
-        let fresh = |node: usize| {
-            node >= mark.nodes || (self.nodes[node].terminal() && !mark.was_terminal(node))
+        // The marked nodes a list logged since the mark, sorted.
+        let since = |log: &[u32], from: usize| {
+            let mut nodes: Vec<u32> = log.get(from..).unwrap_or_default().to_vec();
+            nodes.retain(|&node| (node as usize) < mark.nodes);
+            nodes.sort_unstable();
+            nodes.dedup();
+            nodes
         };
+        let touched = since(&self.log.touched, mark.touched);
+        let terminals = since(&self.log.terminals, mark.terminals);
+        let logged = |nodes: &[u32], node: usize| nodes.binary_search(&(node as u32)).is_ok();
+        let keep = |node: usize| node >= mark.nodes || logged(&terminals, node);
+        let enter = |node: usize| node >= mark.nodes || logged(&touched, node);
         let mut input = Vec::new();
         let mut output = Vec::new();
-        self.visit_paths(0, &mut input, &mut output, &fresh, &mut f);
+        self.visit_paths(0, &mut input, &mut output, &keep, &enter, &mut f);
     }
 
     /// Visits the maximal paths below `node` whose end node passes `keep`
-    /// (a non-terminal leaf is kept only when `keep` accepts it too).
-    fn visit_paths<F: FnMut(&[Symbol], &[Symbol], bool), K: Fn(usize) -> bool>(
+    /// (a non-terminal leaf is kept only when `keep` accepts it too),
+    /// entering only the children that pass `enter`.
+    fn visit_paths<F, K, E>(
         &self,
         node: usize,
         input: &mut Vec<Symbol>,
         output: &mut Vec<Symbol>,
         keep: &K,
+        enter: &E,
         f: &mut F,
-    ) {
+    ) where
+        F: FnMut(&[Symbol], &[Symbol], bool),
+        K: Fn(usize) -> bool,
+        E: Fn(usize) -> bool,
+    {
         let this = self.nodes[node];
         // The root is emitted only when marked terminal (an ε query was
         // asked); an empty trie dumps to an empty list.
         if (this.terminal() || (this.first_child == NO_ID && node != 0)) && keep(node) {
             f(input, output, this.terminal());
         }
-        for child in self.children(node) {
+        for child in self.children(node).filter(|&child| enter(child)) {
             input.push(self.inputs.resolve(self.nodes[child].input).clone());
             output.push(self.outputs.resolve(self.nodes[child].output()).clone());
-            self.visit_paths(child, input, output, keep, f);
+            self.visit_paths(child, input, output, keep, enter, f);
             input.pop();
             output.pop();
         }
@@ -1233,11 +1323,20 @@ mod tests {
         assert_eq!(forward.entries(), reverse.entries());
     }
 
+    /// An interner holding `symbols` in list order.
+    fn interned<'a>(symbols: impl IntoIterator<Item = &'a Symbol>) -> Interner {
+        let mut interner = Interner::new();
+        for symbol in symbols {
+            interner.intern(symbol);
+        }
+        interner
+    }
+
     /// Fills `trie`'s preorder stream back into a trie.
-    fn refill(trie: &PrefixTrie) -> Result<PrefixTrie, String> {
-        let inputs: Vec<Symbol> = trie.input_symbols().cloned().collect();
-        let outputs: Vec<Symbol> = trie.output_symbols().cloned().collect();
-        let mut fill = PreorderFill::new(&inputs, &outputs, trie.num_nodes())?;
+    fn refill(trie: &PrefixTrie) -> Result<PrefixTrie, &'static str> {
+        let inputs = interned(trie.input_symbols());
+        let outputs = interned(trie.output_symbols());
+        let mut fill = PreorderFill::new(inputs, outputs, trie.num_nodes())?;
         let mut result = Ok(());
         trie.for_each_node_preorder(|node| {
             if result.is_ok() {
@@ -1285,7 +1384,7 @@ mod tests {
             children,
         };
         let fill = |nodes: &[PreorderNode]| {
-            let mut fill = PreorderFill::new(&symbols, &symbols[..1], 4)?;
+            let mut fill = PreorderFill::new(interned(&symbols), interned(&symbols[..1]), 4)?;
             for &n in nodes {
                 fill.push(n)?;
             }
@@ -1304,10 +1403,10 @@ mod tests {
         assert!(fill(&[node(None, 1), node(None, 0)]).is_err());
         assert!(fill(&[node(None, 3)]).is_err());
         assert!(fill(&[]).is_err());
-        // A symbol listed twice, or symbols out of string order.
-        assert!(PreorderFill::new(&[symbols[0].clone(), symbols[0].clone()], &[], 0).is_err());
-        assert!(PreorderFill::new(&[symbols[1].clone(), symbols[0].clone()], &[], 0).is_err());
-        assert!(PreorderFill::new(&[], &[symbols[1].clone(), symbols[0].clone()], 0).is_err());
+        // Symbols interned out of string order.
+        let descending = || interned([&symbols[1], &symbols[0]]);
+        assert!(PreorderFill::new(descending(), Interner::new(), 0).is_err());
+        assert!(PreorderFill::new(Interner::new(), descending(), 0).is_err());
     }
 
     #[test]
@@ -1328,7 +1427,7 @@ mod tests {
         }
         // A block past the node bound fails the fill before it allocates.
         let symbols = [Symbol::new("a"), Symbol::new("b")];
-        let mut fill = PreorderFill::new(&symbols, &symbols[..1], 2).unwrap();
+        let mut fill = PreorderFill::new(interned(&symbols), interned(&symbols[..1]), 2).unwrap();
         let root = PreorderNode {
             edge: None,
             terminal: false,
@@ -1463,5 +1562,182 @@ mod tests {
         assert_eq!(diffs[0].input, w(&["s"]));
         assert_eq!(diffs[0].left_output.as_str(), "1");
         assert_eq!(diffs[0].right_output.as_str(), "9");
+    }
+
+    /// A change the mark proptest makes to a trie: words are indices into
+    /// [`MARK_INPUTS`], each answered by [`mark_outputs`].
+    #[derive(Clone, Debug)]
+    enum MarkOp {
+        /// `try_insert_ids`, then `mark_terminal_ids` when the flag is set.
+        Insert(Vec<usize>, bool),
+        /// `mark_terminal` of a cached word (skipped when it is not).
+        Terminal(Vec<usize>),
+        /// The cache-hit path, `answer_ids` (a miss changes nothing).
+        Answer(Vec<usize>),
+        /// `apply_path_ids`, as a merge or replay applies a path.
+        Apply(Vec<usize>, bool),
+        /// Takes a further mark.
+        Mark,
+    }
+
+    const MARK_INPUTS: [&str; 4] = ["a", "b", "c", "d"];
+
+    /// A deterministic answer: each output names its input and the one
+    /// before it.
+    fn mark_outputs(word: &[usize]) -> Vec<Symbol> {
+        (0..word.len())
+            .map(|n| {
+                let previous = if n == 0 { 4 } else { word[n - 1] };
+                Symbol::new(format!("o{previous}{}", word[n]))
+            })
+            .collect()
+    }
+
+    fn mark_ids(trie: &mut PrefixTrie, word: &[usize]) -> (Vec<SymbolId>, Vec<SymbolId>) {
+        let inputs = (word.iter())
+            .map(|&i| trie.intern_input(&Symbol::new(MARK_INPUTS[i])))
+            .collect();
+        let outputs = (mark_outputs(word).iter())
+            .map(|o| trie.intern_output(o))
+            .collect();
+        (inputs, outputs)
+    }
+
+    fn mark_word(word: &[usize]) -> InputWord {
+        word.iter().map(|&i| MARK_INPUTS[i]).collect()
+    }
+
+    /// The node `input` leads to.
+    fn node_of(trie: &PrefixTrie, input: &[Symbol]) -> usize {
+        input.iter().fold(0, |node, symbol| {
+            let id = trie.inputs.lookup(symbol).unwrap();
+            trie.child(node, id).unwrap()
+        })
+    }
+
+    /// A mark with the reference's view of it: the node count and every
+    /// node's terminal flag at the mark.
+    struct Snapshot {
+        mark: TrieMark,
+        terminal: Vec<bool>,
+    }
+
+    impl Snapshot {
+        fn take(trie: &mut PrefixTrie) -> Self {
+            let terminal = trie.nodes.iter().map(TrieNode::terminal).collect();
+            Snapshot {
+                mark: trie.mark(),
+                terminal,
+            }
+        }
+
+        /// Whether `trie` differs from the snapshot anywhere.
+        fn changed(&self, trie: &PrefixTrie) -> bool {
+            let now = trie.nodes.iter().map(TrieNode::terminal);
+            trie.num_nodes() != self.terminal.len() || now.ne(self.terminal.iter().copied())
+        }
+
+        /// The maximal paths whose end node is new or newly terminal, in
+        /// [`PrefixTrie::for_each_path`] order.
+        fn fresh_paths(&self, trie: &PrefixTrie) -> Vec<(Vec<Symbol>, Vec<Symbol>, bool)> {
+            let mut fresh = Vec::new();
+            trie.for_each_path(|input, output, terminal| {
+                let node = node_of(trie, input);
+                let new = node >= self.terminal.len();
+                if new || (trie.nodes[node].terminal() && !self.terminal[node]) {
+                    fresh.push((input.to_vec(), output.to_vec(), terminal));
+                }
+            });
+            fresh
+        }
+    }
+
+    fn mark_word_strategy() -> impl Strategy<Value = Vec<usize>> {
+        prop::collection::vec(0usize..4, 0..6)
+    }
+
+    fn mark_op_strategy() -> impl Strategy<Value = MarkOp> {
+        prop_oneof![
+            (mark_word_strategy(), any::<bool>()).prop_map(|(w, t)| MarkOp::Insert(w, t)),
+            mark_word_strategy().prop_map(MarkOp::Terminal),
+            mark_word_strategy().prop_map(MarkOp::Answer),
+            (mark_word_strategy(), any::<bool>()).prop_map(|(w, t)| MarkOp::Apply(w, t)),
+            Just(MarkOp::Mark),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // `unchanged_since` and `for_each_path_since` agree, for every mark
+        // taken, with a reference that snapshots each node's terminal flag
+        // at the mark: after runtime inserts, terminal markers on marked
+        // and on new nodes, cache hits and applied paths, and on a trie
+        // loaded through `PreorderFill` and a record tail as well as on
+        // one built by inserts.
+        #[test]
+        fn marks_see_exactly_the_changes_a_terminal_snapshot_sees(
+            base in prop::collection::vec((mark_word_strategy(), any::<bool>()), 0..12),
+            tail in prop::collection::vec((mark_word_strategy(), any::<bool>()), 0..6),
+            load in any::<bool>(),
+            ops in prop::collection::vec(mark_op_strategy(), 0..16),
+        ) {
+            let mut trie = PrefixTrie::new();
+            for (word, terminal) in &base {
+                let (inputs, outputs) = mark_ids(&mut trie, word);
+                trie.apply_path_ids(&inputs, &outputs, *terminal).unwrap();
+            }
+            if load {
+                trie = refill(&trie).unwrap();
+                let mut path = Vec::new();
+                for (word, terminal) in &tail {
+                    let (inputs, outputs) = mark_ids(&mut trie, word);
+                    trie.apply_path_ids_along(&inputs, &outputs, *terminal, &mut path)
+                        .unwrap();
+                }
+            }
+            let mut snapshots = vec![Snapshot::take(&mut trie)];
+            let mut scratch = Vec::new();
+            for op in &ops {
+                match op {
+                    MarkOp::Insert(word, terminal) => {
+                        let (inputs, _) = mark_ids(&mut trie, word);
+                        let output: OutputWord = mark_outputs(word).into();
+                        trie.try_insert_ids(&inputs, &output).unwrap();
+                        if *terminal {
+                            trie.mark_terminal_ids(&inputs);
+                        }
+                    }
+                    MarkOp::Terminal(word) => {
+                        if trie.lookup(&mark_word(word)).is_some() {
+                            trie.mark_terminal(&mark_word(word));
+                        }
+                    }
+                    MarkOp::Answer(word) => {
+                        let (inputs, _) = mark_ids(&mut trie, word);
+                        let expected = trie.lookup_ids(&inputs);
+                        prop_assert_eq!(trie.answer_ids(&inputs, &mut scratch), expected);
+                    }
+                    MarkOp::Apply(word, terminal) => {
+                        let (inputs, outputs) = mark_ids(&mut trie, word);
+                        trie.apply_path_ids(&inputs, &outputs, *terminal).unwrap();
+                    }
+                    MarkOp::Mark => snapshots.push(Snapshot::take(&mut trie)),
+                }
+                for snapshot in &snapshots {
+                    prop_assert_eq!(
+                        trie.unchanged_since(&snapshot.mark),
+                        !snapshot.changed(&trie)
+                    );
+                    let mut since = Vec::new();
+                    trie.for_each_path_since(&snapshot.mark, |input, output, terminal| {
+                        since.push((input.to_vec(), output.to_vec(), terminal));
+                    });
+                    prop_assert_eq!(since, snapshot.fresh_paths(&trie));
+                }
+            }
+        }
     }
 }

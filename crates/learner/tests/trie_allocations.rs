@@ -1,14 +1,16 @@
 //! Allocation guards for the observation trie: a warm checkout allocates
-//! by the journal's symbols, not by its trie's nodes, and growing a warmed
-//! trie allocates only when its node arena doubles.  A counting global
-//! allocator tallies each thread's allocations, so the parallel test
-//! harness does not disturb the counts.
+//! by the journal's symbols, not by its trie's nodes, growing a warmed
+//! trie allocates only when its node arena doubles, and a cache hit
+//! allocates only its answer.  A counting global allocator tallies each
+//! thread's allocations, so the parallel test harness does not disturb the
+//! counts.
 
 use prognosis_automata::alphabet::{Alphabet, Symbol};
 use prognosis_automata::interner::IWord;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_learner::cache::StoreKey;
 use prognosis_learner::journal::{JournalStore, RetainPolicy};
+use prognosis_learner::oracle::{CacheOracle, MembershipOracle};
 use prognosis_learner::trie::PrefixTrie;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -175,4 +177,42 @@ fn growing_a_warmed_trie_allocates_only_as_its_arena_doubles() {
         per_symbol < 0.01,
         "{count} allocations for {created} fresh symbols"
     );
+}
+
+/// The SUL of [`output_word`] as a membership oracle.
+struct Answers;
+
+impl MembershipOracle for Answers {
+    fn query(&mut self, input: &InputWord) -> OutputWord {
+        let word: Vec<usize> = input
+            .iter()
+            .map(|symbol| INPUTS.iter().position(|i| *i == symbol.as_str()).unwrap())
+            .collect();
+        output_word(&word)
+    }
+}
+
+#[test]
+fn a_cache_hit_allocates_only_its_answer() {
+    let words: Vec<InputWord> = (0..2_000)
+        .map(|index| input_word(&word(index, 1 + index as usize % 12)))
+        .collect();
+    let mut cache = CacheOracle::new(Answers);
+    let cold = cache.query_batch(&words);
+    let misses = cache.misses();
+    let (batch, batch_count) = allocations(|| cache.query_batch(&words));
+    let (single, single_count) =
+        allocations(|| words.iter().map(|w| cache.query(w)).collect::<Vec<_>>());
+    assert_eq!(batch, cold);
+    assert_eq!(single, cold);
+    assert_eq!(cache.misses(), misses, "every second-round query hits");
+    let hits = words.len();
+    eprintln!(
+        "{hits} hits: {batch_count} allocations in one batch, {single_count} one query at a time"
+    );
+    // One answer per hit, plus the batch's own vectors (and the one
+    // vector `collect` builds above).
+    for count in [batch_count, single_count] {
+        assert!(count <= hits + 8, "{count} allocations for {hits} hits");
+    }
 }
