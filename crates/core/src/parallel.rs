@@ -300,12 +300,6 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         Ok(EngineShutdown { suls, engine })
     }
 
-    /// Shuts down and returns just the session SULs (see
-    /// [`ParallelSulOracle::shutdown`]).
-    pub fn into_suls(self) -> Result<Vec<Sn::Sul>, LearnError> {
-        self.shutdown().map(|s| s.suls)
-    }
-
     fn dispatch(&mut self, inputs: &[Arc<InputWord>]) -> Vec<OutputWord> {
         if let Some(worker) = self.failed {
             std::panic::panic_any(worker_dead(worker));
@@ -677,7 +671,7 @@ mod tests {
         assert_eq!(parallel.stats().symbols_sent, 3);
         assert_eq!(parallel.stats().resets, 1);
         assert_eq!(parallel.engine_stats().batches(), 1);
-        let suls = parallel.into_suls().expect("clean shutdown");
+        let suls = parallel.shutdown().expect("clean shutdown").suls;
         assert_eq!(suls.len(), 2);
         assert_eq!(suls.iter().map(|s| s.stats().symbols_sent).sum::<u64>(), 3);
     }
@@ -692,7 +686,7 @@ mod tests {
         parallel.query_batch(&press);
         // One reply per worker with a non-empty share: {0, 1}, then {2, 0}.
         assert_eq!(parallel.engine_stats().reply_messages, 4);
-        let suls = parallel.into_suls().expect("clean shutdown");
+        let suls = parallel.shutdown().expect("clean shutdown").suls;
         let per_worker: Vec<u64> = suls.iter().map(|s| s.stats().symbols_sent).collect();
         assert_eq!(per_worker, vec![2, 1, 1]);
     }

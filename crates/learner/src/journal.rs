@@ -124,7 +124,6 @@ use crate::cache::{atomic_write_durable, hold_path_lock, path_write_lock, CacheE
 use crate::trie::{PathCoverage, PrefixTrie, PreorderFill, PreorderNode, TrieMark};
 use prognosis_automata::alphabet::Symbol;
 use prognosis_automata::interner::{Interner, SymbolId};
-use prognosis_automata::word::{InputWord, OutputWord};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::File;
@@ -872,7 +871,7 @@ impl Replay {
             }));
         }
         match trie.apply_path_ids_along(&self.inputs, &self.outputs, terminal, path) {
-            Ok(PathCoverage::Contradicts) => self.contradictions += 1,
+            Ok((PathCoverage::Contradicts, _)) => self.contradictions += 1,
             Ok(_) => {}
             Err(_) => return false,
         }
@@ -1356,8 +1355,10 @@ impl Checkout {
 }
 
 /// The merge half of [`JournalStore::save_merged`], on a state already
-/// synced with the file: classifies the live trie's paths against the
-/// stored entry, then appends the fresh ones or rewrites the file.
+/// synced with the file: applies the live trie's paths to the stored entry
+/// in one pass, writing a record frame per fresh path, then appends those
+/// or, on the first contradicting path, rewrites the file around the live
+/// trie.
 fn merge_synced(
     state: &mut State,
     path: &Path,
@@ -1367,78 +1368,55 @@ fn merge_synced(
 ) -> Result<(), CacheError> {
     // Take the stored entry out while merging, so growing it copies
     // nothing unless a caller still holds a snapshot of it.
-    let existing = state.entries.remove(key);
-    let had_entry = existing.is_some();
-    // Classify the live trie's paths against the stored entry.
-    let mut fresh: Vec<(Vec<Symbol>, Vec<Symbol>, bool)> = Vec::new();
-    let mut contradicts = false;
-    trie.for_each_path(|input, output, terminal| {
-        if contradicts {
-            return;
-        }
-        match existing
-            .as_ref()
-            .map_or(PathCoverage::Fresh, |e| e.coverage(input, output, terminal))
-        {
-            PathCoverage::Covered => {}
-            PathCoverage::Fresh => fresh.push((input.to_vec(), output.to_vec(), terminal)),
-            PathCoverage::Contradicts => contradicts = true,
-        }
-    });
-
-    // Decide the merged entry value.
-    let merged: Arc<PrefixTrie> = match existing {
-        Some(mut existing) if !contradicts => {
-            if !fresh.is_empty() {
-                let merged = Arc::make_mut(&mut existing);
-                for (input, output, terminal) in &fresh {
-                    let input = InputWord::from(input.clone());
-                    let output = OutputWord::from(output.clone());
-                    merged.insert(&input, &output);
-                    if *terminal {
-                        merged.mark_terminal(&input);
-                    }
-                }
-            }
-            existing
-        }
-        // No stored entry, or one that disagrees with what the SUL just
-        // answered: the live trie becomes the entry, dropping a
-        // contradicting one wholesale rather than persisting a mixture.
-        _ => Arc::new(trie.into_owned()),
-    };
-
+    let mut entry = state.entries.remove(key);
+    let had_entry = entry.is_some();
     let drops_other_keys =
         retain == RetainPolicy::OnlyThisKey && state.entries.keys().any(|k| k != key);
-    let needs_rewrite = contradicts || drops_other_keys || state.source != StoreFormat::Journal;
+    let append = !drops_other_keys && state.source == StoreFormat::Journal;
+    // A delta to append opens with a segment header when the file's
+    // current segment is for a different key.
+    let mut bytes = Vec::new();
+    if append && state.last_header_key.as_ref() != Some(key) {
+        push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
+    }
+    let (mut records, mut contradicts) = (0, false);
+    let mut note = |input: &[Symbol], output: &[Symbol], terminal, class| {
+        let fresh = class == PathCoverage::Fresh;
+        if fresh && append {
+            let record = encode_record(input, output, terminal);
+            push_frame(&mut bytes, FRAME_RECORD, &record);
+        }
+        records += usize::from(fresh);
+        contradicts = class == PathCoverage::Contradicts;
+        !contradicts
+    };
+    match entry.as_mut() {
+        Some(entry) => Arc::make_mut(entry).apply_paths_of(&trie, &mut note),
+        None if append => trie.for_each_path(|input, output, terminal| {
+            note(input, output, terminal, PathCoverage::Fresh);
+        }),
+        None => {}
+    }
 
-    if needs_rewrite {
+    // No stored entry, or one that disagrees with what the SUL just
+    // answered: the live trie becomes the entry, dropping a contradicting
+    // one wholesale rather than persisting a mixture.
+    let merged = match entry {
+        Some(entry) if !contradicts => entry,
+        _ => Arc::new(trie.into_owned()),
+    };
+    if contradicts || !append {
         if retain == RetainPolicy::OnlyThisKey {
             state.entries.clear();
         }
         state.entries.insert(key.clone(), merged);
         return rewrite(state, path);
     }
-
-    if fresh.is_empty() && had_entry {
+    if records == 0 && had_entry {
         state.entries.insert(key.clone(), merged);
         return Ok(()); // Fully covered: zero writes.
     }
-
-    // Append the delta: a segment header when the file's current segment
-    // is for a different key, then one record per fresh path.
-    let mut bytes = Vec::new();
-    if state.last_header_key.as_ref() != Some(key) {
-        push_frame(&mut bytes, FRAME_SEGMENT, &encode_segment_header(key));
-    }
-    for (input, output, terminal) in &fresh {
-        push_frame(
-            &mut bytes,
-            FRAME_RECORD,
-            &encode_record(input, output, *terminal),
-        );
-    }
-    append_delta(state, path, key, merged, &bytes, fresh.len())
+    append_delta(state, path, key, merged, &bytes, records)
 }
 
 /// Records `merged` as `key`'s entry and persists `bytes`, a delta of
@@ -1620,6 +1598,7 @@ fn rewrite(state: &mut State, path: &Path) -> Result<(), CacheError> {
 mod tests {
     use super::*;
     use prognosis_automata::alphabet::Alphabet;
+    use prognosis_automata::word::{InputWord, OutputWord};
     use proptest::prelude::*;
 
     fn tmp_path(name: &str) -> PathBuf {
@@ -1852,6 +1831,31 @@ mod tests {
             Some(OutputWord::from_symbols(["9", "2"]))
         );
         assert_eq!(loaded.terminal_words(), 1);
+
+        // Two paths the stored entry lacks, the ε query and a·a, come before
+        // the contradicting a·b in path order: the merge has grown the
+        // stored entry when it meets the contradiction.
+        JournalStore::save_merged_at(&path, &k, &sample_trie(), RetainPolicy::OnlyThisKey).unwrap();
+        let mut live = PrefixTrie::new();
+        let words: [(&[&str], &[&str]); 3] = [
+            (&[], &[]),
+            (&["a", "a"], &["1", "5"]),
+            (&["a", "b"], &["1", "9"]),
+        ];
+        for (input, output) in words {
+            let input = InputWord::from_symbols(input.iter().copied());
+            live.insert(&input, &OutputWord::from_symbols(output.iter().copied()));
+            live.mark_terminal(&input);
+        }
+        let store = JournalStore::open(&path).unwrap();
+        let before = store.snapshot(&k).unwrap();
+        store.save_merged(&k, &live, RetainPolicy::All).unwrap();
+        assert_eq!(before.paths(), sample_trie().paths());
+        assert_eq!(store.snapshot(&k).unwrap().paths(), live.paths());
+        let loaded = JournalStore::load_matching(&path, &k).unwrap();
+        assert_eq!(loaded.paths(), live.paths());
+        assert_eq!(loaded.num_nodes(), live.num_nodes());
+        assert_eq!(loaded.terminal_words(), 3);
         std::fs::remove_file(&path).ok();
     }
 

@@ -13,7 +13,7 @@
 //! same role the Oracle Table's cache plays in the paper, without the
 //! seed's linear scans.
 
-use crate::trie::PrefixTrie;
+use crate::trie::{PathCoverage, PrefixTrie, CONTRADICTION};
 use prognosis_automata::interner::{IWord, SymbolId};
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::word::{InputWord, IoTrace, OutputWord};
@@ -240,7 +240,9 @@ pub struct CacheOracle<O> {
     fresh_symbols: u64,
     /// The word being answered, encoded; reused across queries.
     ids: Vec<SymbolId>,
-    /// Scratch space for [`PrefixTrie::answer_ids`].
+    /// A forwarded answer, encoded; reused across misses.
+    outputs: Vec<SymbolId>,
+    /// The trie's latest walk, which the next one resumes along.
     path: Vec<u32>,
 }
 
@@ -263,6 +265,7 @@ impl<O: MembershipOracle> CacheOracle<O> {
             misses: 0,
             fresh_symbols: 0,
             ids: Vec::new(),
+            outputs: Vec::new(),
             path: Vec::new(),
         }
     }
@@ -314,8 +317,8 @@ impl<O: MembershipOracle> CacheOracle<O> {
         (self.inner, self.trie)
     }
 
-    /// All distinct (input, output) query pairs — the raw material for the
-    /// Oracle Table used by the synthesis module.
+    /// All distinct (input, output) query pairs this cache has answered or
+    /// was warmed with, in the trie's depth-first order.
     pub fn entries(&self) -> impl Iterator<Item = (InputWord, OutputWord)> {
         self.trie.entries().into_iter()
     }
@@ -326,31 +329,30 @@ impl<O: MembershipOracle> CacheOracle<O> {
     /// a miss allocates nothing and leaves the encoding in `self.ids`.
     fn answer_cached(&mut self, input: &InputWord) -> Option<OutputWord> {
         self.ids.clear();
-        for symbol in input.iter() {
-            let id = self.trie.intern_input(symbol);
-            self.ids.push(id);
-        }
+        (self.ids).extend(input.iter().map(|s| self.trie.intern_input(s)));
         self.trie.answer_ids(&self.ids, &mut self.path)
     }
 
-    /// Records a forwarded answer and accounts its fresh symbols: exactly
-    /// the trie nodes this answer created.  Counting at insertion time (not
-    /// against a pre-batch snapshot of the trie) makes the total immune to
-    /// batching — two batch words sharing an uncached prefix pay for that
-    /// prefix once, the same as sequential queries would.  The input
-    /// arrives encoded, so the insert hashes no strings.
+    /// Records a forwarded answer, asked as a full query, in one trie walk
+    /// and accounts its fresh symbols: exactly the trie nodes this answer
+    /// created.  Counting at insertion time (not against a pre-batch
+    /// snapshot of the trie) makes the total immune to batching — two batch
+    /// words sharing an uncached prefix pay for that prefix once, the same
+    /// as sequential queries would.  The input arrives encoded, and only
+    /// the answer's uncached steps hash their symbols.
     fn record_answer_ids(&mut self, input_ids: &[SymbolId], output: &OutputWord) {
         assert_eq!(
             output.len(),
             input_ids.len(),
             "membership oracle must return one output symbol per input symbol"
         );
-        let created = self
-            .trie
-            .try_insert_ids(input_ids, output)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.fresh_symbols += created as u64;
-        self.trie.mark_terminal_ids(input_ids);
+        let (trie, path) = (&mut self.trie, &mut self.path);
+        trie.encode_answer(input_ids, output.as_slice(), path, &mut self.outputs);
+        match trie.apply_path_ids_along(input_ids, &self.outputs, true, path) {
+            Ok((PathCoverage::Contradicts, _)) => panic!("{CONTRADICTION}"),
+            Ok((_, created)) => self.fresh_symbols += created as u64,
+            Err(e) => panic!("{e}"),
+        }
     }
 }
 

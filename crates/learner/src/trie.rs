@@ -14,8 +14,7 @@
 //! Internally the trie is fully *interned*: every node holds its input
 //! and output as `SymbolId`s instead of strings, so an insert or lookup on
 //! the hot path performs zero string hashing — symbols are resolved to ids
-//! once per query (or arrive pre-encoded as [`IWord`]s from the batch
-//! dedup layer) and to strings only at serialization boundaries.
+//! once per query (or arrive pre-encoded from the batch dedup layer) and to strings only at serialization boundaries.
 //!
 //! All nodes live in one arena `Vec` and link to each other by index: a
 //! node names its first child and its next sibling, so a node costs 16
@@ -40,7 +39,7 @@
 //! and survives refactors of the in-memory layout.
 
 use prognosis_automata::alphabet::Symbol;
-use prognosis_automata::interner::{IWord, Interner, SymbolId};
+use prognosis_automata::interner::{Interner, SymbolId};
 use prognosis_automata::word::{InputWord, OutputWord};
 
 /// Sentinel for "no node" in the arena links.
@@ -143,9 +142,9 @@ struct MarkLog {
 }
 
 /// How a `(input, output, terminal)` path relates to the answers a trie
-/// already holds (see [`PrefixTrie::coverage`]) — the decision the
-/// journaled observation store makes per path when computing the delta an
-/// append must write.
+/// already holds, as [`PrefixTrie::apply_path_ids_along`] classifies it —
+/// the decision the journaled observation store makes per path when
+/// computing the delta an append must write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PathCoverage {
     /// Every step of the path is cached with the same outputs, and the
@@ -335,6 +334,18 @@ impl Default for PrefixTrie {
     }
 }
 
+/// The error of a path whose words differ in length.
+const LENGTH_MISMATCH: &str = "one output symbol per input symbol";
+
+/// The panic of a path that answers a cached step differently.
+pub(crate) const CONTRADICTION: &str =
+    "prefix trie: SUL answered a cached prefix differently (nondeterministic SUL?)";
+
+/// The node a walk's `path` ends at: the root for an empty walk.
+fn end(path: &[u32]) -> usize {
+    path.last().map_or(0, |&node| node as usize)
+}
+
 impl PrefixTrie {
     /// An empty trie.
     pub fn new() -> Self {
@@ -372,25 +383,68 @@ impl PrefixTrie {
         }
     }
 
+    /// Follows `input` down from the root as far as it is cached and
+    /// returns how many steps that is, leaving the nodes walked in `path`
+    /// (node `d` is reached after `d + 1` steps).  A `None` step, a symbol
+    /// this trie never interned, is not cached.  `path` may hold an
+    /// earlier walk on this trie: as long as `input` follows it, a step is
+    /// one comparison instead of a sibling-list search.  Every lookup and
+    /// every mutation of the trie starts with this walk.
+    #[inline]
+    fn descend<I>(&self, input: I, path: &mut Vec<u32>) -> usize
+    where
+        I: IntoIterator<Item = Option<SymbolId>>,
+    {
+        let (mut node, mut depth) = (0, 0);
+        for id in input.into_iter().map_while(|id| id) {
+            // `path[..depth]` is this walk so far, so `path[depth]`, a child
+            // of `node`, is the child on `id` if its input matches.
+            match path.get(depth) {
+                Some(&next) if self.nodes[next as usize].input == id.raw() => node = next as usize,
+                _ => {
+                    path.truncate(depth);
+                    let Some(child) = self.child(node, id) else {
+                        break;
+                    };
+                    path.push(child as u32);
+                    node = child;
+                }
+            }
+            depth += 1;
+        }
+        path.truncate(depth);
+        depth
+    }
+
+    /// The nodes `input` walks through, when every step is cached.
+    fn path_of(&self, input: &InputWord) -> Option<Vec<u32>> {
+        let mut path = Vec::with_capacity(input.len());
+        let ids = input.iter().map(|symbol| self.inputs.lookup(symbol));
+        (self.descend(ids, &mut path) == input.len()).then_some(path)
+    }
+
+    /// The outputs on the edges into `path`'s nodes.
+    fn outputs_along(&self, path: &[u32]) -> OutputWord {
+        let output = |node: &u32| self.nodes[*node as usize].output();
+        path.iter()
+            .map(|node| self.outputs.resolve(output(node)).clone())
+            .collect()
+    }
+
     /// Whether a change to `node` must be logged for the latest mark.
     #[inline]
     fn watched(&self, node: usize) -> bool {
         node < self.log.watched
     }
 
-    /// Logs a change to the watched node `input` leads to: the path to it,
-    /// and the node itself when it turned terminal.  `input` must be
-    /// cached.  Runs once per change to a node the latest mark saw, never
-    /// per query.
+    /// Logs a change to the watched node a walk's `path` ends at: the path
+    /// to it, and the node itself when it turned terminal.  Runs once per
+    /// change to a node the latest mark saw, never per query.
     #[cold]
-    fn log_change(&mut self, input: &[SymbolId], terminal: bool) {
-        let mut node = 0;
-        for &id in input {
-            node = self.child(node, id).expect("a logged path is cached");
-            self.log.touched.push(node as u32);
-        }
+    fn log_change(&mut self, path: &[u32], terminal: bool) {
+        self.log.touched.extend_from_slice(path);
         if terminal {
-            self.log.terminals.push(node as u32);
+            self.log.terminals.push(end(path) as u32);
         }
     }
 
@@ -416,13 +470,6 @@ impl PrefixTrie {
         index as usize
     }
 
-    /// Encodes an input word against this trie's interner, minting ids for
-    /// fresh symbols.  The returned [`IWord`] can be used with the `_ids`
-    /// entry points for string-free lookups and inserts.
-    pub fn encode_input(&mut self, input: &InputWord) -> IWord {
-        self.inputs.encode(input)
-    }
-
     /// Compares two encoded words by the string order of their symbols —
     /// identical to comparing the decoded `InputWord`s.  This is the order
     /// the batch-dedup layer forwards deduplicated queries in.
@@ -430,68 +477,52 @@ impl PrefixTrie {
         self.inputs.compare_words(a, b)
     }
 
-    /// Length of the longest prefix of `input` whose outputs are all known.
-    pub fn known_prefix_len(&self, input: &InputWord) -> usize {
-        let mut node = 0;
-        for (depth, symbol) in input.iter().enumerate() {
-            match self
-                .inputs
-                .lookup(symbol)
-                .and_then(|id| self.child(node, id))
-            {
-                Some(child) => node = child,
-                None => return depth,
-            }
-        }
-        input.len()
-    }
-
     /// Looks up the full answer for `input`, if every step is cached.
     pub fn lookup(&self, input: &InputWord) -> Option<OutputWord> {
-        let mut node = 0;
-        let mut out = OutputWord::empty();
-        for symbol in input.iter() {
-            let id = self.inputs.lookup(symbol)?;
-            node = self.child(node, id)?;
-            out.push(self.outputs.resolve(self.nodes[node].output()).clone());
-        }
-        Some(out)
+        self.path_of(input).map(|path| self.outputs_along(&path))
     }
 
-    /// Id-word form of [`PrefixTrie::lookup`]: no string hashing per step.
-    pub fn lookup_ids(&self, input: &[SymbolId]) -> Option<OutputWord> {
-        let mut node = 0;
-        let mut out = OutputWord::empty();
-        for &id in input {
-            node = self.child(node, id)?;
-            out.push(self.outputs.resolve(self.nodes[node].output()).clone());
-        }
-        Some(out)
-    }
-
-    /// [`PrefixTrie::lookup_ids`] and, on a hit, [`PrefixTrie::mark_terminal_ids`]
-    /// in one walk: the cache-hit path.  The walk keeps its nodes in
-    /// `path`, reused scratch space, so the answer is built at its exact
-    /// length once the word is known to be cached; a miss leaves the trie
-    /// untouched and allocates nothing.
+    /// [`PrefixTrie::lookup`] by input ids and, on a hit,
+    /// [`PrefixTrie::mark_terminal`], in one walk: the cache-hit path.  The
+    /// walk keeps its nodes in `path`, reused scratch space from earlier
+    /// walks on this trie, so the answer is built at its exact length once
+    /// the word is known to be cached; a miss leaves the trie untouched and
+    /// allocates nothing.
     pub(crate) fn answer_ids(
         &mut self,
         input: &[SymbolId],
         path: &mut Vec<u32>,
     ) -> Option<OutputWord> {
-        path.clear();
-        let mut node = 0;
-        for &id in input {
-            node = self.child(node, id)?;
-            path.push(node as u32);
+        if self.descend(input.iter().copied().map(Some), path) < input.len() {
+            return None;
         }
-        let outputs = &self.outputs;
-        let answer = path
-            .iter()
-            .map(|&node| outputs.resolve(self.nodes[node as usize].output()).clone())
-            .collect();
-        self.mark_terminal_node(node, input);
+        let answer = self.outputs_along(path);
+        self.mark_terminal_node(path);
         Some(answer)
+    }
+
+    /// Encodes `output`, the answer to `input`, into `ids` for
+    /// [`PrefixTrie::apply_path_ids_along`], leaving `input`'s cached walk
+    /// in `path`: a step cached with the same output symbol takes its
+    /// node's id, so only the symbols of fresh or contradicting steps are
+    /// hashed.
+    pub(crate) fn encode_answer(
+        &mut self,
+        input: &[SymbolId],
+        output: &[Symbol],
+        path: &mut Vec<u32>,
+        ids: &mut Vec<SymbolId>,
+    ) {
+        self.descend(input.iter().copied().map(Some), path);
+        ids.clear();
+        let nodes = &self.nodes;
+        for (depth, symbol) in output.iter().enumerate() {
+            let cached = path.get(depth).map(|&node| nodes[node as usize].output());
+            ids.push(match cached {
+                Some(id) if self.outputs.resolve(id) == symbol => SymbolId::from(id),
+                _ => self.outputs.intern(symbol),
+            });
+        }
     }
 
     /// Marks `input` as having been asked as a full query.  Returns `true`
@@ -500,34 +531,20 @@ impl PrefixTrie {
     /// # Panics
     /// Panics when `input` is not fully present in the trie.
     pub fn mark_terminal(&mut self, input: &InputWord) -> bool {
-        let ids = self
-            .inputs
-            .try_encode(input)
+        let path = self
+            .path_of(input)
             .expect("mark_terminal requires a fully cached word");
-        self.mark_terminal_ids(ids.as_slice())
+        self.mark_terminal_node(&path)
     }
 
-    /// Id-word form of [`PrefixTrie::mark_terminal`].
-    ///
-    /// # Panics
-    /// Panics when `input` is not fully present in the trie.
-    pub fn mark_terminal_ids(&mut self, input: &[SymbolId]) -> bool {
-        let mut node = 0;
-        for &id in input {
-            node = self
-                .child(node, id)
-                .expect("mark_terminal requires a fully cached word");
-        }
-        self.mark_terminal_node(node, input)
-    }
-
-    /// Marks `node`, which `input` leads to, terminal.
-    fn mark_terminal_node(&mut self, node: usize, input: &[SymbolId]) -> bool {
+    /// Marks the node a walk's `path` ends at terminal.
+    fn mark_terminal_node(&mut self, path: &[u32]) -> bool {
+        let node = end(path);
         let fresh = self.nodes[node].set_terminal();
         if fresh {
             self.terminal_words += 1;
             if self.watched(node) {
-                self.log_change(input, true);
+                self.log_change(path, true);
             }
         }
         fresh
@@ -539,82 +556,36 @@ impl PrefixTrie {
     /// work the SUL performed for this answer.
     ///
     /// # Panics
-    /// Panics when `output` is shorter than `input`, or when a step
-    /// contradicts an already-cached output (the SUL must be deterministic;
+    /// Panics when the words differ in length, or when a step contradicts
+    /// an already-cached output (the SUL must be deterministic;
     /// nondeterminism is detected by `prognosis-core`'s checker, not here).
     pub fn insert(&mut self, input: &InputWord, output: &OutputWord) -> usize {
-        self.try_insert(input, output)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`PrefixTrie::insert`], but reports length mismatches and
-    /// contradictory outputs as errors instead of panicking.  Used when
-    /// rebuilding a trie from untrusted (on-disk) data.
-    ///
-    /// On error the input's consistent prefix may already have been
-    /// inserted; callers rebuilding from disk discard the whole trie.
-    pub fn try_insert(&mut self, input: &InputWord, output: &OutputWord) -> Result<usize, String> {
-        let ids = self.inputs.encode(input);
-        self.try_insert_ids(ids.as_slice(), output)
-    }
-
-    /// Id-word form of [`PrefixTrie::try_insert`]: the input arrives
-    /// pre-encoded (no string hashing), only output symbols are interned.
-    /// Also errors on an input id this trie's interner did not mint.
-    pub fn try_insert_ids(
-        &mut self,
-        input: &[SymbolId],
-        output: &OutputWord,
-    ) -> Result<usize, String> {
-        if input.len() != output.len() {
-            return Err("one output symbol per input symbol".to_string());
+        let nodes = self.nodes.len();
+        match self.apply_path(input.as_slice(), output.as_slice(), false) {
+            Ok(PathCoverage::Contradicts) => panic!("{CONTRADICTION}"),
+            Ok(_) => self.nodes.len() - nodes,
+            Err(e) => panic!("{e}"),
         }
-        let mut node = 0;
-        let mut created = 0;
-        for (depth, (&id, out)) in input.iter().zip(output.iter()).enumerate() {
-            match self.child(node, id) {
-                Some(child) => {
-                    node = child;
-                    if self.outputs.resolve(self.nodes[node].output()) != out {
-                        return Err("prefix trie: SUL answered a cached prefix differently \
-                             (nondeterministic SUL?)"
-                            .to_string());
-                    }
-                }
-                None if id.index() >= self.inputs.len() => {
-                    return Err("symbol id not minted by this trie".to_string());
-                }
-                None => {
-                    if self.watched(node) {
-                        self.log_change(&input[..depth], false);
-                    }
-                    let out_id = self.outputs.intern(out);
-                    node = self.push_child(node, id, out_id.raw());
-                    created += 1;
-                }
-            }
-        }
-        Ok(created)
     }
 
-    /// The id of input symbol `symbol`, minting one on first sight — the
-    /// per-symbol form of [`PrefixTrie::encode_input`].
+    /// The id of input symbol `symbol`, minting one on first sight.
+    /// [`PrefixTrie::apply_path_ids_along`] takes input words in these ids.
     pub fn intern_input(&mut self, symbol: &Symbol) -> SymbolId {
         self.inputs.intern(symbol)
     }
 
     /// The id of output symbol `symbol` in this trie's output interner,
-    /// minting one on first sight.  [`PrefixTrie::apply_path_ids`] takes
-    /// output words in these ids.
+    /// minting one on first sight.  [`PrefixTrie::apply_path_ids_along`]
+    /// takes output words in these ids.
     pub fn intern_output(&mut self, symbol: &Symbol) -> SymbolId {
         self.outputs.intern(symbol)
     }
 
-    /// Applies one `(input, output, terminal)` path in a single walk:
-    /// classifies it like [`PrefixTrie::coverage`], and when it is
-    /// [`PathCoverage::Fresh`] also inserts the fresh suffix and sets the
-    /// terminal marker before returning.  A contradicting path leaves the
-    /// trie's answers untouched (its symbols may have been interned).
+    /// [`PrefixTrie::apply_path_ids_along`] for a path spelled in symbols,
+    /// from the root: classifies it, and when it is [`PathCoverage::Fresh`]
+    /// also inserts the fresh suffix and sets the terminal marker.  A
+    /// contradicting path leaves the trie's answers untouched (its symbols
+    /// may have been interned).
     ///
     /// Errors only on a length mismatch (corrupt record).
     pub fn apply_path(
@@ -624,140 +595,88 @@ impl PrefixTrie {
         terminal: bool,
     ) -> Result<PathCoverage, String> {
         if input.len() != output.len() {
-            return Err("one output symbol per input symbol".to_string());
+            return Err(LENGTH_MISMATCH.to_string());
         }
         let input: Vec<SymbolId> = input.iter().map(|s| self.inputs.intern(s)).collect();
         let output: Vec<SymbolId> = output.iter().map(|s| self.outputs.intern(s)).collect();
-        self.apply_path_ids(&input, &output, terminal)
+        let applied = self.apply_path_ids_along(&input, &output, terminal, &mut Vec::new());
+        applied.map(|(class, _)| class)
     }
 
-    /// Id-word form of [`PrefixTrie::apply_path`] — the journal-replay
-    /// fast path: one trie walk per record, outputs compared as `u32`s, no
-    /// string hashing.  `input` holds ids of this trie's input interner
-    /// ([`PrefixTrie::intern_input`]), `output` ids of its output interner
-    /// ([`PrefixTrie::intern_output`]).
+    /// Applies one `(input, output, terminal)` path in a single walk — the
+    /// trie's one mutation.  Returns how the path relates to the cached
+    /// answers (see [`PathCoverage`]) and how many nodes it created: a
+    /// [`PathCoverage::Fresh`] path gets its fresh suffix and its terminal
+    /// marker before returning, while a covered or contradicting one, or an
+    /// error, leaves the trie untouched.  `input` holds ids of this trie's
+    /// input interner ([`PrefixTrie::intern_input`]), `output` ids of its
+    /// output interner ([`PrefixTrie::intern_output`]), so outputs compare
+    /// as `u32`s and no string is hashed.
+    ///
+    /// `path` holds the nodes an earlier walk on this trie went through
+    /// (or starts empty); as long as the inputs follow it each step is one
+    /// comparison instead of a sibling-list search.  On return it holds the
+    /// nodes this call walked.
     ///
     /// Errors on a length mismatch or on an id neither interner minted.
-    pub fn apply_path_ids(
-        &mut self,
-        input: &[SymbolId],
-        output: &[SymbolId],
-        terminal: bool,
-    ) -> Result<PathCoverage, String> {
-        self.apply_path_ids_along(
-            input,
-            output,
-            terminal,
-            &mut Vec::with_capacity(input.len()),
-        )
-    }
-
-    /// [`PrefixTrie::apply_path_ids`] starting down the path of an earlier
-    /// call: `path` holds the nodes that call walked (node `d` is reached
-    /// after `d + 1` steps), and as long as the inputs follow it each step
-    /// is one comparison instead of a sibling-list search.  On return
-    /// `path` holds the nodes this call walked.  `path` must come from
-    /// calls on this trie (or start empty).
-    pub(crate) fn apply_path_ids_along(
+    pub fn apply_path_ids_along(
         &mut self,
         input: &[SymbolId],
         output: &[SymbolId],
         terminal: bool,
         path: &mut Vec<u32>,
-    ) -> Result<PathCoverage, String> {
+    ) -> Result<(PathCoverage, usize), String> {
         if input.len() != output.len() {
-            return Err("one output symbol per input symbol".to_string());
+            return Err(LENGTH_MISMATCH.to_string());
         }
-        let mut node = 0;
-        let mut depth = 0;
-        // Walk the cached prefix, checking outputs.  No mutation can have
-        // happened yet when a contradiction is found, so a contradicting
-        // path leaves the trie untouched.
-        while depth < input.len() {
-            // `path[..depth]` is this walk so far, so `path[depth]`, a child
-            // of `node`, is the child on `input[depth]` if its input matches.
-            let child = match path.get(depth) {
-                Some(&next) if self.nodes[next as usize].input == input[depth].raw() => {
-                    Some(next as usize)
-                }
-                _ => {
-                    path.truncate(depth);
-                    self.child(node, input[depth])
-                }
-            };
-            let Some(child) = child else {
-                break;
-            };
-            if self.nodes[child].output() != output[depth].raw() {
-                path.truncate(depth);
-                return Ok(PathCoverage::Contradicts);
-            }
-            if path.len() == depth {
-                path.push(child as u32);
-            }
-            node = child;
-            depth += 1;
+        let depth = self.descend(input.iter().copied().map(Some), path);
+        let nodes = &self.nodes;
+        let mut cached = path.iter().zip(output);
+        if cached.any(|(&node, out)| nodes[node as usize].output() != out.raw()) {
+            return Ok((PathCoverage::Contradicts, 0));
         }
-        path.truncate(depth);
-        if input[depth..]
-            .iter()
-            .zip(&output[depth..])
-            .any(|(i, o)| i.index() >= self.inputs.len() || o.index() >= self.outputs.len())
-        {
+        let fresh = input[depth..].iter().zip(&output[depth..]);
+        let (inputs, outputs) = (self.inputs.len(), self.outputs.len());
+        if (fresh.clone()).any(|(i, o)| i.index() >= inputs || o.index() >= outputs) {
             return Err("symbol id not minted by this trie".to_string());
         }
-        let mut fresh = depth < input.len();
-        if fresh && self.watched(node) {
-            self.log_change(&input[..depth], false);
+        let mut node = end(path);
+        if depth < input.len() && self.watched(node) {
+            self.log_change(path, false);
         }
         // Create the fresh suffix (nothing cached below a missing edge).
-        while depth < input.len() {
-            node = self.push_child(node, input[depth], output[depth].raw());
+        for (&id, out) in fresh {
+            node = self.push_child(node, id, out.raw());
             path.push(node as u32);
-            depth += 1;
         }
-        if terminal && self.mark_terminal_node(node, input) {
-            fresh = true;
-        }
-        Ok(if fresh {
+        let created = input.len() - depth;
+        let class = if (terminal && self.mark_terminal_node(path)) || created > 0 {
             PathCoverage::Fresh
         } else {
             PathCoverage::Covered
-        })
+        };
+        Ok((class, created))
     }
 
     /// All words recorded as full queries, with their answers, in
     /// depth-first order.
     pub fn entries(&self) -> Vec<(InputWord, OutputWord)> {
         let mut result = Vec::new();
-        let mut input = Vec::new();
-        let mut output = Vec::new();
-        self.collect(0, &mut input, &mut output, &mut result);
+        let terminal = |node: usize| self.nodes[node].terminal();
+        self.visit_paths(
+            0,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &terminal,
+            &|_| true,
+            &mut |input, output, _| {
+                result.push((
+                    input.iter().cloned().collect(),
+                    output.iter().cloned().collect(),
+                ));
+            },
+        );
         result
-    }
-
-    fn collect(
-        &self,
-        node: usize,
-        input: &mut Vec<Symbol>,
-        output: &mut Vec<Symbol>,
-        result: &mut Vec<(InputWord, OutputWord)>,
-    ) {
-        if self.nodes[node].terminal() {
-            result.push((
-                input.iter().cloned().collect(),
-                output.iter().cloned().collect(),
-            ));
-        }
-        // Sibling lists are in string order: deterministic listings with no
-        // per-node sort allocation.
-        for child in self.children(node) {
-            input.push(self.inputs.resolve(self.nodes[child].input).clone());
-            output.push(self.outputs.resolve(self.nodes[child].output()).clone());
-            self.collect(child, input, output, result);
-            input.pop();
-            output.pop();
-        }
     }
 
     /// Compares two tries' cached answers and returns every *shortest
@@ -828,9 +747,10 @@ impl PrefixTrie {
 
     /// A lossless, layout-independent dump of the trie: every terminal node
     /// and every leaf, as `(input path, output path, is_terminal)` triples
-    /// in depth-first order.  Rebuilding via [`PrefixTrie::from_paths`]
-    /// reproduces the exact node set and terminal markers, because every
-    /// node lies on the path to some leaf and every terminal is flagged.
+    /// in depth-first order.  Applying them to an empty trie
+    /// ([`PrefixTrie::merge_from`]) reproduces the exact node set and
+    /// terminal markers, because every node lies on the path to some leaf
+    /// and every terminal is flagged.
     pub fn paths(&self) -> Vec<(InputWord, OutputWord, bool)> {
         let mut result = Vec::new();
         self.for_each_path(|input, output, terminal| {
@@ -880,7 +800,7 @@ impl PrefixTrie {
     /// [`PrefixTrie::for_each_path`] restricted to the paths that are
     /// fresh against `mark`: those whose end node was created or first
     /// marked terminal since.  These are exactly the paths
-    /// [`PrefixTrie::coverage`] classifies as [`PathCoverage::Fresh`]
+    /// [`PrefixTrie::apply_path`] classifies as [`PathCoverage::Fresh`]
     /// against the marked trie, visited in the same order — the delta a
     /// journal append writes, found without a second trie.  `self` must be
     /// the marked trie or a descendant of it (see [`TrieMark`]).
@@ -957,49 +877,8 @@ impl PrefixTrie {
 
     /// Whether `input` is fully cached *and* marked as a full query.
     pub fn is_terminal(&self, input: &InputWord) -> bool {
-        let mut node = 0;
-        for symbol in input.iter() {
-            match self
-                .inputs
-                .lookup(symbol)
-                .and_then(|id| self.child(node, id))
-            {
-                Some(child) => node = child,
-                None => return false,
-            }
-        }
-        self.nodes[node].terminal()
-    }
-
-    /// Classifies a `(input, output, terminal)` path against this trie's
-    /// cached answers without mutating anything: [`PathCoverage::Covered`]
-    /// when appending it would change nothing, [`PathCoverage::Fresh`] when
-    /// it extends the cache consistently, [`PathCoverage::Contradicts`]
-    /// when a cached step answers differently.  This is the per-path
-    /// decision procedure of the journal store's delta appends.
-    pub fn coverage(&self, input: &[Symbol], output: &[Symbol], terminal: bool) -> PathCoverage {
-        debug_assert_eq!(input.len(), output.len());
-        let mut node = 0;
-        for (symbol, out) in input.iter().zip(output.iter()) {
-            match self
-                .inputs
-                .lookup(symbol)
-                .and_then(|id| self.child(node, id))
-            {
-                Some(child) => {
-                    if self.outputs.resolve(self.nodes[child].output()) != out {
-                        return PathCoverage::Contradicts;
-                    }
-                    node = child;
-                }
-                None => return PathCoverage::Fresh,
-            }
-        }
-        if terminal && !self.nodes[node].terminal() {
-            PathCoverage::Fresh
-        } else {
-            PathCoverage::Covered
-        }
+        self.path_of(input)
+            .is_some_and(|path| self.nodes[end(&path)].terminal())
     }
 
     /// The input symbols in string order: the list the edges of
@@ -1048,58 +927,45 @@ impl PrefixTrie {
         }
     }
 
-    /// Rebuilds a trie from a [`PrefixTrie::paths`] dump.  Fails when a
-    /// triple pairs words of different lengths or contradicts another
-    /// triple's outputs (corrupt or hand-edited cache data).
-    pub fn from_paths(paths: &[(InputWord, OutputWord, bool)]) -> Result<Self, String> {
-        let mut trie = PrefixTrie::new();
-        for (input, output, terminal) in paths {
-            trie.try_insert(input, output)?;
-            if *terminal {
-                trie.mark_terminal(input);
-            }
-        }
-        Ok(trie)
-    }
-
-    /// Inserts every path of `other` into `self`, unioning the two caches.
-    /// Terminal markers are preserved.  Used when persisting: a freshly
-    /// learned trie is merged over whatever an earlier run left on disk.
+    /// Applies every path of `other` to `self`, unioning the two caches.
+    /// Terminal markers are preserved.
     ///
     /// # Panics
     /// Panics when the tries contradict each other (they must describe the
-    /// same deterministic SUL).  Use [`PrefixTrie::try_merge_from`] when
-    /// `other` comes from untrusted (on-disk) data.
+    /// same deterministic SUL).
     pub fn merge_from(&mut self, other: &PrefixTrie) {
-        self.try_merge_from(other).unwrap_or_else(|e| panic!("{e}"))
+        self.apply_paths_of(other, |_, _, _, class| {
+            assert!(class != PathCoverage::Contradicts, "{CONTRADICTION}");
+            true
+        });
     }
 
-    /// Like [`PrefixTrie::merge_from`], but reports contradictions between
-    /// the two tries as an error instead of panicking.  On error `self` may
-    /// hold a partial merge; callers discard it (the caches disagree, so
-    /// one of them must win wholesale).
-    pub fn try_merge_from(&mut self, other: &PrefixTrie) -> Result<(), String> {
-        let mut failure = None;
+    /// Applies `other`'s paths to `self` in [`PrefixTrie::for_each_path`]
+    /// order, one walk each resumed along the previous one, and hands each
+    /// path with its class to `f` until `f` returns `false`.
+    pub(crate) fn apply_paths_of<F>(&mut self, other: &PrefixTrie, mut f: F)
+    where
+        F: FnMut(&[Symbol], &[Symbol], bool, PathCoverage) -> bool,
+    {
+        let (mut inputs, mut outputs, mut path) = (Vec::new(), Vec::new(), Vec::new());
+        let mut going = true;
         other.for_each_path(|input, output, terminal| {
-            if failure.is_some() {
+            if !going {
                 return;
             }
-            match self.apply_path(input, output, terminal) {
-                Ok(PathCoverage::Contradicts) => {
-                    failure = Some(
-                        "prefix trie: SUL answered a cached prefix differently \
-                             (nondeterministic SUL?)"
-                            .to_string(),
-                    );
-                }
-                Ok(_) => {}
-                Err(e) => failure = Some(e),
-            }
+            // Paths come in depth-first order: a step spelled like the
+            // previous path's step at its depth keeps that step's id.
+            let kept = (inputs.iter().zip(input))
+                .take_while(|&(&id, symbol)| self.inputs.resolve(id) == symbol)
+                .count();
+            inputs.truncate(kept);
+            inputs.extend(input[kept..].iter().map(|s| self.inputs.intern(s)));
+            self.encode_answer(&inputs, output, &mut path, &mut outputs);
+            let (class, _) = self
+                .apply_path_ids_along(&inputs, &outputs, terminal, &mut path)
+                .expect("a trie's paths pair one output per input");
+            going = f(input, output, terminal, class);
         });
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -1115,6 +981,13 @@ mod tests {
         OutputWord::from_symbols(symbols.iter().copied())
     }
 
+    /// `trie` rebuilt by applying its path dump to an empty trie.
+    fn remerged(trie: &PrefixTrie) -> PrefixTrie {
+        let mut rebuilt = PrefixTrie::new();
+        rebuilt.merge_from(trie);
+        rebuilt
+    }
+
     #[test]
     fn cached_word_answers_all_prefixes() {
         let mut trie = PrefixTrie::new();
@@ -1125,15 +998,6 @@ mod tests {
         assert_eq!(trie.lookup(&InputWord::empty()), Some(OutputWord::empty()));
         assert_eq!(trie.lookup(&w(&["b"])), None);
         assert_eq!(trie.lookup(&w(&["a", "b", "c", "d"])), None);
-    }
-
-    #[test]
-    fn known_prefix_len_reports_partial_coverage() {
-        let mut trie = PrefixTrie::new();
-        trie.insert(&w(&["a", "b"]), &o(&["1", "2"]));
-        assert_eq!(trie.known_prefix_len(&w(&["a", "b", "c"])), 2);
-        assert_eq!(trie.known_prefix_len(&w(&["a", "x"])), 1);
-        assert_eq!(trie.known_prefix_len(&w(&["x"])), 0);
     }
 
     #[test]
@@ -1172,46 +1036,56 @@ mod tests {
     fn id_entry_points_match_string_api() {
         let mut trie = PrefixTrie::new();
         let word = w(&["a", "b"]);
-        let ids = trie.encode_input(&word);
-        assert_eq!(trie.lookup_ids(ids.as_slice()), None);
-        assert_eq!(trie.try_insert_ids(ids.as_slice(), &o(&["1", "2"])), Ok(2));
-        assert_eq!(trie.lookup_ids(ids.as_slice()), Some(o(&["1", "2"])));
+        let ids: Vec<SymbolId> = word.iter().map(|s| trie.intern_input(s)).collect();
+        let outs: Vec<SymbolId> = (o(&["1", "2"]).iter())
+            .map(|s| trie.intern_output(s))
+            .collect();
+        let mut path = Vec::new();
+        assert_eq!(trie.answer_ids(&ids, &mut path), None);
+        assert_eq!(
+            trie.apply_path_ids_along(&ids, &outs, false, &mut path),
+            Ok((PathCoverage::Fresh, 2))
+        );
         assert_eq!(trie.lookup(&word), Some(o(&["1", "2"])));
-        assert!(trie.mark_terminal_ids(ids.as_slice()));
+        assert!(!trie.is_terminal(&word));
+        // A hit marks the word asked.
+        assert_eq!(trie.answer_ids(&ids, &mut path), Some(o(&["1", "2"])));
         assert!(!trie.mark_terminal(&word));
         assert!(trie.is_terminal(&word));
-        // Encoding is stable: re-encoding yields the same ids.
-        assert_eq!(trie.encode_input(&word), ids);
-        // Contradiction through the id path reports the same error.
-        let err = trie
-            .try_insert_ids(ids.as_slice(), &o(&["1", "9"]))
-            .unwrap_err();
-        assert!(err.contains("nondeterministic"));
-        // An id the interner never minted is refused, not linked.
-        let unminted = [SymbolId::from(7u32)];
-        assert!(trie.try_insert_ids(&unminted, &o(&["1"])).is_err());
+        // Interning is stable: re-interning yields the same ids.
+        assert_eq!(trie.intern_input(&Symbol::new("b")), ids[1]);
+        // A contradiction through the id path is classified, not applied.
+        let nine = trie.intern_output(&Symbol::new("9"));
+        assert_eq!(
+            trie.apply_path_ids_along(&ids, &[outs[0], nine], true, &mut path),
+            Ok((PathCoverage::Contradicts, 0))
+        );
+        // An id the interner never minted is refused, not linked, also
+        // after a known symbol with no cached path.
+        let unminted = SymbolId::from(7u32);
+        assert!(trie
+            .apply_path_ids_along(&[unminted], &outs[..1], false, &mut path)
+            .is_err());
+        assert!(trie
+            .apply_path_ids_along(&[ids[1], unminted], &outs, false, &mut path)
+            .is_err());
         assert_eq!(trie.num_nodes(), 3);
+        assert_eq!(trie.terminal_words(), 1);
     }
 
     #[test]
     fn compare_id_words_matches_string_order() {
         let mut trie = PrefixTrie::new();
         // Intern out of lexicographic order.
-        let wb = trie.encode_input(&w(&["b"]));
-        let wab = trie.encode_input(&w(&["a", "b"]));
-        let wa = trie.encode_input(&w(&["a"]));
-        assert_eq!(
-            trie.compare_id_words(wa.as_slice(), wab.as_slice()),
-            std::cmp::Ordering::Less
-        );
-        assert_eq!(
-            trie.compare_id_words(wab.as_slice(), wb.as_slice()),
-            std::cmp::Ordering::Less
-        );
-        assert_eq!(
-            trie.compare_id_words(wb.as_slice(), wb.as_slice()),
-            std::cmp::Ordering::Equal
-        );
+        let mut encode = |word: &InputWord| -> Vec<SymbolId> {
+            word.iter().map(|s| trie.intern_input(s)).collect()
+        };
+        let wb = encode(&w(&["b"]));
+        let wab = encode(&w(&["a", "b"]));
+        let wa = encode(&w(&["a"]));
+        assert_eq!(trie.compare_id_words(&wa, &wab), std::cmp::Ordering::Less);
+        assert_eq!(trie.compare_id_words(&wab, &wb), std::cmp::Ordering::Less);
+        assert_eq!(trie.compare_id_words(&wb, &wb), std::cmp::Ordering::Equal);
     }
 
     #[test]
@@ -1275,7 +1149,7 @@ mod tests {
         });
         let mut fresh = Vec::new();
         trie.for_each_path(|input, output, terminal| {
-            if marked.coverage(input, output, terminal) == PathCoverage::Fresh {
+            if marked.clone().apply_path(input, output, terminal) == Ok(PathCoverage::Fresh) {
                 fresh.push((input.to_vec(), output.to_vec(), terminal));
             }
         });
@@ -1290,7 +1164,7 @@ mod tests {
         trie.mark_terminal(&w(&["a", "b", "c"]));
         trie.mark_terminal(&w(&["a"]));
         trie.insert(&w(&["a", "x"]), &o(&["1", "9"]));
-        let rebuilt = PrefixTrie::from_paths(&trie.paths()).unwrap();
+        let rebuilt = remerged(&trie);
         assert_eq!(rebuilt.num_nodes(), trie.num_nodes());
         assert_eq!(rebuilt.terminal_words(), trie.terminal_words());
         for word in [
@@ -1305,6 +1179,24 @@ mod tests {
         // The non-terminal leaf `a·x` survives even though `entries` (which
         // lists only full queries) does not mention it.
         assert_eq!(rebuilt.lookup(&w(&["a", "x"])), Some(o(&["1", "9"])));
+    }
+
+    #[test]
+    fn entries_are_the_terminal_paths_in_path_order() {
+        let mut trie = PrefixTrie::new();
+        trie.mark_terminal(&InputWord::empty());
+        trie.insert(&w(&["b", "a"]), &o(&["1", "2"]));
+        trie.insert(&w(&["a", "c", "d"]), &o(&["3", "4", "5"]));
+        for word in [w(&["b"]), w(&["a", "c", "d"]), w(&["a", "c"])] {
+            trie.mark_terminal(&word);
+        }
+        let terminal_paths: Vec<(InputWord, OutputWord)> = (trie.paths().into_iter())
+            .filter(|&(_, _, terminal)| terminal)
+            .map(|(input, output, _)| (input, output))
+            .collect();
+        assert_eq!(trie.entries(), terminal_paths);
+        assert_eq!(trie.entries().len(), trie.terminal_words());
+        assert_eq!(trie.entries()[0], (InputWord::empty(), OutputWord::empty()));
     }
 
     #[test]
@@ -1361,11 +1253,7 @@ mod tests {
         assert_eq!(rebuilt.terminal_words(), trie.terminal_words());
         // The stream follows string order, not arena or intern order.
         let mut streams = Vec::new();
-        for t in [
-            &trie,
-            &rebuilt,
-            &PrefixTrie::from_paths(&trie.paths()).unwrap(),
-        ] {
+        for t in [&trie, &rebuilt, &remerged(&trie)] {
             let mut stream = Vec::new();
             t.for_each_node_preorder(|node| stream.push(node));
             streams.push(stream);
@@ -1461,7 +1349,7 @@ mod tests {
                     .collect();
                 match path {
                     Some(path) => trie.apply_path_ids_along(&input, &output, terminal, path),
-                    None => trie.apply_path_ids(&input, &output, terminal),
+                    None => trie.apply_path_ids_along(&input, &output, terminal, &mut Vec::new()),
                 }
             };
             assert_eq!(apply(&mut along, Some(&mut path)), apply(&mut plain, None));
@@ -1482,17 +1370,9 @@ mod tests {
     fn root_terminal_survives_the_round_trip() {
         let mut trie = PrefixTrie::new();
         trie.mark_terminal(&InputWord::empty());
-        let rebuilt = PrefixTrie::from_paths(&trie.paths()).unwrap();
+        let rebuilt = remerged(&trie);
         assert_eq!(rebuilt.terminal_words(), 1);
         assert_eq!(rebuilt.entries(), trie.entries());
-    }
-
-    #[test]
-    fn from_paths_rejects_contradictions_without_panicking() {
-        let paths = vec![(w(&["a"]), o(&["1"]), true), (w(&["a"]), o(&["2"]), true)];
-        assert!(PrefixTrie::from_paths(&paths).is_err());
-        let bad_len = vec![(w(&["a", "b"]), o(&["1"]), true)];
-        assert!(PrefixTrie::from_paths(&bad_len).is_err());
     }
 
     #[test]
@@ -1510,13 +1390,13 @@ mod tests {
     }
 
     #[test]
-    fn try_merge_from_reports_contradictions() {
+    #[should_panic(expected = "nondeterministic")]
+    fn merge_from_panics_on_contradictions() {
         let mut a = PrefixTrie::new();
         a.insert(&w(&["a"]), &o(&["1"]));
         let mut b = PrefixTrie::new();
         b.insert(&w(&["a"]), &o(&["2"]));
-        let err = a.try_merge_from(&b).unwrap_err();
-        assert!(err.contains("nondeterministic"));
+        a.merge_from(&b);
     }
 
     #[test]
@@ -1568,13 +1448,13 @@ mod tests {
     /// [`MARK_INPUTS`], each answered by [`mark_outputs`].
     #[derive(Clone, Debug)]
     enum MarkOp {
-        /// `try_insert_ids`, then `mark_terminal_ids` when the flag is set.
+        /// `insert`, then `mark_terminal` when the flag is set.
         Insert(Vec<usize>, bool),
         /// `mark_terminal` of a cached word (skipped when it is not).
         Terminal(Vec<usize>),
         /// The cache-hit path, `answer_ids` (a miss changes nothing).
         Answer(Vec<usize>),
-        /// `apply_path_ids`, as a merge or replay applies a path.
+        /// `apply_path_ids_along`, as a merge or replay applies a path.
         Apply(Vec<usize>, bool),
         /// Takes a further mark.
         Mark,
@@ -1687,7 +1567,8 @@ mod tests {
             let mut trie = PrefixTrie::new();
             for (word, terminal) in &base {
                 let (inputs, outputs) = mark_ids(&mut trie, word);
-                trie.apply_path_ids(&inputs, &outputs, *terminal).unwrap();
+                trie.apply_path_ids_along(&inputs, &outputs, *terminal, &mut Vec::new())
+                    .unwrap();
             }
             if load {
                 trie = refill(&trie).unwrap();
@@ -1703,11 +1584,10 @@ mod tests {
             for op in &ops {
                 match op {
                     MarkOp::Insert(word, terminal) => {
-                        let (inputs, _) = mark_ids(&mut trie, word);
                         let output: OutputWord = mark_outputs(word).into();
-                        trie.try_insert_ids(&inputs, &output).unwrap();
+                        trie.insert(&mark_word(word), &output);
                         if *terminal {
-                            trie.mark_terminal_ids(&inputs);
+                            trie.mark_terminal(&mark_word(word));
                         }
                     }
                     MarkOp::Terminal(word) => {
@@ -1717,12 +1597,13 @@ mod tests {
                     }
                     MarkOp::Answer(word) => {
                         let (inputs, _) = mark_ids(&mut trie, word);
-                        let expected = trie.lookup_ids(&inputs);
+                        let expected = trie.lookup(&mark_word(word));
                         prop_assert_eq!(trie.answer_ids(&inputs, &mut scratch), expected);
                     }
                     MarkOp::Apply(word, terminal) => {
                         let (inputs, outputs) = mark_ids(&mut trie, word);
-                        trie.apply_path_ids(&inputs, &outputs, *terminal).unwrap();
+                        trie.apply_path_ids_along(&inputs, &outputs, *terminal, &mut scratch)
+                            .unwrap();
                     }
                     MarkOp::Mark => snapshots.push(Snapshot::take(&mut trie)),
                 }

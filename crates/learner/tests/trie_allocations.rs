@@ -5,13 +5,13 @@
 //! thread's allocations, so the parallel test harness does not disturb the
 //! counts.
 
-use prognosis_automata::alphabet::{Alphabet, Symbol};
-use prognosis_automata::interner::IWord;
+use prognosis_automata::alphabet::Alphabet;
+use prognosis_automata::interner::SymbolId;
 use prognosis_automata::word::{InputWord, OutputWord};
 use prognosis_learner::cache::StoreKey;
 use prognosis_learner::journal::{JournalStore, RetainPolicy};
 use prognosis_learner::oracle::{CacheOracle, MembershipOracle};
-use prognosis_learner::trie::PrefixTrie;
+use prognosis_learner::trie::{PathCoverage, PrefixTrie};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -150,23 +150,31 @@ fn a_warm_checkout_allocates_by_symbols_not_by_nodes() {
 #[test]
 fn growing_a_warmed_trie_allocates_only_as_its_arena_doubles() {
     let mut trie = trie_with(5_000);
-    // Encode and spell the fresh words up front: what is measured is the
-    // trie's own work per fresh symbol.
-    let fresh: Vec<(IWord, OutputWord)> = (1_000_000..1_002_000)
+    // Encode the fresh words up front: what is measured is the trie's own
+    // work per fresh symbol, on the miss path — one walk that inserts each
+    // answer and marks it asked, resumed along the previous walk.
+    let fresh: Vec<(Vec<SymbolId>, Vec<SymbolId>)> = (1_000_000..1_002_000)
         .map(|index| {
             let w = word(index, 16);
-            (trie.encode_input(&input_word(&w)), output_word(&w))
+            let input = input_word(&w)
+                .iter()
+                .map(|s| trie.intern_input(s))
+                .collect();
+            let output = output_word(&w)
+                .iter()
+                .map(|s| trie.intern_output(s))
+                .collect();
+            (input, output)
         })
         .collect();
-    let outputs: Vec<Symbol> = fresh.iter().flat_map(|(_, o)| o.iter().cloned()).collect();
-    for output in &outputs {
-        trie.intern_output(output);
-    }
+    let mut path = Vec::with_capacity(16);
     let (created, count) = allocations(|| {
         let mut created = 0;
         for (input, output) in &fresh {
-            created += trie.try_insert_ids(input.as_slice(), output).unwrap();
-            trie.mark_terminal_ids(input.as_slice());
+            created += match trie.apply_path_ids_along(input, output, true, &mut path) {
+                Ok((PathCoverage::Contradicts, _)) | Err(_) => panic!("a consistent answer"),
+                Ok((_, nodes)) => nodes,
+            };
         }
         created
     });
