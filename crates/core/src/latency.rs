@@ -6,19 +6,17 @@
 //! by CPU.  The in-process simulated SULs in this workspace answer in
 //! microseconds, which hides exactly the cost the session engine exists to
 //! amortize.  [`LatencySul`] restores the deployment-shaped cost model —
-//! but on the `netsim` **virtual clock** instead of `thread::sleep`: each
-//! step and reset advances a [`SharedClock`] by the configured round-trip
-//! time, so benchmarks compare sequential and multiplexed learning in
-//! deterministic virtual seconds while running at CPU speed.  Through
+//! but on **virtual time** instead of `thread::sleep`: each blocking step
+//! and reset adds the configured round-trip time to the wrapper's elapsed
+//! virtual time, so benchmarks compare sequential and multiplexed learning
+//! in deterministic virtual seconds while running at CPU speed.  Through
 //! [`TimedSul`], a latency-wrapped SUL becomes a deadline-based session
-//! ([`TimedSession`]): one scheduler thread keeps many such round trips in
-//! flight concurrently, which is precisely how event-driven trace
-//! collection scales in practice.
+//! ([`TimedSession`]) on its scheduler's clock: one scheduler thread keeps
+//! many such round trips in flight concurrently, which is precisely how
+//! event-driven trace collection scales in practice.
 
 use crate::oracle_table::{HasOracleTable, OracleTable};
-use crate::session::{
-    SessionSulFactory, SharedClock, SimDuration, SimTime, TimedSession, TimedSul,
-};
+use crate::session::{SessionSulFactory, SimDuration, SimTime, TimedSession, TimedSul};
 use crate::sul::{Sul, SulFactory, SulStats};
 use prognosis_automata::alphabet::Symbol;
 
@@ -28,32 +26,19 @@ pub struct LatencySul<S> {
     inner: S,
     step_latency: SimDuration,
     reset_latency: SimDuration,
-    clock: SharedClock,
-    started_at: SimTime,
+    /// Virtual time the blocking path has spent on the wire.
+    elapsed: SimDuration,
 }
 
 impl<S: Sul> LatencySul<S> {
     /// Wraps `inner`, charging `step_latency` of virtual time per symbol
-    /// and `reset_latency` per reset on a fresh private clock.
+    /// and `reset_latency` per reset.
     pub fn new(inner: S, step_latency: SimDuration, reset_latency: SimDuration) -> Self {
-        LatencySul::with_clock(inner, step_latency, reset_latency, SharedClock::new())
-    }
-
-    /// Wraps `inner` on an existing shared clock (e.g. one a scheduler or
-    /// netsim [`prognosis_netsim::Network`] also advances).
-    pub fn with_clock(
-        inner: S,
-        step_latency: SimDuration,
-        reset_latency: SimDuration,
-        clock: SharedClock,
-    ) -> Self {
-        let started_at = clock.now();
         LatencySul {
             inner,
             step_latency,
             reset_latency,
-            clock,
-            started_at,
+            elapsed: SimDuration::ZERO,
         }
     }
 
@@ -67,29 +52,26 @@ impl<S: Sul> LatencySul<S> {
         self.inner
     }
 
-    /// The clock this wrapper charges its latency to.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
-    }
-
-    /// Virtual time spent "on the wire" since this wrapper was created —
-    /// the denominator of virtual-time throughput in the benchmarks.
+    /// Virtual time the blocking path has spent "on the wire" since this
+    /// wrapper was created — the denominator of virtual-time throughput in
+    /// the benchmarks.  The deadline path ([`TimedSul`]) charges its
+    /// scheduler's clock instead.
     pub fn virtual_elapsed(&self) -> SimDuration {
-        self.clock.now().since(self.started_at)
+        self.elapsed
     }
 }
 
 impl<S: Sul> Sul for LatencySul<S> {
     fn step(&mut self, input: &Symbol) -> Symbol {
         // The blocking path models a worker thread that cannot do anything
-        // else while the packet is in flight: the whole round trip lands on
-        // the clock serially.
-        self.clock.advance_by(self.step_latency);
+        // else while the packet is in flight: the whole round trip adds to
+        // `elapsed`.
+        self.elapsed = self.elapsed + self.step_latency;
         self.inner.step(input)
     }
 
     fn reset(&mut self) {
-        self.clock.advance_by(self.reset_latency);
+        self.elapsed = self.elapsed + self.reset_latency;
         self.inner.reset()
     }
 
@@ -107,20 +89,15 @@ impl<S: Sul> Sul for LatencySul<S> {
 impl<S: Sul> TimedSul for LatencySul<S> {
     fn step_at(&mut self, input: &Symbol, now: SimTime) -> (Symbol, SimTime) {
         // Deadline-based path: the answer is computed eagerly (answers are
-        // pure) but is only visible one round trip later.  The clock is
-        // pulled forward to the deadline at most — concurrent sessions on
-        // the same clock overlap their waits instead of summing them.
-        let output = self.inner.step(input);
-        let ready_at = now + self.step_latency;
-        self.clock.advance_to(ready_at);
-        (output, ready_at)
+        // pure) but is only visible one round trip later; the scheduler
+        // waits for the deadline, so concurrent sessions overlap their
+        // waits instead of summing them.
+        (self.inner.step(input), now + self.step_latency)
     }
 
     fn reset_at(&mut self, now: SimTime) -> SimTime {
         self.inner.reset();
-        let ready_at = now + self.reset_latency;
-        self.clock.advance_to(ready_at);
-        ready_at
+        now + self.reset_latency
     }
 }
 
@@ -234,5 +211,8 @@ mod tests {
         // flows through it).
         let sul = session.into_sul();
         assert_eq!(sul.stats().symbols_sent, 1);
+        // The deadline path charges the scheduler's clock, not the
+        // blocking path's books.
+        assert_eq!(sul.virtual_elapsed(), SimDuration::ZERO);
     }
 }

@@ -17,10 +17,10 @@
 //!   `prognosis-tcp` and `prognosis-quic-sim`, enforcing properties (1)–(5)
 //!   of §3.2.
 //! * [`session`] — the event-driven session engine: [`session::SessionSul`]
-//!   is a non-blocking query session polled against a virtual clock
-//!   ([`session::SharedClock`]), and [`session::SessionScheduler`]
-//!   multiplexes many in-flight sessions on one thread, advancing the clock
-//!   to the next deadline instead of sleeping.
+//!   is a non-blocking query session polled against a virtual clock, and
+//!   [`session::SessionScheduler`], the clock's only owner, multiplexes
+//!   many in-flight sessions on one thread, advancing the clock to the
+//!   next deadline instead of sleeping.
 //! * [`net_transport`] — the impaired-network session transport:
 //!   [`net_transport::NetworkedSession`] routes each multiplexed session's
 //!   concrete packets through one shared `netsim` network per worker, so
@@ -69,8 +69,7 @@ pub use pipeline::{
 pub use quic_adapter::{quic_alphabet, quic_data_alphabet, QuicSul, QuicSulFactory};
 pub use session::{
     BlockingSession, BlockingSessionFactory, EngineStats, SchedulerStats, SessionPoll,
-    SessionScheduler, SessionSul, SessionSulFactory, SharedClock, SimDuration, SimTime,
-    TimedSession, TimedSul,
+    SessionScheduler, SessionSul, SessionSulFactory, SimDuration, SimTime, TimedSession, TimedSul,
 };
 pub use sul::{replay_query, w_method_failures, Sul, SulFactory, SulMembershipOracle, SulStats};
 pub use tcp_adapter::{tcp_alphabet, TcpSul, TcpSulFactory};

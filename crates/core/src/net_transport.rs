@@ -7,11 +7,11 @@
 //! query.  This module closes that gap: a [`NetworkedSession`] puts every
 //! concrete TCP segment / QUIC datagram of its query on a real simulated
 //! wire.  All sessions of one scheduler worker share **one** [`Network`]
-//! (its virtual time attached to the worker's `SharedClock` via
-//! [`Network::attach_clock`]), each session owning a pair of ephemeral
-//! ports: requests leave the client endpoint, the implementation under
-//! learning answers from the server endpoint, and both directions cross
-//! the impaired link.  A step whose packet is lost resolves to the
+//! (driven to the worker scheduler's `now` through
+//! [`Network::advance_to`] before every send and every pump), each
+//! session owning a pair of ephemeral ports: requests leave the client
+//! endpoint, the implementation under learning answers from the server
+//! endpoint, and both directions cross the impaired link.  A step whose packet is lost resolves to the
 //! adapter's timeout symbol at the step deadline instead of hanging.
 //!
 //! Determinism is engineered, not accidental: every endpoint draws its
@@ -28,9 +28,7 @@
 //! ([`NetworkedSessionFactory::repetition_sessions`]), which is what makes
 //! answer *frequencies* under noise observable (§5, the mvfst 82% finding).
 
-use crate::session::{
-    SessionPoll, SessionSul, SessionSulFactory, SharedClock, SimDuration, SimTime,
-};
+use crate::session::{SessionPoll, SessionSul, SessionSulFactory, SimDuration, SimTime};
 use crate::sul::{Sul, SulFactory, SulStats};
 use bytes::Bytes;
 use prognosis_automata::alphabet::Symbol;
@@ -186,7 +184,7 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
         net.rewind_noise(self.server)
             .expect("server endpoint bound");
         if pending_scope {
-            // The network clock just advanced to `now`, so wire events of
+            // The network just advanced to `now`, so wire events of
             // this query get timestamps relative to its reset instant.
             net.begin_wire_scope(self.client, self.server);
         }
@@ -229,9 +227,8 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
         // so popping as we go sees exactly the datagrams a drain would
         // have).
         loop {
-            // The session drives the network straight from the
-            // scheduler-provided instant, so it works under any clock —
-            // attached or not.
+            // The scheduler owns virtual time; the network follows the
+            // instant it hands the session.
             net.advance_to(now);
             let mut sent = false;
             for (_, reply_port, wire) in self
@@ -329,8 +326,9 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
 }
 
 /// Mints [`NetworkedSession`]s.  One scheduler worker's whole session group
-/// shares a single [`Network`] whose virtual time is attached to the
-/// worker's clock ([`SessionSulFactory::create_worker_sessions`]); every
+/// shares a single [`Network`]
+/// ([`SessionSulFactory::create_worker_sessions`]), which its sessions
+/// drive to the worker scheduler's instant; every
 /// session gets its own pair of ephemeral ports and its own rewindable
 /// noise streams.
 #[derive(Clone, Debug)]
@@ -428,12 +426,12 @@ where
         self.timeout
     }
 
-    fn spawn_group(&self, seeds: &[u64]) -> (Vec<NetworkedSession<F::Sul>>, SharedClock) {
-        let clock = SharedClock::new();
-        let mut network = Network::with_default_link(self.noise_seed, self.link);
-        network.attach_clock(clock.clone());
-        let net = Arc::new(Mutex::new(network));
-        let sessions = seeds
+    fn spawn_group(&self, seeds: &[u64]) -> Vec<NetworkedSession<F::Sul>> {
+        let net = Arc::new(Mutex::new(Network::with_default_link(
+            self.noise_seed,
+            self.link,
+        )));
+        seeds
             .iter()
             .map(|&seed| {
                 let mut guard = net.lock().expect("session network poisoned");
@@ -471,8 +469,7 @@ where
                     pending_scope: false,
                 }
             })
-            .collect();
-        (sessions, clock)
+            .collect()
     }
 
     /// The noise-stream seed of repetition `rep`: a splitmix64-finalized
@@ -494,11 +491,7 @@ where
     /// own noise stream, so concurrent repetitions of the same query see
     /// independent network weather — the sampling substrate of
     /// [`crate::nondeterminism::check_multiplexed`].
-    pub fn repetition_sessions(
-        &self,
-        start: u64,
-        count: usize,
-    ) -> (Vec<NetworkedSession<F::Sul>>, SharedClock) {
+    pub fn repetition_sessions(&self, start: u64, count: usize) -> Vec<NetworkedSession<F::Sul>> {
         let seeds: Vec<u64> = (0..count as u64)
             .map(|i| self.repetition_seed(start + i))
             .collect();
@@ -515,12 +508,11 @@ where
 
     fn create_session(&self) -> Self::Session {
         self.spawn_group(&[self.noise_seed])
-            .0
             .pop()
             .expect("one session spawned")
     }
 
-    fn create_worker_sessions(&self, count: usize) -> (Vec<Self::Session>, SharedClock) {
+    fn create_worker_sessions(&self, count: usize) -> Vec<Self::Session> {
         self.spawn_group(&vec![self.noise_seed; count])
     }
 }
@@ -549,8 +541,8 @@ mod tests {
         factory: &NetworkedSessionFactory<TcpSulFactory>,
         batch: &[InputWord],
     ) -> Vec<OutputWord> {
-        let (sessions, clock) = factory.create_worker_sessions(batch.len());
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(batch.len());
+        let mut scheduler = SessionScheduler::new(sessions);
         for (i, word) in batch.iter().enumerate() {
             scheduler.submit(i, word.clone(), QueryPhase::Construction);
         }
@@ -580,8 +572,8 @@ mod tests {
         let factory =
             NetworkedSessionFactory::new(TcpSulFactory::default(), link).with_noise_seed(5);
         let batch = words();
-        let (sessions, clock) = factory.create_worker_sessions(batch.len());
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(batch.len());
+        let mut scheduler = SessionScheduler::new(sessions);
         for (i, word) in batch.iter().enumerate() {
             scheduler.submit(i, word.clone(), QueryPhase::Construction);
         }
@@ -631,8 +623,8 @@ mod tests {
         let second = run_multiplexed(&factory, &batch);
         assert_eq!(first, second, "same group size must reproduce");
         // One session executing the batch serially sees the same answers.
-        let (sessions, clock) = factory.create_worker_sessions(1);
-        let mut serial = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(1);
+        let mut serial = SessionScheduler::new(sessions);
         let mut serial_out = Vec::new();
         for (i, word) in batch.iter().enumerate() {
             serial.submit(i, word.clone(), QueryPhase::Construction);
@@ -657,8 +649,8 @@ mod tests {
             "HANDSHAKE(?,?)[ACK,CRYPTO]",
             "SHORT(?,?)[ACK,STREAM]",
         ]);
-        let (sessions, clock) = factory.create_worker_sessions(1);
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(1);
+        let mut scheduler = SessionScheduler::new(sessions);
         scheduler.submit(0, word.clone(), QueryPhase::Construction);
         let done = scheduler.run_to_idle();
         let expected = replay_query(&mut QuicSul::new(ImplementationProfile::google(), 1), &word);
@@ -684,8 +676,8 @@ mod tests {
                 inner = inner.with_buggy_retry_client();
             }
             let factory = NetworkedSessionFactory::new(inner, LinkConfig::ideal());
-            let (sessions, clock) = factory.create_worker_sessions(1);
-            let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+            let sessions = factory.create_worker_sessions(1);
+            let mut scheduler = SessionScheduler::new(sessions);
             scheduler.submit(0, word.clone(), QueryPhase::Construction);
             let done = scheduler.run_to_idle();
             let second_step = done[0].1.as_slice()[1].to_string();
@@ -720,9 +712,9 @@ mod tests {
 
     #[test]
     fn create_session_works_under_a_foreign_scheduler_clock() {
-        // A single session from `create_session` must behave on a scheduler
-        // that knows nothing of the factory's internal clock — the session
-        // drives its network from the scheduler-provided instant.
+        // A single session from `create_session` must behave on a plain
+        // scheduler — the session drives its network from the
+        // scheduler-provided instant.
         let factory = NetworkedSessionFactory::new(
             TcpSulFactory::default(),
             LinkConfig::with_latency(SimDuration::from_micros(200)),
@@ -747,8 +739,8 @@ mod tests {
         )
         .with_timeout(SimDuration::from_micros(10));
         let word = InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)", "SYN(?,?,0)"]);
-        let (sessions, clock) = factory.create_worker_sessions(1);
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(1);
+        let mut scheduler = SessionScheduler::new(sessions);
         scheduler.submit(0, word.clone(), QueryPhase::Construction);
         let done = scheduler.run_to_idle();
         let expected: OutputWord = word.iter().map(|_| Symbol::new("NIL")).collect();
@@ -768,8 +760,8 @@ mod tests {
             SimDuration::from_micros(400)
         );
         let word = InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]);
-        let (sessions, clock) = factory.create_worker_sessions(1);
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(1);
+        let mut scheduler = SessionScheduler::new(sessions);
         scheduler.submit(0, word.clone(), QueryPhase::Construction);
         let done = scheduler.run_to_idle();
         assert_eq!(done[0].1, replay_query(&mut TcpSul::with_defaults(), &word));
@@ -792,9 +784,9 @@ mod tests {
         let factory = NetworkedSessionFactory::new(TcpSulFactory::default(), LinkConfig::ideal())
             .with_reverse_link(LinkConfig::ideal().loss(1.0));
         let word = InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]);
-        let (sessions, clock) = factory.create_worker_sessions(1);
+        let sessions = factory.create_worker_sessions(1);
         let sink = ScopedSink::new(Arc::new(MemorySink::new()), false);
-        let mut scheduler = SessionScheduler::with_clock(sessions, clock).with_event_sink(sink);
+        let mut scheduler = SessionScheduler::new(sessions).with_event_sink(sink);
         scheduler.submit(0, word.clone(), QueryPhase::Construction);
         let done = scheduler.run_to_idle();
         let expected: OutputWord = word.iter().map(|_| Symbol::new("NIL")).collect();
@@ -845,8 +837,8 @@ mod tests {
         let batch = words();
         let grouped = run_multiplexed(&factory, &batch);
         // One session at a time must see the exact same answers.
-        let (sessions, clock) = factory.create_worker_sessions(1);
-        let mut serial = SessionScheduler::with_clock(sessions, clock);
+        let sessions = factory.create_worker_sessions(1);
+        let mut serial = SessionScheduler::new(sessions);
         let mut serial_out = Vec::new();
         for (i, word) in batch.iter().enumerate() {
             serial.submit(i, word.clone(), QueryPhase::Construction);
@@ -884,7 +876,7 @@ mod tests {
             .with_timeout(SimDuration::from_millis(50));
         assert_eq!(factory.timeout(), SimDuration::from_millis(50));
         assert_eq!(factory.link().latency, SimDuration::from_millis(2));
-        let (sessions, _clock) = factory.create_worker_sessions(3);
+        let sessions = factory.create_worker_sessions(3);
         let mut ports: Vec<u16> = sessions
             .iter()
             .flat_map(|s| [s.client_port(), s.server_port()])

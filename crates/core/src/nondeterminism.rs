@@ -170,8 +170,8 @@ where
         |executions, wanted| {
             // One wave: `wanted` concurrent sessions of the same query, each
             // repetition on its own noise stream over one shared network.
-            let (sessions, clock) = factory.repetition_sessions(executions as u64, wanted);
-            let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+            let sessions = factory.repetition_sessions(executions as u64, wanted);
+            let mut scheduler = SessionScheduler::new(sessions);
             for index in 0..wanted {
                 scheduler.submit(index, input.clone(), QueryPhase::Construction);
             }

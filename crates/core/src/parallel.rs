@@ -22,7 +22,7 @@
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
     add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
-    SessionSulFactory, SharedClock, SimTime, ALL_PHASES,
+    SessionSulFactory, SimTime, ALL_PHASES,
 };
 use crate::sul::SulStats;
 use prognosis_automata::word::{InputWord, OutputWord};
@@ -149,10 +149,9 @@ pub struct EngineShutdown<S> {
 /// A worker's scheduler over its sessions, attached to the engine's sink.
 fn scheduler_for<Sn: SessionSul>(
     sessions: Vec<Sn>,
-    clock: SharedClock,
     events: Option<Arc<ScopedSink>>,
 ) -> SessionScheduler<Sn> {
-    let scheduler = SessionScheduler::with_clock(sessions, clock);
+    let scheduler = SessionScheduler::new(sessions);
     match events {
         Some(sink) => scheduler.with_event_sink(sink),
         None => scheduler,
@@ -194,11 +193,9 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         assert!(max_inflight >= 1, "each worker needs at least one session");
         let events = sink.map(|sink| ScopedSink::new(sink, diagnostics));
         // One session group (and, for networked transports, one netsim
-        // network attached to its clock) per worker.
-        let mut schedulers = (0..workers).map(|_| {
-            let (sessions, clock) = factory.create_worker_sessions(max_inflight);
-            scheduler_for(sessions, clock, events.clone())
-        });
+        // network) per worker.
+        let mut schedulers = (0..workers)
+            .map(|_| scheduler_for(factory.create_worker_sessions(max_inflight), events.clone()));
         let local = schedulers.next();
         let helpers = schedulers.map(spawn_helper).collect();
         ParallelSulOracle {

@@ -248,7 +248,6 @@ impl Adapter {
         });
         let (packet_type, frames) = parsed.as_ref()?;
         self.client.concretize_parsed(*packet_type, frames).ok()?;
-        self.stats.concrete_packets_sent += 1;
         numeric_fields_into(self.client.request_frames(), &mut self.input_fields);
         Some(self.client.request_datagram())
     }
@@ -256,15 +255,12 @@ impl Adapter {
     /// Absorbs one reply datagram into the step in progress.
     fn absorb(&mut self, datagram: &[u8]) {
         let (kinds, replies, fields) = (&mut self.kinds, &mut self.replies, &mut self.reply_fields);
-        let absorbed = self.client.absorb(datagram, |packet| {
+        self.client.absorb(datagram, |packet| {
             let kind = kinds.slot(&packet_kind(packet), || packet.abstract_name());
             let start = fields.len();
             numeric_fields_into(&packet.frames, fields);
             replies.push((kind, start..fields.len()));
         });
-        if absorbed.is_some() {
-            self.stats.concrete_packets_received += 1;
-        }
     }
 
     /// Ends the step in progress: abstracts the absorbed replies into one

@@ -8,10 +8,11 @@
 //! **polled** against a virtual clock — it either has an output symbol
 //! [`SessionPoll::Ready`] or names the deadline at which it next wants
 //! attention ([`SessionPoll::Pending`]).  Nothing ever sleeps: the
-//! [`SessionScheduler`] polls a pending session again only once the clock
+//! [`SessionScheduler`] polls a pending session again only once its clock
 //! has reached the deadline it named, and when no in-flight session is due
-//! it advances the shared [`SharedClock`] straight to the earliest
-//! deadline.  One worker thread can therefore keep `max_inflight`
+//! it advances that clock straight to the earliest deadline.  The
+//! scheduler owns its worker's virtual time: sessions, and the network
+//! they may share, only ever see the `now` it hands them.  One worker thread can therefore keep `max_inflight`
 //! simulated round trips in the air at once, which is where throughput
 //! under latency comes from — more in-flight requests, not more threads.
 //!
@@ -29,7 +30,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 pub use prognosis_learner::oracle::QueryPhase;
-pub use prognosis_netsim::time::{SharedClock, SimDuration, SimTime};
+pub use prognosis_netsim::time::{SimDuration, SimTime};
 
 /// The result of polling an in-flight session step.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,13 +38,13 @@ pub enum SessionPoll {
     /// The step completed with this output symbol.
     Ready(Symbol),
     /// The step is still in flight; there is no point polling again before
-    /// `wake_at` on the session's clock.
+    /// `wake_at` on the scheduler's clock.
     ///
     /// This is a contract, not a hint: the [`SessionScheduler`] does not
     /// poll the session again before `wake_at`, so until then the session
     /// must not change its answer or its wake instant — short of being
-    /// started or reset — whatever else happens on a shared clock or
-    /// substrate in the meantime.
+    /// started or reset — whatever else happens on a shared substrate in
+    /// the meantime.
     Pending {
         /// The earliest virtual instant at which the step can complete.
         wake_at: SimTime,
@@ -227,18 +228,14 @@ pub trait SessionSulFactory {
     /// Creates a fresh, independent session in its initial state.
     fn create_session(&self) -> Self::Session;
 
-    /// Mints the whole session group one scheduler worker multiplexes,
-    /// together with the clock that worker's [`SessionScheduler`] must
-    /// drive.  The default mints `count` independent sessions on a fresh
-    /// clock; transports whose sessions share per-worker substrate — one
-    /// `netsim` network per worker
-    /// ([`crate::net_transport::NetworkedSessionFactory`]) — override this
-    /// so the group lives on one substrate attached to the returned clock.
-    fn create_worker_sessions(&self, count: usize) -> (Vec<Self::Session>, SharedClock) {
-        (
-            (0..count).map(|_| self.create_session()).collect(),
-            SharedClock::new(),
-        )
+    /// Mints the whole session group one scheduler worker multiplexes.
+    /// The default mints `count` independent sessions; transports whose
+    /// sessions share per-worker substrate — one `netsim` network per
+    /// worker ([`crate::net_transport::NetworkedSessionFactory`]) —
+    /// override this so the group lives on one substrate, driven by the
+    /// `now` its [`SessionScheduler`] hands every session call.
+    fn create_worker_sessions(&self, count: usize) -> Vec<Self::Session> {
+        (0..count).map(|_| self.create_session()).collect()
     }
 }
 
@@ -249,7 +246,7 @@ impl<F: SessionSulFactory + ?Sized> SessionSulFactory for &F {
         (**self).create_session()
     }
 
-    fn create_worker_sessions(&self, count: usize) -> (Vec<Self::Session>, SharedClock) {
+    fn create_worker_sessions(&self, count: usize) -> Vec<Self::Session> {
         (**self).create_worker_sessions(count)
     }
 }
@@ -283,7 +280,8 @@ pub struct SchedulerStats {
     pub busy_session_micros: u64,
     /// Peak number of concurrently in-flight sessions.
     pub peak_inflight: u64,
-    /// Virtual time elapsed on this scheduler's clock since construction.
+    /// Virtual time elapsed on this scheduler's clock since construction
+    /// (it starts at [`SimTime::ZERO`]).
     pub virtual_elapsed_micros: u64,
 }
 
@@ -492,7 +490,7 @@ struct Slot {
 }
 
 /// A single-threaded event loop multiplexing up to `max_inflight`
-/// concurrent query sessions over one [`SharedClock`].
+/// concurrent query sessions on one virtual clock, which it alone owns.
 ///
 /// The scheduler never sleeps: [`SessionScheduler::drive`] polls each
 /// in-flight session that is due — one whose last `wake_at` has arrived,
@@ -511,8 +509,9 @@ pub struct SessionScheduler<Sn> {
     sessions: Vec<Sn>,
     /// Slots executing a query (not [`SlotState::Idle`]).
     inflight: usize,
-    clock: SharedClock,
-    started_at: SimTime,
+    /// The worker's virtual instant, from [`SimTime::ZERO`]; only
+    /// [`SessionScheduler::drive_gated`] moves it.
+    now: SimTime,
     stats: SchedulerStats,
     sink: Option<Arc<ScopedSink>>,
     /// Events of the queries completed since the last
@@ -522,23 +521,16 @@ pub struct SessionScheduler<Sn> {
 }
 
 impl<Sn: SessionSul> SessionScheduler<Sn> {
-    /// A scheduler over the given sessions with a fresh clock.
-    pub fn new(sessions: Vec<Sn>) -> Self {
-        SessionScheduler::with_clock(sessions, SharedClock::new())
-    }
-
-    /// A scheduler sharing an existing clock (e.g. with a netsim
-    /// [`prognosis_netsim::Network`] via
-    /// [`prognosis_netsim::Network::attach_clock`]).
+    /// A scheduler over the given sessions, its clock at
+    /// [`SimTime::ZERO`].
     ///
     /// # Panics
     /// Panics when `sessions` is empty.
-    pub fn with_clock(sessions: Vec<Sn>, clock: SharedClock) -> Self {
+    pub fn new(sessions: Vec<Sn>) -> Self {
         assert!(
             !sessions.is_empty(),
             "a scheduler needs at least one session"
         );
-        let started_at = clock.now();
         SessionScheduler {
             slots: sessions
                 .iter()
@@ -549,8 +541,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                 .collect(),
             sessions,
             inflight: 0,
-            clock,
-            started_at,
+            now: SimTime::ZERO,
             stats: SchedulerStats::default(),
             sink: None,
             events: Vec::new(),
@@ -566,11 +557,6 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     pub fn with_event_sink(mut self, sink: Arc<ScopedSink>) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    /// The scheduler's clock handle.
-    pub fn clock(&self) -> &SharedClock {
-        &self.clock
     }
 
     /// Number of sessions currently executing a query.
@@ -595,9 +581,10 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
 
     /// Progress counters.
     pub fn stats(&self) -> SchedulerStats {
-        let mut stats = self.stats;
-        stats.virtual_elapsed_micros = self.clock.now().since(self.started_at).as_micros();
-        stats
+        SchedulerStats {
+            virtual_elapsed_micros: self.now.as_micros(),
+            ..self.stats
+        }
     }
 
     /// Aggregated SUL interaction counters across all sessions.
@@ -617,7 +604,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     /// Panics when no slot is free ([`SessionScheduler::has_capacity`]).
     pub fn submit(&mut self, index: usize, input: impl Into<Arc<InputWord>>, phase: QueryPhase) {
         let input = input.into();
-        let now = self.clock.now();
+        let now = self.now;
         let at = self
             .slots
             .iter()
@@ -662,7 +649,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
     /// range of its events in the buffer [`SessionScheduler::take_events`]
     /// returns (empty without an event sink).
     pub fn drive_gated(&mut self, advance: bool) -> Vec<(usize, OutputWord, Range<usize>)> {
-        let now = self.clock.now();
+        let now = self.now;
         let mut completed = Vec::new();
         let mut progressed = false;
         let mut min_wake: Option<SimTime> = None;
@@ -750,7 +737,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                         });
                     }
                 }
-                self.clock.advance_to(wake);
+                self.now = self.now.max(wake);
             }
         }
         completed
@@ -813,8 +800,6 @@ pub(crate) fn add_stats(acc: SulStats, s: SulStats) -> SulStats {
     SulStats {
         symbols_sent: acc.symbols_sent + s.symbols_sent,
         resets: acc.resets + s.resets,
-        concrete_packets_sent: acc.concrete_packets_sent + s.concrete_packets_sent,
-        concrete_packets_received: acc.concrete_packets_received + s.concrete_packets_received,
     }
 }
 
@@ -875,6 +860,14 @@ mod tests {
             serial_done.extend(serial.run_to_idle());
         }
         let serial_elapsed = serial.stats().virtual_elapsed_micros;
+        // One session at a time pays what a blocking `LatencySul` pays for
+        // the same words — the time unit E15's sequential rows share with
+        // the engine rows.
+        let mut blocking = LatencySul::new(TcpSul::with_defaults(), step, reset);
+        for w in words() {
+            replay_query(&mut blocking, &w);
+        }
+        assert_eq!(serial_elapsed, blocking.virtual_elapsed().as_micros());
 
         // Multiplexed: five sessions, all queries in flight at once.
         let sessions: Vec<_> = (0..5).map(|_| make()).collect();

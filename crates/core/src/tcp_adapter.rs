@@ -143,14 +143,12 @@ impl TcpSul {
             ReferenceTcpClient::parse_abstract(input.as_str()).ok()
         });
         let (flags, payload_len) = parsed?;
-        self.stats.concrete_packets_sent += 1;
         Some(self.client.concretize_parsed(flags, payload_len))
     }
 
     /// Absorbs a server response: the client's bookkeeping advances, and
     /// the response is abstracted through the output memo.
     fn absorb(&mut self, segment: &TcpSegment) -> (Symbol, Fields) {
-        self.stats.concrete_packets_received += 1;
         self.client.absorb(segment);
         let key = (segment.flags.to_byte(), segment.payload.len());
         let output = self

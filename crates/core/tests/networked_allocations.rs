@@ -112,8 +112,7 @@ fn allocations_per_symbol(traced: bool, queries: &[Arc<InputWord>]) -> f64 {
         QuicSulFactory::new(ImplementationProfile::google(), 1),
         link,
     );
-    let (sessions, clock) = factory.create_worker_sessions(16);
-    let mut scheduler = SessionScheduler::with_clock(sessions, clock);
+    let mut scheduler = SessionScheduler::new(factory.create_worker_sessions(16));
     if traced {
         scheduler = scheduler.with_event_sink(ScopedSink::new(Arc::new(NullSink), false));
     }

@@ -12,8 +12,9 @@
 //! The loss/latency knobs matter for one experiment in particular: the
 //! nondeterminism check of §5 exists precisely because "environmental events
 //! such as latency and packet loss could cause non-determinism to be
-//! observed"; experiment E13 sweeps these knobs to measure how many repeated
-//! queries the check needs before reaching its confidence threshold.
+//! observed"; experiment E18 (`exp_noise_sweep`) sweeps these knobs to
+//! measure how many repeated queries the check needs before reaching its
+//! confidence threshold.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,4 +27,4 @@ pub mod time;
 pub use endpoint::{Datagram, Endpoint, EndpointId};
 pub use link::{Fate, LinkConfig};
 pub use network::Network;
-pub use time::{SharedClock, SimDuration, SimTime};
+pub use time::{SimDuration, SimTime};

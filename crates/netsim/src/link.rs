@@ -4,8 +4,8 @@
 //! jitter, independent loss and duplication probabilities and a reordering
 //! probability (implemented as an extra random delay).  The default link is
 //! ideal — zero latency, no impairments — which is what the learning
-//! experiments use; the nondeterminism-check experiments (E13/E18) sweep
-//! the loss and jitter knobs.
+//! experiments use; the nondeterminism-check sweep (E18,
+//! `exp_noise_sweep`) turns the loss and jitter knobs.
 //!
 //! Impairment decisions are **pure**: [`LinkConfig::fate`] derives every
 //! knob's decision for packet `index` of stream `seed` from its own RNG
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn impairment_knobs_are_independent_per_packet() {
-        // The E13/E18 sweep-comparability property: toggling one knob must
+        // The E18 sweep-comparability property: toggling one knob must
         // not reshuffle another knob's outcomes for the same (seed, index).
         let jitter_only = LinkConfig::with_latency(SimDuration::from_millis(1))
             .jitter(SimDuration::from_micros(500));

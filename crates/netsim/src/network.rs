@@ -1,10 +1,11 @@
-//! The network: endpoints, links, an event queue and a virtual clock.
+//! The network: endpoints, links and an event queue on virtual time.
 //!
 //! A [`Network`] owns every endpoint and schedules datagram deliveries on a
 //! priority queue ordered by virtual delivery time (ties broken by send
 //! sequence number so FIFO order is preserved on ideal links).  Callers
-//! drive it explicitly — `send`, then `advance`/`deliver_all` — which keeps
-//! the adapter’s query/response loop fully deterministic.
+//! own the clock and drive the network explicitly — `send`, then
+//! [`Network::advance_to`] their current instant — which keeps the
+//! adapter's query/response loop fully deterministic.
 //!
 //! # Per-endpoint state
 //!
@@ -23,7 +24,7 @@
 
 use crate::endpoint::{Datagram, Endpoint, EndpointId};
 use crate::link::{Fate, LinkConfig};
-use crate::time::{SharedClock, SimDuration, SimTime};
+use crate::time::SimTime;
 use bytes::Bytes;
 use prognosis_events::{Dir, Event};
 use std::cmp::Reverse;
@@ -184,9 +185,6 @@ pub struct Network {
     /// below it is bound), keeping [`Network::bind_ephemeral`]'s
     /// lowest-free-port scan amortized O(1).
     ephemeral_hint: u16,
-    /// Shared-clock handle the network publishes its virtual time to (so
-    /// event-driven schedulers and other networks can share one "now").
-    clock: Option<SharedClock>,
     /// Wire-scope slots, open and closed.
     wire_scopes: Vec<WireScope>,
     /// Slots of closed wire scopes, ready for reuse.
@@ -218,7 +216,6 @@ impl Network {
                 next_index: 0,
             },
             ephemeral_hint: EPHEMERAL_PORT_MIN,
-            clock: None,
             wire_scopes: Vec::new(),
             free_scopes: Vec::new(),
             next_wire_scope: 0,
@@ -228,33 +225,6 @@ impl Network {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Attaches a [`SharedClock`] handle.  The network immediately syncs to
-    /// the later of its own time and the clock's, and from then on every
-    /// time advance is published to the handle, so entities outside the
-    /// network (e.g. a per-worker session scheduler) observe the same
-    /// virtual instant.
-    pub fn attach_clock(&mut self, clock: SharedClock) {
-        self.now = self.now.max(clock.now());
-        clock.advance_to(self.now);
-        self.clock = Some(clock);
-    }
-
-    /// Advances the network to the attached shared clock's current time (a
-    /// no-op without an attached clock), delivering everything due.
-    /// Returns the number of datagrams delivered.
-    pub fn advance_to_clock(&mut self) -> usize {
-        match self.clock.as_ref().map(|c| c.now()) {
-            Some(target) if target > self.now => self.advance(target - self.now),
-            _ => 0,
-        }
-    }
-
-    fn publish_time(&self) {
-        if let Some(clock) = &self.clock {
-            clock.advance_to(self.now);
-        }
     }
 
     fn slot(&self, id: EndpointId) -> Result<&EndpointSlot, NetworkError> {
@@ -626,11 +596,19 @@ impl Network {
         true
     }
 
-    /// Advances virtual time by `delta`, delivering everything scheduled in
-    /// the interval.  Returns the number of datagrams delivered.
-    pub fn advance(&mut self, delta: SimDuration) -> usize {
-        let target = self.now + delta;
-        let before = self.now;
+    /// Number of datagrams currently in flight.
+    pub fn in_flight(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Advances virtual time to `target` (time stays put when `target` is
+    /// not in the future — virtual time is monotonic), delivering
+    /// everything due by then, and returns the number of datagrams
+    /// delivered.  The caller owns the clock: an event-driven session
+    /// hands the network its scheduler's instant before every send and
+    /// every pump.
+    pub fn advance_to(&mut self, target: SimTime) -> usize {
+        let target = target.max(self.now);
         let mut delivered = 0;
         while self
             .queue
@@ -640,50 +618,7 @@ impl Network {
             delivered += usize::from(self.deliver_next());
         }
         self.now = target;
-        if self.now > before {
-            self.publish_time();
-        }
         delivered
-    }
-
-    /// Delivers every queued datagram regardless of its scheduled time,
-    /// advancing the clock to the last delivery.  Convenient for the
-    /// request/response style the adapter uses.
-    pub fn deliver_all(&mut self) -> usize {
-        let before = self.now;
-        let mut delivered = 0;
-        while !self.queue.is_empty() {
-            delivered += usize::from(self.deliver_next());
-        }
-        if self.now > before {
-            self.publish_time();
-        }
-        delivered
-    }
-
-    /// Number of datagrams currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Delivers everything due at or before the current instant without
-    /// advancing time — needed when a datagram was scheduled with zero
-    /// delay at exactly `now`.
-    pub fn deliver_due(&mut self) -> usize {
-        self.advance(SimDuration::ZERO)
-    }
-
-    /// Advances virtual time to `target` (a no-op on time when `target`
-    /// is not in the future — virtual time is monotonic), delivering
-    /// everything due by the later of the two instants.  This is how an
-    /// event-driven session synchronizes the network to its scheduler's
-    /// clock without the network needing a clock handle of its own.
-    pub fn advance_to(&mut self, target: SimTime) -> usize {
-        if target > self.now {
-            self.advance(target - self.now)
-        } else {
-            self.deliver_due()
-        }
     }
 
     /// The earliest scheduled delivery time of an in-flight datagram
@@ -723,6 +658,13 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
+
+    /// Delivers every queued datagram, advancing time to the last one.
+    fn drain(net: &mut Network) -> usize {
+        let last = net.queue.iter().map(|Reverse(d)| d.deliver_at).max();
+        net.advance_to(last.unwrap_or(net.now))
+    }
 
     #[test]
     fn bind_send_receive_round_trip() {
@@ -731,7 +673,7 @@ mod tests {
         let b = net.bind(2000).unwrap();
         net.send(a, 2000, Bytes::from_static(b"hello")).unwrap();
         assert_eq!(net.in_flight(), 1);
-        assert_eq!(net.deliver_all(), 1);
+        assert_eq!(drain(&mut net), 1);
         let dg = net.endpoint_mut(b).unwrap().receive().unwrap();
         assert_eq!(&dg.payload[..], b"hello");
         assert_eq!(dg.source_port, 1000);
@@ -760,9 +702,9 @@ mod tests {
         let a = net.bind(1).unwrap();
         let b = net.bind(2).unwrap();
         net.send(a, 2, Bytes::from_static(b"x")).unwrap();
-        assert_eq!(net.advance(SimDuration::from_millis(5)), 0);
+        assert_eq!(net.advance_to(net.now() + SimDuration::from_millis(5)), 0);
         assert_eq!(net.endpoint(b).unwrap().pending(), 0);
-        assert_eq!(net.advance(SimDuration::from_millis(6)), 1);
+        assert_eq!(net.advance_to(net.now() + SimDuration::from_millis(6)), 1);
         assert_eq!(net.endpoint(b).unwrap().pending(), 1);
         assert_eq!(net.now().as_millis(), 11);
     }
@@ -776,7 +718,7 @@ mod tests {
         for _ in 0..200 {
             net.send(a, 2, Bytes::from_static(b"p")).unwrap();
         }
-        let delivered = net.deliver_all();
+        let delivered = drain(&mut net);
         assert!(
             delivered > 50 && delivered < 150,
             "delivered {delivered} of 200 at 50% loss"
@@ -797,7 +739,7 @@ mod tests {
         let a = net.bind(1).unwrap();
         let b = net.bind(2).unwrap();
         net.send(a, 2, Bytes::from_static(b"p")).unwrap();
-        assert_eq!(net.deliver_all(), 2);
+        assert_eq!(drain(&mut net), 2);
         assert_eq!(net.endpoint(b).unwrap().pending(), 2);
     }
 
@@ -810,7 +752,7 @@ mod tests {
         let server = net.bind(443).unwrap();
         net.send_from_port(client, 61_000, 443, Bytes::from_static(b"retry-token"))
             .unwrap();
-        net.deliver_all();
+        drain(&mut net);
         let dg = net.endpoint_mut(server).unwrap().receive().unwrap();
         assert_eq!(dg.source_port, 61_000);
     }
@@ -864,7 +806,7 @@ mod tests {
         assert_eq!(net.endpoint_on_port(port), Some(second));
         let a = net.bind(10).unwrap();
         net.send(a, port, Bytes::from_static(b"x")).unwrap();
-        net.deliver_all();
+        drain(&mut net);
         assert_eq!(
             net.endpoint(second).unwrap().pending(),
             1,
@@ -889,7 +831,7 @@ mod tests {
             let fates: Vec<bool> = (0..64)
                 .map(|_| {
                     net.send(a, 2, Bytes::from_static(b"x")).unwrap();
-                    net.deliver_all() > 0
+                    drain(&mut net) > 0
                 })
                 .collect();
             fates
@@ -905,7 +847,7 @@ mod tests {
             (0..64)
                 .map(|_| {
                     net.send(a, 2, Bytes::from_static(b"x")).unwrap();
-                    net.deliver_all() > 0
+                    drain(net) > 0
                 })
                 .collect()
         };
@@ -942,8 +884,8 @@ mod tests {
         assert_eq!(net.drop_in_flight_to(&[9]), 0);
         assert_eq!(net.in_flight(), 1, "port 3's datagram survives");
         assert_eq!(net.next_delivery_to(&[2]), None);
-        assert_eq!(net.deliver_due(), 0, "nothing due yet at t=0");
-        net.advance(SimDuration::from_millis(2));
+        assert_eq!(net.advance_to(net.now()), 0, "nothing due yet at t=0");
+        net.advance_to(net.now() + SimDuration::from_millis(2));
         assert_eq!(net.endpoint(_c).unwrap().pending(), 1);
     }
 
@@ -966,7 +908,7 @@ mod tests {
                 assert_eq!(net.drop_in_flight_to(&[2]), 20);
                 assert_eq!(net.next_delivery_to(&[2]), None);
             }
-            net.deliver_all();
+            drain(&mut net);
             let ep = net.endpoint_mut(c).unwrap();
             std::iter::from_fn(|| ep.receive().map(|d| d.payload[0])).collect::<Vec<_>>()
         };
@@ -983,7 +925,7 @@ mod tests {
         let b = net.bind(2).unwrap();
         net.send(a, 2, Bytes::from_static(b"x")).unwrap();
         net.unbind(b).unwrap();
-        assert_eq!(net.deliver_all(), 0);
+        assert_eq!(drain(&mut net), 0);
         assert_eq!(net.endpoint(b).unwrap().pending(), 0);
         assert!(net.unbind(EndpointId(9)).is_err());
     }
@@ -996,59 +938,35 @@ mod tests {
         for i in 0..10u8 {
             net.send(a, 2, Bytes::from(vec![i])).unwrap();
         }
-        net.deliver_all();
+        drain(&mut net);
         let ep = net.endpoint_mut(b).unwrap();
         let payloads: Vec<u8> = std::iter::from_fn(|| ep.receive().map(|d| d.payload[0])).collect();
         assert_eq!(payloads, (0..10).collect::<Vec<u8>>());
     }
 
     #[test]
-    fn attached_clock_tracks_network_time_and_back() {
-        let mut net =
-            Network::with_default_link(3, LinkConfig::with_latency(SimDuration::from_millis(10)));
-        let clock = SharedClock::starting_at(SimTime::from_micros(500));
-        net.attach_clock(clock.clone());
-        assert_eq!(net.now().as_micros(), 500, "network syncs up on attach");
-        let a = net.bind(1).unwrap();
-        let b = net.bind(2).unwrap();
-        net.send(a, 2, Bytes::from_static(b"x")).unwrap();
-        net.deliver_all();
-        assert_eq!(
-            clock.now(),
-            net.now(),
-            "delivery time is published to the shared clock"
-        );
-        // An outside scheduler advances the shared clock; the network
-        // catches up on demand.
-        clock.advance_by(SimDuration::from_millis(5));
-        net.send(b, 1, Bytes::from_static(b"y")).unwrap();
-        assert_eq!(net.advance_to_clock(), 0, "reply still 10ms out");
-        assert_eq!(net.now(), clock.now());
-    }
-
-    #[test]
     fn wire_events_are_staged_per_scope_with_relative_stamps() {
         let mut net =
             Network::with_default_link(3, LinkConfig::with_latency(SimDuration::from_millis(2)));
-        net.advance(SimDuration::from_millis(10)); // nonzero base
+        net.advance_to(net.now() + SimDuration::from_millis(10)); // nonzero base
         let client = net.bind(50_000).unwrap();
         let server = net.bind(443).unwrap();
         net.begin_wire_scope(client, server);
         net.send(client, 443, Bytes::from_static(b"hello")).unwrap();
-        net.advance(SimDuration::from_millis(2));
+        net.advance_to(net.now() + SimDuration::from_millis(2));
         net.send(server, 50_000, Bytes::from_static(b"ok")).unwrap();
-        net.deliver_all();
+        drain(&mut net);
         // A straggler sent inside the scope but delivered after its end.
         net.send(client, 443, Bytes::from_static(b"straggler"))
             .unwrap();
         let mut events = Vec::new();
         net.end_wire_scope(server, &mut events);
-        net.deliver_all();
+        drain(&mut net);
         // Unscoped traffic stays silent, and so does a closed scope.
         let other = net.bind(7).unwrap();
         net.send(other, 443, Bytes::from_static(b"x")).unwrap();
         net.send(client, 443, Bytes::from_static(b"late")).unwrap();
-        net.deliver_all();
+        drain(&mut net);
         net.end_wire_scope(client, &mut events);
         let mut out = String::new();
         for event in &events {
@@ -1085,7 +1003,7 @@ mod tests {
         let server = net.bind(2).unwrap();
         net.begin_wire_scope(client, server);
         net.send(client, 2, Bytes::from_static(b"dup")).unwrap();
-        net.deliver_all();
+        drain(&mut net);
         let mut events = Vec::new();
         net.end_wire_scope(client, &mut events);
         let out = render(&events);
@@ -1102,7 +1020,7 @@ mod tests {
         let server = lossy.bind(2).unwrap();
         lossy.begin_wire_scope(client, server);
         lossy.send(client, 2, Bytes::from_static(b"gone")).unwrap();
-        lossy.deliver_all();
+        drain(&mut lossy);
         let mut events = Vec::new();
         lossy.end_wire_scope(client, &mut events);
         let out = render(&events);

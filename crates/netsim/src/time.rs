@@ -8,8 +8,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// An instant in virtual time (microseconds since simulation start).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,69 +105,6 @@ impl Sub for SimTime {
     }
 }
 
-/// A cloneable, thread-safe handle to a monotonically advancing virtual
-/// clock.
-///
-/// All clones observe the same instant, which is what lets many concurrent
-/// entities — the in-flight query sessions of one scheduler worker, or a
-/// [`crate::Network`] publishing its delivery time — share a single notion
-/// of "now" without any of them sleeping: whoever runs out of work advances
-/// the clock to the next deadline and every other holder of the handle sees
-/// the jump.  The clock never moves backwards ([`SharedClock::advance_to`]
-/// is a max, not a store).
-#[derive(Clone, Debug, Default)]
-pub struct SharedClock {
-    micros: Arc<AtomicU64>,
-}
-
-impl SharedClock {
-    /// A fresh clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        SharedClock::default()
-    }
-
-    /// A fresh clock starting at the given instant.
-    pub fn starting_at(at: SimTime) -> Self {
-        let clock = SharedClock::new();
-        clock.advance_to(at);
-        clock
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        SimTime(self.micros.load(Ordering::Acquire))
-    }
-
-    /// Advances the clock to `at` (a no-op when `at` is in the past —
-    /// virtual time is monotonic).  Returns the clock's time afterwards.
-    pub fn advance_to(&self, at: SimTime) -> SimTime {
-        let prev = self.micros.fetch_max(at.0, Ordering::AcqRel);
-        SimTime(prev.max(at.0))
-    }
-
-    /// Advances the clock by `delta`, returning the new instant.
-    pub fn advance_by(&self, delta: SimDuration) -> SimTime {
-        let mut current = self.micros.load(Ordering::Acquire);
-        loop {
-            let next = current.saturating_add(delta.0);
-            match self.micros.compare_exchange_weak(
-                current,
-                next,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return SimTime(next),
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Virtual time elapsed since the simulation start.
-    pub fn elapsed(&self) -> SimDuration {
-        self.now().since(SimTime::ZERO)
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{:03}ms", self.0 / 1_000, self.0 % 1_000)
@@ -218,44 +153,6 @@ mod tests {
         assert!(SimTime::from_micros(1) < SimTime::from_micros(2));
         assert_eq!(SimTime::from_micros(1_234).to_string(), "1.234ms");
         assert_eq!(SimDuration::from_micros(7).to_string(), "7µs");
-    }
-
-    #[test]
-    fn shared_clock_is_monotonic_and_shared_between_clones() {
-        let clock = SharedClock::new();
-        let handle = clock.clone();
-        assert_eq!(clock.now(), SimTime::ZERO);
-        clock.advance_to(SimTime::from_micros(100));
-        assert_eq!(handle.now().as_micros(), 100, "clones see the same time");
-        // Advancing into the past is a no-op.
-        assert_eq!(handle.advance_to(SimTime::from_micros(40)).as_micros(), 100);
-        assert_eq!(clock.now().as_micros(), 100);
-        assert_eq!(
-            clock.advance_by(SimDuration::from_micros(25)).as_micros(),
-            125
-        );
-        assert_eq!(handle.elapsed().as_micros(), 125);
-        let fresh = SharedClock::starting_at(SimTime::from_micros(7));
-        assert_eq!(fresh.now().as_micros(), 7);
-    }
-
-    #[test]
-    fn shared_clock_advances_concurrently_without_losing_monotonicity() {
-        let clock = SharedClock::new();
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let clock = clock.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1_000 {
-                        clock.advance_by(SimDuration::from_micros(1));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(clock.now().as_micros(), 4_000);
     }
 
     #[test]

@@ -42,14 +42,16 @@ impl Sul for EchoOverNetwork {
                 Bytes::from(input.as_str().as_bytes().to_vec()),
             )
             .ok();
-        self.network.advance(SimDuration::from_millis(1));
+        self.network
+            .advance_to(self.network.now() + SimDuration::from_millis(1));
         // The "server" echoes whatever arrived; if the datagram was lost
         // there is nothing to echo.
         let arrived = self.network.endpoint_mut(self.server).unwrap().receive();
         match arrived {
             Some(request) => {
                 self.network.send(self.server, 1_000, request.payload).ok();
-                self.network.advance(SimDuration::from_millis(1));
+                self.network
+                    .advance_to(self.network.now() + SimDuration::from_millis(1));
                 match self.network.endpoint_mut(self.client).unwrap().receive() {
                     Some(_) => Symbol::new("echo"),
                     None => Symbol::new("silence"),
@@ -102,7 +104,8 @@ fn capture_records_the_injected_loss() {
     for _ in 0..100 {
         network.send(a, 2, Bytes::from_static(b"x")).unwrap();
     }
-    network.deliver_all();
+    // An ideal link delivers at the instant it sends.
+    network.advance_to(network.now());
     let mut events = Vec::new();
     network.end_wire_scope(a, &mut events);
     let lost = events
