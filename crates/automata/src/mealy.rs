@@ -95,14 +95,36 @@ impl MealyMachine {
 
     /// Successor state and output for `(state, input)`.
     pub fn step(&self, state: StateId, input: &Symbol) -> Result<(StateId, Symbol), MealyError> {
-        if state >= self.num_states {
-            return Err(MealyError::UnknownState(state));
-        }
+        self.transition(state, input).cloned()
+    }
+
+    /// The `(successor, output)` entry for `(state, input)`, borrowed.
+    fn transition(&self, state: StateId, input: &Symbol) -> Result<&(StateId, Symbol), MealyError> {
+        let row = self
+            .transitions
+            .get(state)
+            .ok_or(MealyError::UnknownState(state))?;
         let idx = self
             .input_alphabet
             .index_of(input)
             .ok_or_else(|| MealyError::UnknownInput(input.clone()))?;
-        Ok(self.transitions[state][idx].clone())
+        Ok(&row[idx])
+    }
+
+    /// Walks `input` from `start`, yielding each step's successor state and
+    /// borrowed output, or the error that ends the walk.  Allocates
+    /// nothing: every run of the machine goes through here.
+    fn walk<'a>(
+        &'a self,
+        start: StateId,
+        input: &'a InputWord,
+    ) -> impl Iterator<Item = Result<(StateId, &'a Symbol), MealyError>> + 'a {
+        let mut state = start;
+        input.iter().map(move |symbol| {
+            let (next, output) = self.transition(state, symbol)?;
+            state = *next;
+            Ok((*next, output))
+        })
     }
 
     /// Successor state for `(state, input)`.
@@ -129,10 +151,10 @@ impl MealyMachine {
         input: &InputWord,
     ) -> Result<(StateId, OutputWord), MealyError> {
         let mut state = start;
-        let mut out = OutputWord::empty();
-        for sym in input.iter() {
-            let (next, o) = self.step(state, sym)?;
-            out.push(o);
+        let mut out = OutputWord::with_capacity(input.len());
+        for step in self.walk(start, input) {
+            let (next, output) = step?;
+            out.push(output.clone());
             state = next;
         }
         Ok((state, out))
@@ -140,7 +162,25 @@ impl MealyMachine {
 
     /// State reached from the initial state on the given input word.
     pub fn state_after(&self, input: &InputWord) -> Result<StateId, MealyError> {
-        self.run_from(self.initial, input).map(|(q, _)| q)
+        self.walk(self.initial, input)
+            .try_fold(self.initial, |_, step| step.map(|(next, _)| next))
+    }
+
+    /// Whether the machine answers `input` with exactly `output`, checked
+    /// step by step without building the machine's own output word: the
+    /// walk stops at the first differing symbol.  A word with a symbol
+    /// outside the input alphabet is an error, unless a difference comes
+    /// first.
+    pub fn produces(&self, input: &InputWord, output: &OutputWord) -> Result<bool, MealyError> {
+        if input.len() != output.len() {
+            return Ok(false);
+        }
+        for (step, expected) in self.walk(self.initial, input).zip(output.iter()) {
+            if step?.1 != expected {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Runs the machine and packages the result as an [`IoTrace`].
@@ -151,10 +191,7 @@ impl MealyMachine {
 
     /// Whether this machine produces the given trace.
     pub fn accepts_trace(&self, trace: &IoTrace) -> bool {
-        match self.run(&trace.input) {
-            Ok(out) => out == trace.output,
-            Err(_) => false,
-        }
+        self.produces(&trace.input, &trace.output).unwrap_or(false)
     }
 
     /// All transitions as `(source, input, output, target)` tuples, ordered
@@ -534,6 +571,40 @@ mod tests {
         );
         assert!(m.accepts_trace(&good));
         assert!(!m.accepts_trace(&bad));
+    }
+
+    #[test]
+    fn produces_compares_without_running_to_the_end() {
+        let m = handshake_machine();
+        let input = InputWord::from_symbols(["SYN(?,?,0)", "ACK(?,?,0)"]);
+        let answer = m.run(&input).unwrap();
+        assert_eq!(m.produces(&input, &answer), Ok(true));
+        let wrong = OutputWord::from_symbols(["NIL", "NIL"]);
+        assert_eq!(m.produces(&input, &wrong), Ok(false));
+        let short = OutputWord::from_symbols(["ACK+SYN(?,?,0)"]);
+        assert_eq!(m.produces(&input, &short), Ok(false));
+        // A difference before an unknown symbol decides the answer; an
+        // unknown symbol before any difference is an error.
+        let unknown = InputWord::from_symbols(["SYN(?,?,0)", "FIN"]);
+        let first_wrong = OutputWord::from_symbols(["NIL", "NIL"]);
+        assert_eq!(m.produces(&unknown, &first_wrong), Ok(false));
+        let first_right = OutputWord::from_symbols(["ACK+SYN(?,?,0)", "NIL"]);
+        assert!(matches!(
+            m.produces(&unknown, &first_right),
+            Err(MealyError::UnknownInput(_))
+        ));
+        assert!(!m.accepts_trace(&IoTrace::new(unknown, first_right)));
+    }
+
+    #[test]
+    fn walks_report_unknown_states_only_when_they_step() {
+        let m = handshake_machine();
+        let (q, out) = m.run_from(99, &InputWord::empty()).unwrap();
+        assert_eq!((q, out.len()), (99, 0));
+        assert!(matches!(
+            m.run_from(99, &InputWord::from_symbols(["SYN(?,?,0)"])),
+            Err(MealyError::UnknownState(99))
+        ));
     }
 
     #[test]

@@ -24,6 +24,12 @@ macro_rules! word_impl {
                 $name(Vec::new())
             }
 
+            /// The empty word, with room for `capacity` symbols: a word
+            /// built to a known length allocates once.
+            pub fn with_capacity(capacity: usize) -> Self {
+                $name(Vec::with_capacity(capacity))
+            }
+
             /// Creates a word from an iterator of symbols.
             pub fn from_symbols<I, S>(symbols: I) -> Self
             where

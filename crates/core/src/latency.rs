@@ -198,7 +198,8 @@ mod tests {
         let mut session = factory.create_session();
         let ready = session.start_reset(SimTime::ZERO);
         assert_eq!(ready.as_micros(), 100);
-        session.start_step(&Symbol::new("SYN(?,?,0)"), ready);
+        let wake_at = session.start_step(&Symbol::new("SYN(?,?,0)"), ready);
+        assert_eq!(wake_at.as_micros(), 150, "the step names its deadline");
         match session.poll_step(ready) {
             SessionPoll::Pending { wake_at } => assert_eq!(wake_at.as_micros(), 150),
             SessionPoll::Ready(_) => panic!("a 50µs round trip is not ready immediately"),

@@ -110,12 +110,13 @@ enum StepState {
 /// The session keeps the [`SessionPoll::Pending`] contract although its
 /// network is shared: the `wake_at` it reports is the earliest of its step
 /// deadline, its server's outbox and the next delivery to either of its
-/// own two ports, and only this session ever puts packets on the wire
-/// addressed to those ports.  Another session's polls may advance the
-/// network and move this session's datagrams into its endpoints' inboxes,
-/// but none arrives before `wake_at`, so nothing this session would see
-/// changes until then.  A spoofed source port (the Issue-3 defect) lies
-/// below [`prognosis_netsim::network::EPHEMERAL_PORT_MIN`], so a reply
+/// own two ports (`start_step` names the first: the instant its request
+/// lands, or its deadline if that comes first), and only this session
+/// ever puts packets on the wire addressed to those ports.  Another
+/// session's polls may advance the network and move this session's
+/// datagrams into its endpoints' inboxes, but none arrives before
+/// `wake_at`, so nothing this session would see changes until then.  A
+/// spoofed source port (the Issue-3 defect) lies below [`prognosis_netsim::network::EPHEMERAL_PORT_MIN`], so a reply
 /// to it can never reach another session's ephemeral ports.
 pub struct NetworkedSession<S: WireSul> {
     sul: S,
@@ -191,20 +192,27 @@ impl<S: WireSul> SessionSul for NetworkedSession<S> {
         now
     }
 
-    fn start_step(&mut self, input: &Symbol, now: SimTime) {
+    fn start_step(&mut self, input: &Symbol, now: SimTime) -> SimTime {
         debug_assert!(matches!(self.state, StepState::Idle), "step started twice");
         match self.sul.wire_request(input) {
-            WireRequest::Immediate(symbol) => self.state = StepState::Immediate(symbol),
+            WireRequest::Immediate(symbol) => {
+                self.state = StepState::Immediate(symbol);
+                now
+            }
             WireRequest::Datagram(wire) => {
                 let source = self.sul.wire_source_port(self.client_port);
                 let mut net = self.lock();
                 net.advance_to(now);
-                net.send_from_port(self.client, source, self.server_port, wire)
+                // Nothing addressed to this session is on the wire between
+                // steps, so until the request lands (at once when it is
+                // lost) a poll would only report that instant.
+                let lands_at = net
+                    .send_from_port(self.client, source, self.server_port, wire)
                     .expect("session server port is bound");
                 drop(net);
-                self.state = StepState::Awaiting {
-                    deadline: now + self.timeout,
-                };
+                let deadline = now + self.timeout;
+                self.state = StepState::Awaiting { deadline };
+                lands_at.min(deadline)
             }
         }
     }

@@ -68,8 +68,12 @@ pub trait SessionSul {
     /// session is ready for the next query's first symbol.
     fn start_reset(&mut self, now: SimTime) -> SimTime;
 
-    /// Begins one abstract input symbol step at virtual time `now`.
-    fn start_step(&mut self, input: &Symbol, now: SimTime);
+    /// Begins one abstract input symbol step at virtual time `now`, and
+    /// returns the first instant worth polling it: the scheduler does not
+    /// poll the step before then, so until that instant the session owes
+    /// the scheduler what the [`SessionPoll::Pending`] contract owes it.
+    /// `now` asks for a poll at once.
+    fn start_step(&mut self, input: &Symbol, now: SimTime) -> SimTime;
 
     /// Polls the in-flight step at virtual time `now`.
     ///
@@ -142,9 +146,10 @@ impl<S: Sul> SessionSul for BlockingSession<S> {
         now
     }
 
-    fn start_step(&mut self, input: &Symbol, _now: SimTime) {
+    fn start_step(&mut self, input: &Symbol, now: SimTime) -> SimTime {
         debug_assert!(self.pending.is_none(), "step started twice");
         self.pending = Some(self.inner.step(input));
+        now
     }
 
     fn poll_step(&mut self, _now: SimTime) -> SessionPoll {
@@ -165,8 +170,9 @@ impl<S: Sul> SessionSul for BlockingSession<S> {
 }
 
 /// The session adapter for [`TimedSul`]s: a deadline-based state machine.
-/// `start_step` computes the answer and records its availability deadline;
-/// `poll_step` surrenders it once the clock has reached the deadline and
+/// `start_step` computes the answer, records its availability deadline and
+/// names that deadline as the first instant to poll; `poll_step`
+/// surrenders the answer once the clock has reached the deadline and
 /// otherwise reports exactly when to come back.
 pub struct TimedSession<S> {
     inner: S,
@@ -190,9 +196,11 @@ impl<S: TimedSul> SessionSul for TimedSession<S> {
         self.inner.reset_at(now)
     }
 
-    fn start_step(&mut self, input: &Symbol, now: SimTime) {
+    fn start_step(&mut self, input: &Symbol, now: SimTime) -> SimTime {
         debug_assert!(self.pending.is_none(), "step started twice");
-        self.pending = Some(self.inner.step_at(input, now));
+        let (output, ready_at) = self.inner.step_at(input, now);
+        self.pending = Some((output, ready_at));
+        ready_at
     }
 
     fn poll_step(&mut self, now: SimTime) -> SessionPoll {
@@ -475,10 +483,10 @@ enum SlotState {
         ready_at: SimTime,
     },
     /// A step has been started and awaits `poll_step`; `wake_at` is the
-    /// instant its last [`SessionPoll::Pending`] named (`None` until the
-    /// step's first poll).
+    /// instant `start_step` or the step's last [`SessionPoll::Pending`]
+    /// named.
     Stepping {
-        wake_at: Option<SimTime>,
+        wake_at: SimTime,
     },
 }
 
@@ -493,8 +501,9 @@ struct Slot {
 /// concurrent query sessions on one virtual clock, which it alone owns.
 ///
 /// The scheduler never sleeps: [`SessionScheduler::drive`] polls each
-/// in-flight session that is due — one whose last `wake_at` has arrived,
-/// or whose reset or step has just begun — and, if none can make progress
+/// in-flight session that is due — one whose step's `wake_at` (named by
+/// `start_step`, then by each `Pending` poll) has arrived, or whose reset
+/// has just completed — and, if none can make progress
 /// at the current instant, jumps the clock to the earliest `wake_at`
 /// deadline.  A pending session that is not yet due is not polled at all
 /// (see [`SessionPoll::Pending`]), so a pass costs the due sessions, not
@@ -618,9 +627,9 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
         slot.state = SlotState::Resetting { ready_at };
         slot.job = Some(ActiveJob {
             index,
-            input,
             position: 0,
-            output: OutputWord::empty(),
+            output: OutputWord::with_capacity(input.len()),
+            input,
             phase,
             begun_at: now,
         });
@@ -677,12 +686,10 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                             break;
                         }
                         let symbol = job.input.as_slice()[0].clone();
-                        session.start_step(&symbol, now);
-                        slot.state = SlotState::Stepping { wake_at: None };
+                        let wake_at = session.start_step(&symbol, now);
+                        slot.state = SlotState::Stepping { wake_at };
                     }
-                    SlotState::Stepping {
-                        wake_at: Some(wake_at),
-                    } if wake_at > now => {
+                    SlotState::Stepping { wake_at } if wake_at > now => {
                         // The session is not due: by the wake contract a
                         // poll before `wake_at` would report the same.
                         min_wake = Some(min_wake.map_or(wake_at, |w| w.min(wake_at)));
@@ -690,9 +697,7 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                     }
                     SlotState::Stepping { .. } => match session.poll_step(now) {
                         SessionPoll::Pending { wake_at } => {
-                            slot.state = SlotState::Stepping {
-                                wake_at: Some(wake_at),
-                            };
+                            slot.state = SlotState::Stepping { wake_at };
                             min_wake = Some(min_wake.map_or(wake_at, |w| w.min(wake_at)));
                             break;
                         }
@@ -714,8 +719,8 @@ impl<Sn: SessionSul> SessionScheduler<Sn> {
                                 break;
                             }
                             let symbol = job.input.as_slice()[job.position].clone();
-                            session.start_step(&symbol, now);
-                            slot.state = SlotState::Stepping { wake_at: None };
+                            let wake_at = session.start_step(&symbol, now);
+                            slot.state = SlotState::Stepping { wake_at };
                         }
                     },
                 }
@@ -935,7 +940,7 @@ mod tests {
     }
 
     /// Counts the polls of a wrapped session that come before the
-    /// `wake_at` it last reported.
+    /// `wake_at` it last reported, by `start_step` or a `Pending` poll.
     struct WakeAudit<Sn> {
         inner: Sn,
         wake_at: Option<SimTime>,
@@ -951,9 +956,10 @@ mod tests {
             self.inner.start_reset(now)
         }
 
-        fn start_step(&mut self, input: &Symbol, now: SimTime) {
-            self.wake_at = None;
-            self.inner.start_step(input, now);
+        fn start_step(&mut self, input: &Symbol, now: SimTime) -> SimTime {
+            let wake_at = self.inner.start_step(input, now);
+            self.wake_at = Some(wake_at);
+            wake_at
         }
 
         fn poll_step(&mut self, now: SimTime) -> SessionPoll {
@@ -1034,6 +1040,48 @@ mod tests {
             early, [0; 4],
             "sessions were polled before the wake instant they reported"
         );
+    }
+
+    #[test]
+    fn networked_steps_are_first_polled_when_their_request_lands() {
+        use crate::net_transport::{LinkConfig, NetworkedSessionFactory};
+        let audit = |inner| WakeAudit {
+            inner,
+            wake_at: None,
+            polls: 0,
+            early_polls: 0,
+        };
+        let factory = |link| NetworkedSessionFactory::new(TcpSulFactory::default(), link);
+        let exp = expected();
+
+        // A fixed 100 µs link: a step the server answers is polled when
+        // the request lands, when the reply leaves the server and when it
+        // lands; a step it does not answer only when the request lands.
+        let link = LinkConfig::with_latency(SimDuration::from_micros(100));
+        let sessions = factory(link).create_worker_sessions(3);
+        let (outputs, sessions) = run_pulled(sessions.into_iter().map(audit).collect());
+        assert_eq!(outputs, [exp.clone(), exp.clone()].concat());
+        let (silent, answered) =
+            outputs
+                .iter()
+                .flat_map(OutputWord::iter)
+                .fold((0, 0), |(s, a), out| match out.as_str() {
+                    "NIL" => (s + 1, a),
+                    _ => (s, a + 1),
+                });
+        let polls: u64 = sessions.iter().map(|s| s.polls).sum();
+        assert_eq!(polls, 3 * answered + silent);
+        assert!(sessions.iter().all(|s| s.early_polls == 0));
+
+        // Jitter and loss: the instants differ, the contract does not.
+        let link = LinkConfig::with_latency(SimDuration::from_micros(100))
+            .jitter(SimDuration::from_micros(100))
+            .loss(0.2);
+        let (plain, _) = run_pulled(factory(link).create_worker_sessions(3));
+        let sessions = factory(link).create_worker_sessions(3);
+        let (outputs, sessions) = run_pulled(sessions.into_iter().map(audit).collect());
+        assert_eq!(outputs, plain, "auditing must not change answers");
+        assert!(sessions.iter().all(|s| s.early_polls == 0));
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl<F: SulFactory + ?Sized> SulFactory for &F {
 /// word, collecting one output symbol per input symbol.
 pub fn replay_query<S: Sul + ?Sized>(sul: &mut S, input: &InputWord) -> OutputWord {
     sul.reset();
-    let mut out = OutputWord::empty();
+    let mut out = OutputWord::with_capacity(input.len());
     for symbol in input.iter() {
         out.push(sul.step(symbol));
     }

@@ -14,7 +14,11 @@
 //! parsed form of every input symbol and the output symbol of every
 //! (flags, payload length) reply it has seen, so a repeated symbol is a
 //! memo hit and a repeated output an `Arc` clone.  The memos belong to one
-//! SUL and live as long as it.
+//! SUL and live as long as it.  In process, segments never leave their
+//! structured form, whose payload is an owned `Vec<u8>`: a reply or a
+//! request without payload allocates nothing.  Wire bytes exist only at
+//! the [`WireSul`] boundary, where a segment is encoded into a reused
+//! buffer and copied into the one `Bytes` the network carries.
 
 use crate::memo::Memo;
 use crate::net_transport::{WireRequest, WireSul};
@@ -96,6 +100,8 @@ pub struct TcpSul {
     /// fields, then the first response absorbed from the wire.
     wire_input: Option<(Symbol, Fields)>,
     wire_response: Option<(Symbol, Fields)>,
+    /// Reused encoding buffer of the wire boundary.
+    wire: Vec<u8>,
 }
 
 impl TcpSul {
@@ -113,6 +119,7 @@ impl TcpSul {
             nil: Symbol::new(NIL),
             wire_input: None,
             wire_response: None,
+            wire: Vec::new(),
         }
     }
 
@@ -134,6 +141,13 @@ impl TcpSul {
 
     fn fields(segment: &TcpSegment) -> Fields {
         [i64::from(segment.seq), i64::from(segment.ack)]
+    }
+
+    /// The wire bytes of `segment`, encoded through the reused buffer.
+    fn encode(&mut self, segment: &TcpSegment) -> Bytes {
+        self.wire.clear();
+        segment.encode(&mut self.wire);
+        Bytes::copy_from_slice(&self.wire)
     }
 
     /// Builds the segment for `input` from its memoised parsed form, or
@@ -225,7 +239,7 @@ impl WireSul for TcpSul {
             None => WireRequest::Immediate(self.record(input, &[], None)),
             Some(segment) => {
                 self.wire_input = Some((input.clone(), Self::fields(&segment)));
-                WireRequest::Datagram(segment.encode())
+                WireRequest::Datagram(self.encode(&segment))
             }
         }
     }
@@ -236,13 +250,11 @@ impl WireSul for TcpSul {
         _source_port: u16,
         now: SimTime,
     ) -> (Vec<Bytes>, SimTime) {
-        match TcpSegment::decode(datagram.clone()) {
+        match TcpSegment::decode(datagram) {
             Ok(segment) => {
                 let (response, ready_at) = self.server.handle_segment_at(&segment, now);
-                (
-                    response.into_iter().map(|seg| seg.encode()).collect(),
-                    ready_at,
-                )
+                let responses = response.map(|seg| self.encode(&seg)).into_iter().collect();
+                (responses, ready_at)
             }
             // A mangled segment is dropped by the server's input stage.
             Err(_) => (Vec::new(), now),
@@ -250,7 +262,7 @@ impl WireSul for TcpSul {
     }
 
     fn absorb_wire(&mut self, datagram: &Bytes) {
-        if let Ok(segment) = TcpSegment::decode(datagram.clone()) {
+        if let Ok(segment) = TcpSegment::decode(datagram) {
             let response = self.absorb(&segment);
             // TCP answers a request with at most one segment; a duplicated
             // delivery repeats the identical segment, so the first absorbed

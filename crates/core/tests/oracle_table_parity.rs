@@ -2,7 +2,9 @@
 //! `wire_request` → `handle_wire` → `absorb_wire` → `finish_step`) share
 //! the adapters' memos and Oracle Table recording.  Driving one fixed query
 //! set through each path must give the same outputs and the same table,
-//! entry by entry — unknown symbols included.
+//! entry by entry — unknown symbols included, and TCP payload lengths
+//! past what a segment's 16-bit length field can declare, which do not
+//! parse.
 
 use prognosis_automata::alphabet::Symbol;
 use prognosis_core::net_transport::{WireRequest, WireSul};
@@ -90,6 +92,13 @@ fn tcp_step_and_wire_paths_record_identical_tables() {
             "ACK+PSH(?,?,1)",
             "ACK+PSH(?,?,1)",
         ],
+        vec![
+            "SYN(?,?,0)",
+            "ACK(?,?,0)",
+            "ACK+PSH(?,?,70000)",
+            "ACK+PSH(?,?,18446744073709551615)",
+            "ACK+PSH(?,?,65535)",
+        ],
     ];
     let mut step_sul = TcpSul::with_defaults();
     let step_out = run_queries(&mut step_sul, &queries, |sul, s| sul.step(s));
@@ -98,6 +107,14 @@ fn tcp_step_and_wire_paths_record_identical_tables() {
         wire_step(sul, s, TCP_CLIENT_PORT)
     });
     assert_eq!(step_out[1][1].as_str(), "NIL", "unknown symbols are silent");
+    let long = &step_out[5];
+    assert_eq!(
+        long[2].as_str(),
+        "NIL",
+        "a payload past 65,535 bytes is silent"
+    );
+    assert_eq!(long[3].as_str(), "NIL");
+    assert_eq!(long[4].as_str(), "ACK(?,?,0)", "65,535 bytes still fit");
     assert_parity(
         (step_out, step_sul.oracle_table().entries().collect()),
         (wire_out, wire_sul.oracle_table().entries().collect()),

@@ -433,10 +433,10 @@ impl<O: MembershipOracle> MembershipOracle for CacheOracle<O> {
             forward.len(),
             "inner oracle must answer the whole batch"
         );
-        for (&index, out) in forward.iter().zip(&answers) {
+        for (&index, out) in forward.iter().zip(answers) {
             let ids = encoded[index].take().expect("forwarded word was encoded");
-            self.record_answer_ids(ids.as_slice(), out);
-            results[index] = Some(out.clone());
+            self.record_answer_ids(ids.as_slice(), &out);
+            results[index] = Some(out);
         }
         // Second pass: everything is cached now.
         results

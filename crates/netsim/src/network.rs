@@ -490,12 +490,13 @@ impl Network {
 
     /// Sends a datagram from `from` to whichever endpoint is bound to
     /// `destination_port`.  The source port is the sender's bound port.
+    /// Returns what [`Network::send_from_port`] returns.
     pub fn send(
         &mut self,
         from: EndpointId,
         destination_port: u16,
         payload: Bytes,
-    ) -> Result<(), NetworkError> {
+    ) -> Result<SimTime, NetworkError> {
         let source_port = self.endpoint(from)?.port();
         self.send_from_port(from, source_port, destination_port, payload)
     }
@@ -503,13 +504,16 @@ impl Network {
     /// Sends a datagram with an explicit (possibly spoofed or rebound)
     /// source port.  QUIC-Tracker's retry bug is "the token is returned from
     /// a different source port", which this API models directly.
+    ///
+    /// Returns the instant the datagram's first copy is delivered, or the
+    /// current instant when the link loses it.
     pub fn send_from_port(
         &mut self,
         from: EndpointId,
         source_port: u16,
         destination_port: u16,
         payload: Bytes,
-    ) -> Result<(), NetworkError> {
+    ) -> Result<SimTime, NetworkError> {
         // Validate the sender exists even when spoofing the port.
         self.slot(from)?;
         let Some(to) = self.ports.owner(destination_port) else {
@@ -527,6 +531,7 @@ impl Network {
         let fate = link.fate(stream.seed, packet_index);
         let bytes = payload.len() as u64;
         let wire = self.record_wire_send(from, bytes, fate.map(|fate| fate.copies()));
+        let first_delivery = fate.into_iter().flat_map(Fate::deliveries).min();
         for delay in fate.into_iter().flat_map(Fate::deliveries) {
             let deliver_at = self.now + delay;
             let datagram = Datagram {
@@ -537,7 +542,7 @@ impl Network {
             };
             self.schedule(deliver_at, to, datagram, wire);
         }
-        Ok(())
+        Ok(first_delivery.map_or(self.now, |delay| self.now + delay))
     }
 
     /// Puts `datagram` on the queue for delivery to `to` at `deliver_at`.
@@ -701,12 +706,25 @@ mod tests {
             Network::with_default_link(3, LinkConfig::with_latency(SimDuration::from_millis(10)));
         let a = net.bind(1).unwrap();
         let b = net.bind(2).unwrap();
-        net.send(a, 2, Bytes::from_static(b"x")).unwrap();
+        let lands_at = net.send(a, 2, Bytes::from_static(b"x")).unwrap();
+        assert_eq!(lands_at.as_millis(), 10, "a send reports when it lands");
         assert_eq!(net.advance_to(net.now() + SimDuration::from_millis(5)), 0);
         assert_eq!(net.endpoint(b).unwrap().pending(), 0);
         assert_eq!(net.advance_to(net.now() + SimDuration::from_millis(6)), 1);
         assert_eq!(net.endpoint(b).unwrap().pending(), 1);
         assert_eq!(net.now().as_millis(), 11);
+
+        let lossy = LinkConfig::with_latency(SimDuration::from_millis(10)).loss(1.0);
+        let mut net = Network::with_default_link(3, lossy);
+        let a = net.bind(1).unwrap();
+        net.bind(2).unwrap();
+        net.advance_to(SimTime::from_micros(4_000));
+        let lands_at = net.send(a, 2, Bytes::from_static(b"x")).unwrap();
+        assert_eq!(
+            lands_at.as_millis(),
+            4,
+            "a lost datagram reports the send instant"
+        );
     }
 
     #[test]

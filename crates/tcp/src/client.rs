@@ -9,8 +9,7 @@
 //! concrete segment matching any abstract request from its current state
 //! (`γ`), and abstracts server responses back to flag-level symbols (`α`).
 
-use crate::segment::{TcpFlags, TcpSegment};
-use bytes::Bytes;
+use crate::segment::{TcpFlags, TcpSegment, MAX_PAYLOAD};
 
 /// The output symbol used when the server stays silent.
 pub const NIL: &str = "NIL";
@@ -86,6 +85,8 @@ impl ReferenceTcpClient {
 
     /// Parses an abstract symbol of the form `FLAGS(?,?,len)` into its flag
     /// set and payload length, e.g. `ACK+PSH(?,?,1)` → (`ACK+PSH`, 1).
+    /// A length above [`MAX_PAYLOAD`] does not parse: no segment of the
+    /// wire format can carry it.
     pub fn parse_abstract(symbol: &str) -> Result<(TcpFlags, usize), ConcretizeError> {
         let (flag_part, rest) = symbol
             .split_once('(')
@@ -97,6 +98,7 @@ impl ReferenceTcpClient {
             .rsplit(',')
             .next()
             .and_then(|s| s.trim().parse().ok())
+            .filter(|&len| len <= MAX_PAYLOAD)
             .ok_or_else(|| ConcretizeError::BadSymbol(symbol.to_string()))?;
         let mut flags = TcpFlags::default();
         for part in flag_part.split('+') {
@@ -129,7 +131,7 @@ impl ReferenceTcpClient {
     /// adapter parses each symbol once and replays the parsed form.
     pub fn concretize_parsed(&mut self, flags: TcpFlags, payload_len: usize) -> TcpSegment {
         let ack = if flags.ack { self.rcv_nxt } else { 0 };
-        let payload = Bytes::from(vec![b'a'; payload_len]);
+        let payload = vec![b'a'; payload_len];
         let segment = TcpSegment {
             source_port: self.port,
             destination_port: self.server_port,
@@ -196,6 +198,26 @@ mod tests {
         assert!(ReferenceTcpClient::parse_abstract("garbage").is_err());
         assert!(ReferenceTcpClient::parse_abstract("FOO(?,?,0)").is_err());
         assert!(ReferenceTcpClient::parse_abstract("SYN(?,?,x)").is_err());
+    }
+
+    #[test]
+    fn payload_lengths_past_the_length_field_do_not_parse() {
+        assert_eq!(
+            ReferenceTcpClient::parse_abstract("ACK+PSH(?,?,65535)").unwrap(),
+            (TcpFlags::PSH_ACK, MAX_PAYLOAD)
+        );
+        for symbol in [
+            "ACK+PSH(?,?,65536)",
+            "ACK+PSH(?,?,70000)",
+            "ACK+PSH(?,?,1000000000000)",
+            "ACK+PSH(?,?,18446744073709551615)",
+            "ACK+PSH(?,?,18446744073709551616)",
+        ] {
+            assert!(
+                ReferenceTcpClient::parse_abstract(symbol).is_err(),
+                "{symbol}"
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,13 @@
 //! codec (the role Scapy plays in the paper), and
 //! [`TcpSegment::abstract_name`] is the abstraction the learner sees
 //! (`"SYN"`, `"ACK+PSH"`, ...).
+//!
+//! A segment owns its payload as a plain `Vec<u8>`, so a segment without
+//! payload — every server reply and most requests — allocates nothing.
+//! The codec works on borrowed bytes: `encode` appends to the caller's
+//! buffer and `decode` parses a `&[u8]`, leaving the choice of wire buffer
+//! to whoever puts the segment on a wire.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// TCP header flags (subset relevant to the case study).
@@ -154,8 +159,9 @@ pub struct TcpSegment {
     pub flags: TcpFlags,
     /// Receive window.
     pub window: u16,
-    /// Payload bytes.
-    pub payload: Bytes,
+    /// Payload bytes; at most [`MAX_PAYLOAD`] of them, as many as the
+    /// wire format's 16-bit length field can declare.
+    pub payload: Vec<u8>,
 }
 
 /// Errors produced while decoding a segment.
@@ -194,6 +200,9 @@ impl std::error::Error for SegmentError {}
 /// Fixed header length of the simulator's wire format.
 const HEADER_LEN: usize = 2 + 2 + 4 + 4 + 1 + 2 + 2;
 
+/// The longest payload the wire format's 16-bit length field can declare.
+pub const MAX_PAYLOAD: usize = u16::MAX as usize;
+
 impl TcpSegment {
     /// Creates a segment with an empty payload.
     pub fn new(flags: TcpFlags, seq: u32, ack: u32) -> Self {
@@ -207,7 +216,7 @@ impl TcpSegment {
     }
 
     /// Sets the payload.
-    pub fn with_payload(mut self, payload: impl Into<Bytes>) -> Self {
+    pub fn with_payload(mut self, payload: impl Into<Vec<u8>>) -> Self {
         self.payload = payload.into();
         self
     }
@@ -237,47 +246,51 @@ impl TcpSegment {
         format!("{}(?,?,{})", self.flags.label(), self.payload.len())
     }
 
-    /// Encodes the segment into the simulator's wire format.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + self.payload.len());
-        buf.put_u16(self.source_port);
-        buf.put_u16(self.destination_port);
-        buf.put_u32(self.seq);
-        buf.put_u32(self.ack);
-        buf.put_u8(self.flags.to_byte());
-        buf.put_u16(self.window);
-        buf.put_u16(self.payload.len() as u16);
-        buf.put_slice(&self.payload);
-        buf.freeze()
+    /// Appends the segment in the simulator's wire format to `out`.
+    ///
+    /// # Panics
+    /// Panics when the payload is longer than [`MAX_PAYLOAD`]: its length
+    /// would not fit the header, and the wire would carry a different
+    /// segment than the one handed in.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let payload_len =
+            u16::try_from(self.payload.len()).expect("a TCP payload fits the 16-bit length field");
+        out.reserve(HEADER_LEN + self.payload.len());
+        out.extend_from_slice(&self.source_port.to_be_bytes());
+        out.extend_from_slice(&self.destination_port.to_be_bytes());
+        out.extend_from_slice(&self.seq.to_be_bytes());
+        out.extend_from_slice(&self.ack.to_be_bytes());
+        out.push(self.flags.to_byte());
+        out.extend_from_slice(&self.window.to_be_bytes());
+        out.extend_from_slice(&payload_len.to_be_bytes());
+        out.extend_from_slice(&self.payload);
     }
 
-    /// Decodes a segment from the simulator's wire format.
-    pub fn decode(mut data: Bytes) -> Result<Self, SegmentError> {
-        if data.len() < HEADER_LEN {
+    /// Decodes a segment from the simulator's wire format.  Bytes past the
+    /// declared payload are ignored.
+    pub fn decode(data: &[u8]) -> Result<Self, SegmentError> {
+        let Some((header, rest)) = data.split_first_chunk::<HEADER_LEN>() else {
             return Err(SegmentError::Truncated);
-        }
-        let source_port = data.get_u16();
-        let destination_port = data.get_u16();
-        let seq = data.get_u32();
-        let ack = data.get_u32();
-        let flags = TcpFlags::from_byte(data.get_u8());
-        let window = data.get_u16();
-        let payload_len = data.get_u16() as usize;
-        if payload_len > data.len() {
+        };
+        let u16_at = |at: usize| u16::from_be_bytes([header[at], header[at + 1]]);
+        let u32_at = |at: usize| {
+            u32::from_be_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+        };
+        let payload_len = usize::from(u16_at(15));
+        let Some(payload) = rest.get(..payload_len) else {
             return Err(SegmentError::BadPayloadLength {
                 declared: payload_len,
-                available: data.len(),
+                available: rest.len(),
             });
-        }
-        let payload = data.slice(..payload_len);
+        };
         Ok(TcpSegment {
-            source_port,
-            destination_port,
-            seq,
-            ack,
-            flags,
-            window,
-            payload,
+            source_port: u16_at(0),
+            destination_port: u16_at(2),
+            seq: u32_at(4),
+            ack: u32_at(8),
+            flags: TcpFlags::from_byte(header[12]),
+            window: u16_at(13),
+            payload: payload.to_vec(),
         })
     }
 }
@@ -318,29 +331,55 @@ mod tests {
         assert_eq!(TcpFlags::RST.to_string(), "RST");
     }
 
+    fn encoded(segment: &TcpSegment) -> Vec<u8> {
+        let mut out = Vec::new();
+        segment.encode(&mut out);
+        out
+    }
+
     #[test]
     fn segment_codec_round_trip() {
         let seg = TcpSegment::new(TcpFlags::PSH_ACK, 1000, 2000)
             .with_ports(40965, 44344)
-            .with_payload(Bytes::from_static(b"hello tcp"));
-        let decoded = TcpSegment::decode(seg.encode()).unwrap();
+            .with_payload(*b"hello tcp");
+        let decoded = TcpSegment::decode(&encoded(&seg)).unwrap();
         assert_eq!(decoded, seg);
         assert_eq!(decoded.payload_len(), 9);
     }
 
     #[test]
+    fn encode_appends_to_the_callers_buffer() {
+        let seg = TcpSegment::new(TcpFlags::SYN, 1, 0);
+        let mut out = b"xy".to_vec();
+        seg.encode(&mut out);
+        assert_eq!(&out[..2], b"xy");
+        assert_eq!(out[2..], encoded(&seg)[..]);
+        assert_eq!(out.len(), 2 + HEADER_LEN);
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit length field")]
+    fn encode_refuses_a_payload_its_length_field_cannot_declare() {
+        let seg = TcpSegment::new(TcpFlags::PSH_ACK, 0, 0).with_payload(vec![0; MAX_PAYLOAD + 1]);
+        encoded(&seg);
+    }
+
+    #[test]
+    fn the_longest_payload_round_trips() {
+        let seg = TcpSegment::new(TcpFlags::PSH_ACK, 0, 0).with_payload(vec![7; MAX_PAYLOAD]);
+        assert_eq!(TcpSegment::decode(&encoded(&seg)), Ok(seg));
+    }
+
+    #[test]
     fn decode_errors() {
-        assert_eq!(
-            TcpSegment::decode(Bytes::from_static(b"xx")),
-            Err(SegmentError::Truncated)
-        );
+        assert_eq!(TcpSegment::decode(b"xx"), Err(SegmentError::Truncated));
         // Declare a payload longer than what follows.
         let seg = TcpSegment::new(TcpFlags::ACK, 0, 0);
-        let mut bad = BytesMut::from(&seg.encode()[..]);
+        let mut bad = encoded(&seg);
         let len_off = HEADER_LEN - 2;
         bad[len_off] = 0xFF;
         bad[len_off + 1] = 0xFF;
-        let err = TcpSegment::decode(bad.freeze()).unwrap_err();
+        let err = TcpSegment::decode(&bad).unwrap_err();
         assert!(matches!(err, SegmentError::BadPayloadLength { .. }));
         assert!(err.to_string().contains("exceeds"));
     }
@@ -352,7 +391,7 @@ mod tests {
         assert_eq!(TcpSegment::new(TcpFlags::FIN_ACK, 0, 0).sequence_space(), 1);
         assert_eq!(
             TcpSegment::new(TcpFlags::PSH_ACK, 0, 0)
-                .with_payload(Bytes::from_static(b"abc"))
+                .with_payload(*b"abc")
                 .sequence_space(),
             3
         );
@@ -366,7 +405,7 @@ mod tests {
         );
         assert_eq!(
             TcpSegment::new(TcpFlags::PSH_ACK, 5, 9)
-                .with_payload(Bytes::from_static(b"x"))
+                .with_payload(*b"x")
                 .abstract_name(),
             "ACK+PSH(?,?,1)"
         );
@@ -380,7 +419,7 @@ mod tests {
 
     #[test]
     fn segments_are_cloneable_and_comparable() {
-        let seg = TcpSegment::new(TcpFlags::SYN, 1, 2).with_payload(Bytes::from_static(b"p"));
+        let seg = TcpSegment::new(TcpFlags::SYN, 1, 2).with_payload(*b"p");
         let copy = seg.clone();
         assert_eq!(copy, seg);
         assert_ne!(seg, TcpSegment::new(TcpFlags::SYN, 1, 3));
@@ -396,8 +435,8 @@ mod tests {
         fn arbitrary_bytes_never_panic_the_segment_parser(
             bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..512),
         ) {
-            if let Ok(segment) = TcpSegment::decode(Bytes::from(bytes)) {
-                proptest::prop_assert_eq!(TcpSegment::decode(segment.encode()), Ok(segment));
+            if let Ok(segment) = TcpSegment::decode(&bytes) {
+                proptest::prop_assert_eq!(TcpSegment::decode(&encoded(&segment)), Ok(segment));
             }
         }
     }

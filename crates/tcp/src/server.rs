@@ -12,7 +12,6 @@
 //! [`TcpServer::reset`] (property (3) of §3.2).
 
 use crate::segment::{TcpFlags, TcpSegment};
-use bytes::Bytes;
 use prognosis_netsim::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -165,7 +164,7 @@ impl TcpServer {
             ack,
             flags,
             window: self.config.window,
-            payload: Bytes::new(),
+            payload: Vec::new(),
         }
     }
 
@@ -392,7 +391,7 @@ mod tests {
         server.handle_segment(&ack(101, synack.seq + 1));
         let data = TcpSegment::new(TcpFlags::PSH_ACK, 101, synack.seq + 1)
             .with_ports(40_965, 44_344)
-            .with_payload(Bytes::from_static(b"hello"));
+            .with_payload(*b"hello");
         let reply = server.handle_segment(&data).expect("data must be ACKed");
         assert_eq!(reply.flags, TcpFlags::ACK);
         assert_eq!(reply.ack, 106);
@@ -400,7 +399,7 @@ mod tests {
         // Out-of-order data re-acknowledges rcv_nxt without advancing.
         let ooo = TcpSegment::new(TcpFlags::PSH_ACK, 999, synack.seq + 1)
             .with_ports(40_965, 44_344)
-            .with_payload(Bytes::from_static(b"zz"));
+            .with_payload(*b"zz");
         let reply = server.handle_segment(&ooo).unwrap();
         assert_eq!(reply.ack, 106);
         assert_eq!(server.bytes_received(), 5);
