@@ -116,8 +116,9 @@ enum StepState {
 /// session's polls may advance the network and move this session's
 /// datagrams into its endpoints' inboxes, but none arrives before
 /// `wake_at`, so nothing this session would see changes until then.  A
-/// spoofed source port (the Issue-3 defect) lies below [`prognosis_netsim::network::EPHEMERAL_PORT_MIN`], so a reply
-/// to it can never reach another session's ephemeral ports.
+/// spoofed source port (the Issue-3 defect) lies below
+/// [`prognosis_netsim::network::EPHEMERAL_PORT_MIN`], so a reply to it can
+/// never reach another session's ephemeral ports.
 pub struct NetworkedSession<S: WireSul> {
     sul: S,
     net: Arc<Mutex<Network>>,

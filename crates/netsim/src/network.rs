@@ -531,7 +531,7 @@ impl Network {
         let fate = link.fate(stream.seed, packet_index);
         let bytes = payload.len() as u64;
         let wire = self.record_wire_send(from, bytes, fate.map(|fate| fate.copies()));
-        let first_delivery = fate.into_iter().flat_map(Fate::deliveries).min();
+        let lands_at = fate.map_or(self.now, |fate| self.now + fate.delay());
         for delay in fate.into_iter().flat_map(Fate::deliveries) {
             let deliver_at = self.now + delay;
             let datagram = Datagram {
@@ -542,7 +542,7 @@ impl Network {
             };
             self.schedule(deliver_at, to, datagram, wire);
         }
-        Ok(first_delivery.map_or(self.now, |delay| self.now + delay))
+        Ok(lands_at)
     }
 
     /// Puts `datagram` on the queue for delivery to `to` at `deliver_at`.
