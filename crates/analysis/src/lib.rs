@@ -27,4 +27,3 @@ pub mod trace_count;
 pub use model_diff::{diff_models, DiffEntry, ModelDiff};
 pub use properties::{PropertyCheck, SafetyProperty};
 pub use report::Report;
-pub use trace_count::TraceReduction;

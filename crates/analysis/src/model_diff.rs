@@ -15,8 +15,8 @@
 use prognosis_automata::equivalence::machines_equivalent;
 use prognosis_automata::mealy::MealyMachine;
 use prognosis_automata::minimize::minimize;
+use prognosis_automata::walk::product_transitions;
 use prognosis_automata::word::InputWord;
-use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
 /// One behavioural difference between two models.
@@ -139,55 +139,31 @@ pub fn diff_models(
 /// answer differently — the "concrete example traces that show the
 /// difference between the behaviors" of §5.
 fn behavioural_diff(left: &MealyMachine, right: &MealyMachine, max_diffs: usize) -> Vec<DiffEntry> {
-    let mut diffs = Vec::new();
-    if left.input_alphabet() != right.input_alphabet() {
-        return diffs;
-    }
-    let mut visited: HashSet<(usize, usize)> = HashSet::new();
-    let mut queue: VecDeque<(usize, usize, InputWord)> = VecDeque::new();
-    visited.insert((left.initial_state(), right.initial_state()));
-    queue.push_back((
-        left.initial_state(),
-        right.initial_state(),
-        InputWord::empty(),
-    ));
-    while let Some((ql, qr, word)) = queue.pop_front() {
-        if diffs.len() >= max_diffs {
-            break;
-        }
-        for symbol in left.input_alphabet().iter() {
-            let (nl, ol) = left.step(ql, symbol).expect("total machine");
-            let (nr, or) = right.step(qr, symbol).expect("total machine");
-            let next_word = word.append(symbol.clone());
-            if ol != or && diffs.len() < max_diffs {
-                diffs.push(DiffEntry {
-                    input: next_word.clone(),
-                    left_output: left
-                        .run(&next_word)
-                        .expect("shared alphabet")
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                    right_output: right
-                        .run(&next_word)
-                        .expect("shared alphabet")
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect(),
-                });
-            }
-            if visited.insert((nl, nr)) {
-                queue.push_back((nl, nr, next_word));
-            }
-        }
-    }
-    diffs
+    let start = (left.initial_state(), right.initial_state());
+    let Ok(product) = product_transitions(left, right, start) else {
+        return Vec::new();
+    };
+    let rendered = |machine: &MealyMachine, input: &InputWord| -> Vec<String> {
+        let output = machine.run(input).expect("shared alphabet");
+        output.iter().map(|s| s.to_string()).collect()
+    };
+    product
+        .filter(|step| step.output.0 != step.output.1)
+        .take(max_diffs)
+        .map(|step| DiffEntry {
+            left_output: rendered(left, &step.word),
+            right_output: rendered(right, &step.word),
+            input: step.word,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prognosis_automata::alphabet::Alphabet;
     use prognosis_automata::known;
+    use prognosis_automata::mealy::MealyBuilder;
 
     fn rendered(machine: &MealyMachine, input: &InputWord) -> Vec<String> {
         machine
@@ -259,6 +235,26 @@ mod tests {
         let diff = diff_models("a", &known::toggle(), "b", &known::counter(2), 5);
         assert!(!diff.equivalent);
         assert!(diff.diffs.is_empty());
+    }
+
+    #[test]
+    fn alphabets_in_different_orders_still_yield_traces() {
+        let machine = |symbols: [&str; 2], b_output: &str| {
+            let mut builder = MealyBuilder::new(Alphabet::from_symbols(symbols));
+            let s0 = builder.add_state();
+            builder.add_transition(s0, "a", "x", s0).unwrap();
+            builder.add_transition(s0, "b", b_output, s0).unwrap();
+            builder.build().unwrap()
+        };
+        let (left, right) = (machine(["a", "b"], "y"), machine(["b", "a"], "z"));
+        let diff = diff_models("ab", &left, "ba", &right, 5);
+        assert!(!diff.equivalent);
+        assert_eq!(diff.diffs.len(), 1, "{diff}");
+        assert_eq!(diff.diffs[0].input, InputWord::from_symbols(["b"]));
+        assert_eq!(
+            (&diff.diffs[0].left_output, &diff.diffs[0].right_output),
+            (&vec!["y".to_string()], &vec!["z".to_string()])
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   *forbidden*" (e.g. no STREAM data after a CONNECTION_CLOSE).
 
 use prognosis_automata::mealy::{MealyMachine, StateId};
+use prognosis_automata::walk::transitions;
 use prognosis_automata::word::InputWord;
-use std::collections::{HashSet, VecDeque};
 
 /// A safety property over abstract output symbols.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,68 +71,34 @@ fn shortest_word_to_output(
     start: StateId,
     needle: &str,
 ) -> Option<InputWord> {
-    let mut visited: HashSet<StateId> = HashSet::new();
-    let mut queue: VecDeque<(StateId, InputWord)> = VecDeque::new();
-    visited.insert(start);
-    queue.push_back((start, InputWord::empty()));
-    while let Some((q, word)) = queue.pop_front() {
-        for symbol in machine.input_alphabet().iter() {
-            let (next, out) = machine.step(q, symbol).expect("total machine");
-            let next_word = word.append(symbol.clone());
-            if out.as_str().contains(needle) {
-                return Some(next_word);
-            }
-            if visited.insert(next) {
-                queue.push_back((next, next_word));
-            }
-        }
-    }
-    None
+    transitions(machine, start)
+        .find(|step| step.output.as_str().contains(needle))
+        .map(|step| step.word)
 }
 
 /// Checks a safety property against a learned model, producing a witness
 /// input word for violations.
 pub fn check_property(machine: &MealyMachine, property: &SafetyProperty) -> PropertyCheck {
-    match property {
+    let start = machine.initial_state();
+    let witness = match property {
         SafetyProperty::NeverOutput { forbidden } => {
-            let witness = shortest_word_to_output(machine, machine.initial_state(), forbidden);
-            PropertyCheck {
-                property: property.clone(),
-                holds: witness.is_none(),
-                witness,
-            }
+            shortest_word_to_output(machine, start, forbidden)
         }
-        SafetyProperty::NeverAfter { trigger, forbidden } => {
-            // For every reachable transition producing the trigger, look for
-            // a forbidden output reachable from its target state.
-            let mut best: Option<InputWord> = None;
-            let mut visited: HashSet<StateId> = HashSet::new();
-            let mut queue: VecDeque<(StateId, InputWord)> = VecDeque::new();
-            visited.insert(machine.initial_state());
-            queue.push_back((machine.initial_state(), InputWord::empty()));
-            while let Some((q, word)) = queue.pop_front() {
-                for symbol in machine.input_alphabet().iter() {
-                    let (next, out) = machine.step(q, symbol).expect("total machine");
-                    let next_word = word.append(symbol.clone());
-                    if out.as_str().contains(trigger) {
-                        if let Some(tail) = shortest_word_to_output(machine, next, forbidden) {
-                            let witness = next_word.concat(&tail);
-                            if best.as_ref().is_none_or(|b| witness.len() < b.len()) {
-                                best = Some(witness);
-                            }
-                        }
-                    }
-                    if visited.insert(next) {
-                        queue.push_back((next, next_word));
-                    }
-                }
-            }
-            PropertyCheck {
-                property: property.clone(),
-                holds: best.is_none(),
-                witness: best,
-            }
-        }
+        // For every reachable transition producing the trigger, look for a
+        // forbidden output reachable from its target state; the first of
+        // the shortest such witnesses wins.
+        SafetyProperty::NeverAfter { trigger, forbidden } => transitions(machine, start)
+            .filter(|step| step.output.as_str().contains(trigger))
+            .filter_map(|step| {
+                let tail = shortest_word_to_output(machine, step.target, forbidden)?;
+                Some(step.word.concat(&tail))
+            })
+            .min_by_key(InputWord::len),
+    };
+    PropertyCheck {
+        property: property.clone(),
+        holds: witness.is_none(),
+        witness,
     }
 }
 

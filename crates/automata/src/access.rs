@@ -8,26 +8,17 @@
 
 use crate::alphabet::Symbol;
 use crate::mealy::{MealyMachine, StateId};
+use crate::walk::{product_transitions, transitions};
 use crate::word::InputWord;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 
 /// Shortest access sequence for every reachable state (BFS order).
 ///
 /// The initial state maps to the empty word.
 pub fn access_sequences(machine: &MealyMachine) -> BTreeMap<StateId, InputWord> {
-    let mut out = BTreeMap::new();
-    let mut queue = VecDeque::new();
-    out.insert(machine.initial_state(), InputWord::empty());
-    queue.push_back(machine.initial_state());
-    while let Some(q) = queue.pop_front() {
-        let prefix = out[&q].clone();
-        for sym in machine.input_alphabet().iter() {
-            let succ = machine.successor(q, sym).expect("total machine");
-            if let std::collections::btree_map::Entry::Vacant(e) = out.entry(succ) {
-                e.insert(prefix.append(sym.clone()));
-                queue.push_back(succ);
-            }
-        }
+    let mut out = BTreeMap::from([(machine.initial_state(), InputWord::empty())]);
+    for step in transitions(machine, machine.initial_state()) {
+        out.entry(step.target).or_insert(step.word);
     }
     out
 }
@@ -41,17 +32,14 @@ pub fn state_cover(machine: &MealyMachine) -> Vec<InputWord> {
 }
 
 /// The transition cover: every access sequence extended by every input symbol,
-/// plus the state cover itself.
+/// plus the state cover itself: ε and the walk's word for every reachable
+/// transition (its source's access sequence extended by its input).
 pub fn transition_cover(machine: &MealyMachine) -> Vec<InputWord> {
-    let mut cover = state_cover(machine);
-    let access = access_sequences(machine);
-    for seq in access.values() {
-        for sym in machine.input_alphabet().iter() {
-            cover.push(seq.append(sym.clone()));
-        }
-    }
+    let mut cover: Vec<InputWord> = transitions(machine, machine.initial_state())
+        .map(|step| step.word)
+        .collect();
+    cover.push(InputWord::empty());
     cover.sort();
-    cover.dedup();
     cover
 }
 
@@ -96,27 +84,10 @@ pub fn distinguishes(machine: &MealyMachine, a: StateId, b: StateId, word: &Inpu
 
 /// Shortest input word distinguishing states `a` and `b`, if any.
 pub fn distinguishing_word(machine: &MealyMachine, a: StateId, b: StateId) -> Option<InputWord> {
-    if a == b {
-        return None;
-    }
-    let mut visited: HashSet<(StateId, StateId)> = HashSet::new();
-    let mut queue: VecDeque<(StateId, StateId, InputWord)> = VecDeque::new();
-    visited.insert((a, b));
-    queue.push_back((a, b, InputWord::empty()));
-    while let Some((qa, qb, word)) = queue.pop_front() {
-        for sym in machine.input_alphabet().iter() {
-            let (na, oa) = machine.step(qa, sym).expect("total machine");
-            let (nb, ob) = machine.step(qb, sym).expect("total machine");
-            let next = word.append(sym.clone());
-            if oa != ob {
-                return Some(next);
-            }
-            if visited.insert((na, nb)) {
-                queue.push_back((na, nb, next));
-            }
-        }
-    }
-    None
+    product_transitions(machine, machine, (a, b))
+        .expect("a machine shares its own alphabet")
+        .find(|step| step.output.0 != step.output.1)
+        .map(|step| step.word)
 }
 
 /// All input words of length exactly `len` over the machine's alphabet.
@@ -304,8 +275,8 @@ mod tests {
         let tc = transition_cover(&m);
         assert_eq!(sc.len(), 3);
         // Transition cover contains the state cover plus every one-symbol
-        // extension; duplicates are removed.
-        assert!(tc.len() >= sc.len());
+        // extension: ε and one word per transition.
+        assert_eq!(tc.len(), 1 + m.num_transitions());
         for w in &sc {
             assert!(tc.contains(w));
         }

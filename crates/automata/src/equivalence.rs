@@ -7,9 +7,9 @@
 //! by a breadth-first search of the product machine, which also yields a
 //! *shortest* distinguishing input word when they differ.
 
-use crate::mealy::{MealyMachine, StateId};
+use crate::mealy::MealyMachine;
+use crate::walk::{product_transitions, AlphabetMismatch};
 use crate::word::{InputWord, IoTrace};
-use std::collections::{HashSet, VecDeque};
 
 /// The result of comparing two machines.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,56 +52,31 @@ impl Counterexample {
     }
 }
 
-/// Compares two machines over their (required-identical) input alphabets.
+/// Compares two machines whose input alphabets hold the same symbols (in
+/// any order); a counterexample is the length-lexicographically first
+/// shortest distinguishing word, symbols ordered as in `left`'s alphabet.
 pub fn compare(left: &MealyMachine, right: &MealyMachine) -> EquivalenceResult {
-    // Alphabets must coincide as sets for the comparison to make sense.
-    let only_left: Vec<String> = left
-        .input_alphabet()
-        .iter()
-        .filter(|s| !right.input_alphabet().contains(s))
-        .map(|s| s.to_string())
-        .collect();
-    let only_right: Vec<String> = right
-        .input_alphabet()
-        .iter()
-        .filter(|s| !left.input_alphabet().contains(s))
-        .map(|s| s.to_string())
-        .collect();
-    if !only_left.is_empty() || !only_right.is_empty() {
-        return EquivalenceResult::AlphabetMismatch {
+    let start = (left.initial_state(), right.initial_state());
+    let mut product = match product_transitions(left, right, start) {
+        Ok(product) => product,
+        Err(AlphabetMismatch {
             only_left,
             only_right,
-        };
-    }
-
-    // BFS over the product machine.  `parent` reconstructs a shortest
-    // distinguishing word when a mismatching output is found.
-    let mut visited: HashSet<(StateId, StateId)> = HashSet::new();
-    let mut queue: VecDeque<(StateId, StateId, InputWord)> = VecDeque::new();
-    let start = (left.initial_state(), right.initial_state());
-    visited.insert(start);
-    queue.push_back((start.0, start.1, InputWord::empty()));
-
-    while let Some((ql, qr, word)) = queue.pop_front() {
-        for sym in left.input_alphabet().iter() {
-            let (nl, ol) = left.step(ql, sym).expect("total machine");
-            let (nr, or) = right.step(qr, sym).expect("total machine");
-            let next_word = word.append(sym.clone());
-            if ol != or {
-                let left_trace = left.trace(&next_word).expect("word over shared alphabet");
-                let right_trace = right.trace(&next_word).expect("word over shared alphabet");
-                return EquivalenceResult::Inequivalent(Counterexample {
-                    input: next_word,
-                    left: left_trace,
-                    right: right_trace,
-                });
-            }
-            if visited.insert((nl, nr)) {
-                queue.push_back((nl, nr, next_word));
+        }) => {
+            return EquivalenceResult::AlphabetMismatch {
+                only_left,
+                only_right,
             }
         }
+    };
+    match product.find(|step| step.output.0 != step.output.1) {
+        Some(step) => EquivalenceResult::Inequivalent(Counterexample {
+            left: left.trace(&step.word).expect("word over shared alphabet"),
+            right: right.trace(&step.word).expect("word over shared alphabet"),
+            input: step.word,
+        }),
+        None => EquivalenceResult::Equivalent,
     }
-    EquivalenceResult::Equivalent
 }
 
 /// Whether two machines are equivalent.

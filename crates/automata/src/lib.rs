@@ -9,6 +9,9 @@
 //!   distinguishing words,
 //! * access sequences, characterizing sets and transition covers
 //!   (used by the W-method / Wp-method equivalence oracles),
+//! * one breadth-first transition walk ([`walk`]) behind every shortest
+//!   witness: distinguishing words, access sequences, diffs and property
+//!   witnesses,
 //! * Graphviz (DOT) export mirroring the figures in the paper's appendix.
 //!
 //! The types here are deliberately protocol-agnostic: a symbol is just an
@@ -26,6 +29,7 @@ pub mod interner;
 pub mod known;
 pub mod mealy;
 pub mod minimize;
+pub mod walk;
 pub mod word;
 
 pub use alphabet::{Alphabet, Symbol};

@@ -111,6 +111,12 @@ impl MealyMachine {
         Ok(&row[idx])
     }
 
+    /// The `(successor, output)` entry for `state` and the input at
+    /// `index` in the input alphabet.
+    pub(crate) fn edge(&self, state: StateId, index: usize) -> &(StateId, Symbol) {
+        &self.transitions[state][index]
+    }
+
     /// Walks `input` from `start`, yielding each step's successor state and
     /// borrowed output, or the error that ends the walk.  Allocates
     /// nothing: every run of the machine goes through here.
@@ -210,22 +216,7 @@ impl MealyMachine {
     /// States reachable from the initial state (always all states for
     /// machines produced by [`MealyMachine::trim`], possibly fewer otherwise).
     pub fn reachable_states(&self) -> Vec<StateId> {
-        let mut visited = vec![false; self.num_states];
-        let mut stack = vec![self.initial];
-        visited[self.initial] = true;
-        let mut order = Vec::new();
-        while let Some(q) = stack.pop() {
-            order.push(q);
-            for idx in 0..self.input_alphabet.len() {
-                let (next, _) = self.transitions[q][idx];
-                if !visited[next] {
-                    visited[next] = true;
-                    stack.push(next);
-                }
-            }
-        }
-        order.sort_unstable();
-        order
+        crate::access::access_sequences(self).into_keys().collect()
     }
 
     /// Returns an equivalent machine containing only reachable states,
@@ -263,80 +254,12 @@ impl MealyMachine {
     }
 
     /// Enumerates all I/O traces of the machine with input length at most
-    /// `max_len`, starting from the initial state.
-    ///
-    /// The number of such traces is exactly the number of input words of
-    /// length ≤ `max_len` restricted to the machine's behaviour; the paper
-    /// (E4) uses this to contrast the learned-model trace count with the
-    /// full trace space of the alphabet.
+    /// `max_len`, starting from the initial state, shortest first and in
+    /// alphabet order within a length.
     pub fn traces_up_to_length(&self, max_len: usize) -> Vec<IoTrace> {
-        let mut out = Vec::new();
-        let mut frontier: Vec<(StateId, IoTrace)> = vec![(self.initial, IoTrace::empty())];
-        for _ in 0..max_len {
-            let mut next_frontier = Vec::new();
-            for (state, trace) in &frontier {
-                for sym in self.input_alphabet.iter() {
-                    let (succ, o) = self.step(*state, sym).expect("total machine");
-                    let t = IoTrace::new(trace.input.append(sym.clone()), trace.output.append(o));
-                    out.push(t.clone());
-                    next_frontier.push((succ, t));
-                }
-            }
-            frontier = next_frontier;
-        }
-        out
-    }
-
-    /// Counts distinct *output-labelled* traces of input length ≤ `max_len`
-    /// without materializing them.
-    ///
-    /// For a deterministic machine each input word yields exactly one trace,
-    /// so this equals `|Σ̂|^1 + … + |Σ̂|^max_len`; the interesting quantity for
-    /// E4 is the number of *distinct observable behaviours*, i.e. traces that
-    /// reach distinct states or produce distinct outputs, which the analysis
-    /// crate computes via [`MealyMachine::count_behaviour_traces`].
-    pub fn count_traces_up_to_length(&self, max_len: u32) -> u128 {
-        self.input_alphabet.words_up_to_length(max_len)
-    }
-
-    /// Counts traces of input length ≤ `max_len` that are *behaviourally
-    /// informative*: traces in which every step either changes state or
-    /// produces a non-empty output.  This mirrors the paper's count of model
-    /// traces that actually need to be checked (1,210 and 715 for the two
-    /// QUIC models) as opposed to the full 329M-trace space.
-    pub fn count_behaviour_traces(&self, max_len: usize, silent: &Symbol) -> u64 {
-        // Depth-limited DFS over (state, depth); a trace is counted when it
-        // ends, and extension is pruned once the machine enters a state from
-        // which every input loops back with the silent output (a "sink").
-        let sink = self.sink_states(silent);
-        let mut count = 0u64;
-        let mut stack: Vec<(StateId, usize)> = vec![(self.initial, 0)];
-        while let Some((state, depth)) = stack.pop() {
-            if depth == max_len {
-                continue;
-            }
-            for sym in self.input_alphabet.iter() {
-                let (succ, out) = self.step(state, sym).expect("total machine");
-                let informative = succ != state || out != *silent;
-                if informative {
-                    count += 1;
-                }
-                if !sink[succ] || informative {
-                    stack.push((succ, depth + 1));
-                }
-            }
-        }
-        count
-    }
-
-    fn sink_states(&self, silent: &Symbol) -> Vec<bool> {
-        (0..self.num_states)
-            .map(|q| {
-                self.input_alphabet.iter().all(|sym| {
-                    let (succ, out) = self.step(q, sym).expect("total machine");
-                    succ == q && out == *silent
-                })
-            })
+        (1..=max_len)
+            .flat_map(|len| crate::access::words_of_length(self, len))
+            .map(|word| self.trace(&word).expect("word over the input alphabet"))
             .collect()
     }
 }
@@ -635,16 +558,6 @@ mod tests {
         // 2 symbols: 2 traces of length 1 + 4 traces of length 2.
         assert_eq!(traces.len(), 6);
         assert!(traces.iter().all(|t| m.accepts_trace(t)));
-        assert_eq!(m.count_traces_up_to_length(2), 6);
-    }
-
-    #[test]
-    fn behaviour_trace_count_prunes_silent_sinks() {
-        let m = handshake_machine();
-        let silent = Symbol::new("NIL");
-        let n = m.count_behaviour_traces(4, &silent);
-        // Far fewer informative traces than the 2^1+..+2^4 = 30 total words.
-        assert!(n > 0 && n < 30, "informative traces = {n}");
     }
 
     #[test]

@@ -15,6 +15,29 @@ fn machine_params() -> impl Strategy<Value = (usize, usize, usize, u64)> {
     (1usize..12, 1usize..5, 1usize..4, any::<u64>())
 }
 
+/// The first word of length 1..=`max_len`, shortest first and then in
+/// alphabet-index order, on which `a` and `b` answer differently: the
+/// brute-force reference for `compare`'s witness.
+fn first_diverging_word(
+    a: &prognosis_automata::MealyMachine,
+    b: &prognosis_automata::MealyMachine,
+    max_len: usize,
+) -> Option<InputWord> {
+    let symbols = a.input_alphabet().as_slice();
+    (1..=max_len)
+        .flat_map(|len| {
+            (0..symbols.len().pow(len as u32)).map(move |n| {
+                (0..len)
+                    .rev()
+                    .map(|digit| {
+                        symbols[n / symbols.len().pow(digit as u32) % symbols.len()].clone()
+                    })
+                    .collect::<InputWord>()
+            })
+        })
+        .find(|word| a.run(word).unwrap() != b.run(word).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -65,6 +88,29 @@ proptest! {
             prop_assert_ne!(oa.clone(), ob.clone());
             prop_assert_eq!(oa, ce.left.output);
             prop_assert_eq!(ob, ce.right.output);
+        }
+    }
+
+    #[test]
+    fn counterexample_is_the_first_diverging_word_in_length_lex_order(
+        (left_states, right_states) in (1usize..5, 1usize..5),
+        (inputs, outputs) in (1usize..4, 1usize..4),
+        (seed, seed2) in (any::<u64>(), any::<u64>()),
+    ) {
+        let a = random_machine(left_states, inputs, outputs, seed);
+        let b = random_machine(right_states, inputs, outputs, seed2);
+        match compare(&a, &b) {
+            EquivalenceResult::Inequivalent(ce) => {
+                prop_assert_eq!(first_diverging_word(&a, &b, ce.input.len()), Some(ce.input));
+            }
+            EquivalenceResult::Equivalent => {
+                // Partition refinement of the two machines' disjoint union
+                // settles within n - 1 rounds, so states that differ at all
+                // differ on a word of at most n - 1 symbols.
+                let bound = left_states + right_states - 1;
+                prop_assert_eq!(first_diverging_word(&a, &b, bound), None);
+            }
+            other => prop_assert!(false, "same alphabets, got {:?}", other),
         }
     }
 

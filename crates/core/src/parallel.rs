@@ -21,7 +21,7 @@
 
 use crate::pipeline::{panic_message, LearnError};
 use crate::session::{
-    add_stats, phase_name, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
+    add_stats, EngineStats, QueryPhase, SchedulerStats, SessionScheduler, SessionSul,
     SessionSulFactory, SimTime, ALL_PHASES,
 };
 use crate::sul::SulStats;
@@ -400,7 +400,7 @@ impl<Sn: SessionSul + Send + 'static> ParallelSulOracle<Sn> {
         if let Some(events) = &self.events {
             events.diagnostic(Event::Occupancy {
                 time: virtual_after,
-                phase: phase_name(phase),
+                phase: phase.name(),
                 batch: inputs.len() as u64,
                 busy,
                 worker: elapsed.saturating_mul(self.max_inflight as u64),
@@ -559,7 +559,7 @@ impl<Sn: SessionSul + Send + 'static> MembershipOracle for ParallelSulOracle<Sn>
         if phase != self.current_phase {
             if let Some(events) = &self.events {
                 events.deterministic(Event::PhaseEnter {
-                    phase: phase_name(phase),
+                    phase: phase.name(),
                     seq: self.flushed_queries,
                 });
             }

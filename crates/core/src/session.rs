@@ -300,15 +300,6 @@ pub const ALL_PHASES: [QueryPhase; 3] = [
     QueryPhase::Equivalence,
 ];
 
-/// The phase's stable name in the structured event stream.
-pub fn phase_name(phase: QueryPhase) -> &'static str {
-    match phase {
-        QueryPhase::Construction => "construction",
-        QueryPhase::Counterexample => "counterexample",
-        QueryPhase::Equivalence => "equivalence",
-    }
-}
-
 /// Per-learning-phase slice of the engine's dispatch accounting: how many
 /// batches/queries the phase issued and how much session time it kept in
 /// flight.  This is what makes the sift wavefront measurable — before it,
@@ -786,7 +777,7 @@ fn finish<Sn: SessionSul>(
     let job = slot.job.take().expect("finishing slot has a job");
     let start = events.len();
     if sink.is_some() {
-        let phase = phase_name(job.phase);
+        let phase = job.phase.name();
         let symbols = job.input.len() as u64;
         events.push(Event::SessionStart { phase, symbols });
         session.end_event_scope(events);

@@ -6,7 +6,7 @@
 
 use prognosis_core::latency::LatencySulFactory;
 use prognosis_core::pipeline::{learn_model_parallel_with_events, LearnConfig};
-use prognosis_core::session::{phase_name, EngineStats, SimDuration, ALL_PHASES};
+use prognosis_core::session::{EngineStats, SimDuration, ALL_PHASES};
 use prognosis_core::tcp_adapter::{tcp_alphabet, TcpSulFactory};
 use prognosis_events::analyze::{phase_occupancy, scan_log};
 use prognosis_events::json::{self, Value};
@@ -63,8 +63,8 @@ fn phase_stats_are_the_sums_of_the_occupancy_events() {
         }
         for phase in ALL_PHASES {
             let stats = engine.phase(phase);
-            let [busy, worker, events] = sums.get(phase_name(phase)).copied().unwrap_or_default();
-            let at = format!("{} at ({workers}, {max_inflight})", phase_name(phase));
+            let [busy, worker, events] = sums.get(phase.name()).copied().unwrap_or_default();
+            let at = format!("{} at ({workers}, {max_inflight})", phase.name());
             assert_eq!(stats.busy_micros, busy, "{at}: busy");
             assert_eq!(
                 stats.worker_micros * max_inflight as u64,
@@ -96,8 +96,8 @@ fn the_analyzer_fold_reproduces_the_engine_phase_occupancy() {
         let books = phase_occupancy(&scan_log(&path).expect("the log scans as sound"));
         for phase in ALL_PHASES {
             let stats = engine.phase(phase);
-            let folded = books.get(phase_name(phase)).cloned().unwrap_or_default();
-            let at = format!("{} at ({workers}, {max_inflight})", phase_name(phase));
+            let folded = books.get(phase.name()).cloned().unwrap_or_default();
+            let at = format!("{} at ({workers}, {max_inflight})", phase.name());
             assert_eq!(folded.busy, stats.busy_micros, "{at}: busy");
             let occupancy = stats.occupancy(max_inflight as u64);
             assert_eq!(folded.occupancy(), occupancy, "{at}: occupancy");

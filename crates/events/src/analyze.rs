@@ -100,6 +100,12 @@ fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     if !KNOWN_EVENTS.contains(&name.as_str()) {
         return Err(format!("unknown event name `{name}`"));
     }
+    if matches!(name.as_str(), "occupancy" | "session:done") {
+        let phase = value.get("data").and_then(|data| data_str(data, "phase"));
+        if phase.and_then(phase_key).is_none() {
+            return Err(format!("`{name}` event with unknown phase {phase:?}"));
+        }
+    }
     let numeric = |key: &str| -> Result<Option<u64>, String> {
         match value.get(key) {
             None => Ok(None),
@@ -263,11 +269,11 @@ pub fn phase_occupancy(scan: &LogScan) -> BTreeMap<&'static str, PhaseOccupancy>
     for event in &scan.events {
         if event.name == "occupancy" {
             if let (Some(phase), Some(busy), Some(worker)) = (
-                data_str(&event.data, "phase"),
+                data_str(&event.data, "phase").and_then(phase_key),
                 data_u64(&event.data, "busy"),
                 data_u64(&event.data, "worker"),
             ) {
-                let entry = phases.entry(phase_key(phase)).or_default();
+                let entry = phases.entry(phase).or_default();
                 entry.busy = entry.busy.saturating_add(busy);
                 entry.worker = entry.worker.saturating_add(worker);
                 entry.windows.push(busy as f64 / worker.max(1) as f64);
@@ -309,8 +315,8 @@ pub fn timeline_text(scan: &LogScan) -> String {
     let mut volume: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for event in &scan.events {
         if event.name == "session:done" {
-            if let Some(phase) = data_str(&event.data, "phase") {
-                let entry = sessions.entry(phase_key(phase)).or_default();
+            if let Some(phase) = data_str(&event.data, "phase").and_then(phase_key) {
+                let entry = sessions.entry(phase).or_default();
                 entry.0 += 1;
                 entry.1 += event.rel.unwrap_or(0);
             }
@@ -377,13 +383,10 @@ pub fn timeline_text(scan: &LogScan) -> String {
 }
 
 /// Maps a phase string from a log onto the canonical static name (so
-/// the `BTreeMap<&str, _>` keys borrow from `PHASES`, not the scan).
-fn phase_key(phase: &str) -> &'static str {
-    PHASES
-        .iter()
-        .find(|&&p| p == phase)
-        .copied()
-        .unwrap_or("construction")
+/// the `BTreeMap<&str, _>` keys borrow from `PHASES`, not the scan), or
+/// `None` for a phase the learner never names.
+fn phase_key(phase: &str) -> Option<&'static str> {
+    PHASES.iter().find(|&&p| p == phase).copied()
 }
 
 #[cfg(test)]
@@ -478,6 +481,65 @@ mod tests {
         // Unknown event names are unsound too.
         std::fs::write(&path, "{\"name\":\"wat\"}\n").expect("unknown");
         assert!(matches!(scan_log(&path), Err(LogError::Unsound { .. })));
+        cleanup(&path);
+    }
+
+    /// An `occupancy` or `session:done` event must name a learner phase:
+    /// any other phase is unsound, not counted under some other phase.
+    #[test]
+    fn an_unknown_phase_is_unsound() {
+        let path = temp_path("phase");
+        for (event, sound) in [
+            (
+                Event::Occupancy {
+                    time: 5,
+                    phase: "equivalence",
+                    batch: 1,
+                    busy: 2,
+                    worker: 4,
+                },
+                true,
+            ),
+            (
+                Event::Occupancy {
+                    time: 5,
+                    phase: "warmup",
+                    batch: 1,
+                    busy: 2,
+                    worker: 4,
+                },
+                false,
+            ),
+            (
+                Event::SessionDone {
+                    phase: "",
+                    symbols: 3,
+                    rel: 7,
+                },
+                false,
+            ),
+        ] {
+            cleanup(&path);
+            let log = sample_log(&path, 1 << 20);
+            log.emit(&event);
+            log.emit(&Event::WireSend {
+                rel: 3,
+                dir: "up",
+                packet: 0,
+                bytes: 40,
+            });
+            log.flush();
+            drop(log);
+            let scan = scan_log(&path);
+            if sound {
+                assert_eq!(scan.expect("known phase").events.len(), 2);
+            } else {
+                assert!(
+                    matches!(&scan, Err(LogError::Unsound { line: 1, reason, .. }) if reason.contains("phase")),
+                    "{scan:?}"
+                );
+            }
+        }
         cleanup(&path);
     }
 

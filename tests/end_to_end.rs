@@ -6,7 +6,7 @@
 use prognosis::analysis::model_diff::diff_models;
 use prognosis::analysis::properties::{check_property, SafetyProperty};
 use prognosis::analysis::trace_count::informative_paths;
-use prognosis::automata::alphabet::{Alphabet, Symbol};
+use prognosis::automata::alphabet::Alphabet;
 use prognosis::automata::word::InputWord;
 use prognosis::core::nondeterminism::{NondeterminismChecker, NondeterminismConfig};
 use prognosis::core::oracle_table::OracleTable;
@@ -130,10 +130,9 @@ fn quic_models_reproduce_the_paper_shape() {
 
     // E4: trace-space reduction — the informative model traces are orders of
     // magnitude fewer than the 329,554,456 candidate traces.
-    let silent = Symbol::new("{}");
     assert_eq!(quic_alphabet().words_up_to_length(10), 329_554_456);
     for model in [&google.model, &quiche.model] {
-        let informative = informative_paths(model, &silent, 10);
+        let informative = informative_paths(model, 10);
         assert!(informative > 0);
         assert!(
             (informative as u128) < 329_554_456 / 100,
